@@ -78,10 +78,17 @@ func BenchmarkPass1Clustering(b *testing.B) {
 	b.ReportMetric(float64(s.Len()), "edges/op")
 }
 
-func BenchmarkPass2Game(b *testing.B) {
+func BenchmarkPass2Game(b *testing.B) { benchPass2Game(b, 32, 0) }
+
+// BenchmarkPass2GameK256 plays the game as CLUGP does at k=256 (batches of
+// 6400 clusters), where a best response that scanned every partition would
+// dominate; it tracks how pass 2 scales in k.
+func BenchmarkPass2GameK256(b *testing.B) { benchPass2Game(b, 256, 6400) }
+
+func benchPass2Game(b *testing.B, k, batch int) {
 	g := benchGraph(b)
 	s := stream.NewView(g, stream.BFS, 0).Source(g.NumVertices)
-	res, err := cluster.Run(s, cluster.Config{Vmax: int64(s.Len() / (5 * 32))})
+	res, err := cluster.Run(s, cluster.Config{Vmax: int64(s.Len() / (5 * k))})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +99,7 @@ func BenchmarkPass2Game(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := game.Solve(cg, game.Config{K: 32, Seed: 1}); err != nil {
+		if _, err := game.Solve(cg, game.Config{K: k, BatchSize: batch, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

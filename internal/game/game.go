@@ -19,8 +19,10 @@
 package game
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +51,8 @@ type Config struct {
 	Threads int
 	// MaxRounds caps best-response rounds per batch as a safety valve; the
 	// potential argument guarantees termination, and equilibria are
-	// typically reached in well under 50 rounds. Zero means 1000.
+	// typically reached in well under 50 rounds. Zero means 1000; negative
+	// values are rejected.
 	MaxRounds int
 	// Restarts plays each batch's game from that many independent random
 	// initial assignments and keeps the equilibrium with the lowest
@@ -83,7 +86,9 @@ func (c Config) withDefaults() Config {
 type Assignment struct {
 	// Partition[c] is the partition chosen for cluster c.
 	Partition []int32
-	// Rounds is the maximum number of best-response rounds any batch took.
+	// Rounds is the maximum over batches of the best-response rounds the
+	// batch played; with Restarts > 1 a batch's rounds are summed across
+	// its restarts.
 	Rounds int
 	// Moves is the total number of strategy changes across all batches.
 	Moves int64
@@ -97,6 +102,9 @@ func Solve(cg *cluster.Graph, cfg Config) (*Assignment, error) {
 	cfg = cfg.withDefaults()
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("game: K must be >= 1, got %d", cfg.K)
+	}
+	if cfg.MaxRounds < 0 {
+		return nil, fmt.Errorf("game: MaxRounds must be >= 0, got %d", cfg.MaxRounds)
 	}
 	if cfg.RelWeight <= 0 || cfg.RelWeight >= 1 {
 		return nil, fmt.Errorf("game: RelWeight must lie in (0,1), got %v", cfg.RelWeight)
@@ -171,6 +179,10 @@ type scratch struct {
 	load    []int64   // per-partition load
 	wTo     []float64 // arc weight toward each partition
 	touched []int32   // partitions with non-zero wTo
+	order   []int32   // partitions sorted by (load, index)
+	pos     []int32   // pos[p] is p's index in order
+	// fallbacks counts best responses that a near-tie sent to the full scan.
+	fallbacks int64
 }
 
 func (sc *scratch) reset(n, k int) {
@@ -185,7 +197,12 @@ func (sc *scratch) reset(n, k int) {
 	if cap(sc.load) < k {
 		sc.load = make([]int64, k)
 		sc.wTo = make([]float64, k)
-		sc.touched = make([]int32, 0, k)
+		// One backing array for the three k-sized index lists; touched is
+		// capped at k so an append can never run into order.
+		buf := make([]int32, 3*k)
+		sc.touched = buf[:0:k]
+		sc.order = buf[k : 2*k : 2*k]
+		sc.pos = buf[2*k:]
 	}
 	sc.load = sc.load[:k]
 	sc.wTo = sc.wTo[:k]
@@ -193,6 +210,8 @@ func (sc *scratch) reset(n, k int) {
 		sc.wTo[i] = 0
 	}
 	sc.touched = sc.touched[:0]
+	sc.order = sc.order[:k]
+	sc.pos = sc.pos[:k]
 }
 
 // playBatchBest plays the batch game cfg.Restarts times from independent
@@ -274,6 +293,15 @@ func batchPotential(cg *cluster.Graph, out []int32, cfg Config, lo, hi int, load
 // writing final choices into out (batch-local: out[c-lo] is cluster c's
 // partition). It only reads cg and its own range, so batches are data-race
 // free; all buffers come from the worker's scratch.
+//
+// A best response picks the strategy an ascending scan over all k
+// partitions picks: the lowest-index partition at the minimum cost, with a
+// move taken only if it saves more than 1e-9. It evaluates only the
+// current partition, the partitions that in-batch neighbours occupy, and a
+// prefix of the partitions in (load, index) order, so a step costs the
+// cluster's in-batch arcs plus that prefix rather than k. When a cost falls
+// within a hair of the minimum the shortcut cannot certify the scan's pick
+// and the step falls back to the scan itself.
 func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scratch) (rounds int, moves int64) {
 	k := cfg.K
 	rng := xrand.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(lo+1)))
@@ -296,6 +324,16 @@ func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scrat
 		p := int32(rng.Intn(k))
 		out[c-lo] = p
 		load[p] += size[c-lo]
+	}
+
+	// Partitions in (load, index) order; pos locates each one in order.
+	order, pos := sc.order[:k], sc.pos[:k]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(load[a], load[b]) })
+	for i, p := range order {
+		pos[p] = int32(i)
 	}
 
 	// Batch-local lambda default (Theorem 5 upper bound, on the weight
@@ -323,15 +361,16 @@ func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scrat
 
 	// Scratch: weight from the current cluster to each partition. wTo is
 	// kept all-zero between uses (the touched list undoes every write), so
-	// reuse across batches and restarts is free.
+	// reuse across batches and restarts is free. A partition is occupied
+	// by an in-batch neighbour exactly when its wTo is non-zero.
 	wTo := sc.wTo[:k]
 	touched := sc.touched[:0]
 
-	for rounds = 1; rounds <= cfg.MaxRounds; rounds++ {
+	for rounds = 1; ; rounds++ {
 		changed := false
 		for c := lo; c < hi; c++ {
 			ci := cluster.ID(c)
-			sz := float64(size[c-lo])
+			s := size[c-lo]
 			cur := out[c-lo]
 
 			// Accumulate arc weight toward each partition currently chosen
@@ -350,24 +389,89 @@ func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scrat
 				totalW += float64(a.W)
 			}
 
-			best := cur
-			bestCost := wLoad*sz*float64(load[cur]) + wCut*(totalW-wTo[cur])
-			for p := int32(0); p < int32(k); p++ {
+			// With the cluster taken out of cur, every strategy p, cur
+			// included, costs cost(p) (Equation 11 scaled by RelWeight).
+			// An unoccupied partition has wTo[p] == 0, so its cost never
+			// decreases as load[p] grows: in load order, the first
+			// unoccupied partition other than cur is the cheapest one.
+			wl := wLoad * float64(s)
+			cost := func(p int32) float64 { return wl*float64(load[p]+s) + wCut*(totalW-wTo[p]) }
+			load[cur] -= s
+			cc := cost(cur)
+			m := cc
+			for _, p := range touched {
+				m = min(m, cost(p))
+			}
+			head := 0
+			for ; head < k; head++ {
+				if p := order[head]; p != cur && wTo[p] == 0 {
+					m = min(m, cost(p))
+					break
+				}
+			}
+
+			// If every candidate costs exactly m or more than m+margin,
+			// the ascending scan with its 1e-9 hysteresis stays on cur when
+			// cur costs m and otherwise ends on the lowest-index partition
+			// at m. The margin covers the hysteresis plus the rounding of
+			// bestCost-1e-9; the walk stops at the first unoccupied
+			// partition above it, as all later ones cost at least as much.
+			band := m + 1e-8 + 1e-12*m
+			low, near := int32(k), false
+			if cc != m && cc <= band {
+				near = true
+			}
+			for _, p := range touched {
 				if p == cur {
 					continue
 				}
-				cost := wLoad*sz*float64(load[p]+size[c-lo]) + wCut*(totalW-wTo[p])
-				if cost < bestCost-1e-9 {
-					bestCost = cost
-					best = p
+				if pc := cost(p); pc == m {
+					low = min(low, p)
+				} else if pc <= band {
+					near = true
 				}
 			}
+			for _, p := range order[head:] {
+				if p == cur || wTo[p] != 0 {
+					continue
+				}
+				pc := cost(p)
+				if pc > band {
+					break
+				}
+				if pc == m {
+					low = min(low, p)
+				} else {
+					near = true
+				}
+			}
+
+			best := cur
+			switch {
+			case near:
+				sc.fallbacks++
+				bestCost := cc
+				for p := int32(0); p < int32(k); p++ {
+					if p == cur {
+						continue
+					}
+					if pc := cost(p); pc < bestCost-1e-9 {
+						bestCost = pc
+						best = p
+					}
+				}
+			case cc != m:
+				best = low
+			}
 			if best != cur {
-				load[cur] -= size[c-lo]
-				load[best] += size[c-lo]
+				reorder(order, pos, load, cur)
+				load[best] += s
+				reorder(order, pos, load, best)
 				out[c-lo] = best
 				moves++
 				changed = true
+			} else {
+				load[cur] += s
 			}
 
 			for _, p := range touched {
@@ -375,11 +479,27 @@ func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scrat
 			}
 			touched = touched[:0]
 		}
-		if !changed {
-			break
+		if !changed || rounds == cfg.MaxRounds {
+			return rounds, moves
 		}
 	}
-	return rounds, moves
+}
+
+// reorder moves partition p to its place in order after load[p] changed,
+// keeping order sorted by (load, index) and pos in step with it.
+func reorder(order, pos []int32, load []int64, p int32) {
+	before := func(a, b int32) bool { return load[a] < load[b] || load[a] == load[b] && a < b }
+	i := pos[p]
+	for ; i > 0 && before(p, order[i-1]); i-- {
+		order[i] = order[i-1]
+		pos[order[i]] = i
+	}
+	for ; int(i)+1 < len(order) && before(order[i+1], p); i++ {
+		order[i] = order[i+1]
+		pos[order[i]] = i
+	}
+	order[i] = p
+	pos[p] = i
 }
 
 // GreedyAssign is the CLUGP-G ablation (Figure 9): sort clusters by

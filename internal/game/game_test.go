@@ -59,6 +59,27 @@ func TestSolveRejectsBadConfig(t *testing.T) {
 	if _, err := Solve(cg, Config{K: 4, RelWeight: 1.5}); err == nil {
 		t.Fatal("RelWeight=1.5 accepted")
 	}
+	if _, err := Solve(cg, Config{K: 4, MaxRounds: -1}); err == nil {
+		t.Fatal("MaxRounds=-1 accepted")
+	}
+}
+
+// TestSolveRoundsAtCap: a game stopped by MaxRounds reports the rounds it
+// played, summed over restarts, not one past the cap.
+func TestSolveRoundsAtCap(t *testing.T) {
+	cg := testClusterGraph(t, 2000, 16, 2)
+	for _, restarts := range []int{1, 3} {
+		asg, err := Solve(cg, Config{K: 8, Seed: 1, MaxRounds: 1, Restarts: restarts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if asg.Moves == 0 {
+			t.Fatal("one round from a random start moved nothing; the cap was not exercised")
+		}
+		if asg.Rounds != restarts {
+			t.Fatalf("restarts=%d: Rounds = %d at MaxRounds 1, want %d", restarts, asg.Rounds, restarts)
+		}
+	}
 }
 
 func TestSolveEmptyGraph(t *testing.T) {

@@ -19,9 +19,15 @@ type RNG struct {
 }
 
 // New returns a generator deterministically seeded from seed via splitmix64.
+// It is small enough to inline, so a generator that does not outlive its
+// caller stays on the stack.
 func New(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
+	r.seed(seed)
+	return r
+}
+
+func (r *RNG) seed(sm uint64) {
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
@@ -33,7 +39,6 @@ func New(seed uint64) *RNG {
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
 		r.s0 = 1 // xoshiro must not be seeded all-zero
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
