@@ -10,8 +10,7 @@
 //	clugp -in graph.cgr -stream -k 32              # out-of-core: O(|V|) heap
 //	clugp -in graph.cgr -stream -backend file      # seek-based source instead of mmap
 //	clugp -in graph.cgr -stream -workers 4         # parallel hot pass, identical results
-//	clugp -in graph.cgr -stream -score-workers 4   # sharded scoring, identical results
-//	clugp -in graph.cgr -stream -trace             # pipeline + per-shard score-state report
+//	clugp -in graph.cgr -stream -trace             # pass diagnostics, pipeline and peak-heap report
 //	clugp -in graph.cgr -stream -cpuprofile cpu.pb # pprof profiles (-memprofile heap.pb)
 //	clugp -in old.cgr -recompress new.cgr          # rewrite as CGR3 (-format cgr2/cgr1 for old)
 //	clugp -in graph.cgr -stream -result run.cpr    # save a serveable result for cmd/partsrv
@@ -84,7 +83,6 @@ func main() {
 		streamF = flag.Bool("stream", false, "out-of-core mode: partition a .cgr file without loading it")
 		backend = flag.String("backend", "mmap", "file source backend for -stream: mmap or file")
 		workers = flag.Int("workers", 1, "decode workers for -stream (>1 enables the parallel hot pass; results are identical for any count)")
-		scoreW  = flag.Int("score-workers", 1, "score workers for -stream (>1 shards HDRF/Greedy/CLUGP scoring state; results are identical for any count)")
 		cpuprof = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		recomp  = flag.String("recompress", "", "write the loaded graph back out compressed to this file, then exit")
@@ -168,16 +166,15 @@ func main() {
 	var res *repro.PartitionResult
 	if *streamF {
 		res, err = runStreaming(p, *in, streamOpts{
-			k:            *k,
-			out:          *out,
-			resultPath:   *resultF,
-			backend:      *backend,
-			workers:      *workers,
-			scoreWorkers: *scoreW,
-			ckPath:       *ckPath,
-			ckEvery:      *ckEvery,
-			resume:       *resumeF,
-			retry:        *retryF,
+			k:          *k,
+			out:        *out,
+			resultPath: *resultF,
+			backend:    *backend,
+			workers:    *workers,
+			ckPath:     *ckPath,
+			ckEvery:    *ckEvery,
+			resume:     *resumeF,
+			retry:      *retryF,
 		}, heap)
 	} else {
 		res, err = runInMemory(p, *in, *preset, *scale, *k, *seed, *out, *resultF, heap)
@@ -206,7 +203,7 @@ func main() {
 		}
 		if *streamF {
 			pl := res.Pipeline
-			fmt.Printf("pipeline:           %d decode workers, %d score workers\n", pl.DecodeWorkers, pl.ScoreWorkers)
+			fmt.Printf("pipeline:           %d decode workers\n", pl.DecodeWorkers)
 			if pl.SerialFallback != "" {
 				fmt.Printf("serial fallback:    %s\n", pl.SerialFallback)
 			}
@@ -215,20 +212,6 @@ func main() {
 			}
 			if *retryF > 0 || pl.RetryAttempts > 0 {
 				fmt.Printf("stream retries:     %d attempt(s) fired\n", pl.RetryAttempts)
-			}
-			if st, ok := p.(repro.ScoreTracer); ok {
-				if tr := st.LastScoreTrace(); tr != nil {
-					fmt.Printf("score state:        %.2f MB replica tables, %.2f MB degree tables, %d shards\n",
-						float64(tr.ReplicaBytes)/(1<<20), float64(tr.DegreeBytes)/(1<<20), tr.Workers)
-					for i, s := range tr.Shards {
-						occ := 0.0
-						if s.Hi > s.Lo {
-							occ = float64(s.Occupied) / float64(s.Hi-s.Lo)
-						}
-						fmt.Printf("  shard %d: vertices [%d,%d), occupied %d (%.1f%%), %d replicas, %.2f MB\n",
-							i, s.Lo, s.Hi, s.Occupied, 100*occ, s.Replicas, float64(s.Bytes)/(1<<20))
-					}
-				}
 			}
 		}
 		// The paper's Figure 6 claim is about partitioner memory; report what
@@ -289,22 +272,20 @@ func runInMemory(p repro.Partitioner, in, preset string, scale float64, k int, s
 
 // streamOpts bundles the -stream run configuration.
 type streamOpts struct {
-	k            int
-	out          string
-	resultPath   string
-	backend      string
-	workers      int
-	scoreWorkers int
-	ckPath       string
-	ckEvery      int
-	resume       bool
-	retry        int
+	k          int
+	out        string
+	resultPath string
+	backend    string
+	workers    int
+	ckPath     string
+	ckEvery    int
+	resume     bool
+	retry      int
 }
 
 // runStreaming is the out-of-core path: the .cgr file is the stream; the
 // assignment is emitted as it is produced and never materialized. With
-// workers > 1 decode and quality accounting run on worker fleets; with
-// scoreWorkers > 1 the partitioner's own scoring state is sharded too. The
+// workers > 1 decode and quality accounting run on worker fleets; the
 // emitted assignment and quality are identical to the serial pass either way.
 //
 // With checkpointing the -assign file is written as a plain persistent file
@@ -316,7 +297,6 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 		return nil, fmt.Errorf("-stream needs -in FILE.cgr")
 	}
 	k, out, resultPath, backend := o.k, o.out, o.resultPath, o.backend
-	workers, scoreWorkers := o.workers, o.scoreWorkers
 	var src repro.GraphFile
 	var err error
 	var mode string
@@ -439,9 +419,8 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 	}
 	stop := heap.watch()
 	res, err := repro.RunOutOfCoreOpts(p, source, k, emit, repro.OutOfCoreOptions{
-		Workers:      workers,
-		ScoreWorkers: scoreWorkers,
-		Checkpoint:   ck,
+		Workers:    o.workers,
+		Checkpoint: ck,
 	})
 	stop()
 	if err != nil {

@@ -384,22 +384,11 @@ const CheckpointPrevSuffix = store.CheckpointPrevSuffix
 // litters temp files next to their outputs.
 func AbortPendingWrites() int { return store.AbortPending() }
 
-// Parallel-scoring introspection (clugp -trace surfaces these).
-type (
-	// PipelineInfo records how the out-of-core pipeline actually resolved:
-	// the decode and score worker counts that ran, and any silent downgrade
-	// to serial with its reason. Found on PartitionResult.Pipeline.
-	PipelineInfo = partition.PipelineInfo
-	// ScoreTrace describes the sharded scoring state of a partitioner's
-	// most recent run: resolved worker count, table footprints, and
-	// per-shard occupancy.
-	ScoreTrace = partition.ScoreTrace
-	// ScoreTracer is implemented by partitioners that shard their scoring
-	// state (HDRF, Greedy); LastScoreTrace returns nil after serial runs.
-	ScoreTracer = partition.ScoreTracer
-	// ShardStat is one shard's occupancy summary inside a ScoreTrace.
-	ShardStat = metrics.ShardStat
-)
+// PipelineInfo records how the out-of-core pipeline actually resolved: the
+// decode worker count that ran, checkpoint activity, and any silent
+// downgrade to serial with its reason. Found on PartitionResult.Pipeline;
+// clugp -trace prints it.
+type PipelineInfo = partition.PipelineInfo
 
 // ParallelStreamConfig sizes a parallel decode pipeline; the zero value
 // picks sensible defaults (GOMAXPROCS workers). Every knob affects

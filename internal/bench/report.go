@@ -90,11 +90,6 @@ type Report struct {
 	// The single-client cells' allocs/op is gated to exactly zero at
 	// measurement time.
 	ServeCells []ServeCell `json:"serve_cells,omitempty"`
-	// ScoreCells holds the parallel-scoring scaling grid (dataset x
-	// algorithm x score workers), when the suite ran with Streaming
-	// enabled. Quality is gated against the score-workers=1 cell at
-	// measurement time, so the column is bit-identical by construction.
-	ScoreCells []ScoreCell `json:"score_cells,omitempty"`
 	// CheckpointCells holds the checkpoint-overhead grid (dataset x
 	// algorithm, bare vs default-cadence checkpointing), when the suite ran
 	// with Streaming enabled. Quality and kill+resume bit-identity are
@@ -241,22 +236,6 @@ func (r *Report) Table() []Table {
 		}
 		tables = append(tables, t)
 	}
-	if len(r.ScoreCells) > 0 {
-		t := Table{
-			ID:     fmt.Sprintf("%s-score", r.Experiment),
-			Title:  fmt.Sprintf("Parallel scoring scaling (scale %.2f, mmap/CGR3, k=%d)", r.Scale, streamK),
-			Header: []string{"dataset", "algorithm", "score-workers", "runtime(ms)", "speedup", "efficiency", "RF"},
-			Note:   "decode serial; quality is gated bit-identical to score-workers=1 when measured; efficiency = speedup/score-workers",
-		}
-		for _, c := range r.ScoreCells {
-			t.AddRow(c.Dataset, c.Algorithm, fmt.Sprintf("%d", c.ScoreWorkers),
-				fmt.Sprintf("%.1f", float64(c.PartitionNS)/1e6),
-				fmt.Sprintf("%.2fx", c.Speedup),
-				fmt.Sprintf("%.2f", c.Efficiency),
-				f3(c.ReplicationFactor))
-		}
-		tables = append(tables, t)
-	}
 	if len(r.CheckpointCells) > 0 {
 		t := Table{
 			ID:     fmt.Sprintf("%s-checkpoint", r.Experiment),
@@ -367,9 +346,6 @@ type DiffResult struct {
 	// ServeSkipped is non-empty when the placement-service grid was not
 	// compared (either report lacks serve cells).
 	ServeSkipped string `json:"serve_skipped,omitempty"`
-	// ScoreSkipped is non-empty when the parallel-scoring grid was not
-	// compared (either report lacks score cells).
-	ScoreSkipped string `json:"score_skipped,omitempty"`
 	// CheckpointSkipped is non-empty when the checkpoint-overhead grid was
 	// not compared (either report lacks checkpoint cells).
 	CheckpointSkipped string `json:"checkpoint_skipped,omitempty"`
@@ -462,7 +438,6 @@ func Diff(baseline, current *Report, opts DiffOptions) *DiffResult {
 	d.diffStreamCells(baseline, current, opts)
 	d.diffParallelCells(baseline, current, opts)
 	d.diffServeCells(baseline, current, opts)
-	d.diffScoreCells(baseline, current, opts)
 	d.diffCheckpointCells(baseline, current, opts)
 	sort.Slice(d.Regressions, func(i, j int) bool { return d.Regressions[i].Relative > d.Regressions[j].Relative })
 	sort.Slice(d.Improvements, func(i, j int) bool { return d.Improvements[i].Relative < d.Improvements[j].Relative })
@@ -618,53 +593,6 @@ func (d *DiffResult) diffServeCells(baseline, current *Report, opts DiffOptions)
 	}
 }
 
-// diffScoreCells joins the parallel-scoring scaling grids, with the same
-// policy as the parallel grid: quality is gated exactly (sharded scoring is
-// bit-identical to serial by construction, so any drift is a determinism
-// break), wall clock uses the runtime tolerance, and the derived speedup
-// and efficiency columns are never diffed themselves.
-func (d *DiffResult) diffScoreCells(baseline, current *Report, opts DiffOptions) {
-	switch {
-	case len(baseline.ScoreCells) == 0 && len(current.ScoreCells) == 0:
-		return
-	case len(baseline.ScoreCells) == 0:
-		d.ScoreSkipped = "baseline has no score cells"
-		return
-	case len(current.ScoreCells) == 0:
-		d.ScoreSkipped = "current report has no score cells"
-		return
-	}
-	base := make(map[string]ScoreCell, len(baseline.ScoreCells))
-	for _, c := range baseline.ScoreCells {
-		base[c.ID()] = c
-	}
-	seen := make(map[string]bool, len(current.ScoreCells))
-	for _, cur := range current.ScoreCells {
-		id := cur.ID()
-		seen[id] = true
-		old, ok := base[id]
-		if !ok {
-			d.OnlyCurrent = append(d.OnlyCurrent, id)
-			continue
-		}
-		d.Matched++
-		if old.Vertices != cur.Vertices || old.Edges != cur.Edges {
-			d.Incomparable = append(d.Incomparable, id)
-			continue
-		}
-		d.classify(id, "replication_factor", old.ReplicationFactor, cur.ReplicationFactor, opts.QualityTolerance)
-		d.classify(id, "relative_balance", old.RelativeBalance, cur.RelativeBalance, opts.QualityTolerance)
-		if d.RuntimeSkipped == "" && abs64(cur.PartitionNS-old.PartitionNS) >= opts.RuntimeFloorNS {
-			d.classify(id, "partition", float64(old.PartitionNS), float64(cur.PartitionNS), opts.RuntimeTolerance)
-		}
-	}
-	for _, c := range baseline.ScoreCells {
-		if !seen[c.ID()] {
-			d.OnlyBaseline = append(d.OnlyBaseline, c.ID())
-		}
-	}
-}
-
 // diffCheckpointCells joins the checkpoint-overhead grids: quality is gated
 // exactly (the checkpointed run is bit-identical to the bare one by
 // construction), both wall clocks use the runtime tolerance - a regression
@@ -797,9 +725,6 @@ func (d *DiffResult) Table() Table {
 	}
 	if d.ServeSkipped != "" {
 		notes = append(notes, "serve cells not compared: "+d.ServeSkipped)
-	}
-	if d.ScoreSkipped != "" {
-		notes = append(notes, "score cells not compared: "+d.ScoreSkipped)
 	}
 	if d.CheckpointSkipped != "" {
 		notes = append(notes, "checkpoint cells not compared: "+d.CheckpointSkipped)

@@ -35,11 +35,10 @@ type SuiteConfig struct {
 	Workers int
 	// Streaming additionally measures the out-of-core streaming grid
 	// (source backend x on-disk format: bytes/edge, decode throughput,
-	// streaming CLUGP wall clock), the parallel-streaming scaling grid
-	// (algorithm x decode workers) and the parallel-scoring scaling grid
-	// (algorithm x score workers) - both scaling grids quality-gated
-	// bit-identical to their serial cell - after the main grid. The cells
-	// time wall clock, so they always run serially regardless of Workers.
+	// streaming CLUGP wall clock) and the parallel-streaming scaling grid
+	// (algorithm x decode workers, quality-gated bit-identical to its
+	// serial cell) after the main grid. The cells time wall clock, so they
+	// always run serially regardless of Workers.
 	Streaming bool
 	// StreamDatasets selects the datasets of the streaming grid. Empty
 	// means the default clustered pair (UK, IT).
@@ -180,7 +179,6 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 	var streamCells []StreamCell
 	var parallelCells []ParallelCell
 	var serveCells []ServeCell
-	var scoreCells []ScoreCell
 	var checkpointCells []CheckpointCell
 	if cfg.Streaming {
 		sc, err := runStreamCells(cfg)
@@ -198,11 +196,6 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 			return nil, err
 		}
 		serveCells = vc
-		oc, err := runScoreCells(cfg)
-		if err != nil {
-			return nil, err
-		}
-		scoreCells = oc
 		kc, err := runCheckpointCells(cfg)
 		if err != nil {
 			return nil, err
@@ -225,7 +218,6 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 		StreamCells:       streamCells,
 		ParallelCells:     parallelCells,
 		ServeCells:        serveCells,
-		ScoreCells:        scoreCells,
 		CheckpointCells:   checkpointCells,
 	}, nil
 }

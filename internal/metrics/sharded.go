@@ -55,6 +55,31 @@ func (s *ShardedReplicaSets) Reset(n, k, shards int) {
 	}
 }
 
+// ShardGeometry resolves the effective vertex-range shard layout for n
+// vertices split into the requested number of shards: the shard count is
+// clamped to n so no shard is empty, span is ceil(n/shards), and the count
+// shrinks to the number of spans actually needed (n=257 requested as 64
+// shards gives span=5 and 52 shards). ShardOf(v) = v/span.
+// The result is idempotent: ShardGeometry(n, eff) returns (eff, span) again.
+func ShardGeometry(n, shards int) (eff, span int) {
+	if shards < 1 {
+		shards = 1
+	}
+	if shards > n && n > 0 {
+		shards = n
+	}
+	span = (n + shards - 1) / shards
+	if span < 1 {
+		span = 1
+	}
+	if n > 0 {
+		eff = (n + span - 1) / span
+	} else {
+		eff = 1
+	}
+	return eff, span
+}
+
 // K returns the number of partitions.
 func (s *ShardedReplicaSets) K() int { return s.k }
 

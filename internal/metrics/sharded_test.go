@@ -77,6 +77,33 @@ func TestShardedMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestShardGeometry pins the layout rule: shards clamp to n, spans cover
+// exactly [0, n), no shard is empty, and the result is idempotent (feeding
+// the effective count back yields the same layout) - the property that lets
+// ShardedReplicaSets and the ParallelEvaluator's shard workers agree on
+// "shard of v" when each resolves the requested count independently.
+func TestShardGeometry(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 100, 257, 1000} {
+		for _, req := range []int{0, 1, 2, 3, 7, 52, 64, 1000} {
+			eff, span := ShardGeometry(n, req)
+			if eff < 1 || span < 1 {
+				t.Fatalf("n=%d req=%d: eff=%d span=%d", n, req, eff, span)
+			}
+			if n > 0 {
+				if (eff-1)*span >= n || eff*span < n {
+					t.Fatalf("n=%d req=%d: %d shards of span %d do not tile [0,%d)", n, req, eff, span, n)
+				}
+				if eff > n {
+					t.Fatalf("n=%d req=%d: %d shards exceed vertex count", n, req, eff)
+				}
+			}
+			if eff2, span2 := ShardGeometry(n, eff); eff2 != eff || span2 != span {
+				t.Fatalf("n=%d req=%d: not idempotent: (%d,%d) -> (%d,%d)", n, req, eff, span, eff2, span2)
+			}
+		}
+	}
+}
+
 // TestShardedGeometry pins the range arithmetic: spans cover [0, n) exactly
 // once, ShardOf agrees with ShardRange, and trailing shards shrink or clamp.
 func TestShardedGeometry(t *testing.T) {

@@ -119,29 +119,6 @@ func LoadDegreeState(deg []uint32, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// AppendState appends the sharded degree table in canonical flat vertex
-// order: identical bytes to AppendDegreeState over a flat table with the
-// same contents.
-func (d *ShardedDegrees) AppendState(buf []byte) []byte {
-	for i := range d.tabs {
-		buf = AppendDegreeState(buf, d.tabs[i])
-	}
-	return buf
-}
-
-// LoadState fills the sharded degree table (at its current geometry) from a
-// canonical flat degree stream and returns the remainder.
-func (d *ShardedDegrees) LoadState(data []byte) ([]byte, error) {
-	var err error
-	for i := range d.tabs {
-		data, err = LoadDegreeState(d.tabs[i], data)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return data, nil
-}
-
 // appendSeenState appends seen as a raw little-endian bitmap, (n+7)/8 bytes.
 func appendSeenState(buf []byte, seen []bool) []byte {
 	nb := (len(seen) + 7) / 8

@@ -43,20 +43,6 @@ func TestStateCanonicalAcrossLayouts(t *testing.T) {
 					t.Fatalf("v=%d: replica count diverged after load", v)
 				}
 			}
-
-			var sdeg ShardedDegrees
-			sdeg.Reset(geo.n, shards)
-			if rem, err := sdeg.LoadState(degBytes); err != nil || len(rem) != 0 {
-				t.Fatalf("degree load: rem %d, err %v", len(rem), err)
-			}
-			if got := sdeg.AppendState(nil); !bytes.Equal(got, degBytes) {
-				t.Fatalf("sharded degree bytes differ from flat")
-			}
-			for v := 0; v < geo.n; v++ {
-				if sdeg.Degree(graph.VertexID(v)) != deg[v] {
-					t.Fatalf("v=%d: degree %d, want %d", v, sdeg.Degree(graph.VertexID(v)), deg[v])
-				}
-			}
 		}
 
 		// Flat round trip through a fresh table.
@@ -66,6 +52,13 @@ func TestStateCanonicalAcrossLayouts(t *testing.T) {
 		}
 		if got := back.AppendState(nil); !bytes.Equal(got, flatBytes) {
 			t.Fatal("flat reload changed the bytes")
+		}
+		degBack := make([]uint32, geo.n)
+		if rem, err := LoadDegreeState(degBack, degBytes); err != nil || len(rem) != 0 {
+			t.Fatalf("degree reload: rem %d, err %v", len(rem), err)
+		}
+		if got := AppendDegreeState(nil, degBack); !bytes.Equal(got, degBytes) {
+			t.Fatal("degree reload changed the bytes")
 		}
 	}
 }

@@ -102,9 +102,9 @@ func checkResumedRun(t *testing.T, ref []int32, refRes *Result, crashed, resumed
 // checkpoint subsystem: kill each checkpointing algorithm at a deterministic
 // batch boundary, resume a fresh partitioner from the checkpoint on disk,
 // and require the stitched run to be bit-identical - per-edge assignments
-// and quality - to an uninterrupted one, across decode workers x score
-// workers. Checkpoints are written at one configuration and restored at the
-// same one here; cross-configuration restore has its own test below.
+// and quality - to an uninterrupted one, for serial and parallel decode.
+// Checkpoints are written at one configuration and restored at the same
+// one here; cross-configuration restore has its own test below.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
@@ -119,31 +119,29 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		ref, refRes := collectAssignments(t, p, stream.Of(g.Edges).Source(g.NumVertices), k, OutOfCoreOptions{})
 
 		for _, dw := range []int{1, 4} {
-			for _, sw := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/decode=%d/score=%d", name, dw, sw), func(t *testing.T) {
-					ckPath := filepath.Join(t.TempDir(), "run.cpk")
-					opts := OutOfCoreOptions{Workers: dw, ScoreWorkers: sw,
-						Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}}
-					crashP, err := New(name, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					crashed := runUntilCrash(t, crashP, g, k, opts, ckCrashAt)
+			t.Run(fmt.Sprintf("%s/decode=%d", name, dw), func(t *testing.T) {
+				ckPath := filepath.Join(t.TempDir(), "run.cpk")
+				opts := OutOfCoreOptions{Workers: dw,
+					Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}}
+				crashP, err := New(name, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				crashed := runUntilCrash(t, crashP, g, k, opts, ckCrashAt)
 
-					c, from, err := store.LoadCheckpoint(ckPath)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if from != ckPath {
-						t.Fatalf("loaded %s, want the current checkpoint %s", from, ckPath)
-					}
-					if want := int64(4 * stream.BlockLen); c.Offset != want {
-						t.Fatalf("checkpoint at offset %d, want %d", c.Offset, want)
-					}
-					resumed, res := resumeFrom(t, name, g, k, c, ckPath, OutOfCoreOptions{Workers: dw, ScoreWorkers: sw})
-					checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
-				})
-			}
+				c, from, err := store.LoadCheckpoint(ckPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if from != ckPath {
+					t.Fatalf("loaded %s, want the current checkpoint %s", from, ckPath)
+				}
+				if want := int64(4 * stream.BlockLen); c.Offset != want {
+					t.Fatalf("checkpoint at offset %d, want %d", c.Offset, want)
+				}
+				resumed, res := resumeFrom(t, name, g, k, c, ckPath, OutOfCoreOptions{Workers: dw})
+				checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
+			})
 		}
 	}
 }
@@ -151,7 +149,8 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // TestCheckpointResumeAcrossConfigurations: the state encodings are
 // canonical (vertex-major, shard-independent), so a checkpoint written
 // under one worker configuration restores bit-identically under another -
-// a crashed 8-core run can resume on a 1-core box and vice versa.
+// a crashed 8-core run can resume on a 1-core box and vice versa. Subtests
+// are named by the decode workers of the crashed and the resumed run.
 func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
@@ -164,11 +163,10 @@ func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 		for _, dir := range []struct {
 			crash, resume OutOfCoreOptions
 		}{
-			{OutOfCoreOptions{Workers: 4, ScoreWorkers: 4}, OutOfCoreOptions{}},
-			{OutOfCoreOptions{}, OutOfCoreOptions{Workers: 4, ScoreWorkers: 4}},
+			{OutOfCoreOptions{Workers: 4}, OutOfCoreOptions{}},
+			{OutOfCoreOptions{}, OutOfCoreOptions{Workers: 4}},
 		} {
-			t.Run(fmt.Sprintf("%s/decode=%d,score=%d->decode=%d,score=%d", name,
-				dir.crash.Workers, dir.crash.ScoreWorkers, dir.resume.Workers, dir.resume.ScoreWorkers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/crash=%d,resume=%d", name, dir.crash.Workers, dir.resume.Workers), func(t *testing.T) {
 				ckPath := filepath.Join(t.TempDir(), "run.cpk")
 				crashOpts := dir.crash
 				crashOpts.Checkpoint = &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}

@@ -59,22 +59,9 @@ type CLUGP struct {
 	GreedyAssign bool
 	// Seed drives the game's random initial strategies.
 	Seed uint64
-	// ScoreWorkers > 1 runs pass 3 (transformation) over the gather ->
-	// score -> apply pipeline (score.go): per-shard workers pre-gather each
-	// fixed batch's vertex -> partition, mirror-partition and degree lookups
-	// into slot tables; the tables are read-only in pass 3, so there is no
-	// apply phase. Assignments are bit-identical to the serial path for
-	// every value. Usually set through OutOfCoreOptions.ScoreWorkers.
-	ScoreWorkers int
 
 	// LastTrace captures diagnostics of the most recent run (nil before).
 	LastTrace *Trace
-
-	// Sharded-scoring scratch (ScoreWorkers > 1 only).
-	pipe  scorePipe
-	pslot []int32  // per-slot master partition
-	mslot []int32  // per-slot mirror partition, or -1
-	dslot []uint32 // per-slot degree
 
 	// live points at the running pass 3's state while it streams, so
 	// SnapshotState can capture it at a commit boundary; resume holds
@@ -122,9 +109,6 @@ type clugpResume struct {
 	overflowed int64
 	scalars    clugpScalars
 }
-
-// setScoreWorkers implements scoreParallel.
-func (c *CLUGP) setScoreWorkers(n int) { c.ScoreWorkers = n }
 
 // Trace exposes per-pass diagnostics of a CLUGP run for the ablation and
 // parallelization experiments.
@@ -307,12 +291,7 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 		},
 		t3: t3,
 	}
-	if c.ScoreWorkers > 1 {
-		err = c.transformSharded(src, numEdges, cres, asg.Partition, k, tau, sizes, &overflowed, sink)
-	} else {
-		err = transform(src, numEdges, cres, asg.Partition, k, tau, sizes, &overflowed, sink)
-	}
-	if err != nil {
+	if err = transform(src, numEdges, cres, asg.Partition, k, tau, sizes, &overflowed, sink); err != nil {
 		return fmt.Errorf("clugp pass 3: %w", err)
 	}
 	t4 := time.Now()
@@ -357,13 +336,7 @@ func (c *CLUGP) runResume(src stream.Source, k int, sink *assignSink) error {
 		scalars:    r.scalars,
 		t3:         t3,
 	}
-	var err error
-	if c.ScoreWorkers > 1 {
-		err = c.transformSharded(src, int(r.numEdges), r.cres, r.cpart, k, tau, r.sizes, &overflowed, sink)
-	} else {
-		err = transform(src, int(r.numEdges), r.cres, r.cpart, k, tau, r.sizes, &overflowed, sink)
-	}
-	if err != nil {
+	if err := transform(src, int(r.numEdges), r.cres, r.cpart, k, tau, r.sizes, &overflowed, sink); err != nil {
 		return fmt.Errorf("clugp pass 3: %w", err)
 	}
 	s := r.scalars
@@ -478,104 +451,6 @@ func transform(src stream.Source, numEdges int, cres *cluster.Result, cpart []in
 				// lower-degree endpoint's partition first makes it win ties,
 				// cutting the higher-degree endpoint.
 				if deg[v] > deg[u] {
-					pick(pu, cost(pu))
-					pick(pv, cost(pv))
-				} else {
-					pick(pv, cost(pv))
-					pick(pu, cost(pu))
-				}
-				pick(mu, cost(mu))
-				pick(mv, cost(mv))
-			}
-			out[j] = p
-			sizes[p]++
-		}
-		*overflowed = ovf
-		return sink.commit(blk, out)
-	})
-}
-
-// transformSharded is transform with the per-edge table lookups - vertex ->
-// cluster -> partition, mirror partition, degree - pre-gathered per fixed
-// batch by one worker per vertex-range shard (score.go). The mapping tables
-// are read-only during pass 3, so the pipeline runs gather -> score with no
-// apply phase; the score loop is the serial loop verbatim reading slots.
-// Bit-identical to transform for every ScoreWorkers value.
-func (c *CLUGP) transformSharded(src stream.Source, numEdges int, cres *cluster.Result, cpart []int32, k int, tau float64, sizes []int64, overflowed *int64, sink *assignSink) (err error) {
-	ovf := *overflowed
-	lmax := int64((tau*float64(numEdges) + float64(k) - 1) / float64(k))
-	if lmax < 1 {
-		lmax = 1
-	}
-	deg := cres.Degree
-
-	sp := &c.pipe
-	sp.begin(src.NumVertices(), c.ScoreWorkers)
-	defer sp.stop()
-	gather := func(sh int, verts []graph.VertexID, slots []int32) {
-		for i, v := range verts {
-			s := slots[i]
-			c.pslot[s] = cpart[cres.Assign[v]]
-			if cl := cres.SplitFrom[v]; cl != cluster.None {
-				c.mslot[s] = cpart[cl]
-			} else {
-				c.mslot[s] = -1
-			}
-			c.dslot[s] = deg[v]
-		}
-	}
-
-	return forEachBlock(stream.Rebatch(src, 0), func(blk []graph.Edge) error {
-		sp.prepare(blk)
-		c.pslot = growInt32(c.pslot, sp.nslots)
-		c.mslot = growInt32(c.mslot, sp.nslots)
-		c.dslot = growUint32(c.dslot, sp.nslots)
-		sp.do(gather)
-		out := sink.grab(len(blk))
-		for j := range blk {
-			su, sv := sp.su[j], sp.sv[j]
-			pu := c.pslot[su]
-			pv := c.pslot[sv]
-
-			var p int32
-			if sizes[pu] >= lmax || sizes[pv] >= lmax {
-				ovf++
-				switch {
-				case sizes[pu] < lmax:
-					p = pu
-				case sizes[pv] < lmax:
-					p = pv
-				default:
-					p = leastLoadedAll(sizes)
-				}
-			} else if pu == pv {
-				p = pu
-			} else {
-				mu, mv := c.mslot[su], c.mslot[sv]
-				presentU := func(p int32) bool { return p == pu || p == mu }
-				presentV := func(p int32) bool { return p == pv || p == mv }
-				bestCost := int32(3)
-				pick := func(cand int32, cost int32) {
-					if cand < 0 || sizes[cand] >= lmax {
-						return
-					}
-					if cost < bestCost || (cost == bestCost && sizes[cand] < sizes[p]) {
-						bestCost = cost
-						p = cand
-					}
-				}
-				p = pu
-				cost := func(cand int32) int32 {
-					cc := int32(0)
-					if !presentU(cand) {
-						cc++
-					}
-					if !presentV(cand) {
-						cc++
-					}
-					return cc
-				}
-				if c.dslot[sv] > c.dslot[su] {
 					pick(pu, cost(pu))
 					pick(pv, cost(pv))
 				} else {

@@ -54,18 +54,10 @@ func (d *DistributedCLUGP) nodeCount(numEdges int) int {
 	return nodes
 }
 
-// setScoreWorkers implements scoreParallel: every node's local pipeline
-// shards its pass-3 scoring.
-func (d *DistributedCLUGP) setScoreWorkers(n int) { d.Options.ScoreWorkers = n }
-
 // nodeLocal returns node nd's pipeline, seeded deterministically.
 func (d *DistributedCLUGP) nodeLocal(nd int) CLUGP {
 	local := d.Options // copy: each node owns its pipeline state
 	local.Seed = d.Seed ^ (0x9e3779b97f4a7c15 * uint64(nd+1))
-	// The copy must not alias Options' sharded-scoring scratch: concurrent
-	// nodes (PartitionInto) each grow their own.
-	local.pipe = scorePipe{}
-	local.pslot, local.mslot, local.dslot = nil, nil, nil
 	return local
 }
 

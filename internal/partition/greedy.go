@@ -26,30 +26,17 @@ import (
 // across runs, so the per-edge path performs zero allocations and repeated
 // runs reuse the O(|V|·k/64) bitset.
 type Greedy struct {
-	// ScoreWorkers > 1 routes the replica table through vertex-range shards
-	// and scores each fixed batch over the gather -> score -> apply pipeline
-	// (score.go), one worker per shard. Assignments are bit-identical to the
-	// serial path for every value. Usually set through
-	// OutOfCoreOptions.ScoreWorkers.
-	ScoreWorkers int
-
 	rs      metrics.ReplicaSets
 	sizes   []int64
 	scratch []int32
-
-	// Sharded-scoring state (ScoreWorkers > 1 only).
-	srs   metrics.ShardedReplicaSets
-	gt    metrics.GatherTable
-	pipe  scorePipe
-	trace *ScoreTrace
 
 	// resume holds checkpoint state stashed by RestoreState until the next
 	// run consumes it right after its tables reset.
 	resume *greedyResume
 }
 
-// greedyResume is the stashed checkpoint state of a Greedy run (canonical
-// encodings: loads into flat or sharded tables alike).
+// greedyResume is the stashed checkpoint state of a Greedy run, in the
+// canonical encodings of metrics/state.go.
 type greedyResume struct {
 	replicas []byte
 	sizes    []int64
@@ -58,11 +45,7 @@ type greedyResume struct {
 // SnapshotState implements Checkpointer: the replica table and partition
 // sizes, Greedy's entire per-edge state, in the canonical encoding.
 func (gr *Greedy) SnapshotState(c *store.Checkpoint) error {
-	if gr.ScoreWorkers > 1 {
-		c.AddSection(sectionGreedyReplicas, gr.srs.AppendState(nil))
-	} else {
-		c.AddSection(sectionGreedyReplicas, gr.rs.AppendState(nil))
-	}
+	c.AddSection(sectionGreedyReplicas, gr.rs.AppendState(nil))
 	c.AddSection(sectionGreedySizes, metrics.AppendSizesState(nil, gr.sizes))
 	return nil
 }
@@ -90,18 +73,11 @@ func (gr *Greedy) RestoreState(c *store.Checkpoint) error {
 	return nil
 }
 
-// consumeResume loads the stashed checkpoint state into the just-reset
-// tables (flat or sharded per the current mode).
+// consumeResume loads the stashed checkpoint state into the just-reset tables.
 func (gr *Greedy) consumeResume() error {
 	r := gr.resume
 	gr.resume = nil
-	var rem []byte
-	var err error
-	if gr.ScoreWorkers > 1 {
-		rem, err = gr.srs.LoadState(r.replicas)
-	} else {
-		rem, err = gr.rs.LoadState(r.replicas)
-	}
+	rem, err := gr.rs.LoadState(r.replicas)
 	if err != nil {
 		return err
 	}
@@ -111,13 +87,6 @@ func (gr *Greedy) consumeResume() error {
 	copy(gr.sizes, r.sizes)
 	return nil
 }
-
-// setScoreWorkers implements scoreParallel.
-func (gr *Greedy) setScoreWorkers(n int) { gr.ScoreWorkers = n }
-
-// LastScoreTrace implements ScoreTracer: the most recent run's shard
-// layout and occupancy, or nil if it scored serially.
-func (gr *Greedy) LastScoreTrace() *ScoreTrace { return gr.trace }
 
 // Name implements Partitioner.
 func (gr *Greedy) Name() string { return "Greedy" }
@@ -146,10 +115,6 @@ func (gr *Greedy) PartitionStream(src stream.Source, k int, emit Emit) error {
 }
 
 func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
-	gr.trace = nil
-	if gr.ScoreWorkers > 1 {
-		return gr.runSharded(src, k, sink)
-	}
 	gr.rs.Reset(src.NumVertices(), k)
 	gr.sizes = resetInt64(gr.sizes, k)
 	if cap(gr.scratch) < k {
@@ -190,78 +155,6 @@ func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 		}
 		return sink.commit(blk, out)
 	})
-}
-
-// runSharded is run with the replica table sharded by vertex range and
-// each fixed batch scored from a pre-gathered slot table (see score.go and
-// HDRF.runSharded; the four-case dispatch below is the serial loop verbatim
-// with slot reads for vertex reads). Bit-identical for every ScoreWorkers
-// value.
-func (gr *Greedy) runSharded(src stream.Source, k int, sink *assignSink) error {
-	n := src.NumVertices()
-	gr.srs.Reset(n, k, gr.ScoreWorkers)
-	gr.sizes = resetInt64(gr.sizes, k)
-	if cap(gr.scratch) < k {
-		gr.scratch = make([]int32, 0, k)
-	}
-	srs, gt, sizes, scratch := &gr.srs, &gr.gt, gr.sizes, gr.scratch
-	if gr.resume != nil {
-		if err := gr.consumeResume(); err != nil {
-			return err
-		}
-	}
-	sp := &gr.pipe
-	sp.begin(n, gr.srs.NumShards())
-	defer sp.stop()
-	gather := func(sh int, verts []graph.VertexID, slots []int32) {
-		srs.GatherSlots(sh, verts, slots, gt)
-	}
-	apply := func(sh int, verts []graph.VertexID, slots []int32) {
-		srs.ApplySlots(sh, verts, slots, gt)
-	}
-
-	err := forEachBlock(stream.Rebatch(src, 0), func(blk []graph.Edge) error {
-		sp.prepare(blk)
-		gt.Reset(sp.nslots, k, false)
-		sp.do(gather)
-		out := sink.grab(len(blk))
-		for j := range blk {
-			su, sv := sp.su[j], sp.sv[j]
-			var p int32
-			common := gt.Intersect(su, sv, scratch[:0])
-			if len(common) > 0 {
-				p = leastLoaded(sizes, common)
-			} else {
-				cu := gt.Count(su)
-				cv := gt.Count(sv)
-				switch {
-				case cu > 0 && cv > 0:
-					p = leastLoaded(sizes, gt.Union(su, sv, scratch[:0]))
-				case cu > 0:
-					p = leastLoaded(sizes, gt.Partitions(su, scratch[:0]))
-				case cv > 0:
-					p = leastLoaded(sizes, gt.Partitions(sv, scratch[:0]))
-				default:
-					p = leastLoadedAll(sizes)
-				}
-			}
-			out[j] = p
-			sizes[p]++
-			gt.Set(su, int(p))
-			gt.Set(sv, int(p))
-		}
-		sp.do(apply)
-		return sink.commit(blk, out)
-	})
-	if err != nil {
-		return err
-	}
-	gr.trace = &ScoreTrace{
-		Workers:      srs.NumShards(),
-		ReplicaBytes: srs.Bytes(),
-		Shards:       srs.ShardStats(),
-	}
-	return nil
 }
 
 // StateBytes implements StateSizer: the replica bitset plus partition sizes.

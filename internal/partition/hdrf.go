@@ -32,33 +32,18 @@ type HDRF struct {
 	// near-perfect balance; larger trades quality for balance). Zero means
 	// 1.1.
 	BalanceWeight float64
-	// ScoreWorkers > 1 routes the replica and degree state through
-	// vertex-range-sharded tables and scores each fixed batch over the
-	// gather -> score -> apply pipeline (score.go) with one worker per
-	// shard. Assignments are bit-identical to the serial path for every
-	// value. Usually set through OutOfCoreOptions.ScoreWorkers.
-	ScoreWorkers int
 
 	rs    metrics.ReplicaSets
 	deg   []uint32
 	sizes []int64
-
-	// Sharded-scoring state (ScoreWorkers > 1 only).
-	srs   metrics.ShardedReplicaSets
-	sdeg  metrics.ShardedDegrees
-	gt    metrics.GatherTable
-	pipe  scorePipe
-	trace *ScoreTrace
 
 	// resume holds checkpoint state stashed by RestoreState until the next
 	// run consumes it right after its tables reset.
 	resume *hdrfResume
 }
 
-// hdrfResume is the stashed checkpoint state of an HDRF run. The replica
-// and degree encodings are canonical (metrics/state.go), so they load into
-// either the flat or the sharded tables, whatever configuration the
-// checkpoint was written under.
+// hdrfResume is the stashed checkpoint state of an HDRF run, in the
+// canonical encodings of metrics/state.go.
 type hdrfResume struct {
 	replicas []byte
 	degrees  []byte
@@ -70,13 +55,8 @@ type hdrfResume struct {
 // canonical vertex-major encoding. maxSize/minSize are not stored: they are
 // always exactly the extrema of the sizes, so restore recomputes them.
 func (h *HDRF) SnapshotState(c *store.Checkpoint) error {
-	if h.ScoreWorkers > 1 {
-		c.AddSection(sectionHDRFReplicas, h.srs.AppendState(nil))
-		c.AddSection(sectionHDRFDegrees, h.sdeg.AppendState(nil))
-	} else {
-		c.AddSection(sectionHDRFReplicas, h.rs.AppendState(nil))
-		c.AddSection(sectionHDRFDegrees, metrics.AppendDegreeState(nil, h.deg))
-	}
+	c.AddSection(sectionHDRFReplicas, h.rs.AppendState(nil))
+	c.AddSection(sectionHDRFDegrees, metrics.AppendDegreeState(nil, h.deg))
 	c.AddSection(sectionHDRFSizes, metrics.AppendSizesState(nil, h.sizes))
 	return nil
 }
@@ -108,7 +88,7 @@ func (h *HDRF) RestoreState(c *store.Checkpoint) error {
 	return nil
 }
 
-// consumeResume loads the stashed checkpoint state into the just-reset flat
+// consumeResume loads the stashed checkpoint state into the just-reset
 // tables and returns the recomputed size extrema.
 func (h *HDRF) consumeResume() (maxSize, minSize int64, err error) {
 	r := h.resume
@@ -121,29 +101,6 @@ func (h *HDRF) consumeResume() (maxSize, minSize int64, err error) {
 		return 0, 0, err
 	}
 	rem, err = metrics.LoadDegreeState(h.deg, r.degrees)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := consumed(rem, "hdrf degree"); err != nil {
-		return 0, 0, err
-	}
-	copy(h.sizes, r.sizes)
-	maxSize, minSize = sizeExtrema(h.sizes)
-	return maxSize, minSize, nil
-}
-
-// consumeResumeSharded is consumeResume against the sharded tables.
-func (h *HDRF) consumeResumeSharded() (maxSize, minSize int64, err error) {
-	r := h.resume
-	h.resume = nil
-	rem, err := h.srs.LoadState(r.replicas)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := consumed(rem, "hdrf replica"); err != nil {
-		return 0, 0, err
-	}
-	rem, err = h.sdeg.LoadState(r.degrees)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -168,13 +125,6 @@ func sizeExtrema(sizes []int64) (maxSize, minSize int64) {
 	}
 	return maxSize, minSize
 }
-
-// setScoreWorkers implements scoreParallel.
-func (h *HDRF) setScoreWorkers(n int) { h.ScoreWorkers = n }
-
-// LastScoreTrace implements ScoreTracer: the most recent run's shard
-// layout and occupancy, or nil if it scored serially.
-func (h *HDRF) LastScoreTrace() *ScoreTrace { return h.trace }
 
 // Name implements Partitioner.
 func (h *HDRF) Name() string { return "HDRF" }
@@ -204,10 +154,6 @@ func (h *HDRF) PartitionStream(src stream.Source, k int, emit Emit) error {
 }
 
 func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
-	h.trace = nil
-	if h.ScoreWorkers > 1 {
-		return h.runSharded(src, k, sink)
-	}
 	lam := h.BalanceWeight
 	if lam == 0 {
 		lam = 1.1
@@ -282,113 +228,6 @@ func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
 		}
 		return sink.commit(blk, out)
 	})
-}
-
-// runSharded is run with the scoring state sharded by vertex range: the
-// same per-edge math, but each fixed batch's replica words and partial
-// degrees are pre-gathered into a slot table by one worker per shard, the
-// score loop reads and writes slots (preserving intra-batch sequential
-// semantics exactly), and the mutated slots are applied back at the batch
-// boundary. stream.Rebatch pins batch boundaries to fixed stream offsets,
-// so assignments are bit-identical for every ScoreWorkers value and every
-// upstream block shape.
-func (h *HDRF) runSharded(src stream.Source, k int, sink *assignSink) error {
-	lam := h.BalanceWeight
-	if lam == 0 {
-		lam = 1.1
-	}
-	const eps = 1.0
-	n := src.NumVertices()
-	h.srs.Reset(n, k, h.ScoreWorkers)
-	h.sdeg.Reset(n, h.srs.NumShards())
-	h.sizes = resetInt64(h.sizes, k)
-	srs, sdeg, gt, sizes := &h.srs, &h.sdeg, &h.gt, h.sizes
-	sp := &h.pipe
-	sp.begin(n, h.srs.NumShards())
-	defer sp.stop()
-	gather := func(sh int, verts []graph.VertexID, slots []int32) {
-		srs.GatherSlots(sh, verts, slots, gt)
-		sdeg.GatherSlots(sh, verts, slots, gt)
-	}
-	apply := func(sh int, verts []graph.VertexID, slots []int32) {
-		srs.ApplySlots(sh, verts, slots, gt)
-		sdeg.ApplySlots(sh, verts, slots, gt)
-	}
-	var maxSize, minSize int64
-	if h.resume != nil {
-		var err error
-		if maxSize, minSize, err = h.consumeResumeSharded(); err != nil {
-			return err
-		}
-	}
-
-	err := forEachBlock(stream.Rebatch(src, 0), func(blk []graph.Edge) error {
-		sp.prepare(blk)
-		gt.Reset(sp.nslots, k, true)
-		sp.do(gather)
-		out := sink.grab(len(blk))
-		for j := range blk {
-			su, sv := sp.su[j], sp.sv[j]
-			gt.Bump(su)
-			gt.Bump(sv)
-			du, dv := float64(gt.Degree(su)), float64(gt.Degree(sv))
-			thetaU := du / (du + dv)
-			thetaV := 1 - thetaU
-			gU := 1 + (1 - thetaU)
-			gV := 1 + (1 - thetaV)
-
-			spread := float64(maxSize - minSize)
-			best := 0
-			bestScore := -1.0
-			var wu, wv uint64
-			for p := 0; p < k; p++ {
-				if p&63 == 0 {
-					wu = gt.Word(su, p>>6)
-					wv = gt.Word(sv, p>>6)
-				}
-				bit := uint64(1) << uint(p&63)
-				var crep float64
-				if wu&bit != 0 {
-					crep += gU
-				}
-				if wv&bit != 0 {
-					crep += gV
-				}
-				cbal := lam * float64(maxSize-sizes[p]) / (eps + spread)
-				if score := crep + cbal; score > bestScore {
-					bestScore = score
-					best = p
-				}
-			}
-			out[j] = int32(best)
-			sizes[best]++
-			gt.Set(su, best)
-			gt.Set(sv, best)
-			if sizes[best] > maxSize {
-				maxSize = sizes[best]
-			}
-			if sizes[best]-1 == minSize {
-				minSize = sizes[0]
-				for p := 1; p < k; p++ {
-					if sizes[p] < minSize {
-						minSize = sizes[p]
-					}
-				}
-			}
-		}
-		sp.do(apply)
-		return sink.commit(blk, out)
-	})
-	if err != nil {
-		return err
-	}
-	h.trace = &ScoreTrace{
-		Workers:      srs.NumShards(),
-		ReplicaBytes: srs.Bytes(),
-		DegreeBytes:  sdeg.Bytes(),
-		Shards:       srs.ShardStats(),
-	}
-	return nil
 }
 
 // StateBytes implements StateSizer: replica bitsets + degree table + sizes.

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -30,9 +31,9 @@ func collectOutOfCore(t *testing.T, p Partitioner, src stream.Source, k int, opt
 // parallel hot pass: for every algorithm, on every source backend, over
 // every on-disk format, the parallel out-of-core run must emit an
 // assignment bit-identical to the serial run - and identical quality - for
-// every worker count, including one that divides nothing (7). BatchEdges is
-// forced small so even the test graph spans many batches and segments and
-// the workers genuinely interleave.
+// every worker count, including one that divides nothing (7). Batch and
+// segment boundaries at other granularities are covered at the stream
+// level (internal/stream/parallel_test.go).
 func TestParallelWorkerInvariance(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 2500, OutDegree: 6, IntraSite: 0.85, Seed: 51})
 	k := 8
@@ -46,10 +47,7 @@ func TestParallelWorkerInvariance(t *testing.T) {
 				}
 				serial, serialRes := collectOutOfCore(t, p, src, k, OutOfCoreOptions{})
 				for _, workers := range []int{1, 2, 4, 7} {
-					par, parRes := collectOutOfCore(t, p, src, k, OutOfCoreOptions{
-						Workers:    workers,
-						BatchEdges: 512,
-					})
+					par, parRes := collectOutOfCore(t, p, src, k, OutOfCoreOptions{Workers: workers})
 					if len(par) != len(serial) {
 						t.Fatalf("%s workers=%d: emitted %d assignments, serial %d",
 							p.Name(), workers, len(par), len(serial))
@@ -82,13 +80,19 @@ func TestParallelWorkerInvariance(t *testing.T) {
 // TestParallelWorkerInvarianceInMemory covers the in-memory segmentable
 // source (ViewSource), whose natural-order fast path returns one giant
 // block: the parallel pipeline must still cut exact fixed-size batches.
+// The graph spans several decode segments, so the workers genuinely
+// interleave.
 func TestParallelWorkerInvarianceInMemory(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 1500, OutDegree: 5, Seed: 52})
+	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, Seed: 52})
+	// A default decode segment is 8 batches of stream.BlockLen edges.
+	if need := 2 * 8 * stream.BlockLen; len(g.Edges) <= need {
+		t.Fatalf("test graph has %d edges, need more than %d for three decode segments", len(g.Edges), need)
+	}
 	src := stream.Of(g.Edges).Source(g.NumVertices)
 	for _, p := range []Partitioner{&HDRF{}, &CLUGP{Seed: 2}} {
 		serial, _ := collectOutOfCore(t, p, src, 6, OutOfCoreOptions{})
 		for _, workers := range []int{2, 7} {
-			par, _ := collectOutOfCore(t, p, src, 6, OutOfCoreOptions{Workers: workers, BatchEdges: 300})
+			par, _ := collectOutOfCore(t, p, src, 6, OutOfCoreOptions{Workers: workers})
 			for i := range par {
 				if par[i] != serial[i] {
 					t.Fatalf("%s workers=%d: diverges at edge %d", p.Name(), workers, i)
@@ -99,55 +103,68 @@ func TestParallelWorkerInvarianceInMemory(t *testing.T) {
 }
 
 // TestParallelFallsBackWithoutSegmenter: a source that cannot segment runs
-// the serial pass (same results, no error) even when workers are requested.
+// the serial pass (same results, no error) even when workers are requested,
+// and Result.Pipeline records the downgrade; a segmentable source reports
+// the decode fleet it ran with and no fallback.
 type unsegmentable struct{ stream.Source }
 
 func TestParallelFallsBackWithoutSegmenter(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 500, OutDegree: 4, Seed: 53})
 	src := stream.Of(g.Edges).Source(g.NumVertices)
 	serial, _ := collectOutOfCore(t, &DBH{}, src, 4, OutOfCoreOptions{})
-	fell, _ := collectOutOfCore(t, &DBH{}, unsegmentable{src}, 4, OutOfCoreOptions{Workers: 8})
+	fell, res := collectOutOfCore(t, &DBH{}, unsegmentable{src}, 4, OutOfCoreOptions{Workers: 8})
 	for i := range fell {
 		if fell[i] != serial[i] {
 			t.Fatalf("fallback diverges at edge %d", i)
 		}
 	}
+	if res.Pipeline.DecodeWorkers != 1 {
+		t.Fatalf("fallback pipeline resolved to %+v, want serial decode", res.Pipeline)
+	}
+	if !strings.Contains(res.Pipeline.SerialFallback, "cannot segment") {
+		t.Fatalf("decode fallback not reported: %q", res.Pipeline.SerialFallback)
+	}
+
+	_, res = collectOutOfCore(t, &HDRF{}, src, 4, OutOfCoreOptions{Workers: 2})
+	if res.Pipeline.DecodeWorkers != 2 || res.Pipeline.SerialFallback != "" {
+		t.Fatalf("pipeline info %+v, want decode=2 and no fallback", res.Pipeline)
+	}
 }
 
-// TestParallelOutOfCoreRace is the dedicated race workload: repeated
-// parallel passes with several worker counts over the mmap backend, so the
-// decode fleet hammers concurrent Segment cursors on one shared mapping
-// while the shard fleet writes the sharded replica tables. Run under
-// -race in CI; assertions are minimal because the test's job is the
+// TestParallelOutOfCoreRace is the dedicated race workload: parallel passes
+// with several worker counts over the mmap backend, so the decode fleet
+// hammers concurrent Segment cursors on one shared mapping while the shard
+// fleet writes the sharded replica tables. The graph spans several decode
+// segments so every worker count actually runs more than one decoder. Run
+// under -race in CI; assertions are minimal because the test's job is the
 // schedule, not the values (TestParallelWorkerInvariance pins those).
 func TestParallelOutOfCoreRace(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 2000, OutDegree: 8, IntraSite: 0.8, Seed: 54})
+	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, IntraSite: 0.8, Seed: 54})
+	// A default decode segment is 8 batches of stream.BlockLen edges.
+	if need := 2 * 8 * stream.BlockLen; len(g.Edges) <= need {
+		t.Fatalf("test graph has %d edges, need more than %d for three decode segments", len(g.Edges), need)
+	}
 	path := writeCGRFormat(t, g, store.FormatCGR2)
 	src, err := store.OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	for round := 0; round < 3; round++ {
-		for _, workers := range []int{2, 3, 5} {
-			for _, p := range []Partitioner{&DBH{Seed: 1}, &CLUGP{Seed: 1}, &DistributedCLUGP{Nodes: 3, Seed: 1}} {
-				res, err := RunOutOfCoreOpts(p, src, 8, nil, OutOfCoreOptions{
-					Workers:    workers,
-					BatchEdges: 256 + 64*round, // shift batch boundaries between rounds
-				})
-				if err != nil {
-					t.Fatalf("%s workers=%d round=%d: %v", p.Name(), workers, round, err)
-				}
-				if got := res.Quality.Sizes; len(got) != 8 {
-					t.Fatalf("%s: %d partition sizes", p.Name(), len(got))
-				}
-				var sum int64
-				for _, s := range res.Quality.Sizes {
-					sum += s
-				}
-				if sum != int64(g.NumEdges()) {
-					t.Fatalf("%s workers=%d: sizes sum %d, want %d", p.Name(), workers, sum, g.NumEdges())
-				}
+	for _, workers := range []int{2, 3, 5} {
+		for _, p := range []Partitioner{&DBH{Seed: 1}, &CLUGP{Seed: 1}, &DistributedCLUGP{Nodes: 3, Seed: 1}} {
+			res, err := RunOutOfCoreOpts(p, src, 8, nil, OutOfCoreOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", p.Name(), workers, err)
+			}
+			if got := res.Quality.Sizes; len(got) != 8 {
+				t.Fatalf("%s: %d partition sizes", p.Name(), len(got))
+			}
+			var sum int64
+			for _, s := range res.Quality.Sizes {
+				sum += s
+			}
+			if sum != int64(g.NumEdges()) {
+				t.Fatalf("%s workers=%d: sizes sum %d, want %d", p.Name(), workers, sum, g.NumEdges())
 			}
 		}
 	}

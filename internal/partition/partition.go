@@ -93,8 +93,8 @@ type Result struct {
 	Quality    *metrics.Quality
 	Runtime    time.Duration
 	StateBytes int64
-	// Pipeline describes how the out-of-core hot pass executed (decode and
-	// score worker counts, serial fallbacks). Zero for in-memory runs.
+	// Pipeline describes how the out-of-core hot pass executed (decode
+	// worker count, serial fallbacks, checkpoints). Zero for in-memory runs.
 	Pipeline PipelineInfo
 }
 
@@ -182,21 +182,6 @@ type OutOfCoreOptions struct {
 	// algorithm x backend x format combination. Sources that cannot segment
 	// fall back to the serial pass.
 	Workers int
-	// BatchEdges is the parallel pipeline's batch granularity (0 = the
-	// stream.ParallelConfig default). Affects scheduling only, never
-	// results.
-	BatchEdges int
-	// ScoreWorkers routes the partitioner's per-edge scoring state through
-	// vertex-range-sharded tables and runs the gather -> score -> apply
-	// batch pipeline with one worker per shard when > 1 (HDRF, Greedy,
-	// CLUGP and CLUGP-D implement it; other algorithms fall back to serial
-	// scoring, recorded in Result.Pipeline). Orthogonal to Workers: decode
-	// workers need a Segmenter, score workers run over any source (batches
-	// are cut by stream.Rebatch at fixed offsets). Assignments are
-	// bit-identical for every value - the pipeline preserves exact
-	// sequential scoring semantics - held by TestScoreWorkerInvariance.
-	// 0 leaves the partitioner's own setting; 1 forces serial scoring.
-	ScoreWorkers int
 	// Checkpoint, when non-nil, enables crash tolerance: the run snapshots
 	// its state to Checkpoint.Path at batch boundaries, and Checkpoint.Resume
 	// restores a previous snapshot and continues from its exact stream
@@ -208,14 +193,11 @@ type OutOfCoreOptions struct {
 
 // PipelineInfo records how the out-of-core hot pass actually executed,
 // including downgrades that used to be silent: a non-Segmenter source
-// demotes -workers to serial decode, and an algorithm without sharded
-// scoring demotes -score-workers to serial scoring. clugp -trace prints it.
+// demotes -workers to serial decode, and a partitioner without checkpoint
+// support runs without checkpoints. clugp -trace prints it.
 type PipelineInfo struct {
 	// DecodeWorkers is the resolved decode-fleet size (1 = serial decode).
 	DecodeWorkers int
-	// ScoreWorkers is the resolved scoring-pipeline worker count
-	// (1 = serial scoring).
-	ScoreWorkers int
 	// SerialFallback explains every requested parallel mode that ran
 	// serially anyway; empty when nothing was demoted.
 	SerialFallback string
@@ -274,7 +256,7 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 	nv := src.NumVertices()
 	total := int64(src.Len())
 	parallel := false
-	info := PipelineInfo{DecodeWorkers: 1, ScoreWorkers: 1}
+	info := PipelineInfo{DecodeWorkers: 1}
 
 	// Resolve the checkpoint plan before any wrapping: resume validation and
 	// the fast-forward segment are defined against the caller's source.
@@ -330,10 +312,7 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 	}
 	if opts.Workers > 1 {
 		if seg, isSeg := src.(stream.Segmenter); isSeg {
-			par, err := stream.Parallel(seg, stream.ParallelConfig{
-				Workers:    opts.Workers,
-				BatchEdges: opts.BatchEdges,
-			})
+			par, err := stream.Parallel(seg, stream.ParallelConfig{Workers: opts.Workers})
 			if err != nil {
 				return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
 			}
@@ -356,16 +335,6 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 		// boundaries must land on the same offsets a clean run's do. The
 		// rebatch affects scheduling only, never assignments.
 		src = stream.Rebatch(src, stream.BlockLen)
-	}
-	if opts.ScoreWorkers > 0 {
-		if sw, ok := p.(scoreParallel); ok {
-			sw.setScoreWorkers(opts.ScoreWorkers)
-			if opts.ScoreWorkers > 1 {
-				info.ScoreWorkers = opts.ScoreWorkers
-			}
-		} else if opts.ScoreWorkers > 1 {
-			info.addFallback(fmt.Sprintf("%s does not shard its scoring state, scoring runs serially", p.Name()))
-		}
 	}
 	var ev qualityObserver
 	if parallel {

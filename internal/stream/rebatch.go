@@ -10,12 +10,13 @@ import (
 // RebatchSource re-blocks any source into fixed-size batches: every
 // NextBlock returns exactly batchEdges edges (the final block carries the
 // remainder), whatever block shape the base source produces. It is the
-// batch-handoff seam of the gather -> score -> apply scoring pipeline
-// (partition package): the pipeline's per-batch gather tables are sized by
-// block, so blocks must be bounded - a natural-order in-memory view hands
-// out its whole edge slice as one zero-copy block - and batch boundaries
-// must sit at fixed stream offsets [b*B, (b+1)*B) for every decode
-// configuration, or assignments would shift with the upstream blocking.
+// checkpoint-alignment seam of the out-of-core pass (partition package):
+// with checkpointing on, every commit must end at a fixed stream offset
+// [b*B, (b+1)*B), so that snapshot points exist even when the base hands
+// out its whole edge slice as one zero-copy block (a natural-order
+// in-memory view does) and so that a resumed run's batch boundaries land
+// on the same offsets as an uninterrupted run's, for every decode
+// configuration.
 //
 // When the base block already covers the whole batch the batch is served as
 // a zero-copy sub-slice; otherwise edges are staged through an internal
@@ -29,11 +30,12 @@ type RebatchSource struct {
 	pos   int          // edges delivered so far this pass
 }
 
-// Rebatch wraps src so blocks arrive in runs of batchEdges edges
-// (0 = BlockLen). The wrapper shares src's cursor: Reset rewinds src.
+// Rebatch wraps src so blocks arrive in runs of batchEdges edges, which
+// must be positive (Rebatch panics otherwise). The wrapper shares src's
+// cursor: Reset rewinds src.
 func Rebatch(src Source, batchEdges int) *RebatchSource {
-	if batchEdges <= 0 {
-		batchEdges = BlockLen
+	if batchEdges < 1 {
+		panic(fmt.Sprintf("stream: rebatch: batch of %d edges", batchEdges))
 	}
 	return &RebatchSource{base: src, batch: batchEdges}
 }

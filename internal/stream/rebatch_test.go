@@ -91,25 +91,18 @@ func TestRebatchFixedBoundaries(t *testing.T) {
 	}
 }
 
-// TestRebatchDefault: batchEdges <= 0 means BlockLen.
-func TestRebatchDefault(t *testing.T) {
-	src := &chunkSource{edges: seqEdges(2*BlockLen + 5), shapes: []int{999}}
-	rb := Rebatch(src, 0)
-	sizes := []int{}
-	if err := ForEach(rb, func(off int, blk []graph.Edge) error {
-		sizes = append(sizes, len(blk))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{BlockLen, BlockLen, 5}
-	if len(sizes) != len(want) {
-		t.Fatalf("blocks %v, want %v", sizes, want)
-	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("blocks %v, want %v", sizes, want)
-		}
+// TestRebatchRejectsEmptyBatch: a batch of zero (or fewer) edges would
+// never advance the stream, so Rebatch refuses it outright.
+func TestRebatchRejectsEmptyBatch(t *testing.T) {
+	for _, batch := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Rebatch(src, %d) did not panic", batch)
+				}
+			}()
+			Rebatch(&chunkSource{shapes: []int{1}}, batch)
+		}()
 	}
 }
 
