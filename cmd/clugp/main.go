@@ -15,17 +15,22 @@
 //	clugp -in old.cgr -recompress new.cgr          # rewrite as CGR3 (-format cgr2/cgr1 for old)
 //	clugp -in graph.cgr -stream -result run.cpr    # save a serveable result for cmd/partsrv
 //	clugp -in graph.cgr -verify -stream -k 32      # checksum-scan the input up front
-//	clugp -in g.cgr -stream -checkpoint run.cpk    # crash-tolerant: snapshot state as it runs
-//	clugp -in g.cgr -stream -checkpoint run.cpk -resume   # continue an interrupted run
+//	clugp -in g.cgr -stream -assign a.txt -checkpoint run.cpk    # crash-tolerant
+//	clugp -in g.cgr -stream -assign a.txt -checkpoint run.cpk -resume   # continue an interrupted run
 //	clugp -in g.cgr -stream -retry 5               # survive transient read faults by replaying
 //
-// With -checkpoint the run snapshots its algorithm state (CPK1 format,
+// With -checkpoint the run writes small checkpoint records (CPK1 format,
 // CRC-protected, atomically rotated with a .prev fallback) at batch
-// boundaries; -resume restores the newest intact checkpoint, truncates the
-// -assign file to the checkpointed watermark, fast-forwards the stream and
-// continues - the resumed run's assignment and quality are bit-identical
-// to an uninterrupted one. A corrupt checkpoint is detected by its CRC and
-// skipped in favor of the previous one, never resumed from.
+// boundaries. A record points into the -assign file, which it makes durable
+// first, so -checkpoint needs -assign; a CLUGP-family run also writes its
+// frozen pass-3 tables once to run.cpk.base. -resume loads the newest
+// intact record, truncates the -assign file to its watermark, and streams
+// from the start: the durable prefix is read back (and checked against the
+// stream) to rebuild the algorithm's and the -result builder's state, and
+// the run continues from the record's offset. The resumed run's assignment,
+// quality and -result are bit-identical to an uninterrupted one's. A
+// corrupt record is detected by its CRC and skipped in favor of the
+// previous one, never resumed from.
 //
 // Every file this command writes (-assign, -result, -recompress) goes
 // through an atomic temp-file + rename protocol, so a crash or write error
@@ -50,6 +55,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -112,13 +118,13 @@ func main() {
 	}()
 
 	if (*ckPath != "" || *resumeF) && !*streamF {
-		fail(fmt.Errorf("-checkpoint/-resume need -stream (checkpoints snapshot the out-of-core pass)"))
+		fail(fmt.Errorf("-checkpoint/-resume need -stream (checkpoints point into the out-of-core pass's durable output)"))
 	}
 	if *resumeF && *ckPath == "" {
 		fail(fmt.Errorf("-resume needs -checkpoint FILE to resume from"))
 	}
-	if *resumeF && *resultF != "" {
-		fail(fmt.Errorf("-resume cannot rebuild -result: the serve tables need the full stream; rerun without -resume or without -result"))
+	if *ckPath != "" && *out == "" {
+		fail(fmt.Errorf("-checkpoint needs -assign FILE: a checkpoint points into the durable assignment, which a resume replays"))
 	}
 
 	stop, err := startProfiles(*cpuprof, *memprof)
@@ -289,9 +295,10 @@ type streamOpts struct {
 // emitted assignment and quality are identical to the serial pass either way.
 //
 // With checkpointing the -assign file is written as a plain persistent file
-// instead of an atomic temp+rename: a resume must be able to truncate the
-// interrupted run's partial output back to the checkpointed watermark, which
-// a temp file that died with the process cannot offer.
+// instead of an atomic temp+rename: the records point into it, and a resume
+// truncates the interrupted run's output back to a record's watermark and
+// replays what is left, which a temp file that died with the process cannot
+// offer.
 func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
 	if in == "" {
 		return nil, fmt.Errorf("-stream needs -in FILE.cgr")
@@ -326,78 +333,80 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 		source = repro.RetryStream(source, repro.StreamRetryConfig{MaxAttempts: o.retry})
 	}
 
-	var ck *repro.CheckpointOptions
-	var resumeMark int64
-	if o.ckPath != "" {
-		ck = &repro.CheckpointOptions{Path: o.ckPath, EveryEdges: o.ckEvery}
-		if o.resume {
-			c, from, err := repro.LoadCheckpoint(o.ckPath)
-			if err != nil {
-				return nil, fmt.Errorf("resume: %w", err)
-			}
-			ck.Resume = c
-			resumeMark = c.EmitMark
-			fmt.Printf("resuming: %s from offset %d/%d edges (batch %d, %s)\n",
-				c.Algorithm, c.Offset, c.NumEdges, c.Batch, from)
-		}
-	}
-
-	var w *bufio.Writer
-	var aw *repro.AtomicWriter
-	var pf *os.File
-	var cw *countingWriter
-	if out != "" {
-		if ck != nil {
-			flags := os.O_RDWR | os.O_CREATE
-			if !o.resume {
-				flags |= os.O_TRUNC
-			}
-			pf, err = os.OpenFile(out, flags, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			defer pf.Close()
-			if o.resume {
-				// Drop everything past the checkpointed watermark: the edges
-				// after it were emitted by the interrupted run but are not
-				// covered by the snapshot, and will be re-emitted.
-				if err := pf.Truncate(resumeMark); err != nil {
-					return nil, err
-				}
-				if _, err := pf.Seek(resumeMark, io.SeekStart); err != nil {
-					return nil, err
-				}
-			}
-			cw = &countingWriter{w: pf, n: resumeMark}
-			w = bufio.NewWriterSize(cw, 1<<16)
-			ck.EmitMark = func() (int64, error) {
-				if err := w.Flush(); err != nil {
-					return 0, err
-				}
-				if err := pf.Sync(); err != nil {
-					return 0, err
-				}
-				return cw.n, nil
-			}
-		} else {
-			aw, err = repro.NewAtomicWriter(out)
-			if err != nil {
-				return nil, err
-			}
-			defer aw.Abort()
-			w = bufio.NewWriterSize(aw, 1<<16)
-		}
-	}
 	// -result chains a serve builder onto the emit callback: the serving
 	// tables (replica bitsets + sizes) accumulate as assignments stream
 	// past, so saving a result costs O(|V|*k/64) extra state, never the
-	// O(|E|) assignment the streaming mode exists to avoid.
+	// O(|E|) assignment the streaming mode exists to avoid. A resume feeds
+	// it the replayed prefix first.
 	var builder *repro.ServeBuilder
 	if resultPath != "" {
 		builder, err = repro.NewServeBuilder(src.NumVertices(), k)
 		if err != nil {
 			return nil, err
 		}
+	}
+
+	var w *bufio.Writer
+	var aw *repro.AtomicWriter
+	var pf *os.File
+	var ck *repro.CheckpointOptions
+	if o.ckPath != "" {
+		ck = &repro.CheckpointOptions{Path: o.ckPath, EveryEdges: o.ckEvery}
+		flags := os.O_RDWR | os.O_CREATE
+		if !o.resume {
+			flags |= os.O_TRUNC
+		}
+		pf, err = os.OpenFile(out, flags, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		defer pf.Close()
+		var mark int64
+		if o.resume {
+			c, from, err := repro.LoadCheckpoint(o.ckPath)
+			if err != nil {
+				return nil, fmt.Errorf("resume: %w", err)
+			}
+			fmt.Printf("resuming: %s from offset %d/%d edges (batch %d, %s)\n",
+				c.Algorithm, c.Offset, c.NumEdges, c.Batch, from)
+			// Drop everything past the watermark: those edges were emitted
+			// by the interrupted run after its last record, and will be
+			// re-emitted.
+			mark = c.EmitMark
+			if err := pf.Truncate(mark); err != nil {
+				return nil, err
+			}
+			if _, err := pf.Seek(mark, io.SeekStart); err != nil {
+				return nil, err
+			}
+			rf, err := os.Open(out)
+			if err != nil {
+				return nil, err
+			}
+			defer rf.Close()
+			ck.Resume = &repro.CheckpointResume{Record: c, Prefix: &assignPrefix{
+				r:       bufio.NewReaderSize(io.LimitReader(rf, mark), 1<<16),
+				builder: builder,
+			}}
+		}
+		cw := &countingWriter{w: pf, n: mark}
+		w = bufio.NewWriterSize(cw, 1<<16)
+		ck.EmitMark = func() (int64, error) {
+			if err := w.Flush(); err != nil {
+				return 0, err
+			}
+			if err := pf.Sync(); err != nil {
+				return 0, err
+			}
+			return cw.n, nil
+		}
+	} else if out != "" {
+		aw, err = repro.NewAtomicWriter(out)
+		if err != nil {
+			return nil, err
+		}
+		defer aw.Abort()
+		w = bufio.NewWriterSize(aw, 1<<16)
 	}
 	var buf []byte
 	emit := func(edges []repro.Edge, assign []int32) error {
@@ -451,10 +460,49 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 	if ck != nil {
 		// The run completed, so its checkpoints are obsolete; a later
 		// -resume against them would truncate the finished output.
-		os.Remove(o.ckPath)
-		os.Remove(o.ckPath + repro.CheckpointPrevSuffix)
+		for _, suffix := range []string{"", repro.CheckpointPrevSuffix, repro.CheckpointBaseSuffix} {
+			os.Remove(o.ckPath + suffix)
+		}
 	}
 	return res, nil
+}
+
+// assignPrefix reads the durable prefix of an interrupted run back from its
+// -assign file, checking each "src dst partition" line against the edge
+// the stream holds at that position, and feeds the -result builder (when
+// there is one) the replayed assignments.
+type assignPrefix struct {
+	r       *bufio.Reader
+	builder *repro.ServeBuilder
+	line    int
+}
+
+func (a *assignPrefix) ReadPrefix(edges []repro.Edge, assign []int32) error {
+	for i, e := range edges {
+		a.line++
+		text, err := a.r.ReadSlice('\n')
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return fmt.Errorf("-assign line %d: %w", a.line, err)
+		}
+		f := bytes.Fields(text)
+		if len(f) != 3 {
+			return fmt.Errorf("-assign line %d: %q is not \"src dst partition\"", a.line, text)
+		}
+		u, errU := strconv.ParseUint(string(f[0]), 10, 32)
+		v, errV := strconv.ParseUint(string(f[1]), 10, 32)
+		p, errP := strconv.ParseInt(string(f[2]), 10, 32)
+		if errU != nil || errV != nil || errP != nil || u != uint64(e.Src) || v != uint64(e.Dst) {
+			return fmt.Errorf("-assign line %d: %q does not assign the stream's edge %d %d", a.line, bytes.TrimSpace(text), e.Src, e.Dst)
+		}
+		assign[i] = int32(p)
+	}
+	if a.builder != nil {
+		return a.builder.Observe(edges, assign)
+	}
+	return nil
 }
 
 // countingWriter tracks the byte offset of the persistent assign stream, so

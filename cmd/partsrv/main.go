@@ -115,7 +115,7 @@ func main() {
 		}
 	}()
 
-	server := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	server := newHTTPServer(*addr, srv.Handler())
 
 	// Graceful shutdown: Shutdown stops the listener and waits for in-flight
 	// requests; ListenAndServe then returns ErrServerClosed, and main waits
@@ -149,6 +149,30 @@ func main() {
 	<-done
 	// stopRetry runs via its defer on return, ending the reload-retry loop.
 	fmt.Println("partsrv: drained, exiting")
+}
+
+// Connection timeouts keep the daemon bounded under slow or hostile
+// clients: a client that trickles its request header (slowloris) is
+// disconnected after readHeaderTimeout, a whole request must arrive within
+// readTimeout, and an idle keep-alive connection is closed after
+// idleTimeout. Queries are small GETs answered from memory, so honest
+// clients finish far inside each bound.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
+// newHTTPServer returns the daemon's HTTP server with its connection
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func layoutOptions(layout string, shards int) (repro.ServeOptions, error) {

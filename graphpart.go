@@ -350,19 +350,19 @@ func RunOutOfCoreOpts(p Partitioner, src StreamSource, k int, emit Emit, opts Ou
 
 // Checkpoint/resume of out-of-core runs (clugp -checkpoint/-resume).
 type (
-	// Checkpoint is a decoded CPK1 snapshot of an out-of-core run: the
-	// stream offset it covers, the emit watermark, and the algorithm's
-	// state sections, CRC-protected on disk.
+	// Checkpoint is a decoded CPK1 checkpoint record of an out-of-core run:
+	// the stream offset its durable output covers and the emit watermark
+	// of that output, CRC-protected on disk.
 	Checkpoint = store.Checkpoint
 	// CheckpointOptions configures checkpoint writing and resume for
 	// RunOutOfCoreOpts (OutOfCoreOptions.Checkpoint).
 	CheckpointOptions = partition.CheckpointOptions
+	// CheckpointResume is a checkpoint record together with a reader of
+	// the durable output prefix it points into (CheckpointOptions.Resume).
+	CheckpointResume = partition.Resume
 	// CheckpointStats reports checkpoint/resume activity of a run
 	// (PartitionResult.Pipeline.Checkpoints).
 	CheckpointStats = partition.CheckpointStats
-	// Checkpointer is the snapshot/restore seam streaming partitioners
-	// implement to support checkpointing (HDRF, Greedy, CLUGP family).
-	Checkpointer = partition.Checkpointer
 	// StreamRetryStats counts fired retry attempts across a retry-wrapped
 	// source and all its segments (StreamRetryConfig.Stats).
 	StreamRetryStats = stream.RetryStats
@@ -377,6 +377,10 @@ func LoadCheckpoint(path string) (*Checkpoint, string, error) { return store.Loa
 // CheckpointPrevSuffix is appended to a checkpoint path to name the rotated
 // previous checkpoint LoadCheckpoint falls back to.
 const CheckpointPrevSuffix = store.CheckpointPrevSuffix
+
+// CheckpointBaseSuffix is appended to a checkpoint path to name the base
+// file a CLUGP-family run writes once: its frozen pass-3 tables.
+const CheckpointBaseSuffix = store.CheckpointBaseSuffix
 
 // AbortPendingWrites aborts every atomic file write that has neither
 // committed nor aborted, removing the temp files, and returns how many were

@@ -55,7 +55,9 @@ func (c CheckpointCell) ID() string {
 }
 
 // checkpointAlgos covers the heuristic and the restreaming partitioner, the
-// two checkpoint-state shapes (replica tables vs cluster state).
+// two ways a resume rebuilds state: HDRF applies the durable prefix to its
+// replica tables, CLUGP loads its base file and recomputes pass 3 over the
+// prefix.
 var checkpointAlgos = []string{"HDRF", "CLUGP"}
 
 // errBenchKill is the seeded mid-run kill of the resume gate.
@@ -202,7 +204,8 @@ func runCheckpointCell(dir, name, alg string, seed uint64, src *store.MmapSource
 	}
 	resumed := make([]int32, 0, ne-int(c.Offset))
 	res, err := partition.RunOutOfCoreOpts(p, src, streamK, collect(&resumed), partition.OutOfCoreOptions{
-		Checkpoint: &partition.CheckpointOptions{Path: ckPath, Resume: c},
+		Checkpoint: &partition.CheckpointOptions{Path: ckPath,
+			Resume: &partition.Resume{Record: c, Prefix: partition.PrefixOf(crashed[:c.Offset])}},
 	})
 	if err != nil {
 		return fail(err)

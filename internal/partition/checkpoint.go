@@ -1,51 +1,84 @@
 package partition
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 
+	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
 
-// Checkpointer is the seam a streaming partitioner implements to take part
-// in checkpoint/resume. SnapshotState is called at a batch boundary, after
-// the partitioner has committed every edge in [0, Offset) and none after:
-// it must append sections to c capturing everything the algorithm needs to
-// continue from that exact edge. RestoreState is called on a fresh
-// partitioner value before PartitionStream; it must stash the sections and
-// apply them when the run initializes its tables, so that the resumed run
-// is bit-identical to an uninterrupted one.
-//
-// The state encodings are canonical (vertex-major, config-independent; see
-// metrics/state.go), so a checkpoint written at one worker configuration
-// restores under another.
-type Checkpointer interface {
-	SnapshotState(c *store.Checkpoint) error
-	RestoreState(c *store.Checkpoint) error
-}
-
 // CheckpointOptions configures checkpointing of an out-of-core run.
+//
+// A checkpoint is a small CPK1 record pointing into the run's durable
+// output: the stream offset every assignment before which was emitted and
+// made durable, and the emit watermark of that output. The mutable state of
+// HDRF, Greedy and the quality evaluator is a pure function of that prefix,
+// so it is never copied; a resume rebuilds it by replaying the prefix. The
+// CLUGP family's pass-3 tables are not derivable from the prefix, but they
+// are frozen before pass 3 starts, so they are written once per run to a
+// base file the records name by CRC32C.
 type CheckpointOptions struct {
-	// Path is where checkpoints are written (store CPK1 format, via
-	// AtomicWriter; the previous checkpoint rotates to Path+".prev").
-	// Empty disables writing - set only Resume to restore without
-	// checkpointing the resumed run.
+	// Path is where checkpoint records are written (store CPK1 format, via
+	// AtomicWriter; the previous record rotates to Path+".prev"). A
+	// CLUGP-family run also writes its frozen tables to Path+".base" once,
+	// before its first record, and a resume reads them back from there.
+	// Empty disables writing.
 	Path string
 	// EveryEdges is the checkpoint cadence in edges. Zero or negative
 	// selects a default of roughly 1/16 of the stream. Cadence is a floor:
 	// checkpoints fire at the first aligned batch boundary at or after
 	// each multiple.
 	EveryEdges int
-	// Resume, when non-nil, restores the run from a previously written
-	// checkpoint (store.LoadCheckpoint validates its integrity). The
-	// partitioner, k, and source geometry must match the checkpoint.
-	Resume *store.Checkpoint
+	// Resume, when non-nil, continues a run from a checkpoint record: the
+	// run streams from edge 0, rebuilds its state from the durable prefix
+	// [0, Offset) without emitting it, and emits from Offset on,
+	// bit-identical to an uninterrupted run.
+	Resume *Resume
 	// EmitMark, when non-nil, is called while writing each checkpoint,
 	// after every assignment in [0, Offset) has been emitted and none
 	// after. It must make those assignments durable (flush + sync) and
 	// return the emit-stream watermark - the byte offset a resume
 	// truncates the assignment stream to before continuing.
 	EmitMark func() (int64, error)
+}
+
+// Resume is a checkpoint record together with the durable output it points
+// into.
+type Resume struct {
+	// Record is the checkpoint to resume from (store.LoadCheckpoint
+	// validates its integrity). The partitioner, k and source geometry must
+	// match it.
+	Record *store.Checkpoint
+	// Prefix reads back the assignments the interrupted run made durable
+	// for the edges [0, Record.Offset) - for cmd/clugp, its -assign file
+	// truncated to Record.EmitMark.
+	Prefix PrefixReader
+}
+
+// PrefixReader reads the durable assignment of a resumed run's prefix.
+type PrefixReader interface {
+	// ReadPrefix fills assign with the durable partitions of edges, the
+	// next run of the prefix in stream order. Successive calls cover
+	// exactly [0, Offset); a prefix that ends early is an error.
+	ReadPrefix(edges []graph.Edge, assign []int32) error
+}
+
+// PrefixOf is a PrefixReader over an assignment held in memory: assign[i]
+// is the partition of edge i.
+func PrefixOf(assign []int32) PrefixReader { return &slicePrefix{rest: assign} }
+
+type slicePrefix struct{ rest []int32 }
+
+func (s *slicePrefix) ReadPrefix(_ []graph.Edge, assign []int32) error {
+	if len(s.rest) < len(assign) {
+		return io.ErrUnexpectedEOF
+	}
+	s.rest = s.rest[copy(assign, s.rest):]
+	return nil
 }
 
 // CheckpointStats reports checkpoint activity of a run (Result.Pipeline).
@@ -56,7 +89,8 @@ type CheckpointStats struct {
 	EveryEdges int64
 	// Written counts checkpoints written.
 	Written int
-	// Bytes is the total bytes of all checkpoints written.
+	// Bytes is the total bytes of all checkpoints written, the base file
+	// included.
 	Bytes int64
 	// LastOffset is the stream offset of the last checkpoint written.
 	LastOffset int64
@@ -84,28 +118,19 @@ func (s CheckpointStats) String() string {
 	return out
 }
 
-// Checkpoint section names shared between the runner and the partitioners.
+// Checkpoint section names: a record's digest of its base file, and the
+// CLUGP base's frozen tables and pass-1/2 scalars.
 const (
-	sectionEval = "eval.state"
-
-	sectionHDRFReplicas = "hdrf.replicas"
-	sectionHDRFDegrees  = "hdrf.degrees"
-	sectionHDRFSizes    = "hdrf.sizes"
-
-	sectionGreedyReplicas = "greedy.replicas"
-	sectionGreedySizes    = "greedy.sizes"
+	sectionBase = "base"
 
 	sectionCLUGPAssign    = "clugp.assign"
 	sectionCLUGPSplitFrom = "clugp.splitfrom"
 	sectionCLUGPDegree    = "clugp.degree"
 	sectionCLUGPCPart     = "clugp.cpart"
-	sectionCLUGPSizes     = "clugp.sizes"
 	sectionCLUGPScalars   = "clugp.scalars"
 )
 
-// loadSection fetches a named section or reports its absence - a checkpoint
-// missing an algorithm section was written by a different (or older) run
-// shape and cannot restore this one.
+// loadSection fetches a named section or reports its absence.
 func loadSection(c *store.Checkpoint, name string) ([]byte, error) {
 	data, ok := c.Section(name)
 	if !ok {
@@ -114,10 +139,74 @@ func loadSection(c *store.Checkpoint, name string) ([]byte, error) {
 	return data, nil
 }
 
-// consumed rejects trailing bytes after a fully-loaded state section.
-func consumed(rem []byte, what string) error {
-	if len(rem) != 0 {
-		return fmt.Errorf("partition: %d trailing bytes after %s state", len(rem), what)
+// replaysPrefix reports whether p takes part in checkpoint/resume. HDRF,
+// Greedy and the CLUGP family take their checkpoint plumbing from the
+// sink: while sink.replaying(), HDRF and Greedy apply the durable prefix
+// (sink.replay) through the same table updates their scoring loop makes,
+// and CLUGP recomputes pass 3 and checks it against the prefix
+// (sink.verify).
+func replaysPrefix(p Partitioner) bool {
+	switch p.(type) {
+	case *HDRF, *Greedy, *CLUGP:
+		return true
+	}
+	return false
+}
+
+// ckRun is the checkpoint plumbing of one out-of-core run, handed to the
+// partitioner through its sink.
+type ckRun struct {
+	k int
+	// prefix reads the durable assignments of [0, end) a resumed run
+	// replays; end is 0 for a fresh run.
+	prefix PrefixReader
+	end    int
+	buf    []int32
+	// base is the resumed record's base file, decoded; nil otherwise.
+	base *store.Checkpoint
+	// freeze, set by the CLUGP family when pass 3 starts, encodes the
+	// frozen tables as the base file's sections.
+	freeze func() []store.CheckpointSection
+	// baseCRC names the run's base file once haveBase.
+	baseCRC  uint32
+	haveBase bool
+}
+
+// replaying reports whether the sink's next block lies in the durable
+// prefix of a resumed run. Checkpointed runs rebatch to BlockLen and
+// records sit on BlockLen multiples, so a block is wholly prefix or not.
+func (s *assignSink) replaying() bool { return s.ck != nil && s.pos < s.ck.end }
+
+// replay fills out with the durable assignments of blk.
+func (s *assignSink) replay(blk []graph.Edge, out []int32) error {
+	if err := s.ck.prefix.ReadPrefix(blk, out); err != nil {
+		return fmt.Errorf("durable prefix at edge %d: %w", s.pos, err)
+	}
+	for j, p := range out {
+		if p < 0 || int(p) >= s.ck.k {
+			return fmt.Errorf("durable assignment of edge %d is %d, outside [0, %d)", s.pos+j, p, s.ck.k)
+		}
+	}
+	return nil
+}
+
+// verify checks a recomputed block of the durable prefix against what the
+// interrupted run emitted; outside the prefix it does nothing.
+func (s *assignSink) verify(blk []graph.Edge, out []int32) error {
+	if !s.replaying() {
+		return nil
+	}
+	if cap(s.ck.buf) < len(out) {
+		s.ck.buf = make([]int32, len(out))
+	}
+	want := s.ck.buf[:len(out)]
+	if err := s.replay(blk, want); err != nil {
+		return err
+	}
+	for j := range out {
+		if out[j] != want[j] {
+			return fmt.Errorf("durable assignment of edge %d is %d, the resumed run computes %d", s.pos+j, want[j], out[j])
+		}
 	}
 	return nil
 }
@@ -137,8 +226,8 @@ func resolveCadence(every int, total int64) int64 {
 }
 
 // validateResume rejects a checkpoint that does not describe this exact
-// run: wrong algorithm, partition count or graph geometry would restore
-// state that silently corrupts the assignment, so each is a hard error.
+// run: wrong algorithm, partition count or graph geometry would replay a
+// prefix against the wrong run, so each is a hard error.
 func validateResume(p Partitioner, src stream.Source, k int, c *store.Checkpoint) error {
 	if c.Algorithm != p.Name() {
 		return fmt.Errorf("partition: checkpoint is for algorithm %q, not %q", c.Algorithm, p.Name())
@@ -161,25 +250,54 @@ func validateResume(p Partitioner, src stream.Source, k int, c *store.Checkpoint
 	return nil
 }
 
-// evalStater is the restore seam both evaluator types implement.
-type evalStater interface {
-	AppendState(buf []byte) []byte
-	LoadState(data []byte) error
+// openResume validates a resume against the run and loads the base file
+// its record names, if any.
+func (ck *ckRun) openResume(p Partitioner, src stream.Source, k int, opts *CheckpointOptions) error {
+	rec := opts.Resume.Record
+	if rec == nil {
+		return errors.New("partition: resume has no checkpoint record")
+	}
+	if err := validateResume(p, src, k, rec); err != nil {
+		return err
+	}
+	if rec.Offset > 0 && opts.Resume.Prefix == nil {
+		return fmt.Errorf("partition: resume from offset %d has no durable prefix to replay", rec.Offset)
+	}
+	ck.prefix, ck.end = opts.Resume.Prefix, int(rec.Offset)
+	data, ok := rec.Section(sectionBase)
+	if !ok {
+		return nil
+	}
+	if len(data) != 4 {
+		return fmt.Errorf("partition: checkpoint base digest of %d bytes, want 4", len(data))
+	}
+	if opts.Path == "" {
+		return errors.New("partition: checkpoint points into a base file; resume needs CheckpointOptions.Path to find it")
+	}
+	crc := binary.LittleEndian.Uint32(data)
+	base, err := store.ReadCheckpointBase(opts.Path+store.CheckpointBaseSuffix, crc)
+	if err != nil {
+		return fmt.Errorf("partition: checkpoint base: %w", err)
+	}
+	if err := validateResume(p, src, k, base); err != nil {
+		return fmt.Errorf("checkpoint base: %w", err)
+	}
+	ck.base, ck.baseCRC, ck.haveBase = base, crc, true
+	return nil
 }
 
-// writeRunCheckpoint snapshots the run at the current watermark and writes
-// it (atomically, rotating the previous checkpoint to .prev). Called from
+// writeRunCheckpoint writes the record at the current watermark
+// (atomically, rotating the previous record to .prev), first writing the
+// base file if the run froze state and has not written it yet. Called from
 // the emit path right after the watermark's last batch was emitted, so the
 // EmitMark callback sees exactly the assignments in [0, offset).
-func writeRunCheckpoint(p Partitioner, cp Checkpointer, opts *CheckpointOptions, ev evalStater, k, nv int, total, offset int64, stats *CheckpointStats) error {
-	c := &store.Checkpoint{
-		Algorithm:   p.Name(),
-		K:           k,
-		NumVertices: nv,
-		NumEdges:    total,
-		Offset:      offset,
-		Batch:       offset / int64(stream.BlockLen),
+func writeRunCheckpoint(p Partitioner, ck *ckRun, opts *CheckpointOptions, k, nv int, total, offset int64, stats *CheckpointStats) error {
+	header := func() *store.Checkpoint {
+		return &store.Checkpoint{Algorithm: p.Name(), K: k, NumVertices: nv, NumEdges: total}
 	}
+	c := header()
+	c.Offset = offset
+	c.Batch = offset / int64(stream.BlockLen)
 	if opts.EmitMark != nil {
 		mark, err := opts.EmitMark()
 		if err != nil {
@@ -187,10 +305,19 @@ func writeRunCheckpoint(p Partitioner, cp Checkpointer, opts *CheckpointOptions,
 		}
 		c.EmitMark = mark
 	}
-	if err := cp.SnapshotState(c); err != nil {
-		return err
+	if !ck.haveBase && ck.freeze != nil {
+		base := header()
+		base.Sections = ck.freeze()
+		n, crc, err := store.WriteCheckpointBase(opts.Path+store.CheckpointBaseSuffix, base)
+		if err != nil {
+			return fmt.Errorf("checkpoint base: %w", err)
+		}
+		ck.baseCRC, ck.haveBase = crc, true
+		stats.Bytes += n
 	}
-	c.AddSection(sectionEval, ev.AppendState(nil))
+	if ck.haveBase {
+		c.AddSection(sectionBase, binary.LittleEndian.AppendUint32(nil, ck.baseCRC))
+	}
 	n, err := store.WriteCheckpointFile(opts.Path, c)
 	if err != nil {
 		return err

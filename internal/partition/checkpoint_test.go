@@ -24,9 +24,14 @@ var errCrash = errors.New("partition_test: injected crash")
 
 // checkpointTestGraph is sized so a crash threshold of 5 blocks leaves two
 // checkpoints on disk (current + rotated .prev) and a resumed tail long
-// enough to write at least one more.
+// enough to write at least one more. Its edges come in random order, the
+// one-pass heuristics' own: in the web generator's natural order almost
+// every destination endpoint already holds the partition its edge lands
+// on, so a resume that dropped destination replicas would go unnoticed.
 func checkpointTestGraph() *graph.Graph {
-	return gen.Web(gen.WebConfig{N: 12000, OutDegree: 5, IntraSite: 0.7, Seed: 17})
+	g := gen.Web(gen.WebConfig{N: 12000, OutDegree: 5, IntraSite: 0.7, Seed: 17})
+	g.Edges = stream.Edges(g, stream.Random, 5)
+	return g
 }
 
 const (
@@ -55,15 +60,17 @@ func runUntilCrash(t *testing.T, p Partitioner, g *graph.Graph, k int, opts OutO
 	return got
 }
 
-// resumeFrom restores c and runs the tail, returning the resumed
+// resumeFrom resumes from c, replaying the durable prefix crashed[:Offset]
+// the killed run emitted, and runs the tail, returning the resumed
 // assignments and the result.
-func resumeFrom(t *testing.T, name string, g *graph.Graph, k int, c *store.Checkpoint, ckPath string, opts OutOfCoreOptions) ([]int32, *Result) {
+func resumeFrom(t *testing.T, name string, g *graph.Graph, k int, c *store.Checkpoint, crashed []int32, ckPath string, opts OutOfCoreOptions) ([]int32, *Result) {
 	t.Helper()
 	p, err := New(name, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Checkpoint = &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence, Resume: c}
+	opts.Checkpoint = &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence,
+		Resume: &Resume{Record: c, Prefix: PrefixOf(crashed[:c.Offset])}}
 	var got []int32
 	res, err := RunOutOfCoreOpts(p, stream.Of(g.Edges).Source(g.NumVertices), k, func(edges []graph.Edge, a []int32) error {
 		got = append(got, a...)
@@ -139,18 +146,19 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				if want := int64(4 * stream.BlockLen); c.Offset != want {
 					t.Fatalf("checkpoint at offset %d, want %d", c.Offset, want)
 				}
-				resumed, res := resumeFrom(t, name, g, k, c, ckPath, OutOfCoreOptions{Workers: dw})
+				resumed, res := resumeFrom(t, name, g, k, c, crashed, ckPath, OutOfCoreOptions{Workers: dw})
 				checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
 			})
 		}
 	}
 }
 
-// TestCheckpointResumeAcrossConfigurations: the state encodings are
-// canonical (vertex-major, shard-independent), so a checkpoint written
-// under one worker configuration restores bit-identically under another -
-// a crashed 8-core run can resume on a 1-core box and vice versa. Subtests
-// are named by the decode workers of the crashed and the resumed run.
+// TestCheckpointResumeAcrossConfigurations: a checkpoint record holds no
+// state laid out for a worker configuration - the resume rebuilds it from
+// the durable prefix - so a record written under one configuration
+// resumes bit-identically under another: a crashed 8-core run can resume
+// on a 1-core box and vice versa. Subtests are named by the decode workers
+// of the crashed and the resumed run.
 func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
@@ -179,7 +187,7 @@ func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed, res := resumeFrom(t, name, g, k, c, ckPath, dir.resume)
+				resumed, res := resumeFrom(t, name, g, k, c, crashed, ckPath, dir.resume)
 				checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
 			})
 		}
@@ -257,7 +265,7 @@ func TestCheckpointCorruptionFallsBackToPrev(t *testing.T) {
 	if want := int64(2 * stream.BlockLen); c.Offset != want {
 		t.Fatalf("fallback checkpoint at offset %d, want %d", c.Offset, want)
 	}
-	resumed, res := resumeFrom(t, name, g, k, c, ckPath, OutOfCoreOptions{})
+	resumed, res := resumeFrom(t, name, g, k, c, crashed, ckPath, OutOfCoreOptions{})
 	checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
 
 	// Corrupt the previous generation too: no usable checkpoint remains.
@@ -278,25 +286,36 @@ func TestCheckpointCorruptionFallsBackToPrev(t *testing.T) {
 }
 
 // TestCheckpointResumeRejectsMismatch: a checkpoint that does not describe
-// this exact run - wrong algorithm, k, graph geometry, or a tampered
-// offset - must be rejected before any state is restored. Resuming it would
+// this exact run - wrong algorithm, k, graph geometry, a tampered offset,
+// a durable prefix that is short or disagrees with the run, or a base file
+// that is missing or belongs to another run - must be rejected, and the
+// run must never resume (emit nothing past the prefix). Resuming it would
 // silently produce wrong assignments, the one outcome the subsystem exists
 // to prevent.
 func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
-	ckPath := filepath.Join(t.TempDir(), "run.cpk")
-	crashP, err := New("HDRF", 3)
-	if err != nil {
-		t.Fatal(err)
+	type fixture struct {
+		rec     *store.Checkpoint
+		crashed []int32
+		path    string
 	}
-	runUntilCrash(t, crashP, g, k, OutOfCoreOptions{
-		Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence},
-	}, ckCrashAt)
-	c, _, err := store.LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
+	crash := func(name string, seed uint64) fixture {
+		ckPath := filepath.Join(t.TempDir(), "run.cpk")
+		p, err := New(name, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashed := runUntilCrash(t, p, g, k, OutOfCoreOptions{
+			Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence},
+		}, ckCrashAt)
+		c, _, err := store.LoadCheckpoint(ckPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fixture{rec: c, crashed: crashed, path: ckPath}
 	}
+	hdrf, clugp, clugpOther := crash("HDRF", 3), crash("CLUGP", 3), crash("CLUGP", 4)
 
 	other := gen.Web(gen.WebConfig{N: 6000, OutDegree: 5, IntraSite: 0.7, Seed: 17})
 	cases := []struct {
@@ -304,30 +323,56 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 		algo   string
 		k      int
 		g      *graph.Graph
+		fx     fixture
 		mutate func(*store.Checkpoint)
+		prefix func([]int32) []int32
+		path   string // overrides the fixture's checkpoint path
 		want   string
 	}{
-		{name: "wrong algorithm", algo: "Greedy", k: k, g: g, want: "algorithm"},
-		{name: "wrong k", algo: "HDRF", k: k + 1, g: g, want: "k="},
-		{name: "wrong geometry", algo: "HDRF", k: k, g: other, want: "vertices"},
-		{name: "tampered edge count", algo: "HDRF", k: k, g: g,
+		{name: "wrong algorithm", algo: "Greedy", k: k, g: g, fx: hdrf, want: "algorithm"},
+		{name: "wrong k", algo: "HDRF", k: k + 1, g: g, fx: hdrf, want: "k="},
+		{name: "wrong geometry", algo: "HDRF", k: k, g: other, fx: hdrf, want: "vertices"},
+		{name: "tampered edge count", algo: "HDRF", k: k, g: g, fx: hdrf,
 			mutate: func(c *store.Checkpoint) { c.NumEdges++ }, want: "edges"},
-		{name: "misaligned offset", algo: "HDRF", k: k, g: g,
+		{name: "misaligned offset", algo: "HDRF", k: k, g: g, fx: hdrf,
 			mutate: func(c *store.Checkpoint) { c.Offset++ }, want: "multiple"},
-		{name: "non-checkpointer resume", algo: "DBH", k: k, g: g, want: "cannot restore"},
+		{name: "non-checkpointer resume", algo: "DBH", k: k, g: g, fx: hdrf, want: "cannot restore"},
+		{name: "prefix shorter than offset", algo: "HDRF", k: k, g: g, fx: hdrf,
+			prefix: func(a []int32) []int32 { return a[:len(a)-1] }, want: "durable prefix"},
+		{name: "prefix assignment out of range", algo: "HDRF", k: k, g: g, fx: hdrf,
+			prefix: func(a []int32) []int32 { a[len(a)/3] = int32(k); return a }, want: "outside"},
+		{name: "flipped CLUGP prefix assignment", algo: "CLUGP", k: k, g: g, fx: clugp,
+			prefix: func(a []int32) []int32 { a[len(a)/2] = (a[len(a)/2] + 1) % int32(k); return a }, want: "computes"},
+		{name: "missing base", algo: "CLUGP", k: k, g: g, fx: clugp,
+			path: filepath.Join(t.TempDir(), "run.cpk"), want: "base"},
+		{name: "base of another run", algo: "CLUGP", k: k, g: g, fx: clugp,
+			path: clugpOther.path, want: "CRC"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cc := *c
+			cc := *tc.fx.rec
 			if tc.mutate != nil {
 				tc.mutate(&cc)
+			}
+			prefix := append([]int32(nil), tc.fx.crashed[:tc.fx.rec.Offset]...)
+			if tc.prefix != nil {
+				prefix = tc.prefix(prefix)
+			}
+			path := tc.fx.path
+			if tc.path != "" {
+				path = tc.path
 			}
 			p, err := New(tc.algo, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = RunOutOfCoreOpts(p, stream.Of(tc.g.Edges).Source(tc.g.NumVertices), tc.k, nil,
-				OutOfCoreOptions{Checkpoint: &CheckpointOptions{Resume: &cc}})
+			_, err = RunOutOfCoreOpts(p, stream.Of(tc.g.Edges).Source(tc.g.NumVertices), tc.k,
+				func([]graph.Edge, []int32) error {
+					t.Fatal("a rejected resume emitted assignments")
+					return nil
+				},
+				OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: path,
+					Resume: &Resume{Record: &cc, Prefix: PrefixOf(prefix)}}})
 			if err == nil {
 				t.Fatal("resume accepted a mismatched checkpoint")
 			}
@@ -339,7 +384,8 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 }
 
 // TestCheckpointNonCheckpointerFallsBack: asking for checkpoints from an
-// algorithm that cannot snapshot its state is not an error - the run
+// algorithm that cannot rebuild its state from a durable prefix is not an
+// error - the run
 // completes without them - but the demotion is recorded in the pipeline
 // info and no checkpoint file appears.
 func TestCheckpointNonCheckpointerFallsBack(t *testing.T) {

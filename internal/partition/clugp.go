@@ -2,14 +2,15 @@ package partition
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/game"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
@@ -62,52 +63,18 @@ type CLUGP struct {
 
 	// LastTrace captures diagnostics of the most recent run (nil before).
 	LastTrace *Trace
-
-	// live points at the running pass 3's state while it streams, so
-	// SnapshotState can capture it at a commit boundary; resume holds
-	// checkpoint state stashed by RestoreState until the next run.
-	live   *clugpLive
-	resume *clugpResume
 }
 
-// clugpScalars is the scalar diagnostics a checkpoint carries so a resumed
-// run rebuilds LastTrace without re-running passes 1 and 2.
-type clugpScalars struct {
-	numClusters int
-	splits      int64
-	migrations  int64
-	gameRounds  int
-	gameMoves   int64
-	gameBatches int
-	intraFrac   float64
-	healedFrac  float64
-	clusterNs   int64
-	buildNs     int64
-	gameNs      int64
-	transformNs int64 // pass-3 time accumulated before this run
-}
-
-// clugpLive is the state of the pass 3 currently streaming: the mapping
-// tables are read-only during the pass, sizes and overflowed are current at
-// every commit boundary (the score loop flushes before committing).
-type clugpLive struct {
-	cres       *cluster.Result
-	cpart      []int32
-	sizes      []int64
-	overflowed *int64
-	scalars    clugpScalars
-	t3         time.Time // pass-3 start, for accumulated transform time
-}
-
-// clugpResume is the decoded checkpoint state of an interrupted run:
-// everything pass 3 needs, reconstructed without touching passes 1-2.
-type clugpResume struct {
-	numEdges   int64
-	cres       *cluster.Result
-	cpart      []int32
-	sizes      []int64
-	overflowed int64
-	scalars    clugpScalars
+// clugpFrozen is what passes 1 and 2 leave for pass 3: the vertex->cluster
+// and cluster->partition tables, vertex degrees and mirror marks - all
+// read-only during pass 3 - and the pass-1/2 diagnostics. A checkpointed
+// run writes it once as its base file, so a resumed run replays neither
+// clustering nor the game.
+type clugpFrozen struct {
+	cres  *cluster.Result
+	cpart []int32
+	// trace holds the pass-1/2 fields of the run's Trace.
+	trace Trace
 }
 
 // Trace exposes per-pass diagnostics of a CLUGP run for the ablation and
@@ -178,11 +145,11 @@ func (c *CLUGP) PartitionStream(src stream.Source, k int, emit Emit) error {
 	return streamVia(c, src, k, emit)
 }
 
-// run executes the three passes, delivering pass 3's assignment to the sink.
+// run executes the three passes, delivering pass 3's assignment to the
+// sink. A resumed run whose record names a base file takes passes 1 and 2
+// from it; pass 3 then recomputes the durable prefix and checks it against
+// what the interrupted run emitted.
 func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
-	if c.resume != nil {
-		return c.runResume(src, k, sink)
-	}
 	tau := c.Tau
 	if tau == 0 {
 		tau = 1.0
@@ -190,14 +157,44 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 	if tau < 1.0 {
 		return fmt.Errorf("clugp: tau must be >= 1.0, got %v", tau)
 	}
+	if src.Len() == 0 {
+		return nil
+	}
+	var fz *clugpFrozen
+	var err error
+	if sink.ck != nil && sink.ck.base != nil {
+		fz, err = loadCLUGPBase(sink.ck.base)
+	} else {
+		fz, err = c.passes12(src, k)
+	}
+	if err != nil {
+		return err
+	}
+	if sink.ck != nil {
+		sink.ck.freeze = fz.sections
+	}
+
+	// Pass 3: transformation (Algorithm 1).
+	t3 := time.Now()
+	overflowed, err := transform(src, fz.cres, fz.cpart, k, tau, sink)
+	if err != nil {
+		return fmt.Errorf("clugp pass 3: %w", err)
+	}
+	tr := fz.trace
+	tr.Overflowed = overflowed
+	tr.TransformTime = time.Since(t3)
+	c.LastTrace = &tr
+	return nil
+}
+
+// passes12 runs pass 1 (streaming clustering) and pass 2 (the cluster
+// graph and the partitioning game).
+func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 	vf := c.VmaxFactor
 	if vf == 0 {
 		vf = 0.2
 	}
 	numEdges := src.Len()
-	if numEdges == 0 {
-		return nil
-	}
 
 	// Pass 1: streaming clustering. Vmax = vf*|E|/k, at least 2 so that
 	// tiny graphs still form multi-vertex clusters.
@@ -212,7 +209,7 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 		MigrateMaxDegree: c.MigrateMaxDegree,
 	})
 	if err != nil {
-		return fmt.Errorf("clugp pass 1: %w", err)
+		return nil, fmt.Errorf("clugp pass 1: %w", err)
 	}
 	cres.Compact()
 	t1 := time.Now()
@@ -220,7 +217,7 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 	// Pass 2: build the cluster graph and play the partitioning game.
 	cg, err := cluster.BuildGraph(src, cres)
 	if err != nil {
-		return fmt.Errorf("clugp pass 2: %w", err)
+		return nil, fmt.Errorf("clugp pass 2: %w", err)
 	}
 	t2 := time.Now()
 	var asg *game.Assignment
@@ -241,14 +238,14 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 			Seed:      c.Seed,
 		})
 		if err != nil {
-			return fmt.Errorf("clugp pass 2: %w", err)
+			return nil, fmt.Errorf("clugp pass 2: %w", err)
 		}
 	}
 	t3 := time.Now()
 
 	// Cluster-quality fractions come from pass-2 state alone, so they are
-	// computed before pass 3: a checkpoint taken mid-transformation carries
-	// them, and a resumed run never revisits the cluster graph.
+	// computed before pass 3: the base file carries them, and a resumed run
+	// never revisits the cluster graph.
 	var intraFrac, healedFrac float64
 	if total := cg.TotalIntra + cg.TotalInter; total > 0 {
 		intraFrac = float64(cg.TotalIntra) / float64(total)
@@ -267,95 +264,23 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 		// arc weights already combine both edge directions.
 		healedFrac = float64(healed) / float64(2*cg.TotalInter)
 	}
-
-	// Pass 3: transformation (Algorithm 1).
-	sizes := make([]int64, k)
-	var overflowed int64
-	c.live = &clugpLive{
-		cres:       cres,
-		cpart:      asg.Partition,
-		sizes:      sizes,
-		overflowed: &overflowed,
-		scalars: clugpScalars{
-			numClusters: cres.NumClusters,
-			splits:      cres.Splits,
-			migrations:  cres.Migrations,
-			gameRounds:  asg.Rounds,
-			gameMoves:   asg.Moves,
-			gameBatches: asg.Batches,
-			intraFrac:   intraFrac,
-			healedFrac:  healedFrac,
-			clusterNs:   int64(t1.Sub(t0)),
-			buildNs:     int64(t2.Sub(t1)),
-			gameNs:      int64(t3.Sub(t2)),
+	return &clugpFrozen{
+		cres:  cres,
+		cpart: asg.Partition,
+		trace: Trace{
+			NumClusters:    cres.NumClusters,
+			Splits:         cres.Splits,
+			Migrations:     cres.Migrations,
+			IntraFraction:  intraFrac,
+			HealedFraction: healedFrac,
+			GameRounds:     asg.Rounds,
+			GameMoves:      asg.Moves,
+			GameBatches:    asg.Batches,
+			ClusterTime:    t1.Sub(t0),
+			BuildTime:      t2.Sub(t1),
+			GameTime:       t3.Sub(t2),
 		},
-		t3: t3,
-	}
-	if err = transform(src, numEdges, cres, asg.Partition, k, tau, sizes, &overflowed, sink); err != nil {
-		return fmt.Errorf("clugp pass 3: %w", err)
-	}
-	t4 := time.Now()
-
-	c.LastTrace = &Trace{
-		NumClusters:    cres.NumClusters,
-		Splits:         cres.Splits,
-		Migrations:     cres.Migrations,
-		IntraFraction:  intraFrac,
-		HealedFraction: healedFrac,
-		GameRounds:     asg.Rounds,
-		GameMoves:      asg.Moves,
-		GameBatches:    asg.Batches,
-		Overflowed:     overflowed,
-		ClusterTime:    t1.Sub(t0),
-		BuildTime:      t2.Sub(t1),
-		GameTime:       t3.Sub(t2),
-		TransformTime:  t4.Sub(t3),
-	}
-	return nil
-}
-
-// runResume is run with passes 1 and 2 replaced by the checkpoint's mapping
-// tables: only pass 3 streams, over the tail the runner fast-forwarded to.
-func (c *CLUGP) runResume(src stream.Source, k int, sink *assignSink) error {
-	r := c.resume
-	c.resume = nil
-	tau := c.Tau
-	if tau == 0 {
-		tau = 1.0
-	}
-	if tau < 1.0 {
-		return fmt.Errorf("clugp: tau must be >= 1.0, got %v", tau)
-	}
-	overflowed := r.overflowed
-	t3 := time.Now()
-	c.live = &clugpLive{
-		cres:       r.cres,
-		cpart:      r.cpart,
-		sizes:      r.sizes,
-		overflowed: &overflowed,
-		scalars:    r.scalars,
-		t3:         t3,
-	}
-	if err := transform(src, int(r.numEdges), r.cres, r.cpart, k, tau, r.sizes, &overflowed, sink); err != nil {
-		return fmt.Errorf("clugp pass 3: %w", err)
-	}
-	s := r.scalars
-	c.LastTrace = &Trace{
-		NumClusters:    s.numClusters,
-		Splits:         s.splits,
-		Migrations:     s.migrations,
-		IntraFraction:  s.intraFrac,
-		HealedFraction: s.healedFrac,
-		GameRounds:     s.gameRounds,
-		GameMoves:      s.gameMoves,
-		GameBatches:    s.gameBatches,
-		Overflowed:     overflowed,
-		ClusterTime:    time.Duration(s.clusterNs),
-		BuildTime:      time.Duration(s.buildNs),
-		GameTime:       time.Duration(s.gameNs),
-		TransformTime:  time.Duration(s.transformNs) + time.Since(t3),
-	}
-	return nil
+	}, nil
 }
 
 // transform implements Algorithm 1: stream the edges once more, mapping
@@ -372,17 +297,12 @@ func (c *CLUGP) runResume(src stream.Source, k int, sink *assignSink) error {
 // exactly those O(1) tables - master partition and mirror partition - so
 // pass 3 keeps its O(1)-per-edge budget. Ties fall back to the paper's
 // cut-the-higher-degree rule (lines 21-22), then to the lighter partition.
-func transform(src stream.Source, numEdges int, cres *cluster.Result, cpart []int32, k int, tau float64, sizes []int64, overflowed *int64, sink *assignSink) (err error) {
-	// numEdges is the full stream's edge count, passed in because src may be
-	// a resumed tail covering only the remainder; Lmax must not shrink when
-	// a run resumes. Lmax = ceil(tau*|E|/k): the ceiling guarantees
-	// k*Lmax >= |E| so an underflow partition always exists when the guard
-	// trips. sizes and *overflowed carry the balance bookkeeping across a
-	// checkpoint: zero on a fresh run, the checkpointed values on resume,
-	// and *overflowed is current at every commit so SnapshotState reads a
-	// consistent value.
-	ovf := *overflowed
-	lmax := int64((tau*float64(numEdges) + float64(k) - 1) / float64(k))
+//
+// It returns the number of edges the balance guard rerouted.
+func transform(src stream.Source, cres *cluster.Result, cpart []int32, k int, tau float64, sink *assignSink) (overflowed int64, err error) {
+	// Lmax = ceil(tau*|E|/k): the ceiling guarantees k*Lmax >= |E| so an
+	// underflow partition always exists when the guard trips.
+	lmax := int64((tau*float64(src.Len()) + float64(k) - 1) / float64(k))
 	if lmax < 1 {
 		lmax = 1
 	}
@@ -396,7 +316,8 @@ func transform(src stream.Source, numEdges int, cres *cluster.Result, cpart []in
 		return -1
 	}
 
-	return forEachBlock(src, func(blk []graph.Edge) error {
+	sizes := make([]int64, k)
+	err = forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
@@ -407,7 +328,7 @@ func transform(src stream.Source, numEdges int, cres *cluster.Result, cpart []in
 			if sizes[pu] >= lmax || sizes[pv] >= lmax {
 				// Balance guard (lines 6-14): reroute to an underflow
 				// partition, preferring the endpoints' own partitions.
-				ovf++
+				overflowed++
 				switch {
 				case sizes[pu] < lmax:
 					p = pu
@@ -463,14 +384,18 @@ func transform(src stream.Source, numEdges int, cres *cluster.Result, cpart []in
 			out[j] = p
 			sizes[p]++
 		}
-		*overflowed = ovf
+		if err := sink.verify(blk, out); err != nil {
+			return err
+		}
 		return sink.commit(blk, out)
 	})
+	return overflowed, err
 }
 
 // clugpAppendIDs encodes int32 values that may be cluster.None (-1), each
 // as uvarint(v+1).
 func clugpAppendIDs(buf []byte, ids []int32) []byte {
+	buf = slices.Grow(buf, 2*len(ids))
 	for _, id := range ids {
 		buf = binary.AppendUvarint(buf, uint64(int64(id)+1))
 	}
@@ -494,167 +419,126 @@ func clugpLoadIDs(dst []int32, data []byte, max int64, what string) ([]byte, err
 	return data, nil
 }
 
-// SnapshotState implements Checkpointer. A CLUGP checkpoint carries the
-// pass-3 inputs - the vertex->cluster and cluster->partition tables, vertex
-// degrees and mirror marks, all read-only during the pass - plus the live
-// balance bookkeeping (sizes, overflowed) and the pass 1-2 diagnostics, so
-// a resumed run replays neither clustering nor the game.
-func (c *CLUGP) SnapshotState(ck *store.Checkpoint) error {
-	lv := c.live
-	if lv == nil {
-		return fmt.Errorf("clugp: checkpoint requested outside the transformation pass")
+// sections encodes the frozen state as a base file's sections.
+func (fz *clugpFrozen) sections() []store.CheckpointSection {
+	deg := make([]byte, 0, 2*len(fz.cres.Degree))
+	for _, d := range fz.cres.Degree {
+		deg = binary.AppendUvarint(deg, uint64(d))
 	}
-	ck.AddSection(sectionCLUGPAssign, clugpAppendIDs(nil, lv.cres.Assign))
-	ck.AddSection(sectionCLUGPSplitFrom, clugpAppendIDs(nil, lv.cres.SplitFrom))
-	ck.AddSection(sectionCLUGPDegree, metrics.AppendDegreeState(nil, lv.cres.Degree))
-	ck.AddSection(sectionCLUGPCPart, clugpAppendIDs(nil, lv.cpart))
-	ck.AddSection(sectionCLUGPSizes, metrics.AppendSizesState(nil, lv.sizes))
-	s := lv.scalars
-	var buf []byte
+	t := &fz.trace
+	var scalars []byte
 	for _, x := range []uint64{
-		uint64(s.numClusters),
-		uint64(s.splits),
-		uint64(s.migrations),
-		uint64(s.gameRounds),
-		uint64(s.gameMoves),
-		uint64(s.gameBatches),
-		uint64(*lv.overflowed),
-		math.Float64bits(s.intraFrac),
-		math.Float64bits(s.healedFrac),
-		uint64(s.clusterNs),
-		uint64(s.buildNs),
-		uint64(s.gameNs),
-		uint64(s.transformNs + int64(time.Since(lv.t3))),
+		uint64(t.NumClusters),
+		uint64(t.Splits),
+		uint64(t.Migrations),
+		uint64(t.GameRounds),
+		uint64(t.GameMoves),
+		uint64(t.GameBatches),
+		math.Float64bits(t.IntraFraction),
+		math.Float64bits(t.HealedFraction),
+		uint64(t.ClusterTime),
+		uint64(t.BuildTime),
+		uint64(t.GameTime),
 	} {
-		buf = binary.AppendUvarint(buf, x)
+		scalars = binary.AppendUvarint(scalars, x)
 	}
-	ck.AddSection(sectionCLUGPScalars, buf)
-	return nil
+	return []store.CheckpointSection{
+		{Name: sectionCLUGPAssign, Data: clugpAppendIDs(nil, fz.cres.Assign)},
+		{Name: sectionCLUGPSplitFrom, Data: clugpAppendIDs(nil, fz.cres.SplitFrom)},
+		{Name: sectionCLUGPDegree, Data: deg},
+		{Name: sectionCLUGPCPart, Data: clugpAppendIDs(nil, fz.cpart)},
+		{Name: sectionCLUGPScalars, Data: scalars},
+	}
 }
 
-// RestoreState implements Checkpointer, decoding and validating the whole
-// pass-3 state eagerly so a forged or mismatched checkpoint fails here, not
-// as a panic mid-stream.
-func (c *CLUGP) RestoreState(ck *store.Checkpoint) error {
-	nv, k := ck.NumVertices, ck.K
-
-	data, err := loadSection(ck, sectionCLUGPScalars)
+// loadCLUGPBase decodes and validates a base file's frozen state eagerly,
+// so a forged base fails here, not as a panic mid-stream.
+func loadCLUGPBase(base *store.Checkpoint) (*clugpFrozen, error) {
+	nv, k := base.NumVertices, base.K
+	data, err := loadSection(base, sectionCLUGPScalars)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var vals [13]uint64
+	var vals [11]uint64
 	for i := range vals {
 		x, n := binary.Uvarint(data)
 		if n <= 0 {
-			return fmt.Errorf("clugp: truncated scalars state")
+			return nil, errors.New("clugp: truncated base scalars")
 		}
 		vals[i] = x
 		data = data[n:]
 	}
-	if err := consumed(data, "clugp scalars"); err != nil {
-		return err
+	if len(data) != 0 {
+		return nil, errors.New("clugp: trailing bytes after base scalars")
 	}
 	numClusters := int(vals[0])
 	if numClusters < 0 || numClusters > nv {
-		return fmt.Errorf("clugp: checkpoint has %d clusters for %d vertices", numClusters, nv)
+		return nil, fmt.Errorf("clugp: base has %d clusters for %d vertices", numClusters, nv)
 	}
 
-	assign := make([]cluster.ID, nv)
-	if data, err = loadSection(ck, sectionCLUGPAssign); err != nil {
-		return err
-	}
-	if data, err = clugpLoadIDs(assign, data, int64(numClusters), "cluster assign"); err != nil {
-		return err
-	}
-	if err := consumed(data, "clugp assign"); err != nil {
-		return err
-	}
-
-	splitFrom := make([]cluster.ID, nv)
-	if data, err = loadSection(ck, sectionCLUGPSplitFrom); err != nil {
-		return err
-	}
-	if data, err = clugpLoadIDs(splitFrom, data, int64(numClusters), "split-from"); err != nil {
-		return err
-	}
-	if err := consumed(data, "clugp split-from"); err != nil {
-		return err
-	}
-
-	degree := make([]uint32, nv)
-	if data, err = loadSection(ck, sectionCLUGPDegree); err != nil {
-		return err
-	}
-	if data, err = metrics.LoadDegreeState(degree, data); err != nil {
-		return err
-	}
-	if err := consumed(data, "clugp degree"); err != nil {
-		return err
-	}
-
-	cpart := make([]int32, numClusters)
-	if data, err = loadSection(ck, sectionCLUGPCPart); err != nil {
-		return err
-	}
-	if data, err = clugpLoadIDs(cpart, data, int64(k), "cluster partition"); err != nil {
-		return err
-	}
-	if err := consumed(data, "clugp cluster partition"); err != nil {
-		return err
-	}
-	for ci, p := range cpart {
-		if p < 0 {
-			return fmt.Errorf("clugp: cluster %d has no partition in checkpoint", ci)
-		}
-	}
-
-	sizes := make([]int64, k)
-	if data, err = loadSection(ck, sectionCLUGPSizes); err != nil {
-		return err
-	}
-	if data, err = metrics.LoadSizesState(sizes, data); err != nil {
-		return err
-	}
-	if err := consumed(data, "clugp sizes"); err != nil {
-		return err
-	}
-	var assigned int64
-	for _, sz := range sizes {
-		assigned += sz
-	}
-	if assigned != ck.Offset {
-		return fmt.Errorf("clugp: checkpoint sizes cover %d edges, offset says %d", assigned, ck.Offset)
-	}
-
-	c.resume = &clugpResume{
-		numEdges: ck.NumEdges,
+	fz := &clugpFrozen{
 		cres: &cluster.Result{
 			NumClusters: numClusters,
-			Assign:      assign,
-			Degree:      degree,
-			SplitFrom:   splitFrom,
+			Assign:      make([]cluster.ID, nv),
+			Degree:      make([]uint32, nv),
+			SplitFrom:   make([]cluster.ID, nv),
 			Splits:      int64(vals[1]),
 			Migrations:  int64(vals[2]),
 		},
-		cpart:      cpart,
-		sizes:      sizes,
-		overflowed: int64(vals[6]),
-		scalars: clugpScalars{
-			numClusters: numClusters,
-			splits:      int64(vals[1]),
-			migrations:  int64(vals[2]),
-			gameRounds:  int(vals[3]),
-			gameMoves:   int64(vals[4]),
-			gameBatches: int(vals[5]),
-			intraFrac:   math.Float64frombits(vals[7]),
-			healedFrac:  math.Float64frombits(vals[8]),
-			clusterNs:   int64(vals[9]),
-			buildNs:     int64(vals[10]),
-			gameNs:      int64(vals[11]),
-			transformNs: int64(vals[12]),
+		cpart: make([]int32, numClusters),
+		trace: Trace{
+			NumClusters:    numClusters,
+			Splits:         int64(vals[1]),
+			Migrations:     int64(vals[2]),
+			GameRounds:     int(vals[3]),
+			GameMoves:      int64(vals[4]),
+			GameBatches:    int(vals[5]),
+			IntraFraction:  math.Float64frombits(vals[6]),
+			HealedFraction: math.Float64frombits(vals[7]),
+			ClusterTime:    time.Duration(vals[8]),
+			BuildTime:      time.Duration(vals[9]),
+			GameTime:       time.Duration(vals[10]),
 		},
 	}
-	return nil
+	for _, tab := range []struct {
+		name string
+		dst  []int32
+		max  int64
+	}{
+		{sectionCLUGPAssign, fz.cres.Assign, int64(numClusters)},
+		{sectionCLUGPSplitFrom, fz.cres.SplitFrom, int64(numClusters)},
+		{sectionCLUGPCPart, fz.cpart, int64(k)},
+	} {
+		if data, err = loadSection(base, tab.name); err != nil {
+			return nil, err
+		}
+		if data, err = clugpLoadIDs(tab.dst, data, tab.max, tab.name); err != nil {
+			return nil, err
+		}
+		if len(data) != 0 {
+			return nil, fmt.Errorf("clugp: trailing bytes after base %s", tab.name)
+		}
+	}
+	for ci, p := range fz.cpart {
+		if p < 0 {
+			return nil, fmt.Errorf("clugp: cluster %d has no partition in base", ci)
+		}
+	}
+	if data, err = loadSection(base, sectionCLUGPDegree); err != nil {
+		return nil, err
+	}
+	for v := range fz.cres.Degree {
+		x, n := binary.Uvarint(data)
+		if n <= 0 || x > math.MaxUint32 {
+			return nil, fmt.Errorf("clugp: base degree of vertex %d truncated or out of range", v)
+		}
+		fz.cres.Degree[v] = uint32(x)
+		data = data[n:]
+	}
+	if len(data) != 0 {
+		return nil, errors.New("clugp: trailing bytes after base degrees")
+	}
+	return fz, nil
 }
 
 // StateBytes implements StateSizer. CLUGP's standing state is the two

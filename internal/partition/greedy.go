@@ -3,7 +3,6 @@ package partition
 import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -29,63 +28,6 @@ type Greedy struct {
 	rs      metrics.ReplicaSets
 	sizes   []int64
 	scratch []int32
-
-	// resume holds checkpoint state stashed by RestoreState until the next
-	// run consumes it right after its tables reset.
-	resume *greedyResume
-}
-
-// greedyResume is the stashed checkpoint state of a Greedy run, in the
-// canonical encodings of metrics/state.go.
-type greedyResume struct {
-	replicas []byte
-	sizes    []int64
-}
-
-// SnapshotState implements Checkpointer: the replica table and partition
-// sizes, Greedy's entire per-edge state, in the canonical encoding.
-func (gr *Greedy) SnapshotState(c *store.Checkpoint) error {
-	c.AddSection(sectionGreedyReplicas, gr.rs.AppendState(nil))
-	c.AddSection(sectionGreedySizes, metrics.AppendSizesState(nil, gr.sizes))
-	return nil
-}
-
-// RestoreState implements Checkpointer, stashing the checkpoint's sections
-// for the next run to load once its tables are at the run's geometry.
-func (gr *Greedy) RestoreState(c *store.Checkpoint) error {
-	rep, err := loadSection(c, sectionGreedyReplicas)
-	if err != nil {
-		return err
-	}
-	szs, err := loadSection(c, sectionGreedySizes)
-	if err != nil {
-		return err
-	}
-	sizes := make([]int64, c.K)
-	rem, err := metrics.LoadSizesState(sizes, szs)
-	if err != nil {
-		return err
-	}
-	if err := consumed(rem, "greedy sizes"); err != nil {
-		return err
-	}
-	gr.resume = &greedyResume{replicas: rep, sizes: sizes}
-	return nil
-}
-
-// consumeResume loads the stashed checkpoint state into the just-reset tables.
-func (gr *Greedy) consumeResume() error {
-	r := gr.resume
-	gr.resume = nil
-	rem, err := gr.rs.LoadState(r.replicas)
-	if err != nil {
-		return err
-	}
-	if err := consumed(rem, "greedy replica"); err != nil {
-		return err
-	}
-	copy(gr.sizes, r.sizes)
-	return nil
 }
 
 // Name implements Partitioner.
@@ -121,13 +63,21 @@ func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 		gr.scratch = make([]int32, 0, k)
 	}
 	rs, sizes, scratch := &gr.rs, gr.sizes, gr.scratch
-	if gr.resume != nil {
-		if err := gr.consumeResume(); err != nil {
-			return err
-		}
-	}
 	return forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
+		if sink.replaying() {
+			// A resumed run's durable prefix: apply each edge's emitted
+			// partition through the updates the loop below makes.
+			if err := sink.replay(blk, out); err != nil {
+				return err
+			}
+			for j, e := range blk {
+				sizes[out[j]]++
+				rs.Add(e.Src, int(out[j]))
+				rs.Add(e.Dst, int(out[j]))
+			}
+			return sink.commit(blk, out)
+		}
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
 			var p int32

@@ -3,7 +3,6 @@ package partition
 import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -36,80 +35,6 @@ type HDRF struct {
 	rs    metrics.ReplicaSets
 	deg   []uint32
 	sizes []int64
-
-	// resume holds checkpoint state stashed by RestoreState until the next
-	// run consumes it right after its tables reset.
-	resume *hdrfResume
-}
-
-// hdrfResume is the stashed checkpoint state of an HDRF run, in the
-// canonical encodings of metrics/state.go.
-type hdrfResume struct {
-	replicas []byte
-	degrees  []byte
-	sizes    []int64
-}
-
-// SnapshotState implements Checkpointer: the replica table, partial-degree
-// table and partition sizes - everything the per-edge loop reads - in the
-// canonical vertex-major encoding. maxSize/minSize are not stored: they are
-// always exactly the extrema of the sizes, so restore recomputes them.
-func (h *HDRF) SnapshotState(c *store.Checkpoint) error {
-	c.AddSection(sectionHDRFReplicas, h.rs.AppendState(nil))
-	c.AddSection(sectionHDRFDegrees, metrics.AppendDegreeState(nil, h.deg))
-	c.AddSection(sectionHDRFSizes, metrics.AppendSizesState(nil, h.sizes))
-	return nil
-}
-
-// RestoreState implements Checkpointer, stashing the checkpoint's sections
-// for the next run to load once its tables are at the run's geometry.
-func (h *HDRF) RestoreState(c *store.Checkpoint) error {
-	rep, err := loadSection(c, sectionHDRFReplicas)
-	if err != nil {
-		return err
-	}
-	deg, err := loadSection(c, sectionHDRFDegrees)
-	if err != nil {
-		return err
-	}
-	szs, err := loadSection(c, sectionHDRFSizes)
-	if err != nil {
-		return err
-	}
-	sizes := make([]int64, c.K)
-	rem, err := metrics.LoadSizesState(sizes, szs)
-	if err != nil {
-		return err
-	}
-	if err := consumed(rem, "hdrf sizes"); err != nil {
-		return err
-	}
-	h.resume = &hdrfResume{replicas: rep, degrees: deg, sizes: sizes}
-	return nil
-}
-
-// consumeResume loads the stashed checkpoint state into the just-reset
-// tables and returns the recomputed size extrema.
-func (h *HDRF) consumeResume() (maxSize, minSize int64, err error) {
-	r := h.resume
-	h.resume = nil
-	rem, err := h.rs.LoadState(r.replicas)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := consumed(rem, "hdrf replica"); err != nil {
-		return 0, 0, err
-	}
-	rem, err = metrics.LoadDegreeState(h.deg, r.degrees)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := consumed(rem, "hdrf degree"); err != nil {
-		return 0, 0, err
-	}
-	copy(h.sizes, r.sizes)
-	maxSize, minSize = sizeExtrema(h.sizes)
-	return maxSize, minSize, nil
 }
 
 // sizeExtrema returns max and min of sizes (which is never empty: k >= 1).
@@ -164,15 +89,27 @@ func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
 	h.sizes = resetInt64(h.sizes, k)
 	rs, deg, sizes := &h.rs, h.deg, h.sizes
 	var maxSize, minSize int64
-	if h.resume != nil {
-		var err error
-		if maxSize, minSize, err = h.consumeResume(); err != nil {
-			return err
-		}
-	}
 
 	return forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
+		if sink.replaying() {
+			// A resumed run's durable prefix: apply each edge's emitted
+			// partition through the updates the scoring loop below makes.
+			// maxSize and minSize are always exactly the size extrema.
+			if err := sink.replay(blk, out); err != nil {
+				return err
+			}
+			for j, e := range blk {
+				p := int(out[j])
+				deg[e.Src]++
+				deg[e.Dst]++
+				sizes[p]++
+				rs.Add(e.Src, p)
+				rs.Add(e.Dst, p)
+			}
+			maxSize, minSize = sizeExtrema(sizes)
+			return sink.commit(blk, out)
+		}
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
 			deg[u]++

@@ -18,12 +18,10 @@ package partition
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -182,12 +180,12 @@ type OutOfCoreOptions struct {
 	// algorithm x backend x format combination. Sources that cannot segment
 	// fall back to the serial pass.
 	Workers int
-	// Checkpoint, when non-nil, enables crash tolerance: the run snapshots
-	// its state to Checkpoint.Path at batch boundaries, and Checkpoint.Resume
-	// restores a previous snapshot and continues from its exact stream
-	// offset, bit-identical to an uninterrupted run. The partitioner must
-	// implement Checkpointer (HDRF, Greedy and the CLUGP family do); others
-	// fall back to running without checkpoints, recorded in Result.Pipeline.
+	// Checkpoint, when non-nil, enables crash tolerance: the run writes
+	// checkpoint records to Checkpoint.Path at batch boundaries, and
+	// Checkpoint.Resume continues from a record's exact stream offset,
+	// bit-identical to an uninterrupted run. HDRF, Greedy and the CLUGP
+	// family checkpoint; others run without checkpoints, recorded in
+	// Result.Pipeline.
 	Checkpoint *CheckpointOptions
 }
 
@@ -258,52 +256,33 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 	parallel := false
 	info := PipelineInfo{DecodeWorkers: 1}
 
-	// Resolve the checkpoint plan before any wrapping: resume validation and
-	// the fast-forward segment are defined against the caller's source.
+	// Resolve the checkpoint plan before any wrapping: resume validation is
+	// defined against the caller's source.
 	var (
 		ckOpts *CheckpointOptions
-		cp     Checkpointer
-		resume *store.Checkpoint
+		ck     *ckRun
 		every  int64
 	)
 	if c := opts.Checkpoint; c != nil && (c.Path != "" || c.Resume != nil) {
-		var isCp bool
-		if cp, isCp = p.(Checkpointer); isCp {
-			ckOpts = c
-		} else if c.Resume != nil {
-			// Resuming without restore support would re-partition from
+		switch {
+		case replaysPrefix(p):
+			ckOpts, ck = c, &ckRun{k: k}
+		case c.Resume != nil:
+			// Resuming without prefix replay would re-partition from
 			// scratch against a truncated emit stream: hard error.
-			return nil, fmt.Errorf("partition: %s cannot restore checkpoint state (no Checkpointer)", p.Name())
-		} else {
-			info.addFallback(p.Name() + " does not snapshot its state, checkpointing disabled")
+			return nil, fmt.Errorf("partition: %s cannot restore checkpoint state (no prefix replay)", p.Name())
+		default:
+			info.addFallback(p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled")
 		}
 	}
 	resumeOffset := int64(0)
 	if ckOpts != nil && ckOpts.Resume != nil {
-		resume = ckOpts.Resume
-		if err := validateResume(p, src, k, resume); err != nil {
+		if err := ck.openResume(p, src, k, ckOpts); err != nil {
 			return nil, err
 		}
-		if err := cp.RestoreState(resume); err != nil {
-			return nil, fmt.Errorf("partition: %s: restore: %w", p.Name(), err)
-		}
-		resumeOffset = resume.Offset
+		resumeOffset = int64(ck.end)
 		info.Checkpoints.Resumed = true
 		info.Checkpoints.ResumeOffset = resumeOffset
-		if resumeOffset > 0 {
-			seg, isSeg := src.(stream.Segmenter)
-			if !isSeg {
-				return nil, fmt.Errorf("partition: source %T cannot segment into ranges, resume needs a fast-forward segment", src)
-			}
-			tail, err := seg.Segment(int(resumeOffset), int(total))
-			if err != nil {
-				return nil, fmt.Errorf("partition: %s: fast-forward to offset %d: %w", p.Name(), resumeOffset, err)
-			}
-			if tc, isCl := tail.(io.Closer); isCl {
-				defer tc.Close()
-			}
-			src = tail
-		}
 	}
 	if ckOpts != nil && ckOpts.Path != "" {
 		every = resolveCadence(ckOpts.EveryEdges, total)
@@ -331,9 +310,10 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 		// Pin every sink commit to a BlockLen-multiple stream offset: serial
 		// algorithms otherwise commit at whatever block granularity the
 		// source delivers (an in-memory view delivers one giant block, which
-		// would leave no mid-stream snapshot points), and a resumed run's
-		// boundaries must land on the same offsets a clean run's do. The
-		// rebatch affects scheduling only, never assignments.
+		// would leave no mid-stream checkpoint points), and a resumed run's
+		// boundaries must land on the same offsets a clean run's do, so each
+		// block is wholly inside or outside the replayed prefix. The rebatch
+		// affects scheduling only, never assignments.
 		src = stream.Rebatch(src, stream.BlockLen)
 	}
 	var ev qualityObserver
@@ -347,23 +327,15 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 		sev.Begin(nv, k)
 		ev = sev
 	}
-	if resume != nil {
-		// Restore the quality accounting to the checkpointed prefix. Safe
-		// for the parallel evaluator between Begin and the first Observe:
-		// the shard workers idle on their channels until a batch arrives.
-		data, okSec := resume.Section(sectionEval)
-		if !okSec {
-			return nil, fmt.Errorf("partition: checkpoint has no %q section", sectionEval)
-		}
-		if err := ev.(evalStater).LoadState(data); err != nil {
-			return nil, fmt.Errorf("partition: restore quality state: %w", err)
-		}
-	}
-	watermark, lastCkpt := resumeOffset, resumeOffset
-	start := time.Now()
-	err := sp.PartitionStream(src, k, func(edges []graph.Edge, assign []int32) error {
+	watermark, lastCkpt := int64(0), resumeOffset
+	observe := func(edges []graph.Edge, assign []int32) error {
 		if err := ev.Observe(edges, assign); err != nil {
 			return err
+		}
+		if watermark < resumeOffset {
+			// The replayed prefix rebuilds state only: it is durable already.
+			watermark += int64(len(edges))
+			return nil
 		}
 		if emit != nil {
 			if err := emit(edges, assign); err != nil {
@@ -374,17 +346,24 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 		// A checkpoint fires at the first aligned commit boundary past each
 		// cadence multiple. The alignment check matters for multi-pass
 		// algorithms whose internal rebatching commits at other granularity,
-		// and the watermark < total guard skips a pointless snapshot of the
+		// and the watermark < total guard skips a pointless record of the
 		// finished run (the final artifact is the output itself).
 		if every > 0 && watermark-lastCkpt >= every && watermark < total &&
 			watermark%int64(stream.BlockLen) == 0 {
-			if err := writeRunCheckpoint(p, cp, ckOpts, ev.(evalStater), k, nv, total, watermark, &info.Checkpoints); err != nil {
+			if err := writeRunCheckpoint(p, ck, ckOpts, k, nv, total, watermark, &info.Checkpoints); err != nil {
 				return fmt.Errorf("checkpoint at offset %d: %w", watermark, err)
 			}
 			lastCkpt = watermark
 		}
 		return nil
-	})
+	}
+	start := time.Now()
+	var err error
+	if ck != nil {
+		err = p.(sinkRunner).run(src, k, &assignSink{emit: observe, ck: ck})
+	} else {
+		err = sp.PartitionStream(src, k, observe)
+	}
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
@@ -422,6 +401,9 @@ type assignSink struct {
 	scratch []int32
 	emit    Emit
 	pos     int
+	// ck is the checkpoint plumbing of a checkpointed or resumed
+	// out-of-core run; nil otherwise.
+	ck *ckRun
 }
 
 func (s *assignSink) grab(n int) []int32 {

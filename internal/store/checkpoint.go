@@ -2,19 +2,22 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 )
 
-// Checkpoint is a snapshot of an out-of-core partitioning run at a batch
-// boundary: enough to resume the run and produce bit-identical assignments
-// for every edge after Offset. The fixed header carries the run geometry
-// and progress marks; everything algorithm-specific (replica tables,
-// degrees, cluster state, partition sizes, evaluator state) travels in
-// named opaque sections so the codec needs no knowledge of any particular
+// Checkpoint is one CPK1 file. As a checkpoint record it marks an
+// out-of-core partitioning run at a batch boundary: the fixed header
+// carries the run geometry and progress marks, and a resume rebuilds the
+// run's state by replaying the durable output up to Offset. As a base file
+// (CheckpointBaseSuffix) it holds state a run froze before its first
+// record - CLUGP's pass-3 tables. Anything algorithm-specific travels in
+// named opaque sections, so the codec needs no knowledge of any particular
 // partitioner.
 type Checkpoint struct {
 	// Algorithm names the partitioner that wrote the snapshot; resume
@@ -38,7 +41,8 @@ type Checkpoint struct {
 	// mid-batch never leaves half-emitted assignments ahead of the
 	// checkpoint.
 	EmitMark int64
-	// Sections hold the algorithm and evaluator state, in write order.
+	// Sections hold the algorithm-specific payloads, in write order: a
+	// record names its base file here, a base holds the frozen tables.
 	Sections []CheckpointSection
 }
 
@@ -75,6 +79,11 @@ const (
 // committing, and LoadCheckpoint falls back to it when the current file is
 // corrupt or torn.
 const CheckpointPrevSuffix = ".prev"
+
+// CheckpointBaseSuffix names the base file beside a checkpoint: the state a
+// run freezes before its first record (CLUGP's pass-3 tables), written once
+// by WriteCheckpointBase and named by each record through its CRC32C.
+const CheckpointBaseSuffix = ".base"
 
 // ErrBadCheckpointMagic reports that the input is not a checkpoint file.
 var ErrBadCheckpointMagic = errors.New("store: bad magic (not a CPK1 checkpoint file)")
@@ -349,6 +358,47 @@ func WriteCheckpointFile(path string, c *Checkpoint) (int64, error) {
 		return 0, err
 	}
 	return cw.n, nil
+}
+
+// WriteCheckpointBase atomically writes c to path as a base file and
+// returns the bytes written and the CRC32C of the whole file - the digest a
+// checkpoint record names its base by. There is no .prev rotation: a run
+// writes its base once, and a record whose digest does not match the file
+// on disk is refused by ReadCheckpointBase.
+func WriteCheckpointBase(path string, c *Checkpoint) (int64, uint32, error) {
+	aw, err := NewAtomicWriter(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	h := crc32.New(castagnoli)
+	cw := &countingWriter{w: io.MultiWriter(aw, h)}
+	if err := WriteCheckpoint(cw, c); err != nil {
+		aw.Abort()
+		return 0, 0, err
+	}
+	if err := aw.Commit(); err != nil {
+		return 0, 0, err
+	}
+	return cw.n, h.Sum32(), nil
+}
+
+// ReadCheckpointBase decodes the base file at path, refusing it unless the
+// CRC32C of the whole file is crc: a base left by another run (a different
+// seed, k or graph) never stands in for the one a record was written
+// against.
+func ReadCheckpointBase(path string, crc uint32) (*Checkpoint, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if got := crc32.Checksum(data, castagnoli); got != crc {
+		return nil, fmt.Errorf("store: %s: base CRC32C %08x, the checkpoint names %08x", path, got, crc)
+	}
+	c, err := ReadCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return c, nil
 }
 
 // ReadCheckpointFile decodes the checkpoint at path.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,6 +25,41 @@ func testCheckpoint() *Checkpoint {
 	c.AddSection("hdrf.replicas", bytes.Repeat([]byte{0x01, 0x80, 0x02}, 40))
 	c.AddSection("hdrf.sizes", []byte{10, 20, 30, 40, 50, 60, 70, 80})
 	c.AddSection("eval.state", nil)
+	return c
+}
+
+// recordCheckpoint builds a checkpoint record as an out-of-core run writes
+// one: the header and the CRC32C of the run's base file.
+func recordCheckpoint() *Checkpoint {
+	c := &Checkpoint{Algorithm: "CLUGP", K: 32, NumVertices: 1000, NumEdges: 50000,
+		Offset: 24576, Batch: 3, EmitMark: 221184}
+	c.AddSection("base", []byte{0x8c, 0xe4, 0x76, 0x4a})
+	return c
+}
+
+// clugpBaseCheckpoint builds a CLUGP base file: the frozen pass-3 tables
+// (vertex->cluster and split-from ids as uvarint(id+1), degrees,
+// cluster->partition) and the pass-1/2 scalars.
+func clugpBaseCheckpoint() *Checkpoint {
+	const nv, clusters = 12, 4
+	var assign, split, deg, cpart, scalars []byte
+	for v := 0; v < nv; v++ {
+		assign = binary.AppendUvarint(assign, uint64(v%clusters+1))
+		split = binary.AppendUvarint(split, uint64(v%3)) // 0 = no mirror
+		deg = binary.AppendUvarint(deg, uint64(v*37%300))
+	}
+	for c := 0; c < clusters; c++ {
+		cpart = binary.AppendUvarint(cpart, uint64(c%2+1))
+	}
+	for _, x := range []uint64{clusters, 2, 1, 5, 9, 1, 0x3fe0000000000000, 0x3fd0000000000000, 1e6, 2e6, 3e6} {
+		scalars = binary.AppendUvarint(scalars, x)
+	}
+	c := &Checkpoint{Algorithm: "CLUGP", K: 2, NumVertices: nv, NumEdges: 40}
+	c.AddSection("clugp.assign", assign)
+	c.AddSection("clugp.splitfrom", split)
+	c.AddSection("clugp.degree", deg)
+	c.AddSection("clugp.cpart", cpart)
+	c.AddSection("clugp.scalars", scalars)
 	return c
 }
 
@@ -208,6 +244,14 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(append([]byte("CPK1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
 	f.Add([]byte("CGR3 pretending"))
 	f.Add([]byte{})
+	// The two shapes runs write: a record and a CLUGP base file.
+	for _, c := range []*Checkpoint{recordCheckpoint(), clugpBaseCheckpoint()} {
+		buf.Reset()
+		if err := WriteCheckpoint(&buf, c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {

@@ -7,14 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// TestSegmentRebatchOffsetRoundTrip holds the fast-forward contract the
-// checkpoint subsystem resumes through: opening a segment at a checkpointed
-// offset and rebatching it to BlockLen delivers exactly the edges past the
-// offset, in order, with every batch boundary landing on the same absolute
-// stream offsets an uninterrupted rebatched pass would produce. Offsets
-// cover the interesting boundaries: the stream head, the first and a middle
-// block boundary, the last full boundary before the ragged tail, and the
-// stream end (an empty resume).
+// TestSegmentRebatchOffsetRoundTrip holds the segment alignment contract:
+// opening a segment at a block-aligned offset and rebatching it to
+// BlockLen delivers exactly the edges past the offset, in order, with
+// every batch boundary landing on the same absolute stream offsets an
+// uninterrupted rebatched pass would produce. Offsets cover the
+// interesting boundaries: the stream head, the first and a middle block
+// boundary, the last full boundary before the ragged tail, and the stream
+// end (an empty segment).
 func TestSegmentRebatchOffsetRoundTrip(t *testing.T) {
 	edges := seqEdges(3*BlockLen + 123)
 	total := len(edges)
