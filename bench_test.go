@@ -169,6 +169,10 @@ func BenchmarkCLUGPK32(b *testing.B)   { benchPartitioner(b, "CLUGP", 32) }
 func BenchmarkHDRFK256(b *testing.B)  { benchPartitioner(b, "HDRF", 256) }
 func BenchmarkCLUGPK256(b *testing.B) { benchPartitioner(b, "CLUGP", 256) }
 
+// The small-k end, where HDRF's four candidates cost about as much as
+// pricing all k partitions.
+func BenchmarkHDRFK4(b *testing.B) { benchPartitioner(b, "HDRF", 4) }
+
 // Ablations called out in DESIGN.md.
 func BenchmarkCLUGPNoSplitK64(b *testing.B) { benchPartitioner(b, "CLUGP-S", 64) }
 func BenchmarkCLUGPGreedyK64(b *testing.B)  { benchPartitioner(b, "CLUGP-G", 64) }
