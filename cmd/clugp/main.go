@@ -1,6 +1,7 @@
 // Command clugp partitions a graph with any of the reproduced algorithms
 // and reports the quality metrics of Section II-B. Input is an edge-list
-// file ("src dst" per line), a compressed .cgr file, or a generated preset.
+// file ("src dst" per line), a compressed .cgr (CGR3) file, or a generated
+// preset.
 //
 // Usage:
 //
@@ -8,11 +9,10 @@
 //	clugp -in graph.txt -k 64 -algo HDRF
 //	clugp -preset IT -k 128 -algo CLUGP -tau 1.05 -assign out.txt
 //	clugp -in graph.cgr -stream -k 32              # out-of-core: O(|V|) heap
-//	clugp -in graph.cgr -stream -backend file      # seek-based source instead of mmap
 //	clugp -in graph.cgr -stream -workers 4         # parallel hot pass, identical results
 //	clugp -in graph.cgr -stream -trace             # pass diagnostics, pipeline and peak-heap report
 //	clugp -in graph.cgr -stream -cpuprofile cpu.pb # pprof profiles (-memprofile heap.pb)
-//	clugp -in old.cgr -recompress new.cgr          # rewrite as CGR3 (-format cgr2/cgr1 for old)
+//	clugp -in graph.txt -recompress graph.cgr      # compress a text edge list to CGR3
 //	clugp -in graph.cgr -stream -result run.cpr    # save a serveable result for cmd/partsrv
 //	clugp -in graph.cgr -verify -stream -k 32      # checksum-scan the input up front
 //	clugp -in g.cgr -stream -assign a.txt -checkpoint run.cpk    # crash-tolerant
@@ -36,15 +36,14 @@
 // through an atomic temp-file + rename protocol, so a crash or write error
 // never leaves a truncated artifact at the final path. -verify
 // checksum-scans the input before using it and fails fast on the first
-// corrupt block (CGR3/CPR2 carry checksums; older formats report that
-// there is nothing to verify).
+// corrupt block. Files in the retired CGR1, CGR2 and CPR1 formats are
+// rejected by their magic; regenerate them with cmd/genweb -binary, or
+// with -recompress from the text edge list.
 //
-// With -stream the input must be a .cgr file (see cmd/genweb -binary),
-// CGR1, CGR2 or CGR3 - the header says which; -backend picks the source: mmap
-// (default; the file is mapped once, repeat passes run at page-cache speed
-// with a portable read-at fallback) or file (seek-based, one handle per
-// segment);
-// it is partitioned in its stored (crawl) order without ever loading the
+// With -stream the input must be a .cgr file (see cmd/genweb -binary). It
+// is mapped once, so repeat passes run at page-cache speed (with a
+// portable read-at fallback where mapping is unavailable), and it is
+// partitioned in its stored (crawl) order without ever loading the
 // edge list: the partitioner re-streams the file for each pass and the
 // assignment is written (or discarded) as it is produced, so peak heap is
 // the algorithm's O(|V|) state, not O(|E|). BFS/DFS/Random orders need the
@@ -87,13 +86,11 @@ func main() {
 		resultF = flag.String("result", "", "write the serveable partition result (.cpr, for cmd/partsrv) to this file")
 		trace   = flag.Bool("trace", false, "print CLUGP per-pass diagnostics and peak heap")
 		streamF = flag.Bool("stream", false, "out-of-core mode: partition a .cgr file without loading it")
-		backend = flag.String("backend", "mmap", "file source backend for -stream: mmap or file")
 		workers = flag.Int("workers", 1, "decode workers for -stream (>1 enables the parallel hot pass; results are identical for any count)")
 		cpuprof = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		recomp  = flag.String("recompress", "", "write the loaded graph back out compressed to this file, then exit")
-		formatF = flag.String("format", "cgr3", "compressed format for -recompress: cgr1, cgr2 or cgr3")
-		verifyF = flag.Bool("verify", false, "checksum-scan the -in file before using it (CGR3/CPR2 carry checksums)")
+		recomp  = flag.String("recompress", "", "write the loaded graph back out compressed (CGR3) to this file, then exit")
+		verifyF = flag.Bool("verify", false, "checksum-scan the -in file before using it")
 		ckPath  = flag.String("checkpoint", "", "write crash-recovery checkpoints to this file during -stream (the previous one rotates to .prev)")
 		ckEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in edges (default: ~1/16 of the stream)")
 		resumeF = flag.Bool("resume", false, "resume an interrupted -stream run from -checkpoint (falls back to .prev if the newest is corrupt)")
@@ -142,15 +139,11 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if info.Checksummed {
-			fmt.Printf("verified: %s, %d blocks over %d payload bytes\n", info.Kind, info.Blocks, info.PayloadBytes)
-		} else {
-			fmt.Printf("verify: %s carries no checksums; recompress to cgr3 to protect it\n", info.Kind)
-		}
+		fmt.Printf("verified: %s, %d blocks over %d payload bytes\n", info.Kind, info.Blocks, info.PayloadBytes)
 	}
 
 	if *recomp != "" {
-		if err := recompress(*in, *preset, *scale, *recomp, *formatF); err != nil {
+		if err := recompress(*in, *preset, *scale, *recomp); err != nil {
 			fail(err)
 		}
 		return
@@ -175,7 +168,6 @@ func main() {
 			k:          *k,
 			out:        *out,
 			resultPath: *resultF,
-			backend:    *backend,
 			workers:    *workers,
 			ckPath:     *ckPath,
 			ckEvery:    *ckEvery,
@@ -281,7 +273,6 @@ type streamOpts struct {
 	k          int
 	out        string
 	resultPath string
-	backend    string
 	workers    int
 	ckPath     string
 	ckEvery    int
@@ -303,29 +294,17 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 	if in == "" {
 		return nil, fmt.Errorf("-stream needs -in FILE.cgr")
 	}
-	k, out, resultPath, backend := o.k, o.out, o.resultPath, o.backend
-	var src repro.GraphFile
-	var err error
-	var mode string
-	switch backend {
-	case "mmap":
-		m, merr := repro.OpenCompressedMmap(in)
-		src, err = m, merr
-		mode = "mmap"
-		if merr == nil && !m.Mapped() {
-			mode = "read-at fallback"
-		}
-	case "file":
-		src, err = repro.OpenCompressedFile(in)
-		mode = "file"
-	default:
-		return nil, fmt.Errorf("unknown -backend %q (want mmap or file)", backend)
-	}
+	k, out, resultPath := o.k, o.out, o.resultPath
+	src, err := repro.OpenCompressed(in)
 	if err != nil {
 		return nil, fmt.Errorf("-stream needs a compressed .cgr input: %w", err)
 	}
 	defer src.Close()
-	fmt.Printf("graph: %d vertices, %d edges (streaming %s from %s, %s backend, %.2f bytes/edge)\n",
+	mode := "mmap"
+	if !src.Mapped() {
+		mode = "read-at fallback"
+	}
+	fmt.Printf("graph: %d vertices, %d edges (streaming %s from %s, %s, %.2f bytes/edge)\n",
 		src.NumVertices(), src.Len(), src.Format(), in, mode, bytesPerEdge(src.SizeBytes(), src.Len()))
 
 	var source repro.StreamSource = src
@@ -548,7 +527,7 @@ func load(in, preset string, scale float64) (*repro.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	// Auto-detect the binary formats by their magic; fall back to text.
+	// Auto-detect the binary format by its magic; fall back to text.
 	br := bufio.NewReaderSize(f, 1<<16)
 	head, err := br.Peek(4)
 	if err == nil && repro.SniffCompressed(head) {
@@ -557,15 +536,10 @@ func load(in, preset string, scale float64) (*repro.Graph, error) {
 	return repro.ReadEdgeList(br)
 }
 
-// recompress loads a graph (text or any binary format, or a preset) and
-// writes it back compressed in the requested format - the migration path
-// from existing files to CGR3's checksummed encoding. The output is
-// written atomically, so an existing file at out is never torn.
-func recompress(in, preset string, scale float64, out, format string) error {
-	f, err := repro.ParseCompressedFormat(format)
-	if err != nil {
-		return err
-	}
+// recompress loads a graph (text, CGR3 or a preset) and writes it out as
+// CGR3. The output is written atomically, so an existing file at out is
+// never torn.
+func recompress(in, preset string, scale float64, out string) error {
 	g, err := load(in, preset, scale)
 	if err != nil {
 		return err
@@ -575,7 +549,7 @@ func recompress(in, preset string, scale float64, out, format string) error {
 		return err
 	}
 	defer w.Abort()
-	if err := repro.WriteCompressedFormat(w, g, f); err != nil {
+	if err := repro.WriteCompressed(w, g); err != nil {
 		return err
 	}
 	if err := w.Commit(); err != nil {
@@ -586,7 +560,7 @@ func recompress(in, preset string, scale float64, out, format string) error {
 		return err
 	}
 	fmt.Printf("wrote %s: %s, %d vertices, %d edges, %.2f bytes/edge\n",
-		out, f, g.NumVertices, g.NumEdges(), bytesPerEdge(fi.Size(), g.NumEdges()))
+		out, repro.FormatCGR3, g.NumVertices, g.NumEdges(), bytesPerEdge(fi.Size(), g.NumEdges()))
 	return nil
 }
 

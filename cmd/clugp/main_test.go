@@ -19,7 +19,7 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 	in := filepath.Join(dir, "g.cgr")
 	g := repro.GenerateWeb(repro.WebConfig{N: 12000, OutDegree: 5, IntraSite: 0.7, Seed: 17})
 	var enc bytes.Buffer
-	if err := repro.WriteCompressedFormat(&enc, g, repro.FormatCGR3); err != nil {
+	if err := repro.WriteCompressed(&enc, g); err != nil {
 		t.Fatal(err)
 	}
 	good := enc.Bytes()
@@ -35,7 +35,6 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 			k:          8,
 			out:        filepath.Join(dir, name+".txt"),
 			resultPath: filepath.Join(dir, name+".cpr"),
-			backend:    "mmap",
 			workers:    1,
 			ckPath:     filepath.Join(dir, name+".cpk"),
 			ckEvery:    8192,

@@ -47,7 +47,7 @@ func main() {
 		name     = flag.String("name", "suite", "experiment name for the JSON report filename")
 		seeds    = flag.Int("seeds", 1, "number of seed replicates per suite cell (seed, seed+1, ...)")
 		rtol     = flag.Float64("rtol", 0, "runtime regression tolerance for -baseline (0 = default 0.5; CI on unmatched hardware should raise it)")
-		streamC  = flag.Bool("streamcells", true, "measure the out-of-core streaming grids (backend x format, plus decode-worker scaling) in suite mode")
+		streamC  = flag.Bool("streamcells", true, "measure the out-of-core streaming grids (one mmap/CGR3 cell per dataset, decode-worker scaling, serve and checkpoint cells) in suite mode")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		algoList = flag.String("algos", "", "comma-separated algorithms for the suite (default: the paper's six)")

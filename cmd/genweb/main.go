@@ -1,14 +1,16 @@
 // Command genweb generates deterministic synthetic graphs in edge-list
 // format: the site-structured web model, Barabasi-Albert, RMAT and
 // Erdos-Renyi, plus the named dataset presets of the experiment harness.
+// With -binary the graph is written as a compressed, checksummed CGR3 file
+// (the input of clugp -stream); this is also how files in the retired
+// CGR1/CGR2 formats are regenerated.
 //
 // Usage:
 //
 //	genweb -preset UK -scale 1.0 -out uk.txt
 //	genweb -model web -n 100000 -outdeg 8 -intrasite 0.88 -out web.txt
 //	genweb -model ba -n 50000 -m 16 -out social.txt
-//	genweb -preset UK -binary -out uk.cgr               # CGR3, checksummed (default)
-//	genweb -preset UK -binary -format cgr2 -out uk.cgr  # pre-integrity encoding
+//	genweb -preset UK -binary -out uk.cgr   # CGR3, checksummed
 //
 // -out is written atomically (temp file + rename), so an interrupted run
 // never leaves a truncated graph at the final path.
@@ -39,8 +41,7 @@ func main() {
 		scalelog  = flag.Int("rmatscale", 16, "log2 vertex count (rmat)")
 		seed      = flag.Uint64("seed", 1, "generator seed")
 		out       = flag.String("out", "", "output file (default stdout)")
-		binary    = flag.Bool("binary", false, "write the gap-compressed binary format instead of text")
-		format    = flag.String("format", "cgr3", "binary format to write: cgr1, cgr2 or cgr3 (with -binary)")
+		binary    = flag.Bool("binary", false, "write the gap-compressed, checksummed binary format (CGR3) instead of text")
 		stats     = flag.Bool("stats", false, "print graph statistics to stderr")
 	)
 	flag.Parse()
@@ -58,12 +59,6 @@ func main() {
 		}
 		os.Exit(1)
 	}()
-
-	bf, err := repro.ParseCompressedFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "genweb:", err)
-		os.Exit(1)
-	}
 
 	g, err := build(*preset, *scale, *model, *n, *outdeg, *intrasite, *sitemean, *copyf, *m, *scalelog, *seed)
 	if err != nil {
@@ -87,7 +82,7 @@ func main() {
 		w = aw
 	}
 	if *binary {
-		err = repro.WriteCompressedFormat(w, g, bf)
+		err = repro.WriteCompressed(w, g)
 	} else {
 		err = g.WriteEdgeList(w)
 	}

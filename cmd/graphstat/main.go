@@ -11,9 +11,8 @@
 //
 // -verify checksum-scans a .cgr or .cpr file and exits: every payload
 // block is proven against the file's CRC32C trailer, and a corruption
-// report names the first corrupt block and its byte range. Pre-integrity
-// formats (CGR1/CGR2/CPR1) carry no checksums and report that there is
-// nothing to verify.
+// report names the first corrupt block and its byte range. Files in the
+// retired CGR1/CGR2/CPR1 formats are rejected by their magic.
 package main
 
 import (
@@ -57,8 +56,8 @@ func main() {
 	s := repro.ComputeStats(g)
 	fmt.Printf("vertices:        %d\n", s.NumVertices)
 	fmt.Printf("edges:           %d\n", s.NumEdges)
-	// For compressed inputs, report the on-disk encoding so compression
-	// wins (CGR1 vs CGR2) are visible from the CLI.
+	// For compressed inputs, report the on-disk encoding and its size so
+	// the compression is visible from the CLI.
 	if *in != "" {
 		if f, err := repro.OpenCompressed(*in); err == nil {
 			bpe := 0.0
@@ -111,10 +110,6 @@ func runVerify(path string, w io.Writer) error {
 	info, err := repro.VerifyFile(path)
 	if err != nil {
 		return err
-	}
-	if !info.Checksummed {
-		fmt.Fprintf(w, "%s: %s carries no checksums; nothing to verify (recompress to cgr3)\n", path, info.Kind)
-		return nil
 	}
 	fmt.Fprintf(w, "%s: %s ok: %d blocks over %d payload bytes verified (%d bytes on disk)\n",
 		path, info.Kind, info.Blocks, info.PayloadBytes, info.SizeBytes)

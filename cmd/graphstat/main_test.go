@@ -9,8 +9,8 @@ import (
 	"repro"
 )
 
-// writeFixture encodes a small deterministic graph in the given format.
-func writeFixture(t *testing.T, format repro.CompressedFormat) string {
+// writeFixture encodes a small deterministic graph as CGR3.
+func writeFixture(t *testing.T) string {
 	t.Helper()
 	g := repro.GenerateWeb(repro.WebConfig{N: 5000, OutDegree: 6, Seed: 9})
 	path := filepath.Join(t.TempDir(), "g.cgr")
@@ -19,7 +19,7 @@ func writeFixture(t *testing.T, format repro.CompressedFormat) string {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if err := repro.WriteCompressedFormat(w, g, format); err != nil {
+	if err := repro.WriteCompressed(w, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
@@ -29,29 +29,37 @@ func writeFixture(t *testing.T, format repro.CompressedFormat) string {
 }
 
 // TestVerifyClean: -verify on a pristine CGR3 file proves its blocks and
-// says so; a pre-integrity format reports that there is nothing to verify.
+// says so; a file under a retired format's magic is an error naming the
+// format that is read.
 func TestVerifyClean(t *testing.T) {
+	path := writeFixture(t)
 	var out strings.Builder
-	if err := runVerify(writeFixture(t, repro.FormatCGR3), &out); err != nil {
+	if err := runVerify(path, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "CGR3 ok") {
 		t.Fatalf("clean CGR3 verify printed %q", out.String())
 	}
 
-	out.Reset()
-	if err := runVerify(writeFixture(t, repro.FormatCGR2), &out); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "no checksums") {
-		t.Fatalf("CGR2 verify printed %q", out.String())
+	copy(data, "CGR2")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err = runVerify(path, &out)
+	if err == nil || !strings.Contains(err.Error(), "CGR3") {
+		t.Fatalf("CGR2 verify: got %v (printed %q), want a bad-magic error naming CGR3", err, out.String())
 	}
 }
 
 // TestVerifyBitFlipped: a deliberately bit-flipped fixture fails the scan
 // with an error naming the first corrupt block.
 func TestVerifyBitFlipped(t *testing.T) {
-	path := writeFixture(t, repro.FormatCGR3)
+	path := writeFixture(t)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +80,7 @@ func TestVerifyBitFlipped(t *testing.T) {
 
 // TestVerifyTruncated: a torn tail is an error, not a clean report.
 func TestVerifyTruncated(t *testing.T) {
-	path := writeFixture(t, repro.FormatCGR3)
+	path := writeFixture(t)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

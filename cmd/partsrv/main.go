@@ -69,7 +69,7 @@ func main() {
 		seed   = flag.Uint64("seed", 42, "seed for -in")
 		addr   = flag.String("addr", ":8080", "listen address")
 		layout = flag.String("layout", "flat", "snapshot table layout: flat or sharded")
-		shards = flag.Int("shards", 0, "shard count for -layout sharded (default GOMAXPROCS)")
+		shards = flag.Int("shards", 0, "shard count for -layout sharded (values below 2 mean 8)")
 
 		retryBase   = flag.Duration("reload-retry", time.Second, "delay before the first automatic retry of a failed reload (0 disables)")
 		retryCap    = flag.Duration("reload-retry-cap", time.Minute, "upper bound of the reload retry backoff")

@@ -58,22 +58,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 // CompressedFormat identifies an on-disk graph encoding.
 type CompressedFormat = store.Format
 
-const (
-	// FormatCGR1 is the original per-edge gap encoding (~2.5 bytes/edge on
-	// crawl-ordered web graphs).
-	FormatCGR1 = store.FormatCGR1
-	// FormatCGR2 is the run/interval/residual encoding (30-50% fewer
-	// bytes/edge than CGR1 on crawl-ordered web graphs).
-	FormatCGR2 = store.FormatCGR2
-	// FormatCGR3 is CGR2 plus integrity: the same body encoding under a
-	// CRC32C per-block checksum trailer, so bit rot and torn writes are
-	// detected instead of decoded. The default written format.
-	FormatCGR3 = store.FormatCGR3
-)
-
-// ParseCompressedFormat maps a format name ("cgr1", "cgr2", "cgr3",
-// case-insensitive on the magic spelling) to its CompressedFormat.
-func ParseCompressedFormat(s string) (CompressedFormat, error) { return store.ParseFormat(s) }
+// FormatCGR3 is the compressed graph format: a run/interval/residual gap
+// encoding (~1.7 bytes/edge on crawl-ordered web graphs) under a CRC32C
+// per-block checksum trailer, so bit rot and torn writes are detected
+// instead of decoded. The only format written and read.
+const FormatCGR3 = store.FormatCGR3
 
 // AtomicWriter writes a file so the final path only ever holds a complete
 // artifact: bytes go to a temp file in the target directory, Commit fsyncs
@@ -86,33 +75,24 @@ type AtomicWriter = store.AtomicWriter
 func NewAtomicWriter(path string) (*AtomicWriter, error) { return store.NewAtomicWriter(path) }
 
 // VerifyInfo describes what VerifyFile found: the detected on-disk kind
-// and, for checksummed formats, the verified geometry.
+// and the verified geometry.
 type VerifyInfo = store.VerifyInfo
 
-// VerifyFile checksum-scans a .cgr or .cpr file: for checksummed formats
-// (CGR3, CPR2) every payload block is proven in order, so a corruption
-// error names the first corrupt block. Pre-integrity formats return
-// Checksummed=false and a nil error - not corrupt, just unprotected.
+// VerifyFile checksum-scans a .cgr, .cpr or checkpoint file: every payload
+// block is proven in order, so a corruption error names the first corrupt
+// block.
 func VerifyFile(path string) (VerifyInfo, error) { return store.VerifyFile(path) }
 
-// WriteCompressed encodes the graph in the package's gap-compressed binary
-// format (CGR1), preserving edge order.
+// WriteCompressed encodes the graph in the gap-compressed, checksummed
+// binary format (CGR3), preserving edge order.
 func WriteCompressed(w io.Writer, g *Graph) error { return store.Write(w, g) }
 
-// WriteCompressedFormat encodes the graph in the chosen on-disk format.
-// Readers detect the format from the file header, so either decodes
-// transparently everywhere a compressed graph is accepted.
-func WriteCompressedFormat(w io.Writer, g *Graph, f CompressedFormat) error {
-	return store.WriteFormat(w, g, f)
-}
-
-// ReadCompressed decodes a graph written by WriteCompressed or
-// WriteCompressedFormat (any format, detected from the header; CGR3
-// inputs are checksum-verified as they decode).
+// ReadCompressed decodes a graph written by WriteCompressed, proving its
+// checksums before the first edge decodes.
 func ReadCompressed(r io.Reader) (*Graph, error) { return store.Read(r) }
 
 // SniffCompressed reports whether head (at least the first 4 bytes of a
-// file) carries any compressed-format magic.
+// file) carries the compressed-format magic.
 func SniffCompressed(head []byte) bool { return store.SniffHeader(head) }
 
 // BuildCSR builds an out-adjacency view.
@@ -163,8 +143,7 @@ type StreamSource = stream.Source
 type StreamSegmenter = stream.Segmenter
 
 // GraphFile is a compressed graph file opened as a replayable, segmentable
-// edge source (see OpenCompressed). Both backends satisfy it: the
-// mmap-backed MmapGraphFile and the seek-based FileGraphFile.
+// edge source; MmapGraphFile (see OpenCompressed) satisfies it.
 type GraphFile = store.File
 
 // MmapGraphFile is the mmap-backed file source: the file is mapped once,
@@ -173,10 +152,6 @@ type GraphFile = store.File
 // speed. Where mapping is unavailable it degrades to a portable read-at
 // mode with the same contract.
 type MmapGraphFile = store.MmapSource
-
-// FileGraphFile is the seek-based file source: a private file handle and
-// read window per handle, segments reopen the file.
-type FileGraphFile = store.FileSource
 
 const (
 	// OrderNatural preserves generation order.
@@ -231,21 +206,13 @@ func ForEachStreamed(src StreamSource, fn func(off int, edges []Edge) error) err
 	return stream.ForEach(src, fn)
 }
 
-// OpenCompressed opens a graph written by WriteCompressed (either format)
-// as a replayable edge source with the fastest available backend: the file
-// is mapped once and edges decode straight from the mapped bytes, so Reset
-// and Segment are free and the OS page cache serves repeat passes. This is
-// the out-of-core entry point: the graph is never materialized.
-func OpenCompressed(path string) (GraphFile, error) { return store.OpenAuto(path) }
-
-// OpenCompressedMmap opens the mmap-backed source explicitly (with its
-// portable read-at fallback); OpenCompressedFile opens the seek-based
-// FileSource backend. OpenCompressed picks for you.
-func OpenCompressedMmap(path string) (*MmapGraphFile, error) { return store.OpenMmap(path) }
-
-// OpenCompressedFile opens the seek-based backend: one private file handle
-// and read window per handle, segments reopen the file.
-func OpenCompressedFile(path string) (*FileGraphFile, error) { return store.Open(path) }
+// OpenCompressed opens a graph written by WriteCompressed as a replayable
+// edge source: the file is mapped once (with a portable read-at fallback
+// where mapping is unavailable) and edges decode straight from the mapped
+// bytes, so Reset and Segment are free and the OS page cache serves repeat
+// passes. This is the out-of-core entry point: the graph is never
+// materialized.
+func OpenCompressed(path string) (*MmapGraphFile, error) { return store.OpenMmap(path) }
 
 // Partitioners.
 type (

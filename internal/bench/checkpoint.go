@@ -97,7 +97,7 @@ func runCheckpointCells(cfg SuiteConfig) ([]CheckpointCell, error) {
 		}
 		suiteLogf(cfg, "checkpoint: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
 		path := filepath.Join(dir, name+".cgr")
-		if err := writeEncoded(path, g, store.FormatCGR3); err != nil {
+		if err := writeEncoded(path, g); err != nil {
 			return nil, err
 		}
 		src, err := store.OpenMmap(path)

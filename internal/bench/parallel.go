@@ -11,7 +11,7 @@ import (
 )
 
 // ParallelCell is one grid point of the parallel-streaming benchmark: one
-// algorithm streaming one dataset out-of-core (mmap backend, CGR2 format)
+// algorithm streaming one dataset out-of-core (mmap source, CGR3 file)
 // with one decode worker count. Its quality numbers are gated at run time
 // against the workers=1 cell of the same (dataset, algorithm) - the
 // worker-invariance contract of the parallel hot pass - so a report can
@@ -56,8 +56,9 @@ var (
 
 // runParallelCells measures the parallel-streaming grid serially (each cell
 // times wall clock over its own worker fleet). Graphs are encoded once into
-// a temp directory (mmap + CGR2, the fastest backend pairing, so the decode
-// stage - what the workers parallelize - dominates measurable I/O cost).
+// a temp directory as CGR3 and streamed through the mmap source, so the
+// decode stage - what the workers parallelize - dominates measurable I/O
+// cost.
 func runParallelCells(cfg SuiteConfig) ([]ParallelCell, error) {
 	datasets := cfg.StreamDatasets
 	if len(datasets) == 0 {
@@ -79,7 +80,7 @@ func runParallelCells(cfg SuiteConfig) ([]ParallelCell, error) {
 		g := ds.Build(cfg.Scale)
 		suiteLogf(cfg, "parallel: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
 		path := filepath.Join(dir, name+".cgr")
-		if err := writeEncoded(path, g, store.FormatCGR2); err != nil {
+		if err := writeEncoded(path, g); err != nil {
 			return nil, err
 		}
 		src, err := store.OpenMmap(path)

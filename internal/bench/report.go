@@ -77,8 +77,9 @@ type Report struct {
 	// Cells holds one entry per grid point, in deterministic
 	// dataset-major, algorithm, k, seed order.
 	Cells []Cell `json:"cells"`
-	// StreamCells holds the out-of-core streaming grid (dataset x backend
-	// x on-disk format), when the suite ran with Streaming enabled.
+	// StreamCells holds the out-of-core streaming cells (one per dataset:
+	// CGR3 through the mmap source), when the suite ran with Streaming
+	// enabled.
 	StreamCells []StreamCell `json:"stream_cells,omitempty"`
 	// ParallelCells holds the parallel-streaming scaling grid (dataset x
 	// algorithm x decode workers), when the suite ran with Streaming
@@ -190,12 +191,12 @@ func (r *Report) Table() []Table {
 	if len(r.StreamCells) > 0 {
 		t := Table{
 			ID:     fmt.Sprintf("%s-streaming", r.Experiment),
-			Title:  fmt.Sprintf("Out-of-core streaming (scale %.2f, CLUGP k=%d)", r.Scale, streamK),
-			Header: []string{"dataset", "backend", "format", "B/edge", "decode(ms)", "Medges/s", "clugp(ms)", "RF"},
+			Title:  fmt.Sprintf("Out-of-core streaming (scale %.2f, mmap/CGR3, CLUGP k=%d)", r.Scale, streamK),
+			Header: []string{"dataset", "B/edge", "decode(ms)", "Medges/s", "clugp(ms)", "RF"},
 			Note:   "decode = one warm full pass (stream.Drain); clugp = three restreaming passes, assignment discarded as emitted",
 		}
 		for _, c := range r.StreamCells {
-			t.AddRow(c.Dataset, c.Backend, c.Format,
+			t.AddRow(c.Dataset,
 				fmt.Sprintf("%.2f", c.BytesPerEdge),
 				fmt.Sprintf("%.1f", float64(c.DecodeNS)/1e6),
 				fmt.Sprintf("%.1f", c.DecodeMEdgesPerSec),
@@ -223,7 +224,7 @@ func (r *Report) Table() []Table {
 	if len(r.ParallelCells) > 0 {
 		t := Table{
 			ID:     fmt.Sprintf("%s-parallel", r.Experiment),
-			Title:  fmt.Sprintf("Parallel streaming scaling (scale %.2f, mmap/CGR2, k=%d)", r.Scale, streamK),
+			Title:  fmt.Sprintf("Parallel streaming scaling (scale %.2f, mmap/CGR3, k=%d)", r.Scale, streamK),
 			Header: []string{"dataset", "algorithm", "workers", "runtime(ms)", "speedup", "efficiency", "RF"},
 			Note:   "quality is gated bit-identical to workers=1 when measured; efficiency = speedup/workers",
 		}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -13,23 +12,17 @@ import (
 	"repro/internal/stream"
 )
 
-// StreamCell is one grid point of the out-of-core streaming benchmark: one
-// dataset encoded in one on-disk format, streamed through one source
-// backend. It captures the two numbers the compression and mmap work
-// attack - on-disk bytes/edge and decode throughput - plus the wall clock
-// of a full streaming CLUGP run (three restreaming passes over the file),
-// which is where bytes-decoded-per-pass actually bites.
+// StreamCell is one point of the out-of-core streaming benchmark: one
+// dataset encoded as CGR3 and streamed through the mmap source. It captures
+// the two numbers the compression and mmap work attack - on-disk
+// bytes/edge and decode throughput (lazy checksum verification included) -
+// plus the wall clock of a full streaming CLUGP run (three restreaming
+// passes over the file), which is where bytes-decoded-per-pass actually
+// bites.
 type StreamCell struct {
 	Dataset string `json:"dataset"`
-	// Backend is the source implementation: "file" (seek-based
-	// store.FileSource) or "mmap" (store.MmapSource).
-	Backend string `json:"backend"`
-	// Format is the on-disk encoding: "CGR1", "CGR2" or "CGR3" (CGR2 plus
-	// checksums; its cells price the integrity layer's lazy verification
-	// against plain CGR2 on the same dataset).
-	Format string `json:"format"`
-	K      int    `json:"k"`
-	Seed   uint64 `json:"seed"`
+	K       int    `json:"k"`
+	Seed    uint64 `json:"seed"`
 	// Vertices and Edges describe the built graph (after scaling).
 	Vertices int `json:"vertices"`
 	Edges    int `json:"edges"`
@@ -46,21 +39,18 @@ type StreamCell struct {
 	// PartitionNS is a full out-of-core CLUGP run (three streaming passes,
 	// assignment discarded as emitted).
 	PartitionNS int64 `json:"partition_ns"`
-	// ReplicationFactor and RelativeBalance must be bit-identical across
-	// every backend x format combination of one dataset - the streamed
-	// bytes decode to the same edge stream - and Diff treats them as
-	// quality metrics.
+	// ReplicationFactor and RelativeBalance are quality metrics to Diff:
+	// the streamed bytes decode to the same edge stream on any host.
 	ReplicationFactor float64 `json:"replication_factor"`
 	RelativeBalance   float64 `json:"relative_balance"`
 }
 
 // ID names the cell's grid coordinates, the join key for baseline diffs.
+// The "mmap/CGR3" part names the source and format, once grid axes of
+// their own, so IDs keep joining baselines measured over that grid.
 func (c StreamCell) ID() string {
-	return fmt.Sprintf("stream/%s/%s/%s k=%d seed=%d", c.Dataset, c.Backend, c.Format, c.K, c.Seed)
+	return fmt.Sprintf("stream/%s/mmap/CGR3 k=%d seed=%d", c.Dataset, c.K, c.Seed)
 }
-
-// streamFormats and streamBackends enumerate the streaming grid axes.
-var streamFormats = []store.Format{store.FormatCGR1, store.FormatCGR2, store.FormatCGR3}
 
 const streamK = 32
 
@@ -68,9 +58,9 @@ const streamK = 32
 // compression and restreaming story lives (one moderate, one dense).
 var defaultStreamDatasets = []string{"UK", "IT"}
 
-// runStreamCells measures the streaming grid serially (the cells time
-// wall-clock, so they never run concurrently with anything). Graphs are
-// encoded once per format into a temp directory that is removed before
+// runStreamCells measures one streaming cell per dataset serially (the
+// cells time wall-clock, so they never run concurrently with anything).
+// Graphs are encoded into a temp directory that is removed before
 // returning.
 func runStreamCells(cfg SuiteConfig) ([]StreamCell, error) {
 	datasets := cfg.StreamDatasets
@@ -92,62 +82,44 @@ func runStreamCells(cfg SuiteConfig) ([]StreamCell, error) {
 		}
 		g := ds.Build(cfg.Scale)
 		suiteLogf(cfg, "stream: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
-		// Quality must agree across every combination of one dataset; the
-		// first cell pins the reference.
-		refRF := math.NaN()
-		for _, format := range streamFormats {
-			path := filepath.Join(dir, fmt.Sprintf("%s.%s.cgr", name, format))
-			if err := writeEncoded(path, g, format); err != nil {
-				return nil, err
-			}
-			for _, backend := range []string{"file", "mmap"} {
-				cell, err := runStreamCell(name, path, backend, format, g, seed)
-				if err != nil {
-					return nil, fmt.Errorf("bench: stream cell %s/%s/%s: %w", name, backend, format, err)
-				}
-				if math.IsNaN(refRF) {
-					refRF = cell.ReplicationFactor
-				} else if cell.ReplicationFactor != refRF {
-					return nil, fmt.Errorf("bench: stream cell %s/%s/%s: RF %v diverges from %v (backends must be bit-identical)",
-						name, backend, format, cell.ReplicationFactor, refRF)
-				}
-				cells = append(cells, cell)
-				suiteLogf(cfg, "  stream %-4s %-4s %s  %.2f B/edge  decode %.1f Medges/s  clugp %v",
-					name, backend, format, cell.BytesPerEdge, cell.DecodeMEdgesPerSec,
-					time.Duration(cell.PartitionNS).Round(time.Millisecond))
-			}
+		path := filepath.Join(dir, name+".cgr")
+		if err := writeEncoded(path, g); err != nil {
+			return nil, err
 		}
+		cell, err := runStreamCell(name, path, g, seed)
+		if err != nil {
+			return nil, fmt.Errorf("bench: stream cell %s: %w", name, err)
+		}
+		cells = append(cells, cell)
+		suiteLogf(cfg, "  stream %-4s  %.2f B/edge  decode %.1f Medges/s  clugp %v",
+			name, cell.BytesPerEdge, cell.DecodeMEdgesPerSec,
+			time.Duration(cell.PartitionNS).Round(time.Millisecond))
 	}
 	return cells, nil
 }
 
-func writeEncoded(path string, g *graph.Graph, f store.Format) error {
+// writeEncoded writes g to path as CGR3.
+func writeEncoded(path string, g *graph.Graph) error {
 	w, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := store.WriteFormat(w, g, f); err != nil {
+	if err := store.Write(w, g); err != nil {
 		w.Close()
 		return err
 	}
 	return w.Close()
 }
 
-func runStreamCell(dataset, path, backend string, format store.Format, g *graph.Graph, seed uint64) (StreamCell, error) {
-	var src store.File
-	var err error
-	if backend == "mmap" {
-		src, err = store.OpenMmap(path)
-	} else {
-		src, err = store.Open(path)
-	}
+func runStreamCell(dataset, path string, g *graph.Graph, seed uint64) (StreamCell, error) {
+	src, err := store.OpenMmap(path)
 	if err != nil {
 		return StreamCell{}, err
 	}
 	defer src.Close()
 
 	// One warm-up pass so the timed pass measures decode over a warm page
-	// cache (the multi-pass regime the backends are built for), then one
+	// cache (the multi-pass regime the mmap source is built for), then one
 	// timed drain.
 	if _, err := stream.Drain(src); err != nil {
 		return StreamCell{}, err
@@ -171,8 +143,7 @@ func runStreamCell(dataset, path, backend string, format store.Format, g *graph.
 	partitionNS := time.Since(start).Nanoseconds()
 
 	cell := StreamCell{
-		Dataset: dataset, Backend: backend, Format: format.String(),
-		K: streamK, Seed: seed,
+		Dataset: dataset, K: streamK, Seed: seed,
 		Vertices: g.NumVertices, Edges: g.NumEdges(),
 		FileBytes:         src.SizeBytes(),
 		DecodeNS:          decodeNS,

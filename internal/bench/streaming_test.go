@@ -19,47 +19,23 @@ func streamSuite() SuiteConfig {
 	}
 }
 
-// TestStreamCells pins the streaming grid's invariants: one cell per
-// backend x format, quality bit-identical across all of them (every
-// source decodes the same edge stream), CGR2 strictly smaller than CGR1
-// on a clustered web graph, and CGR3's checksum trailer costing under 1%
-// of CGR2's bytes/edge.
+// TestStreamCells pins the streaming cells' invariants: one cell per
+// dataset, joining baselines under its mmap/CGR3 ID, with every
+// measurement present.
 func TestStreamCells(t *testing.T) {
 	rep, err := RunSuite(streamSuite())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.StreamCells) != 6 {
-		t.Fatalf("got %d stream cells, want 6 (file/mmap x CGR1/CGR2/CGR3)", len(rep.StreamCells))
+	if len(rep.StreamCells) != 1 {
+		t.Fatalf("got %d stream cells, want 1 (one dataset)", len(rep.StreamCells))
 	}
-	seen := map[string]StreamCell{}
-	bytesPerEdge := map[string]float64{}
-	for _, c := range rep.StreamCells {
-		seen[c.Backend+"/"+c.Format] = c
-		bytesPerEdge[c.Format] = c.BytesPerEdge
-		if c.ReplicationFactor != rep.StreamCells[0].ReplicationFactor {
-			t.Errorf("%s: RF %v != %v", c.ID(), c.ReplicationFactor, rep.StreamCells[0].ReplicationFactor)
-		}
-		if c.RelativeBalance != rep.StreamCells[0].RelativeBalance {
-			t.Errorf("%s: balance %v != %v", c.ID(), c.RelativeBalance, rep.StreamCells[0].RelativeBalance)
-		}
-		if c.BytesPerEdge <= 0 || c.DecodeNS <= 0 || c.PartitionNS <= 0 {
-			t.Errorf("%s: missing measurements: %+v", c.ID(), c)
-		}
+	c := rep.StreamCells[0]
+	if want := "stream/UK/mmap/CGR3 k=32 seed=42"; c.ID() != want {
+		t.Errorf("cell ID %q, want %q", c.ID(), want)
 	}
-	for _, want := range []string{"file/CGR1", "mmap/CGR1", "file/CGR2", "mmap/CGR2", "file/CGR3", "mmap/CGR3"} {
-		if _, ok := seen[want]; !ok {
-			t.Errorf("missing stream cell %s", want)
-		}
-	}
-	if bytesPerEdge["CGR2"] >= bytesPerEdge["CGR1"] {
-		t.Errorf("CGR2 %.3f bytes/edge not below CGR1 %.3f", bytesPerEdge["CGR2"], bytesPerEdge["CGR1"])
-	}
-	// CGR3 is CGR2 plus the integrity trailer: 4 bytes per 64 KiB block
-	// and a fixed footer, so the size overhead must stay under 1%.
-	if bytesPerEdge["CGR3"] >= bytesPerEdge["CGR2"]*1.01 {
-		t.Errorf("CGR3 %.3f bytes/edge more than 1%% above CGR2 %.3f (trailer overhead regressed)",
-			bytesPerEdge["CGR3"], bytesPerEdge["CGR2"])
+	if c.BytesPerEdge <= 0 || c.DecodeNS <= 0 || c.PartitionNS <= 0 || c.ReplicationFactor < 1 {
+		t.Errorf("%s: missing measurements: %+v", c.ID(), c)
 	}
 
 	// The cells survive a JSON round trip.

@@ -33,9 +33,9 @@ type SuiteConfig struct {
 	// Workers=1 is the serial reference; results are identical (runtimes
 	// aside) for every worker count.
 	Workers int
-	// Streaming additionally measures the out-of-core streaming grid
-	// (source backend x on-disk format: bytes/edge, decode throughput,
-	// streaming CLUGP wall clock) and the parallel-streaming scaling grid
+	// Streaming additionally measures the out-of-core streaming cells
+	// (one per dataset, CGR3 through the mmap source: bytes/edge, decode
+	// throughput, streaming CLUGP wall clock) and the parallel-streaming scaling grid
 	// (algorithm x decode workers, quality-gated bit-identical to its
 	// serial cell) after the main grid. The cells time wall clock, so they
 	// always run serially regardless of Workers.

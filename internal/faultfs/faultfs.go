@@ -214,7 +214,7 @@ func TransientPlan(seed uint64, size int64, n int) []Fault {
 
 // File is a graph source streaming through a fault plan: store.OpenReaderAt
 // over an Injector over the file's bytes. It satisfies store.File, so it
-// drops into any test matrix in place of Open/OpenMmap.
+// drops into any test matrix in place of store.OpenMmap.
 type File struct {
 	*store.ReaderAtSource
 	inj *Injector

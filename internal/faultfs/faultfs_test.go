@@ -14,7 +14,7 @@ import (
 	"repro/internal/stream"
 )
 
-func writeGraph(t *testing.T, g *graph.Graph, f store.Format) string {
+func writeGraph(t *testing.T, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.cgr")
 	w, err := store.NewAtomicWriter(path)
@@ -22,7 +22,7 @@ func writeGraph(t *testing.T, g *graph.Graph, f store.Format) string {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if err := store.WriteFormat(w, g, f); err != nil {
+	if err := store.Write(w, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
@@ -133,7 +133,7 @@ func TestInjectorBitFlip(t *testing.T) {
 // stream.Retry - and the injector confirms faults actually fired.
 func TestTransientSurvivedWithRetry(t *testing.T) {
 	g := testGraph()
-	path := writeGraph(t, g, store.FormatCGR3)
+	path := writeGraph(t, g)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestTransientSurvivedWithRetry(t *testing.T) {
 // edges match exactly.
 func TestShortReadsAbsorbed(t *testing.T) {
 	g := testGraph()
-	path := writeGraph(t, g, store.FormatCGR3)
+	path := writeGraph(t, g)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestShortReadsAbsorbed(t *testing.T) {
 // lands, and retrying does not launder it into success.
 func TestPersistentCorruptionDetected(t *testing.T) {
 	g := testGraph()
-	path := writeGraph(t, g, store.FormatCGR3)
+	path := writeGraph(t, g)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestPersistentCorruptionDetected(t *testing.T) {
 // open or during the stream, never silently shortened.
 func TestTruncationDetected(t *testing.T) {
 	g := testGraph()
-	path := writeGraph(t, g, store.FormatCGR3)
+	path := writeGraph(t, g)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -266,33 +266,26 @@ func TestTruncationDetected(t *testing.T) {
 // just another store.File - segments, Verify and re-streaming all behave.
 func TestFaultfsConformance(t *testing.T) {
 	g := testGraph()
-	for _, f := range []store.Format{store.FormatCGR1, store.FormatCGR2, store.FormatCGR3} {
-		path := writeGraph(t, g, f)
-		src, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Verify(); f == store.FormatCGR3 {
-			if err != nil {
-				t.Fatalf("%s Verify: %v", f, err)
-			}
-		} else if !errors.Is(err, store.ErrNoChecksums) {
-			t.Fatalf("%s Verify: got %v, want ErrNoChecksums", f, err)
-		}
-		seg, err := src.Segment(100, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := stream.Collect(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 200 || got[0] != g.Edges[100] {
-			t.Fatalf("%s segment [100,300) returned %d edges starting %v", f, len(got), got[0])
-		}
-		if c, ok := seg.(io.Closer); ok {
-			c.Close()
-		}
-		src.Close()
+	src, err := Open(writeGraph(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if err := src.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	seg, err := src.Segment(100, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := stream.Collect(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 200 || got[0] != g.Edges[100] {
+		t.Fatalf("segment [100,300) returned %d edges starting %v", len(got), got[0])
+	}
+	if c, ok := seg.(io.Closer); ok {
+		c.Close()
 	}
 }

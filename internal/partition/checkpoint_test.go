@@ -423,7 +423,7 @@ func TestCheckpointNonCheckpointerFallsBack(t *testing.T) {
 // zero - the observability half of the stream.Retry contract.
 func TestPipelineReportsRetryAttempts(t *testing.T) {
 	g := faultTestGraph()
-	path := writeCGRFormat(t, g, store.FormatCGR3)
+	path := writeCGR(t, g)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

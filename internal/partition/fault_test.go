@@ -72,7 +72,7 @@ var retryInjected = stream.RetryConfig{
 // algorithm, serially and with parallel workers.
 func TestPartitionBitIdenticalUnderTransientFaults(t *testing.T) {
 	g := faultTestGraph()
-	path := writeCGRFormat(t, g, store.FormatCGR3)
+	path := writeCGR(t, g)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestPartitionBitIdenticalUnderTransientFaults(t *testing.T) {
 // not launder the corruption into success.
 func TestPartitionPersistentCorruptionFails(t *testing.T) {
 	g := faultTestGraph()
-	path := writeCGRFormat(t, g, store.FormatCGR3)
+	path := writeCGR(t, g)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +137,8 @@ func TestPartitionPersistentCorruptionFails(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, open := range []struct {
-		name string
-		fn   func(string) (store.File, error)
-	}{
-		{"file", func(p string) (store.File, error) { return store.Open(p) }},
-		{"mmap", func(p string) (store.File, error) { return store.OpenMmap(p) }},
-	} {
-		src, err := open.fn(path)
+	for _, open := range fileBackends() {
+		src, err := open.open(path)
 		if err != nil {
 			continue // rejected at open: detected
 		}

@@ -7,21 +7,22 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
 
-// writeCGR writes g to a temp file in the given format and returns its path.
-func writeCGRFormat(t *testing.T, g *graph.Graph, format store.Format) string {
+// writeCGR writes g to a temp .cgr file and returns its path.
+func writeCGR(t *testing.T, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.cgr")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WriteFormat(f, g, format); err != nil {
+	if err := store.Write(f, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -30,31 +31,20 @@ func writeCGRFormat(t *testing.T, g *graph.Graph, format store.Format) string {
 	return path
 }
 
-// writeCGR writes g to a temp .cgr file (CGR1) and returns its path.
-func writeCGR(t *testing.T, g *graph.Graph) string {
-	t.Helper()
-	return writeCGRFormat(t, g, store.FormatCGR1)
-}
-
-// fileBackends enumerates every (backend, format) combination the
-// out-of-core equivalence criterion must hold over.
+// fileBackends enumerates the sources a CGR3 file is partitioned from -
+// the mmap source and ReaderAtSource over the open file (faultfs with an
+// empty fault plan, the read-at decode path) - which the out-of-core
+// equivalence criterion must hold over.
 type fileBackend struct {
-	name   string
-	format store.Format
-	open   func(path string) (store.File, error)
+	name string
+	open func(path string) (store.File, error)
 }
 
 func fileBackends() []fileBackend {
-	openFile := func(path string) (store.File, error) { return store.Open(path) }
-	openMmap := func(path string) (store.File, error) { return store.OpenMmap(path) }
-	var out []fileBackend
-	for _, f := range []store.Format{store.FormatCGR1, store.FormatCGR2, store.FormatCGR3} {
-		out = append(out,
-			fileBackend{"file/" + f.String(), f, openFile},
-			fileBackend{"mmap/" + f.String(), f, openMmap},
-		)
+	return []fileBackend{
+		{"mmap/CGR3", func(path string) (store.File, error) { return store.OpenMmap(path) }},
+		{"readerat/CGR3", func(path string) (store.File, error) { return faultfs.Open(path) }},
 	}
-	return out
 }
 
 // outOfCorePartitioners is every algorithm the out-of-core path must cover:
@@ -80,14 +70,13 @@ func outOfCorePartitioners(t *testing.T) []Partitioner {
 // streamed through Emit, quality accumulated incrementally - must be
 // bit-identical (assignment, replication factor, balance) to the in-memory
 // natural-order run, for every algorithm including CLUGP-D's sharded
-// ingest (which exercises the segment readers), on every source backend
-// over every on-disk format.
+// ingest (which exercises the segment readers), on every source.
 func TestOutOfCoreMatchesInMemoryNatural(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 3000, OutDegree: 6, IntraSite: 0.85, Seed: 31})
 	k := 8
 	for _, fb := range fileBackends() {
 		t.Run(fb.name, func(t *testing.T) {
-			path := writeCGRFormat(t, g, fb.format)
+			path := writeCGR(t, g)
 			for _, p := range outOfCorePartitioners(t) {
 				mem, err := RunStreamed(p, stream.Of(g.Edges).Source(g.NumVertices), stream.Natural, k)
 				if err != nil {
@@ -147,7 +136,7 @@ func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 
 	for _, fb := range fileBackends() {
 		t.Run(fb.name, func(t *testing.T) {
-			src, err := fb.open(writeCGRFormat(t, g, fb.format))
+			src, err := fb.open(writeCGR(t, g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +155,7 @@ func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 }
 
 // TestOutOfCoreBoundedMemory is the bounded-memory criterion: streaming the
-// cmd/clugp code path (RunOutOfCore over a store.FileSource) on a graph
+// cmd/clugp code path (RunOutOfCore over a store.MmapSource) on a graph
 // whose edges dominate its vertices must keep live heap well below the
 // materialized edge-list size. Live heap is sampled inside the Emit
 // callback after forced collections, so the assertion sees actual
@@ -192,7 +181,7 @@ func TestOutOfCoreBoundedMemory(t *testing.T) {
 	}
 	base := liveHeap()
 
-	src, err := store.Open(path)
+	src, err := store.OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,8 @@ func collectOutOfCore(t *testing.T, p Partitioner, src stream.Source, k int, opt
 }
 
 // TestParallelWorkerInvariance is the worker-invariance criterion of the
-// parallel hot pass: for every algorithm, on every source backend, over
-// every on-disk format, the parallel out-of-core run must emit an
+// parallel hot pass: for every algorithm, on every source, the parallel
+// out-of-core run must emit an
 // assignment bit-identical to the serial run - and identical quality - for
 // every worker count, including one that divides nothing (7). Batch and
 // segment boundaries at other granularities are covered at the stream
@@ -39,7 +39,7 @@ func TestParallelWorkerInvariance(t *testing.T) {
 	k := 8
 	for _, fb := range fileBackends() {
 		t.Run(fb.name, func(t *testing.T) {
-			path := writeCGRFormat(t, g, fb.format)
+			path := writeCGR(t, g)
 			for _, p := range outOfCorePartitioners(t) {
 				src, err := fb.open(path)
 				if err != nil {
@@ -144,7 +144,7 @@ func TestParallelOutOfCoreRace(t *testing.T) {
 	if need := 2 * 8 * stream.BlockLen; len(g.Edges) <= need {
 		t.Fatalf("test graph has %d edges, need more than %d for three decode segments", len(g.Edges), need)
 	}
-	path := writeCGRFormat(t, g, store.FormatCGR2)
+	path := writeCGR(t, g)
 	src, err := store.OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +180,8 @@ func TestRunOutOfCoreOptsRejectsBadK(t *testing.T) {
 }
 
 // BenchmarkOutOfCoreWorkers measures the parallel hot pass end to end on
-// the mmap/CGR2 backend - the configuration the bench suite's scaling
-// cells use.
+// the mmap source over a CGR3 file - the configuration the bench suite's
+// scaling cells use.
 func BenchmarkOutOfCoreWorkers(b *testing.B) {
 	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 15, IntraSite: 0.85, Seed: 55})
 	path := b.TempDir() + "/g.cgr"
@@ -189,7 +189,7 @@ func BenchmarkOutOfCoreWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := store.WriteFormat(f, g, store.FormatCGR2); err != nil {
+	if err := store.Write(f, g); err != nil {
 		b.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

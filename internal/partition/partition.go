@@ -176,9 +176,9 @@ type OutOfCoreOptions struct {
 	// metrics.ShardedReplicaSets. Assignments and quality are bit-identical
 	// to the serial pass for any worker count - the decode/merge pipeline
 	// preserves exact stream order and the sharded accounting is
-	// commutative - which TestParallelWorkerInvariance holds across every
-	// algorithm x backend x format combination. Sources that cannot segment
-	// fall back to the serial pass.
+	// commutative - which TestParallelWorkerInvariance holds for every
+	// algorithm on every file source. Sources that cannot segment fall back
+	// to the serial pass.
 	Workers int
 	// Checkpoint, when non-nil, enables crash tolerance: the run writes
 	// checkpoint records to Checkpoint.Path at batch boundaries, and

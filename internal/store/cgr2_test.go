@@ -10,12 +10,15 @@ import (
 	"repro/internal/graph"
 )
 
-// cgr2RoundTrip encodes g as CGR2 and decodes it back, failing on any
-// difference in shape or edge order.
+// The tests in this file pin the run/interval/residual body encoding CGR3
+// inherited from the retired CGR2 format, hence their names.
+
+// cgr2RoundTrip encodes g and decodes it back, failing on any difference
+// in shape or edge order.
 func cgr2RoundTrip(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFormat(&buf, g, FormatCGR2); err != nil {
+	if err := Write(&buf, g); err != nil {
 		t.Fatalf("%s: write: %v", name, err)
 	}
 	back, err := Read(bytes.NewReader(buf.Bytes()))
@@ -36,7 +39,7 @@ func TestCGR2RoundTrip(t *testing.T) {
 	cgr2RoundTrip(t, "web", gen.Web(gen.WebConfig{N: 5000, OutDegree: 6, IntraSite: 0.85, Seed: 1}))
 }
 
-// TestCGR2RoundTripAdversarial pins the v2 codec on the shapes most likely
+// TestCGR2RoundTripAdversarial pins the body codec on the shapes most likely
 // to break a run/interval coder: ids at the top of the int32 range, giant
 // runs that overflow the packed header's inline length, intervals that wrap
 // the whole run, descending targets, self-loops, duplicates.
@@ -95,7 +98,7 @@ func TestCGR2QuickRoundTrip(t *testing.T) {
 		}
 		g := graph.New(nv, edges)
 		var buf bytes.Buffer
-		if err := WriteFormat(&buf, g, FormatCGR2); err != nil {
+		if err := Write(&buf, g); err != nil {
 			return false
 		}
 		back, err := Read(&buf)
@@ -117,31 +120,6 @@ func TestCGR2QuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCGR2Compression is the headline acceptance criterion: on the
-// clustered crawl-ordered generator graphs (the UK/IT dataset shapes),
-// CGR2 must cut bytes/edge by at least 30% versus CGR1.
-func TestCGR2Compression(t *testing.T) {
-	for name, cfg := range map[string]gen.WebConfig{
-		"UK-like": {N: 30000, OutDegree: 8, SiteMean: 150, IntraSite: 0.88, CopyFactor: 0.6, Seed: 1001},
-		"IT-like": {N: 35000, OutDegree: 18, SiteMean: 150, IntraSite: 0.88, CopyFactor: 0.65, Seed: 1004},
-	} {
-		g := gen.Web(cfg)
-		var v1, v2 bytes.Buffer
-		if err := WriteFormat(&v1, g, FormatCGR1); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFormat(&v2, g, FormatCGR2); err != nil {
-			t.Fatal(err)
-		}
-		saving := 1 - float64(v2.Len())/float64(v1.Len())
-		t.Logf("%s: CGR1 %.3f B/edge, CGR2 %.3f B/edge (%.1f%% smaller)",
-			name, float64(v1.Len())/float64(g.NumEdges()), float64(v2.Len())/float64(g.NumEdges()), 100*saving)
-		if saving < 0.30 {
-			t.Errorf("%s: CGR2 saves only %.1f%% over CGR1, want >= 30%%", name, 100*saving)
-		}
-	}
-}
-
 // TestCGR2IntervalCollapse pins the interval coding itself: a run of
 // consecutive targets must cost O(1) tokens, not O(n) gaps.
 func TestCGR2IntervalCollapse(t *testing.T) {
@@ -151,94 +129,85 @@ func TestCGR2IntervalCollapse(t *testing.T) {
 	}
 	g := graph.New(10002, edges)
 	var buf bytes.Buffer
-	if err := WriteFormat(&buf, g, FormatCGR2); err != nil {
+	if err := Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	// Header + one run header + one interval token: far under a byte/edge.
-	if buf.Len() > 64 {
-		t.Fatalf("10000 consecutive targets took %d bytes, want O(1) interval coding", buf.Len())
+	if n := len(payloadOf(t, buf.Bytes())); n > 64 {
+		t.Fatalf("10000 consecutive targets took %d bytes, want O(1) interval coding", n)
 	}
 	cgr2RoundTrip(t, "interval-collapse", g)
 }
 
-// header2 hand-crafts a CGR2 header with arbitrary declared counts.
-func header2(nv, ne uint64) []byte {
-	buf := append([]byte{}, magic2[:]...)
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], nv)]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], ne)]...)
-	return buf
-}
-
 // TestCGR2CorruptInputsRejected forges the failure shapes specific to the
-// v2 layout: run lengths past the declared edge count, interval counts past
-// the run remainder, out-of-range sources and targets, truncated tokens,
-// varint overflows.
+// run/interval layout: run lengths past the declared edge count, interval
+// counts past the run remainder, out-of-range sources and targets,
+// truncated tokens, varint overflows. Each payload is sealed under a valid
+// trailer, so only the decoder's guards can reject it.
 func TestCGR2CorruptInputsRejected(t *testing.T) {
-	uv := func(xs ...uint64) []byte {
-		var out []byte
-		var tmp [binary.MaxVarintLen64]byte
-		for _, x := range xs {
-			out = append(out, tmp[:binary.PutUvarint(tmp[:], x)]...)
-		}
-		return out
-	}
 	cases := map[string][]byte{
 		// Declared counts beyond any physical file.
-		"forged-edge-count":   header2(4, 1<<60),
-		"forged-vertex-count": header2(1<<40, 0),
+		"forged-edge-count":   header(4, 1<<60),
+		"forged-vertex-count": header(1<<40, 0),
 		// Header only; body missing entirely.
-		"truncated-empty-body": header2(4, 2),
+		"truncated-empty-body": header(4, 2),
 		// Run header declares 3 targets but the file declares 2 edges.
-		"run-past-edge-count": append(header2(4, 2), uv(zigzag(0)<<4|2)...),
+		"run-past-edge-count": append(header(4, 2), uvarints(zigzag(0)<<4|2)...),
 		// Run of 2, then an interval of 2 when only the run's 2 remain but
 		// one was consumed: interval count 2 > runLeft 1 after first target.
-		"interval-past-run": append(header2(8, 2), append(uv(zigzag(0)<<4|1), uv(3, 0, 2)...)...),
+		"interval-past-run": append(header(8, 2), append(uvarints(zigzag(0)<<4|1), uvarints(3, 0, 2)...)...),
 		// Source gap lands outside [0, nv).
-		"run-source-negative": append(header2(4, 1), uv(zigzag(-3)<<4|0, 1)...),
-		"run-source-too-big":  append(header2(4, 1), uv(zigzag(10)<<4|0, 1)...),
+		// The target lands back on vertex 1, so only the source guard
+		// can reject the edge.
+		"run-source-negative": append(header(4, 1), uvarints(zigzag(-3)<<4|0, zigzag(3)+1)...),
+		"run-source-too-big":  append(header(4, 1), uvarints(zigzag(10)<<4|0, zigzag(-10)+1)...),
 		// Target gap lands outside [0, nv).
-		"target-too-big": append(header2(4, 1), uv(zigzag(0)<<4|0, zigzag(100)+1)...),
+		"target-too-big": append(header(4, 1), uvarints(zigzag(0)<<4|0, zigzag(100)+1)...),
 		// Interval runs past nv: src=2, interval of 1 -> dst=3 ok; nv=3 -> dst 3 out of range.
-		"interval-past-nv": append(header2(3, 1), uv(zigzag(2)<<4|0, 0, 1)...),
+		"interval-past-nv": append(header(3, 1), uvarints(zigzag(2)<<4|0, 0, 1)...),
 		// Token truncated mid-varint.
-		"truncated-token": append(header2(4, 1), 0x80),
+		"truncated-token": append(header(4, 1), 0x80),
 		// Varint overflow in the run header.
-		"overflow-header": append(header2(4, 1), bytes.Repeat([]byte{0x80}, 11)...),
+		"overflow-header": append(header(4, 1), bytes.Repeat([]byte{0x80}, 11)...),
 		// Interval count zero is never emitted and must be rejected.
-		"zero-interval": append(header2(8, 2), uv(zigzag(0)<<4|1, 0, 0)...),
+		"zero-interval": append(header(8, 2), uvarints(zigzag(0)<<4|1, 0, 0)...),
 	}
-	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: corrupt CGR2 input accepted", name)
-		}
+	for name, payload := range cases {
+		_, err := Read(bytes.NewReader(seal(t, payload)))
+		wantDecodeError(t, name, err)
 	}
 }
 
-// TestWriteFormatDispatch: every writer produces its own magic and Read
-// auto-detects all of them; Sniff accepts all of them.
+// TestWriteFormatDispatch: WriteFormat writes CGR3 and rejects every other
+// value, including the retired CGR1 and CGR2 ones.
 func TestWriteFormatDispatch(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 500, OutDegree: 4, Seed: 2})
-	for _, f := range []Format{FormatCGR1, FormatCGR2, FormatCGR3} {
-		var buf bytes.Buffer
-		if err := WriteFormat(&buf, g, f); err != nil {
-			t.Fatal(err)
-		}
-		if !SniffHeader(buf.Bytes()) {
-			t.Fatalf("SniffHeader missed %s", f)
-		}
-		sr, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.Format() != f {
-			t.Fatalf("detected %s, wrote %s", sr.Format(), f)
-		}
+	var buf bytes.Buffer
+	if err := WriteFormat(&buf, g, FormatCGR3); err != nil {
+		t.Fatal(err)
 	}
-	if err := WriteFormat(&bytes.Buffer{}, g, Format(9)); err == nil {
-		t.Fatal("unknown format accepted")
+	if !bytes.HasPrefix(buf.Bytes(), []byte("CGR3")) || !SniffHeader(buf.Bytes()) {
+		t.Fatalf("WriteFormat(CGR3) wrote magic %q", buf.Bytes()[:4])
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Format{0, 1, 2, 9} {
+		if err := WriteFormat(&bytes.Buffer{}, g, f); err == nil {
+			t.Fatalf("format %s accepted", f)
+		}
 	}
 	if SniffHeader([]byte("CGR9....")) {
 		t.Fatal("SniffHeader accepted unknown magic")
 	}
+}
+
+// uvarints encodes xs as consecutive unsigned varints.
+func uvarints(xs ...uint64) []byte {
+	var out []byte
+	var tmp [binary.MaxVarintLen64]byte
+	for _, x := range xs {
+		out = append(out, tmp[:binary.PutUvarint(tmp[:], x)]...)
+	}
+	return out
 }

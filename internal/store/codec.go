@@ -8,121 +8,57 @@ import (
 	"repro/internal/graph"
 )
 
-// Format identifies an on-disk graph encoding. The four magic bytes at the
-// start of every file carry it, so readers are self-describing: Open,
-// OpenMmap, Read and NewReader accept either format transparently and
-// report which one they found.
+// Format identifies an on-disk graph encoding. CGR3 is the only one: the
+// type survives so callers can name the format they write (WriteFormat)
+// and check what they opened (Format()).
 type Format uint8
 
-const (
-	// FormatCGR1 is the original encoding: per edge, a zig-zag varint
-	// source gap and a zig-zag varint target offset from the source.
-	FormatCGR1 Format = iota + 1
-	// FormatCGR2 is the compressed v2 encoding: edges are grouped into
-	// maximal same-source runs with a packed run header (zig-zag source gap
-	// and run length in one varint), and targets are coded as interval
-	// tokens (runs of consecutive ids collapse to two varints) and residual
-	// gap tokens relative to the previous target. On crawl-ordered web
-	// graphs it cuts bytes/edge by 30-50% versus CGR1. See DESIGN.md for
-	// the exact bit layout.
-	FormatCGR2
-	// FormatCGR3 is CGR2 plus integrity: the body encoding is bit-for-bit
-	// CGR2, followed by a CRC32C block-checksum trailer and footer (see
-	// integrity.go) that let every backend detect bit flips, torn writes
-	// and truncation instead of decoding garbage. Sources over CGR3 files
-	// verify lazily on the decode path and support Verify().
-	FormatCGR3
-)
+// FormatCGR3 is the graph format: a run/interval/residual body (edges
+// grouped into maximal same-source runs with a packed run header, targets
+// coded as interval tokens for runs of consecutive ids and residual gap
+// tokens relative to the previous target; see DESIGN.md for the bit
+// layout) followed by a CRC32C block-checksum trailer and footer (see
+// integrity.go) that let every source detect bit flips, torn writes and
+// truncation instead of decoding garbage.
+const FormatCGR3 Format = 3
 
 // String returns the format's magic name.
 func (f Format) String() string {
-	switch f {
-	case FormatCGR1:
-		return "CGR1"
-	case FormatCGR2:
-		return "CGR2"
-	case FormatCGR3:
+	if f == FormatCGR3 {
 		return "CGR3"
 	}
 	return fmt.Sprintf("Format(%d)", uint8(f))
 }
 
-// ParseFormat maps a format name ("cgr1"/"CGR1", "cgr2"/"CGR2",
-// "cgr3"/"CGR3") to its Format - the one parser every CLI flag goes through.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "cgr1", "CGR1":
-		return FormatCGR1, nil
-	case "cgr2", "CGR2":
-		return FormatCGR2, nil
-	case "cgr3", "CGR3":
-		return FormatCGR3, nil
-	}
-	return 0, fmt.Errorf("store: unknown format %q (want cgr1, cgr2 or cgr3)", s)
-}
+var magic3 = [4]byte{'C', 'G', 'R', '3'}
 
-var (
-	magic  = [4]byte{'C', 'G', 'R', '1'}
-	magic2 = [4]byte{'C', 'G', 'R', '2'}
-	magic3 = [4]byte{'C', 'G', 'R', '3'}
-)
-
-// formatOfMagic maps a graph-file magic to its Format.
-func formatOfMagic(m [4]byte) (Format, bool) {
-	switch m {
-	case magic:
-		return FormatCGR1, true
-	case magic2:
-		return FormatCGR2, true
-	case magic3:
-		return FormatCGR3, true
-	}
-	return 0, false
-}
-
-// magicOf returns the graph-file magic of a format.
-func magicOf(f Format) [4]byte {
-	switch f {
-	case FormatCGR2:
-		return magic2
-	case FormatCGR3:
-		return magic3
-	}
-	return magic
-}
-
-// SniffHeader reports whether head starts with any graph format's magic.
+// SniffHeader reports whether head starts with the graph-file magic.
 func SniffHeader(head []byte) bool {
-	if len(head) < 4 {
-		return false
-	}
-	_, ok := formatOfMagic([4]byte(head[:4]))
-	return ok
+	return len(head) >= 4 && [4]byte(head[:4]) == magic3
 }
 
 // readHeader consumes the magic and declared counts from the cursor,
 // validating them before anything is sized from them.
-func readHeader(c *cursor) (Format, int, int, error) {
+func readHeader(c *cursor) (int, int, error) {
 	var m [4]byte
 	if err := c.readFull(m[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("store: reading magic: %w", err)
+		return 0, 0, fmt.Errorf("store: reading magic: %w", err)
 	}
-	format, ok := formatOfMagic(m)
-	if !ok {
-		return 0, 0, 0, ErrBadMagic
+	if m != magic3 {
+		return 0, 0, ErrBadMagic
 	}
 	nv, err := c.uvarint()
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("store: reading vertex count: %w", err)
+		return 0, 0, fmt.Errorf("store: reading vertex count: %w", err)
 	}
 	ne, err := c.uvarint()
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("store: reading edge count: %w", err)
+		return 0, 0, fmt.Errorf("store: reading edge count: %w", err)
 	}
 	if err := checkCounts(nv, ne); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	return format, int(nv), int(ne), nil
+	return int(nv), int(ne), nil
 }
 
 // checkCounts rejects header counts no valid file can carry before anything
@@ -141,32 +77,32 @@ func checkCounts(nv, ne uint64) error {
 }
 
 // decState is the delta-decoder state between two edges - everything beyond
-// the byte offset that a seek must restore. CGR1 uses prevSrc only; CGR2
-// additionally tracks the position inside the current source run and any
-// in-flight interval token. Token boundaries never split across edges, so
-// (offset, decState) at any edge boundary is a complete resume point.
+// the byte offset that a seek must restore: the current run's source, the
+// position inside the run and any in-flight interval token. Token
+// boundaries never split across edges, so (offset, decState) at any edge
+// boundary is a complete resume point.
 type decState struct {
-	// prevSrc is the previous edge's source (CGR1) or the current run's
-	// source (CGR2; run headers encode gaps between run sources).
+	// prevSrc is the current run's source (run headers encode gaps between
+	// run sources).
 	prevSrc int64
-	// prevDst is the previous target within the current run (CGR2).
+	// prevDst is the previous target within the current run.
 	prevDst int64
-	// runLeft counts targets remaining in the current run (CGR2).
+	// runLeft counts targets remaining in the current run.
 	runLeft int
-	// ivLeft counts targets remaining in the current interval token (CGR2).
+	// ivLeft counts targets remaining in the current interval token.
 	ivLeft int
 }
 
-// decoder decodes edges of either format from a cursor. It is the single
-// decode core shared by every backend: FileSource wraps it around a
-// read-at cursor, MmapSource around the mapped bytes, Reader around a
-// sequential window.
+// decoder decodes edges from a cursor bounded to the checksummed payload,
+// so it never sees the trailer. It is the single decode core shared by
+// every source: MmapSource wraps it around the mapped bytes (or a read-at
+// window in fallback mode), ReaderAtSource around a read-at window, Reader
+// around the buffered file.
 type decoder struct {
-	cur    cursor
-	st     decState
-	format Format
-	nv     int64
-	ne     int64
+	cur cursor
+	st  decState
+	nv  int64
+	ne  int64
 }
 
 // seek positions the decoder at a byte offset with the given state.
@@ -175,39 +111,12 @@ func (d *decoder) seek(off int64, st decState) {
 	d.st = st
 }
 
-// next decodes the edge at stream index i. CGR3 shares the CGR2 body
-// encoding; only the trailer differs, and the cursor is bounded to the
-// payload so the decoder never sees it.
-func (d *decoder) next(i int) (graph.Edge, error) {
-	if d.format == FormatCGR1 {
-		return d.nextCGR1(i)
-	}
-	return d.nextCGR2(i)
-}
-
-func (d *decoder) nextCGR1(i int) (graph.Edge, error) {
-	dSrc, err := d.cur.varint()
-	if err != nil {
-		return graph.Edge{}, fmt.Errorf("store: edge %d src: %w", i, err)
-	}
-	src := d.st.prevSrc + dSrc
-	dDst, err := d.cur.varint()
-	if err != nil {
-		return graph.Edge{}, fmt.Errorf("store: edge %d dst: %w", i, err)
-	}
-	dst := src + dDst
-	if src < 0 || dst < 0 || src >= d.nv || dst >= d.nv {
-		return graph.Edge{}, fmt.Errorf("store: edge %d (%d->%d) out of range (n=%d)", i, src, dst, d.nv)
-	}
-	d.st.prevSrc = src
-	return graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)}, nil
-}
-
-// cgr2RunInline is the largest run length the packed header carries inline;
+// runInline is the largest run length the packed header carries inline;
 // longer runs spill the remainder into a follow-up varint.
-const cgr2RunInline = 15
+const runInline = 15
 
-func (d *decoder) nextCGR2(i int) (graph.Edge, error) {
+// next decodes the edge at stream index i.
+func (d *decoder) next(i int) (graph.Edge, error) {
 	st := &d.st
 	// Mid-interval: the token was consumed whole, the state replays it.
 	if st.ivLeft > 0 {
@@ -223,8 +132,8 @@ func (d *decoder) nextCGR2(i int) (graph.Edge, error) {
 		if src < 0 || src >= d.nv {
 			return graph.Edge{}, fmt.Errorf("store: edge %d run source %d out of range (n=%d)", i, src, d.nv)
 		}
-		runLen := int64(h&cgr2RunInline) + 1
-		if h&cgr2RunInline == cgr2RunInline {
+		runLen := int64(h&runInline) + 1
+		if h&runInline == runInline {
 			extra, err := d.cur.uvarint()
 			if err != nil {
 				return graph.Edge{}, fmt.Errorf("store: edge %d run length: %w", i, err)
@@ -232,7 +141,7 @@ func (d *decoder) nextCGR2(i int) (graph.Edge, error) {
 			if extra > uint64(d.ne) {
 				return graph.Edge{}, fmt.Errorf("store: edge %d run length %d past declared edge count %d", i, extra, d.ne)
 			}
-			runLen = cgr2RunInline + 1 + int64(extra)
+			runLen = runInline + 1 + int64(extra)
 		}
 		if runLen > d.ne-int64(i) {
 			return graph.Edge{}, fmt.Errorf("store: edge %d run of %d exceeds declared edge count %d", i, runLen, d.ne)
@@ -296,10 +205,9 @@ func (w *varintWriter) varint(x int64) error {
 	return w.uvarint(zigzag(x))
 }
 
-// writeHeader emits the magic and counts for g in the given format.
-func (w *varintWriter) writeHeader(f Format, g *graph.Graph) error {
-	m := magicOf(f)
-	if _, err := w.bw.Write(m[:]); err != nil {
+// writeHeader emits the magic and counts for g.
+func (w *varintWriter) writeHeader(g *graph.Graph) error {
+	if _, err := w.bw.Write(magic3[:]); err != nil {
 		return err
 	}
 	if err := w.uvarint(uint64(g.NumVertices)); err != nil {
@@ -308,27 +216,11 @@ func (w *varintWriter) writeHeader(f Format, g *graph.Graph) error {
 	return w.uvarint(uint64(g.NumEdges()))
 }
 
-// encodeCGR1 writes the per-edge gap encoding (the original format).
-func encodeCGR1(w *varintWriter, edges []graph.Edge) error {
-	prevSrc := int64(0)
-	for _, e := range edges {
-		src := int64(e.Src)
-		if err := w.varint(src - prevSrc); err != nil {
-			return err
-		}
-		if err := w.varint(int64(e.Dst) - src); err != nil {
-			return err
-		}
-		prevSrc = src
-	}
-	return nil
-}
-
-// encodeCGR2 writes the run/interval/residual encoding. Edge order is
+// encodeBody writes the run/interval/residual encoding. Edge order is
 // preserved exactly - order is semantic for streaming partitioners - so
 // interval tokens only fire on targets that are already consecutive in the
 // stream; nothing is sorted.
-func encodeCGR2(w *varintWriter, edges []graph.Edge) error {
+func encodeBody(w *varintWriter, edges []graph.Edge) error {
 	prevSrc := int64(0)
 	for i := 0; i < len(edges); {
 		// Maximal same-source run.
@@ -342,11 +234,11 @@ func encodeCGR2(w *varintWriter, edges []graph.Edge) error {
 		// between consecutive vertices) in the high bits, run length in the
 		// low 4, overflowing into a follow-up varint.
 		gapz := zigzag(src - prevSrc - 1)
-		if runLen-1 >= cgr2RunInline {
-			if err := w.uvarint(gapz<<4 | cgr2RunInline); err != nil {
+		if runLen-1 >= runInline {
+			if err := w.uvarint(gapz<<4 | runInline); err != nil {
 				return err
 			}
-			if err := w.uvarint(uint64(runLen - 1 - cgr2RunInline)); err != nil {
+			if err := w.uvarint(uint64(runLen - 1 - runInline)); err != nil {
 				return err
 			}
 		} else {

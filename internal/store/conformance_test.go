@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,18 +13,17 @@ import (
 	"repro/internal/stream"
 )
 
-// backends enumerates every (backend, format) combination the Source
-// contract must hold for; the matrix tests below run each case against the
-// same expectations, so the two backends and two formats can never drift
-// apart behaviorally.
+// backendCases enumerates every way a CGR3 file is opened as a source -
+// the mmap source mapped and in its read-at fallback, and ReaderAtSource
+// over the file's bytes; the matrix tests below run each case against the
+// same expectations, so the decode paths can never drift apart
+// behaviorally.
 type backendCase struct {
-	name   string
-	format Format
-	open   func(path string) (File, error)
+	name string
+	open func(path string) (File, error)
 }
 
 func backendCases() []backendCase {
-	openFile := func(path string) (File, error) { return Open(path) }
 	openMmap := func(path string) (File, error) { return OpenMmap(path) }
 	openFallback := func(path string) (File, error) {
 		disableMmap = true
@@ -37,33 +37,37 @@ func backendCases() []backendCase {
 		}
 		return OpenReaderAt(byteReaderAt(data), int64(len(data)), path)
 	}
-	var cases []backendCase
-	for _, f := range []Format{FormatCGR1, FormatCGR2, FormatCGR3} {
-		cases = append(cases,
-			backendCase{"file/" + f.String(), f, openFile},
-			backendCase{"mmap/" + f.String(), f, openMmap},
-			backendCase{"fallback/" + f.String(), f, openFallback},
-			backendCase{"readerat/" + f.String(), f, openReaderAt},
-		)
+	return []backendCase{
+		{"mmap/CGR3", openMmap},
+		{"fallback/CGR3", openFallback},
+		{"readerat/CGR3", openReaderAt},
 	}
-	return cases
 }
 
-// writeTempFormat writes g to a temp file in the given format.
-func writeTempFormat(t *testing.T, g *graph.Graph, f Format) string {
+// writeTemp writes g to a temp .cgr file and returns its path.
+func writeTemp(t *testing.T, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.cgr")
 	w, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFormat(w, g, f); err != nil {
+	if err := Write(w, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+func collect(t *testing.T, src stream.Source) []graph.Edge {
+	t.Helper()
+	out, err := stream.Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func closeSource(t *testing.T, s stream.Source) {
@@ -75,13 +79,13 @@ func closeSource(t *testing.T, s stream.Source) {
 	}
 }
 
-// TestSourceMatrixStreamsAndReplays: every backend x format streams the
+// TestSourceMatrixStreamsAndReplays: every backend streams the
 // exact edge sequence, replays it identically, and reports the header.
 func TestSourceMatrixStreamsAndReplays(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 4000, OutDegree: 7, IntraSite: 0.85, Seed: 5})
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
-			src, err := bc.open(writeTempFormat(t, g, bc.format))
+			src, err := bc.open(writeTemp(t, g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,8 +93,8 @@ func TestSourceMatrixStreamsAndReplays(t *testing.T) {
 			if src.NumVertices() != g.NumVertices || src.Len() != g.NumEdges() {
 				t.Fatalf("header %d/%d, want %d/%d", src.NumVertices(), src.Len(), g.NumVertices, g.NumEdges())
 			}
-			if src.Format() != bc.format {
-				t.Fatalf("format %s, want %s", src.Format(), bc.format)
+			if src.Format() != FormatCGR3 {
+				t.Fatalf("format %s, want CGR3", src.Format())
 			}
 			a := collect(t, src)
 			b := collect(t, src) // Collect resets: the CLUGP multi-pass contract
@@ -110,7 +114,7 @@ func TestSourceMatrixStreamsAndReplays(t *testing.T) {
 }
 
 // TestSourceMatrixSegmentEdgeCases covers the boundary shapes shared by
-// both backends: an empty file, a single-edge file, a segment whose bounds
+// every backend: an empty file, a single-edge file, a segment whose bounds
 // land exactly on a checkpoint, and a nested segment of a segment.
 func TestSourceMatrixSegmentEdgeCases(t *testing.T) {
 	big := gen.Web(gen.WebConfig{N: 6000, OutDegree: 6, Seed: 7})
@@ -120,7 +124,7 @@ func TestSourceMatrixSegmentEdgeCases(t *testing.T) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
 			// Empty file: zero-length segments and EOF on first block.
-			empty, err := bc.open(writeTempFormat(t, graph.New(7, nil), bc.format))
+			empty, err := bc.open(writeTemp(t, graph.New(7, nil)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +144,7 @@ func TestSourceMatrixSegmentEdgeCases(t *testing.T) {
 			// Single-edge file: the whole file as one segment, and both
 			// degenerate boundary segments.
 			one := graph.New(3, []graph.Edge{{Src: 2, Dst: 0}})
-			osrc, err := bc.open(writeTempFormat(t, one, bc.format))
+			osrc, err := bc.open(writeTemp(t, one))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +166,7 @@ func TestSourceMatrixSegmentEdgeCases(t *testing.T) {
 
 			// Large file: segments straddling and landing exactly on
 			// checkpoint boundaries, plus nesting.
-			src, err := bc.open(writeTempFormat(t, big, bc.format))
+			src, err := bc.open(writeTemp(t, big))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +241,7 @@ func TestSourceMatrixConcurrentSegments(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 5000, OutDegree: 6, Seed: 8})
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
-			src, err := bc.open(writeTempFormat(t, g, bc.format))
+			src, err := bc.open(writeTemp(t, g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +298,7 @@ func TestSourceMatrixTruncatedBody(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 300, OutDegree: 4, Seed: 10})
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
-			path := writeTempFormat(t, g, bc.format)
+			path := writeTemp(t, g)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -304,8 +308,8 @@ func TestSourceMatrixTruncatedBody(t *testing.T) {
 			}
 			src, err := bc.open(path) // header is intact; the body is cut short
 			if err != nil {
-				// Checksummed formats reject the torn file at open (the
-				// trailer is gone); that satisfies the contract too.
+				// The torn file is rejected at open (the trailer is gone);
+				// that satisfies the contract too.
 				return
 			}
 			defer src.Close()
@@ -321,7 +325,7 @@ func TestSourceMatrixTruncatedBody(t *testing.T) {
 // mapping alive until the last handle goes.
 func TestMmapSourceModes(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 2000, OutDegree: 5, Seed: 9})
-	path := writeTempFormat(t, g, FormatCGR2)
+	path := writeTemp(t, g)
 
 	src, err := OpenMmap(path)
 	if err != nil {
@@ -376,30 +380,29 @@ func TestMmapSourceModes(t *testing.T) {
 	}
 }
 
-// TestOpenAutoAndJunk: OpenAuto rejects junk and missing files like the
-// explicit constructors do.
-func TestOpenAutoAndJunk(t *testing.T) {
+// TestOpenRejectsJunk: every backend rejects junk and missing files, and
+// a source reports its header and on-disk size.
+func TestOpenRejectsJunk(t *testing.T) {
 	dir := t.TempDir()
 	junk := filepath.Join(dir, "junk")
 	if err := os.WriteFile(junk, []byte("not a graph at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAuto(junk); err == nil {
-		t.Fatal("junk accepted")
-	}
-	if _, err := OpenAuto(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	if _, err := OpenMmap(junk); err == nil {
-		t.Fatal("mmap junk accepted")
+	for _, bc := range backendCases() {
+		if _, err := bc.open(junk); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: junk: got %v, want ErrBadMagic", bc.name, err)
+		}
+		if _, err := bc.open(filepath.Join(dir, "missing")); err == nil {
+			t.Fatalf("%s: missing file accepted", bc.name)
+		}
 	}
 	g := gen.Web(gen.WebConfig{N: 300, OutDegree: 4, Seed: 11})
-	f, err := OpenAuto(writeTempFormat(t, g, FormatCGR2))
+	f, err := OpenMmap(writeTemp(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.Len() != g.NumEdges() || f.Format() != FormatCGR2 || f.SizeBytes() <= 0 {
-		t.Fatalf("OpenAuto header: len=%d format=%s size=%d", f.Len(), f.Format(), f.SizeBytes())
+	if f.Len() != g.NumEdges() || f.Format() != FormatCGR3 || f.SizeBytes() <= 0 {
+		t.Fatalf("OpenMmap header: len=%d format=%s size=%d", f.Len(), f.Format(), f.SizeBytes())
 	}
 }

@@ -22,9 +22,6 @@ var errVarintOverflow = errors.New("store: varint overflows 64 bits")
 //   - read-at mode: data is a private window into an io.ReaderAt; fill
 //     reloads the window at the cursor's absolute offset via one pread.
 //     Seek within the window is free, outside it costs one refill.
-//   - stream mode: data is a window over a sequential io.Reader; fill slides
-//     the unconsumed tail down and reads more. Seek is unsupported (only
-//     the forward-only Reader uses this mode).
 //
 // Varint decodes are atomic with respect to the cursor: a varint that runs
 // past the window consumes nothing, the window is refilled at the varint's
@@ -40,7 +37,7 @@ type cursor struct {
 	fill func(*cursor) error
 }
 
-// windowLen is the refill granularity of the non-mapped modes: large enough
+// windowLen is the refill granularity of the read-at mode: large enough
 // that refills are rare and sequential reads reach disk bandwidth, small
 // enough that a per-handle window is cheap.
 const windowLen = 1 << 16
@@ -149,25 +146,6 @@ func readAtCursor(r io.ReaderAt, size int64) cursor {
 			return io.ErrUnexpectedEOF
 		}
 		c.data, c.base, c.i = w[:n], off, 0
-		return nil
-	}}
-}
-
-// readerCursor returns a cursor windowing a sequential reader. Seeking
-// backwards past the window start is not supported in this mode.
-func readerCursor(r io.Reader) cursor {
-	win := make([]byte, windowLen)
-	return cursor{fill: func(c *cursor) error {
-		tail := copy(win, c.data[c.i:])
-		c.base += int64(c.i)
-		n, err := io.ReadAtLeast(r, win[tail:], 1)
-		if n <= 0 {
-			if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil {
-				return io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		c.data, c.i = win[:tail+n], 0
 		return nil
 	}}
 }

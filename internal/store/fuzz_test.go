@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,28 +13,29 @@ import (
 	"repro/internal/stream"
 )
 
-// FuzzRead checks the binary decoder never panics on arbitrary input and
-// that any graph it accepts is structurally valid. Both formats share the
-// entry point (the magic dispatches), so seeds cover both.
+// FuzzRead checks the graph decoder never panics on arbitrary input and
+// that any graph it accepts is structurally valid. Seeds: a valid file,
+// checksum forgeries of it, the retired formats (which must be rejected by
+// their magic), magic-only stubs and junk.
 func FuzzRead(f *testing.F) {
-	// Seed with valid files of both formats, truncations and junk.
 	g := graph.New(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 0}})
-	for _, format := range []Format{FormatCGR1, FormatCGR2, FormatCGR3} {
-		var buf bytes.Buffer
-		if err := WriteFormat(&buf, g, format); err != nil {
-			f.Fatal(err)
-		}
-		valid := buf.Bytes()
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
-		if format == FormatCGR3 {
-			// Checksum forgeries: payload flip, trailer flip, footer cut.
-			for _, off := range []int{6, len(valid) - 20, len(valid) - 2} {
-				forged := bytes.Clone(valid)
-				forged[off] ^= 1
-				f.Add(forged)
-			}
-			f.Add(valid[:len(valid)-footerLen])
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	// Checksum forgeries: payload flip, trailer flip, footer cut.
+	for _, off := range []int{6, len(valid) - 20, len(valid) - 2} {
+		forged := bytes.Clone(valid)
+		forged[off] ^= 1
+		f.Add(forged)
+	}
+	f.Add(valid[:len(valid)-footerLen])
+	for _, lf := range legacyFixtures(f) {
+		if !lf.result {
+			f.Add(lf.data)
 		}
 	}
 	f.Add([]byte("CGR1"))
@@ -51,55 +54,57 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadCGR2 drives the v2 decoder specifically: its seeds forge the
-// failure shapes unique to the run/interval layout - run lengths past the
-// declared edge count, interval counts past the run remainder, truncated
-// interval tokens, overflowing varints in the packed header - so mutation
-// starts from the interesting corners rather than random bytes.
+// FuzzReadCGR2 drives the run/interval body decoder (the encoding CGR3
+// inherited from CGR2) directly. The fuzzed bytes are the header and body
+// after the magic; the target puts the magic in front and seals the result
+// under a valid trailer before Read, so mutation is never stopped by a
+// checksum and always reaches the decoder. Its seeds forge the failure
+// shapes unique to the run/interval layout - run lengths past the declared
+// edge count, interval counts past the run remainder, out-of-range sources
+// and targets, truncated interval tokens, overflowing varints in the
+// packed header - so mutation starts from the interesting corners rather
+// than random bytes.
 func FuzzReadCGR2(f *testing.F) {
-	// A valid file with runs, an interval and residuals.
+	// A valid body with runs, an interval and residuals.
 	g := graph.New(16, []graph.Edge{
 		{Src: 2, Dst: 3}, {Src: 2, Dst: 4}, {Src: 2, Dst: 5}, // interval
 		{Src: 2, Dst: 1}, // residual, negative gap
 		{Src: 5, Dst: 5}, // new run, self-loop
 	})
 	var buf bytes.Buffer
-	if err := WriteFormat(&buf, g, FormatCGR2); err != nil {
+	if err := Write(&buf, g); err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
+	body := payloadOf(f, buf.Bytes())[len(magic3):]
+	f.Add(body)
 	for cut := 1; cut < 6; cut++ { // truncations inside tokens
-		f.Add(valid[:len(valid)-cut])
+		f.Add(body[:len(body)-cut])
 	}
-	f.Add(header2(4, 1<<60))                                        // forged edge count
-	f.Add(header2(1<<40, 0))                                        // forged vertex count
-	f.Add(append(header2(4, 2), byte(2<<4|2)))                      // run past edge count
-	f.Add(append(header2(8, 2), []byte{1<<4 | 1, 3, 0, 2}...))      // interval past run
-	f.Add(append(header2(4, 1), 0x80))                              // truncated varint
-	f.Add(append(header2(4, 1), bytes.Repeat([]byte{0x80}, 11)...)) // varint overflow
-	f.Add(append(header2(8, 2), []byte{1<<4 | 1, 0, 0}...))         // zero interval
-	// Checksum-forgery seeds: the same body under the checksummed magic,
-	// with the trailer variously missing, misdeclared or flipped.
-	var b3 bytes.Buffer
-	if err := WriteFormat(&b3, g, FormatCGR3); err != nil {
-		f.Fatal(err)
-	}
-	v3 := b3.Bytes()
-	f.Add(v3)
-	f.Add(append(bytes.Clone(valid[:0]), append([]byte("CGR3"), valid[4:]...)...)) // CGR2 body, no trailer
-	for _, off := range []int{5, len(v3) - footerLen + 2, len(v3) - 10} {
-		forged := bytes.Clone(v3)
-		forged[off] ^= 0x40
-		f.Add(forged)
-	}
+	h := func(nv, ne uint64) []byte { return header(nv, ne)[len(magic3):] }
+	f.Add(h(4, 1<<60))                                                // forged edge count
+	f.Add(h(1<<40, 0))                                                // forged vertex count
+	f.Add(append(h(4, 2), byte(2<<4|2)))                              // run past edge count
+	f.Add(append(h(8, 2), []byte{1<<4 | 1, 3, 0, 2}...))              // interval past run
+	f.Add(append(h(4, 1), 0x80))                                      // truncated varint
+	f.Add(append(h(4, 1), bytes.Repeat([]byte{0x80}, 11)...))         // varint overflow
+	f.Add(append(h(8, 2), []byte{1<<4 | 1, 0, 0}...))                 // zero interval
+	f.Add(h(4, 2))                                                    // body missing
+	f.Add(append(h(4, 1), uvarints(zigzag(-3)<<4, zigzag(3)+1)...))   // run source below 0, target in range
+	f.Add(append(h(4, 1), uvarints(zigzag(10)<<4, zigzag(-10)+1)...)) // run source past nv, target in range
+	f.Add(append(h(4, 1), uvarints(zigzag(0)<<4, zigzag(100)+1)...))  // target past nv
+	f.Add(append(h(3, 1), uvarints(zigzag(2)<<4, 0, 1)...))           // interval past nv
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
+		payload := append(append([]byte{}, magic3[:]...), data...)
+		got, err := Read(bytes.NewReader(seal(t, payload)))
+		var ce *CorruptError
+		if errors.As(err, &ce) || errors.Is(err, ErrBadMagic) {
+			t.Fatalf("sealed payload rejected before the decoder: %v", err)
+		}
 		if err != nil {
 			return
 		}
 		if err := got.Validate(); err != nil {
-			t.Fatalf("CGR2 decoder accepted invalid graph: %v", err)
+			t.Fatalf("body decoder accepted invalid graph: %v", err)
 		}
 	})
 }
@@ -128,13 +133,10 @@ func FuzzReadResult(f *testing.F) {
 		f.Add(valid)
 		f.Add(valid[:len(valid)-1])
 		f.Add(valid[:len(valid)/2])
-		// The legacy CPR1 framing of the same result, and checksum
-		// forgeries of the CPR2 file: payload flip, trailer flip, footer cut.
-		var legacy bytes.Buffer
-		if err := writeResultPayload(&legacy, r, resultMagic); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(legacy.Bytes())
+		// The retired CPR1 framing of the same result (the payload under
+		// the CPR1 magic, no trailer), which must be rejected, and checksum
+		// forgeries of the file: payload flip, trailer flip, footer cut.
+		f.Add(append([]byte("CPR1"), payloadOf(f, valid)[4:]...))
 		for _, off := range []int{5, len(valid) - footerLen + 1, len(valid) - 3} {
 			forged := bytes.Clone(valid)
 			forged[off] ^= 1
@@ -171,31 +173,39 @@ func FuzzReadResult(f *testing.F) {
 	})
 }
 
-// FuzzSourcesAgree is differential: the sequential Reader, the seek-based
-// FileSource and the mmap-backed MmapSource decode the same bytes through
-// different cursors (stream window, pread window, mapped slice), so on any
-// input all three must agree - same accept/reject decision, same edges.
-// One backend accepting what another rejects would let a corrupt file
-// produce different streams depending on how it was opened.
+// FuzzSourcesAgree is differential: the sequential Reader, the mmap-backed
+// MmapSource (mapped and in its read-at fallback) and ReaderAtSource decode
+// the same bytes through different cursors (buffered slice, mapped slice,
+// pread windows), so on any input all four must agree - same accept/reject
+// decision, same edges. One source accepting what another rejects would
+// let a corrupt file produce different streams depending on how it was
+// opened.
 func FuzzSourcesAgree(f *testing.F) {
 	g := graph.New(6, []graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 4, Dst: 0},
 	})
-	for _, format := range []Format{FormatCGR1, FormatCGR2, FormatCGR3} {
-		var buf bytes.Buffer
-		if err := WriteFormat(&buf, g, format); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()-2])
-		if format == FormatCGR3 {
-			forged := bytes.Clone(buf.Bytes())
-			forged[7] ^= 1 // payload flip under an intact trailer
-			f.Add(forged)
-		}
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		f.Fatal(err)
 	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-2])
+	forged := bytes.Clone(valid)
+	forged[7] ^= 1 // payload flip under an intact trailer
+	f.Add(forged)
 	f.Add([]byte("CGR2junk"))
 	f.Add([]byte("CGR3junk"))
+	for _, lf := range legacyFixtures(f) {
+		if !lf.result && strings.HasSuffix(lf.name, " sealed") {
+			f.Add(lf.data) // retired magic under a valid trailer
+		}
+	}
+	// Decoder-level rejections under a valid trailer: a truncated body and
+	// a run past the declared edge count.
+	payload := payloadOf(f, valid)
+	f.Add(seal(f, payload[:len(payload)-1]))
+	f.Add(seal(f, append(header(4, 2), byte(2<<4|2))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fromReader, readerErr := Read(bytes.NewReader(data))
 
@@ -203,45 +213,44 @@ func FuzzSourcesAgree(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip(err)
 		}
-		collectFile := func(open func(string) (File, error)) ([]graph.Edge, error) {
-			src, err := open(path)
-			if err != nil {
-				return nil, err
+		names := []string{"reader"}
+		streams := [][]graph.Edge{nil}
+		errs := []error{readerErr}
+		if readerErr == nil {
+			streams[0] = fromReader.Edges
+		}
+		for _, bc := range backendCases() {
+			var edges []graph.Edge
+			src, err := bc.open(path)
+			if err == nil {
+				edges, err = stream.Collect(src)
+				src.Close()
 			}
-			defer src.Close()
-			return stream.Collect(src)
+			names = append(names, bc.name)
+			streams = append(streams, edges)
+			errs = append(errs, err)
 		}
-		fromFile, fileErr := collectFile(func(p string) (File, error) { return Open(p) })
-		fromMmap, mmapErr := collectFile(func(p string) (File, error) { return OpenMmap(p) })
-		fromRA, raErr := collectFile(func(p string) (File, error) {
-			return OpenReaderAt(byteReaderAt(data), int64(len(data)), p)
-		})
-
-		if (readerErr == nil) != (fileErr == nil) || (readerErr == nil) != (mmapErr == nil) ||
-			(readerErr == nil) != (raErr == nil) {
-			t.Fatalf("backends disagree on acceptance: reader=%v file=%v mmap=%v readerat=%v",
-				readerErr, fileErr, mmapErr, raErr)
-		}
-		if readerErr != nil {
-			return
-		}
-		if len(fromFile) != len(fromReader.Edges) || len(fromMmap) != len(fromReader.Edges) ||
-			len(fromRA) != len(fromReader.Edges) {
-			t.Fatalf("edge counts disagree: reader=%d file=%d mmap=%d readerat=%d",
-				len(fromReader.Edges), len(fromFile), len(fromMmap), len(fromRA))
-		}
-		for i := range fromReader.Edges {
-			if fromFile[i] != fromReader.Edges[i] || fromMmap[i] != fromReader.Edges[i] ||
-				fromRA[i] != fromReader.Edges[i] {
-				t.Fatalf("edge %d disagrees: reader=%v file=%v mmap=%v readerat=%v",
-					i, fromReader.Edges[i], fromFile[i], fromMmap[i], fromRA[i])
+		for i := 1; i < len(names); i++ {
+			if (errs[i] == nil) != (readerErr == nil) {
+				t.Fatalf("sources disagree on acceptance: %s=%v %s=%v", names[0], readerErr, names[i], errs[i])
+			}
+			if readerErr != nil {
+				continue
+			}
+			if len(streams[i]) != len(streams[0]) {
+				t.Fatalf("edge counts disagree: %s=%d %s=%d", names[0], len(streams[0]), names[i], len(streams[i]))
+			}
+			for j := range streams[0] {
+				if streams[i][j] != streams[0][j] {
+					t.Fatalf("edge %d disagrees: %s=%v %s=%v", j, names[0], streams[0][j], names[i], streams[i][j])
+				}
 			}
 		}
 	})
 }
 
-// FuzzReadCGR3 drives the checksummed graph path end to end on disk: Open,
-// stream, Verify. Nothing may panic, and the integrity contract must hold -
+// FuzzReadCGR3 drives the checksummed graph path end to end: open, stream,
+// Verify. Nothing may panic, and the integrity contract must hold -
 // a CGR3 stream that completes successfully has proven every payload block,
 // so Verify on the same source must also succeed.
 func FuzzReadCGR3(f *testing.F) {
@@ -249,7 +258,7 @@ func FuzzReadCGR3(f *testing.F) {
 		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 5, Dst: 4},
 	})
 	var buf bytes.Buffer
-	if err := WriteFormat(&buf, g, FormatCGR3); err != nil {
+	if err := Write(&buf, g); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -268,7 +277,7 @@ func FuzzReadCGR3(f *testing.F) {
 		}
 		defer src.Close()
 		_, collectErr := stream.Collect(src)
-		if collectErr == nil && src.Format() == FormatCGR3 {
+		if collectErr == nil {
 			if err := src.Verify(); err != nil {
 				t.Fatalf("stream completed but Verify fails: %v", err)
 			}

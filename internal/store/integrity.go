@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,11 +10,11 @@ import (
 	"sync/atomic"
 )
 
-// Integrity trailer shared by the checksummed formats (CGR3 graphs, CPR2
-// results). The payload - everything a pre-integrity reader would call the
-// file, magic included - is divided into fixed-size blocks and each block's
-// CRC32C recorded in a trailer after the payload, discoverable without
-// decoding anything via a fixed-size footer at EOF:
+// Integrity trailer shared by every on-disk format (CGR3 graphs, CPR2
+// results, CPK1 checkpoints). The payload - magic, header and body - is
+// divided into fixed-size blocks and each block's CRC32C recorded in a
+// trailer after the payload, discoverable without decoding anything via a
+// fixed-size footer at EOF:
 //
 //	payload:  bytes [0, payloadLen) - magic | header | body
 //	trailer:  magic "CKS1" | uvarint blockSize | uvarint nblocks |
@@ -51,11 +50,6 @@ const footerLen = 16
 
 // castagnoli is the CRC32C polynomial table every checksum here uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrNoChecksums reports a Verify call on a file in a pre-integrity format
-// (CGR1, CGR2, CPR1): the file is not corrupt, it just carries nothing to
-// verify against.
-var ErrNoChecksums = errors.New("store: file carries no checksums (pre-integrity format)")
 
 // CorruptError reports detected corruption: a payload block whose bytes no
 // longer match their recorded CRC32C, or a damaged trailer/footer. Block is
@@ -254,9 +248,9 @@ func (g *integrity) verifyAll(r io.ReaderAt) error {
 	return nil
 }
 
-// verifyAllBytes parses the trailer of a complete checksummed file held in
-// memory, proves every payload block eagerly, and returns the payload slice.
-// This is the sequential-reader path (NewReader, ReadResult): an io.Reader
+// verifyAllBytes parses the trailer of a complete file held in memory,
+// proves every payload block eagerly, and returns the payload slice. This
+// is the sequential-reader path (NewReader, ReadResult): an io.Reader
 // cannot seek to the footer, so the bytes are already buffered and the
 // verification order is simply eager.
 func verifyAllBytes(data []byte, path string) ([]byte, error) {
@@ -348,15 +342,12 @@ func (cw *crcWriter) writeTrailer() error {
 	return err
 }
 
-// VerifyInfo describes what VerifyFile found: the detected on-disk kind and,
-// for checksummed formats, the verified geometry.
+// VerifyInfo describes what VerifyFile found: the detected on-disk kind and
+// the verified geometry.
 type VerifyInfo struct {
-	// Kind is the magic name: CGR1/CGR2/CGR3 for graphs, CPR1/CPR2 for
-	// saved results, CPK1 for checkpoints.
+	// Kind is the magic name: CGR3 for graphs, CPR2 for saved results, CPK1
+	// for checkpoints.
 	Kind string
-	// Checksummed reports whether the format carries an integrity trailer;
-	// when false there was nothing to verify and the scan is a no-op.
-	Checksummed bool
 	// Blocks is the number of payload checksum blocks proven.
 	Blocks int
 	// PayloadBytes and SizeBytes split the file into covered payload and
@@ -365,11 +356,10 @@ type VerifyInfo struct {
 	SizeBytes    int64
 }
 
-// VerifyFile checksum-scans path: it identifies the format from the magic,
-// and for checksummed formats (CGR3, CPR2) proves every payload block in
-// order, so a corruption report (*CorruptError) names the first corrupt
-// block. Pre-integrity formats return Checksummed=false and a nil error -
-// they are not corrupt, just unprotected. This is graphstat -verify.
+// VerifyFile checksum-scans path: it identifies the format from the magic
+// (CGR3, CPR2 or CPK1; anything else is ErrBadMagic) and proves every
+// payload block in order, so a corruption report (*CorruptError) names the
+// first corrupt block. This is graphstat -verify.
 func VerifyFile(path string) (VerifyInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -386,12 +376,8 @@ func VerifyFile(path string) (VerifyInfo, error) {
 		return info, fmt.Errorf("store: %s: reading magic: %w", path, err)
 	}
 	switch m {
-	case magic, magic2, resultMagic:
-		info.Kind = string(m[:])
-		return info, nil
 	case magic3, resultMagic2, checkpointMagic:
 		info.Kind = string(m[:])
-		info.Checksummed = true
 	default:
 		return info, ErrBadMagic
 	}

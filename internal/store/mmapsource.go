@@ -41,7 +41,7 @@ func (m *mapping) release() error {
 }
 
 // cursor returns a fresh decode cursor over the first limit bytes of the
-// mapping (the checksummed payload, or the whole file): the mapped bytes
+// mapping (the checksummed payload): the mapped bytes
 // directly (zero-copy; every seek is a pointer rewind) or, in fallback
 // mode, a private read window over the shared handle via pread.
 func (m *mapping) cursor(limit int64) cursor {
@@ -52,7 +52,7 @@ func (m *mapping) cursor(limit int64) cursor {
 }
 
 // ReadAt serves raw file bytes from the mapping (or the shared handle in
-// fallback mode) - the verification reader of checksummed files.
+// fallback mode) - the verification reader of the integrity checks.
 func (m *mapping) ReadAt(p []byte, off int64) (int, error) {
 	if m.data == nil {
 		return m.f.ReadAt(p, off)
@@ -67,7 +67,7 @@ func (m *mapping) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// MmapSource streams a CGR file (either format) as a stream.Source by
+// MmapSource streams a CGR3 file as a stream.Source by
 // mapping it once and decoding straight from the mapped bytes: no read
 // syscalls on the hot path, no per-handle buffers, and the OS page cache
 // serves repeat passes - Reset is a pointer rewind, so multi-pass
@@ -93,10 +93,12 @@ type MmapSource struct {
 	root *MmapSource
 }
 
-// OpenMmap opens path (a file written by Write or WriteFormat, either
-// format) as an mmap-backed source. Mapping failure is not an error: the
-// source transparently falls back to read-at mode, so OpenMmap only fails
-// when the file itself cannot be opened or is not a valid CGR file.
+// OpenMmap opens path (a file written by Write or WriteFormat) as an
+// mmap-backed source. The magic, header and integrity trailer are
+// validated eagerly; payload blocks verify lazily as edges decode. Mapping
+// failure is not an error: the source transparently falls back to read-at
+// mode, so OpenMmap only fails when the file itself cannot be opened or is
+// not a valid CGR3 file.
 func OpenMmap(path string) (*MmapSource, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -6,9 +6,9 @@ import (
 	"repro/internal/stream"
 )
 
-// ReaderAtSource streams a CGR file of any format from an arbitrary
-// io.ReaderAt: the same decode core, checkpoint index, segmenting and lazy
-// integrity verification as the file-backed sources, over bytes the caller
+// ReaderAtSource streams a CGR3 file from an arbitrary io.ReaderAt: the
+// same decode core, checkpoint index, segmenting and lazy integrity
+// verification as MmapSource, over bytes the caller
 // provides. This is the seam the fault-injection harness (internal/faultfs)
 // plugs into - an injecting ReaderAt slides under the unchanged File
 // interface, so every conformance and bit-equivalence matrix can run with
@@ -26,8 +26,8 @@ type ReaderAtSource struct {
 }
 
 // OpenReaderAt opens the first size bytes of r as a graph source. name is
-// used in error messages and Path only. Checksummed (CGR3) inputs get the
-// same eager trailer validation and lazy payload verification as Open.
+// used in error messages and Path only. The input gets the same eager
+// trailer validation and lazy payload verification as OpenMmap.
 func OpenReaderAt(r io.ReaderAt, size int64, name string) (*ReaderAtSource, error) {
 	s := &ReaderAtSource{r: r}
 	s.path, s.size = name, size

@@ -47,29 +47,24 @@ const (
 )
 
 // ErrBadResultMagic reports that the input is not a result file.
-var ErrBadResultMagic = errors.New("store: bad magic (not a CPR1/CPR2 result file)")
+var ErrBadResultMagic = errors.New("store: bad magic (not a CPR2 result file)")
 
-// resultMagic tags pre-integrity result files ("CPR" for Compressed
-// Partition Result); resultMagic2 tags checksummed ones, whose body is
-// bit-for-bit the CPR1 body followed by the shared integrity trailer
-// (see integrity.go). WriteResult emits CPR2; ReadResult accepts both.
-var (
-	resultMagic  = [4]byte{'C', 'P', 'R', '1'}
-	resultMagic2 = [4]byte{'C', 'P', 'R', '2'}
-)
+// resultMagic2 tags result files ("CPR" for Compressed Partition Result);
+// the body is followed by the shared integrity trailer (see integrity.go).
+var resultMagic2 = [4]byte{'C', 'P', 'R', '2'}
 
-// SniffResultHeader reports whether head (at least 4 bytes) carries either
+// SniffResultHeader reports whether head (at least 4 bytes) carries the
 // result-file magic.
 func SniffResultHeader(head []byte) bool {
-	return len(head) >= 4 && ([4]byte(head[:4]) == resultMagic || [4]byte(head[:4]) == resultMagic2)
+	return len(head) >= 4 && [4]byte(head[:4]) == resultMagic2
 }
 
 // Verify re-checks the result's internal consistency - geometry, size sums,
 // replica-table agreement - the same invariants ReadResult enforces while
-// decoding. The on-disk checksums of a CPR2 file are proven during
-// ReadResult itself (the trailer and every payload block, before any field
-// is decoded), so a successfully decoded Result is already bit-certified;
-// Verify guards results assembled or mutated in memory.
+// decoding. The on-disk checksums are proven during ReadResult itself (the
+// trailer and every payload block, before any field is decoded), so a
+// successfully decoded Result is already bit-certified; Verify guards
+// results assembled or mutated in memory.
 func (r *Result) Verify() error {
 	return validateResult(r)
 }
@@ -84,24 +79,23 @@ func (r *Result) Verify() error {
 // All integers are unsigned varints; replica words compress well because
 // only the low bits (small partition ids) are typically set. Encoding is
 // canonical - WriteResult(ReadResult(f)) reproduces f bit for bit - which
-// FuzzReadResult holds as the round-trip invariant (per format version:
-// decoding a legacy CPR1 file and re-encoding upgrades it to CPR2).
+// FuzzReadResult holds as the round-trip invariant.
 func WriteResult(w io.Writer, r *Result) error {
 	if err := validateResult(r); err != nil {
 		return err
 	}
 	cw := newCRCWriter(w)
-	if err := writeResultPayload(cw, r, resultMagic2); err != nil {
+	if err := writeResultPayload(cw, r); err != nil {
 		return err
 	}
 	return cw.writeTrailer()
 }
 
 // writeResultPayload emits magic, header and body - the checksummed span of
-// a CPR2 file. Tests write legacy fixtures by passing resultMagic directly.
-func writeResultPayload(w io.Writer, r *Result, m [4]byte) error {
+// a CPR2 file.
+func writeResultPayload(w io.Writer, r *Result) error {
 	vw := &varintWriter{bw: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := vw.bw.Write(m[:]); err != nil {
+	if _, err := vw.bw.Write(resultMagic2[:]); err != nil {
 		return err
 	}
 	for _, x := range []uint64{uint64(r.NumVertices), uint64(r.NumEdges), uint64(r.K)} {
@@ -174,38 +168,33 @@ func validateResult(r *Result) error {
 // all reject. The allocation for the replica table grows incrementally under
 // a cap, so an adversarial header cannot force a giant up-front allocation.
 //
-// Both format versions are accepted. A checksummed CPR2 file is buffered
-// and its trailer and every payload block proven before any field is
-// decoded, so a corrupt result can never be mistaken for a valid one;
-// legacy CPR1 files decode with structural validation only.
+// The file is buffered and its trailer and every payload block proven
+// before any field is decoded, so a corrupt result can never be mistaken
+// for a valid one.
 func ReadResult(rd io.Reader) (*Result, error) {
 	br := bufio.NewReaderSize(rd, 1<<16)
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("store: reading result magic: %w", err)
 	}
-	switch m {
-	case resultMagic:
-		return readResultBody(br)
-	case resultMagic2:
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("store: buffering checksummed result: %w", err)
-		}
-		data := make([]byte, 0, 4+len(rest))
-		data = append(append(data, m[:]...), rest...)
-		payload, err := verifyAllBytes(data, "result")
-		if err != nil {
-			return nil, err
-		}
-		return readResultBody(bufio.NewReader(bytes.NewReader(payload[4:])))
+	if m != resultMagic2 {
+		return nil, ErrBadResultMagic
 	}
-	return nil, ErrBadResultMagic
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("store: buffering result: %w", err)
+	}
+	data := make([]byte, 0, 4+len(rest))
+	data = append(append(data, m[:]...), rest...)
+	payload, err := verifyAllBytes(data, "result")
+	if err != nil {
+		return nil, err
+	}
+	return readResultBody(bufio.NewReader(bytes.NewReader(payload[4:])))
 }
 
 // readResultBody decodes everything after the magic; the reader must end
-// exactly where the body does (EOF for CPR1 files, the payload bound for
-// CPR2).
+// exactly where the payload does.
 func readResultBody(br *bufio.Reader) (*Result, error) {
 	nv, err := binary.ReadUvarint(br)
 	if err != nil {

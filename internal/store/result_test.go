@@ -120,16 +120,19 @@ func TestResultRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestResultRejectsForgedHeaders: forged counts are rejected by the body
+// decoder's own guards - each header is sealed under a valid trailer, so
+// the integrity layer passes it through.
 func TestResultRejectsForgedHeaders(t *testing.T) {
 	forge := func(nv, ne, k uint64) []byte {
 		var buf bytes.Buffer
-		buf.Write(resultMagic[:])
+		buf.Write(resultMagic2[:])
 		for _, x := range []uint64{nv, ne, k} {
 			var tmp [10]byte
 			n := putUvarintTmp(tmp[:], x)
 			buf.Write(tmp[:n])
 		}
-		return buf.Bytes()
+		return seal(t, buf.Bytes())
 	}
 	cases := []struct {
 		name string
@@ -141,9 +144,8 @@ func TestResultRejectsForgedHeaders(t *testing.T) {
 		{"k overflow", forge(4, 1, maxResultK+1)},
 	}
 	for _, tc := range cases {
-		if _, err := ReadResult(bytes.NewReader(tc.data)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
+		_, err := ReadResult(bytes.NewReader(tc.data))
+		wantDecodeError(t, tc.name, err)
 	}
 }
 
@@ -186,7 +188,7 @@ func TestSniffResultHeader(t *testing.T) {
 	if !SniffResultHeader(valid) {
 		t.Fatal("SniffResultHeader rejected a valid file")
 	}
-	for _, bad := range [][]byte{nil, []byte("CGR1xxxx"), []byte("CPR"), []byte("cpr1....")} {
+	for _, bad := range [][]byte{nil, []byte("CGR3xxxx"), []byte("CPR"), []byte("CPR1...."), []byte("cpr2....")} {
 		if SniffResultHeader(bad) {
 			t.Fatalf("SniffResultHeader accepted %q", bad)
 		}

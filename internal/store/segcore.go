@@ -10,7 +10,7 @@ import (
 	"repro/internal/stream"
 )
 
-// segCore is the streaming state machine shared by both file backends:
+// segCore is the streaming state machine shared by both sources:
 // the cursor-positioned decoder, the [lo,hi) segment window, the captured
 // resume point that makes Reset a seek, and the lazily built checkpoint
 // index segments are opened through. Backends differ only in how cursors
@@ -34,10 +34,10 @@ type segCore struct {
 	pos int // global index of the next edge to decode
 	buf *[]graph.Edge
 
-	// Integrity state of a checksummed (CGR3) file: integ is the parsed
-	// trailer plus the verified-block bitmap, shared by the root and every
-	// segment so each block is proven once; raw is this handle's own raw
-	// byte access for verification reads. Both are nil for CGR1/CGR2.
+	// Integrity state: integ is the parsed trailer plus the verified-block
+	// bitmap, shared by the root and every segment so each block is proven
+	// once; raw is this handle's own raw byte access for verification
+	// reads.
 	integ *integrity
 	raw   io.ReaderAt
 
@@ -63,20 +63,19 @@ type checkpoint struct {
 	st  decState
 }
 
-// initIntegrity sniffs the magic through r and, when the file is in a
-// checksummed format, eagerly parses and validates the integrity trailer
-// (footer magic, trailer CRC, block geometry); the payload blocks verify
-// lazily on the decode path. r becomes the handle's verification reader.
-// Must run before the decode cursor is built: the cursor's byte bound
-// (payLimit) depends on whether a trailer exists. A file too short for a
-// magic is left for initHeader to reject.
+// initIntegrity checks the magic through r, then eagerly parses and
+// validates the integrity trailer (footer magic, trailer CRC, block
+// geometry); the payload blocks verify lazily on the decode path. r becomes
+// the handle's verification reader. Must run before the decode cursor is
+// built: the cursor's byte bound is the payload length the trailer
+// records.
 func (s *segCore) initIntegrity(r io.ReaderAt) error {
 	var head [4]byte
 	if err := readFullAt(r, head[:], 0); err != nil {
-		return nil
+		return fmt.Errorf("store: %s: reading magic: %w", s.path, err)
 	}
 	if head != magic3 {
-		return nil
+		return fmt.Errorf("store: %s: %w", s.path, ErrBadMagic)
 	}
 	g, err := parseTrailer(r, s.size, s.path)
 	if err != nil {
@@ -89,11 +88,10 @@ func (s *segCore) initIntegrity(r io.ReaderAt) error {
 // initHeader reads and validates the header through the core's cursor and
 // primes the root state (full range, first checkpoint).
 func (s *segCore) initHeader() error {
-	format, nv, ne, err := readHeader(&s.dec.cur)
+	nv, ne, err := readHeader(&s.dec.cur)
 	if err != nil {
 		return fmt.Errorf("store: %s: %w", s.path, err)
 	}
-	s.dec.format = format
 	s.dec.nv = int64(nv)
 	s.dec.ne = int64(ne)
 	s.nv, s.ne = nv, ne
@@ -104,25 +102,15 @@ func (s *segCore) initHeader() error {
 }
 
 // payLimit is the byte bound decode cursors run under: the checksummed
-// payload for CGR3 (the trailer must never enter a decode window), the
-// whole file otherwise.
-func (s *segCore) payLimit() int64 {
-	if s.integ != nil {
-		return s.integ.payloadLen
-	}
-	return s.size
-}
+// payload (the trailer must never enter a decode window).
+func (s *segCore) payLimit() int64 { return s.integ.payloadLen }
 
-// Verify proves every payload block of a checksummed file against its
-// recorded CRC32C, in order, reporting the first corrupt block. Files in
-// pre-integrity formats return ErrNoChecksums. Blocks already proven by
-// the lazy decode path are not re-read.
+// Verify proves every payload block against its recorded CRC32C, in order,
+// reporting the first corrupt block. Blocks already proven by the lazy
+// decode path are not re-read.
 func (s *segCore) Verify() error {
 	if s.closed {
 		return fmt.Errorf("store: %s: %w", s.path, os.ErrClosed)
-	}
-	if s.integ == nil {
-		return ErrNoChecksums
 	}
 	return s.integ.verifyAll(s.raw)
 }
@@ -137,7 +125,7 @@ func (s *segCore) Len() int { return s.hi - s.lo }
 func (s *segCore) Path() string { return s.path }
 
 // Format returns the on-disk encoding.
-func (s *segCore) Format() Format { return s.dec.format }
+func (s *segCore) Format() Format { return FormatCGR3 }
 
 // SizeBytes returns the on-disk file size.
 func (s *segCore) SizeBytes() int64 { return s.size }
@@ -155,14 +143,14 @@ func (s *segCore) Reset() error {
 }
 
 // NextBlock implements stream.Source, decoding up to stream.BlockLen edges
-// into a pooled buffer. On a checksummed file the byte range the block
-// decoded from is proven against its CRCs before the block is returned, and
-// a stream that ends at the file's last edge proves every remaining block
-// at EOF - so completing the stream certifies the whole payload, and no
-// block built from corrupt bytes is ever handed out.
+// into a pooled buffer. The byte range the block decoded from is proven
+// against its CRCs before the block is returned, and a stream that ends at
+// the file's last edge proves every remaining block at EOF - so completing
+// the stream certifies the whole payload, and no block built from corrupt
+// bytes is ever handed out.
 func (s *segCore) NextBlock() ([]graph.Edge, error) {
 	if s.pos >= s.hi {
-		if s.integ != nil && s.hi == s.ne && !s.closed {
+		if s.hi == s.ne && !s.closed {
 			if err := s.integ.verifyAll(s.raw); err != nil {
 				return nil, err
 			}
@@ -188,10 +176,8 @@ func (s *segCore) NextBlock() ([]graph.Edge, error) {
 		}
 		buf[j] = e
 	}
-	if s.integ != nil {
-		if err := s.integ.verifyRange(s.raw, from, s.dec.cur.abs()); err != nil {
-			return nil, err
-		}
+	if err := s.integ.verifyRange(s.raw, from, s.dec.cur.abs()); err != nil {
+		return nil, err
 	}
 	s.pos += n
 	return buf[:n], nil
@@ -218,7 +204,7 @@ func (s *segCore) segmentWindow(root, seg *segCore, lo, hi int) error {
 	seg.nv, seg.ne = s.nv, s.ne
 	seg.lo, seg.hi = glo, ghi
 	seg.integ = s.integ
-	seg.dec.format, seg.dec.nv, seg.dec.ne = s.dec.format, s.dec.nv, s.dec.ne
+	seg.dec.nv, seg.dec.ne = s.dec.nv, s.dec.ne
 	seg.dec.seek(cp.off, cp.st)
 	// Roll forward from the checkpoint to the segment's first edge so Reset
 	// becomes a plain seek afterwards.
@@ -229,10 +215,8 @@ func (s *segCore) segmentWindow(root, seg *segCore, lo, hi int) error {
 	}
 	// The roll-forward fixed the segment's resume point from these bytes;
 	// prove them before any edge positioned by them is served.
-	if seg.integ != nil {
-		if err := seg.integ.verifyRange(seg.raw, cp.off, seg.dec.cur.abs()); err != nil {
-			return err
-		}
+	if err := seg.integ.verifyRange(seg.raw, cp.off, seg.dec.cur.abs()); err != nil {
+		return err
 	}
 	seg.startOff = seg.dec.cur.abs()
 	seg.startSt = seg.dec.st
@@ -270,7 +254,7 @@ func (s *segCore) extendIndexLocked(target int) error {
 	if cleanup != nil {
 		defer cleanup()
 	}
-	d := decoder{cur: cur, format: s.dec.format, nv: s.dec.nv, ne: s.dec.ne}
+	d := decoder{cur: cur, nv: s.dec.nv, ne: s.dec.ne}
 	last := s.idx[len(s.idx)-1]
 	d.seek(last.off, last.st)
 	for i := (len(s.idx) - 1) * indexStride; len(s.idx) <= target; i++ {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"io"
-	"os"
 	"sync"
 
 	"repro/internal/graph"
@@ -10,44 +9,27 @@ import (
 )
 
 // File is a compressed graph file opened as a replayable, segmentable edge
-// source. All backends satisfy it: FileSource (seek-based, one private
-// file handle per segment), MmapSource (one shared mapping, free
-// Reset/Segment) and ReaderAtSource (any io.ReaderAt - the seam the
-// fault-injection harness plugs into). Close releases the handle's
-// resources; segments are themselves Files and must be closed
-// independently.
+// source. Both sources satisfy it: MmapSource (one shared mapping, free
+// Reset/Segment, with a portable read-at fallback) and ReaderAtSource (any
+// io.ReaderAt - the seam the fault-injection harness plugs into). Close
+// releases the handle's resources; segments are themselves Files and must
+// be closed independently.
 type File interface {
 	stream.Segmenter
 	io.Closer
 	// Path returns the file the source streams from.
 	Path() string
-	// Format returns the on-disk encoding (CGR1, CGR2 or CGR3).
+	// Format returns the on-disk encoding (always CGR3).
 	Format() Format
 	// SizeBytes returns the file size - with Len, the on-disk bytes/edge.
 	SizeBytes() int64
-	// Verify proves a checksummed (CGR3) file's payload against its
-	// recorded block CRCs, reporting the first corrupt block as a
-	// *CorruptError; pre-integrity formats return ErrNoChecksums.
+	// Verify proves the file's payload against its recorded block CRCs,
+	// reporting the first corrupt block as a *CorruptError.
 	Verify() error
 }
 
-var _ File = (*FileSource)(nil)
 var _ File = (*MmapSource)(nil)
 var _ File = (*ReaderAtSource)(nil)
-
-// OpenAuto opens path with the fastest available backend: the mmap-backed
-// source, which itself falls back to portable read-at decoding where the
-// platform cannot map. This is what the facade's OpenCompressed uses;
-// callers that specifically want the seek-based backend use Open.
-func OpenAuto(path string) (File, error) {
-	m, err := OpenMmap(path)
-	if err != nil {
-		// Return an untyped nil: a nil *MmapSource boxed in the File
-		// interface would compare non-nil to callers.
-		return nil, err
-	}
-	return m, nil
-}
 
 // blockPool recycles the BlockLen decode buffers that every source handle
 // needs: segments are opened per shard per run, and a fresh 64 KiB block
@@ -59,102 +41,4 @@ var blockPool = sync.Pool{
 		b := make([]graph.Edge, stream.BlockLen)
 		return &b
 	},
-}
-
-// FileSource streams a CGR file as a stream.Source without ever holding the
-// edge list in memory: one pooled decode buffer of stream.BlockLen edges
-// plus one read window is the whole footprint. Reset seeks back to the
-// first edge, so multi-pass algorithms (the three CLUGP passes,
-// restreaming) replay the file instead of requiring a materialized graph.
-//
-// FileSource also implements stream.Segmenter: Segment(lo, hi) reopens the
-// file with its own handle and seeks to edge lo, so DistributedCLUGP can
-// shard one file across concurrent ingest nodes that never touch each
-// other's cursors. Because both formats are delta-encoded, seeking needs a
-// sparse checkpoint index (byte offset + decoder state every indexStride
-// edges); the index is built lazily by one sequential scan on the first
-// Segment call.
-//
-// A FileSource is not safe for concurrent use; concurrent consumers each
-// take their own Segment. Close releases the file handle (segments own
-// theirs).
-type FileSource struct {
-	segCore
-	f    *os.File
-	root *FileSource
-}
-
-// Open prepares path (a file written by Write or WriteFormat, either
-// format) for streaming. The header is validated eagerly; edges decode on
-// demand.
-func Open(path string) (*FileSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s := &FileSource{f: f}
-	s.path, s.size = path, fi.Size()
-	if err := s.initIntegrity(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	pay := s.payLimit()
-	s.dec.cur = readAtCursor(f, pay)
-	// Index scans read through a private handle, so they never perturb any
-	// streaming cursor and work even after the root is closed.
-	s.newScanCursor = func() (cursor, func(), error) {
-		sf, err := os.Open(path)
-		if err != nil {
-			return cursor{}, nil, err
-		}
-		return readAtCursor(sf, pay), func() { sf.Close() }, nil
-	}
-	if err := s.initHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// Segment implements stream.Segmenter: it reopens the file with its own
-// handle, seeks to the nearest checkpoint at or before edge lo (building
-// the checkpoint index on first use) and decodes forward to lo exactly.
-// lo and hi are relative to this source, so segments nest. The returned
-// source owns its file handle; Close it when done.
-func (s *FileSource) Segment(lo, hi int) (stream.Source, error) {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, err
-	}
-	root := s.rootSource()
-	seg := &FileSource{f: f, root: root}
-	seg.raw = f
-	seg.dec.cur = readAtCursor(f, s.payLimit())
-	if err := s.segmentWindow(&root.segCore, &seg.segCore, lo, hi); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return seg, nil
-}
-
-func (s *FileSource) rootSource() *FileSource {
-	if s.root != nil {
-		return s.root
-	}
-	return s
-}
-
-// Close releases the source's file handle and returns its decode buffer to
-// the pool, invalidating the last NextBlock's slice. Segments are
-// independent: each must be closed on its own. Close is idempotent.
-func (s *FileSource) Close() error {
-	if !s.markClosed() {
-		return nil
-	}
-	return s.f.Close()
 }

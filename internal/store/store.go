@@ -1,31 +1,27 @@
-// Package store implements compact binary graph formats playing the role
-// WebGraph's BV format plays for the paper's datasets: crawl-ordered edge
-// streams compress extremely well under gap encoding because consecutive
-// edges share sources and target nearby vertices.
+// Package store implements the compact binary graph format playing the
+// role WebGraph's BV format plays for the paper's datasets: crawl-ordered
+// edge streams compress extremely well under gap encoding because
+// consecutive edges share sources and target nearby vertices.
 //
-// Three self-describing formats (little-endian varints throughout):
+// The graph format, CGR3 (little-endian varints throughout):
 //
-//	CGR1:  magic "CGR1" | uvarint numVertices | uvarint numEdges |
-//	       per edge: zigzag(src - prevSrc) | zigzag(dst - src)
+//	magic "CGR3" | uvarint numVertices | uvarint numEdges |
+//	per same-source run: packed header
+//	(zigzag(srcGap-1)<<4 | min(runLen-1, 15), then uvarint(runLen-16)
+//	when the low nibble is 15), then per target: 0 + uvarint(count)
+//	for runs of consecutive ids, or zigzag(dst - prevDst) + 1 for
+//	residuals |
+//	CRC32C block-checksum trailer and footer (see integrity.go)
 //
-//	CGR2:  magic "CGR2" | uvarint numVertices | uvarint numEdges |
-//	       per same-source run: packed header
-//	       (zigzag(srcGap-1)<<4 | min(runLen-1, 15), then uvarint(runLen-16)
-//	       when the low nibble is 15), then per target: 0 + uvarint(count)
-//	       for runs of consecutive ids, or zigzag(dst - prevDst) + 1 for
-//	       residuals
-//
-//	CGR3:  the CGR2 encoding under magic "CGR3", followed by a CRC32C
-//	       block-checksum trailer and footer (see integrity.go): bit flips,
-//	       torn writes and truncation are detected instead of decoded
-//
-// On BFS-ordered web graphs CGR1 lands around 2.5 bytes/edge versus ~13 for
-// the text edge list; CGR2 cuts another 30-50% by amortizing repeated
-// sources over one run header and collapsing consecutive targets. Both
-// formats preserve edge order exactly - order is semantic for streaming
-// partitioners - and decode via streaming readers so graphs need not be
-// materialized to be re-streamed. For the out-of-core sources over these
-// files see FileSource (seek-based) and MmapSource (mapped).
+// On BFS-ordered web graphs it lands around 1.7 bytes/edge versus ~13 for
+// the text edge list, by amortizing repeated sources over one run header
+// and collapsing consecutive targets. Edge order is preserved exactly -
+// order is semantic for streaming partitioners - and the checksums turn
+// bit flips, torn writes and truncation into errors instead of wrong
+// edges. Saved results (CPR2, result.go) and checkpoints (CPK1,
+// checkpoint.go) share the same integrity trailer. The out-of-core sources
+// over these files are MmapSource (mapped, with a portable read-at
+// fallback) and ReaderAtSource (any io.ReaderAt).
 package store
 
 import (
@@ -37,53 +33,36 @@ import (
 	"repro/internal/graph"
 )
 
-// ErrBadMagic reports that the input is not in any of this package's
-// formats.
-var ErrBadMagic = errors.New("store: bad magic (not a CGR1/CGR2/CGR3 file)")
+// ErrBadMagic reports that the input is not a graph file.
+var ErrBadMagic = errors.New("store: bad magic (not a CGR3 graph file)")
 
-// Write encodes the graph to w in the original CGR1 format.
+// Write encodes the graph to w in the CGR3 format.
 func Write(w io.Writer, g *graph.Graph) error {
-	return WriteFormat(w, g, FormatCGR1)
+	return WriteFormat(w, g, FormatCGR3)
 }
 
-// WriteFormat encodes the graph to w in the chosen format. CGR3 payloads
-// are written through a checksumming writer and sealed with the integrity
-// trailer; the other formats are written as-is.
+// WriteFormat encodes the graph to w in the given format, which must be
+// FormatCGR3: the payload goes through a checksumming writer and is sealed
+// with the integrity trailer.
 func WriteFormat(w io.Writer, g *graph.Graph, f Format) error {
-	if f == FormatCGR3 {
-		cw := newCRCWriter(w)
-		if err := writeGraphPayload(cw, g, f); err != nil {
-			return err
-		}
-		return cw.writeTrailer()
-	}
-	return writeGraphPayload(w, g, f)
-}
-
-// writeGraphPayload emits magic, header and body - the checksummed span of
-// a CGR3 file, the whole file for CGR1/CGR2.
-func writeGraphPayload(w io.Writer, g *graph.Graph, f Format) error {
-	vw := &varintWriter{bw: bufio.NewWriterSize(w, 1<<16)}
-	if err := vw.writeHeader(f, g); err != nil {
-		return err
-	}
-	var err error
-	switch f {
-	case FormatCGR1:
-		err = encodeCGR1(vw, g.Edges)
-	case FormatCGR2, FormatCGR3:
-		err = encodeCGR2(vw, g.Edges)
-	default:
+	if f != FormatCGR3 {
 		return errors.New("store: unknown format " + f.String())
 	}
-	if err != nil {
+	cw := newCRCWriter(w)
+	vw := &varintWriter{bw: bufio.NewWriterSize(cw, 1<<16)}
+	if err := vw.writeHeader(g); err != nil {
 		return err
 	}
-	return vw.bw.Flush()
+	if err := encodeBody(vw, g.Edges); err != nil {
+		return err
+	}
+	if err := vw.bw.Flush(); err != nil {
+		return err
+	}
+	return cw.writeTrailer()
 }
 
-// Reader streams edges of either format from an encoded graph without
-// materializing them.
+// Reader streams edges from an encoded graph.
 type Reader struct {
 	dec         decoder
 	numVertices int
@@ -91,54 +70,39 @@ type Reader struct {
 	read        int
 }
 
-// NewReader validates the header and prepares streaming decode. The format
-// is detected from the magic; see Reader.Format. A checksummed file (CGR3)
-// cannot be verified lazily through a forward-only reader - the trailer
-// lives at EOF - so its bytes are buffered and every payload block proven
-// eagerly before the first edge decodes; the seekable sources (Open,
-// OpenMmap) verify lazily instead and are what the streaming path uses.
+// NewReader validates the header and prepares decode. The trailer lives at
+// EOF, out of reach of a forward-only reader, so the bytes are buffered and
+// every payload block proven before the first edge decodes; the seekable
+// sources (OpenMmap, OpenReaderAt) verify lazily instead and are what the
+// streaming path uses.
 func NewReader(r io.Reader) (*Reader, error) {
 	var m [4]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, fmt.Errorf("store: reading magic: %w", err)
 	}
-	format, ok := formatOfMagic(m)
-	if !ok {
+	if m != magic3 {
 		return nil, ErrBadMagic
 	}
-	sr := &Reader{}
-	if format == FormatCGR3 {
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("store: buffering checksummed stream: %w", err)
-		}
-		data := make([]byte, 0, 4+len(rest))
-		data = append(append(data, m[:]...), rest...)
-		payload, err := verifyAllBytes(data, "stream")
-		if err != nil {
-			return nil, err
-		}
-		sr.dec.cur = mappedCursor(payload)
-		sr.dec.cur.i = 4 // past the magic
-	} else {
-		sr.dec.cur = readerCursor(r)
-	}
-	nv, err := sr.dec.cur.uvarint()
+	rest, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("store: reading vertex count: %w", err)
+		return nil, fmt.Errorf("store: buffering graph stream: %w", err)
 	}
-	ne, err := sr.dec.cur.uvarint()
+	data := make([]byte, 0, 4+len(rest))
+	data = append(append(data, m[:]...), rest...)
+	payload, err := verifyAllBytes(data, "stream")
 	if err != nil {
-		return nil, fmt.Errorf("store: reading edge count: %w", err)
-	}
-	if err := checkCounts(nv, ne); err != nil {
 		return nil, err
 	}
-	sr.dec.format = format
+	sr := &Reader{}
+	sr.dec.cur = mappedCursor(payload)
+	nv, ne, err := readHeader(&sr.dec.cur)
+	if err != nil {
+		return nil, err
+	}
 	sr.dec.nv = int64(nv)
 	sr.dec.ne = int64(ne)
-	sr.numVertices = int(nv)
-	sr.numEdges = int(ne)
+	sr.numVertices = nv
+	sr.numEdges = ne
 	return sr, nil
 }
 
@@ -147,9 +111,6 @@ func (r *Reader) NumVertices() int { return r.numVertices }
 
 // NumEdges returns the declared edge count.
 func (r *Reader) NumEdges() int { return r.numEdges }
-
-// Format returns the detected on-disk format.
-func (r *Reader) Format() Format { return r.dec.format }
 
 // Next decodes the next edge. It returns io.EOF after the declared edge
 // count has been delivered.
@@ -165,7 +126,7 @@ func (r *Reader) Next() (graph.Edge, error) {
 	return e, nil
 }
 
-// Read decodes a whole graph of either format.
+// Read decodes a whole graph.
 func Read(r io.Reader) (*graph.Graph, error) {
 	sr, err := NewReader(r)
 	if err != nil {
@@ -193,8 +154,8 @@ func Read(r io.Reader) (*graph.Graph, error) {
 	return graph.New(sr.NumVertices(), edges), nil
 }
 
-// Sniff reports whether the reader's next bytes look like either of this
-// package's formats, without consuming them. The reader must support Peek
+// Sniff reports whether the reader's next bytes carry the graph-file magic,
+// without consuming them. The reader must support Peek
 // (bufio.Reader).
 func Sniff(br *bufio.Reader) bool {
 	head, err := br.Peek(4)

@@ -95,16 +95,20 @@ func TestBadInputs(t *testing.T) {
 	if _, err := Read(strings.NewReader("")); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	// Truncated body.
 	g := gen.Web(gen.WebConfig{N: 100, OutDegree: 4, Seed: 4})
 	var buf bytes.Buffer
 	if err := Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
+	// A torn file loses its trailer: the integrity layer rejects it.
+	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated input accepted")
 	}
+	// A truncated body under a valid trailer gets past the checksums and
+	// must be rejected by the decoder itself.
+	payload := payloadOf(t, buf.Bytes())
+	_, err := Read(bytes.NewReader(seal(t, payload[:len(payload)/2])))
+	wantDecodeError(t, "sealed truncated body", err)
 }
 
 func TestCorruptRangeRejected(t *testing.T) {
@@ -119,12 +123,12 @@ func TestCorruptRangeRejected(t *testing.T) {
 	if err := Write(&buf2, big); err != nil {
 		t.Fatal(err)
 	}
-	// Splice: header of the small graph with the body of the big one.
-	spliced := append([]byte{}, buf.Bytes()[:6]...) // magic + nv=2 + ne=1
-	spliced = append(spliced, buf2.Bytes()[8:]...)  // big graph's edge data
-	if _, err := Read(bytes.NewReader(spliced)); err == nil {
-		t.Fatal("out-of-range edge accepted")
-	}
+	// Splice: header of the small graph with the body of the big one,
+	// sealed so only the decoder's range guard can reject it.
+	spliced := append([]byte{}, payloadOf(t, buf.Bytes())[:6]...) // magic + nv=2 + ne=1
+	spliced = append(spliced, payloadOf(t, buf2.Bytes())[7:]...)  // magic + nv=1000 + ne=1, then the run
+	_, err := Read(bytes.NewReader(seal(t, spliced)))
+	wantDecodeError(t, "out-of-range edge", err)
 }
 
 func TestSniff(t *testing.T) {
@@ -204,9 +208,10 @@ func TestRoundTripAdversarial(t *testing.T) {
 	}
 }
 
-// header hand-crafts a CGR header with arbitrary declared counts.
+// header hand-crafts a graph payload header with arbitrary declared
+// counts; seal it (with any body) to get past the integrity checks.
 func header(nv, ne uint64) []byte {
-	buf := append([]byte{}, magic[:]...)
+	buf := append([]byte{}, magic3[:]...)
 	var tmp [binary.MaxVarintLen64]byte
 	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], nv)]...)
 	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], ne)]...)
@@ -217,54 +222,50 @@ func header(nv, ne uint64) []byte {
 // rejected (or fail cleanly at EOF) without sizing anything from it - the
 // declared count reaches make() before a single edge is decoded.
 func TestImplausibleHeaderRejected(t *testing.T) {
-	// Declared counts beyond any physical file: rejected at the header.
-	if _, err := Read(bytes.NewReader(header(4, 1<<60))); err == nil {
-		t.Fatal("2^60 declared edges accepted")
+	cases := map[string][]byte{
+		// Declared counts beyond any physical file: rejected at the header.
+		"2^60 declared edges":    header(4, 1<<60),
+		"2^40 declared vertices": header(1<<40, 0),
+		// Large-but-plausible count with no body: must fail at EOF, not OOM
+		// on the preallocation.
+		"truncated 2^40-edge body": header(4, 1<<40),
 	}
-	if _, err := Read(bytes.NewReader(header(1<<40, 0))); err == nil {
-		t.Fatal("2^40 declared vertices accepted")
+	for name, payload := range cases {
+		_, err := Read(bytes.NewReader(seal(t, payload)))
+		wantDecodeError(t, name, err)
 	}
-	// Large-but-plausible count with no body: must fail at EOF, not OOM on
-	// the preallocation.
-	if _, err := Read(bytes.NewReader(header(4, 1<<40))); err == nil {
-		t.Fatal("truncated 2^40-edge body accepted")
-	}
-	// The streaming source applies the same guards.
+	// The streaming source applies the same guards, mapped or not.
 	path := filepath.Join(t.TempDir(), "forged.cgr")
-	if err := os.WriteFile(path, header(4, 1<<60), 0o644); err != nil {
+	if err := os.WriteFile(path, seal(t, header(4, 1<<60)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("streaming source accepted a forged header")
+	for _, bc := range backendCases() {
+		_, err := bc.open(path)
+		wantDecodeError(t, bc.name+" forged header", err)
 	}
 }
 
-// TestVarintOverflowRejected: a delta whose varint encoding overflows 64
-// bits (or lands an id outside [0, numVertices)) must surface as an error,
-// never as a negative or wrapped vertex id.
+// TestVarintOverflowRejected: a run header whose varint encoding overflows
+// 64 bits, or whose source gap lands outside [0, numVertices), must
+// surface as an error, never as a negative or wrapped vertex id.
 func TestVarintOverflowRejected(t *testing.T) {
+	uv := func(x uint64) []byte {
+		var tmp [binary.MaxVarintLen64]byte
+		return tmp[:binary.PutUvarint(tmp[:], x)]
+	}
 	overflow := bytes.Repeat([]byte{0x80}, 10) // 10 continuation bytes: > 64 bits
 	overflow = append(overflow, 0x02)
-	body := append(header(4, 1), overflow...)
-	body = append(body, 0x00) // dst delta, never reached
-	if _, err := Read(bytes.NewReader(body)); err == nil {
-		t.Fatal("overflowing varint accepted")
+	cases := map[string][]byte{
+		"overflowing varint": append(header(4, 1), overflow...),
+		// A giant negative source gap from src 0 wraps far below zero and
+		// must be caught by the range guard.
+		"negative vertex id": append(append(header(4, 1), uv(zigzag(-(1<<58))<<4)...), 1),
+		// A giant positive gap lands beyond numVertices.
+		"out-of-range vertex id": append(append(header(4, 1), uv(zigzag(1<<58)<<4)...), 1),
 	}
-	// Maximum negative delta from src 0: wraps far below zero and must be
-	// caught by the range guard.
-	var tmp [binary.MaxVarintLen64]byte
-	neg := tmp[:binary.PutVarint(tmp[:], -(1<<62))]
-	body = append(header(4, 1), neg...)
-	body = append(body, 0x00)
-	if _, err := Read(bytes.NewReader(body)); err == nil {
-		t.Fatal("negative vertex id accepted")
-	}
-	// Maximum positive delta: beyond numVertices, range-guarded too.
-	pos := tmp[:binary.PutVarint(tmp[:], 1<<62)]
-	body = append(header(4, 1), pos...)
-	body = append(body, 0x00)
-	if _, err := Read(bytes.NewReader(body)); err == nil {
-		t.Fatal("out-of-range vertex id accepted")
+	for name, payload := range cases {
+		_, err := Read(bytes.NewReader(seal(t, payload)))
+		wantDecodeError(t, name, err)
 	}
 }
 

@@ -26,9 +26,8 @@ type ParallelConfig struct {
 	BatchEdges int
 	// SegmentBatches is the scheduling unit: workers claim runs of this
 	// many consecutive batches, each opened as one base Segment (one
-	// checkpoint seek + roll-forward, one file handle on seek-based
-	// backends), so larger values amortize segment-open cost and smaller
-	// values spread tail work. Default 8.
+	// checkpoint seek + roll-forward), so larger values amortize
+	// segment-open cost and smaller values spread tail work. Default 8.
 	SegmentBatches int
 	// Depth is the per-worker prefetch bound in batches: a worker may run
 	// at most Depth undelivered batches ahead of the commit frontier, so

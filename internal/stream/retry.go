@@ -185,7 +185,8 @@ func (s *RetrySource) sleepN(attempt int) {
 }
 
 // retrySegmenter adds Segment to RetrySource when the base supports it, so
-// RunOutOfCore's sharded ingest keeps its fast path under fault injection.
+// segment consumers - RunOutOfCore's parallel decode fleet and CLUGP-D's
+// sharded ingest - keep their fast path under fault injection.
 type retrySegmenter struct{ RetrySource }
 
 // Segment implements Segmenter: the underlying segment gets its own Retry
