@@ -13,8 +13,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/game"
 	"repro/internal/gen"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/stream"
+	"repro/internal/xrand"
 )
 
 // benchConfig keeps one benchmark iteration around a second.
@@ -253,6 +255,60 @@ func BenchmarkStoreRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadCompressed(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSavedResult is a finished partitioning shaped like pipebench's
+// web-k256 result: 1.2M vertices, k=256 and about four replicas per vertex
+// at seeded partition ids, so the replica table is 4.8M words.
+func benchSavedResult(b *testing.B) *SavedResult {
+	b.Helper()
+	const nv, k = 1_200_000, 256
+	rng := xrand.New(7)
+	rs := metrics.NewReplicaSets(nv, k)
+	for v := 0; v < nv; v++ {
+		for n := 1 + rng.Intn(7); n > 0; n-- {
+			rs.Add(VertexID(v), rng.Intn(k))
+		}
+	}
+	sizes := make([]int64, k)
+	var ne int64
+	for p := range sizes {
+		sizes[p] = 30000 + int64(rng.Intn(15000))
+		ne += sizes[p]
+	}
+	return &SavedResult{Algorithm: "CLUGP", Order: "natural", K: k,
+		NumVertices: nv, NumEdges: ne, Sizes: sizes, Replicas: rs}
+}
+
+func BenchmarkResultWrite(b *testing.B) {
+	r := benchSavedResult(b)
+	var buf bytes.Buffer
+	if err := WriteSavedResult(&buf, r); err != nil { // sizes buf, so B/op is the writer's own
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteSavedResult(&buf, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+func BenchmarkResultRead(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteSavedResult(&buf, benchSavedResult(b)); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadSavedResult(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,7 +36,8 @@ func NewReplicaSets(n, k int) *ReplicaSets {
 // a partition that does not exist - in a decoded file it means corruption,
 // never a graph). The slice is adopted, not copied; the caller must not
 // touch it afterwards. This is the load path of the result-file codec
-// (store.ReadResult), which streams words off disk and hands them over.
+// (store.ReadResult), which decodes the words from the verified file buffer
+// and hands them over.
 func NewReplicaSetsFromWords(n, k int, words []uint64) (*ReplicaSets, error) {
 	if n < 0 || k < 1 {
 		return nil, fmt.Errorf("metrics: invalid geometry %d vertices, %d partitions", n, k)

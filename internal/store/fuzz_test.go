@@ -173,6 +173,51 @@ func FuzzReadResult(f *testing.F) {
 	})
 }
 
+// FuzzReadResultBody drives the result body decoder directly, as
+// FuzzReadCGR2 does the graph body decoder. The fuzzed bytes are the header
+// and body after the magic; the target puts "CPR2" in front and seals them
+// under a valid trailer, so mutation is never stopped by a checksum. Any
+// accepted input must be canonical: WriteResult of the decoded result
+// reproduces the sealed file byte for byte. Seeds: valid bodies across the
+// word-count boundaries, forged headers, every overlong field and a
+// truncated word.
+func FuzzReadResultBody(f *testing.F) {
+	body := func(payload []byte) []byte { return payload[len(resultMagic2):] }
+	for _, k := range []int{1, 64, 65, 256} {
+		valid := body(payloadOf(f, encodeResult(f, buildResult(f, k))))
+		f.Add(valid)
+		f.Add(valid[:len(valid)-1]) // last word truncated
+	}
+	wr := wordsResult(f)
+	for _, field := range []string{"vertex count", "edge count", "partition count",
+		"algorithm length", "order length", "size 0", "word 0", "word 1", "word 2", "word 3"} {
+		f.Add(body(resultPayload(wr, field)))
+	}
+	long := body(resultPayload(wr, ""))
+	f.Add(long[:len(long)-3]) // cut inside the 10-byte word
+	for _, h := range [][3]uint64{{1 << 33, 1, 4}, {4, 1 << 57, 4}, {4, 1, 0}, {4, 1, maxResultK + 1}, {1 << 32, 0, 64}} {
+		f.Add(uvarints(h[0], h[1], h[2]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sealed := seal(t, append(append([]byte{}, resultMagic2[:]...), data...))
+		got, err := ReadResult(bytes.NewReader(sealed))
+		var ce *CorruptError
+		if errors.As(err, &ce) || errors.Is(err, ErrBadResultMagic) {
+			t.Fatalf("sealed payload rejected before the decoder: %v", err)
+		}
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := WriteResult(&enc, got); err != nil {
+			t.Fatalf("decoded result does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc.Bytes(), sealed) {
+			t.Fatalf("accepted a non-canonical file: re-encoding gives %d bytes, input was %d", enc.Len(), len(sealed))
+		}
+	})
+}
+
 // FuzzSourcesAgree is differential: the sequential Reader, the mmap-backed
 // MmapSource (mapped and in its read-at fallback) and ReaderAtSource decode
 // the same bytes through different cursors (buffered slice, mapped slice,

@@ -1,12 +1,12 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -78,8 +78,10 @@ func (r *Result) Verify() error {
 //
 // All integers are unsigned varints; replica words compress well because
 // only the low bits (small partition ids) are typically set. Encoding is
-// canonical - WriteResult(ReadResult(f)) reproduces f bit for bit - which
-// FuzzReadResult holds as the round-trip invariant.
+// canonical and ReadResult enforces it - it rejects overlong varints, the
+// only other way to spell the same values - so WriteResult(ReadResult(f))
+// reproduces f bit for bit; FuzzReadResult and FuzzReadResultBody hold this
+// as the round-trip invariant.
 func WriteResult(w io.Writer, r *Result) error {
 	if err := validateResult(r); err != nil {
 		return err
@@ -92,39 +94,42 @@ func WriteResult(w io.Writer, r *Result) error {
 }
 
 // writeResultPayload emits magic, header and body - the checksummed span of
-// a CPR2 file.
+// a CPR2 file - appending varints into one reused 64 KiB slice that is
+// flushed before the next varint might not fit.
 func writeResultPayload(w io.Writer, r *Result) error {
-	vw := &varintWriter{bw: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := vw.bw.Write(resultMagic2[:]); err != nil {
-		return err
-	}
-	for _, x := range []uint64{uint64(r.NumVertices), uint64(r.NumEdges), uint64(r.K)} {
-		if err := vw.uvarint(x); err != nil {
-			return err
+	buf := make([]byte, 0, 1<<16)
+	var err error
+	put := func(x uint64) {
+		buf = binary.AppendUvarint(buf, x)
+		if len(buf) > cap(buf)-binary.MaxVarintLen64 {
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			buf = buf[:0]
 		}
 	}
+	buf = append(buf, resultMagic2[:]...)
+	put(uint64(r.NumVertices))
+	put(uint64(r.NumEdges))
+	put(uint64(r.K))
 	for _, s := range []string{r.Algorithm, r.Order} {
-		if err := vw.uvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		if _, err := vw.bw.WriteString(s); err != nil {
-			return err
-		}
+		put(uint64(len(s)))
+		buf = append(buf, s...)
 	}
 	for _, sz := range r.Sizes {
-		if err := vw.uvarint(uint64(sz)); err != nil {
-			return err
-		}
+		put(uint64(sz))
 	}
 	words := r.Replicas.Words()
 	for v := 0; v < r.NumVertices; v++ {
 		for wd := 0; wd < words; wd++ {
-			if err := vw.uvarint(r.Replicas.Word(graph.VertexID(v), wd)); err != nil {
-				return err
-			}
+			put(r.Replicas.Word(graph.VertexID(v), wd))
 		}
 	}
-	return vw.bw.Flush()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
 // validateResult rejects inconsistent in-memory results before they reach
@@ -164,50 +169,71 @@ func validateResult(r *Result) error {
 
 // ReadResult decodes a result file written by WriteResult, validating every
 // field before anything is sized from it: forged vertex/edge/partition
-// counts, truncated bodies, stray replica bits above k and trailing bytes
-// all reject. The allocation for the replica table grows incrementally under
-// a cap, so an adversarial header cannot force a giant up-front allocation.
+// counts, overlong varints, truncated bodies, stray replica bits above k and
+// trailing bytes all reject. The replica table is allocated once, at its
+// exact size, and only after the declared table is shown to fit: every
+// varint takes at least one byte, so a table of need words must have at
+// least need body bytes behind it. A forged header therefore cannot make
+// the table more than 8x the bytes actually read.
 //
-// The file is buffered and its trailer and every payload block proven
-// before any field is decoded, so a corrupt result can never be mistaken
-// for a valid one.
+// The file is read once into one buffer, and its trailer and every payload
+// block are proven before any field is decoded, so a corrupt result can
+// never be mistaken for a valid one. Decoding then runs straight over that
+// buffer.
 func ReadResult(rd io.Reader) (*Result, error) {
-	br := bufio.NewReaderSize(rd, 1<<16)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 4, 1<<16))
+	if _, err := io.ReadFull(rd, buf.Bytes()); err != nil {
 		return nil, fmt.Errorf("store: reading result magic: %w", err)
 	}
-	if m != resultMagic2 {
+	if [4]byte(buf.Bytes()) != resultMagic2 {
 		return nil, ErrBadResultMagic
 	}
-	rest, err := io.ReadAll(br)
-	if err != nil {
+	if _, err := buf.ReadFrom(rd); err != nil {
 		return nil, fmt.Errorf("store: buffering result: %w", err)
 	}
-	data := make([]byte, 0, 4+len(rest))
-	data = append(append(data, m[:]...), rest...)
-	payload, err := verifyAllBytes(data, "result")
+	payload, err := verifyAllBytes(buf.Bytes(), "result")
 	if err != nil {
 		return nil, err
 	}
-	return readResultBody(bufio.NewReader(bytes.NewReader(payload[4:])))
+	c := mappedCursor(payload[4:])
+	return readResultBody(&c)
 }
 
-// readResultBody decodes everything after the magic; the reader must end
-// exactly where the payload does.
-func readResultBody(br *bufio.Reader) (*Result, error) {
-	nv, err := binary.ReadUvarint(br)
+// errVarintOverlong reports a multi-byte varint whose last byte is zero: it
+// spells a value that has a shorter encoding. Writers emit only the
+// shortest, and accepting another spelling would break the canonical
+// round trip.
+var errVarintOverlong = errors.New("store: overlong varint (not canonical)")
+
+// resultUvarint decodes one canonical varint. Like binary.ReadUvarint it
+// reports io.EOF when no byte is left.
+func resultUvarint(c *cursor) (uint64, error) {
+	if c.i == len(c.data) {
+		return 0, io.EOF
+	}
+	start := c.i
+	x, err := c.uvarint()
+	if err == nil && c.i-start > 1 && c.data[c.i-1] == 0 {
+		return 0, errVarintOverlong
+	}
+	return x, err
+}
+
+// readResultBody decodes everything after the magic; c must end exactly
+// where the payload does.
+func readResultBody(c *cursor) (*Result, error) {
+	nv, err := resultUvarint(c)
 	if err != nil {
 		return nil, fmt.Errorf("store: result vertex count: %w", err)
 	}
-	ne, err := binary.ReadUvarint(br)
+	ne, err := resultUvarint(c)
 	if err != nil {
 		return nil, fmt.Errorf("store: result edge count: %w", err)
 	}
 	if err := checkCounts(nv, ne); err != nil {
 		return nil, err
 	}
-	k64, err := binary.ReadUvarint(br)
+	k64, err := resultUvarint(c)
 	if err != nil {
 		return nil, fmt.Errorf("store: result partition count: %w", err)
 	}
@@ -216,16 +242,16 @@ func readResultBody(br *bufio.Reader) (*Result, error) {
 	}
 	k := int(k64)
 	r := &Result{K: k, NumVertices: int(nv), NumEdges: int64(ne)}
-	if r.Algorithm, err = readResultString(br, "algorithm"); err != nil {
+	if r.Algorithm, err = readResultString(c, "algorithm"); err != nil {
 		return nil, err
 	}
-	if r.Order, err = readResultString(br, "order"); err != nil {
+	if r.Order, err = readResultString(c, "order"); err != nil {
 		return nil, err
 	}
 	r.Sizes = make([]int64, k)
 	var sum int64
 	for p := 0; p < k; p++ {
-		sz, err := binary.ReadUvarint(br)
+		sz, err := resultUvarint(c)
 		if err != nil {
 			return nil, fmt.Errorf("store: partition %d size: %w", p, err)
 		}
@@ -238,19 +264,14 @@ func readResultBody(br *bufio.Reader) (*Result, error) {
 	if sum != r.NumEdges {
 		return nil, fmt.Errorf("store: partition sizes sum to %d, header declares %d edges", sum, r.NumEdges)
 	}
-	perVertex := (k + 63) / 64
-	need := int(nv) * perVertex
-	capHint := need
-	if capHint > 1<<20 {
-		capHint = 1 << 20
+	need := nv * uint64((k+63)/64)
+	if body := len(c.data) - c.i; need > uint64(body) {
+		return nil, fmt.Errorf("store: replica table of %d words cannot fit in %d body bytes: %w",
+			need, body, io.ErrUnexpectedEOF)
 	}
-	words := make([]uint64, 0, capHint)
-	for i := 0; i < need; i++ {
-		w, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("store: replica word %d of %d: %w", i, need, err)
-		}
-		words = append(words, w)
+	words := make([]uint64, need)
+	if err := decodeWords(words, c); err != nil {
+		return nil, err
 	}
 	rs, err := metrics.NewReplicaSetsFromWords(int(nv), k, words)
 	if err != nil {
@@ -260,18 +281,67 @@ func readResultBody(br *bufio.Reader) (*Result, error) {
 	// A result file is a complete artifact, not a stream prefix: trailing
 	// bytes mean the file was corrupted or concatenated, and accepting them
 	// would break the bit-identical round-trip contract.
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, fmt.Errorf("store: after result body: %w", err)
-		}
+	if c.i != len(c.data) {
 		return nil, errors.New("store: trailing data after result body")
 	}
 	return r, nil
 }
 
+// decodeWords fills words with the canonical varints at c. Replica words
+// are mostly zero or a few scattered partition bits, so their lengths vary
+// from word to word and a byte-at-a-time decoder mispredicts on nearly
+// every one. The fast loop instead loads eight bytes, finds the varint's
+// length from the continuation bits and packs the 7-bit groups with shifts
+// and masks; its overlong check is folded into one flag tested after the
+// loop, so a word of up to eight bytes costs no data-dependent branch. The
+// checked loop decodes the last few words, and decodes the table again from
+// the start when the flag is set, to name the word at fault.
+func decodeWords(words []uint64, c *cursor) error {
+	body := c.data[c.i:]
+	i, w := 0, 0
+	var bad uint64
+	for ; w < len(words) && i+8 <= len(body); w++ {
+		v := binary.LittleEndian.Uint64(body[i:])
+		stops := ^v & 0x8080808080808080 // the high bit is clear in a varint's last byte
+		if stops == 0 {
+			// Nine or ten bytes: only words with a partition bit at 56 or above.
+			x, n := binary.Uvarint(body[i:])
+			if n <= 0 || body[i+n-1] == 0 {
+				bad = 1
+				break
+			}
+			words[w] = x
+			i += n
+			continue
+		}
+		end := uint64(bits.TrailingZeros64(stops)) + 1 // 8 x the varint's length
+		v &= ^uint64(0) >> (64 - end)
+		// Overlong: longer than one byte and ending in a zero byte.
+		last, shift := v>>(end-8), end-8
+		bad |= ((last - 1) >> 63) & ((0 - shift) >> 63)
+		v = v&0x007f007f007f007f | (v&0x7f007f007f007f00)>>1
+		v = v&0x00003fff00003fff | (v&0x3fff00003fff0000)>>2
+		v = v&0x000000000fffffff | (v&0x0fffffff00000000)>>4
+		words[w] = v
+		i += int(end >> 3)
+	}
+	if bad != 0 {
+		i, w = 0, 0
+	}
+	c.i += i
+	for ; w < len(words); w++ {
+		x, err := resultUvarint(c)
+		if err != nil {
+			return fmt.Errorf("store: replica word %d of %d: %w", w, len(words), err)
+		}
+		words[w] = x
+	}
+	return nil
+}
+
 // readResultString decodes one length-prefixed name field.
-func readResultString(br *bufio.Reader, field string) (string, error) {
-	n, err := binary.ReadUvarint(br)
+func readResultString(c *cursor, field string) (string, error) {
+	n, err := resultUvarint(c)
 	if err != nil {
 		return "", fmt.Errorf("store: result %s length: %w", field, err)
 	}
@@ -279,7 +349,7 @@ func readResultString(br *bufio.Reader, field string) (string, error) {
 		return "", fmt.Errorf("store: result %s of %d bytes exceeds the %d limit", field, n, maxResultString)
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	if err := c.readFull(buf); err != nil {
 		return "", fmt.Errorf("store: result %s: %w", field, err)
 	}
 	return string(buf), nil

@@ -2,12 +2,19 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/xrand"
 )
 
 // buildResult assembles a small hand-checked result: 6 vertices, k
@@ -83,6 +90,80 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
+// seededResult builds a result shaped like a real partitioning: nv
+// vertices with one to seven replicas each at seeded partition ids, and
+// uneven partition sizes that sum to the edge count.
+func seededResult(t testing.TB, nv, k int, seed uint64) *Result {
+	t.Helper()
+	rng := xrand.New(seed)
+	rs := metrics.NewReplicaSets(nv, k)
+	for v := 0; v < nv; v++ {
+		for n := 1 + rng.Intn(7); n > 0; n-- {
+			rs.Add(graph.VertexID(v), rng.Intn(k))
+		}
+	}
+	sizes := make([]int64, k)
+	var ne int64
+	for p := range sizes {
+		sizes[p] = int64(rng.Intn(1 << 20))
+		ne += sizes[p]
+	}
+	return &Result{Algorithm: "CLUGP", Order: "natural", K: k,
+		NumVertices: nv, NumEdges: ne, Sizes: sizes, Replicas: rs}
+}
+
+// TestResultGoldenBytes pins the exact bytes WriteResult emits for two
+// seeded results, so a change to the encoder cannot silently change the
+// on-disk format. Each decodes and re-encodes to the same bytes.
+func TestResultGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		nv, k int
+		seed  uint64
+		sha   string
+	}{
+		{20000, 256, 1, "16d8f0cda8d49579136c30726c183666ffba0864b318ea455c99631a62a0092e"},
+		{20000, 32, 2, "11f0f51868959cd6e4fadfe4735c9ae71b1c8709f649f07d669fd285e8ddffb0"},
+	} {
+		enc := encodeResult(t, seededResult(t, tc.nv, tc.k, tc.seed))
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("k=%d: WriteResult bytes hash to %s, want %s", tc.k, got, tc.sha)
+		}
+		got, err := ReadResult(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("k=%d ReadResult: %v", tc.k, err)
+		}
+		if re := encodeResult(t, got); !bytes.Equal(re, enc) {
+			t.Errorf("k=%d: re-encode is not bit-identical", tc.k)
+		}
+	}
+}
+
+// limitWriter accepts n bytes, then fails every write.
+type limitWriter struct{ n int }
+
+var errWriteLimit = errors.New("write limit reached")
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		return 0, errWriteLimit
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteResultReportsWriteError: a write that fails part-way through the
+// body, or in the trailer, surfaces from WriteResult.
+func TestWriteResultReportsWriteError(t *testing.T) {
+	r := seededResult(t, 20000, 256, 1)
+	size := len(encodeResult(t, r))
+	for _, limit := range []int{0, 100 << 10, size - 1} {
+		if err := WriteResult(&limitWriter{n: limit}, r); !errors.Is(err, errWriteLimit) {
+			t.Errorf("limit %d of %d bytes: got %v, want the write error", limit, size, err)
+		}
+	}
+}
+
 func TestResultEmptyGraph(t *testing.T) {
 	r := &Result{
 		Algorithm: "DBH", Order: "natural", K: 4,
@@ -146,6 +227,118 @@ func TestResultRejectsForgedHeaders(t *testing.T) {
 	for _, tc := range cases {
 		_, err := ReadResult(bytes.NewReader(tc.data))
 		wantDecodeError(t, tc.name, err)
+	}
+}
+
+// wordsResult is a four-vertex k=64 result whose replica words take 1, 8,
+// 10 and 1 bytes, so the first three are decoded by ReadResult's eight-byte
+// loop (the 10-byte one on its long-varint branch) and the last by the
+// byte-wise loop that finishes the body.
+func wordsResult(t testing.TB) *Result {
+	t.Helper()
+	rs, err := metrics.NewReplicaSetsFromWords(4, 64, []uint64{5, 1 << 50, 1<<63 | 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int64, 64)
+	sizes[0], sizes[63] = 4, 2
+	return &Result{Algorithm: "HDRF", Order: "bfs", K: 64,
+		NumVertices: 4, NumEdges: 6, Sizes: sizes, Replicas: rs}
+}
+
+// resultPayload encodes r's payload as WriteResult does, except that the
+// varint named spell (if any) is written one byte too long: its last byte
+// gains a continuation bit and a zero byte follows, the same value spelled
+// non-canonically. Names are "vertex count", "edge count", "partition
+// count", "algorithm length", "order length", "size P" and "word N".
+func resultPayload(r *Result, spell string) []byte {
+	b := append([]byte{}, resultMagic2[:]...)
+	put := func(field string, x uint64) {
+		b = binary.AppendUvarint(b, x)
+		if field == spell {
+			b[len(b)-1] |= 0x80
+			b = append(b, 0)
+		}
+	}
+	put("vertex count", uint64(r.NumVertices))
+	put("edge count", uint64(r.NumEdges))
+	put("partition count", uint64(r.K))
+	put("algorithm length", uint64(len(r.Algorithm)))
+	b = append(b, r.Algorithm...)
+	put("order length", uint64(len(r.Order)))
+	b = append(b, r.Order...)
+	for p, sz := range r.Sizes {
+		put(fmt.Sprint("size ", p), uint64(sz))
+	}
+	for v := 0; v < r.NumVertices; v++ {
+		for w := 0; w < r.Replicas.Words(); w++ {
+			put(fmt.Sprint("word ", v*r.Replicas.Words()+w), r.Replicas.Word(graph.VertexID(v), w))
+		}
+	}
+	return b
+}
+
+// TestResultRejectsOverlongVarint: every varint field of a CPR2 file has
+// exactly one accepted spelling, so a decoded file always re-encodes to
+// itself. Each case spells one field with a redundant trailing zero byte
+// (a vertex count of 4 as 0x84 0x00, say) and seals it under a valid
+// trailer; the decoder must reject it.
+func TestResultRejectsOverlongVarint(t *testing.T) {
+	r := wordsResult(t)
+	canonical := resultPayload(r, "")
+	if want := payloadOf(t, encodeResult(t, r)); !bytes.Equal(canonical, want) {
+		t.Fatal("resultPayload does not match WriteResult's payload")
+	}
+	for _, field := range []string{"vertex count", "edge count", "partition count",
+		"algorithm length", "order length", "size 0", "word 0", "word 1", "word 3"} {
+		_, err := ReadResult(bytes.NewReader(seal(t, resultPayload(r, field))))
+		wantDecodeError(t, field, err)
+		if err != nil && !errors.Is(err, errVarintOverlong) {
+			t.Errorf("%s: got %v, want an overlong-varint error", field, err)
+		}
+	}
+	// A 10-byte word has no longer spelling that still fits 64 bits.
+	_, err := ReadResult(bytes.NewReader(seal(t, resultPayload(r, "word 2"))))
+	wantDecodeError(t, "word 2", err)
+}
+
+// TestResultTableAllocationBound: the replica table is sized from the
+// header only after the body is shown to hold at least one byte per
+// declared word, so a sealed file whose header declares a table its body
+// cannot hold is rejected without allocating that table.
+func TestResultTableAllocationBound(t *testing.T) {
+	forge := func(nv uint64, k int, body []byte) []byte {
+		b := append([]byte{}, resultMagic2[:]...)
+		b = binary.AppendUvarint(b, nv)
+		b = binary.AppendUvarint(b, 0)
+		b = binary.AppendUvarint(b, uint64(k))
+		b = append(b, 0, 0) // empty algorithm and order names
+		b = append(b, make([]byte, k)...)
+		return seal(t, append(b, body...))
+	}
+	// 2^23 words of table (64 MB) over one byte fewer of body.
+	const nv, k = 1 << 21, 256
+	need := nv * (k / 64)
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"2^32 vertices, short body", forge(1<<32, 64, make([]byte, 100))},
+		{"need words over need-1 bytes", forge(nv, k, make([]byte, need-1))},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadResult(bytes.NewReader(tc.data))
+		runtime.ReadMemStats(&after)
+		wantDecodeError(t, tc.name, err)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Errorf("%s: rejecting allocated %d MB", tc.name, grew>>20)
+		}
+	}
+	// A body of exactly need bytes holds a valid (all-empty) table.
+	if _, err := ReadResult(bytes.NewReader(forge(1000, k, make([]byte, 1000*(k/64))))); err != nil {
+		t.Fatalf("table of need one-byte words rejected: %v", err)
 	}
 }
 
