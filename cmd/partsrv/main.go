@@ -6,7 +6,6 @@
 //
 //	partsrv -result run.cpr -addr :8080            # serve a saved result
 //	partsrv -in graph.cgr -k 32 -addr :8080        # partition on boot, then serve
-//	partsrv -result run.cpr -layout sharded -shards 16
 //
 // Input is either a saved result file (clugp -result run.cpr, or
 // repro.WriteSavedResult) or a compressed .cgr graph, which is partitioned
@@ -68,8 +67,6 @@ func main() {
 		k      = flag.Int("k", 32, "partition count for -in")
 		seed   = flag.Uint64("seed", 42, "seed for -in")
 		addr   = flag.String("addr", ":8080", "listen address")
-		layout = flag.String("layout", "flat", "snapshot table layout: flat or sharded")
-		shards = flag.Int("shards", 0, "shard count for -layout sharded (values below 2 mean 8)")
 
 		retryBase   = flag.Duration("reload-retry", time.Second, "delay before the first automatic retry of a failed reload (0 disables)")
 		retryCap    = flag.Duration("reload-retry-cap", time.Minute, "upper bound of the reload retry backoff")
@@ -78,11 +75,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts, err := layoutOptions(*layout, *shards)
-	if err != nil {
-		fail(err)
-	}
-	loader, err := makeLoader(*result, *in, *algo, *k, *seed, opts)
+	loader, err := makeLoader(*result, *in, *algo, *k, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -175,23 +168,10 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-func layoutOptions(layout string, shards int) (repro.ServeOptions, error) {
-	switch layout {
-	case "flat":
-		return repro.ServeOptions{}, nil
-	case "sharded":
-		if shards < 2 {
-			shards = 8
-		}
-		return repro.ServeOptions{Shards: shards}, nil
-	}
-	return repro.ServeOptions{}, fmt.Errorf("unknown -layout %q (want flat or sharded)", layout)
-}
-
 // makeLoader returns the snapshot builder both boot and every reload use:
 // re-read the saved result, or re-partition the graph file out-of-core with
 // the serving tables accumulated from the emitted stream.
-func makeLoader(result, in, algo string, k int, seed uint64, opts repro.ServeOptions) (func() (*repro.ServeSnapshot, error), error) {
+func makeLoader(result, in, algo string, k int, seed uint64) (func() (*repro.ServeSnapshot, error), error) {
 	switch {
 	case result != "" && in != "":
 		return nil, fmt.Errorf("-result and -in are mutually exclusive")
@@ -201,7 +181,7 @@ func makeLoader(result, in, algo string, k int, seed uint64, opts repro.ServeOpt
 			if err != nil {
 				return nil, err
 			}
-			return repro.NewServeSnapshot(saved, opts)
+			return repro.NewServeSnapshot(saved)
 		}, nil
 	case in != "":
 		return func() (*repro.ServeSnapshot, error) {
@@ -209,7 +189,7 @@ func makeLoader(result, in, algo string, k int, seed uint64, opts repro.ServeOpt
 			if err != nil {
 				return nil, err
 			}
-			return repro.NewServeSnapshot(saved, opts)
+			return repro.NewServeSnapshot(saved)
 		}, nil
 	}
 	return nil, fmt.Errorf("need -result FILE.cpr or -in FILE.cgr")
@@ -250,8 +230,8 @@ func partitionFile(path, algo string, k int, seed uint64) (*repro.SavedResult, e
 
 func logStats(snap *repro.ServeSnapshot) {
 	st := repro.ServeStatsOf(snap)
-	fmt.Printf("partsrv: epoch %d: %s/%s, k=%d, %d vertices, %d edges, %s layout\n",
-		st.Epoch, st.Algorithm, st.Order, st.K, st.Vertices, st.Edges, st.Layout)
+	fmt.Printf("partsrv: epoch %d: %s/%s, k=%d, %d vertices, %d edges\n",
+		st.Epoch, st.Algorithm, st.Order, st.K, st.Vertices, st.Edges)
 }
 
 func fail(err error) {

@@ -238,8 +238,6 @@ type (
 	Mint = partition.Mint
 	// DistributedCLUGP is the Section III-C sharded-ingest mode.
 	DistributedCLUGP = partition.DistributedCLUGP
-	// HybridCut is PowerLyra's differentiated partitioning (extension).
-	HybridCut = partition.HybridCut
 	// Grid is the 2D constrained-hash partitioner (extension).
 	Grid = partition.Grid
 )
@@ -525,9 +523,6 @@ type (
 	// ServeSnapshot is one immutable epoch of serving state; any number of
 	// goroutines may query it concurrently.
 	ServeSnapshot = serve.Snapshot
-	// ServeOptions configure the snapshot table layout (flat or
-	// vertex-range sharded).
-	ServeOptions = serve.Options
 	// ServeBuilder accumulates a streamed partitioning into SavedResult
 	// form (chain Observe onto an out-of-core Emit).
 	ServeBuilder = serve.Builder
@@ -564,8 +559,8 @@ func NewServeBuilder(numVertices, k int) (*ServeBuilder, error) {
 }
 
 // NewServeSnapshot freezes a saved result into serving form.
-func NewServeSnapshot(r *SavedResult, opts ServeOptions) (*ServeSnapshot, error) {
-	return serve.NewSnapshot(r, opts)
+func NewServeSnapshot(r *SavedResult) (*ServeSnapshot, error) {
+	return serve.NewSnapshot(r, serve.Options{})
 }
 
 // NewServeServer returns a server with initial installed as epoch 1.

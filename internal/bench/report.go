@@ -86,8 +86,8 @@ type Report struct {
 	// enabled. Quality is gated against the workers=1 cell at measurement
 	// time, so the column is bit-identical by construction.
 	ParallelCells []ParallelCell `json:"parallel_cells,omitempty"`
-	// ServeCells holds the placement-service grid (dataset x snapshot
-	// layout x client count), when the suite ran with Streaming enabled.
+	// ServeCells holds the placement-service grid (dataset x client
+	// count), when the suite ran with Streaming enabled.
 	// The single-client cells' allocs/op is gated to exactly zero at
 	// measurement time.
 	ServeCells []ServeCell `json:"serve_cells,omitempty"`
@@ -209,11 +209,11 @@ func (r *Report) Table() []Table {
 		t := Table{
 			ID:     fmt.Sprintf("%s-serve", r.Experiment),
 			Title:  fmt.Sprintf("Placement service (scale %.2f, CLUGP k=%d)", r.Scale, serveK),
-			Header: []string{"dataset", "layout", "clients", "Mlookups/s", "p50(ns)", "p99(ns)", "allocs/op"},
+			Header: []string{"dataset", "clients", "Mlookups/s", "p50(ns)", "p99(ns)", "allocs/op"},
 			Note:   "mixed primary/replica-set/edge-routing workload; single-client allocs/op gated to 0 at measurement",
 		}
 		for _, c := range r.ServeCells {
-			t.AddRow(c.Dataset, c.Layout, fmt.Sprintf("%d", c.Clients),
+			t.AddRow(c.Dataset, fmt.Sprintf("%d", c.Clients),
 				fmt.Sprintf("%.2f", c.LookupsPerSec/1e6),
 				fmt.Sprintf("%d", c.P50NS),
 				fmt.Sprintf("%d", c.P99NS),

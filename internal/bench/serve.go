@@ -14,17 +14,14 @@ import (
 )
 
 // ServeCell is one grid point of the placement-service benchmark: one
-// dataset's partitioning frozen into one snapshot layout, queried by one or
-// many clients. It captures the numbers the serving hot path is built for -
+// dataset's partitioning frozen into a snapshot, queried by one or many
+// clients. It captures the numbers the serving hot path is built for -
 // lookups/sec and tail latency - plus the allocation rate of the query
 // path, which is gated to zero at measurement time for the single-client
 // cell (the concurrent cell interleaves scheduler allocations and is
 // reported but not gated).
 type ServeCell struct {
 	Dataset string `json:"dataset"`
-	// Layout is the snapshot table layout: "flat" (one slab) or "sharded"
-	// (vertex-range shards).
-	Layout string `json:"layout"`
 	// Clients is the number of goroutines querying concurrently (1 = the
 	// serial latency reference).
 	Clients int    `json:"clients"`
@@ -48,16 +45,17 @@ type ServeCell struct {
 }
 
 // ID names the cell's grid coordinates, the join key for baseline diffs.
+// The "flat" segment names the one snapshot layout, kept so IDs join with
+// baselines written when a second layout existed.
 func (c ServeCell) ID() string {
-	return fmt.Sprintf("serve/%s/%s clients=%d k=%d seed=%d", c.Dataset, c.Layout, c.Clients, c.K, c.Seed)
+	return fmt.Sprintf("serve/%s/flat clients=%d k=%d seed=%d", c.Dataset, c.Clients, c.K, c.Seed)
 }
 
-// The serving grid: one moderate clustered dataset, both table layouts,
-// serial and concurrent clients. k matches the streaming grid; the client
-// count is fixed (not GOMAXPROCS) so cell IDs join across machines.
+// The serving grid: one moderate clustered dataset, serial and concurrent
+// clients. k matches the streaming grid; the client count is fixed (not
+// GOMAXPROCS) so cell IDs join across machines.
 const (
 	serveK            = streamK
-	serveShards       = 8
 	serveLookups      = 1 << 17
 	serveMaxClients   = 8
 	serveWarmupQuerys = 1 << 12
@@ -67,7 +65,7 @@ var defaultServeDatasets = []string{"UK"}
 
 // runServeCells measures the serving grid serially (the cells time wall
 // clock and latency percentiles, so nothing else may run concurrently).
-// One partitioning run per dataset feeds every layout x clients cell.
+// One partitioning run per dataset feeds every client-count cell.
 func runServeCells(cfg SuiteConfig) ([]ServeCell, error) {
 	datasets := cfg.ServeDatasets
 	if len(datasets) == 0 {
@@ -95,35 +93,27 @@ func runServeCells(cfg SuiteConfig) ([]ServeCell, error) {
 		}
 		suiteLogf(cfg, "serve: partitioned %s (%d vertices, %d edges, k=%d)",
 			name, g.NumVertices, g.NumEdges(), serveK)
-		for _, layout := range []struct {
-			name string
-			opts serve.Options
-		}{
-			{"flat", serve.Options{}},
-			{"sharded", serve.Options{Shards: serveShards}},
-		} {
-			snap, err := serve.NewSnapshot(saved, layout.opts)
+		snap, err := serve.NewSnapshot(saved, serve.Options{})
+		if err != nil {
+			return nil, err
+		}
+		for _, clients := range []int{1, serveMaxClients} {
+			cell, err := runServeCell(snap, clients)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("bench: serve cell %s/%d: %w", name, clients, err)
 			}
-			for _, clients := range []int{1, serveMaxClients} {
-				cell, err := runServeCell(snap, clients)
-				if err != nil {
-					return nil, fmt.Errorf("bench: serve cell %s/%s/%d: %w", name, layout.name, clients, err)
-				}
-				cell.Dataset, cell.K, cell.Seed = name, serveK, seed
-				cell.Vertices, cell.Edges = g.NumVertices, g.NumEdges()
-				// The zero-allocation contract is checked where it is
-				// measured: a single client on a settled heap sees exactly
-				// the query path's own allocations, and there must be none.
-				if clients == 1 && cell.AllocsPerOp != 0 {
-					return nil, fmt.Errorf("bench: serve cell %s/%s: query path allocates %.4f/op, want 0",
-						name, layout.name, cell.AllocsPerOp)
-				}
-				cells = append(cells, cell)
-				suiteLogf(cfg, "  serve %-4s %-7s clients=%d  %.1f Mlookups/s  p50=%dns p99=%dns  %.2f allocs/op",
-					name, layout.name, clients, cell.LookupsPerSec/1e6, cell.P50NS, cell.P99NS, cell.AllocsPerOp)
+			cell.Dataset, cell.K, cell.Seed = name, serveK, seed
+			cell.Vertices, cell.Edges = g.NumVertices, g.NumEdges()
+			// The zero-allocation contract is checked where it is
+			// measured: a single client on a settled heap sees exactly the
+			// query path's own allocations, and there must be none.
+			if clients == 1 && cell.AllocsPerOp != 0 {
+				return nil, fmt.Errorf("bench: serve cell %s: query path allocates %.4f/op, want 0",
+					name, cell.AllocsPerOp)
 			}
+			cells = append(cells, cell)
+			suiteLogf(cfg, "  serve %-4s clients=%d  %.1f Mlookups/s  p50=%dns p99=%dns  %.2f allocs/op",
+				name, clients, cell.LookupsPerSec/1e6, cell.P50NS, cell.P99NS, cell.AllocsPerOp)
 		}
 	}
 	return cells, nil
@@ -226,7 +216,6 @@ func runServeCell(snap *serve.Snapshot, clients int) (ServeCell, error) {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	cell := ServeCell{
-		Layout:      snap.Layout(),
 		Clients:     clients,
 		Lookups:     total,
 		P50NS:       all[total/2],

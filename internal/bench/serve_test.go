@@ -2,12 +2,12 @@ package bench
 
 import (
 	"bytes"
-	"strconv"
+	"fmt"
 	"testing"
 )
 
 // TestServeCells pins the placement-service grid's invariants: one cell per
-// layout x client count, real measurements in every cell, and - the hard
+// client count, real measurements in every cell, and - the hard
 // gate - zero allocations per query in the single-client cells (a cell
 // violating that fails the run itself, so reaching here means it held).
 func TestServeCells(t *testing.T) {
@@ -17,12 +17,12 @@ func TestServeCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.ServeCells) != 4 {
-		t.Fatalf("got %d serve cells, want 4 (flat/sharded x 1/%d clients)", len(rep.ServeCells), serveMaxClients)
+	if len(rep.ServeCells) != 2 {
+		t.Fatalf("got %d serve cells, want 2 (1/%d clients)", len(rep.ServeCells), serveMaxClients)
 	}
 	seen := map[string]ServeCell{}
 	for _, c := range rep.ServeCells {
-		seen[c.Layout+"/"+strconv.Itoa(c.Clients)] = c
+		seen[c.ID()] = c
 		if c.Lookups <= 0 || c.LookupsPerSec <= 0 || c.P50NS < 0 || c.P99NS < c.P50NS {
 			t.Errorf("%s: implausible measurements: %+v", c.ID(), c)
 		}
@@ -30,7 +30,8 @@ func TestServeCells(t *testing.T) {
 			t.Errorf("%s: single-client allocs/op = %v, want 0", c.ID(), c.AllocsPerOp)
 		}
 	}
-	for _, want := range []string{"flat/1", "sharded/1", "flat/8", "sharded/8"} {
+	for _, clients := range []int{1, serveMaxClients} {
+		want := fmt.Sprintf("serve/UK/flat clients=%d k=%d seed=%d", clients, serveK, cfg.Seeds[0])
 		if _, ok := seen[want]; !ok {
 			t.Errorf("missing serve cell %s", want)
 		}

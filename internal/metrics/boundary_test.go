@@ -9,9 +9,9 @@ import (
 // These tests pin behaviour exactly at the 64-bit word boundary of the
 // replica bitsets: k=64 is the largest single-word geometry (the top bit of
 // word 0 is partition 63), k=128 the largest two-word one. Off-by-one bugs
-// in word sizing, cloning or merging surface precisely here - a table that
-// rounds (k+63)/64 wrong, clones one word short, or merges past a vertex's
-// last word corrupts partition 63/64/127 first.
+// in word sizing or cloning surface precisely here - a table that rounds
+// (k+63)/64 wrong or clones one word short corrupts partition 63/64/127
+// first.
 
 // boundaryPartitions are the partition ids that straddle word edges for a
 // given k.
@@ -93,67 +93,4 @@ func eqObserved(ev *Evaluator, v graph.VertexID, p int, edges []graph.Edge, assi
 		}
 	}
 	return false
-}
-
-func TestShardedMergeBoundary(t *testing.T) {
-	for _, k := range []int{64, 128} {
-		const n, shards = 130, 4
-		a := NewShardedReplicaSets(n, k, shards)
-		b := NewShardedReplicaSets(n, k, shards)
-
-		// a and b get disjoint halves of the boundary bits on vertices that
-		// themselves sit at shard edges (0, span-1, span, n-1).
-		span := (n + shards - 1) / shards
-		verts := []graph.VertexID{0, graph.VertexID(span - 1), graph.VertexID(span), n - 1}
-		ps := boundaryPartitions(k)
-		for i, v := range verts {
-			for j, p := range ps {
-				if (i+j)%2 == 0 {
-					a.Add(v, p)
-				} else {
-					b.Add(v, p)
-				}
-			}
-		}
-
-		if err := a.Merge(b); err != nil {
-			t.Fatalf("k=%d: Merge: %v", k, err)
-		}
-
-		// After the merge, a holds the union; b is untouched.
-		for i, v := range verts {
-			for j, p := range ps {
-				if !a.Has(v, p) {
-					t.Errorf("k=%d: merged table missing vertex %d partition %d", k, v, p)
-				}
-				if fromA := (i+j)%2 == 0; b.Has(v, p) == fromA {
-					t.Errorf("k=%d: merge mutated its argument at vertex %d partition %d", k, v, p)
-				}
-			}
-			// No stray bits: the union on these vertices is exactly ps.
-			if got, want := a.Count(v), len(ps); got != want {
-				t.Errorf("k=%d: vertex %d count = %d after merge, want %d", k, v, got, want)
-			}
-		}
-		// Word-level check at the top word: partition k-1's bit lands in the
-		// last word, bit (k-1)%64.
-		topWord := (k - 1) / 64
-		topBit := uint64(1) << uint((k-1)%64)
-		for _, v := range verts {
-			if a.Word(v, topWord)&topBit == 0 {
-				t.Errorf("k=%d: vertex %d top word missing partition %d's bit", k, v, k-1)
-			}
-		}
-
-		// Geometry mismatches reject: different k, n and shard count.
-		for _, bad := range []*ShardedReplicaSets{
-			NewShardedReplicaSets(n, k/2, shards),
-			NewShardedReplicaSets(n+1, k, shards),
-			NewShardedReplicaSets(n, k, shards+1),
-		} {
-			if err := a.Merge(bad); err == nil {
-				t.Errorf("k=%d: Merge accepted mismatched geometry", k)
-			}
-		}
-	}
 }

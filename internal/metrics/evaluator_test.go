@@ -106,13 +106,17 @@ func TestEvaluatorCloneIndependent(t *testing.T) {
 
 // TestParallelEvaluatorMatchesSerial: for every shard count, the sharded
 // fleet produces a Quality bit-identical to the serial Evaluator over the
-// same observations - the determinism claim of the parallel hot pass.
+// same observations - the determinism claim of the parallel hot pass. One
+// ParallelEvaluator is driven through every case, so each Begin reshapes
+// its table (growing, and shrinking from {257, 66}) and must start clean.
 func TestParallelEvaluatorMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 37))
+	var par ParallelEvaluator
 	for _, tc := range []struct{ n, k, m int }{
 		{1, 1, 10},
 		{50, 4, 1000},
 		{257, 66, 3000}, // k > 64, n not divisible by typical shard counts
+		{40, 8, 600},    // shrinks both n and k after the largest case
 	} {
 		var serial Evaluator
 		edges, assign := randAssigned(rng, tc.n, tc.k, tc.m)
@@ -125,7 +129,6 @@ func TestParallelEvaluatorMatchesSerial(t *testing.T) {
 		}
 		want := serial.Finish()
 		for _, shards := range []int{1, 2, 4, 7, 64} {
-			var par ParallelEvaluator
 			par.Begin(tc.n, tc.k, shards)
 			for off := 0; off < tc.m; off += 128 {
 				end := min(off+128, tc.m)

@@ -1,11 +1,5 @@
 package metrics
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
-
 // ShardedReplicaSets is ReplicaSets split by vertex range: shard s owns the
 // contiguous vertices [s*span, (s+1)*span), each with its own independently
 // allocated word-addressable bitset. This is the refactor that unlocks
@@ -14,23 +8,14 @@ import (
 // disjoint shards mutate disjoint memory, so the table needs no locks - a
 // worker simply filters each edge batch to the vertex range it owns.
 //
-// Per-shard views are plain *ReplicaSets, so shard owners use the exact
-// word-addressable API the flat table has; the top-level Add/Has/Count/Word
-// methods route by vertex and agree bit-for-bit with a flat table of the
-// same contents (held by TestShardedMatchesFlat and FuzzShardedVsFlat).
+// The table has no vertex-routed reads or writes: each shard is a plain
+// *ReplicaSets indexed by local vertex id (Shard, ShardRange), which is all
+// ParallelEvaluator's shard workers need. The zero value is ready for Reset.
 type ShardedReplicaSets struct {
-	n, k   int
+	n      int
 	shards int
 	span   int // vertices per shard, ceil(n/shards)
 	tabs   []ReplicaSets
-}
-
-// NewShardedReplicaSets returns an empty table for n vertices and k
-// partitions, split into the given number of vertex-range shards.
-func NewShardedReplicaSets(n, k, shards int) *ShardedReplicaSets {
-	s := &ShardedReplicaSets{}
-	s.Reset(n, k, shards)
-	return s
 }
 
 // Reset clears and resizes the table, reusing each shard's bit storage when
@@ -42,7 +27,7 @@ func (s *ShardedReplicaSets) Reset(n, k, shards int) {
 	// (n=257, shards=64 gives span=5 and 52 shards); on an empty vertex set
 	// it yields one empty shard, so ShardRange(0) = [0, 0).
 	shards, span := ShardGeometry(n, shards)
-	s.n, s.k, s.shards, s.span = n, k, shards, span
+	s.n, s.shards, s.span = n, shards, span
 	if cap(s.tabs) < shards {
 		tabs := make([]ReplicaSets, shards)
 		copy(tabs, s.tabs)
@@ -59,7 +44,7 @@ func (s *ShardedReplicaSets) Reset(n, k, shards int) {
 // vertices split into the requested number of shards: the shard count is
 // clamped to n so no shard is empty, span is ceil(n/shards), and the count
 // shrinks to the number of spans actually needed (n=257 requested as 64
-// shards gives span=5 and 52 shards). ShardOf(v) = v/span.
+// shards gives span=5 and 52 shards); vertex v lies in shard v/span.
 // The result is idempotent: ShardGeometry(n, eff) returns (eff, span) again.
 func ShardGeometry(n, shards int) (eff, span int) {
 	if shards < 1 {
@@ -80,17 +65,8 @@ func ShardGeometry(n, shards int) (eff, span int) {
 	return eff, span
 }
 
-// K returns the number of partitions.
-func (s *ShardedReplicaSets) K() int { return s.k }
-
-// Words returns the number of 64-bit words per vertex, (k+63)/64.
-func (s *ShardedReplicaSets) Words() int { return (s.k + 63) / 64 }
-
 // NumShards returns the shard count.
 func (s *ShardedReplicaSets) NumShards() int { return s.shards }
-
-// ShardOf returns the shard owning vertex v.
-func (s *ShardedReplicaSets) ShardOf(v graph.VertexID) int { return int(v) / s.span }
 
 // ShardRange returns the vertex range [lo, hi) shard i owns.
 func (s *ShardedReplicaSets) ShardRange(i int) (lo, hi int) {
@@ -107,59 +83,3 @@ func (s *ShardedReplicaSets) ShardRange(i int) (lo, hi int) {
 // while other workers mutate their own shards; no synchronization is needed
 // beyond the handoff that assigns ownership.
 func (s *ShardedReplicaSets) Shard(i int) *ReplicaSets { return &s.tabs[i] }
-
-// Add records that partition p holds vertex v.
-func (s *ShardedReplicaSets) Add(v graph.VertexID, p int) {
-	s.tabs[int(v)/s.span].Add(v-graph.VertexID(int(v)/s.span*s.span), p)
-}
-
-// Has reports whether partition p holds vertex v.
-func (s *ShardedReplicaSets) Has(v graph.VertexID, p int) bool {
-	sh := int(v) / s.span
-	return s.tabs[sh].Has(v-graph.VertexID(sh*s.span), p)
-}
-
-// Word returns the w-th 64-bit word of v's partition set.
-func (s *ShardedReplicaSets) Word(v graph.VertexID, w int) uint64 {
-	sh := int(v) / s.span
-	return s.tabs[sh].Word(v-graph.VertexID(sh*s.span), w)
-}
-
-// Count returns |P(v)|.
-func (s *ShardedReplicaSets) Count(v graph.VertexID) int {
-	sh := int(v) / s.span
-	return s.tabs[sh].Count(v - graph.VertexID(sh*s.span))
-}
-
-// Partitions appends the partitions holding v to dst and returns it.
-func (s *ShardedReplicaSets) Partitions(v graph.VertexID, dst []int32) []int32 {
-	sh := int(v) / s.span
-	return s.tabs[sh].Partitions(v-graph.VertexID(sh*s.span), dst)
-}
-
-// Merge ORs every replica bit of o into s. The two tables must have the
-// same geometry (vertices, partitions, shard count); merging is how
-// independently accumulated per-worker tables combine into one, and it is
-// exact: bit i is set afterwards iff it was set in either table.
-func (s *ShardedReplicaSets) Merge(o *ShardedReplicaSets) error {
-	if s.n != o.n || s.k != o.k || s.shards != o.shards {
-		return fmt.Errorf("metrics: merge geometry mismatch: %dv/%dk/%dsh vs %dv/%dk/%dsh",
-			s.n, s.k, s.shards, o.n, o.k, o.shards)
-	}
-	for i := range s.tabs {
-		dst, src := s.tabs[i].bits, o.tabs[i].bits
-		for w := range dst {
-			dst[w] |= src[w]
-		}
-	}
-	return nil
-}
-
-// Bytes returns the memory footprint of the table (all shards).
-func (s *ShardedReplicaSets) Bytes() int64 {
-	var b int64
-	for i := range s.tabs {
-		b += s.tabs[i].Bytes()
-	}
-	return b
-}

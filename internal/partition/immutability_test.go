@@ -23,7 +23,6 @@ func TestPartitionersNeverMutateCachedStream(t *testing.T) {
 	ps := allPartitioners()
 	ps = append(ps,
 		&DistributedCLUGP{Nodes: 3, Seed: 1},
-		&HybridCut{Seed: 1},
 		&Grid{Seed: 1},
 	)
 

@@ -59,7 +59,6 @@ func outOfCorePartitioners(t *testing.T) []Partitioner {
 		ps = append(ps, p)
 	}
 	return append(ps,
-		&HybridCut{Seed: 3},
 		&Grid{Seed: 3},
 		&DistributedCLUGP{Nodes: 3, Seed: 3},
 	)

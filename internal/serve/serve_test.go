@@ -68,111 +68,101 @@ func referenceRoute(r *store.Result, src, dst graph.VertexID) int32 {
 }
 
 // TestConformanceMatrix differential-tests every snapshot query against
-// direct reads of the underlying Result/ReplicaSets, across algorithms,
-// k spanning the 64-bit word boundary, and both table layouts. The serving
-// path (FromRun -> codec round-trip -> NewSnapshot -> query) must agree
-// bit-for-bit with the offline data it was built from.
+// direct reads of the underlying Result/ReplicaSets, across algorithms and
+// k spanning the 64-bit word boundary. The serving path (FromRun -> codec
+// round-trip -> NewSnapshot -> query) must agree bit-for-bit with the
+// offline data it was built from. The "flat" leaf keeps the subtest ids
+// stable from when a second table layout existed.
 func TestConformanceMatrix(t *testing.T) {
 	for _, algorithm := range []string{"Hashing", "HDRF", "CLUGP"} {
 		for _, k := range []int{3, 64, 65, 128} {
 			run, loaded := savedResult(t, algorithm, k)
-			for _, layout := range []struct {
-				name string
-				opts Options
-			}{
-				{"flat", Options{}},
-				{"sharded", Options{Shards: 4}},
-			} {
-				t.Run(fmt.Sprintf("%s/k=%d/%s", algorithm, k, layout.name), func(t *testing.T) {
-					snap, err := NewSnapshot(loaded, layout.opts)
+			t.Run(fmt.Sprintf("%s/k=%d/flat", algorithm, k), func(t *testing.T) {
+				snap, err := NewSnapshot(loaded, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snap.K() != k || snap.NumVertices() != run.NumVertices ||
+					snap.NumEdges() != int64(len(run.Assign)) {
+					t.Fatalf("snapshot geometry %d/%d/%d disagrees with run",
+						snap.K(), snap.NumVertices(), snap.NumEdges())
+				}
+				// Partition sizes must match the run's quality accounting.
+				for p, sz := range run.Quality.Sizes {
+					if snap.Size(p) != sz {
+						t.Fatalf("size[%d] = %d, want %d", p, snap.Size(p), sz)
+					}
+				}
+				rs := loaded.Replicas
+				var scratch, direct []int32
+				for v := 0; v < snap.NumVertices(); v++ {
+					id := graph.VertexID(v)
+					direct = rs.Partitions(id, direct[:0])
+					scratch, err = snap.Replicas(id, scratch[:0])
 					if err != nil {
 						t.Fatal(err)
 					}
-					if snap.Layout() != layout.name {
-						t.Fatalf("layout = %q, want %q", snap.Layout(), layout.name)
+					if len(scratch) != len(direct) {
+						t.Fatalf("vertex %d: %d replicas, want %d", v, len(scratch), len(direct))
 					}
-					if snap.K() != k || snap.NumVertices() != run.NumVertices ||
-						snap.NumEdges() != int64(len(run.Assign)) {
-						t.Fatalf("snapshot geometry %d/%d/%d disagrees with run",
-							snap.K(), snap.NumVertices(), snap.NumEdges())
-					}
-					// Partition sizes must match the run's quality accounting.
-					for p, sz := range run.Quality.Sizes {
-						if snap.Size(p) != sz {
-							t.Fatalf("size[%d] = %d, want %d", p, snap.Size(p), sz)
+					for i := range direct {
+						if scratch[i] != direct[i] {
+							t.Fatalf("vertex %d replica %d = %d, want %d", v, i, scratch[i], direct[i])
 						}
 					}
-					rs := loaded.Replicas
-					var scratch, direct []int32
-					for v := 0; v < snap.NumVertices(); v++ {
-						id := graph.VertexID(v)
-						direct = rs.Partitions(id, direct[:0])
-						scratch, err = snap.Replicas(id, scratch[:0])
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(scratch) != len(direct) {
-							t.Fatalf("vertex %d: %d replicas, want %d", v, len(scratch), len(direct))
-						}
-						for i := range direct {
-							if scratch[i] != direct[i] {
-								t.Fatalf("vertex %d replica %d = %d, want %d", v, i, scratch[i], direct[i])
-							}
-						}
-						if n, err := snap.Count(id); err != nil || n != rs.Count(id) {
-							t.Fatalf("vertex %d count = %d (%v), want %d", v, n, err, rs.Count(id))
-						}
-						primary, err := snap.Primary(id)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := int32(-1)
-						if len(direct) > 0 {
-							want = direct[0] // Partitions appends in ascending order
-						}
-						if primary != want {
-							t.Fatalf("vertex %d primary = %d, want %d", v, primary, want)
-						}
+					if n, err := snap.Count(id); err != nil || n != rs.Count(id) {
+						t.Fatalf("vertex %d count = %d (%v), want %d", v, n, err, rs.Count(id))
 					}
-					// Edge routing: replayed stream edges (intersection hits by
-					// construction) plus synthetic pairs exercising the union
-					// and cold branches.
-					probe := func(src, dst graph.VertexID) {
-						got, err := snap.RouteEdge(src, dst)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := referenceRoute(loaded, src, dst); got != want {
-							t.Fatalf("route(%d,%d) = %d, want %d", src, dst, got, want)
-						}
+					primary, err := snap.Primary(id)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for v := 0; v < snap.NumVertices()-1; v += 7 {
-						probe(graph.VertexID(v), graph.VertexID(v+1))
+					want := int32(-1)
+					if len(direct) > 0 {
+						want = direct[0] // Partitions appends in ascending order
 					}
-					// Out-of-range ids reject, including the u32 extremes.
-					for _, bad := range []graph.VertexID{
-						graph.VertexID(snap.NumVertices()),
-						graph.VertexID(snap.NumVertices() + 1),
-						^graph.VertexID(0),
-					} {
-						if _, err := snap.Primary(bad); err != ErrOutOfRange {
-							t.Fatalf("Primary(%d) err = %v, want ErrOutOfRange", bad, err)
-						}
-						if _, err := snap.Count(bad); err != ErrOutOfRange {
-							t.Fatalf("Count(%d) err = %v, want ErrOutOfRange", bad, err)
-						}
-						if _, err := snap.Replicas(bad, nil); err != ErrOutOfRange {
-							t.Fatalf("Replicas(%d) err = %v, want ErrOutOfRange", bad, err)
-						}
-						if _, err := snap.RouteEdge(0, bad); err != ErrOutOfRange {
-							t.Fatalf("RouteEdge(0,%d) err = %v, want ErrOutOfRange", bad, err)
-						}
-						if _, err := snap.RouteEdge(bad, 0); err != ErrOutOfRange {
-							t.Fatalf("RouteEdge(%d,0) err = %v, want ErrOutOfRange", bad, err)
-						}
+					if primary != want {
+						t.Fatalf("vertex %d primary = %d, want %d", v, primary, want)
 					}
-				})
-			}
+				}
+				// Edge routing: replayed stream edges (intersection hits by
+				// construction) plus synthetic pairs exercising the union
+				// and cold branches.
+				probe := func(src, dst graph.VertexID) {
+					got, err := snap.RouteEdge(src, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := referenceRoute(loaded, src, dst); got != want {
+						t.Fatalf("route(%d,%d) = %d, want %d", src, dst, got, want)
+					}
+				}
+				for v := 0; v < snap.NumVertices()-1; v += 7 {
+					probe(graph.VertexID(v), graph.VertexID(v+1))
+				}
+				// Out-of-range ids reject, including the u32 extremes.
+				for _, bad := range []graph.VertexID{
+					graph.VertexID(snap.NumVertices()),
+					graph.VertexID(snap.NumVertices() + 1),
+					^graph.VertexID(0),
+				} {
+					if _, err := snap.Primary(bad); err != ErrOutOfRange {
+						t.Fatalf("Primary(%d) err = %v, want ErrOutOfRange", bad, err)
+					}
+					if _, err := snap.Count(bad); err != ErrOutOfRange {
+						t.Fatalf("Count(%d) err = %v, want ErrOutOfRange", bad, err)
+					}
+					if _, err := snap.Replicas(bad, nil); err != ErrOutOfRange {
+						t.Fatalf("Replicas(%d) err = %v, want ErrOutOfRange", bad, err)
+					}
+					if _, err := snap.RouteEdge(0, bad); err != ErrOutOfRange {
+						t.Fatalf("RouteEdge(0,%d) err = %v, want ErrOutOfRange", bad, err)
+					}
+					if _, err := snap.RouteEdge(bad, 0); err != ErrOutOfRange {
+						t.Fatalf("RouteEdge(%d,0) err = %v, want ErrOutOfRange", bad, err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -182,21 +172,18 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 4} {
-		snap, err := NewSnapshot(b.Result("DBH", "natural"), Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if snap.NumVertices() != 0 || snap.NumEdges() != 0 {
-			t.Fatalf("shards=%d: empty snapshot reports %d vertices, %d edges",
-				shards, snap.NumVertices(), snap.NumEdges())
-		}
-		if _, err := snap.Primary(0); err != ErrOutOfRange {
-			t.Fatalf("shards=%d: Primary(0) on empty graph err = %v", shards, err)
-		}
-		if _, err := snap.RouteEdge(0, 0); err != ErrOutOfRange {
-			t.Fatalf("shards=%d: RouteEdge on empty graph err = %v", shards, err)
-		}
+	snap, err := NewSnapshot(b.Result("DBH", "natural"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.NumVertices() != 0 || snap.NumEdges() != 0 {
+		t.Fatalf("empty snapshot reports %d vertices, %d edges", snap.NumVertices(), snap.NumEdges())
+	}
+	if _, err := snap.Primary(0); err != ErrOutOfRange {
+		t.Fatalf("Primary(0) on empty graph err = %v", err)
+	}
+	if _, err := snap.RouteEdge(0, 0); err != ErrOutOfRange {
+		t.Fatalf("RouteEdge on empty graph err = %v", err)
 	}
 }
 
@@ -292,38 +279,36 @@ func TestNewSnapshotRejects(t *testing.T) {
 
 // TestQueryPathZeroAlloc pins the hot-path contract the serve bench gates
 // in CI: with a caller-provided scratch slice, every query answers without
-// allocating, on both layouts.
+// allocating.
 func TestQueryPathZeroAlloc(t *testing.T) {
 	_, saved := savedResult(t, "HDRF", 65)
-	for _, shards := range []int{0, 4} {
-		snap, err := NewSnapshot(saved, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch := make([]int32, 0, snap.K())
-		n := graph.VertexID(snap.NumVertices())
-		probe := func() {
-			for v := graph.VertexID(0); v < 32; v++ {
-				if _, err := snap.Primary(v % n); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := snap.Count(v % n); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := snap.Replicas(v%n, scratch[:0]); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := snap.RouteEdge(v%n, (v+1)%n); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := snap.Primary(^graph.VertexID(0)); err != ErrOutOfRange {
-					t.Fatal("expected ErrOutOfRange")
-				}
+	snap, err := NewSnapshot(saved, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]int32, 0, snap.K())
+	n := graph.VertexID(snap.NumVertices())
+	probe := func() {
+		for v := graph.VertexID(0); v < 32; v++ {
+			if _, err := snap.Primary(v % n); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Count(v % n); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Replicas(v%n, scratch[:0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.RouteEdge(v%n, (v+1)%n); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Primary(^graph.VertexID(0)); err != ErrOutOfRange {
+				t.Fatal("expected ErrOutOfRange")
 			}
 		}
-		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
-			t.Errorf("shards=%d: query path allocates %.1f/run, want 0", shards, allocs)
-		}
+	}
+	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+		t.Errorf("query path allocates %.1f/run, want 0", allocs)
 	}
 }
 
@@ -344,24 +329,16 @@ func BenchmarkSnapshotPrimary(b *testing.B) {
 
 func BenchmarkSnapshotRouteEdge(b *testing.B) {
 	_, saved := savedResult(b, "HDRF", 64)
-	for _, shards := range []int{0, 4} {
-		name := "flat"
-		if shards > 0 {
-			name = "sharded"
+	snap, err := NewSnapshot(saved, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := graph.VertexID(snap.NumVertices())
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		v := graph.VertexID(i) % n
+		if _, err := snap.RouteEdge(v, (v+1)%n); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			snap, err := NewSnapshot(saved, Options{Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := graph.VertexID(snap.NumVertices())
-			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
-				v := graph.VertexID(i) % n
-				if _, err := snap.RouteEdge(v, (v+1)%n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

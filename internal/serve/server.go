@@ -409,7 +409,6 @@ type Stats struct {
 	Epoch     uint64  `json:"epoch"`
 	Algorithm string  `json:"algorithm"`
 	Order     string  `json:"order"`
-	Layout    string  `json:"layout"`
 	K         int     `json:"k"`
 	Vertices  int     `json:"vertices"`
 	Edges     int64   `json:"edges"`
@@ -427,7 +426,6 @@ func StatsOf(snap *Snapshot) Stats {
 		Epoch:     snap.epoch,
 		Algorithm: snap.algorithm,
 		Order:     snap.order,
-		Layout:    snap.layout,
 		K:         snap.k,
 		Vertices:  snap.numVertices,
 		Edges:     snap.numEdges,

@@ -27,29 +27,8 @@ import (
 // stays allocation-free on the error branch too.
 var ErrOutOfRange = fmt.Errorf("serve: vertex id out of range")
 
-// replicaTable is the read seam between the snapshot and its backing
-// replica bitsets: the flat metrics.ReplicaSets and the vertex-range
-// sharded metrics.ShardedReplicaSets both satisfy it with word-addressable
-// reads, so the two layouts answer queries through identical code.
-type replicaTable interface {
-	K() int
-	Words() int
-	Word(v graph.VertexID, w int) uint64
-	Count(v graph.VertexID) int
-	Partitions(v graph.VertexID, dst []int32) []int32
-}
-
-// Options configure how a Snapshot lays out its lookup table.
-type Options struct {
-	// Shards splits the replica table into vertex-range shards
-	// (metrics.ShardedReplicaSets' span layout): shard s owns the
-	// contiguous vertex range [s*span, (s+1)*span) with its own
-	// independently allocated bitset, so a loader building the next
-	// snapshot never writes into cache lines concurrent readers are
-	// scanning. 0 or 1 keeps the flat single-slab layout; query answers
-	// are bit-identical either way (the conformance matrix holds both).
-	Shards int
-}
+// Options is NewSnapshot's configuration; it has no fields.
+type Options struct{}
 
 // Snapshot is one epoch of serving state: a finished partitioning frozen
 // for lookups. Snapshots are immutable after construction - every field is
@@ -60,21 +39,21 @@ type Snapshot struct {
 	epoch     uint64
 	algorithm string
 	order     string
-	layout    string
 
 	k           int
 	words       int
 	numVertices int
 	numEdges    int64
 	sizes       []int64
-	table       replicaTable
+	table       *metrics.ReplicaSets
 }
 
 // NewSnapshot freezes a saved partitioning result into serving form.
-// The result's replica table is shared (flat layout) or re-packed into
-// vertex-range shards (Options.Shards > 1); sizes are copied so the
-// snapshot is sealed against later mutation of r.
-func NewSnapshot(r *store.Result, opts Options) (*Snapshot, error) {
+// The result's replica table is shared, not copied: callers hand over a
+// freshly decoded or built table (store.ReadResult, Builder.Result) and must
+// not write it afterwards. Sizes are copied so the snapshot is sealed
+// against later mutation of r.Sizes.
+func NewSnapshot(r *store.Result, _ Options) (*Snapshot, error) {
 	if r == nil || r.Replicas == nil {
 		return nil, fmt.Errorf("serve: nil result")
 	}
@@ -85,43 +64,25 @@ func NewSnapshot(r *store.Result, opts Options) (*Snapshot, error) {
 		return nil, fmt.Errorf("serve: replica table geometry %dv/%dk disagrees with result %dv/%dk",
 			got, r.Replicas.K(), r.NumVertices, r.K)
 	}
-	s := &Snapshot{
+	return &Snapshot{
 		algorithm:   r.Algorithm,
 		order:       r.Order,
-		layout:      "flat",
 		k:           r.K,
 		words:       r.Replicas.Words(),
 		numVertices: r.NumVertices,
 		numEdges:    r.NumEdges,
 		sizes:       append([]int64(nil), r.Sizes...),
 		table:       r.Replicas,
-	}
-	if opts.Shards > 1 {
-		sh := metrics.NewShardedReplicaSets(r.NumVertices, r.K, opts.Shards)
-		for v := 0; v < r.NumVertices; v++ {
-			for w := 0; w < s.words; w++ {
-				word := r.Replicas.Word(graph.VertexID(v), w)
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					sh.Add(graph.VertexID(v), w*64+b)
-					word &= word - 1
-				}
-			}
-		}
-		s.table = sh
-		s.layout = "sharded"
-	}
-	return s, nil
+	}, nil
 }
 
 // Epoch returns the install generation (0 until a Server installs the
 // snapshot; the Server's copy carries the real epoch).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Algorithm, Order and Layout describe how the snapshot was produced.
+// Algorithm and Order describe how the snapshot was produced.
 func (s *Snapshot) Algorithm() string { return s.algorithm }
 func (s *Snapshot) Order() string     { return s.order }
-func (s *Snapshot) Layout() string    { return s.layout }
 
 // K returns the partition count.
 func (s *Snapshot) K() int { return s.k }
@@ -165,9 +126,8 @@ func (s *Snapshot) Primary(v graph.VertexID) (int32, error) {
 	if int(v) >= s.numVertices {
 		return -1, ErrOutOfRange
 	}
-	base := v
 	for w := 0; w < s.words; w++ {
-		if word := s.table.Word(base, w); word != 0 {
+		if word := s.table.Word(v, w); word != 0 {
 			return int32(w*64 + bits.TrailingZeros64(word)), nil
 		}
 	}
