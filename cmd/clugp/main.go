@@ -282,8 +282,8 @@ type streamOpts struct {
 
 // runStreaming is the out-of-core path: the .cgr file is the stream; the
 // assignment is emitted as it is produced and never materialized. With
-// workers > 1 decode and quality accounting run on worker fleets; the
-// emitted assignment and quality are identical to the serial pass either way.
+// workers > 1 decode runs on a worker fleet; the emitted assignment and
+// quality are identical to the serial pass either way.
 //
 // With checkpointing the -assign file is written as a plain persistent file
 // instead of an atomic temp+rename: the records point into it, and a resume

@@ -221,7 +221,7 @@ func partitionFile(path, algo string, k int, seed uint64) (*repro.SavedResult, e
 	if err != nil {
 		return nil, err
 	}
-	res, err := repro.RunOutOfCore(p, src, k, b.Observe)
+	res, err := repro.RunOutOfCoreOpts(p, src, k, b.Observe, repro.OutOfCoreOptions{})
 	if err != nil {
 		return nil, err
 	}

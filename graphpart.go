@@ -294,21 +294,17 @@ func RunPartitioner(p Partitioner, g *Graph, k int, seed uint64) (*PartitionResu
 // Emit receives finalized runs of out-of-core assignments in stream order.
 type Emit = partition.Emit
 
-// RunOutOfCore partitions a source in its stored (natural) order without
-// materializing the assignment: finalized runs are scored incrementally
-// and forwarded to emit (nil discards them, leaving only quality). Peak
-// memory is the algorithm's state plus a block buffer, never O(|E|). The
-// result's Assign is nil.
-func RunOutOfCore(p Partitioner, src StreamSource, k int, emit Emit) (*PartitionResult, error) {
-	return partition.RunOutOfCore(p, src, k, emit)
-}
-
-// OutOfCoreOptions tune the out-of-core pass; Workers > 1 enables the
-// parallel hot pass (multi-worker decode plus sharded quality accounting)
-// with results bit-identical to the serial pass for any worker count.
+// OutOfCoreOptions tune the out-of-core pass; the zero value is the serial
+// pass, Workers > 1 enables multi-worker decode with results bit-identical
+// to the serial pass for any worker count, and Checkpoint enables
+// checkpoint/resume.
 type OutOfCoreOptions = partition.OutOfCoreOptions
 
-// RunOutOfCoreOpts is RunOutOfCore with the parallel hot pass available.
+// RunOutOfCoreOpts partitions a source in its stored (natural) order
+// without materializing the assignment: finalized runs are scored
+// incrementally and forwarded to emit (nil discards them, leaving only
+// quality). Peak memory is the algorithm's state plus a block buffer,
+// never O(|E|). The result's Assign is nil.
 func RunOutOfCoreOpts(p Partitioner, src StreamSource, k int, emit Emit, opts OutOfCoreOptions) (*PartitionResult, error) {
 	return partition.RunOutOfCoreOpts(p, src, k, emit, opts)
 }
@@ -358,19 +354,6 @@ func AbortPendingWrites() int { return store.AbortPending() }
 // downgrade to serial with its reason. Found on PartitionResult.Pipeline;
 // clugp -trace prints it.
 type PipelineInfo = partition.PipelineInfo
-
-// ParallelStreamConfig sizes a parallel decode pipeline; the zero value
-// picks sensible defaults (GOMAXPROCS workers). Every knob affects
-// scheduling only, never which edges appear in which position.
-type ParallelStreamConfig = stream.ParallelConfig
-
-// ParallelStream wraps a segmentable source in a multi-worker decode
-// pipeline that delivers exactly the base stream - same edges, same order,
-// for any worker count - in fixed-size batches decoded concurrently. Close
-// the returned source to release the workers; the base stays open.
-func ParallelStream(base StreamSegmenter, cfg ParallelStreamConfig) (*stream.ParallelSource, error) {
-	return stream.Parallel(base, cfg)
-}
 
 // EvaluatePartition recomputes quality metrics from an edge assignment.
 func EvaluatePartition(edges []Edge, assign []int32, numVertices, k int) (*Quality, error) {
@@ -475,8 +458,6 @@ type (
 	DiffOptions = bench.DiffOptions
 	// DiffResult classifies per-cell metric changes between two Reports.
 	DiffResult = bench.DiffResult
-	// StreamCache memoizes ordered edge streams per graph.
-	StreamCache = stream.Cache
 )
 
 // Datasets returns the five evaluation graphs (Table III stand-ins).
@@ -507,10 +488,6 @@ func LoadReport(path string) (*Report, error) { return bench.LoadReport(path) }
 func DiffReports(baseline, current *Report, opts DiffOptions) *DiffResult {
 	return bench.Diff(baseline, current, opts)
 }
-
-// NewStreamCache returns an empty stream-order cache for repeated
-// partitioning runs over the same graphs.
-func NewStreamCache() *StreamCache { return stream.NewCache() }
 
 // Placement service: save a finished partitioning and serve
 // vertex->partition, replica-set and edge-routing lookups online
@@ -568,12 +545,3 @@ func NewServeServer(initial *ServeSnapshot) *ServeServer { return serve.NewServe
 
 // ServeStatsOf summarises a snapshot.
 func ServeStatsOf(snap *ServeSnapshot) ServeStats { return serve.StatsOf(snap) }
-
-// PartitionCached is Partition with the stream order served from cache.
-func PartitionCached(g *Graph, algorithm string, k int, seed uint64, cache *StreamCache) (*PartitionResult, error) {
-	p, err := partition.New(algorithm, seed)
-	if err != nil {
-		return nil, err
-	}
-	return partition.RunCached(p, g, k, seed, cache)
-}

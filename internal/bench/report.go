@@ -367,10 +367,6 @@ func (d *DiffResult) HasRegressions() bool { return len(d.Regressions) > 0 }
 // RuntimeTolerance.
 func Diff(baseline, current *Report, opts DiffOptions) *DiffResult {
 	opts = opts.withDefaults()
-	base := make(map[string]Cell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		base[c.ID()] = c
-	}
 	d := &DiffResult{}
 	// Runtimes measured under different scheduling conditions are not
 	// comparable: a 4-worker run oversubscribing the cores a serial
@@ -399,74 +395,121 @@ func Diff(baseline, current *Report, opts DiffOptions) *DiffResult {
 	case !current.hasAllocs():
 		d.AllocSkipped = "current report has no allocation data"
 	}
-	seen := make(map[string]bool, len(current.Cells))
-	for _, cur := range current.Cells {
-		id := cur.ID()
-		seen[id] = true
-		old, ok := base[id]
-		if !ok {
-			d.OnlyCurrent = append(d.OnlyCurrent, id)
-			continue
-		}
-		d.Matched++
-		// Same grid coordinates on a different graph (the reports were run
-		// at different -scale, or a generator changed): the metrics
-		// describe different inputs, so classifying them as regressions
-		// would be noise. Surface the mismatch instead.
-		if old.Vertices != cur.Vertices || old.Edges != cur.Edges {
-			d.Incomparable = append(d.Incomparable, id)
-			continue
-		}
-		d.classify(id, "replication_factor", old.ReplicationFactor, cur.ReplicationFactor, opts.QualityTolerance)
-		d.classify(id, "relative_balance", old.RelativeBalance, cur.RelativeBalance, opts.QualityTolerance)
-		if d.RuntimeSkipped == "" && math.Abs(float64(cur.RuntimeNS-old.RuntimeNS)) >= float64(opts.RuntimeFloorNS) {
-			d.classify(id, "runtime", float64(old.RuntimeNS), float64(cur.RuntimeNS), opts.RuntimeTolerance)
-		}
-		if d.AllocSkipped == "" {
-			if abs64(cur.Allocs-old.Allocs) >= opts.AllocFloor {
-				d.classify(id, "allocs", float64(old.Allocs), float64(cur.Allocs), opts.AllocTolerance)
-			}
-			if abs64(cur.AllocBytes-old.AllocBytes) >= opts.AllocBytesFloor {
-				d.classify(id, "alloc_bytes", float64(old.AllocBytes), float64(cur.AllocBytes), opts.AllocTolerance)
-			}
-		}
-	}
-	for _, c := range baseline.Cells {
-		if !seen[c.ID()] {
-			d.OnlyBaseline = append(d.OnlyBaseline, c.ID())
-		}
-	}
-	d.diffStreamCells(baseline, current, opts)
-	d.diffParallelCells(baseline, current, opts)
-	d.diffServeCells(baseline, current, opts)
-	d.diffCheckpointCells(baseline, current, opts)
+	diffGrid(d, opts, "", baseline.Cells, current.Cells, nil, []metric[Cell]{
+		{"replication_factor", quality, func(c Cell) float64 { return c.ReplicationFactor }},
+		{"relative_balance", quality, func(c Cell) float64 { return c.RelativeBalance }},
+		{"runtime", wallClock, func(c Cell) float64 { return float64(c.RuntimeNS) }},
+		{"allocs", allocCount, func(c Cell) float64 { return float64(c.Allocs) }},
+		{"alloc_bytes", allocBytes, func(c Cell) float64 { return float64(c.AllocBytes) }},
+	})
+	// Bytes/edge is a deterministic function of the encoder and is gated
+	// exactly like a quality metric: any growth is a compression
+	// regression.
+	diffGrid(d, opts, "stream", baseline.StreamCells, current.StreamCells, &d.StreamSkipped, []metric[StreamCell]{
+		{"bytes_per_edge", quality, func(c StreamCell) float64 { return c.BytesPerEdge }},
+		{"replication_factor", quality, func(c StreamCell) float64 { return c.ReplicationFactor }},
+		{"relative_balance", quality, func(c StreamCell) float64 { return c.RelativeBalance }},
+		{"decode", wallClock, func(c StreamCell) float64 { return float64(c.DecodeNS) }},
+		{"partition", wallClock, func(c StreamCell) float64 { return float64(c.PartitionNS) }},
+	})
+	// Parallel quality is bit-identical to the serial pass by construction,
+	// so any drift is a determinism break, not noise. Speedup and
+	// efficiency are derived from the runtimes and hardware-dependent, so
+	// they are never diffed themselves.
+	diffGrid(d, opts, "parallel", baseline.ParallelCells, current.ParallelCells, &d.ParallelSkipped, []metric[ParallelCell]{
+		{"replication_factor", quality, func(c ParallelCell) float64 { return c.ReplicationFactor }},
+		{"relative_balance", quality, func(c ParallelCell) float64 { return c.RelativeBalance }},
+		{"partition", wallClock, func(c ParallelCell) float64 { return float64(c.PartitionNS) }},
+	})
+	// Allocations per query are a deterministic function of the query path
+	// (the single-client cell is additionally hard-gated to zero when
+	// measured). Throughput is the inverse of latency under this workload
+	// and is never diffed itself.
+	diffGrid(d, opts, "serve", baseline.ServeCells, current.ServeCells, &d.ServeSkipped, []metric[ServeCell]{
+		{"allocs_per_op", quality, func(c ServeCell) float64 { return c.AllocsPerOp }},
+		{"p50_latency", latency, func(c ServeCell) float64 { return float64(c.P50NS) }},
+		{"p99_latency", latency, func(c ServeCell) float64 { return float64(c.P99NS) }},
+	})
+	// The checkpointed run is bit-identical to the bare one by
+	// construction. A checkpoint regression with a flat baseline means the
+	// checkpoint write path itself got slower; the derived overhead, the
+	// written count and the checkpoint sizes are informational, never
+	// diffed (cadence and state-format changes move them legitimately).
+	diffGrid(d, opts, "checkpoint", baseline.CheckpointCells, current.CheckpointCells, &d.CheckpointSkipped, []metric[CheckpointCell]{
+		{"replication_factor", quality, func(c CheckpointCell) float64 { return c.ReplicationFactor }},
+		{"relative_balance", quality, func(c CheckpointCell) float64 { return c.RelativeBalance }},
+		{"baseline", wallClock, func(c CheckpointCell) float64 { return float64(c.BaselineNS) }},
+		{"checkpoint", wallClock, func(c CheckpointCell) float64 { return float64(c.CheckpointNS) }},
+	})
 	sort.Slice(d.Regressions, func(i, j int) bool { return d.Regressions[i].Relative > d.Regressions[j].Relative })
 	sort.Slice(d.Improvements, func(i, j int) bool { return d.Improvements[i].Relative < d.Improvements[j].Relative })
 	return d
 }
 
-// diffStreamCells joins the streaming grids. Bytes/edge is a deterministic
-// function of the encoder and is gated exactly like a quality metric - any
-// growth is a compression regression; decode and partition wall clocks use
-// the runtime tolerance (and are skipped under the same scheduling
-// conditions as cell runtimes).
-func (d *DiffResult) diffStreamCells(baseline, current *Report, opts DiffOptions) {
-	switch {
-	case len(baseline.StreamCells) == 0 && len(current.StreamCells) == 0:
-		return
-	case len(baseline.StreamCells) == 0:
-		d.StreamSkipped = "baseline has no stream cells"
-		return
-	case len(current.StreamCells) == 0:
-		d.StreamSkipped = "current report has no stream cells"
-		return
+// gridCell is a cell of any suite grid: grids join by ID, and only cells
+// measured on the same graph are compared.
+type gridCell interface {
+	ID() string
+	graphSize() [2]int
+}
+
+func (c Cell) graphSize() [2]int           { return [2]int{c.Vertices, c.Edges} }
+func (c StreamCell) graphSize() [2]int     { return [2]int{c.Vertices, c.Edges} }
+func (c ParallelCell) graphSize() [2]int   { return [2]int{c.Vertices, c.Edges} }
+func (c ServeCell) graphSize() [2]int      { return [2]int{c.Vertices, c.Edges} }
+func (c CheckpointCell) graphSize() [2]int { return [2]int{c.Vertices, c.Edges} }
+
+// metricKind selects how a diffed metric is gated.
+type metricKind int
+
+const (
+	// quality is deterministic and always compared, at QualityTolerance.
+	quality metricKind = iota
+	// wallClock is compared at RuntimeTolerance once the change reaches
+	// RuntimeFloorNS, unless runtimes are not comparable.
+	wallClock
+	// latency is a per-query time, far below RuntimeFloorNS by
+	// construction: RuntimeTolerance without the floor.
+	latency
+	// allocCount and allocBytes are compared at AllocTolerance once the
+	// change reaches AllocFloor or AllocBytesFloor, unless allocations
+	// are not comparable.
+	allocCount
+	allocBytes
+)
+
+// metric is one diffed column of a grid.
+type metric[C any] struct {
+	name  string
+	kind  metricKind
+	value func(C) float64
+}
+
+// diffGrid joins one grid's current cells against the baseline's by ID and
+// classifies every metric of each comparable pair. A grid missing from
+// exactly one report is not compared, which *skipped records (skipped is
+// nil for the main grid, which is always joined); cells without a
+// counterpart and cells measured on a different graph (a scale or
+// generator change) are listed, not classified.
+func diffGrid[C gridCell](d *DiffResult, opts DiffOptions, kind string, baseline, current []C, skipped *string, metrics []metric[C]) {
+	if skipped != nil {
+		switch {
+		case len(baseline) == 0 && len(current) == 0:
+			return
+		case len(baseline) == 0:
+			*skipped = "baseline has no " + kind + " cells"
+			return
+		case len(current) == 0:
+			*skipped = "current report has no " + kind + " cells"
+			return
+		}
 	}
-	base := make(map[string]StreamCell, len(baseline.StreamCells))
-	for _, c := range baseline.StreamCells {
+	base := make(map[string]C, len(baseline))
+	for _, c := range baseline {
 		base[c.ID()] = c
 	}
-	seen := make(map[string]bool, len(current.StreamCells))
-	for _, cur := range current.StreamCells {
+	seen := make(map[string]bool, len(current))
+	for _, cur := range current {
 		id := cur.ID()
 		seen[id] = true
 		old, ok := base[id]
@@ -475,184 +518,45 @@ func (d *DiffResult) diffStreamCells(baseline, current *Report, opts DiffOptions
 			continue
 		}
 		d.Matched++
-		if old.Vertices != cur.Vertices || old.Edges != cur.Edges {
+		if old.graphSize() != cur.graphSize() {
 			d.Incomparable = append(d.Incomparable, id)
 			continue
 		}
-		d.classify(id, "bytes_per_edge", old.BytesPerEdge, cur.BytesPerEdge, opts.QualityTolerance)
-		d.classify(id, "replication_factor", old.ReplicationFactor, cur.ReplicationFactor, opts.QualityTolerance)
-		d.classify(id, "relative_balance", old.RelativeBalance, cur.RelativeBalance, opts.QualityTolerance)
-		if d.RuntimeSkipped == "" {
-			if abs64(cur.DecodeNS-old.DecodeNS) >= opts.RuntimeFloorNS {
-				d.classify(id, "decode", float64(old.DecodeNS), float64(cur.DecodeNS), opts.RuntimeTolerance)
-			}
-			if abs64(cur.PartitionNS-old.PartitionNS) >= opts.RuntimeFloorNS {
-				d.classify(id, "partition", float64(old.PartitionNS), float64(cur.PartitionNS), opts.RuntimeTolerance)
-			}
+		for _, m := range metrics {
+			d.compare(id, m.name, m.kind, m.value(old), m.value(cur), opts)
 		}
 	}
-	for _, c := range baseline.StreamCells {
+	for _, c := range baseline {
 		if !seen[c.ID()] {
 			d.OnlyBaseline = append(d.OnlyBaseline, c.ID())
 		}
 	}
 }
 
-// diffParallelCells joins the parallel-streaming scaling grids. Quality is
-// gated exactly (it is bit-identical to the serial pass by construction, so
-// any drift is a determinism break, not noise); the per-cell wall clock
-// uses the runtime tolerance. Speedup and efficiency are derived from the
-// runtimes and hardware-dependent, so they are never diffed themselves.
-func (d *DiffResult) diffParallelCells(baseline, current *Report, opts DiffOptions) {
-	switch {
-	case len(baseline.ParallelCells) == 0 && len(current.ParallelCells) == 0:
-		return
-	case len(baseline.ParallelCells) == 0:
-		d.ParallelSkipped = "baseline has no parallel cells"
-		return
-	case len(current.ParallelCells) == 0:
-		d.ParallelSkipped = "current report has no parallel cells"
-		return
-	}
-	base := make(map[string]ParallelCell, len(baseline.ParallelCells))
-	for _, c := range baseline.ParallelCells {
-		base[c.ID()] = c
-	}
-	seen := make(map[string]bool, len(current.ParallelCells))
-	for _, cur := range current.ParallelCells {
-		id := cur.ID()
-		seen[id] = true
-		old, ok := base[id]
-		if !ok {
-			d.OnlyCurrent = append(d.OnlyCurrent, id)
-			continue
+// compare gates one metric change by its kind.
+func (d *DiffResult) compare(id, name string, kind metricKind, old, cur float64, opts DiffOptions) {
+	tol, floor := opts.QualityTolerance, math.Inf(-1)
+	switch kind {
+	case wallClock, latency:
+		if d.RuntimeSkipped != "" {
+			return
 		}
-		d.Matched++
-		if old.Vertices != cur.Vertices || old.Edges != cur.Edges {
-			d.Incomparable = append(d.Incomparable, id)
-			continue
+		tol = opts.RuntimeTolerance
+		if kind == wallClock {
+			floor = float64(opts.RuntimeFloorNS)
 		}
-		d.classify(id, "replication_factor", old.ReplicationFactor, cur.ReplicationFactor, opts.QualityTolerance)
-		d.classify(id, "relative_balance", old.RelativeBalance, cur.RelativeBalance, opts.QualityTolerance)
-		if d.RuntimeSkipped == "" && abs64(cur.PartitionNS-old.PartitionNS) >= opts.RuntimeFloorNS {
-			d.classify(id, "partition", float64(old.PartitionNS), float64(cur.PartitionNS), opts.RuntimeTolerance)
+	case allocCount, allocBytes:
+		if d.AllocSkipped != "" {
+			return
+		}
+		tol, floor = opts.AllocTolerance, float64(opts.AllocFloor)
+		if kind == allocBytes {
+			floor = float64(opts.AllocBytesFloor)
 		}
 	}
-	for _, c := range baseline.ParallelCells {
-		if !seen[c.ID()] {
-			d.OnlyBaseline = append(d.OnlyBaseline, c.ID())
-		}
+	if math.Abs(cur-old) >= floor {
+		d.classify(id, name, old, cur, tol)
 	}
-}
-
-// diffServeCells joins the placement-service grids. Allocations per query
-// are a deterministic function of the query path (the single-client cell is
-// additionally hard-gated to zero when measured), so they are compared
-// exactly; the latency percentiles use the runtime tolerance without the
-// absolute floor - they are per-query nanoseconds, far below RuntimeFloorNS
-// by construction. Throughput is the inverse of latency under this workload
-// and is never diffed itself.
-func (d *DiffResult) diffServeCells(baseline, current *Report, opts DiffOptions) {
-	switch {
-	case len(baseline.ServeCells) == 0 && len(current.ServeCells) == 0:
-		return
-	case len(baseline.ServeCells) == 0:
-		d.ServeSkipped = "baseline has no serve cells"
-		return
-	case len(current.ServeCells) == 0:
-		d.ServeSkipped = "current report has no serve cells"
-		return
-	}
-	base := make(map[string]ServeCell, len(baseline.ServeCells))
-	for _, c := range baseline.ServeCells {
-		base[c.ID()] = c
-	}
-	seen := make(map[string]bool, len(current.ServeCells))
-	for _, cur := range current.ServeCells {
-		id := cur.ID()
-		seen[id] = true
-		old, ok := base[id]
-		if !ok {
-			d.OnlyCurrent = append(d.OnlyCurrent, id)
-			continue
-		}
-		d.Matched++
-		if old.Vertices != cur.Vertices || old.Edges != cur.Edges {
-			d.Incomparable = append(d.Incomparable, id)
-			continue
-		}
-		d.classify(id, "allocs_per_op", old.AllocsPerOp, cur.AllocsPerOp, opts.QualityTolerance)
-		if d.RuntimeSkipped == "" {
-			d.classify(id, "p50_latency", float64(old.P50NS), float64(cur.P50NS), opts.RuntimeTolerance)
-			d.classify(id, "p99_latency", float64(old.P99NS), float64(cur.P99NS), opts.RuntimeTolerance)
-		}
-	}
-	for _, c := range baseline.ServeCells {
-		if !seen[c.ID()] {
-			d.OnlyBaseline = append(d.OnlyBaseline, c.ID())
-		}
-	}
-}
-
-// diffCheckpointCells joins the checkpoint-overhead grids: quality is gated
-// exactly (the checkpointed run is bit-identical to the bare one by
-// construction), both wall clocks use the runtime tolerance - a regression
-// in checkpoint_ns with a flat baseline_ns means the checkpoint write path
-// itself got slower - and the derived overhead percentage, the written
-// count and the checkpoint sizes are informational, never diffed (cadence
-// and state-format changes move them legitimately).
-func (d *DiffResult) diffCheckpointCells(baseline, current *Report, opts DiffOptions) {
-	switch {
-	case len(baseline.CheckpointCells) == 0 && len(current.CheckpointCells) == 0:
-		return
-	case len(baseline.CheckpointCells) == 0:
-		d.CheckpointSkipped = "baseline has no checkpoint cells"
-		return
-	case len(current.CheckpointCells) == 0:
-		d.CheckpointSkipped = "current report has no checkpoint cells"
-		return
-	}
-	base := make(map[string]CheckpointCell, len(baseline.CheckpointCells))
-	for _, c := range baseline.CheckpointCells {
-		base[c.ID()] = c
-	}
-	seen := make(map[string]bool, len(current.CheckpointCells))
-	for _, cur := range current.CheckpointCells {
-		id := cur.ID()
-		seen[id] = true
-		old, ok := base[id]
-		if !ok {
-			d.OnlyCurrent = append(d.OnlyCurrent, id)
-			continue
-		}
-		d.Matched++
-		if old.Vertices != cur.Vertices || old.Edges != cur.Edges {
-			d.Incomparable = append(d.Incomparable, id)
-			continue
-		}
-		d.classify(id, "replication_factor", old.ReplicationFactor, cur.ReplicationFactor, opts.QualityTolerance)
-		d.classify(id, "relative_balance", old.RelativeBalance, cur.RelativeBalance, opts.QualityTolerance)
-		if d.RuntimeSkipped == "" {
-			if abs64(cur.BaselineNS-old.BaselineNS) >= opts.RuntimeFloorNS {
-				d.classify(id, "baseline", float64(old.BaselineNS), float64(cur.BaselineNS), opts.RuntimeTolerance)
-			}
-			if abs64(cur.CheckpointNS-old.CheckpointNS) >= opts.RuntimeFloorNS {
-				d.classify(id, "checkpoint", float64(old.CheckpointNS), float64(cur.CheckpointNS), opts.RuntimeTolerance)
-			}
-		}
-	}
-	for _, c := range baseline.CheckpointCells {
-		if !seen[c.ID()] {
-			d.OnlyBaseline = append(d.OnlyBaseline, c.ID())
-		}
-	}
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func (d *DiffResult) classify(id, metric string, old, cur, tol float64) {

@@ -142,8 +142,8 @@ func serveQuery(snap *serve.Snapshot, i int, scratch []int32) error {
 // number of client goroutines. Every query is individually timed; the
 // percentiles pool all clients' samples, the throughput divides total
 // queries by the measurement wall clock. The MemStats delta spans the
-// measurement with GC disabled, so for a single client it counts exactly
-// the query path's allocations.
+// measurement with GC disabled and the clients already launched, so it
+// counts exactly the query path's allocations.
 func runServeCell(snap *serve.Snapshot, clients int) (ServeCell, error) {
 	perClient := serveLookups / clients
 	total := perClient * clients
@@ -178,6 +178,22 @@ func runServeCell(snap *serve.Snapshot, clients int) (ServeCell, error) {
 			return ServeCell{}, err
 		}
 	}
+	// Launch several clients before the measured window too, parked until
+	// it opens: a goroutine launch allocates (its closure, and a goroutine
+	// descriptor whenever the runtime has no free one left over from the
+	// process's earlier goroutines), and none of that is the query path's.
+	var wg sync.WaitGroup
+	open := make(chan struct{})
+	if clients > 1 {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				<-open
+				client(c)
+			}(c)
+		}
+	}
 	gcPercent := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPercent)
 	runtime.GC()
@@ -186,18 +202,9 @@ func runServeCell(snap *serve.Snapshot, clients int) (ServeCell, error) {
 
 	start := time.Now()
 	if clients == 1 {
-		// Inline, not spawned: the goroutine launch itself allocates, and the
-		// single-client measurement is the one gated at zero allocations.
 		client(0)
 	} else {
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				client(c)
-			}(c)
-		}
+		close(open)
 		wg.Wait()
 	}
 	wallNS := time.Since(start).Nanoseconds()

@@ -136,7 +136,7 @@ func runStreamCell(dataset, path string, g *graph.Graph, seed uint64) (StreamCel
 		return StreamCell{}, err
 	}
 	start = time.Now()
-	res, err := partition.RunOutOfCore(p, src, streamK, nil)
+	res, err := partition.RunOutOfCoreOpts(p, src, streamK, nil, partition.OutOfCoreOptions{})
 	if err != nil {
 		return StreamCell{}, err
 	}

@@ -338,3 +338,10 @@ func TestSuiteSerialRecordsAllocs(t *testing.T) {
 		}
 	}
 }
+
+func abs64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

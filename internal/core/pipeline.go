@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/game"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/stream"
 )
@@ -133,11 +132,7 @@ func Run(g *graph.Graph, opts Options) (*Pipeline, error) {
 
 	// Pass 3 runs through the partitioner so the quality metrics and trace
 	// come from the same code path as every experiment.
-	assign, err := p.Partition(src, opts.K)
-	if err != nil {
-		return nil, err
-	}
-	q, err := metrics.Evaluate(src, assign, opts.K)
+	res, err := partition.RunStreamed(p, src, order, opts.K)
 	if err != nil {
 		return nil, err
 	}
@@ -147,16 +142,7 @@ func Run(g *graph.Graph, opts Options) (*Pipeline, error) {
 		ClusterGraph:     cg,
 		Game:             asg,
 		ClusterPartition: asg.Partition,
-		Result: &partition.Result{
-			Algorithm:   p.Name(),
-			Order:       order,
-			K:           opts.K,
-			NumVertices: g.NumVertices,
-			Stream:      src,
-			Assign:      assign,
-			Quality:     q,
-			StateBytes:  p.StateBytes(g.NumVertices, s.Len(), opts.K),
-		},
-		Trace: p.LastTrace,
+		Result:           res,
+		Trace:            p.LastTrace,
 	}, nil
 }

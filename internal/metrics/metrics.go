@@ -194,14 +194,12 @@ type Quality struct {
 // or Evaluate calls race. Copying an Evaluator by value is just as unsafe -
 // the copy shares the original's scratch storage, so two copies driven
 // independently corrupt each other (the latent hazard documented by
-// TestEvaluatorValueCopySharesScratch). Workers that each need one take Clone,
-// which deep-copies every mutable slice; for quality accounting that should
-// itself run on multiple cores, use ParallelEvaluator, whose shard workers
-// own disjoint vertex ranges of a ShardedReplicaSets.
+// TestEvaluatorValueCopySharesScratch).
 //
 // Besides the one-shot Evaluate, an Evaluator accumulates incrementally
-// through Begin/Observe/Finish, which is how the out-of-core path scores a
-// partitioning whose assignment is never materialized: state stays
+// through Begin/Observe/Finish, which is how every partitioning run scores
+// its assignment in the same pass that produces it (partition's executor),
+// whether or not the assignment is materialized: state stays
 // O(|V|·k/64 + k) however many edges stream through Observe.
 type Evaluator struct {
 	rs   ReplicaSets
@@ -228,26 +226,6 @@ func (ev *Evaluator) Begin(numVertices, k int) {
 	ev.numVertices = numVertices
 	ev.sizes = make([]int64, k)
 	ev.edges = 0
-}
-
-// Clone returns an independent copy of the evaluator: same accumulated
-// state, freshly allocated scratch, so the clone and the original can be
-// driven by different goroutines from here on without sharing a single
-// byte. This is the safe way to hand per-worker evaluators out of a
-// template value; assigning the struct instead aliases the bitset and seen
-// slices between the copies.
-func (ev *Evaluator) Clone() *Evaluator {
-	c := &Evaluator{
-		k:           ev.k,
-		numVertices: ev.numVertices,
-		edges:       ev.edges,
-	}
-	c.rs.k = ev.rs.k
-	c.rs.words = ev.rs.words
-	c.rs.bits = append([]uint64(nil), ev.rs.bits...)
-	c.seen = append([]bool(nil), ev.seen...)
-	c.sizes = append([]int64(nil), ev.sizes...)
-	return c
 }
 
 // Observe accumulates one run of streamed edges with their partition

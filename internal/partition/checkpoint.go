@@ -156,7 +156,14 @@ func replaysPrefix(p Partitioner) bool {
 // ckRun is the checkpoint plumbing of one out-of-core run, handed to the
 // partitioner through its sink.
 type ckRun struct {
-	k int
+	// header is the run's identity, copied into every record it writes.
+	header store.Checkpoint
+	opts   *CheckpointOptions
+	// every is the resolved cadence (0 when no records are written) and
+	// last the offset of the last record, or of the resume point.
+	every, last int64
+	// stats is the activity reported in Result.Pipeline.Checkpoints.
+	stats CheckpointStats
 	// prefix reads the durable assignments of [0, end) a resumed run
 	// replays; end is 0 for a fresh run.
 	prefix PrefixReader
@@ -183,8 +190,8 @@ func (s *assignSink) replay(blk []graph.Edge, out []int32) error {
 		return fmt.Errorf("durable prefix at edge %d: %w", s.pos, err)
 	}
 	for j, p := range out {
-		if p < 0 || int(p) >= s.ck.k {
-			return fmt.Errorf("durable assignment of edge %d is %d, outside [0, %d)", s.pos+j, p, s.ck.k)
+		if p < 0 || int(p) >= s.ck.header.K {
+			return fmt.Errorf("durable assignment of edge %d is %d, outside [0, %d)", s.pos+j, p, s.ck.header.K)
 		}
 	}
 	return nil
@@ -209,6 +216,31 @@ func (s *assignSink) verify(blk []graph.Edge, out []int32) error {
 		}
 	}
 	return nil
+}
+
+// newCkRun resolves a run's checkpoint plan against the caller's source:
+// it validates a resume and loads the base file its record names, and
+// resolves the cadence records are written at.
+func newCkRun(p Partitioner, src stream.Source, k int, opts *CheckpointOptions) (*ckRun, error) {
+	total := int64(src.Len())
+	ck := &ckRun{
+		header: store.Checkpoint{Algorithm: p.Name(), K: k, NumVertices: src.NumVertices(), NumEdges: total},
+		opts:   opts,
+	}
+	if opts.Resume != nil {
+		if err := ck.openResume(p, src, k, opts); err != nil {
+			return nil, err
+		}
+		ck.last = int64(ck.end)
+		ck.stats.Resumed = true
+		ck.stats.ResumeOffset = ck.last
+	}
+	if opts.Path != "" {
+		ck.every = resolveCadence(opts.EveryEdges, total)
+		ck.stats.Enabled = true
+		ck.stats.EveryEdges = ck.every
+	}
+	return ck, nil
 }
 
 // resolveCadence turns the requested cadence into the effective one: at
@@ -286,44 +318,59 @@ func (ck *ckRun) openResume(p Partitioner, src stream.Source, k int, opts *Check
 	return nil
 }
 
-// writeRunCheckpoint writes the record at the current watermark
-// (atomically, rotating the previous record to .prev), first writing the
-// base file if the run froze state and has not written it yet. Called from
-// the emit path right after the watermark's last batch was emitted, so the
-// EmitMark callback sees exactly the assignments in [0, offset).
-func writeRunCheckpoint(p Partitioner, ck *ckRun, opts *CheckpointOptions, k, nv int, total, offset int64, stats *CheckpointStats) error {
-	header := func() *store.Checkpoint {
-		return &store.Checkpoint{Algorithm: p.Name(), K: k, NumVertices: nv, NumEdges: total}
+// checkpoint is called after each emitted commit, at stream offset
+// watermark. A record fires at the first aligned commit boundary past each
+// cadence multiple: the alignment check matters for multi-pass algorithms
+// whose internal rebatching commits at other granularity, and the
+// watermark < NumEdges guard skips a pointless record of the finished run
+// (the final artifact is the output itself).
+func (ck *ckRun) checkpoint(watermark int64) error {
+	if ck.every == 0 || watermark-ck.last < ck.every || watermark >= ck.header.NumEdges ||
+		watermark%int64(stream.BlockLen) != 0 {
+		return nil
 	}
-	c := header()
+	if err := ck.write(watermark); err != nil {
+		return fmt.Errorf("checkpoint at offset %d: %w", watermark, err)
+	}
+	ck.last = watermark
+	return nil
+}
+
+// write writes the record at offset (atomically, rotating the previous
+// record to .prev), first writing the base file if the run froze state and
+// has not written it yet. Called from the emit path right after the
+// offset's last batch was emitted, so the EmitMark callback sees exactly
+// the assignments in [0, offset).
+func (ck *ckRun) write(offset int64) error {
+	c := ck.header
 	c.Offset = offset
 	c.Batch = offset / int64(stream.BlockLen)
-	if opts.EmitMark != nil {
-		mark, err := opts.EmitMark()
+	if ck.opts.EmitMark != nil {
+		mark, err := ck.opts.EmitMark()
 		if err != nil {
 			return fmt.Errorf("emit watermark: %w", err)
 		}
 		c.EmitMark = mark
 	}
 	if !ck.haveBase && ck.freeze != nil {
-		base := header()
+		base := ck.header
 		base.Sections = ck.freeze()
-		n, crc, err := store.WriteCheckpointBase(opts.Path+store.CheckpointBaseSuffix, base)
+		n, crc, err := store.WriteCheckpointBase(ck.opts.Path+store.CheckpointBaseSuffix, &base)
 		if err != nil {
 			return fmt.Errorf("checkpoint base: %w", err)
 		}
 		ck.baseCRC, ck.haveBase = crc, true
-		stats.Bytes += n
+		ck.stats.Bytes += n
 	}
 	if ck.haveBase {
 		c.AddSection(sectionBase, binary.LittleEndian.AppendUint32(nil, ck.baseCRC))
 	}
-	n, err := store.WriteCheckpointFile(opts.Path, c)
+	n, err := store.WriteCheckpointFile(ck.opts.Path, &c)
 	if err != nil {
 		return err
 	}
-	stats.Written++
-	stats.Bytes += n
-	stats.LastOffset = offset
+	ck.stats.Written++
+	ck.stats.Bytes += n
+	ck.stats.LastOffset = offset
 	return nil
 }

@@ -395,7 +395,7 @@ func TestCheckpointNonCheckpointerFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckPath := filepath.Join(t.TempDir(), "run.cpk")
-	res, err := RunOutOfCore(p, stream.Of(g.Edges).Source(g.NumVertices), 4, nil)
+	res, err := RunOutOfCoreOpts(p, stream.Of(g.Edges).Source(g.NumVertices), 4, nil, OutOfCoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,32 +121,12 @@ func (c *CLUGP) Name() string {
 // the paper's streaming-clustering analysis assumes.
 func (c *CLUGP) PreferredOrder() stream.Order { return stream.BFS }
 
-// Partition implements Partitioner, running the three passes.
-func (c *CLUGP) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(c, src, k)
-}
-
-// PartitionInto implements IntoPartitioner. The sink is constructed in a
-// concrete call chain so it stays on the stack (zero-allocation contract).
-func (c *CLUGP) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	sink := assignSink{assign: assign}
-	return c.run(src, k, &sink)
-}
-
-// PartitionStream implements StreamingPartitioner: passes 1 and 2 keep only
-// the O(|V|) mapping tables and the cluster graph, and pass 3 commits each
-// transformed block as soon as its balance bookkeeping is final, so the
-// full run never holds O(|E|) state. This is the paper's actual streaming
-// deployment: three sequential passes over a replayable stream.
-func (c *CLUGP) PartitionStream(src stream.Source, k int, emit Emit) error {
-	return streamVia(c, src, k, emit)
-}
-
 // run executes the three passes, delivering pass 3's assignment to the
-// sink. A resumed run whose record names a base file takes passes 1 and 2
+// sink. Passes 1 and 2 keep only the O(|V|) mapping tables and the cluster
+// graph, and pass 3 commits each transformed block as soon as its balance
+// bookkeeping is final, so the full run never holds O(|E|) state - the
+// paper's streaming deployment: three sequential passes over a replayable
+// stream. A resumed run whose record names a base file takes passes 1 and 2
 // from it; pass 3 then recomputes the durable prefix and checks it against
 // what the interrupted run emitted.
 func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {

@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/stream"
 )
@@ -16,11 +15,12 @@ import (
 //
 // The stream is split into Nodes contiguous shards (contiguity preserves
 // the crawl locality each local clustering depends on) via the source's
-// Segment capability, so a file-backed stream is sharded by seeking - no
-// ingest node ever holds more than its O(|V|) tables and a decode buffer;
-// each shard runs a full, independent CLUGP pipeline concurrently,
-// partitioning its edges over the same k target partitions; the shard
-// results concatenate into the final assignment. Because every shard is
+// Segment capability, so no ingest node ever holds more than its O(|V|)
+// tables and a decode buffer; each shard runs a full, independent CLUGP
+// pipeline, partitioning its edges over the same k target partitions; the
+// shard results concatenate into the final assignment. The nodes run one
+// after another in this process; because they share nothing, their
+// assignments are those of concurrent nodes. Because every shard is
 // individually balanced to tau * |shard|/k, the union respects
 // tau * |E|/k up to per-shard ceiling slack. Quality gives up a little
 // versus single-node CLUGP (shards cannot heal adjacency across their
@@ -99,67 +99,20 @@ func closeShards(shards []stream.Source) {
 	}
 }
 
-// Partition implements Partitioner.
-func (d *DistributedCLUGP) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(d, src, k)
-}
-
-// PartitionInto implements IntoPartitioner: the concurrent mode. Every node
-// runs its local pipeline on its own goroutine against its own sub-source
-// (own cursor, own file handle), writing into its slice of the assignment.
-func (d *DistributedCLUGP) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	numEdges := src.Len()
-	nodes := d.nodeCount(numEdges)
-	shards, err := d.shards(src, nodes)
-	if err != nil {
-		return err
-	}
-	defer closeShards(shards)
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	per := (numEdges + nodes - 1) / nodes
-	for nd, sub := range shards {
-		wg.Add(1)
-		go func(nd int, sub stream.Source) {
-			defer wg.Done()
-			local := d.nodeLocal(nd)
-			lo := nd * per
-			if err := local.PartitionInto(sub, k, assign[lo:lo+sub.Len()]); err != nil {
-				errs[nd] = fmt.Errorf("clugp-d node %d: %w", nd, err)
-			}
-		}(nd, sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PartitionStream implements StreamingPartitioner: the bounded-memory mode.
-// Emission must follow stream order, so nodes run one after another, each
-// streaming its shard's assignments through the shared sink - the memory
-// profile of a single node (O(|V|) tables, no O(|E|) assignment) at the
-// cost of ingest concurrency. Assignments are identical to the concurrent
-// mode: nodes are independent and deterministically seeded either way.
-func (d *DistributedCLUGP) PartitionStream(src stream.Source, k int, emit Emit) error {
-	if k < 1 {
-		return fmt.Errorf("partition: k must be >= 1, got %d", k)
-	}
-	nodes := d.nodeCount(src.Len())
-	shards, err := d.shards(src, nodes)
+// run implements Partitioner. Emission follows stream order, so the nodes
+// run one after another, each streaming its shard's assignments through the
+// shared sink: the memory profile of a single node (O(|V|) tables, no
+// O(|E|) assignment). Nodes are independent and deterministically seeded,
+// so the assignment is the one concurrent nodes would produce.
+func (d *DistributedCLUGP) run(src stream.Source, k int, sink *assignSink) error {
+	shards, err := d.shards(src, d.nodeCount(src.Len()))
 	if err != nil {
 		return err
 	}
 	defer closeShards(shards)
 	for nd, sub := range shards {
 		local := d.nodeLocal(nd)
-		if err := local.PartitionStream(sub, k, emit); err != nil {
+		if err := local.run(sub, k, sink); err != nil {
 			return fmt.Errorf("clugp-d node %d: %w", nd, err)
 		}
 	}

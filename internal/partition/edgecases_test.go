@@ -132,10 +132,7 @@ func TestOrderRobustness(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 6000, OutDegree: 8, IntraSite: 0.88, Seed: 12})
 	p := &CLUGP{Seed: 1}
 	bfsEdges := g.Edges // generation order is crawl-like already
-	bfs, err := p.Partition(stream.Of(bfsEdges).Source(g.NumVertices), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bfs := partitionAll(t, p, stream.Of(bfsEdges).Source(g.NumVertices), 16)
 	qBFS, err := evalQuality(bfsEdges, bfs, g.NumVertices, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +143,7 @@ func TestOrderRobustness(t *testing.T) {
 		j := rng.Intn(i + 1)
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	}
-	rnd, err := p.Partition(stream.Of(shuffled).Source(g.NumVertices), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rnd := partitionAll(t, p, stream.Of(shuffled).Source(g.NumVertices), 16)
 	qRnd, err := evalQuality(shuffled, rnd, g.NumVertices, 16)
 	if err != nil {
 		t.Fatal(err)

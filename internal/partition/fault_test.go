@@ -127,7 +127,7 @@ func TestPartitionPersistentCorruptionFails(t *testing.T) {
 	}
 
 	run := func(src stream.Source) error {
-		_, err := RunOutOfCore(p, stream.Retry(src, retryInjected), 4, nil)
+		_, err := RunOutOfCoreOpts(p, stream.Retry(src, retryInjected), 4, nil, OutOfCoreOptions{})
 		return err
 	}
 

@@ -36,26 +36,6 @@ func (gr *Greedy) Name() string { return "Greedy" }
 // PreferredOrder implements Partitioner.
 func (gr *Greedy) PreferredOrder() stream.Order { return stream.Random }
 
-// Partition implements Partitioner.
-func (gr *Greedy) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(gr, src, k)
-}
-
-// PartitionInto implements IntoPartitioner. The sink is constructed in a
-// concrete call chain so it stays on the stack (zero-allocation contract).
-func (gr *Greedy) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	sink := assignSink{assign: assign}
-	return gr.run(src, k, &sink)
-}
-
-// PartitionStream implements StreamingPartitioner.
-func (gr *Greedy) PartitionStream(src stream.Source, k int, emit Emit) error {
-	return streamVia(gr, src, k, emit)
-}
-
 func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 	gr.rs.Reset(src.NumVertices(), k)
 	gr.sizes = resetInt64(gr.sizes, k)

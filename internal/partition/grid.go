@@ -22,29 +22,10 @@ func (g *Grid) Name() string { return "Grid" }
 // PreferredOrder implements Partitioner.
 func (g *Grid) PreferredOrder() stream.Order { return stream.Random }
 
-// Partition implements Partitioner. Grid semantics need a square layout,
-// so the algorithm uses the largest perfect square side*side <= k and
-// leaves any leftover partitions empty - the standard implementation
-// choice; pick square k for meaningful balance numbers.
-func (g *Grid) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(g, src, k)
-}
-
-// PartitionInto implements IntoPartitioner. The sink is constructed in a
-// concrete call chain so it stays on the stack (zero-allocation contract).
-func (g *Grid) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	sink := assignSink{assign: assign}
-	return g.run(src, k, &sink)
-}
-
-// PartitionStream implements StreamingPartitioner.
-func (g *Grid) PartitionStream(src stream.Source, k int, emit Emit) error {
-	return streamVia(g, src, k, emit)
-}
-
+// run implements Partitioner. Grid semantics need a square layout, so the
+// algorithm uses the largest perfect square side*side <= k and leaves any
+// leftover partitions empty - the standard implementation choice; pick
+// square k for meaningful balance numbers.
 func (g *Grid) run(src stream.Source, k int, sink *assignSink) error {
 	side := 1
 	for (side+1)*(side+1) <= k {

@@ -21,26 +21,6 @@ func (h *Hashing) Name() string { return "Hashing" }
 // is the paper's stated setting.
 func (h *Hashing) PreferredOrder() stream.Order { return stream.Random }
 
-// Partition implements Partitioner.
-func (h *Hashing) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(h, src, k)
-}
-
-// PartitionInto implements IntoPartitioner. The sink is constructed in a
-// concrete call chain so it stays on the stack (zero-allocation contract).
-func (h *Hashing) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	sink := assignSink{assign: assign}
-	return h.run(src, k, &sink)
-}
-
-// PartitionStream implements StreamingPartitioner.
-func (h *Hashing) PartitionStream(src stream.Source, k int, emit Emit) error {
-	return streamVia(h, src, k, emit)
-}
-
 func (h *Hashing) run(src stream.Source, k int, sink *assignSink) error {
 	kk := uint64(k)
 	return forEachBlock(src, func(blk []graph.Edge) error {
@@ -74,26 +54,6 @@ func (d *DBH) Name() string { return "DBH" }
 
 // PreferredOrder implements Partitioner.
 func (d *DBH) PreferredOrder() stream.Order { return stream.Random }
-
-// Partition implements Partitioner.
-func (d *DBH) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(d, src, k)
-}
-
-// PartitionInto implements IntoPartitioner. The sink is constructed in a
-// concrete call chain so it stays on the stack (zero-allocation contract).
-func (d *DBH) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	sink := assignSink{assign: assign}
-	return d.run(src, k, &sink)
-}
-
-// PartitionStream implements StreamingPartitioner.
-func (d *DBH) PartitionStream(src stream.Source, k int, emit Emit) error {
-	return streamVia(d, src, k, emit)
-}
 
 func (d *DBH) run(src stream.Source, k int, sink *assignSink) error {
 	d.deg = resetUint32(d.deg, src.NumVertices())

@@ -65,27 +65,6 @@ func (h *HDRF) Name() string { return "HDRF" }
 // PreferredOrder implements Partitioner.
 func (h *HDRF) PreferredOrder() stream.Order { return stream.Random }
 
-// Partition implements Partitioner.
-func (h *HDRF) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(h, src, k)
-}
-
-// PartitionInto implements IntoPartitioner. The sink is constructed here,
-// in a concrete (devirtualized) call chain, so it stays on the stack and
-// the repeated-run path keeps its zero-allocation contract.
-func (h *HDRF) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	sink := assignSink{assign: assign}
-	return h.run(src, k, &sink)
-}
-
-// PartitionStream implements StreamingPartitioner.
-func (h *HDRF) PartitionStream(src stream.Source, k int, emit Emit) error {
-	return streamVia(h, src, k, emit)
-}
-
 // lambda returns the balance weight a run uses.
 func (h *HDRF) lambda() (float64, error) {
 	lam := h.BalanceWeight

@@ -88,10 +88,7 @@ func refHDRF(t testing.TB, src stream.Source, k int, lam float64) []int32 {
 func diffHDRF(t *testing.T, edges []graph.Edge, n, k int, lam float64) int {
 	t.Helper()
 	h := &HDRF{BalanceWeight: lam}
-	got, err := h.Partition(stream.Of(edges).Source(n), k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := partitionAll(t, h, stream.Of(edges).Source(n), k)
 	want := refHDRF(t, stream.Of(edges).Source(n), k, lam)
 	for i := range want {
 		if got[i] != want[i] {
@@ -197,7 +194,7 @@ func FuzzHDRFMatchesScan(f *testing.F) {
 			edges[i] = graph.Edge{Src: graph.VertexID(data[2*i] % n), Dst: graph.VertexID(data[2*i+1] % n)}
 		}
 		if lam < 0 || math.IsNaN(lam) || math.IsInf(lam, 0) {
-			if _, err := (&HDRF{BalanceWeight: lam}).Partition(stream.Of(edges).Source(n), k); err == nil {
+			if _, err := RunStreamed(&HDRF{BalanceWeight: lam}, stream.Of(edges).Source(n), stream.Natural, k); err == nil {
 				t.Fatalf("lambda %v accepted", lam)
 			}
 			return
@@ -210,7 +207,7 @@ func FuzzHDRFMatchesScan(f *testing.F) {
 }
 
 // TestHDRFBalanceWeightValidation: a negative, NaN or infinite lambda is an
-// error from every entry point, not a run that puts every edge on
+// error from the in-memory and the streaming runner, not a run that puts every edge on
 // partition 0.
 func TestHDRFBalanceWeightValidation(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 200, OutDegree: 3, Seed: 1})
@@ -224,10 +221,9 @@ func TestHDRFBalanceWeightValidation(t *testing.T) {
 		t.Run(fmt.Sprint(tc.lam), func(t *testing.T) {
 			src := stream.Of(g.Edges).Source(g.NumVertices)
 			h := &HDRF{BalanceWeight: tc.lam}
-			_, errPart := h.Partition(src, 4)
-			errInto := h.PartitionInto(src, 4, make([]int32, src.Len()))
-			errStream := h.PartitionStream(src, 4, func([]graph.Edge, []int32) error { return nil })
-			for _, err := range []error{errPart, errInto, errStream} {
+			_, errMem := RunStreamed(h, src, stream.Natural, 4)
+			_, errStream := RunOutOfCoreOpts(h, src, 4, func([]graph.Edge, []int32) error { return nil }, OutOfCoreOptions{})
+			for _, err := range []error{errMem, errStream} {
 				if (err == nil) != tc.ok {
 					t.Fatalf("lambda %v: err = %v, want ok=%v", tc.lam, err, tc.ok)
 				}

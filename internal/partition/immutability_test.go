@@ -63,52 +63,29 @@ func TestPartitionersNeverMutateCachedStream(t *testing.T) {
 	}
 }
 
-// TestPartitionIntoMatchesPartition pins the scratch-reuse contract: a
-// partitioner's PartitionInto, run repeatedly on different graphs and ks
-// with the same receiver, must produce exactly what a fresh one-shot
-// Partition produces - stale replica bitsets, degree tables or load
-// counters from a previous run would show up as a divergence.
-func TestPartitionIntoMatchesPartition(t *testing.T) {
+// TestReusedPartitionerMatchesFresh pins the scratch-reuse contract: one
+// partitioner value, run repeatedly through RunStreamed on different
+// graphs and ks, must produce exactly what a fresh value produces - stale
+// replica bitsets, degree tables or load counters from a previous run
+// would show up as a divergence.
+func TestReusedPartitionerMatchesFresh(t *testing.T) {
 	gA := webGraph(2500, 21)
 	gB := webGraph(1200, 22) // smaller: reused buffers are oversized
 	for _, name := range Names() {
 		reused, _ := New(name, 5)
-		ip, ok := reused.(IntoPartitioner)
-		if !ok {
-			continue
-		}
 		for _, tc := range []struct {
 			g *graph.Graph
 			k int
 		}{{gA, 16}, {gB, 16}, {gB, 3}, {gA, 64}} {
 			s := stream.NewView(tc.g, reused.PreferredOrder(), 5).Source(tc.g.NumVertices)
-			got := make([]int32, s.Len())
-			if err := ip.PartitionInto(s, tc.k, got); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			got := partitionAll(t, reused, s, tc.k)
 			fresh, _ := New(name, 5)
-			want, err := fresh.Partition(s, tc.k)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			want := partitionAll(t, fresh, s, tc.k)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: reused scratch diverges from fresh run at edge %d (k=%d)", name, i, tc.k)
 				}
 			}
 		}
-	}
-}
-
-// TestPartitionIntoRejectsBadArgs covers the shared precondition checks.
-func TestPartitionIntoRejectsBadArgs(t *testing.T) {
-	g := webGraph(200, 1)
-	s := stream.NewView(g, stream.Random, 1).Source(g.NumVertices)
-	h := &HDRF{}
-	if err := h.PartitionInto(s, 0, make([]int32, s.Len())); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if err := h.PartitionInto(s, 4, make([]int32, s.Len()-1)); err == nil {
-		t.Fatal("short assign slice accepted")
 	}
 }

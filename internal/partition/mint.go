@@ -171,27 +171,8 @@ func (m *Mint) Name() string { return "Mint" }
 // BFS order (the web-crawl order) is its best setting, as in the paper.
 func (m *Mint) PreferredOrder() stream.Order { return stream.BFS }
 
-// Partition implements Partitioner.
-func (m *Mint) Partition(src stream.Source, k int) ([]int32, error) {
-	return partitionVia(m, src, k)
-}
-
-// PartitionInto implements IntoPartitioner. The sink is constructed in a
-// concrete call chain so it stays on the stack (zero-allocation contract).
-func (m *Mint) PartitionInto(src stream.Source, k int, assign []int32) error {
-	if err := checkInto(src, k, assign); err != nil {
-		return err
-	}
-	sink := assignSink{assign: assign}
-	return m.run(src, k, &sink)
-}
-
-// PartitionStream implements StreamingPartitioner: batches are finalized
-// units, so each commits to the sink as soon as its game equilibrates.
-func (m *Mint) PartitionStream(src stream.Source, k int, emit Emit) error {
-	return streamVia(m, src, k, emit)
-}
-
+// run implements Partitioner: batches are finalized units, so each
+// commits to the sink as soon as its game equilibrates.
 func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
 	batchSize := m.BatchSize
 	if batchSize <= 0 {

@@ -1,15 +1,16 @@
 package partition
 
 import (
-	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/faultfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
@@ -87,10 +88,10 @@ func TestOutOfCoreMatchesInMemoryNatural(t *testing.T) {
 					t.Fatal(err)
 				}
 				var streamed []int32
-				ooc, err := RunOutOfCore(p, src, k, func(edges []graph.Edge, assign []int32) error {
+				ooc, err := RunOutOfCoreOpts(p, src, k, func(edges []graph.Edge, assign []int32) error {
 					streamed = append(streamed, assign...)
 					return nil
-				})
+				}, OutOfCoreOptions{})
 				src.Close()
 				if err != nil {
 					t.Fatalf("%s out-of-core: %v", p.Name(), err)
@@ -119,19 +120,15 @@ func TestOutOfCoreMatchesInMemoryNatural(t *testing.T) {
 	}
 }
 
-// TestDistributedFileShardingMatchesViewSharding: CLUGP-D's concurrent
-// PartitionInto over file segments (one private handle per ingest node on
-// the seek backend, one shared mapping on the mmap backend) must equal the
-// same run over in-memory view slices, and equal its own sequential
-// streaming mode - on every backend over every format.
+// TestDistributedFileShardingMatchesViewSharding: CLUGP-D's ingest nodes
+// over file segments (one shared mapping on the mmap source, a read-at
+// cursor per node otherwise) must equal the same run over in-memory view
+// slices, on every source.
 func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 4000, OutDegree: 6, IntraSite: 0.85, Seed: 32})
 	d := &DistributedCLUGP{Nodes: 4, Seed: 7}
 
-	fromView, err := d.Partition(stream.Of(g.Edges).Source(g.NumVertices), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromView := partitionAll(t, d, stream.Of(g.Edges).Source(g.NumVertices), 8)
 
 	for _, fb := range fileBackends() {
 		t.Run(fb.name, func(t *testing.T) {
@@ -140,9 +137,9 @@ func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer src.Close()
-			fromFile := make([]int32, src.Len())
-			if err := d.PartitionInto(src, 8, fromFile); err != nil {
-				t.Fatal(err)
+			fromFile, _ := collectOutOfCore(t, d, src, 8, OutOfCoreOptions{})
+			if len(fromFile) != len(fromView) {
+				t.Fatalf("file sharding emitted %d assignments, view sharding %d", len(fromFile), len(fromView))
 			}
 			for i := range fromView {
 				if fromFile[i] != fromView[i] {
@@ -154,7 +151,7 @@ func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 }
 
 // TestOutOfCoreBoundedMemory is the bounded-memory criterion: streaming the
-// cmd/clugp code path (RunOutOfCore over a store.MmapSource) on a graph
+// cmd/clugp code path (RunOutOfCoreOpts over a store.MmapSource) on a graph
 // whose edges dominate its vertices must keep live heap well below the
 // materialized edge-list size. Live heap is sampled inside the Emit
 // callback after forced collections, so the assertion sees actual
@@ -199,14 +196,14 @@ func TestOutOfCoreBoundedMemory(t *testing.T) {
 	} {
 		var peak int64
 		emits := 0
-		_, err = RunOutOfCore(tc.p, src, 8, func(edges []graph.Edge, assign []int32) error {
+		_, err = RunOutOfCoreOpts(tc.p, src, 8, func(edges []graph.Edge, assign []int32) error {
 			if emits++; emits%16 == 0 {
 				if live := liveHeap(); live > peak {
 					peak = live
 				}
 			}
 			return nil
-		})
+		}, OutOfCoreOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.p.Name(), err)
 		}
@@ -224,37 +221,53 @@ func TestOutOfCoreBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestRunOutOfCoreQualityMatchesEvaluate: the incrementally accumulated
-// quality must equal a from-scratch evaluation of the emitted assignment.
+// TestRunOutOfCoreQualityMatchesEvaluate: the quality accumulated in the
+// streaming pass must equal a from-scratch evaluation of the emitted
+// assignment, field for field, at every decode worker count.
 func TestRunOutOfCoreQualityMatchesEvaluate(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 1500, OutDegree: 5, Seed: 34})
 	src := stream.Of(g.Edges).Source(g.NumVertices)
-	var assign []int32
-	res, err := RunOutOfCore(&HDRF{}, src, 16, func(edges []graph.Edge, as []int32) error {
-		assign = append(assign, as...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := RunStreamed(&HDRF{}, src, stream.Natural, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Quality.ReplicationFactor-mem.Quality.ReplicationFactor) != 0 {
-		t.Fatalf("incremental RF %v != recomputed %v", res.Quality.ReplicationFactor, mem.Quality.ReplicationFactor)
-	}
-	for i := range assign {
-		if assign[i] != mem.Assign[i] {
-			t.Fatalf("assignment diverges at %d", i)
+	for _, workers := range []int{1, 2} {
+		assign, res := collectOutOfCore(t, &HDRF{}, src, 16, OutOfCoreOptions{Workers: workers})
+		want, err := metrics.Evaluate(src, assign, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Quality, want) {
+			t.Fatalf("workers=%d: in-pass quality %+v, reference %+v", workers, res.Quality, want)
 		}
 	}
 }
 
-// TestRunOutOfCoreRejectsBadK covers the shared precondition.
+// TestRunStreamedQualityMatchesEvaluate: in-memory runs score in the same
+// pass that writes the assignment, so their quality must equal the
+// independent reference, metrics.Evaluate over the captured assignment,
+// field for field - for every algorithm, at one, one word's worth and more
+// than one word of partitions.
+func TestRunStreamedQualityMatchesEvaluate(t *testing.T) {
+	g := gen.Web(gen.WebConfig{N: 2000, OutDegree: 6, IntraSite: 0.85, Seed: 35})
+	for _, p := range outOfCorePartitioners(t) {
+		for _, k := range []int{1, 8, 65} {
+			res, err := RunStreamed(p, stream.NewView(g, p.PreferredOrder(), 3).Source(g.NumVertices), p.PreferredOrder(), k)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", p.Name(), k, err)
+			}
+			want, err := metrics.Evaluate(res.Stream, res.Assign, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Quality, want) {
+				t.Fatalf("%s k=%d: in-pass quality %+v, reference %+v", p.Name(), k, res.Quality, want)
+			}
+		}
+	}
+}
+
+// TestRunOutOfCoreRejectsBadK covers the shared precondition on the serial
+// streaming pass.
 func TestRunOutOfCoreRejectsBadK(t *testing.T) {
 	src := stream.Of([]graph.Edge{{Src: 0, Dst: 1}}).Source(2)
-	if _, err := RunOutOfCore(&Hashing{}, src, 0, nil); err == nil {
+	if _, err := RunOutOfCoreOpts(&Hashing{}, src, 0, nil, OutOfCoreOptions{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }

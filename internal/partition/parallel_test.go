@@ -105,7 +105,8 @@ func TestParallelWorkerInvarianceInMemory(t *testing.T) {
 // TestParallelFallsBackWithoutSegmenter: a source that cannot segment runs
 // the serial pass (same results, no error) even when workers are requested,
 // and Result.Pipeline records the downgrade; a segmentable source reports
-// the decode fleet it ran with and no fallback.
+// the decode fleet it actually ran with - clamped to its segment count -
+// and no fallback.
 type unsegmentable struct{ stream.Source }
 
 func TestParallelFallsBackWithoutSegmenter(t *testing.T) {
@@ -125,7 +126,21 @@ func TestParallelFallsBackWithoutSegmenter(t *testing.T) {
 		t.Fatalf("decode fallback not reported: %q", res.Pipeline.SerialFallback)
 	}
 
-	_, res = collectOutOfCore(t, &HDRF{}, src, 4, OutOfCoreOptions{Workers: 2})
+	// One decode segment: eight requested workers resolve to one.
+	if need := 8 * stream.BlockLen; len(g.Edges) > need {
+		t.Fatalf("test graph has %d edges, want at most %d for one decode segment", len(g.Edges), need)
+	}
+	_, res = collectOutOfCore(t, &HDRF{}, src, 4, OutOfCoreOptions{Workers: 8})
+	if res.Pipeline.DecodeWorkers != 1 || res.Pipeline.SerialFallback != "" {
+		t.Fatalf("one-segment pipeline info %+v, want decode=1 and no fallback", res.Pipeline)
+	}
+
+	big := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, Seed: 53})
+	// A default decode segment is 8 batches of stream.BlockLen edges.
+	if need := 2 * 8 * stream.BlockLen; len(big.Edges) <= need {
+		t.Fatalf("test graph has %d edges, need more than %d for three decode segments", len(big.Edges), need)
+	}
+	_, res = collectOutOfCore(t, &HDRF{}, stream.Of(big.Edges).Source(big.NumVertices), 4, OutOfCoreOptions{Workers: 2})
 	if res.Pipeline.DecodeWorkers != 2 || res.Pipeline.SerialFallback != "" {
 		t.Fatalf("pipeline info %+v, want decode=2 and no fallback", res.Pipeline)
 	}
@@ -133,9 +148,10 @@ func TestParallelFallsBackWithoutSegmenter(t *testing.T) {
 
 // TestParallelOutOfCoreRace is the dedicated race workload: parallel passes
 // with several worker counts over the mmap backend, so the decode fleet
-// hammers concurrent Segment cursors on one shared mapping while the shard
-// fleet writes the sharded replica tables. The graph spans several decode
-// segments so every worker count actually runs more than one decoder. Run
+// hammers concurrent Segment cursors on one shared mapping while the
+// assignment and accounting stage consumes its batches. The graph spans
+// several decode segments so every worker count actually runs more than
+// one decoder. Run
 // under -race in CI; assertions are minimal because the test's job is the
 // schedule, not the values (TestParallelWorkerInvariance pins those).
 func TestParallelOutOfCoreRace(t *testing.T) {

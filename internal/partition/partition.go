@@ -10,10 +10,10 @@
 // Partitioners consume the stream as a stream.Source - a sequential,
 // replayable edge stream - so the same algorithm code runs over an
 // in-memory zero-copy view and over a file that is never materialized
-// (package store). They may keep reusable scratch between runs (see
-// PartitionInto); a single Partitioner value is therefore not safe for
-// concurrent use. Construct one per goroutine - they are cheap, all state
-// is scratch.
+// (package store). They keep reusable scratch between runs (replica
+// bitsets, degree tables, load counters); a single Partitioner value is
+// therefore not safe for concurrent use. Construct one per goroutine -
+// they are cheap, all state is scratch.
 package partition
 
 import (
@@ -25,7 +25,10 @@ import (
 	"repro/internal/stream"
 )
 
-// Partitioner assigns streamed edges to k partitions.
+// Partitioner assigns streamed edges to k partitions. Every run goes
+// through one executor (RunOutOfCoreOpts, with RunStreamed, Run and
+// RunCached as thin wrappers that capture the assignment), so the
+// algorithms implement only the unexported run.
 type Partitioner interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
@@ -33,38 +36,18 @@ type Partitioner interface {
 	// the paper grants each competitor its best order (random for the
 	// one-pass heuristics and hashes, BFS for Mint and CLUGP).
 	PreferredOrder() stream.Order
-	// Partition consumes the edge source (possibly in multiple passes) and
-	// returns one partition id per edge, aligned with the stream.
-	Partition(src stream.Source, k int) ([]int32, error)
-}
-
-// IntoPartitioner is implemented by partitioners whose hot loop is
-// allocation-free: PartitionInto writes the assignment into a caller-owned
-// slice and reuses the partitioner's internal scratch (replica bitsets,
-// degree tables, load counters) across calls. It is the repeated-run API
-// the benchmarks and the suite lean on; Partition remains the convenient
-// one-shot form.
-type IntoPartitioner interface {
-	// PartitionInto partitions the source into assign, which must have
-	// length src.Len().
-	PartitionInto(src stream.Source, k int, assign []int32) error
+	// run consumes the edge source (possibly in multiple passes) and
+	// delivers one partition id per edge, in stream order, through the
+	// sink. Peak memory is the algorithm's own state (O(|V|) tables for
+	// CLUGP, the replica bitsets for the heuristics, O(batch) for Mint)
+	// plus whatever the sink holds.
+	run(src stream.Source, k int, sink *assignSink) error
 }
 
 // Emit receives one finalized run of assignments in stream order:
 // assign[i] is the partition of edges[i]. Both slices are only valid for
 // the duration of the call.
 type Emit func(edges []graph.Edge, assign []int32) error
-
-// StreamingPartitioner is implemented by partitioners that can deliver
-// their assignment incrementally - the out-of-core mode. PartitionStream
-// partitions the source and hands each finalized run of assignments to
-// emit in stream order without ever materializing the full O(|E|)
-// assignment, so peak memory is the algorithm's own state (O(|V|) tables
-// for CLUGP, the replica bitsets for the heuristics, O(batch) for Mint)
-// plus one block buffer.
-type StreamingPartitioner interface {
-	PartitionStream(src stream.Source, k int, emit Emit) error
-}
 
 // StateSizer is implemented by partitioners that can report the peak size
 // in bytes of their internal state for the memory-cost comparison
@@ -84,15 +67,17 @@ type Result struct {
 	NumVertices int
 	// Stream is the ordered edge source that was partitioned; Assign is
 	// aligned with it (Assign[i] is the partition of the i-th streamed
-	// edge). Assign is nil for out-of-core runs (RunOutOfCore), whose
+	// edge). Assign is nil for out-of-core runs (RunOutOfCoreOpts), whose
 	// assignments exist only transiently in the Emit callback.
-	Stream     stream.Source
-	Assign     []int32
-	Quality    *metrics.Quality
+	Stream  stream.Source
+	Assign  []int32
+	Quality *metrics.Quality
+	// Runtime is the partitioning pass(es) including the in-pass quality
+	// accounting.
 	Runtime    time.Duration
 	StateBytes int64
-	// Pipeline describes how the out-of-core hot pass executed (decode
-	// worker count, serial fallbacks, checkpoints). Zero for in-memory runs.
+	// Pipeline describes how the hot pass executed (decode worker count,
+	// serial fallbacks, checkpoints).
 	Pipeline PipelineInfo
 }
 
@@ -100,85 +85,57 @@ type Result struct {
 // partitioning pass(es) and evaluates quality. seed feeds the random stream
 // order only; partitioner-internal seeds are part of their construction.
 func Run(p Partitioner, g *graph.Graph, k int, seed uint64) (*Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
-	}
-	if err := stream.CheckLen(len(g.Edges)); err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
-	order := p.PreferredOrder()
-	return RunStreamed(p, stream.NewView(g, order, seed).Source(g.NumVertices), order, k)
+	return RunCached(p, g, k, seed, nil)
 }
 
 // RunCached is Run with the stream order served from c, so repeated runs
 // over the same graph (the experiment-suite hot path) reuse one ordered
-// permutation instead of re-materializing it per run. A nil cache falls
-// back to Run.
+// permutation instead of re-materializing it per run. A nil cache orders
+// the stream afresh.
 func RunCached(p Partitioner, g *graph.Graph, k int, seed uint64, c *stream.Cache) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
-	}
-	if c == nil {
-		return Run(p, g, k, seed)
 	}
 	if err := stream.CheckLen(len(g.Edges)); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
 	order := p.PreferredOrder()
-	return RunStreamed(p, c.View(g, order, seed).Source(g.NumVertices), order, k)
+	var v stream.View
+	if c == nil {
+		v = stream.NewView(g, order, seed)
+	} else {
+		v = c.View(g, order, seed)
+	}
+	return RunStreamed(p, v.Source(g.NumVertices), order, k)
 }
 
-// RunStreamed partitions an already-ordered edge source, timing the
-// partitioning pass(es) and evaluating quality. order records how the
-// stream was produced; it is bookkeeping only and does not reorder
-// anything.
+// RunStreamed partitions an already-ordered edge source and captures the
+// assignment into Result.Assign. It is the executor in window mode: the
+// algorithm writes straight into the result slice and quality is scored
+// in the same pass. order records how the stream was produced; it is
+// bookkeeping only and does not reorder anything.
 func RunStreamed(p Partitioner, src stream.Source, order stream.Order, k int) (*Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
-	}
-	start := time.Now()
-	assign, err := p.Partition(src, k)
-	elapsed := time.Since(start)
+	res, err := execute(p, src, k, &assignSink{assign: make([]int32, src.Len())}, OutOfCoreOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
+		return nil, err
 	}
-	if len(assign) != src.Len() {
-		return nil, fmt.Errorf("partition: %s returned %d assignments for %d edges", p.Name(), len(assign), src.Len())
-	}
-	q, err := metrics.Evaluate(src, assign, k)
-	if err != nil {
-		return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
-	}
-	res := &Result{
-		Algorithm:   p.Name(),
-		Order:       order,
-		K:           k,
-		NumVertices: src.NumVertices(),
-		Stream:      src,
-		Assign:      assign,
-		Quality:     q,
-		Runtime:     elapsed,
-	}
-	if sz, ok := p.(StateSizer); ok {
-		res.StateBytes = sz.StateBytes(src.NumVertices(), src.Len(), k)
-	}
+	res.Order = order
 	return res, nil
 }
 
-// OutOfCoreOptions tune the out-of-core streaming pass. The zero value is
-// the serial mode RunOutOfCore has always run.
+// OutOfCoreOptions tune the streaming pass. The zero value is the serial
+// mode.
 type OutOfCoreOptions struct {
-	// Workers enables the parallel hot pass when > 1 and the source can be
-	// segmented (every source in this repository can): a fleet of Workers
-	// decode goroutines pulls disjoint stream.Segmenter ranges and feeds the
-	// assignment stage fixed-size batches committed in segment order, and
-	// quality accounting runs on Workers vertex-range shard workers over a
-	// metrics.ShardedReplicaSets. Assignments and quality are bit-identical
-	// to the serial pass for any worker count - the decode/merge pipeline
-	// preserves exact stream order and the sharded accounting is
-	// commutative - which TestParallelWorkerInvariance holds for every
-	// algorithm on every file source. Sources that cannot segment fall back
-	// to the serial pass.
+	// Workers enables parallel decode when > 1 and the source can be
+	// segmented (every source in this repository can): a fleet of up to
+	// Workers decode goroutines pulls disjoint stream.Segmenter ranges and
+	// feeds the assignment stage fixed-size batches committed in segment
+	// order. The assignment loop and the quality accounting stay serial.
+	// Assignments and quality are bit-identical to the serial pass for any
+	// worker count - the decode/merge pipeline preserves exact stream
+	// order - which TestParallelWorkerInvariance holds for every algorithm
+	// on every file source. Sources that cannot segment fall back to the
+	// serial pass.
 	Workers int
 	// Checkpoint, when non-nil, enables crash tolerance: the run writes
 	// checkpoint records to Checkpoint.Path at batch boundaries, and
@@ -189,10 +146,10 @@ type OutOfCoreOptions struct {
 	Checkpoint *CheckpointOptions
 }
 
-// PipelineInfo records how the out-of-core hot pass actually executed,
-// including downgrades that used to be silent: a non-Segmenter source
-// demotes -workers to serial decode, and a partitioner without checkpoint
-// support runs without checkpoints. clugp -trace prints it.
+// PipelineInfo records how the hot pass actually executed, including
+// downgrades that used to be silent: a non-Segmenter source demotes
+// -workers to serial decode, and a partitioner without checkpoint support
+// runs without checkpoints. clugp -trace prints it.
 type PipelineInfo struct {
 	// DecodeWorkers is the resolved decode-fleet size (1 = serial decode).
 	DecodeWorkers int
@@ -215,58 +172,42 @@ func (i *PipelineInfo) addFallback(note string) {
 	}
 }
 
-// RunOutOfCore partitions a source in its stored (natural) order without
-// materializing the assignment: each finalized run of assignments is scored
-// incrementally and forwarded to emit (which may be nil to discard them,
-// e.g. when only quality is wanted). Peak memory is the partitioner's own
-// state plus one block, never O(|E|) - the bounded-memory mode behind
-// cmd/clugp -stream. The partitioner must implement StreamingPartitioner
-// (every algorithm in this package does).
-//
-// Because quality accounting happens inside the single pass, Runtime
-// includes it, unlike the in-memory runners which evaluate after the
-// timed pass.
-func RunOutOfCore(p Partitioner, src stream.Source, k int, emit Emit) (*Result, error) {
-	return RunOutOfCoreOpts(p, src, k, emit, OutOfCoreOptions{})
-}
-
-// qualityObserver is the incremental accounting seam between the serial
-// metrics.Evaluator and the sharded metrics.ParallelEvaluator.
-type qualityObserver interface {
-	Observe(edges []graph.Edge, assign []int32) error
-	Finish() *metrics.Quality
-}
-
-// RunOutOfCoreOpts is RunOutOfCore with the parallel hot pass available:
-// with opts.Workers > 1 the decode stage and the quality accounting run on
-// worker fleets (see OutOfCoreOptions.Workers) while the algorithm's own
-// assignment loop stays sequential over the exactly-ordered batch stream,
-// keeping results bit-identical to the serial pass.
+// RunOutOfCoreOpts partitions a source in its stored (natural) order
+// without materializing the assignment: each finalized run of assignments
+// is scored incrementally and forwarded to emit (which may be nil to
+// discard them, e.g. when only quality is wanted). Peak memory is the
+// partitioner's own state plus one block, never O(|E|) - the
+// bounded-memory mode behind cmd/clugp -stream. opts adds parallel decode
+// and checkpoints (see OutOfCoreOptions); the algorithm's own assignment
+// loop stays sequential over the exactly-ordered batch stream, keeping
+// results bit-identical to the serial pass.
 func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts OutOfCoreOptions) (*Result, error) {
+	return execute(p, src, k, &assignSink{emit: emit}, opts)
+}
+
+// execute is the one executor every run goes through. It hands the
+// algorithm's run the sink, which scores every committed run of
+// assignments in-pass with the serial metrics.Evaluator and routes it on
+// (see assignSink.commit).
+func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts OutOfCoreOptions) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
 	}
-	sp, ok := p.(StreamingPartitioner)
-	if !ok {
-		return nil, fmt.Errorf("partition: %s cannot stream its assignment (no StreamingPartitioner)", p.Name())
-	}
 	orig := src
 	nv := src.NumVertices()
-	total := int64(src.Len())
-	parallel := false
+	total := src.Len()
 	info := PipelineInfo{DecodeWorkers: 1}
 
 	// Resolve the checkpoint plan before any wrapping: resume validation is
 	// defined against the caller's source.
-	var (
-		ckOpts *CheckpointOptions
-		ck     *ckRun
-		every  int64
-	)
 	if c := opts.Checkpoint; c != nil && (c.Path != "" || c.Resume != nil) {
 		switch {
 		case replaysPrefix(p):
-			ckOpts, ck = c, &ckRun{k: k}
+			ck, err := newCkRun(p, src, k, c)
+			if err != nil {
+				return nil, err
+			}
+			sink.ck = ck
 		case c.Resume != nil:
 			// Resuming without prefix replay would re-partition from
 			// scratch against a truncated emit stream: hard error.
@@ -274,20 +215,6 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 		default:
 			info.addFallback(p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled")
 		}
-	}
-	resumeOffset := int64(0)
-	if ckOpts != nil && ckOpts.Resume != nil {
-		if err := ck.openResume(p, src, k, ckOpts); err != nil {
-			return nil, err
-		}
-		resumeOffset = int64(ck.end)
-		info.Checkpoints.Resumed = true
-		info.Checkpoints.ResumeOffset = resumeOffset
-	}
-	if ckOpts != nil && ckOpts.Path != "" {
-		every = resolveCadence(ckOpts.EveryEdges, total)
-		info.Checkpoints.Enabled = true
-		info.Checkpoints.EveryEdges = every
 	}
 	if opts.Workers > 1 {
 		if seg, isSeg := src.(stream.Segmenter); isSeg {
@@ -297,8 +224,9 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 			}
 			defer par.Close()
 			src = par
-			parallel = true
-			info.DecodeWorkers = opts.Workers
+			// The fleet is clamped to the segment count; an empty stream
+			// has no segments and decodes nothing.
+			info.DecodeWorkers = max(par.Workers(), 1)
 		} else {
 			// Not an error - the serial pass produces identical results -
 			// but no longer silent: the caller asked for parallel decode
@@ -306,7 +234,7 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 			info.addFallback(fmt.Sprintf("source %T cannot segment into ranges, decode runs serially", src))
 		}
 	}
-	if ckOpts != nil {
+	if sink.ck != nil {
 		// Pin every sink commit to a BlockLen-multiple stream offset: serial
 		// algorithms otherwise commit at whatever block granularity the
 		// source delivers (an in-memory view delivers one giant block, which
@@ -316,57 +244,18 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 		// affects scheduling only, never assignments.
 		src = stream.Rebatch(src, stream.BlockLen)
 	}
-	var ev qualityObserver
-	if parallel {
-		pev := &metrics.ParallelEvaluator{}
-		pev.Begin(nv, k, opts.Workers)
-		defer pev.Stop()
-		ev = pev
-	} else {
-		sev := &metrics.Evaluator{}
-		sev.Begin(nv, k)
-		ev = sev
-	}
-	watermark, lastCkpt := int64(0), resumeOffset
-	observe := func(edges []graph.Edge, assign []int32) error {
-		if err := ev.Observe(edges, assign); err != nil {
-			return err
-		}
-		if watermark < resumeOffset {
-			// The replayed prefix rebuilds state only: it is durable already.
-			watermark += int64(len(edges))
-			return nil
-		}
-		if emit != nil {
-			if err := emit(edges, assign); err != nil {
-				return err
-			}
-		}
-		watermark += int64(len(edges))
-		// A checkpoint fires at the first aligned commit boundary past each
-		// cadence multiple. The alignment check matters for multi-pass
-		// algorithms whose internal rebatching commits at other granularity,
-		// and the watermark < total guard skips a pointless record of the
-		// finished run (the final artifact is the output itself).
-		if every > 0 && watermark-lastCkpt >= every && watermark < total &&
-			watermark%int64(stream.BlockLen) == 0 {
-			if err := writeRunCheckpoint(p, ck, ckOpts, k, nv, total, watermark, &info.Checkpoints); err != nil {
-				return fmt.Errorf("checkpoint at offset %d: %w", watermark, err)
-			}
-			lastCkpt = watermark
-		}
-		return nil
-	}
+	sink.ev.Begin(nv, k)
 	start := time.Now()
-	var err error
-	if ck != nil {
-		err = p.(sinkRunner).run(src, k, &assignSink{emit: observe, ck: ck})
-	} else {
-		err = sp.PartitionStream(src, k, observe)
-	}
+	err := p.run(src, k, sink)
 	elapsed := time.Since(start)
+	if err == nil && sink.pos != total {
+		err = fmt.Errorf("assigned %d of %d edges", sink.pos, total)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
+	}
+	if sink.ck != nil {
+		info.Checkpoints = sink.ck.stats
 	}
 	if rc, isRetry := orig.(interface{ RetryAttempts() int64 }); isRetry {
 		info.RetryAttempts = rc.RetryAttempts()
@@ -379,30 +268,33 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 		// The caller's source, not the parallel wrapper: the wrapper's
 		// fleet is released when this function returns.
 		Stream:   orig,
-		Quality:  ev.Finish(),
+		Assign:   sink.assign,
+		Quality:  sink.ev.Finish(),
 		Runtime:  elapsed,
 		Pipeline: info,
 	}
 	if sz, isSz := p.(StateSizer); isSz {
-		res.StateBytes = sz.StateBytes(nv, int(total), k)
+		res.StateBytes = sz.StateBytes(nv, total, k)
 	}
 	return res, nil
 }
 
 // assignSink hands a partitioner output space for finalized assignment
-// runs and routes them to their destination. In materialized mode (assign
-// set) grab returns windows of the caller's slice, so writing assignments
-// costs nothing extra; in emit mode grab returns a reused scratch block and
-// commit forwards it, so nothing O(|E|) ever exists. Algorithms may mutate
-// a grabbed slice freely until they commit it (Mint's best-response rounds
-// rewrite the batch in place).
+// runs and routes them to their destination. In window mode (assign set)
+// grab returns windows of the result slice, so writing assignments costs
+// nothing extra; otherwise grab returns a reused scratch block, so nothing
+// O(|E|) ever exists. Algorithms may mutate a grabbed slice freely until
+// they commit it (Mint's best-response rounds rewrite the batch in place).
 type assignSink struct {
 	assign  []int32
 	scratch []int32
-	emit    Emit
-	pos     int
-	// ck is the checkpoint plumbing of a checkpointed or resumed
-	// out-of-core run; nil otherwise.
+	// emit is the caller's callback for committed runs; nil discards them.
+	emit Emit
+	pos  int
+	// ev scores every committed run.
+	ev metrics.Evaluator
+	// ck is the checkpoint plumbing of a checkpointed or resumed run; nil
+	// otherwise.
 	ck *ckRun
 }
 
@@ -416,49 +308,25 @@ func (s *assignSink) grab(n int) []int32 {
 	return s.scratch[:n]
 }
 
+// commit scores one finalized run and, unless it lies in the replayed
+// prefix of a resumed run (durable already: it rebuilds state only),
+// forwards it to emit and gives the checkpoint plumbing its offset.
 func (s *assignSink) commit(edges []graph.Edge, out []int32) error {
+	if err := s.ev.Observe(edges, out); err != nil {
+		return err
+	}
+	replayed := s.replaying()
 	s.pos += len(out)
+	if replayed {
+		return nil
+	}
 	if s.emit != nil {
-		return s.emit(edges, out)
+		if err := s.emit(edges, out); err != nil {
+			return err
+		}
 	}
-	return nil
-}
-
-// sinkRunner is the internal shape every partitioner in this package
-// implements: one run over the source delivering assignments through the
-// sink. PartitionInto and PartitionStream are both thin wrappers over it.
-type sinkRunner interface {
-	run(src stream.Source, k int, sink *assignSink) error
-}
-
-// partitionVia implements the one-shot Partition in terms of an
-// allocation-free PartitionInto.
-func partitionVia(p IntoPartitioner, src stream.Source, k int) ([]int32, error) {
-	assign := make([]int32, src.Len())
-	if err := p.PartitionInto(src, k, assign); err != nil {
-		return nil, err
-	}
-	return assign, nil
-}
-
-// streamVia implements PartitionStream in terms of the sink runner.
-// (PartitionInto is written out concretely in each algorithm instead of
-// through this interface: a concrete call chain lets the per-run sink stay
-// on the stack, preserving the zero-allocation repeated-run contract.)
-func streamVia(p sinkRunner, src stream.Source, k int, emit Emit) error {
-	if k < 1 {
-		return fmt.Errorf("partition: k must be >= 1, got %d", k)
-	}
-	return p.run(src, k, &assignSink{emit: emit})
-}
-
-// checkInto validates the common PartitionInto preconditions.
-func checkInto(src stream.Source, k int, assign []int32) error {
-	if k < 1 {
-		return fmt.Errorf("partition: k must be >= 1, got %d", k)
-	}
-	if len(assign) != src.Len() {
-		return fmt.Errorf("partition: assign has length %d, stream has %d edges", len(assign), src.Len())
+	if s.ck != nil {
+		return s.ck.checkpoint(int64(s.pos))
 	}
 	return nil
 }

@@ -13,6 +13,17 @@ func webGraph(n int, seed uint64) *graph.Graph {
 	return gen.Web(gen.WebConfig{N: n, OutDegree: 6, CopyFactor: 0.6, Seed: seed})
 }
 
+// partitionAll runs p over src through RunStreamed and returns the
+// captured assignment.
+func partitionAll(t testing.TB, p Partitioner, src stream.Source, k int) []int32 {
+	t.Helper()
+	res, err := RunStreamed(p, src, stream.Natural, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Assign
+}
+
 func allPartitioners() []Partitioner {
 	ps := Suite(1)
 	ps = append(ps,
@@ -51,6 +62,9 @@ func TestRunRejectsBadK(t *testing.T) {
 	g := webGraph(100, 1)
 	if _, err := Run(&Hashing{}, g, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+	if _, err := RunStreamed(&HDRF{}, stream.NewView(g, stream.Random, 1).Source(g.NumVertices), stream.Random, 0); err == nil {
+		t.Fatal("RunStreamed accepted k=0")
 	}
 }
 
@@ -164,12 +178,7 @@ func TestCLUGPRejectsBadTau(t *testing.T) {
 }
 
 func TestCLUGPEmptyStream(t *testing.T) {
-	p := &CLUGP{}
-	assign, err := p.Partition(stream.View{}.Source(10), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(assign) != 0 {
+	if assign := partitionAll(t, &CLUGP{}, stream.View{}.Source(10), 4); len(assign) != 0 {
 		t.Fatal("assignments from empty stream")
 	}
 }
@@ -379,11 +388,7 @@ func TestGreedyUsesIntersection(t *testing.T) {
 	// their seen endpoints; final edge (0,1) repeats and must reuse the
 	// intersection.
 	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 0, Dst: 1}}
-	g := &Greedy{}
-	assign, err := g.Partition(stream.Of(edges).Source(3), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	assign := partitionAll(t, &Greedy{}, stream.Of(edges).Source(3), 4)
 	if assign[3] != assign[0] {
 		t.Fatalf("repeated edge left its endpoints' common partition: %v", assign)
 	}

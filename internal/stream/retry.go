@@ -185,7 +185,7 @@ func (s *RetrySource) sleepN(attempt int) {
 }
 
 // retrySegmenter adds Segment to RetrySource when the base supports it, so
-// segment consumers - RunOutOfCore's parallel decode fleet and CLUGP-D's
+// segment consumers - RunOutOfCoreOpts's parallel decode fleet and CLUGP-D's
 // sharded ingest - keep their fast path under fault injection.
 type retrySegmenter struct{ RetrySource }
 

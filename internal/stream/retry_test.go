@@ -176,7 +176,7 @@ func TestRetryRespectsRetryable(t *testing.T) {
 
 // TestRetrySegmenter: wrapping a Segmenter yields a Segmenter whose segments
 // are retry-wrapped; wrapping a plain Source does not invent a Segment
-// method (RunOutOfCore's fallback logic depends on the distinction).
+// method (RunOutOfCoreOpts's fallback logic depends on the distinction).
 func TestRetrySegmenter(t *testing.T) {
 	edges := testEdges(50)
 	vs := Of(edges).Source(7)
