@@ -7,6 +7,9 @@ package repro
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/xrand"
 )
@@ -246,6 +250,54 @@ func BenchmarkStoreRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadCompressed(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMmapPass times one full decode pass - Reset, then NextBlock to
+// EOF - over a CGR3 file of pipebench's UK-shaped web graph (1.2M
+// vertices, 9.6M edges) opened with OpenMmap: the pass CLUGP runs four
+// times per partitioning. SetBytes is the file size, so MB/s is on-disk
+// bytes decoded.
+func BenchmarkMmapPass(b *testing.B) {
+	g := gen.Web(gen.WebConfig{N: 1_200_000, OutDegree: 8, SiteMean: 150, IntraSite: 0.88, CopyFactor: 0.6, Seed: 7})
+	path := filepath.Join(b.TempDir(), "uk.cgr")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Write(f, g); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	ne := g.NumEdges()
+	g = nil
+	src, err := store.OpenMmap(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	b.SetBytes(src.SizeBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			blk, err := src.NextBlock()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += len(blk)
+		}
+		if n != ne {
+			b.Fatalf("decoded %d edges, want %d", n, ne)
 		}
 	}
 }

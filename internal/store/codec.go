@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -115,78 +116,147 @@ func (d *decoder) seek(off int64, st decState) {
 // longer runs spill the remainder into a follow-up varint.
 const runInline = 15
 
-// next decodes the edge at stream index i.
-func (d *decoder) next(i int) (graph.Edge, error) {
-	st := &d.st
-	// Mid-interval: the token was consumed whole, the state replays it.
-	if st.ivLeft > 0 {
-		return d.stepInterval(i)
-	}
-	// Run boundary: decode the packed header (source gap + run length).
-	if st.runLeft == 0 {
-		h, err := d.cur.uvarint()
-		if err != nil {
-			return graph.Edge{}, fmt.Errorf("store: edge %d run header: %w", i, err)
-		}
-		src := st.prevSrc + unzigzag(h>>4) + 1
-		if src < 0 || src >= d.nv {
-			return graph.Edge{}, fmt.Errorf("store: edge %d run source %d out of range (n=%d)", i, src, d.nv)
-		}
-		runLen := int64(h&runInline) + 1
-		if h&runInline == runInline {
-			extra, err := d.cur.uvarint()
-			if err != nil {
-				return graph.Edge{}, fmt.Errorf("store: edge %d run length: %w", i, err)
+// decodeBlock decodes the len(dst) edges from stream index first on into
+// dst. The run/interval state, the window and the byte index stay in
+// locals for the whole block; a run's targets decode in an inner loop that
+// stops only at the block's end, the run's end or an interval token;
+// varints of up to four bytes decode inline (uvarintFast); and interval
+// tokens expand in a fill loop with one range check per fill. Only a
+// longer varint, or one within four bytes of the window's end (where a
+// read-at cursor refills), goes through the cursor.
+// Every error names the first edge that cannot be decoded, with the same
+// text for any block length (the per-edge test oracle refNext pins both);
+// after one, dst holds no defined edges and the decoder must be
+// repositioned (seek) before it decodes again.
+func (d *decoder) decodeBlock(dst []graph.Edge, first int) error {
+	data, i := d.cur.data, d.cur.i
+	src, prev := d.st.prevSrc, d.st.prevDst
+	runLeft, ivLeft := d.st.runLeft, d.st.ivLeft
+	nv, ne := d.nv, d.ne
+	for j := 0; j < len(dst); {
+		// Mid-interval: the token was consumed whole, the state replays
+		// it. Targets climb by one, so checking the last covers the fill.
+		if ivLeft > 0 {
+			n := min(ivLeft, len(dst)-j)
+			if prev+int64(n) >= nv {
+				return fmt.Errorf("store: edge %d interval target %d out of range (n=%d)", first+j+int(nv-1-prev), nv, nv)
 			}
-			if extra > uint64(d.ne) {
-				return graph.Edge{}, fmt.Errorf("store: edge %d run length %d past declared edge count %d", i, extra, d.ne)
+			s := graph.VertexID(src)
+			for k := range dst[j : j+n] {
+				prev++
+				dst[j+k] = graph.Edge{Src: s, Dst: graph.VertexID(prev)}
 			}
-			runLen = runInline + 1 + int64(extra)
+			ivLeft -= n
+			runLeft -= n
+			j += n
+			continue
 		}
-		if runLen > d.ne-int64(i) {
-			return graph.Edge{}, fmt.Errorf("store: edge %d run of %d exceeds declared edge count %d", i, runLen, d.ne)
+		var err error
+		// Run boundary: decode the packed header (source gap + run length).
+		if runLeft == 0 {
+			e := first + j
+			h, ni := uvarintFast(data, i)
+			if ni == 0 {
+				if h, data, ni, err = d.uvarintSlow(i); err != nil {
+					return fmt.Errorf("store: edge %d run header: %w", e, err)
+				}
+			}
+			i = ni
+			runSrc := src + unzigzag(h>>4) + 1
+			if runSrc < 0 || runSrc >= nv {
+				return fmt.Errorf("store: edge %d run source %d out of range (n=%d)", e, runSrc, nv)
+			}
+			runLen := int64(h&runInline) + 1
+			if h&runInline == runInline {
+				extra, ni := uvarintFast(data, i)
+				if ni == 0 {
+					if extra, data, ni, err = d.uvarintSlow(i); err != nil {
+						return fmt.Errorf("store: edge %d run length: %w", e, err)
+					}
+				}
+				i = ni
+				if extra > uint64(ne) {
+					return fmt.Errorf("store: edge %d run length %d past declared edge count %d", e, extra, ne)
+				}
+				runLen = runInline + 1 + int64(extra)
+			}
+			if runLen > ne-int64(e) {
+				return fmt.Errorf("store: edge %d run of %d exceeds declared edge count %d", e, runLen, ne)
+			}
+			src, prev, runLeft = runSrc, runSrc, int(runLen) // targets start relative to the source
 		}
-		st.prevSrc = src
-		st.prevDst = src // targets are relative to the source initially
-		st.runLeft = int(runLen)
-	}
-	// Target token: 0 starts an interval (consecutive ids), anything else
-	// is a single target at gap unzigzag(T-1) from the previous one.
-	t, err := d.cur.uvarint()
-	if err != nil {
-		return graph.Edge{}, fmt.Errorf("store: edge %d target: %w", i, err)
-	}
-	if t == 0 {
-		c, err := d.cur.uvarint()
-		if err != nil {
-			return graph.Edge{}, fmt.Errorf("store: edge %d interval: %w", i, err)
+		// Targets of the run up to the block's end or the next interval
+		// token: 0 starts an interval (consecutive ids), anything else is
+		// a single target at gap unzigzag(T-1) from the previous one.
+		s, k, stop := graph.VertexID(src), j, j+min(runLeft, len(dst)-j)
+		for k < stop {
+			t, ni := uvarintFast(data, i)
+			if ni == 0 {
+				if t, data, ni, err = d.uvarintSlow(i); err != nil {
+					return fmt.Errorf("store: edge %d target: %w", first+k, err)
+				}
+			}
+			i = ni
+			if t == 0 {
+				c, ni := uvarintFast(data, i)
+				if ni == 0 {
+					if c, data, ni, err = d.uvarintSlow(i); err != nil {
+						return fmt.Errorf("store: edge %d interval: %w", first+k, err)
+					}
+				}
+				i = ni
+				if rem := runLeft - (k - j); c < 1 || c > uint64(rem) {
+					return fmt.Errorf("store: edge %d interval of %d exceeds run remainder %d", first+k, c, rem)
+				}
+				ivLeft = int(c)
+				break
+			}
+			v := prev + unzigzag(t-1)
+			if v < 0 || v >= nv {
+				return fmt.Errorf("store: edge %d (%d->%d) out of range (n=%d)", first+k, src, v, nv)
+			}
+			dst[k] = graph.Edge{Src: s, Dst: graph.VertexID(v)}
+			prev = v
+			k++
 		}
-		if c < 1 || c > uint64(st.runLeft) {
-			return graph.Edge{}, fmt.Errorf("store: edge %d interval of %d exceeds run remainder %d", i, c, st.runLeft)
-		}
-		st.ivLeft = int(c)
-		return d.stepInterval(i)
+		runLeft -= k - j
+		j = k
 	}
-	dst := st.prevDst + unzigzag(t-1)
-	if dst < 0 || dst >= d.nv {
-		return graph.Edge{}, fmt.Errorf("store: edge %d (%d->%d) out of range (n=%d)", i, st.prevSrc, dst, d.nv)
-	}
-	st.prevDst = dst
-	st.runLeft--
-	return graph.Edge{Src: graph.VertexID(st.prevSrc), Dst: graph.VertexID(dst)}, nil
+	d.cur.i = i
+	d.st = decState{prevSrc: src, prevDst: prev, runLeft: runLeft, ivLeft: ivLeft}
+	return nil
 }
 
-// stepInterval emits the next target of an in-flight interval token.
-func (d *decoder) stepInterval(i int) (graph.Edge, error) {
-	st := &d.st
-	dst := st.prevDst + 1
-	if dst >= d.nv {
-		return graph.Edge{}, fmt.Errorf("store: edge %d interval target %d out of range (n=%d)", i, dst, d.nv)
+// uvarintFast decodes the varint at data[i] when data holds four bytes
+// from i and the varint ends within them, returning it and the index past
+// it; it returns index 0 otherwise, and decodeBlock falls back to
+// uvarintSlow. Token lengths vary from edge to edge, so rather than branch
+// per byte it loads the four bytes, finds the last byte from the
+// continuation bits and packs the 7-bit groups with masks and shifts, as
+// decodeWords does for result words. It accepts exactly what
+// binary.Uvarint accepts for these lengths.
+func uvarintFast(data []byte, i int) (uint64, int) {
+	if len(data)-i < 4 {
+		return 0, 0
 	}
-	st.prevDst = dst
-	st.ivLeft--
-	st.runLeft--
-	return graph.Edge{Src: graph.VertexID(st.prevSrc), Dst: graph.VertexID(dst)}, nil
+	v := binary.LittleEndian.Uint32(data[i:])
+	stops := ^v & 0x80808080
+	if stops == 0 {
+		return 0, 0
+	}
+	v &= stops ^ (stops - 1)
+	v = v&0x007f007f | (v&0x7f007f00)>>1
+	return uint64(v&0x3fff | (v&0x3fff0000)>>2), i + (bits.TrailingZeros32(stops)+1)>>3
+}
+
+// uvarintSlow decodes the varint at data[i] through the cursor, which
+// handles long varints, overflow, truncation and read-at refills, and
+// returns the value with the (possibly refilled) window and the index past
+// the varint.
+func (d *decoder) uvarintSlow(i int) (uint64, []byte, int, error) {
+	d.cur.i = i
+	x, err := d.cur.uvarint()
+	return x, d.cur.data, d.cur.i, err
 }
 
 // varintWriter wraps a buffered writer with varint emission.

@@ -15,9 +15,10 @@ import (
 
 // backendCases enumerates every way a CGR3 file is opened as a source -
 // the mmap source mapped and in its read-at fallback, and ReaderAtSource
-// over the file's bytes; the matrix tests below run each case against the
-// same expectations, so the decode paths can never drift apart
-// behaviorally.
+// over the file's bytes, whole and through a reader that returns at most
+// three bytes per call (so read-at refills land inside tokens); the matrix
+// tests below run each case against the same expectations, so the decode
+// paths can never drift apart behaviorally.
 type backendCase struct {
 	name string
 	open func(path string) (File, error)
@@ -30,17 +31,20 @@ func backendCases() []backendCase {
 		defer func() { disableMmap = false }()
 		return OpenMmap(path)
 	}
-	openReaderAt := func(path string) (File, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
+	openReaderAt := func(wrap func([]byte) io.ReaderAt) func(string) (File, error) {
+		return func(path string) (File, error) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			return OpenReaderAt(wrap(data), int64(len(data)), path)
 		}
-		return OpenReaderAt(byteReaderAt(data), int64(len(data)), path)
 	}
 	return []backendCase{
 		{"mmap/CGR3", openMmap},
 		{"fallback/CGR3", openFallback},
-		{"readerat/CGR3", openReaderAt},
+		{"readerat/CGR3", openReaderAt(func(b []byte) io.ReaderAt { return byteReaderAt(b) })},
+		{"dribble/CGR3", openReaderAt(func(b []byte) io.ReaderAt { return dribbleReaderAt(b) })},
 	}
 }
 
@@ -80,33 +84,41 @@ func closeSource(t *testing.T, s stream.Source) {
 }
 
 // TestSourceMatrixStreamsAndReplays: every backend streams the
-// exact edge sequence, replays it identically, and reports the header.
+// exact edge sequence, replays it identically, and reports the header -
+// on a web graph and on straddleEdges' corner runs over 2^31 vertices,
+// whose five-byte varints and multi-byte interval counts no three-byte
+// read holds whole.
 func TestSourceMatrixStreamsAndReplays(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 4000, OutDegree: 7, IntraSite: 0.85, Seed: 5})
+	graphs := []*graph.Graph{
+		gen.Web(gen.WebConfig{N: 4000, OutDegree: 7, IntraSite: 0.85, Seed: 5}),
+		graph.New(1<<31, straddleEdges(1<<31, true)),
+	}
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
-			src, err := bc.open(writeTemp(t, g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
-			if src.NumVertices() != g.NumVertices || src.Len() != g.NumEdges() {
-				t.Fatalf("header %d/%d, want %d/%d", src.NumVertices(), src.Len(), g.NumVertices, g.NumEdges())
-			}
-			if src.Format() != FormatCGR3 {
-				t.Fatalf("format %s, want CGR3", src.Format())
-			}
-			a := collect(t, src)
-			b := collect(t, src) // Collect resets: the CLUGP multi-pass contract
-			if len(a) != len(g.Edges) {
-				t.Fatalf("decoded %d edges, want %d", len(a), len(g.Edges))
-			}
-			for i := range a {
-				if a[i] != g.Edges[i] {
-					t.Fatalf("edge %d: %v != %v (order must be preserved)", i, a[i], g.Edges[i])
+			for gi, g := range graphs {
+				src, err := bc.open(writeTemp(t, g))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if b[i] != a[i] {
-					t.Fatalf("replay diverged at edge %d", i)
+				defer src.Close()
+				if src.NumVertices() != g.NumVertices || src.Len() != g.NumEdges() {
+					t.Fatalf("graph %d: header %d/%d, want %d/%d", gi, src.NumVertices(), src.Len(), g.NumVertices, g.NumEdges())
+				}
+				if src.Format() != FormatCGR3 {
+					t.Fatalf("graph %d: format %s, want CGR3", gi, src.Format())
+				}
+				a := collect(t, src)
+				b := collect(t, src) // Collect resets: the CLUGP multi-pass contract
+				if len(a) != len(g.Edges) {
+					t.Fatalf("graph %d: decoded %d edges, want %d", gi, len(a), len(g.Edges))
+				}
+				for i := range a {
+					if a[i] != g.Edges[i] {
+						t.Fatalf("graph %d: edge %d: %v != %v (order must be preserved)", gi, i, a[i], g.Edges[i])
+					}
+					if b[i] != a[i] {
+						t.Fatalf("graph %d: replay diverged at edge %d", gi, i)
+					}
 				}
 			}
 		})

@@ -126,15 +126,22 @@ func mappedCursor(data []byte) cursor {
 // with respect to any file offset, so any number of cursors can share one
 // *os.File. size bounds the input; reads at or past it report truncation,
 // and the window is clamped to size so bytes past the bound (a checksummed
-// file's trailer) never become visible to the decoder.
+// file's trailer) never become visible to the decoder. A refill keeps the
+// window's unread tail (a varint cut by the window's end) and reads after
+// it, so a reader that returns short reads still makes progress.
 func readAtCursor(r io.ReaderAt, size int64) cursor {
 	win := make([]byte, windowLen)
 	return cursor{fill: func(c *cursor) error {
-		off := c.abs()
+		start := c.abs()
+		tail := copy(win, c.data[c.i:])
+		// The tail now sits at the window's start; until the read succeeds
+		// the window holds only it.
+		c.data, c.base, c.i = win[:tail], start, 0
+		off := start + int64(tail)
 		if off >= size {
 			return io.ErrUnexpectedEOF
 		}
-		w := win
+		w := win[tail:]
 		if max := size - off; max < int64(len(w)) {
 			w = w[:max]
 		}
@@ -145,7 +152,7 @@ func readAtCursor(r io.ReaderAt, size int64) cursor {
 			}
 			return io.ErrUnexpectedEOF
 		}
-		c.data, c.base, c.i = w[:n], off, 0
+		c.data = win[:tail+n]
 		return nil
 	}}
 }

@@ -219,10 +219,11 @@ func FuzzReadResultBody(f *testing.F) {
 }
 
 // FuzzSourcesAgree is differential: the sequential Reader, the mmap-backed
-// MmapSource (mapped and in its read-at fallback) and ReaderAtSource decode
-// the same bytes through different cursors (buffered slice, mapped slice,
-// pread windows), so on any input all four must agree - same accept/reject
-// decision, same edges. One source accepting what another rejects would
+// MmapSource (mapped and in its read-at fallback) and ReaderAtSource (over
+// whole reads and over three-byte dribbles) decode the same bytes through
+// different cursors (buffered slice, mapped slice, pread windows), so on
+// any input all five must agree - same accept/reject decision, same
+// edges. One source accepting what another rejects would
 // let a corrupt file produce different streams depending on how it was
 // opened.
 func FuzzSourcesAgree(f *testing.F) {

@@ -169,12 +169,8 @@ func (s *segCore) NextBlock() ([]graph.Edge, error) {
 		n = stream.BlockLen
 	}
 	from := s.dec.cur.abs()
-	for j := 0; j < n; j++ {
-		e, err := s.dec.next(s.pos + j)
-		if err != nil {
-			return nil, err
-		}
-		buf[j] = e
+	if err := s.dec.decodeBlock(buf[:n], s.pos); err != nil {
+		return nil, err
 	}
 	if err := s.integ.verifyRange(s.raw, from, s.dec.cur.abs()); err != nil {
 		return nil, err
@@ -207,11 +203,12 @@ func (s *segCore) segmentWindow(root, seg *segCore, lo, hi int) error {
 	seg.dec.nv, seg.dec.ne = s.dec.nv, s.dec.ne
 	seg.dec.seek(cp.off, cp.st)
 	// Roll forward from the checkpoint to the segment's first edge so Reset
-	// becomes a plain seek afterwards.
-	for i := cpEdge; i < glo; i++ {
-		if _, err := seg.dec.next(i); err != nil {
-			return err
-		}
+	// becomes a plain seek afterwards. That is fewer than indexStride
+	// (<= stream.BlockLen) edges, decoded into the block the segment will
+	// stream through.
+	seg.buf = blockPool.Get().(*[]graph.Edge)
+	if err := seg.dec.decodeBlock((*seg.buf)[:glo-cpEdge], cpEdge); err != nil {
+		return err
 	}
 	// The roll-forward fixed the segment's resume point from these bytes;
 	// prove them before any edge positioned by them is served.
@@ -257,15 +254,21 @@ func (s *segCore) extendIndexLocked(target int) error {
 	d := decoder{cur: cur, nv: s.dec.nv, ne: s.dec.ne}
 	last := s.idx[len(s.idx)-1]
 	d.seek(last.off, last.st)
-	for i := (len(s.idx) - 1) * indexStride; len(s.idx) <= target; i++ {
+	// The scan decodes a stride at a time into a pooled block
+	// (indexStride <= stream.BlockLen) and records a checkpoint at each
+	// full stride's end.
+	blk := blockPool.Get().(*[]graph.Edge)
+	defer blockPool.Put(blk)
+	for i := (len(s.idx) - 1) * indexStride; len(s.idx) <= target; i += indexStride {
 		if i >= s.ne {
 			s.idxDone = true
 			return nil
 		}
-		if _, err := d.next(i); err != nil {
+		n := min(indexStride, s.ne-i)
+		if err := d.decodeBlock((*blk)[:n], i); err != nil {
 			return err
 		}
-		if (i+1)%indexStride == 0 {
+		if n == indexStride {
 			s.idx = append(s.idx, checkpoint{off: d.cur.abs(), st: d.st})
 		}
 	}

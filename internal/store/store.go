@@ -26,11 +26,14 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/stream"
 )
 
 // ErrBadMagic reports that the input is not a graph file.
@@ -76,20 +79,19 @@ type Reader struct {
 // sources (OpenMmap, OpenReaderAt) verify lazily instead and are what the
 // streaming path uses.
 func NewReader(r io.Reader) (*Reader, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
+	// The magic and the rest of the stream land in one buffer, so the file
+	// is held once.
+	buf := bytes.NewBuffer(make([]byte, 4, 1<<16))
+	if _, err := io.ReadFull(r, buf.Bytes()); err != nil {
 		return nil, fmt.Errorf("store: reading magic: %w", err)
 	}
-	if m != magic3 {
+	if [4]byte(buf.Bytes()) != magic3 {
 		return nil, ErrBadMagic
 	}
-	rest, err := io.ReadAll(r)
-	if err != nil {
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("store: buffering graph stream: %w", err)
 	}
-	data := make([]byte, 0, 4+len(rest))
-	data = append(append(data, m[:]...), rest...)
-	payload, err := verifyAllBytes(data, "stream")
+	payload, err := verifyAllBytes(buf.Bytes(), "stream")
 	if err != nil {
 		return nil, err
 	}
@@ -118,12 +120,12 @@ func (r *Reader) Next() (graph.Edge, error) {
 	if r.read >= r.numEdges {
 		return graph.Edge{}, io.EOF
 	}
-	e, err := r.dec.next(r.read)
-	if err != nil {
+	var e [1]graph.Edge
+	if err := r.dec.decodeBlock(e[:], r.read); err != nil {
 		return graph.Edge{}, err
 	}
 	r.read++
-	return e, nil
+	return e[0], nil
 }
 
 // Read decodes a whole graph.
@@ -135,21 +137,16 @@ func Read(r io.Reader) (*graph.Graph, error) {
 	// Cap the initial allocation: the declared edge count is untrusted until
 	// the body actually decodes, and a forged multi-billion count must not
 	// translate into a giant up-front allocation. Real counts beyond the cap
-	// just grow by appending.
-	capHint := sr.NumEdges()
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	edges := make([]graph.Edge, 0, capHint)
-	for {
-		e, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	// just grow, a block at a time, as the body decodes straight into the
+	// edge slice.
+	ne := sr.NumEdges()
+	edges := make([]graph.Edge, 0, min(ne, 1<<20))
+	for len(edges) < ne {
+		at, n := len(edges), min(ne-len(edges), stream.BlockLen)
+		edges = slices.Grow(edges, n)[:at+n]
+		if err := sr.dec.decodeBlock(edges[at:], at); err != nil {
 			return nil, err
 		}
-		edges = append(edges, e)
 	}
 	return graph.New(sr.NumVertices(), edges), nil
 }

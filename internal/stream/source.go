@@ -167,8 +167,10 @@ func Drain(src Source) (int, error) {
 
 // Collect materializes a source into a fresh edge slice, resetting it
 // first. It exists for interop and tests; the hot paths iterate blocks.
+// The initial capacity is capped: a file source's Len is the edge count
+// its header declares, which is untrusted until the edges decode.
 func Collect(src Source) ([]graph.Edge, error) {
-	out := make([]graph.Edge, 0, src.Len())
+	out := make([]graph.Edge, 0, min(src.Len(), 1<<20))
 	err := ForEach(src, func(off int, blk []graph.Edge) error {
 		out = append(out, blk...)
 		return nil
