@@ -254,12 +254,11 @@ func BenchmarkStoreRead(b *testing.B) {
 	}
 }
 
-// BenchmarkMmapPass times one full decode pass - Reset, then NextBlock to
-// EOF - over a CGR3 file of pipebench's UK-shaped web graph (1.2M
-// vertices, 9.6M edges) opened with OpenMmap: the pass CLUGP runs four
-// times per partitioning. SetBytes is the file size, so MB/s is on-disk
-// bytes decoded.
-func BenchmarkMmapPass(b *testing.B) {
+// ukCGR3 writes pipebench's UK-shaped web graph (1.2M vertices, 9.6M
+// edges) as a CGR3 file in a temp directory and returns its path and edge
+// count; the in-memory graph is garbage by the time it returns.
+func ukCGR3(b *testing.B) (string, int) {
+	b.Helper()
 	g := gen.Web(gen.WebConfig{N: 1_200_000, OutDegree: 8, SiteMean: 150, IntraSite: 0.88, CopyFactor: 0.6, Seed: 7})
 	path := filepath.Join(b.TempDir(), "uk.cgr")
 	f, err := os.Create(path)
@@ -272,8 +271,16 @@ func BenchmarkMmapPass(b *testing.B) {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	ne := g.NumEdges()
-	g = nil
+	return path, g.NumEdges()
+}
+
+// BenchmarkMmapPass times one full decode pass - Reset, then NextBlock to
+// EOF - over a CGR3 file of pipebench's UK-shaped web graph (1.2M
+// vertices, 9.6M edges) opened with OpenMmap: the pass CLUGP runs four
+// times per partitioning. SetBytes is the file size, so MB/s is on-disk
+// bytes decoded.
+func BenchmarkMmapPass(b *testing.B) {
+	path, ne := ukCGR3(b)
 	src, err := store.OpenMmap(path)
 	if err != nil {
 		b.Fatal(err)
@@ -298,6 +305,40 @@ func BenchmarkMmapPass(b *testing.B) {
 		}
 		if n != ne {
 			b.Fatalf("decoded %d edges, want %d", n, ne)
+		}
+	}
+}
+
+// BenchmarkSaveResultK256 is one saved out-of-core run at k=256: Hashing
+// over the UK-shaped CGR3 file of BenchmarkMmapPass, then
+// SavedResultFromRun and WriteSavedResult (to io.Discard, so no output
+// buffer grows). The result is packaged from the table the run's own
+// quality accounting sealed, so B/op is a single 1.2M x 256-bit replica
+// table (~38 MB) plus small per-run state.
+func BenchmarkSaveResultK256(b *testing.B) {
+	path, _ := ukCGR3(b)
+	src, err := OpenCompressed(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	p, err := NewPartitioner("Hashing", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := RunOutOfCoreOpts(p, src, 256, nil, OutOfCoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		saved, err := SavedResultFromRun(res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteSavedResult(io.Discard, saved); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -26,11 +26,11 @@
 // frozen pass-3 tables once to run.cpk.base. -resume loads the newest
 // intact record, truncates the -assign file to its watermark, and streams
 // from the start: the durable prefix is read back (and checked against the
-// stream) to rebuild the algorithm's and the -result builder's state, and
-// the run continues from the record's offset. The resumed run's assignment,
-// quality and -result are bit-identical to an uninterrupted one's. A
-// corrupt record is detected by its CRC and skipped in favor of the
-// previous one, never resumed from.
+// stream) to rebuild the algorithm's state and the run's quality and
+// replica accounting, and the run continues from the record's offset. The
+// resumed run's assignment, quality and -result are bit-identical to an
+// uninterrupted one's. A corrupt record is detected by its CRC and skipped
+// in favor of the previous one, never resumed from.
 //
 // Every file this command writes (-assign, -result, -recompress) goes
 // through an atomic temp-file + rename protocol, so a crash or write error
@@ -162,21 +162,21 @@ func main() {
 		fail(err)
 	}
 
-	var res *repro.PartitionResult
-	if *streamF {
-		res, err = runStreaming(p, *in, streamOpts{
-			k:          *k,
-			out:        *out,
-			resultPath: *resultF,
-			workers:    *workers,
-			ckPath:     *ckPath,
-			ckEvery:    *ckEvery,
-			resume:     *resumeF,
-			retry:      *retryF,
-		}, heap)
-	} else {
-		res, err = runInMemory(p, *in, *preset, *scale, *k, *seed, *out, *resultF, heap)
-	}
+	res, err := run(p, runOpts{
+		in:         *in,
+		preset:     *preset,
+		scale:      *scale,
+		seed:       *seed,
+		stream:     *streamF,
+		k:          *k,
+		out:        *out,
+		resultPath: *resultF,
+		workers:    *workers,
+		ckPath:     *ckPath,
+		ckEvery:    *ckEvery,
+		resume:     *resumeF,
+		retry:      *retryF,
+	}, heap)
 	if err != nil {
 		fail(err)
 	}
@@ -237,39 +237,12 @@ func buildPartitioner(algo string, seed uint64, tau, weight float64, batch, thr 
 	return repro.NewPartitioner(algo, seed)
 }
 
-// runInMemory is the classic path: load (or generate) the whole graph, then
-// partition it under the algorithm's preferred order.
-func runInMemory(p repro.Partitioner, in, preset string, scale float64, k int, seed uint64, out, resultPath string, heap *heapWatermark) (*repro.PartitionResult, error) {
-	g, err := load(in, preset, scale)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices, g.NumEdges())
-	stop := heap.watch()
-	res, err := repro.RunPartitioner(p, g, k, seed)
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	if out != "" {
-		if err := writeAssign(out, res); err != nil {
-			return nil, err
-		}
-	}
-	if resultPath != "" {
-		saved, err := repro.SavedResultFromRun(res)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeResult(resultPath, saved); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// streamOpts bundles the -stream run configuration.
-type streamOpts struct {
+// runOpts bundles one run's configuration.
+type runOpts struct {
+	in, preset string
+	scale      float64
+	seed       uint64
+	stream     bool
 	k          int
 	out        string
 	resultPath string
@@ -278,6 +251,58 @@ type streamOpts struct {
 	ckEvery    int
 	resume     bool
 	retry      int
+}
+
+// run partitions through the in-memory or the -stream path, then saves
+// -result from the table the run's own quality accounting sealed
+// (SavedResultFromRun), so neither path keeps a second replica table.
+func run(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
+	var res *repro.PartitionResult
+	var err error
+	if o.stream {
+		res, err = runStreaming(p, o, heap)
+	} else {
+		res, err = runInMemory(p, o, heap)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.resultPath != "" {
+		if err := writeResult(o.resultPath, res); err != nil {
+			return nil, err
+		}
+	}
+	if o.ckPath != "" {
+		// The run completed and its outputs are written, so its
+		// checkpoints are obsolete; a later -resume against them would
+		// truncate the finished output.
+		for _, suffix := range []string{"", repro.CheckpointPrevSuffix, repro.CheckpointBaseSuffix} {
+			os.Remove(o.ckPath + suffix)
+		}
+	}
+	return res, nil
+}
+
+// runInMemory is the classic path: load (or generate) the whole graph, then
+// partition it under the algorithm's preferred order.
+func runInMemory(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
+	g, err := load(o.in, o.preset, o.scale)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices, g.NumEdges())
+	stop := heap.watch()
+	res, err := repro.RunPartitioner(p, g, o.k, o.seed)
+	stop()
+	if err != nil {
+		return nil, err
+	}
+	if o.out != "" {
+		if err := writeAssign(o.out, res); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // runStreaming is the out-of-core path: the .cgr file is the stream; the
@@ -290,11 +315,11 @@ type streamOpts struct {
 // truncates the interrupted run's output back to a record's watermark and
 // replays what is left, which a temp file that died with the process cannot
 // offer.
-func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
+func runStreaming(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
+	in, k, out := o.in, o.k, o.out
 	if in == "" {
 		return nil, fmt.Errorf("-stream needs -in FILE.cgr")
 	}
-	k, out, resultPath := o.k, o.out, o.resultPath
 	src, err := repro.OpenCompressed(in)
 	if err != nil {
 		return nil, fmt.Errorf("-stream needs a compressed .cgr input: %w", err)
@@ -310,19 +335,6 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 	var source repro.StreamSource = src
 	if o.retry > 0 {
 		source = repro.RetryStream(source, repro.StreamRetryConfig{MaxAttempts: o.retry})
-	}
-
-	// -result chains a serve builder onto the emit callback: the serving
-	// tables (replica bitsets + sizes) accumulate as assignments stream
-	// past, so saving a result costs O(|V|*k/64) extra state, never the
-	// O(|E|) assignment the streaming mode exists to avoid. A resume feeds
-	// it the replayed prefix first.
-	var builder *repro.ServeBuilder
-	if resultPath != "" {
-		builder, err = repro.NewServeBuilder(src.NumVertices(), k)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	var w *bufio.Writer
@@ -364,8 +376,7 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 			}
 			defer rf.Close()
 			ck.Resume = &repro.CheckpointResume{Record: c, Prefix: &assignPrefix{
-				r:       bufio.NewReaderSize(io.LimitReader(rf, mark), 1<<16),
-				builder: builder,
+				r: bufio.NewReaderSize(io.LimitReader(rf, mark), 1<<16),
 			}}
 		}
 		cw := &countingWriter{w: pf, n: mark}
@@ -389,11 +400,6 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 	}
 	var buf []byte
 	emit := func(edges []repro.Edge, assign []int32) error {
-		if builder != nil {
-			if err := builder.Observe(edges, assign); err != nil {
-				return err
-			}
-		}
 		if w == nil {
 			return nil
 		}
@@ -431,29 +437,15 @@ func runStreaming(p repro.Partitioner, in string, o streamOpts, heap *heapWaterm
 			}
 		}
 	}
-	if builder != nil {
-		if err := writeResult(resultPath, builder.Result(res.Algorithm, res.Order.String())); err != nil {
-			return nil, err
-		}
-	}
-	if ck != nil {
-		// The run completed, so its checkpoints are obsolete; a later
-		// -resume against them would truncate the finished output.
-		for _, suffix := range []string{"", repro.CheckpointPrevSuffix, repro.CheckpointBaseSuffix} {
-			os.Remove(o.ckPath + suffix)
-		}
-	}
 	return res, nil
 }
 
 // assignPrefix reads the durable prefix of an interrupted run back from its
 // -assign file, checking each "src dst partition" line against the edge
-// the stream holds at that position, and feeds the -result builder (when
-// there is one) the replayed assignments.
+// the stream holds at that position.
 type assignPrefix struct {
-	r       *bufio.Reader
-	builder *repro.ServeBuilder
-	line    int
+	r    *bufio.Reader
+	line int
 }
 
 func (a *assignPrefix) ReadPrefix(edges []repro.Edge, assign []int32) error {
@@ -478,9 +470,6 @@ func (a *assignPrefix) ReadPrefix(edges []repro.Edge, assign []int32) error {
 		}
 		assign[i] = int32(p)
 	}
-	if a.builder != nil {
-		return a.builder.Observe(edges, assign)
-	}
 	return nil
 }
 
@@ -497,8 +486,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeResult saves a serveable partition result (.cpr) atomically.
-func writeResult(path string, saved *repro.SavedResult) error {
+// writeResult saves a run's serveable partition result (.cpr) atomically.
+func writeResult(path string, res *repro.PartitionResult) error {
+	saved, err := repro.SavedResultFromRun(res)
+	if err != nil {
+		return err
+	}
 	w, err := repro.NewAtomicWriter(path)
 	if err != nil {
 		return err

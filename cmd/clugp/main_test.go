@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,10 +12,14 @@ import (
 )
 
 // TestResumeResultMatchesCleanRun: a checkpointed -stream run that dies
-// mid-stream (its input has a corrupt block near the end) and is then
-// resumed with -resume -result, once the input is repaired, saves a .cpr
-// and an -assign file byte-identical to an uninterrupted run's. Completed
-// runs leave no checkpoint files behind, CLUGP's base file included.
+// mid-stream and is then resumed with -resume -result saves a .cpr and an
+// -assign file byte-identical to an uninterrupted run's. HDRF dies on a
+// corrupt block near the end of its one pass and resumes by replaying the
+// durable prefix. CLUGP dies in pass 3, the only pass that emits, and
+// resumes by checking its recomputed prefix against the durable one; both
+// prefixes reach the run's quality accounting, whose table -result saves.
+// Completed runs leave no checkpoint files behind, CLUGP's base file
+// included.
 func TestResumeResultMatchesCleanRun(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "g.cgr")
@@ -26,12 +32,10 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 	if err := os.WriteFile(in, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	run := func(algo, name string, resume bool) error {
-		p, err := repro.NewPartitioner(algo, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = runStreaming(p, in, streamOpts{
+	opts := func(name string, resume bool) runOpts {
+		return runOpts{
+			in:         in,
+			stream:     true,
 			k:          8,
 			out:        filepath.Join(dir, name+".txt"),
 			resultPath: filepath.Join(dir, name+".cpr"),
@@ -39,8 +43,14 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 			ckPath:     filepath.Join(dir, name+".cpk"),
 			ckEvery:    8192,
 			resume:     resume,
-		}, nil)
-		return err
+		}
+	}
+	partitioner := func(algo string) repro.Partitioner {
+		p, err := repro.NewPartitioner(algo, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 	noCheckpoints := func(name string) {
 		t.Helper()
@@ -50,46 +60,100 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 			}
 		}
 	}
-
-	if err := run("HDRF", "clean", false); err != nil {
-		t.Fatal(err)
+	// resumeMatches resumes the crashed run and compares its outputs with
+	// the clean run's.
+	resumeMatches := func(algo, clean, crash string) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(dir, crash+".cpk")); err != nil {
+			t.Fatalf("the crashed %s run left no checkpoint: %v", algo, err)
+		}
+		if _, err := run(partitioner(algo), opts(crash, true), nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, ext := range []string{".cpr", ".txt"} {
+			want, err := os.ReadFile(filepath.Join(dir, clean+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, crash+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s crash + resume %s (%d bytes) differs from the clean run's (%d bytes)", algo, ext, len(got), len(want))
+			}
+		}
+		noCheckpoints(crash)
 	}
-	noCheckpoints("clean")
+
+	for _, c := range []struct{ algo, name string }{{"HDRF", "hdrf"}, {"CLUGP", "clugp"}} {
+		if _, err := run(partitioner(c.algo), opts(c.name, false), nil); err != nil {
+			t.Fatal(err)
+		}
+		noCheckpoints(c.name)
+	}
 
 	bad := bytes.Clone(good)
 	bad[len(bad)*4/5] ^= 0x10
 	if err := os.WriteFile(in, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("HDRF", "crash", false); err == nil {
+	if _, err := run(partitioner("HDRF"), opts("hdrf-crash", false), nil); err == nil {
 		t.Fatal("a run over a corrupt block completed")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "crash.cpk")); err != nil {
-		t.Fatalf("the crashed run left no checkpoint: %v", err)
 	}
 	if err := os.WriteFile(in, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("HDRF", "crash", true); err != nil {
-		t.Fatal(err)
-	}
-	for _, ext := range []string{".cpr", ".txt"} {
-		want, err := os.ReadFile(filepath.Join(dir, "clean"+ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dir, "crash"+ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("crash + resume %s (%d bytes) differs from the clean run's (%d bytes)", ext, len(got), len(want))
-		}
-	}
-	noCheckpoints("crash")
+	resumeMatches("HDRF", "hdrf", "hdrf-crash")
 
-	if err := run("CLUGP", "clugp", false); err != nil {
+	crashMidEmit(t, partitioner("CLUGP"), opts("clugp-crash", false), 40000)
+	resumeMatches("CLUGP", "clugp", "clugp-crash")
+}
+
+var errCrash = errors.New("injected crash")
+
+// crashMidEmit runs p the way runStreaming's checkpointed path does - "src
+// dst p" lines through a counting writer, EmitMark flushing and syncing
+// them - but fails the emit once n edges are out, leaving the -assign
+// prefix and checkpoint records of a run that died mid-stream. A corrupt
+// input block cannot do that to CLUGP: its first pass would read the block
+// long before pass 3 emits anything.
+func crashMidEmit(t *testing.T, p repro.Partitioner, o runOpts, n int) {
+	t.Helper()
+	src, err := repro.OpenCompressed(o.in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	noCheckpoints("clugp")
+	defer src.Close()
+	f, err := os.Create(o.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cw := &countingWriter{w: f}
+	w := bufio.NewWriter(cw)
+	ck := &repro.CheckpointOptions{Path: o.ckPath, EveryEdges: o.ckEvery, EmitMark: func() (int64, error) {
+		if err := w.Flush(); err != nil {
+			return 0, err
+		}
+		return cw.n, f.Sync()
+	}}
+	var buf []byte
+	emitted := 0
+	emit := func(edges []repro.Edge, assign []int32) error {
+		if emitted >= n {
+			return errCrash
+		}
+		for i, e := range edges {
+			buf = appendAssignLine(buf[:0], e, assign[i])
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
+		emitted += len(edges)
+		return nil
+	}
+	if _, err := repro.RunOutOfCoreOpts(p, src, o.k, emit, repro.OutOfCoreOptions{Checkpoint: ck}); !errors.Is(err, errCrash) {
+		t.Fatalf("crash run: got err %v, want the injected crash", err)
+	}
 }

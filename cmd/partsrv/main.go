@@ -204,9 +204,9 @@ func loadResult(path string) (*repro.SavedResult, error) {
 	return repro.ReadSavedResult(bufio.NewReaderSize(f, 1<<16))
 }
 
-// partitionFile streams a .cgr file through the algorithm out-of-core,
-// chaining a ServeBuilder onto the emit callback so the serving tables are
-// the only partition-sized state ever held.
+// partitionFile streams a .cgr file through the algorithm out-of-core and
+// serves the replica table the run's own quality accounting sealed, so that
+// table is the only partition-sized state ever held.
 func partitionFile(path, algo string, k int, seed uint64) (*repro.SavedResult, error) {
 	p, err := repro.NewPartitioner(algo, seed)
 	if err != nil {
@@ -217,15 +217,11 @@ func partitionFile(path, algo string, k int, seed uint64) (*repro.SavedResult, e
 		return nil, err
 	}
 	defer src.Close()
-	b, err := repro.NewServeBuilder(src.NumVertices(), k)
+	res, err := repro.RunOutOfCoreOpts(p, src, k, nil, repro.OutOfCoreOptions{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := repro.RunOutOfCoreOpts(p, src, k, b.Observe, repro.OutOfCoreOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return b.Result(res.Algorithm, res.Order.String()), nil
+	return repro.SavedResultFromRun(res)
 }
 
 func logStats(snap *repro.ServeSnapshot) {

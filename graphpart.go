@@ -21,11 +21,9 @@ import (
 	"io"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/edgecut"
 	"repro/internal/engine"
-	"repro/internal/game"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -54,9 +52,6 @@ func NewGraph(n int, edges []Edge) *Graph { return graph.New(n, edges) }
 
 // ReadEdgeList parses "src dst" lines (comments with '#' or '%').
 func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
-
-// CompressedFormat identifies an on-disk graph encoding.
-type CompressedFormat = store.Format
 
 // FormatCGR3 is the compressed graph format: a run/interval/residual gap
 // encoding (~1.7 bytes/edge on crawl-ordered web graphs) under a CRC32C
@@ -118,33 +113,14 @@ func GenerateRMAT(scale, edgeFactor int, a, b, c float64, seed uint64) *Graph {
 // GenerateErdosRenyi generates a uniform random graph (no-skew control).
 func GenerateErdosRenyi(n, m int, seed uint64) *Graph { return gen.ErdosRenyi(n, m, seed) }
 
-// SampleVertices returns a random vertex-induced subgraph (Figure 5).
-func SampleVertices(g *Graph, frac float64, seed uint64) *Graph {
-	return gen.SampleVertices(g, frac, seed)
-}
-
 // Stream orders (Definition 1; each partitioner declares its preference).
 type Order = stream.Order
 
-// StreamView is a zero-copy, read-only view of an ordered edge stream: the
-// base edge slice plus an optional permutation. Views adapt to the Source
-// interface via View.Source, so replaying or caching an order never copies
-// edges.
-type StreamView = stream.View
-
 // StreamSource is a sequential, replayable edge stream with a known vertex
-// count - the interface every partitioner and evaluator consumes. In-memory
-// views adapt via StreamView.Source; compressed files open directly as
-// sources via OpenCompressed without ever being materialized.
+// count - the interface every partitioner and evaluator consumes.
+// Compressed files open directly as sources via OpenCompressed without
+// ever being materialized.
 type StreamSource = stream.Source
-
-// StreamSegmenter is a StreamSource whose contiguous ranges can be opened
-// as independent sources (DistributedCLUGP's sharded ingest).
-type StreamSegmenter = stream.Segmenter
-
-// GraphFile is a compressed graph file opened as a replayable, segmentable
-// edge source; MmapGraphFile (see OpenCompressed) satisfies it.
-type GraphFile = store.File
 
 // MmapGraphFile is the mmap-backed file source: the file is mapped once,
 // edges decode straight from the mapped bytes, Reset is a pointer rewind
@@ -153,36 +129,12 @@ type GraphFile = store.File
 // mode with the same contract.
 type MmapGraphFile = store.MmapSource
 
-const (
-	// OrderNatural preserves generation order.
-	OrderNatural = stream.Natural
-	// OrderBFS is the web-crawl order (CLUGP's and Mint's setting).
-	OrderBFS = stream.BFS
-	// OrderDFS is the depth-first analogue.
-	OrderDFS = stream.DFS
-	// OrderRandom is a seeded shuffle (the one-pass heuristics' setting).
-	OrderRandom = stream.Random
-)
+// OrderRandom is a seeded shuffle (the one-pass heuristics' setting).
+const OrderRandom = stream.Random
 
 // StreamEdges returns the graph's edges in the requested order as a slice
-// (a copy for every order but Natural). Prefer NewStreamView, which never
-// copies.
+// (a copy for every order but natural).
 func StreamEdges(g *Graph, order Order, seed uint64) []Edge { return stream.Edges(g, order, seed) }
-
-// NewStreamView returns the graph's edges in the requested order as a
-// zero-copy permutation view.
-func NewStreamView(g *Graph, order Order, seed uint64) StreamView {
-	return stream.NewView(g, order, seed)
-}
-
-// NewStreamSource returns the graph's edges in the requested order as a
-// replayable source (a zero-copy view plus a cursor).
-func NewStreamSource(g *Graph, order Order, seed uint64) StreamSource {
-	return stream.NewView(g, order, seed).Source(g.NumVertices)
-}
-
-// StreamOf wraps an edge slice in its natural-order view.
-func StreamOf(edges []Edge) StreamView { return stream.Of(edges) }
 
 // StreamRetryConfig tunes RetryStream: attempts per stream position,
 // backoff before each retry (capped doubling), and which errors count as
@@ -224,22 +176,8 @@ type (
 	Quality = metrics.Quality
 	// CLUGP is the paper's three-pass partitioner with all its knobs.
 	CLUGP = partition.CLUGP
-	// CLUGPTrace carries CLUGP's per-pass diagnostics.
-	CLUGPTrace = partition.Trace
-	// HDRF is the state-of-the-art one-pass baseline.
-	HDRF = partition.HDRF
-	// Greedy is PowerGraph's greedy heuristic.
-	Greedy = partition.Greedy
-	// Hashing is random edge placement.
-	Hashing = partition.Hashing
-	// DBH is degree-based hashing.
-	DBH = partition.DBH
-	// Mint is the quasi-streaming game-theoretic baseline.
-	Mint = partition.Mint
 	// DistributedCLUGP is the Section III-C sharded-ingest mode.
 	DistributedCLUGP = partition.DistributedCLUGP
-	// Grid is the 2D constrained-hash partitioner (extension).
-	Grid = partition.Grid
 )
 
 // Edge-cut partitioning (the Section II-C comparison family).
@@ -254,9 +192,6 @@ type (
 	FENNEL = edgecut.FENNEL
 	// Multilevel is the METIS-style offline edge-cut partitioner.
 	Multilevel = edgecut.Multilevel
-	// Restream wraps LDG/FENNEL in the restreaming framework (ReLDG,
-	// ReFENNEL) the paper's own architecture descends from.
-	Restream = edgecut.Restream
 )
 
 // EvaluateEdgeCut computes edge-cut quality for a vertex assignment.
@@ -321,12 +256,6 @@ type (
 	// CheckpointResume is a checkpoint record together with a reader of
 	// the durable output prefix it points into (CheckpointOptions.Resume).
 	CheckpointResume = partition.Resume
-	// CheckpointStats reports checkpoint/resume activity of a run
-	// (PartitionResult.Pipeline.Checkpoints).
-	CheckpointStats = partition.CheckpointStats
-	// StreamRetryStats counts fired retry attempts across a retry-wrapped
-	// source and all its segments (StreamRetryConfig.Stats).
-	StreamRetryStats = stream.RetryStats
 )
 
 // LoadCheckpoint reads and integrity-verifies the checkpoint at path,
@@ -349,17 +278,6 @@ const CheckpointBaseSuffix = store.CheckpointBaseSuffix
 // litters temp files next to their outputs.
 func AbortPendingWrites() int { return store.AbortPending() }
 
-// PipelineInfo records how the out-of-core pipeline actually resolved: the
-// decode worker count that ran, checkpoint activity, and any silent
-// downgrade to serial with its reason. Found on PartitionResult.Pipeline;
-// clugp -trace prints it.
-type PipelineInfo = partition.PipelineInfo
-
-// EvaluatePartition recomputes quality metrics from an edge assignment.
-func EvaluatePartition(edges []Edge, assign []int32, numVertices, k int) (*Quality, error) {
-	return metrics.Evaluate(stream.Of(edges).Source(numVertices), assign, k)
-}
-
 // EvaluateStream recomputes quality metrics for an assignment over an
 // ordered edge source (e.g. PartitionResult.Stream).
 func EvaluateStream(src StreamSource, assign []int32, k int) (*Quality, error) {
@@ -372,12 +290,6 @@ type (
 	PipelineOptions = core.Options
 	// Pipeline retains every intermediate CLUGP stage.
 	Pipeline = core.Pipeline
-	// Clustering is the pass-1 output (vertex->cluster tables).
-	Clustering = cluster.Result
-	// ClusterGraph is the cluster-level view feeding the game.
-	ClusterGraph = cluster.Graph
-	// GameAssignment is the pass-2 Nash equilibrium.
-	GameAssignment = game.Assignment
 )
 
 // RunPipeline executes CLUGP's three passes, retaining each stage.
@@ -407,16 +319,6 @@ func PageRank(pl *Placement, cfg PageRankConfig) ([]float64, RunStats, error) {
 // BSP barriers; results are bit-identical to PageRank.
 func ParallelPageRank(pl *Placement, cfg PageRankConfig, workers int) ([]float64, RunStats, error) {
 	return engine.ParallelPageRank(pl, cfg, workers)
-}
-
-// ConnectedComponents runs distributed min-label propagation.
-func ConnectedComponents(pl *Placement, cost CostModel) ([]uint32, RunStats) {
-	return engine.ConnectedComponents(pl, cost)
-}
-
-// SSSP runs distributed BFS hop distances from source.
-func SSSP(pl *Placement, source uint32, cost CostModel) ([]uint32, RunStats) {
-	return engine.SSSP(pl, source, cost)
 }
 
 // LabelPropagation runs distributed plurality label propagation.
@@ -452,8 +354,6 @@ type (
 	SuiteConfig = bench.SuiteConfig
 	// Report is a machine-readable suite result (BENCH_<experiment>.json).
 	Report = bench.Report
-	// ReportCell is one grid point of a Report.
-	ReportCell = bench.Cell
 	// DiffOptions set the regression thresholds for DiffReports.
 	DiffOptions = bench.DiffOptions
 	// DiffResult classifies per-cell metric changes between two Reports.
@@ -470,11 +370,6 @@ func RunExperiment(name string, cfg ExperimentConfig) ([]ExperimentTable, error)
 
 // ExperimentNames lists the experiments RunExperiment accepts.
 func ExperimentNames() []string { return bench.ExperimentNames() }
-
-// RunSuite executes the benchmark grid serially. It is the reference
-// RunSuiteParallel is measured against: quality metrics are identical
-// for any worker count.
-func RunSuite(cfg SuiteConfig) (*Report, error) { return bench.RunSuite(cfg) }
 
 // RunSuiteParallel executes the algorithm x dataset x k x seed grid on a
 // worker pool, computing each stream order at most once per graph.
@@ -501,7 +396,8 @@ type (
 	// goroutines may query it concurrently.
 	ServeSnapshot = serve.Snapshot
 	// ServeBuilder accumulates a streamed partitioning into SavedResult
-	// form (chain Observe onto an out-of-core Emit).
+	// form (chain Observe onto an Emit); with the run's result in hand,
+	// SavedResultFromRun needs no builder.
 	ServeBuilder = serve.Builder
 	// ServeServer swaps snapshots behind an epoch pointer with zero
 	// downtime and serves the HTTP/JSON query API.
@@ -521,12 +417,9 @@ func WriteSavedResult(w io.Writer, r *SavedResult) error { return store.WriteRes
 // truncated files, forged headers and inconsistent bodies.
 func ReadSavedResult(r io.Reader) (*SavedResult, error) { return store.ReadResult(r) }
 
-// SniffSavedResult reports whether head (at least 4 bytes) carries the
-// result-file magic.
-func SniffSavedResult(head []byte) bool { return store.SniffResultHeader(head) }
-
-// SavedResultFromRun converts a finished in-memory run into saveable form
-// by replaying its stream against its assignment.
+// SavedResultFromRun packages a finished run - in-memory or out-of-core -
+// into saveable form: the replica table and partition sizes the run's own
+// quality accounting sealed, handed over without a copy or a replay.
 func SavedResultFromRun(res *PartitionResult) (*SavedResult, error) { return serve.FromRun(res) }
 
 // NewServeBuilder returns a builder for a stream over numVertices vertices

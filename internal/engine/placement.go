@@ -93,7 +93,6 @@ func NewPlacement(res *partition.Result) (*Placement, error) {
 	// keyed by the replica pair; the number of entries is sum_v |P(v)|.
 	counts := make(map[uint64]int32, nv)
 	ckey := func(v graph.VertexID, p int32) uint64 { return uint64(v)<<16 | uint64(uint16(p)) }
-	seen := make([]bool, nv)
 	err := stream.ForEach(st, func(off int, blk []graph.Edge) error {
 		for i, e := range blk {
 			p := res.Assign[off+i]
@@ -101,8 +100,6 @@ func NewPlacement(res *partition.Result) (*Placement, error) {
 			rs.Add(e.Dst, int(p))
 			counts[ckey(e.Src, p)]++
 			counts[ckey(e.Dst, p)]++
-			seen[e.Src] = true
-			seen[e.Dst] = true
 		}
 		return nil
 	})
@@ -178,9 +175,10 @@ func NewPlacement(res *partition.Result) (*Placement, error) {
 			n.Edges = append(n.Edges, LocalEdge{Src: lu, Dst: lv})
 		}
 	}
-	// Unseen vertices: master slot on their round-robin node.
+	// Unseen vertices (empty replica set): master slot on their
+	// round-robin node.
 	for v := 0; v < nv; v++ {
-		if !seen[v] {
+		if rs.Count(graph.VertexID(v)) == 0 {
 			nid := int(pl.Master[v])
 			addLocal(&pl.Nodes[nid], nid, graph.VertexID(v))
 		}

@@ -183,18 +183,16 @@ type Quality struct {
 	Replicas int64
 }
 
-// Evaluator recomputes partition quality with reusable scratch: the replica
-// bitset and seen table persist across Evaluate calls, so a caller scoring
-// many assignments over same-sized graphs (benchmark loops, parameter
-// sweeps) allocates only each run's Sizes slice instead of a fresh
-// O(|V|·k/64) bitset per evaluation. The zero value is ready to use.
+// Evaluator accumulates a partitioning's quality and its replica table
+// P(v) from the committed assignments. It is the one such accumulator
+// outside the partitioners: every run's table and sizes come from it.
+// Begin allocates a fresh table per run, and after Finish the table is
+// handed over (Replicas), so a table a caller keeps is never written
+// again. The zero value is ready to use.
 //
-// An Evaluator is strictly single-goroutine: the bitset, seen table and
-// size counters are mutated without synchronization, so concurrent Observe
-// or Evaluate calls race. Copying an Evaluator by value is just as unsafe -
-// the copy shares the original's scratch storage, so two copies driven
-// independently corrupt each other (the latent hazard documented by
-// TestEvaluatorValueCopySharesScratch).
+// An Evaluator is strictly single-goroutine: the bitset and size counters
+// are mutated without synchronization, so concurrent Observe or Evaluate
+// calls race.
 //
 // Besides the one-shot Evaluate, an Evaluator accumulates incrementally
 // through Begin/Observe/Finish, which is how every partitioning run scores
@@ -202,28 +200,18 @@ type Quality struct {
 // whether or not the assignment is materialized: state stays
 // O(|V|·k/64 + k) however many edges stream through Observe.
 type Evaluator struct {
-	rs   ReplicaSets
-	seen []bool
-
-	k           int
-	numVertices int
-	sizes       []int64
-	edges       int64
+	rs    *ReplicaSets
+	k     int
+	sizes []int64
+	edges int64
 }
 
-// Begin clears the evaluator for a stream over numVertices vertices and k
-// partitions. Sizes are freshly allocated per run because Finish's Quality
-// takes ownership of them.
+// Begin starts a run over numVertices vertices and k partitions with a
+// fresh replica table and fresh sizes: the previous run's are handed over
+// (Finish's Quality owns the sizes, Replicas the table), never reused.
 func (ev *Evaluator) Begin(numVertices, k int) {
-	ev.rs.Reset(numVertices, k)
-	if cap(ev.seen) < numVertices {
-		ev.seen = make([]bool, numVertices)
-	} else {
-		ev.seen = ev.seen[:numVertices]
-		clear(ev.seen)
-	}
+	ev.rs = NewReplicaSets(numVertices, k)
 	ev.k = k
-	ev.numVertices = numVertices
 	ev.sizes = make([]int64, k)
 	ev.edges = 0
 }
@@ -234,7 +222,7 @@ func (ev *Evaluator) Observe(edges []graph.Edge, assign []int32) error {
 	if len(edges) != len(assign) {
 		return fmt.Errorf("metrics: observed %d edges with %d assignments", len(edges), len(assign))
 	}
-	rs, seen, sizes, k := &ev.rs, ev.seen, ev.sizes, ev.k
+	rs, sizes, k := ev.rs, ev.sizes, ev.k
 	for i, e := range edges {
 		p := assign[i]
 		if p < 0 || int(p) >= k {
@@ -243,14 +231,14 @@ func (ev *Evaluator) Observe(edges []graph.Edge, assign []int32) error {
 		sizes[p]++
 		rs.Add(e.Src, int(p))
 		rs.Add(e.Dst, int(p))
-		seen[e.Src] = true
-		seen[e.Dst] = true
 	}
 	ev.edges += int64(len(edges))
 	return nil
 }
 
-// Finish summarises everything observed since Begin.
+// Finish summarises everything observed since Begin. A vertex counts as
+// seen iff its replica set is non-empty: every observed edge adds both
+// endpoints, so isolated vertices are exactly those with no replica.
 func (ev *Evaluator) Finish() *Quality {
 	q := &Quality{K: ev.k, Sizes: ev.sizes, MinSize: int64(^uint64(0) >> 1)}
 	for _, sz := range ev.sizes {
@@ -261,13 +249,12 @@ func (ev *Evaluator) Finish() *Quality {
 			q.MinSize = sz
 		}
 	}
-	rs, seen := &ev.rs, ev.seen
-	for v := 0; v < ev.numVertices; v++ {
-		if !seen[v] {
-			continue
+	rs := ev.rs
+	for v := range rs.NumVertices() {
+		if c := rs.Count(graph.VertexID(v)); c > 0 {
+			q.Vertices++
+			q.Replicas += int64(c)
 		}
-		q.Vertices++
-		q.Replicas += int64(rs.Count(graph.VertexID(v)))
 	}
 	if q.Vertices > 0 {
 		q.ReplicationFactor = float64(q.Replicas) / float64(q.Vertices)
@@ -277,6 +264,11 @@ func (ev *Evaluator) Finish() *Quality {
 	}
 	return q
 }
+
+// Replicas returns the replica table accumulated since Begin. Once Finish
+// has run the table is the caller's: the next Begin allocates a new one,
+// so the evaluator writes it again only if Observe is called without one.
+func (ev *Evaluator) Replicas() *ReplicaSets { return ev.rs }
 
 // Evaluate recomputes partition quality from scratch given the edge stream
 // and the per-edge partition assignment (ground truth, independent of any

@@ -269,7 +269,7 @@ func TestEvaluatorReuseMatchesOneShot(t *testing.T) {
 	}{
 		{[]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 3}, {Src: 3, Dst: 4}, {Src: 0, Dst: 4}}, []int32{0, 0, 1, 1, 1}, 5, 2},
 		{[]graph.Edge{{Src: 0, Dst: 1}}, []int32{66}, 2, 130}, // multi-word k
-		{[]graph.Edge{{Src: 2, Dst: 2}}, []int32{0}, 9, 3},    // shrink: stale seen[] must not leak
+		{[]graph.Edge{{Src: 2, Dst: 2}}, []int32{0}, 9, 3},    // shrink: no state of the larger run leaks
 	}
 	for i, tc := range cases {
 		got, err := ev.Evaluate(stream.Of(tc.edges).Source(tc.nv), tc.assign, tc.k)

@@ -72,6 +72,11 @@ type Result struct {
 	Stream  stream.Source
 	Assign  []int32
 	Quality *metrics.Quality
+	// Replicas is the run's replica table P(v), sealed by the executor's
+	// evaluator after the last edge; with Quality.Sizes it is the whole
+	// serving state (serve.FromRun), for in-memory and out-of-core runs
+	// alike.
+	Replicas *metrics.ReplicaSets
 	// Runtime is the partitioning pass(es) including the in-pass quality
 	// accounting.
 	Runtime    time.Duration
@@ -188,7 +193,8 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 // execute is the one executor every run goes through. It hands the
 // algorithm's run the sink, which scores every committed run of
 // assignments in-pass with the serial metrics.Evaluator and routes it on
-// (see assignSink.commit).
+// (see assignSink.commit); the evaluator's sealed table becomes
+// Result.Replicas.
 func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts OutOfCoreOptions) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
@@ -270,6 +276,7 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 		Stream:   orig,
 		Assign:   sink.assign,
 		Quality:  sink.ev.Finish(),
+		Replicas: sink.ev.Replicas(),
 		Runtime:  elapsed,
 		Pipeline: info,
 	}

@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/store"
+	"repro/internal/stream"
 )
 
 // savedResult runs algorithm on a small synthetic web graph at k partitions
@@ -253,11 +256,76 @@ func TestBuilderRejects(t *testing.T) {
 	}
 }
 
-func TestFromRunRequiresAssignment(t *testing.T) {
-	run, _ := savedResult(t, "Hashing", 4)
-	run.Assign = nil
-	if _, err := FromRun(run); err == nil {
-		t.Fatal("FromRun accepted a run with no materialized assignment")
+// TestFromRunOutOfCore: FromRun packages the table the executor's
+// evaluator sealed, so an out-of-core run over an mmap CGR3 file saves
+// without a materialized assignment. Its bytes must equal those of a
+// Builder chained onto the same run's emit, and those of FromRun over the
+// in-memory run of the same natural order.
+func TestFromRunOutOfCore(t *testing.T) {
+	g := gen.ErdosRenyi(300, 1200, 7)
+	var enc bytes.Buffer
+	if err := store.Write(&enc, g); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.cgr")
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := store.OpenMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	encode := func(r *store.Result) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := store.WriteResult(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, algorithm := range []string{"Hashing", "HDRF", "CLUGP"} {
+		for _, k := range []int{3, 64, 65} {
+			t.Run(fmt.Sprintf("%s/k=%d", algorithm, k), func(t *testing.T) {
+				newP := func() partition.Partitioner {
+					p, err := partition.New(algorithm, 42)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return p
+				}
+				b, err := NewBuilder(src.NumVertices(), k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := partition.RunOutOfCoreOpts(newP(), src, k, b.Observe, partition.OutOfCoreOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Assign != nil {
+					t.Fatal("out-of-core run materialized its assignment")
+				}
+				saved, err := FromRun(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mem, err := partition.RunStreamed(newP(), stream.Of(g.Edges).Source(g.NumVertices), stream.Natural, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fromMem, err := FromRun(mem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := encode(saved)
+				if got := encode(b.Result(res.Algorithm, res.Order.String())); !bytes.Equal(got, want) {
+					t.Errorf("Builder on emit saves %d bytes that differ from FromRun's %d", len(got), len(want))
+				}
+				if got := encode(fromMem); !bytes.Equal(got, want) {
+					t.Errorf("in-memory FromRun saves %d bytes that differ from the out-of-core run's %d", len(got), len(want))
+				}
+			})
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/store"
-	"repro/internal/stream"
 )
 
 // ErrOutOfRange reports a vertex id at or beyond the snapshot's vertex
@@ -50,8 +49,8 @@ type Snapshot struct {
 
 // NewSnapshot freezes a saved partitioning result into serving form.
 // The result's replica table is shared, not copied: callers hand over a
-// freshly decoded or built table (store.ReadResult, Builder.Result) and must
-// not write it afterwards. Sizes are copied so the snapshot is sealed
+// freshly decoded or sealed table (store.ReadResult, FromRun,
+// Builder.Result) and must not write it afterwards. Sizes are copied so the snapshot is sealed
 // against later mutation of r.Sizes.
 func NewSnapshot(r *store.Result, _ Options) (*Snapshot, error) {
 	if r == nil || r.Replicas == nil {
@@ -195,15 +194,12 @@ func (s *Snapshot) leastLoaded() int32 {
 }
 
 // Builder accumulates a partitioning into result form as assignments
-// stream past - the serving-side twin of metrics.Evaluator, and the hook
-// the out-of-core path uses to save a result without ever materializing
-// the O(|E|) assignment: chain Observe onto the partitioner's Emit.
+// stream past, for a caller that chains Observe onto a run's Emit itself.
+// It is a thin wrapper over its own metrics.Evaluator, the accumulator
+// every run already holds: a caller with the run's Result should use
+// FromRun instead, which packages the table that run sealed.
 type Builder struct {
-	rs    *metrics.ReplicaSets
-	sizes []int64
-	k     int
-	n     int
-	edges int64
+	ev metrics.Evaluator
 }
 
 // NewBuilder returns a builder for a stream over numVertices vertices and k
@@ -215,65 +211,47 @@ func NewBuilder(numVertices, k int) (*Builder, error) {
 	if numVertices < 0 {
 		return nil, fmt.Errorf("serve: negative vertex count %d", numVertices)
 	}
-	return &Builder{
-		rs:    metrics.NewReplicaSets(numVertices, k),
-		sizes: make([]int64, k),
-		k:     k,
-		n:     numVertices,
-	}, nil
+	b := &Builder{}
+	b.ev.Begin(numVertices, k)
+	return b, nil
 }
 
 // Observe accumulates one run of streamed edges with their partition
 // assignments (assign[i] is the partition of edges[i]).
 func (b *Builder) Observe(edges []graph.Edge, assign []int32) error {
-	if len(edges) != len(assign) {
-		return fmt.Errorf("serve: observed %d edges with %d assignments", len(edges), len(assign))
-	}
-	for i, e := range edges {
-		p := assign[i]
-		if p < 0 || int(p) >= b.k {
-			return fmt.Errorf("serve: edge %d assigned to invalid partition %d (k=%d)", b.edges+int64(i), p, b.k)
-		}
-		b.sizes[p]++
-		b.rs.Add(e.Src, int(p))
-		b.rs.Add(e.Dst, int(p))
-	}
-	b.edges += int64(len(edges))
-	return nil
+	return b.ev.Observe(edges, assign)
 }
 
 // Result seals everything observed into the saveable/serveable form. The
 // builder's tables are handed over, not copied; the builder must not be
 // observed into afterwards.
 func (b *Builder) Result(algorithm, order string) *store.Result {
+	return newResult(algorithm, order, b.ev.Replicas(), b.ev.Finish().Sizes)
+}
+
+// FromRun packages a finished run - in-memory or out-of-core - into result
+// form: the replica table its executor sealed and its partition sizes,
+// handed over, not copied.
+func FromRun(res *partition.Result) (*store.Result, error) {
+	if res.Replicas == nil || res.Quality == nil {
+		return nil, fmt.Errorf("serve: run carries no replica table")
+	}
+	return newResult(res.Algorithm, res.Order.String(), res.Replicas, res.Quality.Sizes), nil
+}
+
+// newResult is the one packaging of a sealed table and its sizes.
+func newResult(algorithm, order string, rs *metrics.ReplicaSets, sizes []int64) *store.Result {
+	var edges int64
+	for _, sz := range sizes {
+		edges += sz
+	}
 	return &store.Result{
 		Algorithm:   algorithm,
 		Order:       order,
-		K:           b.k,
-		NumVertices: b.n,
-		NumEdges:    b.edges,
-		Sizes:       b.sizes,
-		Replicas:    b.rs,
+		K:           rs.K(),
+		NumVertices: rs.NumVertices(),
+		NumEdges:    edges,
+		Sizes:       sizes,
+		Replicas:    rs,
 	}
-}
-
-// FromRun converts a finished in-memory partitioning run into result form
-// by replaying its stream against its assignment. Out-of-core runs have no
-// materialized assignment; they save results by chaining a Builder onto
-// their Emit callback instead.
-func FromRun(res *partition.Result) (*store.Result, error) {
-	if res.Assign == nil {
-		return nil, fmt.Errorf("serve: run has no materialized assignment (out-of-core? chain a Builder onto Emit)")
-	}
-	b, err := NewBuilder(res.NumVertices, res.K)
-	if err != nil {
-		return nil, err
-	}
-	err = stream.ForEach(res.Stream, func(off int, blk []graph.Edge) error {
-		return b.Observe(blk, res.Assign[off:off+len(blk)])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.Result(res.Algorithm, res.Order.String()), nil
 }

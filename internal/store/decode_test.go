@@ -368,8 +368,8 @@ func TestDecodeBlockMatchesReference(t *testing.T) {
 // read-at window - to exactly the oracle's edges, or fail with exactly the
 // oracle's error text at the same edge. Seeds: a valid body with runs,
 // intervals and residuals, the corner runs of straddleEdges, and
-// forgedPayloads. Decoding stops after 1<<16 edges, as a few bytes can
-// declare billions.
+// forgedPayloads. Decoding stops after fuzzEdgeLimit edges, as a few bytes
+// can declare billions.
 func FuzzDecodeBlock(f *testing.F) {
 	g := graph.New(16, []graph.Edge{
 		{Src: 2, Dst: 3}, {Src: 2, Dst: 4}, {Src: 2, Dst: 5},
@@ -389,7 +389,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		payload := payloadOf(t, seal(t, append(append([]byte{}, magic3[:]...), body...)))
 		l := 1 + int(blockLen)%stream.BlockLen
 		for _, dc := range decodeCursors(payload) {
-			checkBlockDecode(t, dc.name, payload, dc.cur, []int{0}, []int{l}, 1<<16)
+			checkBlockDecode(t, dc.name, payload, dc.cur, []int{0}, []int{l}, fuzzEdgeLimit)
 		}
 	})
 }
