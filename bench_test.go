@@ -113,7 +113,8 @@ func benchPass2Game(b *testing.B, k, batch int) {
 }
 
 // BenchmarkClusterGraphBuild isolates the pass-2 input build (the former
-// map+sort.Slice hot spot, now a counting-sort CSR construction).
+// map+sort.Slice hot spot, now a bucketed CSR construction holding one
+// cluster id per crossing edge).
 func BenchmarkClusterGraphBuild(b *testing.B) {
 	g := benchGraph(b)
 	s := stream.NewView(g, stream.BFS, 0).Source(g.NumVertices)

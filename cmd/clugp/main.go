@@ -10,7 +10,7 @@
 //	clugp -preset IT -k 128 -algo CLUGP -tau 1.05 -assign out.txt
 //	clugp -in graph.cgr -stream -k 32              # out-of-core: O(|V|) heap
 //	clugp -in graph.cgr -stream -workers 4         # parallel hot pass, identical results
-//	clugp -in graph.cgr -stream -trace             # pass diagnostics, pipeline and peak-heap report
+//	clugp -in graph.cgr -stream -trace             # pass diagnostics, pipeline and max-RSS report
 //	clugp -in graph.cgr -stream -cpuprofile cpu.pb # pprof profiles (-memprofile heap.pb)
 //	clugp -in graph.txt -recompress graph.cgr      # compress a text edge list to CGR3
 //	clugp -in graph.cgr -stream -result run.cpr    # save a serveable result for cmd/partsrv
@@ -46,10 +46,11 @@
 // partitioned in its stored (crawl) order without ever loading the
 // edge list: the partitioner re-streams the file for each pass and the
 // assignment is written (or discarded) as it is produced, so peak heap is
-// the algorithm's O(|V|) state, not O(|E|). BFS/DFS/Random orders need the
-// graph in memory to reorder it; natural order is exactly the crawl order
-// the paper grants CLUGP and Mint, so the streaming mode covers the paper's
-// headline configuration.
+// the algorithm's O(|V|) state (CLUGP adds 4 bytes per crossing edge while
+// it builds its cluster graph), not the edge list. BFS/DFS/Random orders
+// need the graph in memory to reorder it; natural order is exactly the
+// crawl order the paper grants CLUGP and Mint, so the streaming mode covers
+// the paper's headline configuration.
 package main
 
 import (
@@ -84,7 +85,7 @@ func main() {
 		thr     = flag.Int("threads", 0, "CLUGP game threads (default GOMAXPROCS)")
 		out     = flag.String("assign", "", "write per-edge partition assignment to this file")
 		resultF = flag.String("result", "", "write the serveable partition result (.cpr, for cmd/partsrv) to this file")
-		trace   = flag.Bool("trace", false, "print CLUGP per-pass diagnostics and peak heap")
+		trace   = flag.Bool("trace", false, "print CLUGP per-pass diagnostics and max RSS")
 		streamF = flag.Bool("stream", false, "out-of-core mode: partition a .cgr file without loading it")
 		workers = flag.Int("workers", 1, "decode workers for -stream (>1 enables the parallel hot pass; results are identical for any count)")
 		cpuprof = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -149,14 +150,6 @@ func main() {
 		return
 	}
 
-	// Heap watermarking exists for the -trace report only; sampling costs
-	// periodic ReadMemStats pauses, so untraced runs skip it entirely (a
-	// nil watermark's watch is a no-op).
-	var heap *heapWatermark
-	if *trace {
-		heap = newHeapWatermark()
-	}
-
 	p, err := buildPartitioner(*algo, *seed, *tau, *weight, *batch, *thr)
 	if err != nil {
 		fail(err)
@@ -176,7 +169,7 @@ func main() {
 		ckEvery:    *ckEvery,
 		resume:     *resumeF,
 		retry:      *retryF,
-	}, heap)
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -213,10 +206,17 @@ func main() {
 			}
 		}
 		// The paper's Figure 6 claim is about partitioner memory; report what
-		// the process actually held so the bounded-memory mode is observable.
-		peak, live, total := heap.report()
-		fmt.Printf("peak heap:          %.2f MB (live after GC %.2f MB, %.2f MB allocated in total)\n",
-			float64(peak)/(1<<20), float64(live)/(1<<20), float64(total)/(1<<20))
+		// the process actually held - the kernel's peak resident set, heap
+		// and all - so the bounded-memory mode is observable.
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		if rss, ok := maxRSS(); ok {
+			fmt.Printf("max RSS:            %.2f MB (%.2f MB allocated in total)\n",
+				float64(rss)/(1<<20), float64(m.TotalAlloc)/(1<<20))
+		} else {
+			fmt.Printf("allocated:          %.2f MB in total (max RSS unavailable on %s)\n",
+				float64(m.TotalAlloc)/(1<<20), runtime.GOOS)
+		}
 	}
 
 	if *out != "" {
@@ -256,13 +256,13 @@ type runOpts struct {
 // run partitions through the in-memory or the -stream path, then saves
 // -result from the table the run's own quality accounting sealed
 // (SavedResultFromRun), so neither path keeps a second replica table.
-func run(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
+func run(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error) {
 	var res *repro.PartitionResult
 	var err error
 	if o.stream {
-		res, err = runStreaming(p, o, heap)
+		res, err = runStreaming(p, o)
 	} else {
-		res, err = runInMemory(p, o, heap)
+		res, err = runInMemory(p, o)
 	}
 	if err != nil {
 		return nil, err
@@ -285,15 +285,13 @@ func run(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.PartitionR
 
 // runInMemory is the classic path: load (or generate) the whole graph, then
 // partition it under the algorithm's preferred order.
-func runInMemory(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
+func runInMemory(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error) {
 	g, err := load(o.in, o.preset, o.scale)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices, g.NumEdges())
-	stop := heap.watch()
 	res, err := repro.RunPartitioner(p, g, o.k, o.seed)
-	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +313,7 @@ func runInMemory(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.Pa
 // truncates the interrupted run's output back to a record's watermark and
 // replays what is left, which a temp file that died with the process cannot
 // offer.
-func runStreaming(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.PartitionResult, error) {
+func runStreaming(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error) {
 	in, k, out := o.in, o.k, o.out
 	if in == "" {
 		return nil, fmt.Errorf("-stream needs -in FILE.cgr")
@@ -411,12 +409,10 @@ func runStreaming(p repro.Partitioner, o runOpts, heap *heapWatermark) (*repro.P
 		}
 		return nil
 	}
-	stop := heap.watch()
 	res, err := repro.RunOutOfCoreOpts(p, source, k, emit, repro.OutOfCoreOptions{
 		Workers:    o.workers,
 		Checkpoint: ck,
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -601,72 +597,6 @@ func appendAssignLine(buf []byte, e repro.Edge, p int32) []byte {
 	buf = append(buf, ' ')
 	buf = strconv.AppendInt(buf, int64(p), 10)
 	return append(buf, '\n')
-}
-
-// heapWatermark tracks the largest heap the process has held. A background
-// sampler (watch) reads HeapAlloc on a 10ms tick for the duration of a
-// run, so transients that live between the run's own observation points -
-// CLUGP's pass-2 crossing-pair array, game tables, Mint's batch tables -
-// are seen at (close to) their peak rather than only before and after.
-// The final report also forces a GC so "live" is actual reachable memory.
-type heapWatermark struct {
-	peak uint64
-}
-
-func newHeapWatermark() *heapWatermark {
-	h := &heapWatermark{}
-	h.sample()
-	return h
-}
-
-func (h *heapWatermark) sample() {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	if m.HeapAlloc > h.peak {
-		h.peak = m.HeapAlloc
-	}
-}
-
-// watch samples the heap on a ticker until the returned stop function is
-// called. Only the sampler goroutine touches peak while watching; stop
-// joins it before the caller reads the result. A nil watermark (untraced
-// run) watches nothing.
-func (h *heapWatermark) watch() (stop func()) {
-	if h == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	joined := make(chan struct{})
-	go func() {
-		defer close(joined)
-		t := time.NewTicker(10 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				h.sample()
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-joined
-		// Final sample so runs shorter than one tick still observe the
-		// heap they ended with (freed transients included, pre-GC).
-		h.sample()
-	}
-}
-
-func (h *heapWatermark) report() (peak, live, total uint64) {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	if m.HeapAlloc > h.peak {
-		h.peak = m.HeapAlloc
-	}
-	return h.peak, m.HeapAlloc, m.TotalAlloc
 }
 
 // stopProfiles flushes any active -cpuprofile/-memprofile collection; fail

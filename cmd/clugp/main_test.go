@@ -67,7 +67,7 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, crash+".cpk")); err != nil {
 			t.Fatalf("the crashed %s run left no checkpoint: %v", algo, err)
 		}
-		if _, err := run(partitioner(algo), opts(crash, true), nil); err != nil {
+		if _, err := run(partitioner(algo), opts(crash, true)); err != nil {
 			t.Fatal(err)
 		}
 		for _, ext := range []string{".cpr", ".txt"} {
@@ -87,7 +87,7 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 	}
 
 	for _, c := range []struct{ algo, name string }{{"HDRF", "hdrf"}, {"CLUGP", "clugp"}} {
-		if _, err := run(partitioner(c.algo), opts(c.name, false), nil); err != nil {
+		if _, err := run(partitioner(c.algo), opts(c.name, false)); err != nil {
 			t.Fatal(err)
 		}
 		noCheckpoints(c.name)
@@ -98,7 +98,7 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 	if err := os.WriteFile(in, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(partitioner("HDRF"), opts("hdrf-crash", false), nil); err == nil {
+	if _, err := run(partitioner("HDRF"), opts("hdrf-crash", false)); err == nil {
 		t.Fatal("a run over a corrupt block completed")
 	}
 	if err := os.WriteFile(in, good, 0o644); err != nil {

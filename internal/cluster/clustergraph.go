@@ -12,10 +12,12 @@ import (
 // Arc is one weighted inter-cluster adjacency entry. W counts directed
 // edges in both directions between the two clusters, i.e.
 // |e(ci,cj)| + |e(cj,ci)|, which is exactly the quantity the game's
-// edge-cutting cost sums over (Equation 11).
+// edge-cutting cost sums over (Equation 11). An arc is 8 bytes: a weight
+// is at most the number of crossing edges, which BuildGraph bounds by
+// maxCrossing.
 type Arc struct {
 	To ID
-	W  int64
+	W  uint32
 }
 
 // Graph is the cluster-level view built by re-streaming the edges once the
@@ -44,19 +46,52 @@ type Graph struct {
 	TotalInter int64
 }
 
+// maxCrossing is the most crossing edges BuildGraph accepts. Bucket
+// offsets and arc weights are uint32, and neither can exceed the crossing
+// count: a bucket is a slice of the crossing edges, and a pair's weight
+// is at most its bucket's length.
+const maxCrossing int64 = math.MaxUint32
+
+// checkBuildLimits reports a build whose crossing edges or arcs would wrap
+// the uint32 bucket offsets and weights (crossing > maxCrossing) or the
+// int32 CSR row offsets (arcs > MaxInt32), rather than let them scatter to
+// wrong rows. Checking the crossing total once covers every weight and
+// every per-bucket count, which are bounded by it.
+func checkBuildLimits(crossing, arcs int64) error {
+	if crossing > maxCrossing {
+		return fmt.Errorf("cluster: %d crossing edges exceed the bucket limit of %d", crossing, maxCrossing)
+	}
+	if arcs > math.MaxInt32 {
+		return fmt.Errorf("cluster: %d arcs exceed the CSR index limit of %d", arcs, math.MaxInt32)
+	}
+	return nil
+}
+
 // BuildGraph aggregates the edge source into the cluster graph using the
 // final assignments in res. res must be compacted first (every edge
 // endpoint assigned, ids dense).
 //
-// The build is a two-pass counting-sort CSR construction: crossing edges
-// are packed into (lo,hi) cluster-pair keys, radix-sorted by counting sort
-// (stable, two O(|E|+m) passes), and aggregated runs are scattered into one
-// flat arc array that every Adj row slices. No maps, no comparison sort,
-// and a bounded number of allocations regardless of edge count - the former
-// map+sort.Slice build allocated per pair bucket and per comparison
-// closure, which dominated CLUGP's allocation profile. The source is
-// streamed twice (replayable by contract), so peak memory is the packed
-// crossing-pair array, not the edge list.
+// The source is streamed twice (replayable by contract), and every
+// crossing edge is held as one 4-byte cluster id:
+//
+//   - pass 1 counts intra edges per cluster and crossing edges per lower
+//     endpoint cluster lo;
+//   - pass 2 scatters each crossing edge's higher cluster hi into lo's
+//     bucket (one flat []ID, bucketed by lo);
+//   - sweep 1 counts each cluster's distinct neighbours with an O(m)
+//     stamp array, which sizes the CSR rows;
+//   - sweep 2 visits the buckets in lo order, folds each into its distinct
+//     neighbours with their weights in one reused scratch slice, and gives
+//     each neighbour hi's row the below-self arc (To lo);
+//   - sweep 3 visits the rows in order and mirrors every below-self arc
+//     into its To's row as an above-self arc.
+//
+// Every row ends sorted by To without a comparison sort: a row's
+// below-self arcs arrive in ascending lo order in sweep 2, and its
+// above-self arcs in ascending row order in sweep 3, after all of the
+// former. Peak memory is the bucket array plus the 8-byte arcs, not the
+// edge list. No maps and a bounded number of allocations regardless of
+// edge count.
 func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 	m := res.NumClusters
 	cg := &Graph{
@@ -67,7 +102,9 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 		Weight:      make([]int64, m),
 	}
 
-	// Pass 1: intra counts and the number of crossing edges.
+	// Pass 1: intra counts, and crossing counts per lo at bucket[lo+1] so
+	// the prefix sum below leaves bucket lo starting at bucket[lo].
+	bucket := make([]uint32, m+1)
 	var crossing int
 	err := stream.ForEach(src, func(_ int, blk []graph.Edge) error {
 		for _, e := range blk {
@@ -80,6 +117,7 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 				cg.Intra[cu]++
 				cg.TotalIntra++
 			} else {
+				bucket[min(cu, cv)+1]++
 				crossing++
 			}
 		}
@@ -89,15 +127,23 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 		return nil, err
 	}
 	cg.TotalInter = int64(crossing)
+	if err := checkBuildLimits(int64(crossing), 0); err != nil {
+		return nil, err
+	}
 	if crossing == 0 {
 		for c := 0; c < m; c++ {
 			cg.Weight[c] = 2 * cg.Intra[c]
 		}
 		return cg, nil
 	}
+	for c := 1; c <= m; c++ {
+		bucket[c] += bucket[c-1]
+	}
 
-	// Pass 2: pack each crossing edge as a (lo,hi) cluster-pair key.
-	pairs := make([]uint64, 0, crossing)
+	// Pass 2: scatter hi into lo's bucket. bucket[lo] is the cursor, so
+	// afterwards it holds the bucket's end: lo's ids are
+	// his[bucket[lo-1]:bucket[lo]] (from 0 for lo = 0).
+	his := make([]ID, crossing)
 	err = stream.ForEach(src, func(_ int, blk []graph.Edge) error {
 		for _, e := range blk {
 			cu := res.Assign[e.Src]
@@ -105,11 +151,9 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 			if cu == cv {
 				continue
 			}
-			lo, hi := cu, cv
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			pairs = append(pairs, uint64(uint32(lo))<<32|uint64(uint32(hi)))
+			lo, hi := min(cu, cv), max(cu, cv)
+			his[bucket[lo]] = hi
+			bucket[lo]++
 		}
 		return nil
 	})
@@ -117,73 +161,71 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 		return nil, err
 	}
 
-	// Stable LSD radix sort on the two cluster-id digits: counting-sort by
-	// hi, then by lo, leaves pairs sorted lexicographically by (lo,hi).
-	tmp := make([]uint64, len(pairs))
-	cnt := make([]int32, m+1)
-	countingSortByDigit(pairs, tmp, cnt, 0)  // by hi
-	countingSortByDigit(tmp, pairs, cnt, 32) // by lo
-
-	// Scan the sorted runs once to size each cluster's arc row (one arc per
-	// side per distinct pair), then prefix-sum into CSR offsets.
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	arcs := 0
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j++
+	// Sweep 1: one arc per side per distinct pair. stamp[hi] == lo+1 marks
+	// hi as already counted for this lo; widest, the most distinct
+	// neighbours in one bucket, sizes sweep 2's scratch.
+	rowLen := make([]int32, m)
+	stamp := make([]int32, m)
+	arcs, widest := 0, int32(0)
+	begin := uint32(0)
+	for lo := range m {
+		end := bucket[lo]
+		above := rowLen[lo]
+		for _, hi := range his[begin:end] {
+			if stamp[hi] != int32(lo)+1 {
+				stamp[hi] = int32(lo) + 1
+				rowLen[lo]++
+				rowLen[hi]++
+				arcs += 2
+			}
 		}
-		lo := ID(pairs[i] >> 32)
-		hi := ID(pairs[i] & 0xffffffff)
-		cnt[lo]++
-		cnt[hi]++
-		arcs += 2
-		i = j
+		widest = max(widest, rowLen[lo]-above)
+		begin = end
 	}
-	// Offsets and cursors are int32 like the per-cluster counts; the total
-	// arc count must fit or the prefix sums wrap. Unreachable below ~1B
-	// distinct crossing pairs (a 34 GB arc array), but fail loudly rather
-	// than scatter to wrong rows.
-	if arcs > math.MaxInt32 {
-		return nil, fmt.Errorf("cluster: %d arcs exceed the CSR index limit of %d", arcs, math.MaxInt32)
+	if err := checkBuildLimits(int64(crossing), int64(arcs)); err != nil {
+		return nil, err
 	}
 	off := make([]int32, m+1)
 	for c := 0; c < m; c++ {
-		off[c+1] = off[c] + cnt[c]
+		off[c+1] = off[c] + rowLen[c]
 	}
 	flat := make([]Arc, arcs)
-	cursor := cnt // reuse as the scatter cursor
+	cursor := rowLen // reuse as the scatter cursor
 	copy(cursor, off[:m])
 
-	// Scatter in two ordered sweeps so every row ends up sorted by To: the
-	// first places each pair's To-below-self arc (hi's row gets lo, and los
-	// arrive ascending for a fixed hi because the iteration is lo-major),
-	// the second places the To-above-self arcs (lo's row gets hi, ascending
-	// for a fixed lo). All below-self arcs precede all above-self arcs in a
-	// row, which is exactly ascending To order.
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j++
+	// Sweep 2: fold lo's bucket into its distinct neighbours and their
+	// weights, then give each hi's row its below-self arc (To lo). stamp
+	// now holds hi's index in scratch, trusted only if it points at hi
+	// within the current scratch (To is unique there), so stale sweep-1
+	// values need no clearing.
+	scratch := make([]Arc, 0, widest)
+	begin = 0
+	for lo := range m {
+		end := bucket[lo]
+		scratch = scratch[:0]
+		for _, hi := range his[begin:end] {
+			if i := stamp[hi]; int(i) < len(scratch) && scratch[i].To == hi {
+				scratch[i].W++
+				continue
+			}
+			stamp[hi] = int32(len(scratch))
+			scratch = append(scratch, Arc{To: hi, W: 1})
 		}
-		lo := ID(pairs[i] >> 32)
-		hi := ID(pairs[i] & 0xffffffff)
-		flat[cursor[hi]] = Arc{To: lo, W: int64(j - i)}
-		cursor[hi]++
-		i = j
+		begin = end
+		for _, a := range scratch {
+			flat[cursor[a.To]] = Arc{To: ID(lo), W: a.W}
+			cursor[a.To]++
+		}
 	}
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j++
+
+	// Sweep 3: transpose. Row r's below-self arcs end at cursor[r] when the
+	// sweep reaches r (only rows above a row write into it), and each
+	// mirrors into its To's row as an above-self arc (To r).
+	for r := range m {
+		for _, a := range flat[off[r]:cursor[r]] {
+			flat[cursor[a.To]] = Arc{To: ID(r), W: a.W}
+			cursor[a.To]++
 		}
-		lo := ID(pairs[i] >> 32)
-		hi := ID(pairs[i] & 0xffffffff)
-		flat[cursor[lo]] = Arc{To: hi, W: int64(j - i)}
-		cursor[lo]++
-		i = j
 	}
 
 	for c := 0; c < m; c++ {
@@ -193,32 +235,12 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 		}
 		var t int64
 		for _, a := range row {
-			t += a.W
+			t += int64(a.W)
 		}
 		cg.AdjTotal[c] = t
 		cg.Weight[c] = 2*cg.Intra[c] + t
 	}
 	return cg, nil
-}
-
-// countingSortByDigit stable-sorts src into dst by the 32-bit digit at the
-// given shift (cluster ids, so values are < len(cnt)-1). cnt is caller
-// scratch of length m+1; it is cleared before use.
-func countingSortByDigit(src, dst []uint64, cnt []int32, shift uint) {
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, p := range src {
-		cnt[uint32(p>>shift)+1]++
-	}
-	for i := 1; i < len(cnt); i++ {
-		cnt[i] += cnt[i-1]
-	}
-	for _, p := range src {
-		d := uint32(p >> shift)
-		dst[cnt[d]] = p
-		cnt[d]++
-	}
 }
 
 // ArcWeight returns the symmetric inter-cluster weight between a and b
@@ -227,7 +249,7 @@ func (g *Graph) ArcWeight(a, b ID) int64 {
 	arcs := g.Adj[a]
 	i := sort.Search(len(arcs), func(i int) bool { return arcs[i].To >= b })
 	if i < len(arcs) && arcs[i].To == b {
-		return arcs[i].W
+		return int64(arcs[i].W)
 	}
 	return 0
 }
@@ -239,7 +261,7 @@ func (g *Graph) TotalAdjacency(c ID) int64 {
 	}
 	var t int64
 	for _, a := range g.Adj[c] {
-		t += a.W
+		t += int64(a.W)
 	}
 	return t
 }

@@ -145,7 +145,7 @@ func uniformGraph(n int, intra, w int64) *cluster.Graph {
 		cg.Intra[c] = intra
 		cg.TotalIntra += intra
 		if n > 2 && w > 0 {
-			cg.Adj[c] = []cluster.Arc{{To: cluster.ID((c + n - 1) % n), W: w}, {To: cluster.ID((c + 1) % n), W: w}}
+			cg.Adj[c] = []cluster.Arc{{To: cluster.ID((c + n - 1) % n), W: uint32(w)}, {To: cluster.ID((c + 1) % n), W: uint32(w)}}
 			cg.TotalInter += w
 		}
 	}
@@ -155,7 +155,7 @@ func uniformGraph(n int, intra, w int64) *cluster.Graph {
 // randomGraph is a random cluster graph with skewed weights and arcs.
 func randomGraph(n, arcs int, seed uint64) *cluster.Graph {
 	rng := xrand.New(seed)
-	w := make(map[[2]int]int64)
+	w := make(map[[2]int]uint32)
 	for i := 0; i < arcs; i++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a == b {
@@ -164,7 +164,7 @@ func randomGraph(n, arcs int, seed uint64) *cluster.Graph {
 		if a > b {
 			a, b = b, a
 		}
-		w[[2]int{a, b}] += int64(1 + rng.Intn(5))
+		w[[2]int{a, b}] += uint32(1 + rng.Intn(5))
 	}
 	cg := &cluster.Graph{NumClusters: n, Intra: make([]int64, n), Adj: make([][]cluster.Arc, n)}
 	for c := range cg.Intra {
@@ -180,7 +180,7 @@ func randomGraph(n, arcs int, seed uint64) *cluster.Graph {
 		}
 	}
 	for _, v := range w {
-		cg.TotalInter += v
+		cg.TotalInter += int64(v)
 	}
 	return cg
 }

@@ -56,3 +56,55 @@ func TestEvaluatorHandsOverTable(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluatorEmptyRunTable: a run that observes nothing still hands over
+// an empty table of its shape, whether Replicas is asked before Finish
+// (as serve.Builder.Result does) or after it, and both return the same
+// table.
+func TestEvaluatorEmptyRunTable(t *testing.T) {
+	for _, replicasFirst := range []bool{true, false} {
+		var ev Evaluator
+		ev.Begin(7, 70)
+		var rs *ReplicaSets
+		if replicasFirst {
+			rs = ev.Replicas()
+		}
+		q := ev.Finish()
+		if !replicasFirst {
+			rs = ev.Replicas()
+		}
+		if rs == nil || rs != ev.Replicas() {
+			t.Fatalf("replicasFirst=%v: Replicas returned %p then %p", replicasFirst, rs, ev.Replicas())
+		}
+		if rs.NumVertices() != 7 || rs.K() != 70 {
+			t.Fatalf("replicasFirst=%v: empty-run table is %dv/%dk, want 7v/70k", replicasFirst, rs.NumVertices(), rs.K())
+		}
+		if q.Vertices != 0 || q.Replicas != 0 || len(q.Sizes) != 70 {
+			t.Fatalf("replicasFirst=%v: empty-run quality %+v", replicasFirst, q)
+		}
+	}
+}
+
+// TestEvaluatorBeginAfterFinishLeavesTable: Begin after Finish drops the
+// handed-over table before the next run makes its own, so the next run's
+// writes - to an empty table or to one it observed into - never reach it.
+func TestEvaluatorBeginAfterFinishLeavesTable(t *testing.T) {
+	var ev Evaluator
+	ev.Begin(4, 2)
+	ev.Finish()
+	kept := ev.Replicas()
+
+	ev.Begin(4, 2)
+	if err := ev.Observe([]graph.Edge{{Src: 0, Dst: 3}}, []int32{1}); err != nil {
+		t.Fatal(err)
+	}
+	ev.Finish()
+	if ev.Replicas() == kept {
+		t.Fatal("the second run wrote the handed-over table")
+	}
+	for i, w := range kept.bits {
+		if w != 0 {
+			t.Fatalf("handed-over empty table has word %d = %#x", i, w)
+		}
+	}
+}

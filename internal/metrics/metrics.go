@@ -186,9 +186,12 @@ type Quality struct {
 // Evaluator accumulates a partitioning's quality and its replica table
 // P(v) from the committed assignments. It is the one such accumulator
 // outside the partitioners: every run's table and sizes come from it.
-// Begin allocates a fresh table per run, and after Finish the table is
-// handed over (Replicas), so a table a caller keeps is never written
-// again. The zero value is ready to use.
+// Each run gets a fresh table, made when the run first writes it (the
+// first Observe, or Finish/Replicas for an empty run), so a multi-pass
+// algorithm does not hold an idle O(|V|·k/64) table through the passes
+// before it commits anything. After Finish the table is handed over
+// (Replicas), so a table a caller keeps is never written again. The zero
+// value is ready to use.
 //
 // An Evaluator is strictly single-goroutine: the bitset and size counters
 // are mutated without synchronization, so concurrent Observe or Evaluate
@@ -201,19 +204,28 @@ type Quality struct {
 // O(|V|·k/64 + k) however many edges stream through Observe.
 type Evaluator struct {
 	rs    *ReplicaSets
-	k     int
+	nv, k int
 	sizes []int64
 	edges int64
 }
 
-// Begin starts a run over numVertices vertices and k partitions with a
-// fresh replica table and fresh sizes: the previous run's are handed over
-// (Finish's Quality owns the sizes, Replicas the table), never reused.
+// Begin starts a run over numVertices vertices and k partitions with fresh
+// sizes; its replica table is made on first use (see table). The previous
+// run's are handed over (Finish's Quality owns the sizes, Replicas the
+// table), never reused.
 func (ev *Evaluator) Begin(numVertices, k int) {
-	ev.rs = NewReplicaSets(numVertices, k)
-	ev.k = k
+	ev.rs = nil
+	ev.nv, ev.k = numVertices, k
 	ev.sizes = make([]int64, k)
 	ev.edges = 0
+}
+
+// table returns the run's replica table, making it on first use.
+func (ev *Evaluator) table() *ReplicaSets {
+	if ev.rs == nil {
+		ev.rs = NewReplicaSets(ev.nv, ev.k)
+	}
+	return ev.rs
 }
 
 // Observe accumulates one run of streamed edges with their partition
@@ -222,7 +234,7 @@ func (ev *Evaluator) Observe(edges []graph.Edge, assign []int32) error {
 	if len(edges) != len(assign) {
 		return fmt.Errorf("metrics: observed %d edges with %d assignments", len(edges), len(assign))
 	}
-	rs, sizes, k := ev.rs, ev.sizes, ev.k
+	rs, sizes, k := ev.table(), ev.sizes, ev.k
 	for i, e := range edges {
 		p := assign[i]
 		if p < 0 || int(p) >= k {
@@ -249,7 +261,7 @@ func (ev *Evaluator) Finish() *Quality {
 			q.MinSize = sz
 		}
 	}
-	rs := ev.rs
+	rs := ev.table()
 	for v := range rs.NumVertices() {
 		if c := rs.Count(graph.VertexID(v)); c > 0 {
 			q.Vertices++
@@ -265,10 +277,11 @@ func (ev *Evaluator) Finish() *Quality {
 	return q
 }
 
-// Replicas returns the replica table accumulated since Begin. Once Finish
-// has run the table is the caller's: the next Begin allocates a new one,
-// so the evaluator writes it again only if Observe is called without one.
-func (ev *Evaluator) Replicas() *ReplicaSets { return ev.rs }
+// Replicas returns the replica table accumulated since Begin (an empty
+// table of the run's shape if nothing was observed). Once Finish has run
+// the table is the caller's: the next Begin drops it, so the evaluator
+// writes it again only if Observe is called without a Begin.
+func (ev *Evaluator) Replicas() *ReplicaSets { return ev.table() }
 
 // Evaluate recomputes partition quality from scratch given the edge stream
 // and the per-edge partition assignment (ground truth, independent of any

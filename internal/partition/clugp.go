@@ -236,7 +236,7 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 			p := asg.Partition[ci]
 			for _, a := range cg.Adj[ci] {
 				if asg.Partition[a.To] == p {
-					healed += a.W
+					healed += int64(a.W)
 				}
 			}
 		}

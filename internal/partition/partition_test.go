@@ -183,6 +183,27 @@ func TestCLUGPEmptyStream(t *testing.T) {
 	}
 }
 
+// TestEmptyRunHandsOverTable: the executor's replica table is made on the
+// first committed run, so an empty stream commits none; its Result must
+// still carry an empty table of the stream's vertex count and k.
+func TestEmptyRunHandsOverTable(t *testing.T) {
+	for _, p := range []Partitioner{&CLUGP{}, &HDRF{}} {
+		res, err := RunOutOfCoreOpts(p, stream.View{}.Source(10), 70, nil, OutOfCoreOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		rs := res.Replicas
+		if rs == nil || rs.NumVertices() != 10 || rs.K() != 70 {
+			t.Fatalf("%s: empty run's table is %v, want 10 vertices x 70 partitions", p.Name(), rs)
+		}
+		for v := range 10 {
+			if n := rs.Count(graph.VertexID(v)); n != 0 {
+				t.Fatalf("%s: vertex %d has %d replicas after an empty run", p.Name(), v, n)
+			}
+		}
+	}
+}
+
 // TestClusteringAblation reproduces Figure 9's direction: CLUGP must beat
 // CLUGP-S - pass 1 downgraded to the literal Hollocou allocation-migration
 // clustering - clearly at moderate-to-large k.

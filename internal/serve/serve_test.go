@@ -190,6 +190,50 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestBuilderEmptyRun: a Builder chained onto a run that emits nothing
+// still seals an empty table of the stream's shape (its evaluator makes
+// the table lazily, and Result asks for it before Finish), equal byte
+// for byte to FromRun over the same run, and both serve.
+func TestBuilderEmptyRun(t *testing.T) {
+	const nv, k = 9, 65
+	b, err := NewBuilder(nv, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := partition.RunOutOfCoreOpts(&partition.CLUGP{}, stream.View{}.Source(nv), k, b.Observe, partition.OutOfCoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromRun, err := FromRun(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := store.WriteResult(&want, fromRun); err != nil {
+		t.Fatal(err)
+	}
+	built := b.Result(res.Algorithm, res.Order.String())
+	if built.NumVertices != nv || built.K != k || built.NumEdges != 0 {
+		t.Fatalf("empty Builder result is %d vertices, k=%d, %d edges", built.NumVertices, built.K, built.NumEdges)
+	}
+	var got bytes.Buffer
+	if err := store.WriteResult(&got, built); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("empty Builder result saves %d bytes that differ from FromRun's %d", got.Len(), want.Len())
+	}
+	for _, r := range []*store.Result{built, fromRun} {
+		snap, err := NewSnapshot(r, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.NumVertices() != nv {
+			t.Fatalf("snapshot of an empty run has %d vertices, want %d", snap.NumVertices(), nv)
+		}
+	}
+}
+
 func TestRouteEdgeColdBranches(t *testing.T) {
 	// Hand-built tables: vertex 0 in {1, 2}, vertex 1 in {2, 3}, vertices
 	// 2 and 3 unreplicated. Sizes make partition 3 lightest, then 2.
