@@ -9,7 +9,7 @@
 //	clugp -in graph.txt -k 64 -algo HDRF
 //	clugp -preset IT -k 128 -algo CLUGP -tau 1.05 -assign out.txt
 //	clugp -in graph.cgr -stream -k 32              # out-of-core: O(|V|) heap
-//	clugp -in graph.cgr -stream -workers 4         # parallel hot pass, identical results
+//	clugp -in graph.cgr -stream -workers 4         # add a segment-decoder fleet, identical results
 //	clugp -in graph.cgr -stream -trace             # pass diagnostics, pipeline and max-RSS report
 //	clugp -in graph.cgr -stream -cpuprofile cpu.pb # pprof profiles (-memprofile heap.pb)
 //	clugp -in graph.txt -recompress graph.cgr      # compress a text edge list to CGR3
@@ -87,7 +87,7 @@ func main() {
 		resultF = flag.String("result", "", "write the serveable partition result (.cpr, for cmd/partsrv) to this file")
 		trace   = flag.Bool("trace", false, "print CLUGP per-pass diagnostics and max RSS")
 		streamF = flag.Bool("stream", false, "out-of-core mode: partition a .cgr file without loading it")
-		workers = flag.Int("workers", 1, "decode workers for -stream (>1 enables the parallel hot pass; results are identical for any count)")
+		workers = flag.Int("workers", 1, "decode workers for -stream: decode already runs ahead on a second goroutine at GOMAXPROCS >= 2; >1 adds a fleet of segment decoders on top (results are identical for any count)")
 		cpuprof = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		recomp  = flag.String("recompress", "", "write the loaded graph back out compressed (CGR3) to this file, then exit")
@@ -194,7 +194,7 @@ func main() {
 		}
 		if *streamF {
 			pl := res.Pipeline
-			fmt.Printf("pipeline:           %d decode workers\n", pl.DecodeWorkers)
+			fmt.Printf("pipeline:           %s\n", pipelineLine(*workers, pl.DecodeWorkers, pl.DecodeAhead))
 			if pl.SerialFallback != "" {
 				fmt.Printf("serial fallback:    %s\n", pl.SerialFallback)
 			}
@@ -303,10 +303,26 @@ func runInMemory(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error)
 	return res, nil
 }
 
+// pipelineLine describes how the out-of-core pass decoded: on a fleet of
+// segment decoders when -workers > 1 (resolved to workers, clamped to the
+// file's segments), else ahead of the partitioner on a second goroutine
+// (the default at GOMAXPROCS >= 2) or inline on its own.
+func pipelineLine(asked, workers int, ahead bool) string {
+	switch {
+	case asked > 1:
+		return fmt.Sprintf("%d decode workers (segment fleet)", workers)
+	case ahead:
+		return "1 decoder, ahead of the partitioner on a second goroutine"
+	default:
+		return "1 decoder, inline"
+	}
+}
+
 // runStreaming is the out-of-core path: the .cgr file is the stream; the
-// assignment is emitted as it is produced and never materialized. With
-// workers > 1 decode runs on a worker fleet; the emitted assignment and
-// quality are identical to the serial pass either way.
+// assignment is emitted as it is produced and never materialized. The
+// file source decodes ahead of the partitioner at GOMAXPROCS >= 2, and
+// workers > 1 adds a fleet of segment decoders; the emitted assignment and
+// quality are identical to the inline pass either way.
 //
 // With checkpointing the -assign file is written as a plain persistent file
 // instead of an atomic temp+rename: the records point into it, and a resume

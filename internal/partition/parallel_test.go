@@ -3,6 +3,8 @@ package partition
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -143,6 +145,43 @@ func TestParallelFallsBackWithoutSegmenter(t *testing.T) {
 	_, res = collectOutOfCore(t, &HDRF{}, stream.Of(big.Edges).Source(big.NumVertices), 4, OutOfCoreOptions{Workers: 2})
 	if res.Pipeline.DecodeWorkers != 2 || res.Pipeline.SerialFallback != "" {
 		t.Fatalf("pipeline info %+v, want decode=2 and no fallback", res.Pipeline)
+	}
+}
+
+// TestPipelineReportsDecodeAhead: Result.Pipeline.DecodeAhead is true
+// exactly when the file source itself fed the partitioner at GOMAXPROCS 2 -
+// also through a retry wrapper - and false inline at GOMAXPROCS 1, under a
+// segment fleet and over an in-memory source; assignments never change.
+func TestPipelineReportsDecodeAhead(t *testing.T) {
+	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, Seed: 54})
+	mm, err := store.OpenMmap(writeCGR(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	want, _ := collectOutOfCore(t, &HDRF{}, stream.Of(g.Edges).Source(g.NumVertices), 8, OutOfCoreOptions{})
+	for _, tc := range []struct {
+		name    string
+		src     stream.Source
+		procs   int
+		workers int
+		ahead   bool
+	}{
+		{"file/procs=1", mm, 1, 0, false},
+		{"file/procs=2", mm, 2, 0, true},
+		{"retry/procs=2", stream.Retry(mm, stream.RetryConfig{}), 2, 0, true},
+		{"fleet/procs=2", mm, 2, 2, false},
+		{"memory/procs=2", stream.Of(g.Edges).Source(g.NumVertices), 2, 0, false},
+	} {
+		prev := runtime.GOMAXPROCS(tc.procs)
+		got, res := collectOutOfCore(t, &HDRF{}, tc.src, 8, OutOfCoreOptions{Workers: tc.workers})
+		runtime.GOMAXPROCS(prev)
+		if res.Pipeline.DecodeAhead != tc.ahead {
+			t.Errorf("%s: DecodeAhead %v, want %v", tc.name, res.Pipeline.DecodeAhead, tc.ahead)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: assignments differ from the in-memory pass", tc.name)
+		}
 	}
 }
 

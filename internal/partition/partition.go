@@ -131,11 +131,15 @@ func RunStreamed(p Partitioner, src stream.Source, order stream.Order, k int) (*
 // OutOfCoreOptions tune the streaming pass. The zero value is the serial
 // mode.
 type OutOfCoreOptions struct {
-	// Workers enables parallel decode when > 1 and the source can be
-	// segmented (every source in this repository can): a fleet of up to
-	// Workers decode goroutines pulls disjoint stream.Segmenter ranges and
-	// feeds the assignment stage fixed-size batches committed in segment
-	// order. The assignment loop and the quality accounting stay serial.
+	// Workers adds a segment fleet when > 1 and the source can be
+	// segmented (every source in this repository can): up to Workers
+	// decode goroutines pull disjoint stream.Segmenter ranges and feed the
+	// assignment stage fixed-size batches committed in segment order. The
+	// default (0 or 1) needs no fleet to overlap decode with the pass: a
+	// store file source already decodes ahead of the partitioner on a
+	// second goroutine when GOMAXPROCS >= 2 (PipelineInfo.DecodeAhead), so
+	// the fleet only adds further decoders on top. The assignment loop and
+	// the quality accounting stay serial.
 	// Assignments and quality are bit-identical to the serial pass for any
 	// worker count - the decode/merge pipeline preserves exact stream
 	// order - which TestParallelWorkerInvariance holds for every algorithm
@@ -156,8 +160,12 @@ type OutOfCoreOptions struct {
 // -workers to serial decode, and a partitioner without checkpoint support
 // runs without checkpoints. clugp -trace prints it.
 type PipelineInfo struct {
-	// DecodeWorkers is the resolved decode-fleet size (1 = serial decode).
+	// DecodeWorkers is the resolved decode-fleet size (1 = no fleet).
 	DecodeWorkers int
+	// DecodeAhead reports that, with no fleet, the source decoded ahead of
+	// the partitioner on a goroutine of its own (store file sources do at
+	// GOMAXPROCS >= 2); false means decode ran inline.
+	DecodeAhead bool
 	// SerialFallback explains every requested parallel mode that ran
 	// serially anyway; empty when nothing was demoted.
 	SerialFallback string
@@ -239,6 +247,11 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 			// and did not get it.
 			info.addFallback(fmt.Sprintf("source %T cannot segment into ranges, decode runs serially", src))
 		}
+	}
+	// A fleet's wrapper does not decode ahead; only an unwrapped file
+	// source does.
+	if a, ok := src.(interface{ DecodesAhead() bool }); ok {
+		info.DecodeAhead = a.DecodesAhead()
 	}
 	if sink.ck != nil {
 		// Pin every sink commit to a BlockLen-multiple stream offset: serial

@@ -183,16 +183,30 @@ func (g *integrity) blockRange(b int) (lo, hi int64) {
 	return lo, hi
 }
 
+// inMemory is an io.ReaderAt that holds the file's bytes in memory (a
+// mapping, a buffered file): its blocks are checksummed in place, with no
+// copy and no scratch buffer.
+type inMemory interface {
+	// bytesAt returns bytes [lo, hi), or nil when they are not in memory.
+	bytesAt(lo, hi int64) []byte
+}
+
 // verifyBlockLocked proves block b against its recorded CRC, reading the raw
 // bytes through r. Called with mu held; marks the block verified on success.
 func (g *integrity) verifyBlockLocked(r io.ReaderAt, b int) error {
 	lo, hi := g.blockRange(b)
-	if g.scratch == nil {
-		g.scratch = make([]byte, g.blockSize)
+	var buf []byte
+	if m, ok := r.(inMemory); ok {
+		buf = m.bytesAt(lo, hi)
 	}
-	buf := g.scratch[:hi-lo]
-	if err := readFullAt(r, buf, lo); err != nil {
-		return fmt.Errorf("store: %s: reading block %d for verification: %w", g.path, b, err)
+	if buf == nil {
+		if g.scratch == nil {
+			g.scratch = make([]byte, g.blockSize)
+		}
+		buf = g.scratch[:hi-lo]
+		if err := readFullAt(r, buf, lo); err != nil {
+			return fmt.Errorf("store: %s: reading block %d for verification: %w", g.path, b, err)
+		}
 	}
 	if crc32.Checksum(buf, castagnoli) != g.crcs[b] {
 		return &CorruptError{Path: g.path, Block: b, Off: lo, Len: hi - lo, What: "block checksum mismatch"}
@@ -268,6 +282,13 @@ func verifyAllBytes(data []byte, path string) ([]byte, error) {
 // byteReaderAt adapts a byte slice to io.ReaderAt without the bytes.Reader
 // seek state.
 type byteReaderAt []byte
+
+func (b byteReaderAt) bytesAt(lo, hi int64) []byte {
+	if hi > int64(len(b)) {
+		return nil
+	}
+	return b[lo:hi]
+}
 
 func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off >= int64(len(b)) {

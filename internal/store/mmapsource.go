@@ -51,6 +51,15 @@ func (m *mapping) cursor(limit int64) cursor {
 	return readAtCursor(m.f, limit)
 }
 
+// bytesAt returns mapped bytes [lo, hi) for in-place verification, or nil
+// in fallback mode.
+func (m *mapping) bytesAt(lo, hi int64) []byte {
+	if hi > int64(len(m.data)) {
+		return nil
+	}
+	return m.data[lo:hi]
+}
+
 // ReadAt serves raw file bytes from the mapping (or the shared handle in
 // fallback mode) - the verification reader of the integrity checks.
 func (m *mapping) ReadAt(p []byte, off int64) (int, error) {
@@ -118,6 +127,7 @@ func OpenMmap(path string) (*MmapSource, error) {
 	s := &MmapSource{m: m}
 	m.retain()
 	s.path, s.size = path, m.size
+	s.isRoot = true
 	if err := s.initIntegrity(m); err != nil {
 		s.Close()
 		return nil, err

@@ -31,6 +31,7 @@ type ReaderAtSource struct {
 func OpenReaderAt(r io.ReaderAt, size int64, name string) (*ReaderAtSource, error) {
 	s := &ReaderAtSource{r: r}
 	s.path, s.size = name, size
+	s.isRoot = true
 	if err := s.initIntegrity(r); err != nil {
 		return nil, err
 	}

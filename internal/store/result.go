@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -176,27 +175,62 @@ func validateResult(r *Result) error {
 // least need body bytes behind it. A forged header therefore cannot make
 // the table more than 8x the bytes actually read.
 //
-// The file is read once into one buffer, and its trailer and every payload
-// block are proven before any field is decoded, so a corrupt result can
-// never be mistaken for a valid one. Decoding then runs straight over that
-// buffer.
+// The file is read once, in fixed chunks assembled into one buffer of its
+// exact length, and its trailer and every payload block are proven before
+// any field is decoded, so a corrupt result can never be mistaken for a
+// valid one. Decoding then runs straight over that buffer. Reading a file
+// of F bytes so allocates at most 2F and one chunk besides the decoded
+// result, however the reader splits its reads.
 func ReadResult(rd io.Reader) (*Result, error) {
-	buf := bytes.NewBuffer(make([]byte, 4, 1<<16))
-	if _, err := io.ReadFull(rd, buf.Bytes()); err != nil {
+	chunk := make([]byte, resultChunk)
+	if _, err := io.ReadFull(rd, chunk[:4]); err != nil {
 		return nil, fmt.Errorf("store: reading result magic: %w", err)
 	}
-	if [4]byte(buf.Bytes()) != resultMagic2 {
+	if [4]byte(chunk) != resultMagic2 {
 		return nil, ErrBadResultMagic
 	}
-	if _, err := buf.ReadFrom(rd); err != nil {
+	data, err := readChunks(rd, chunk, 4)
+	if err != nil {
 		return nil, fmt.Errorf("store: buffering result: %w", err)
 	}
-	payload, err := verifyAllBytes(buf.Bytes(), "result")
+	payload, err := verifyAllBytes(data, "result")
 	if err != nil {
 		return nil, err
 	}
 	c := mappedCursor(payload[4:])
 	return readResultBody(&c)
+}
+
+// resultChunk is the read granularity of ReadResult: the chunks a file is
+// read into overshoot its length by at most one chunk.
+const resultChunk = checksumBlockSize
+
+// readChunks reads rd to EOF into chunks of len(chunk) bytes, the first
+// of which already holds n bytes, and returns everything as one slice: the
+// chunk itself when it held the whole input, else one buffer of the exact
+// total that the chunks are copied into once.
+func readChunks(rd io.Reader, chunk []byte, n int) ([]byte, error) {
+	var full [][]byte
+	for {
+		m, err := io.ReadFull(rd, chunk[n:])
+		n += m
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		full = append(full, chunk)
+		chunk, n = make([]byte, len(chunk)), 0
+	}
+	if len(full) == 0 {
+		return chunk[:n], nil
+	}
+	out := make([]byte, 0, len(full)*len(chunk)+n)
+	for _, c := range full {
+		out = append(out, c...)
+	}
+	return append(out, chunk[:n]...), nil
 }
 
 // errVarintOverlong reports a multi-byte varint whose last byte is zero: it

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -11,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -339,6 +341,45 @@ func TestResultTableAllocationBound(t *testing.T) {
 	// A body of exactly need bytes holds a valid (all-empty) table.
 	if _, err := ReadResult(bytes.NewReader(forge(1000, k, make([]byte, 1000*(k/64))))); err != nil {
 		t.Fatalf("table of need one-byte words rejected: %v", err)
+	}
+}
+
+// TestReadResultAllocation: reading a result allocates at most twice the
+// file plus the replica table, and a fixed slack for one read chunk past
+// the end and the header fields - through a buffered reader as partsrv
+// and the pipeline benchmark read, and through one that splits every read
+// in half.
+func TestReadResultAllocation(t *testing.T) {
+	r := seededResult(t, 300000, 256, 9)
+	enc := encodeResult(t, r)
+	size := uint64(len(enc))
+	table := uint64(r.NumVertices * r.Replicas.Words() * 8)
+	limit := 2*size + table + 128<<10
+	for _, tc := range []struct {
+		name string
+		rd   func() io.Reader
+	}{
+		{"bufio", func() io.Reader { return bufio.NewReaderSize(bytes.NewReader(enc), 1<<16) }},
+		{"half reads", func() io.Reader { return iotest.HalfReader(bytes.NewReader(enc)) }},
+	} {
+		rd := tc.rd()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadResult(rd)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if re := encodeResult(t, got); !bytes.Equal(re, enc) {
+			t.Fatalf("%s: decoded result does not re-encode to the file", tc.name)
+		}
+		grew := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %.2f MB allocated for a %.2f MB file and a %.2f MB table", tc.name,
+			float64(grew)/(1<<20), float64(size)/(1<<20), float64(table)/(1<<20))
+		if grew > limit {
+			t.Errorf("%s: reading a %d-byte file with a %d-byte table allocated %d bytes, limit %d",
+				tc.name, size, table, grew, limit)
+		}
 	}
 }
 

@@ -31,8 +31,15 @@ type segCore struct {
 	startOff int64
 	startSt  decState
 
-	pos int // global index of the next edge to decode
+	pos int // global index of the next edge handed to the consumer
 	buf *[]graph.Edge
+
+	// Decode ahead (ahead.go): isRoot marks a handle that may hand its
+	// decoder to a goroutine, run is that goroutine while it is live, and
+	// ring holds the blocks it decodes into.
+	isRoot bool
+	run    *aheadRun
+	ring   [aheadDepth + 1]*[]graph.Edge
 
 	// Integrity state: integ is the parsed trailer plus the verified-block
 	// bitmap, shared by the root and every segment so each block is proven
@@ -137,45 +144,58 @@ func (s *segCore) Reset() error {
 	if s.closed {
 		return fmt.Errorf("store: %s: %w", s.path, os.ErrClosed)
 	}
+	s.stopAhead()
 	s.dec.seek(s.startOff, s.startSt)
 	s.pos = s.lo
 	return nil
 }
 
 // NextBlock implements stream.Source, decoding up to stream.BlockLen edges
-// into a pooled buffer. The byte range the block decoded from is proven
-// against its CRCs before the block is returned, and a stream that ends at
-// the file's last edge proves every remaining block at EOF - so completing
-// the stream certifies the whole payload, and no block built from corrupt
-// bytes is ever handed out.
+// into a pooled buffer - inline, or on a root handle with a second CPU
+// ahead of the consumer (ahead.go); either way the blocks, and the call
+// that reports an error, are the same. The returned block stays valid
+// until the next NextBlock, Reset or Close.
 func (s *segCore) NextBlock() ([]graph.Edge, error) {
-	if s.pos >= s.hi {
-		if s.hi == s.ne && !s.closed {
+	if s.closed {
+		if s.pos >= s.hi {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("store: %s: %w", s.path, os.ErrClosed)
+	}
+	if s.aheadOn() {
+		return s.nextAhead()
+	}
+	if s.buf == nil {
+		s.buf = blockPool.Get().(*[]graph.Edge)
+	}
+	blk, err := s.decodeNext(*s.buf, s.pos)
+	s.pos += len(blk)
+	return blk, err
+}
+
+// decodeNext decodes the block that starts at global edge pos into buf,
+// the one decode loop behind both NextBlock paths. The byte range the
+// block decoded from is proven against its CRCs before the block is
+// returned, and a stream that ends at the file's last edge proves every
+// remaining block at EOF - so completing the stream certifies the whole
+// payload, and no block built from corrupt bytes is ever handed out.
+func (s *segCore) decodeNext(buf []graph.Edge, pos int) ([]graph.Edge, error) {
+	if pos >= s.hi {
+		if s.hi == s.ne {
 			if err := s.integ.verifyAll(s.raw); err != nil {
 				return nil, err
 			}
 		}
 		return nil, io.EOF
 	}
-	if s.closed {
-		return nil, fmt.Errorf("store: %s: %w", s.path, os.ErrClosed)
-	}
-	if s.buf == nil {
-		s.buf = blockPool.Get().(*[]graph.Edge)
-	}
-	buf := *s.buf
-	n := s.hi - s.pos
-	if n > stream.BlockLen {
-		n = stream.BlockLen
-	}
+	n := min(s.hi-pos, stream.BlockLen)
 	from := s.dec.cur.abs()
-	if err := s.dec.decodeBlock(buf[:n], s.pos); err != nil {
+	if err := s.dec.decodeBlock(buf[:n], pos); err != nil {
 		return nil, err
 	}
 	if err := s.integ.verifyRange(s.raw, from, s.dec.cur.abs()); err != nil {
 		return nil, err
 	}
-	s.pos += n
 	return buf[:n], nil
 }
 
@@ -275,18 +295,26 @@ func (s *segCore) extendIndexLocked(target int) error {
 	return nil
 }
 
-// markClosed flips the handle closed and returns its decode buffer to the
-// pool; it reports whether this call was the one that closed the handle.
-// Closing invalidates any block the last NextBlock handed out (the buffer
-// may be recycled to another source immediately).
+// markClosed stops any decode goroutine, flips the handle closed and
+// returns its decode buffers to the pool; it reports whether this call was
+// the one that closed the handle. Closing invalidates any block the last
+// NextBlock handed out (the buffer may be recycled to another source
+// immediately).
 func (s *segCore) markClosed() bool {
 	if s.closed {
 		return false
 	}
+	s.stopAhead()
 	s.closed = true
 	if s.buf != nil {
 		blockPool.Put(s.buf)
 		s.buf = nil
+	}
+	for i, b := range s.ring {
+		if b != nil {
+			blockPool.Put(b)
+			s.ring[i] = nil
+		}
 	}
 	return true
 }

@@ -209,6 +209,13 @@ func (s *retrySegmenter) Segment(lo, hi int) (Source, error) {
 	}
 }
 
+// DecodesAhead forwards the wrapped source's report of whether it decodes
+// ahead of its consumer (store's file sources do); false for any other.
+func (s *RetrySource) DecodesAhead() bool {
+	a, ok := s.base.(interface{ DecodesAhead() bool })
+	return ok && a.DecodesAhead()
+}
+
 // RetryAttempts returns the total retry attempts fired by this source and
 // every segment derived from it (they share the config's RetryStats).
 func (s *RetrySource) RetryAttempts() int64 { return s.cfg.Stats.Attempts() }
