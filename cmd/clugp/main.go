@@ -9,7 +9,6 @@
 //	clugp -in graph.txt -k 64 -algo HDRF
 //	clugp -preset IT -k 128 -algo CLUGP -tau 1.05 -assign out.txt
 //	clugp -in graph.cgr -stream -k 32              # out-of-core: O(|V|) heap
-//	clugp -in graph.cgr -stream -workers 4         # add a segment-decoder fleet, identical results
 //	clugp -in graph.cgr -stream -trace             # pass diagnostics, pipeline and max-RSS report
 //	clugp -in graph.cgr -stream -cpuprofile cpu.pb # pprof profiles (-memprofile heap.pb)
 //	clugp -in graph.txt -recompress graph.cgr      # compress a text edge list to CGR3
@@ -50,7 +49,9 @@
 // it builds its cluster graph), not the edge list. BFS/DFS/Random orders
 // need the graph in memory to reorder it; natural order is exactly the
 // crawl order the paper grants CLUGP and Mint, so the streaming mode covers
-// the paper's headline configuration.
+// the paper's headline configuration. The file decodes ahead of the
+// partitioner on a second goroutine at GOMAXPROCS >= 2 and inline at 1;
+// -trace prints which ran, and the assignment is identical either way.
 package main
 
 import (
@@ -87,7 +88,6 @@ func main() {
 		resultF = flag.String("result", "", "write the serveable partition result (.cpr, for cmd/partsrv) to this file")
 		trace   = flag.Bool("trace", false, "print CLUGP per-pass diagnostics and max RSS")
 		streamF = flag.Bool("stream", false, "out-of-core mode: partition a .cgr file without loading it")
-		workers = flag.Int("workers", 1, "decode workers for -stream: decode already runs ahead on a second goroutine at GOMAXPROCS >= 2; >1 adds a fleet of segment decoders on top (results are identical for any count)")
 		cpuprof = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		recomp  = flag.String("recompress", "", "write the loaded graph back out compressed (CGR3) to this file, then exit")
@@ -164,7 +164,6 @@ func main() {
 		k:          *k,
 		out:        *out,
 		resultPath: *resultF,
-		workers:    *workers,
 		ckPath:     *ckPath,
 		ckEvery:    *ckEvery,
 		resume:     *resumeF,
@@ -194,7 +193,7 @@ func main() {
 		}
 		if *streamF {
 			pl := res.Pipeline
-			fmt.Printf("pipeline:           %s\n", pipelineLine(*workers, pl.DecodeWorkers, pl.DecodeAhead))
+			fmt.Printf("pipeline:           %s\n", pipelineLine(pl.DecodeAhead))
 			if pl.SerialFallback != "" {
 				fmt.Printf("serial fallback:    %s\n", pl.SerialFallback)
 			}
@@ -246,7 +245,6 @@ type runOpts struct {
 	k          int
 	out        string
 	resultPath string
-	workers    int
 	ckPath     string
 	ckEvery    int
 	resume     bool
@@ -303,26 +301,19 @@ func runInMemory(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error)
 	return res, nil
 }
 
-// pipelineLine describes how the out-of-core pass decoded: on a fleet of
-// segment decoders when -workers > 1 (resolved to workers, clamped to the
-// file's segments), else ahead of the partitioner on a second goroutine
-// (the default at GOMAXPROCS >= 2) or inline on its own.
-func pipelineLine(asked, workers int, ahead bool) string {
-	switch {
-	case asked > 1:
-		return fmt.Sprintf("%d decode workers (segment fleet)", workers)
-	case ahead:
-		return "1 decoder, ahead of the partitioner on a second goroutine"
-	default:
-		return "1 decoder, inline"
+// pipelineLine describes how the out-of-core pass decoded: ahead of the
+// partitioner on a second goroutine (at GOMAXPROCS >= 2) or inline.
+func pipelineLine(ahead bool) string {
+	if ahead {
+		return "decode ahead of the partitioner on a second goroutine"
 	}
+	return "decode inline"
 }
 
 // runStreaming is the out-of-core path: the .cgr file is the stream; the
 // assignment is emitted as it is produced and never materialized. The
-// file source decodes ahead of the partitioner at GOMAXPROCS >= 2, and
-// workers > 1 adds a fleet of segment decoders; the emitted assignment and
-// quality are identical to the inline pass either way.
+// file source decodes ahead of the partitioner at GOMAXPROCS >= 2; the
+// emitted assignment and quality are identical to the inline pass.
 //
 // With checkpointing the -assign file is written as a plain persistent file
 // instead of an atomic temp+rename: the records point into it, and a resume
@@ -426,7 +417,6 @@ func runStreaming(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error
 		return nil
 	}
 	res, err := repro.RunOutOfCoreOpts(p, source, k, emit, repro.OutOfCoreOptions{
-		Workers:    o.workers,
 		Checkpoint: ck,
 	})
 	if err != nil {

@@ -39,7 +39,6 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 			k:          8,
 			out:        filepath.Join(dir, name+".txt"),
 			resultPath: filepath.Join(dir, name+".cpr"),
-			workers:    1,
 			ckPath:     filepath.Join(dir, name+".cpk"),
 			ckEvery:    8192,
 			resume:     resume,

@@ -229,10 +229,10 @@ func RunPartitioner(p Partitioner, g *Graph, k int, seed uint64) (*PartitionResu
 // Emit receives finalized runs of out-of-core assignments in stream order.
 type Emit = partition.Emit
 
-// OutOfCoreOptions tune the out-of-core pass; the zero value is the serial
-// pass, Workers > 1 enables multi-worker decode with results bit-identical
-// to the serial pass for any worker count, and Checkpoint enables
-// checkpoint/resume.
+// OutOfCoreOptions tune the out-of-core pass: Checkpoint enables
+// checkpoint/resume. Decode needs no option; a file source decodes ahead of
+// the partitioner on a second goroutine at GOMAXPROCS >= 2, with results
+// identical to the inline pass.
 type OutOfCoreOptions = partition.OutOfCoreOptions
 
 // RunOutOfCoreOpts partitions a source in its stored (natural) order

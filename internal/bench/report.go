@@ -81,11 +81,6 @@ type Report struct {
 	// CGR3 through the mmap source), when the suite ran with Streaming
 	// enabled.
 	StreamCells []StreamCell `json:"stream_cells,omitempty"`
-	// ParallelCells holds the parallel-streaming scaling grid (dataset x
-	// algorithm x decode workers), when the suite ran with Streaming
-	// enabled. Quality is gated against the workers=1 cell at measurement
-	// time, so the column is bit-identical by construction.
-	ParallelCells []ParallelCell `json:"parallel_cells,omitempty"`
 	// ServeCells holds the placement-service grid (dataset x client
 	// count), when the suite ran with Streaming enabled.
 	// The single-client cells' allocs/op is gated to exactly zero at
@@ -221,22 +216,6 @@ func (r *Report) Table() []Table {
 		}
 		tables = append(tables, t)
 	}
-	if len(r.ParallelCells) > 0 {
-		t := Table{
-			ID:     fmt.Sprintf("%s-parallel", r.Experiment),
-			Title:  fmt.Sprintf("Parallel streaming scaling (scale %.2f, mmap/CGR3, k=%d)", r.Scale, streamK),
-			Header: []string{"dataset", "algorithm", "workers", "runtime(ms)", "speedup", "efficiency", "RF"},
-			Note:   "quality is gated bit-identical to workers=1 when measured; efficiency = speedup/workers",
-		}
-		for _, c := range r.ParallelCells {
-			t.AddRow(c.Dataset, c.Algorithm, fmt.Sprintf("%d", c.Workers),
-				fmt.Sprintf("%.1f", float64(c.PartitionNS)/1e6),
-				fmt.Sprintf("%.2fx", c.Speedup),
-				fmt.Sprintf("%.2f", c.Efficiency),
-				f3(c.ReplicationFactor))
-		}
-		tables = append(tables, t)
-	}
 	if len(r.CheckpointCells) > 0 {
 		t := Table{
 			ID:     fmt.Sprintf("%s-checkpoint", r.Experiment),
@@ -341,9 +320,6 @@ type DiffResult struct {
 	// StreamSkipped is non-empty when the streaming grid was not compared
 	// (either report lacks stream cells).
 	StreamSkipped string `json:"stream_skipped,omitempty"`
-	// ParallelSkipped is non-empty when the parallel-streaming grid was not
-	// compared (either report lacks parallel cells).
-	ParallelSkipped string `json:"parallel_skipped,omitempty"`
 	// ServeSkipped is non-empty when the placement-service grid was not
 	// compared (either report lacks serve cells).
 	ServeSkipped string `json:"serve_skipped,omitempty"`
@@ -412,15 +388,6 @@ func Diff(baseline, current *Report, opts DiffOptions) *DiffResult {
 		{"decode", wallClock, func(c StreamCell) float64 { return float64(c.DecodeNS) }},
 		{"partition", wallClock, func(c StreamCell) float64 { return float64(c.PartitionNS) }},
 	})
-	// Parallel quality is bit-identical to the serial pass by construction,
-	// so any drift is a determinism break, not noise. Speedup and
-	// efficiency are derived from the runtimes and hardware-dependent, so
-	// they are never diffed themselves.
-	diffGrid(d, opts, "parallel", baseline.ParallelCells, current.ParallelCells, &d.ParallelSkipped, []metric[ParallelCell]{
-		{"replication_factor", quality, func(c ParallelCell) float64 { return c.ReplicationFactor }},
-		{"relative_balance", quality, func(c ParallelCell) float64 { return c.RelativeBalance }},
-		{"partition", wallClock, func(c ParallelCell) float64 { return float64(c.PartitionNS) }},
-	})
 	// Allocations per query are a deterministic function of the query path
 	// (the single-client cell is additionally hard-gated to zero when
 	// measured). Throughput is the inverse of latency under this workload
@@ -455,7 +422,6 @@ type gridCell interface {
 
 func (c Cell) graphSize() [2]int           { return [2]int{c.Vertices, c.Edges} }
 func (c StreamCell) graphSize() [2]int     { return [2]int{c.Vertices, c.Edges} }
-func (c ParallelCell) graphSize() [2]int   { return [2]int{c.Vertices, c.Edges} }
 func (c ServeCell) graphSize() [2]int      { return [2]int{c.Vertices, c.Edges} }
 func (c CheckpointCell) graphSize() [2]int { return [2]int{c.Vertices, c.Edges} }
 
@@ -624,9 +590,6 @@ func (d *DiffResult) Table() Table {
 	}
 	if d.StreamSkipped != "" {
 		notes = append(notes, "stream cells not compared: "+d.StreamSkipped)
-	}
-	if d.ParallelSkipped != "" {
-		notes = append(notes, "parallel cells not compared: "+d.ParallelSkipped)
 	}
 	if d.ServeSkipped != "" {
 		notes = append(notes, "serve cells not compared: "+d.ServeSkipped)

@@ -35,10 +35,9 @@ type SuiteConfig struct {
 	Workers int
 	// Streaming additionally measures the out-of-core streaming cells
 	// (one per dataset, CGR3 through the mmap source: bytes/edge, decode
-	// throughput, streaming CLUGP wall clock) and the parallel-streaming scaling grid
-	// (algorithm x decode workers, quality-gated bit-identical to its
-	// serial cell) after the main grid. The cells time wall clock, so they
-	// always run serially regardless of Workers.
+	// throughput, streaming CLUGP wall clock), the serve cells and the
+	// checkpoint cells after the main grid. The cells time wall clock, so
+	// they always run serially regardless of Workers.
 	Streaming bool
 	// StreamDatasets selects the datasets of the streaming grid. Empty
 	// means the default clustered pair (UK, IT).
@@ -177,7 +176,6 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 		}
 	}
 	var streamCells []StreamCell
-	var parallelCells []ParallelCell
 	var serveCells []ServeCell
 	var checkpointCells []CheckpointCell
 	if cfg.Streaming {
@@ -186,11 +184,6 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 			return nil, err
 		}
 		streamCells = sc
-		pc, err := runParallelCells(cfg)
-		if err != nil {
-			return nil, err
-		}
-		parallelCells = pc
 		vc, err := runServeCells(cfg)
 		if err != nil {
 			return nil, err
@@ -216,7 +209,6 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 		StreamOrdersBuilt: cache.Builds(),
 		Cells:             cells,
 		StreamCells:       streamCells,
-		ParallelCells:     parallelCells,
 		ServeCells:        serveCells,
 		CheckpointCells:   checkpointCells,
 	}, nil

@@ -39,40 +39,43 @@ const (
 	ckCrashAt = 5 * stream.BlockLen // die mid-epoch: last checkpoint at 4B
 )
 
-// runUntilCrash partitions g with checkpointing enabled and kills the run
-// (via errCrash from emit) once threshold assignments have been emitted,
-// returning everything emitted up to the kill. Deterministic: batches are
-// rebatched to BlockLen offsets whenever checkpointing is on, so the kill
-// always lands at the same batch boundary.
-func runUntilCrash(t *testing.T, p Partitioner, g *graph.Graph, k int, opts OutOfCoreOptions, threshold int) []int32 {
+// memSource streams g's edges from memory in their stored order.
+func memSource(g *graph.Graph) stream.Source { return stream.Of(g.Edges).Source(g.NumVertices) }
+
+// runUntilCrash partitions src with checkpoints written to ckPath every
+// ckCadence edges and kills the run (via errCrash from emit) once ckCrashAt
+// assignments have been emitted, returning everything emitted up to the
+// kill. Deterministic: batches are rebatched to BlockLen offsets whenever
+// checkpointing is on, so the kill always lands at the same batch boundary.
+func runUntilCrash(t *testing.T, p Partitioner, src stream.Source, k int, ckPath string) []int32 {
 	t.Helper()
 	var got []int32
-	_, err := RunOutOfCoreOpts(p, stream.Of(g.Edges).Source(g.NumVertices), k, func(edges []graph.Edge, a []int32) error {
+	_, err := RunOutOfCoreOpts(p, src, k, func(edges []graph.Edge, a []int32) error {
 		got = append(got, a...)
-		if len(got) >= threshold {
+		if len(got) >= ckCrashAt {
 			return errCrash
 		}
 		return nil
-	}, opts)
+	}, OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}})
 	if !errors.Is(err, errCrash) {
 		t.Fatalf("crash run: got err %v, want the injected crash", err)
 	}
 	return got
 }
 
-// resumeFrom resumes from c, replaying the durable prefix crashed[:Offset]
-// the killed run emitted, and runs the tail, returning the resumed
-// assignments and the result.
-func resumeFrom(t *testing.T, name string, g *graph.Graph, k int, c *store.Checkpoint, crashed []int32, ckPath string, opts OutOfCoreOptions) ([]int32, *Result) {
+// resumeFrom resumes from c over src, replaying the durable prefix
+// crashed[:Offset] the killed run emitted, and runs the tail, returning the
+// resumed assignments and the result.
+func resumeFrom(t *testing.T, name string, src stream.Source, k int, c *store.Checkpoint, crashed []int32, ckPath string) ([]int32, *Result) {
 	t.Helper()
 	p, err := New(name, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Checkpoint = &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence,
-		Resume: &Resume{Record: c, Prefix: PrefixOf(crashed[:c.Offset])}}
+	opts := OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence,
+		Resume: &Resume{Record: c, Prefix: PrefixOf(crashed[:c.Offset])}}}
 	var got []int32
-	res, err := RunOutOfCoreOpts(p, stream.Of(g.Edges).Source(g.NumVertices), k, func(edges []graph.Edge, a []int32) error {
+	res, err := RunOutOfCoreOpts(p, src, k, func(edges []graph.Edge, a []int32) error {
 		got = append(got, a...)
 		return nil
 	}, opts)
@@ -109,9 +112,9 @@ func checkResumedRun(t *testing.T, ref []int32, refRes *Result, crashed, resumed
 // checkpoint subsystem: kill each checkpointing algorithm at a deterministic
 // batch boundary, resume a fresh partitioner from the checkpoint on disk,
 // and require the stitched run to be bit-identical - per-edge assignments
-// and quality - to an uninterrupted one, for serial and parallel decode.
-// Checkpoints are written at one configuration and restored at the same
-// one here; cross-configuration restore has its own test below.
+// and quality - to an uninterrupted one. Checkpoints are written at one
+// configuration and restored at the same one here; cross-configuration
+// restore has its own test below.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
@@ -119,75 +122,76 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("test graph has %d edges, need at least %d", len(g.Edges), ckCrashAt+ckCadence)
 	}
 	for _, name := range []string{"HDRF", "Greedy", "CLUGP"} {
-		p, err := New(name, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, refRes := collectAssignments(t, p, stream.Of(g.Edges).Source(g.NumVertices), k, OutOfCoreOptions{})
+		t.Run(name, func(t *testing.T) {
+			p, err := New(name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, refRes := collectAssignments(t, p, memSource(g), k)
+			ckPath := filepath.Join(t.TempDir(), "run.cpk")
+			crashP, err := New(name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed := runUntilCrash(t, crashP, memSource(g), k, ckPath)
 
-		for _, dw := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/decode=%d", name, dw), func(t *testing.T) {
-				ckPath := filepath.Join(t.TempDir(), "run.cpk")
-				opts := OutOfCoreOptions{Workers: dw,
-					Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}}
-				crashP, err := New(name, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				crashed := runUntilCrash(t, crashP, g, k, opts, ckCrashAt)
-
-				c, from, err := store.LoadCheckpoint(ckPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if from != ckPath {
-					t.Fatalf("loaded %s, want the current checkpoint %s", from, ckPath)
-				}
-				if want := int64(4 * stream.BlockLen); c.Offset != want {
-					t.Fatalf("checkpoint at offset %d, want %d", c.Offset, want)
-				}
-				resumed, res := resumeFrom(t, name, g, k, c, crashed, ckPath, OutOfCoreOptions{Workers: dw})
-				checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
-			})
-		}
+			c, from, err := store.LoadCheckpoint(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if from != ckPath {
+				t.Fatalf("loaded %s, want the current checkpoint %s", from, ckPath)
+			}
+			if want := int64(4 * stream.BlockLen); c.Offset != want {
+				t.Fatalf("checkpoint at offset %d, want %d", c.Offset, want)
+			}
+			resumed, res := resumeFrom(t, name, memSource(g), k, c, crashed, ckPath)
+			checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
+		})
 	}
 }
 
 // TestCheckpointResumeAcrossConfigurations: a checkpoint record holds no
-// state laid out for a worker configuration - the resume rebuilds it from
-// the durable prefix - so a record written under one configuration
-// resumes bit-identically under another: a crashed 8-core run can resume
-// on a 1-core box and vice versa. Subtests are named by the decode workers
-// of the crashed and the resumed run.
+// state laid out for a decode configuration - the resume rebuilds it from
+// the durable prefix - so a record written under one configuration resumes
+// bit-identically under another. Over a CGR3 file a run crashes while the
+// source decodes ahead (GOMAXPROCS 2) and resumes with it decoding inline
+// (GOMAXPROCS 1), and the reverse: a crashed multi-core run can resume on a
+// 1-core box and vice versa.
 func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
+	src, err := store.OpenMmap(writeCGR(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	mode := map[int]string{1: "inline", 2: "ahead"}
 	for _, name := range []string{"HDRF", "Greedy", "CLUGP"} {
 		p, err := New(name, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, refRes := collectAssignments(t, p, stream.Of(g.Edges).Source(g.NumVertices), k, OutOfCoreOptions{})
-		for _, dir := range []struct {
-			crash, resume OutOfCoreOptions
-		}{
-			{OutOfCoreOptions{Workers: 4}, OutOfCoreOptions{}},
-			{OutOfCoreOptions{}, OutOfCoreOptions{Workers: 4}},
-		} {
-			t.Run(fmt.Sprintf("%s/crash=%d,resume=%d", name, dir.crash.Workers, dir.resume.Workers), func(t *testing.T) {
+		ref, refRes := collectAssignments(t, p, memSource(g), k)
+		for _, dir := range []struct{ crash, resume int }{{2, 1}, {1, 2}} {
+			t.Run(fmt.Sprintf("%s/crash=%s,resume=%s", name, mode[dir.crash], mode[dir.resume]), func(t *testing.T) {
 				ckPath := filepath.Join(t.TempDir(), "run.cpk")
-				crashOpts := dir.crash
-				crashOpts.Checkpoint = &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}
 				crashP, err := New(name, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
-				crashed := runUntilCrash(t, crashP, g, k, crashOpts, ckCrashAt)
+				var crashed []int32
+				withProcs(dir.crash, func() { crashed = runUntilCrash(t, crashP, src, k, ckPath) })
 				c, _, err := store.LoadCheckpoint(ckPath)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed, res := resumeFrom(t, name, g, k, c, crashed, ckPath, dir.resume)
+				var resumed []int32
+				var res *Result
+				withProcs(dir.resume, func() { resumed, res = resumeFrom(t, name, src, k, c, crashed, ckPath) })
+				if ahead := dir.resume == 2; res.Pipeline.DecodeAhead != ahead {
+					t.Fatalf("resumed run: DecodeAhead %v, want %v", res.Pipeline.DecodeAhead, ahead)
+				}
 				checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
 			})
 		}
@@ -208,16 +212,14 @@ func TestCheckpointCorruptionFallsBackToPrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refRes := collectAssignments(t, p, stream.Of(g.Edges).Source(g.NumVertices), k, OutOfCoreOptions{})
+	ref, refRes := collectAssignments(t, p, memSource(g), k)
 
 	ckPath := filepath.Join(t.TempDir(), "run.cpk")
 	crashP, err := New(name, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed := runUntilCrash(t, crashP, g, k, OutOfCoreOptions{
-		Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence},
-	}, ckCrashAt)
+	crashed := runUntilCrash(t, crashP, memSource(g), k, ckPath)
 
 	// Reading the current checkpoint through a faultfs injector: a flipped
 	// bit or a torn tail beneath the reader is detected by the checksum, and
@@ -265,7 +267,7 @@ func TestCheckpointCorruptionFallsBackToPrev(t *testing.T) {
 	if want := int64(2 * stream.BlockLen); c.Offset != want {
 		t.Fatalf("fallback checkpoint at offset %d, want %d", c.Offset, want)
 	}
-	resumed, res := resumeFrom(t, name, g, k, c, crashed, ckPath, OutOfCoreOptions{})
+	resumed, res := resumeFrom(t, name, memSource(g), k, c, crashed, ckPath)
 	checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
 
 	// Corrupt the previous generation too: no usable checkpoint remains.
@@ -306,9 +308,7 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		crashed := runUntilCrash(t, p, g, k, OutOfCoreOptions{
-			Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence},
-		}, ckCrashAt)
+		crashed := runUntilCrash(t, p, memSource(g), k, ckPath)
 		c, _, err := store.LoadCheckpoint(ckPath)
 		if err != nil {
 			t.Fatal(err)
@@ -442,7 +442,7 @@ func TestPipelineReportsRetryAttempts(t *testing.T) {
 	}
 	src, inj, done := openFaulty(t, path, plan)
 	defer done()
-	_, res := collectAssignments(t, p, stream.Retry(src, retryInjected), 4, OutOfCoreOptions{})
+	_, res := collectAssignments(t, p, stream.Retry(src, retryInjected), 4)
 	if st := inj.Stats(); st.TransientErrors == 0 {
 		t.Fatalf("no transient fired (stats %+v); the run proved nothing", st)
 	}
@@ -450,7 +450,7 @@ func TestPipelineReportsRetryAttempts(t *testing.T) {
 		t.Fatal("pipeline info reports zero retry attempts despite fired faults")
 	}
 
-	_, cleanRes := collectAssignments(t, p, stream.Of(g.Edges).Source(g.NumVertices), 4, OutOfCoreOptions{})
+	_, cleanRes := collectAssignments(t, p, memSource(g), 4)
 	if cleanRes.Pipeline.RetryAttempts != 0 {
 		t.Fatalf("clean run reports %d retry attempts", cleanRes.Pipeline.RetryAttempts)
 	}

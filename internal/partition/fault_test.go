@@ -20,15 +20,15 @@ func faultTestGraph() *graph.Graph {
 
 // collectAssignments runs p out-of-core over src and returns the full
 // assignment stream plus the result.
-func collectAssignments(t *testing.T, p Partitioner, src stream.Source, k int, opts OutOfCoreOptions) ([]int32, *Result) {
+func collectAssignments(t *testing.T, p Partitioner, src stream.Source, k int) ([]int32, *Result) {
 	t.Helper()
 	var assign []int32
 	res, err := RunOutOfCoreOpts(p, src, k, func(edges []graph.Edge, a []int32) error {
 		assign = append(assign, a...)
 		return nil
-	}, opts)
+	}, OutOfCoreOptions{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", p.Name(), err)
 	}
 	return assign, res
 }
@@ -69,7 +69,7 @@ var retryInjected = stream.RetryConfig{
 // bit-equivalence matrix: partitioning a CGR3 file from a disk that throws
 // seeded transient errors - survived via stream.Retry - produces exactly the
 // assignments and quality of the clean in-memory run, for every registered
-// algorithm, serially and with parallel workers.
+// algorithm.
 func TestPartitionBitIdenticalUnderTransientFaults(t *testing.T) {
 	g := faultTestGraph()
 	path := writeCGR(t, g)
@@ -83,29 +83,26 @@ func TestPartitionBitIdenticalUnderTransientFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, refRes := collectAssignments(t, p, stream.Of(g.Edges).Source(g.NumVertices), k, OutOfCoreOptions{})
+		ref, refRes := collectAssignments(t, p, stream.Of(g.Edges).Source(g.NumVertices), k)
 
-		for _, workers := range []int{1, 4} {
-			plan := faultfs.TransientPlan(uint64(1000+workers), fi.Size(), 6)
-			src, inj, done := openFaulty(t, path, plan)
-			got, gotRes := collectAssignments(t, p, stream.Retry(src, retryInjected), k, OutOfCoreOptions{Workers: workers})
-			done()
+		src, inj, done := openFaulty(t, path, faultfs.TransientPlan(1001, fi.Size(), 6))
+		got, gotRes := collectAssignments(t, p, stream.Retry(src, retryInjected), k)
+		done()
 
-			if len(got) != len(ref) {
-				t.Fatalf("%s workers=%d: %d assignments, want %d", name, workers, len(got), len(ref))
+		if len(got) != len(ref) {
+			t.Fatalf("%s: %d assignments, want %d", name, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("%s: assignment %d = %d, want %d", name, i, got[i], ref[i])
 			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("%s workers=%d: assignment %d = %d, want %d", name, workers, i, got[i], ref[i])
-				}
-			}
-			if gotRes.Quality.ReplicationFactor != refRes.Quality.ReplicationFactor ||
-				gotRes.Quality.RelativeBalance != refRes.Quality.RelativeBalance {
-				t.Fatalf("%s workers=%d: quality %+v, want %+v", name, workers, gotRes.Quality, refRes.Quality)
-			}
-			if st := inj.Stats(); st.TransientErrors == 0 {
-				t.Fatalf("%s workers=%d: no transient fired (stats %+v); the run proved nothing", name, workers, st)
-			}
+		}
+		if gotRes.Quality.ReplicationFactor != refRes.Quality.ReplicationFactor ||
+			gotRes.Quality.RelativeBalance != refRes.Quality.RelativeBalance {
+			t.Fatalf("%s: quality %+v, want %+v", name, gotRes.Quality, refRes.Quality)
+		}
+		if st := inj.Stats(); st.TransientErrors == 0 {
+			t.Fatalf("%s: no transient fired (stats %+v); the run proved nothing", name, st)
 		}
 	}
 }

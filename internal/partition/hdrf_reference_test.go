@@ -160,13 +160,12 @@ func TestHDRFResumeMatchesFullScan(t *testing.T) {
 	g := checkpointTestGraph()
 	const k = 65
 	ckPath := filepath.Join(t.TempDir(), "run.cpk")
-	opts := OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence}}
-	crashed := runUntilCrash(t, &HDRF{}, g, k, opts, ckCrashAt)
+	crashed := runUntilCrash(t, &HDRF{}, memSource(g), k, ckPath)
 	c, _, err := store.LoadCheckpoint(ckPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, _ := resumeFrom(t, "HDRF", g, k, c, crashed, ckPath, OutOfCoreOptions{})
+	resumed, _ := resumeFrom(t, "HDRF", memSource(g), k, c, crashed, ckPath)
 	got := append(crashed[:c.Offset:c.Offset], resumed...)
 	want := refHDRF(t, stream.Of(g.Edges).Source(g.NumVertices), k, 1.1)
 	if len(got) != len(want) {

@@ -137,7 +137,7 @@ func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer src.Close()
-			fromFile, _ := collectOutOfCore(t, d, src, 8, OutOfCoreOptions{})
+			fromFile, _ := collectAssignments(t, d, src, 8)
 			if len(fromFile) != len(fromView) {
 				t.Fatalf("file sharding emitted %d assignments, view sharding %d", len(fromFile), len(fromView))
 			}
@@ -238,19 +238,17 @@ func TestOutOfCoreBoundedMemory(t *testing.T) {
 
 // TestRunOutOfCoreQualityMatchesEvaluate: the quality accumulated in the
 // streaming pass must equal a from-scratch evaluation of the emitted
-// assignment, field for field, at every decode worker count.
+// assignment, field for field.
 func TestRunOutOfCoreQualityMatchesEvaluate(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 1500, OutDegree: 5, Seed: 34})
 	src := stream.Of(g.Edges).Source(g.NumVertices)
-	for _, workers := range []int{1, 2} {
-		assign, res := collectOutOfCore(t, &HDRF{}, src, 16, OutOfCoreOptions{Workers: workers})
-		want, err := metrics.Evaluate(src, assign, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Quality, want) {
-			t.Fatalf("workers=%d: in-pass quality %+v, reference %+v", workers, res.Quality, want)
-		}
+	assign, res := collectAssignments(t, &HDRF{}, src, 16)
+	want, err := metrics.Evaluate(src, assign, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Quality, want) {
+		t.Fatalf("in-pass quality %+v, reference %+v", res.Quality, want)
 	}
 }
 

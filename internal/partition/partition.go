@@ -81,8 +81,8 @@ type Result struct {
 	// accounting.
 	Runtime    time.Duration
 	StateBytes int64
-	// Pipeline describes how the hot pass executed (decode worker count,
-	// serial fallbacks, checkpoints).
+	// Pipeline describes how the hot pass executed (decode ahead or
+	// inline, checkpoints).
 	Pipeline PipelineInfo
 }
 
@@ -128,24 +128,11 @@ func RunStreamed(p Partitioner, src stream.Source, order stream.Order, k int) (*
 	return res, nil
 }
 
-// OutOfCoreOptions tune the streaming pass. The zero value is the serial
-// mode.
+// OutOfCoreOptions tune the streaming pass. The zero value runs without
+// checkpoints. There is no decode knob: a store file source decodes ahead
+// of the partitioner on a second goroutine when GOMAXPROCS >= 2 and inline
+// at 1 (PipelineInfo.DecodeAhead), with identical assignments either way.
 type OutOfCoreOptions struct {
-	// Workers adds a segment fleet when > 1 and the source can be
-	// segmented (every source in this repository can): up to Workers
-	// decode goroutines pull disjoint stream.Segmenter ranges and feed the
-	// assignment stage fixed-size batches committed in segment order. The
-	// default (0 or 1) needs no fleet to overlap decode with the pass: a
-	// store file source already decodes ahead of the partitioner on a
-	// second goroutine when GOMAXPROCS >= 2 (PipelineInfo.DecodeAhead), so
-	// the fleet only adds further decoders on top. The assignment loop and
-	// the quality accounting stay serial.
-	// Assignments and quality are bit-identical to the serial pass for any
-	// worker count - the decode/merge pipeline preserves exact stream
-	// order - which TestParallelWorkerInvariance holds for every algorithm
-	// on every file source. Sources that cannot segment fall back to the
-	// serial pass.
-	Workers int
 	// Checkpoint, when non-nil, enables crash tolerance: the run writes
 	// checkpoint records to Checkpoint.Path at batch boundaries, and
 	// Checkpoint.Resume continues from a record's exact stream offset,
@@ -155,19 +142,16 @@ type OutOfCoreOptions struct {
 	Checkpoint *CheckpointOptions
 }
 
-// PipelineInfo records how the hot pass actually executed, including
-// downgrades that used to be silent: a non-Segmenter source demotes
-// -workers to serial decode, and a partitioner without checkpoint support
-// runs without checkpoints. clugp -trace prints it.
+// PipelineInfo records how the hot pass actually executed, including the
+// one downgrade that used to be silent: a partitioner without checkpoint
+// support runs without checkpoints. clugp -trace prints it.
 type PipelineInfo struct {
-	// DecodeWorkers is the resolved decode-fleet size (1 = no fleet).
-	DecodeWorkers int
-	// DecodeAhead reports that, with no fleet, the source decoded ahead of
-	// the partitioner on a goroutine of its own (store file sources do at
-	// GOMAXPROCS >= 2); false means decode ran inline.
+	// DecodeAhead reports that the source decoded ahead of the partitioner
+	// on a goroutine of its own (store file sources do at GOMAXPROCS >= 2);
+	// false means decode ran inline.
 	DecodeAhead bool
-	// SerialFallback explains every requested parallel mode that ran
-	// serially anyway; empty when nothing was demoted.
+	// SerialFallback explains why a requested checkpoint plan was dropped
+	// (the partitioner cannot resume from a snapshot); empty otherwise.
 	SerialFallback string
 	// Checkpoints reports checkpoint/resume activity (zero when disabled).
 	Checkpoints CheckpointStats
@@ -176,24 +160,14 @@ type PipelineInfo struct {
 	RetryAttempts int64
 }
 
-// addFallback appends one demotion note to SerialFallback.
-func (i *PipelineInfo) addFallback(note string) {
-	if i.SerialFallback != "" {
-		i.SerialFallback += "; " + note
-	} else {
-		i.SerialFallback = note
-	}
-}
-
 // RunOutOfCoreOpts partitions a source in its stored (natural) order
 // without materializing the assignment: each finalized run of assignments
 // is scored incrementally and forwarded to emit (which may be nil to
 // discard them, e.g. when only quality is wanted). Peak memory is the
 // partitioner's own state plus one block, never O(|E|) - the
-// bounded-memory mode behind cmd/clugp -stream. opts adds parallel decode
-// and checkpoints (see OutOfCoreOptions); the algorithm's own assignment
-// loop stays sequential over the exactly-ordered batch stream, keeping
-// results bit-identical to the serial pass.
+// bounded-memory mode behind cmd/clugp -stream. opts adds checkpoints (see
+// OutOfCoreOptions); the algorithm's own assignment loop stays sequential
+// over the exactly-ordered block stream.
 func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts OutOfCoreOptions) (*Result, error) {
 	return execute(p, src, k, &assignSink{emit: emit}, opts)
 }
@@ -210,7 +184,7 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 	orig := src
 	nv := src.NumVertices()
 	total := src.Len()
-	info := PipelineInfo{DecodeWorkers: 1}
+	var info PipelineInfo
 
 	// Resolve the checkpoint plan before any wrapping: resume validation is
 	// defined against the caller's source.
@@ -227,29 +201,9 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 			// scratch against a truncated emit stream: hard error.
 			return nil, fmt.Errorf("partition: %s cannot restore checkpoint state (no prefix replay)", p.Name())
 		default:
-			info.addFallback(p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled")
+			info.SerialFallback = p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled"
 		}
 	}
-	if opts.Workers > 1 {
-		if seg, isSeg := src.(stream.Segmenter); isSeg {
-			par, err := stream.Parallel(seg, stream.ParallelConfig{Workers: opts.Workers})
-			if err != nil {
-				return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
-			}
-			defer par.Close()
-			src = par
-			// The fleet is clamped to the segment count; an empty stream
-			// has no segments and decodes nothing.
-			info.DecodeWorkers = max(par.Workers(), 1)
-		} else {
-			// Not an error - the serial pass produces identical results -
-			// but no longer silent: the caller asked for parallel decode
-			// and did not get it.
-			info.addFallback(fmt.Sprintf("source %T cannot segment into ranges, decode runs serially", src))
-		}
-	}
-	// A fleet's wrapper does not decode ahead; only an unwrapped file
-	// source does.
 	if a, ok := src.(interface{ DecodesAhead() bool }); ok {
 		info.DecodeAhead = a.DecodesAhead()
 	}
@@ -284,8 +238,7 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 		Order:       stream.Natural,
 		K:           k,
 		NumVertices: nv,
-		// The caller's source, not the parallel wrapper: the wrapper's
-		// fleet is released when this function returns.
+		// The caller's source, not the checkpoint rebatch wrapper.
 		Stream:   orig,
 		Assign:   sink.assign,
 		Quality:  sink.ev.Finish(),

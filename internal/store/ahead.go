@@ -12,8 +12,8 @@ import (
 // runs the same decodeNext loop the inline path runs - decode, prove the
 // block's bytes, prove the rest of the file at EOF - into a ring of
 // aheadDepth+1 pooled blocks, and the consumer takes the blocks in stream
-// order. Segments always decode inline: stream.Parallel's workers, which
-// consume them, are goroutines already.
+// order. Segments (CLUGP-D's shard readers) always decode inline; only a
+// root handle starts a decode goroutine.
 //
 // Ownership is strict: while a run is live the goroutine alone touches the
 // decoder and the ring blocks it has taken from free; the consumer touches

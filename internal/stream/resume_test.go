@@ -56,7 +56,7 @@ func TestSegmentRebatchOffsetRoundTrip(t *testing.T) {
 
 // TestSegmentNests: Segment(lo, hi) is relative to its receiver, so a
 // segment of a segment addresses the original stream at the summed offset -
-// what lets a resumed tail be wrapped again by the parallel decoder.
+// what lets a consumer cut a segment into further segments.
 func TestSegmentNests(t *testing.T) {
 	edges := seqEdges(2 * BlockLen)
 	src := Of(edges).Source(100)

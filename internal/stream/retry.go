@@ -11,7 +11,7 @@ import (
 
 // RetryStats counts the replay activity of a Retry-wrapped source across
 // every cursor sharing it: the top-level wrapper and all its segments bump
-// the same counter, so one read covers a whole parallel ingest. Safe for
+// the same counter, so one read covers a whole sharded ingest. Safe for
 // concurrent use.
 type RetryStats struct {
 	attempts atomic.Int64
@@ -54,9 +54,9 @@ type RetryConfig struct {
 //
 // Replaying can split blocks at arbitrary points, so downstream consumers
 // must not assume the block granularity of the underlying source; every
-// consumer in this repository already iterates ForEach-style and the
-// parallel decoder re-chunks into fixed batches, so assignments stay
-// bit-deterministic under any fault pattern that Retry survives.
+// consumer in this repository already iterates ForEach-style, so
+// assignments stay bit-deterministic under any fault pattern that Retry
+// survives.
 //
 // If src is a Segmenter, the returned Source is too, and each segment is
 // itself Retry-wrapped with the same config.
@@ -185,8 +185,8 @@ func (s *RetrySource) sleepN(attempt int) {
 }
 
 // retrySegmenter adds Segment to RetrySource when the base supports it, so
-// segment consumers - RunOutOfCoreOpts's parallel decode fleet and CLUGP-D's
-// sharded ingest - keep their fast path under fault injection.
+// segment consumers - CLUGP-D's sharded ingest - keep their fast path
+// under fault injection.
 type retrySegmenter struct{ RetrySource }
 
 // Segment implements Segmenter: the underlying segment gets its own Retry

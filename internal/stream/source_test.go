@@ -16,6 +16,16 @@ func sourceEdges(t *testing.T, src Source) []graph.Edge {
 	return out
 }
 
+// seqEdges builds n distinguishable edges so any reordering, duplication or
+// loss shows up in a plain equality check.
+func seqEdges(n int) []graph.Edge {
+	edges := make([]graph.Edge, n)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}
+	}
+	return edges
+}
+
 func TestViewSourceNaturalIsZeroCopy(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}
 	src := Of(edges).Source(3)
