@@ -112,42 +112,59 @@ func checkResumedRun(t *testing.T, ref []int32, refRes *Result, crashed, resumed
 // checkpoint subsystem: kill each checkpointing algorithm at a deterministic
 // batch boundary, resume a fresh partitioner from the checkpoint on disk,
 // and require the stitched run to be bit-identical - per-edge assignments
-// and quality - to an uninterrupted one. Checkpoints are written at one
-// configuration and restored at the same one here; cross-configuration
-// restore has its own test below.
+// and quality - to an uninterrupted one. Subtest decode=N crashes and
+// resumes over a CGR3 mmap source at GOMAXPROCS N: at 1 the source decodes
+// inline, at 4 ahead of the partitioner on a second goroutine. Checkpoints
+// are written at one configuration and restored at the same one here;
+// cross-configuration restore has its own test below.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
 	if len(g.Edges) < ckCrashAt+ckCadence {
 		t.Fatalf("test graph has %d edges, need at least %d", len(g.Edges), ckCrashAt+ckCadence)
 	}
+	src, err := store.OpenMmap(writeCGR(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
 	for _, name := range []string{"HDRF", "Greedy", "CLUGP"} {
-		t.Run(name, func(t *testing.T) {
-			p, err := New(name, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, refRes := collectAssignments(t, p, memSource(g), k)
-			ckPath := filepath.Join(t.TempDir(), "run.cpk")
-			crashP, err := New(name, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			crashed := runUntilCrash(t, crashP, memSource(g), k, ckPath)
-
-			c, from, err := store.LoadCheckpoint(ckPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if from != ckPath {
-				t.Fatalf("loaded %s, want the current checkpoint %s", from, ckPath)
-			}
-			if want := int64(4 * stream.BlockLen); c.Offset != want {
-				t.Fatalf("checkpoint at offset %d, want %d", c.Offset, want)
-			}
-			resumed, res := resumeFrom(t, name, memSource(g), k, c, crashed, ckPath)
-			checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
-		})
+		p, err := New(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, refRes := collectAssignments(t, p, memSource(g), k)
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/decode=%d", name, procs), func(t *testing.T) {
+				ckPath := filepath.Join(t.TempDir(), "run.cpk")
+				crashP, err := New(name, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var crashed, resumed []int32
+				var res *Result
+				var c *store.Checkpoint
+				withProcs(procs, func() {
+					crashed = runUntilCrash(t, crashP, src, k, ckPath)
+					var from string
+					c, from, err = store.LoadCheckpoint(ckPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if from != ckPath {
+						t.Fatalf("loaded %s, want the current checkpoint %s", from, ckPath)
+					}
+					if want := int64(4 * stream.BlockLen); c.Offset != want {
+						t.Fatalf("checkpoint at offset %d, want %d", c.Offset, want)
+					}
+					resumed, res = resumeFrom(t, name, src, k, c, crashed, ckPath)
+				})
+				if ahead := procs > 1; res.Pipeline.DecodeAhead != ahead {
+					t.Fatalf("resumed run: DecodeAhead %v, want %v", res.Pipeline.DecodeAhead, ahead)
+				}
+				checkResumedRun(t, ref, refRes, crashed, resumed, res, c.Offset)
+			})
+		}
 	}
 }
 

@@ -19,63 +19,100 @@ func withProcs(procs int, fn func()) {
 	fn()
 }
 
-// TestDecodeModeInvariance is the invariance criterion of the out-of-core
-// decode paths: every algorithm, over an in-memory view, both file sources
-// (OpenMmap and OpenReaderAt) and a retry-wrapped CGR3 source, emits the
-// same assignment with the same quality whether the file source decodes
-// inline (GOMAXPROCS 1) or ahead of the partitioner on a second goroutine
-// (GOMAXPROCS 2). The graph spans several CGR3 blocks, so a decode-ahead
-// pass hands blocks over between goroutines.
-func TestDecodeModeInvariance(t *testing.T) {
+// invarianceGraph spans several CGR3 blocks, so a decode-ahead pass hands
+// blocks over between goroutines and CLUGP-D's segment readers each get
+// more than one block.
+func invarianceGraph(t *testing.T) *graph.Graph {
+	t.Helper()
 	g := gen.Web(gen.WebConfig{N: 5000, OutDegree: 6, IntraSite: 0.85, Seed: 51})
 	if need := 3 * stream.BlockLen; len(g.Edges) <= need {
 		t.Fatalf("test graph has %d edges, need more than %d for several blocks", len(g.Edges), need)
 	}
-	k := 8
-	path := writeCGR(t, g)
-	type source struct {
-		name string
-		src  stream.Source
-		file bool // a store file source: decodes ahead at GOMAXPROCS 2
+	return g
+}
+
+// checkDecodeModes runs every out-of-core algorithm over src at GOMAXPROCS
+// 1 (inline) and 2 (a store file source decodes ahead on its parallel
+// worker, a second goroutine) and requires each run to emit want[i]'s
+// assignment with wantRes[i]'s quality, and Pipeline.DecodeAhead to be
+// set exactly for a file source at GOMAXPROCS 2.
+func checkDecodeModes(t *testing.T, src stream.Source, file bool, k int, want [][]int32, wantRes []*Result) {
+	t.Helper()
+	for i, p := range outOfCorePartitioners(t) {
+		for _, procs := range []int{1, 2} {
+			var got []int32
+			var res *Result
+			withProcs(procs, func() { got, res = collectAssignments(t, p, src, k) })
+			// CLUGP-D reads segments, which always decode inline, but the
+			// executor reports what the source it was handed does.
+			if ahead := file && procs == 2; res.Pipeline.DecodeAhead != ahead {
+				t.Errorf("%s procs=%d: DecodeAhead %v, want %v", p.Name(), procs, res.Pipeline.DecodeAhead, ahead)
+			}
+			if !slices.Equal(got, want[i]) {
+				t.Fatalf("%s procs=%d: assignment differs from the in-memory inline pass", p.Name(), procs)
+			}
+			if !reflect.DeepEqual(res.Quality, wantRes[i].Quality) {
+				t.Fatalf("%s procs=%d: quality %+v, want %+v", p.Name(), procs, res.Quality, wantRes[i].Quality)
+			}
+		}
 	}
-	sources := []source{{"memory", stream.Of(g.Edges).Source(g.NumVertices), false}}
+}
+
+// inlineReference is every out-of-core algorithm's assignment and result
+// over the in-memory view at GOMAXPROCS 1, in outOfCorePartitioners order.
+func inlineReference(t *testing.T, g *graph.Graph, k int) ([][]int32, []*Result) {
+	t.Helper()
+	var want [][]int32
+	var wantRes []*Result
+	for _, p := range outOfCorePartitioners(t) {
+		withProcs(1, func() {
+			a, res := collectAssignments(t, p, memSource(g), k)
+			want, wantRes = append(want, a), append(wantRes, res)
+		})
+	}
+	return want, wantRes
+}
+
+// TestParallelWorkerInvariance is the invariance criterion of the
+// out-of-core decode paths over files: every algorithm, over both file
+// sources (OpenMmap and OpenReaderAt) and a retry-wrapped CGR3 source,
+// emits the same assignment with the same quality as the in-memory inline
+// pass, whether the file source decodes inline (GOMAXPROCS 1) or ahead of
+// the partitioner on its parallel worker goroutine (GOMAXPROCS 2).
+func TestParallelWorkerInvariance(t *testing.T) {
+	g := invarianceGraph(t)
+	k := 8
+	want, wantRes := inlineReference(t, g, k)
+	path := writeCGR(t, g)
 	for _, fb := range fileBackends() {
-		src, err := fb.open(path)
+		t.Run(fb.name, func(t *testing.T) {
+			src, err := fb.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			checkDecodeModes(t, src, true, k, want, wantRes)
+		})
+	}
+	t.Run("retry/CGR3", func(t *testing.T) {
+		src, err := store.OpenMmap(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		sources = append(sources, source{fb.name, src, true})
-	}
-	retried, err := store.OpenMmap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer retried.Close()
-	sources = append(sources, source{"retry/CGR3", stream.Retry(retried, stream.RetryConfig{}), true})
-	for _, p := range outOfCorePartitioners(t) {
-		var want []int32
-		var wantRes *Result
-		withProcs(1, func() { want, wantRes = collectAssignments(t, p, sources[0].src, k) })
-		for _, sc := range sources {
-			for _, procs := range []int{1, 2} {
-				var got []int32
-				var res *Result
-				withProcs(procs, func() { got, res = collectAssignments(t, p, sc.src, k) })
-				// CLUGP-D reads segments, which always decode inline, but
-				// the executor reports what the source it was handed does.
-				if ahead := sc.file && procs == 2; res.Pipeline.DecodeAhead != ahead {
-					t.Errorf("%s %s procs=%d: DecodeAhead %v, want %v", p.Name(), sc.name, procs, res.Pipeline.DecodeAhead, ahead)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s %s procs=%d: assignment differs from the in-memory inline pass", p.Name(), sc.name, procs)
-				}
-				if !reflect.DeepEqual(res.Quality, wantRes.Quality) {
-					t.Fatalf("%s %s procs=%d: quality %+v, want %+v", p.Name(), sc.name, procs, res.Quality, wantRes.Quality)
-				}
-			}
-		}
-	}
+		checkDecodeModes(t, stream.Retry(src, stream.RetryConfig{}), true, k, want, wantRes)
+	})
+}
+
+// TestParallelWorkerInvarianceInMemory covers the in-memory view, which
+// never decodes ahead: every algorithm emits the same assignment with the
+// same quality at GOMAXPROCS 1 and 2, where CLUGP-D's segment readers over
+// the view can run on parallel threads.
+func TestParallelWorkerInvarianceInMemory(t *testing.T) {
+	g := invarianceGraph(t)
+	k := 8
+	want, wantRes := inlineReference(t, g, k)
+	checkDecodeModes(t, memSource(g), false, k, want, wantRes)
 }
 
 // TestPipelineReportsDecodeAhead: Result.Pipeline.DecodeAhead is true
@@ -120,7 +157,7 @@ func TestPipelineReportsDecodeAhead(t *testing.T) {
 // goroutine for the next run's Reset to stop, and CLUGP-D reads segments
 // of the same shared mapping. Run under -race in CI; assertions are
 // minimal because the test's job is the schedule, not the values
-// (TestDecodeModeInvariance pins those).
+// (TestParallelWorkerInvariance pins those).
 func TestOutOfCoreDecodeRace(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, IntraSite: 0.8, Seed: 54})
 	src, err := store.OpenMmap(writeCGR(t, g))
