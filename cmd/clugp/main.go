@@ -183,19 +183,14 @@ func main() {
 		fmt.Printf("state memory:       %.2f MB\n", float64(res.StateBytes)/(1<<20))
 	}
 	if *trace {
-		if c, ok := p.(*repro.CLUGP); ok && c.LastTrace != nil {
-			t := c.LastTrace
-			fmt.Printf("clusters:           %d (intra fraction %.3f)\n", t.NumClusters, t.IntraFraction)
-			fmt.Printf("splits/migrations:  %d / %d\n", t.Splits, t.Migrations)
-			fmt.Printf("game:               %d rounds, %d moves, %d batches (healed %.3f)\n",
-				t.GameRounds, t.GameMoves, t.GameBatches, t.HealedFraction)
-			fmt.Printf("overflow reroutes:  %d\n", t.Overflowed)
+		if c, ok := p.(*repro.CLUGP); ok {
+			printCLUGPTrace(os.Stdout, c)
 		}
 		if *streamF {
 			pl := res.Pipeline
 			fmt.Printf("pipeline:           %s\n", pipelineLine(pl.DecodeAhead))
-			if pl.SerialFallback != "" {
-				fmt.Printf("serial fallback:    %s\n", pl.SerialFallback)
+			if pl.CheckpointFallback != "" {
+				fmt.Printf("checkpoint fallback: %s\n", pl.CheckpointFallback)
 			}
 			if cks := pl.Checkpoints; cks.Enabled || cks.Resumed {
 				fmt.Printf("checkpoints:        %s\n", cks)
@@ -224,6 +219,24 @@ func main() {
 	if *resultF != "" {
 		fmt.Printf("result written:     %s (serve it: partsrv -result %s)\n", *resultF, *resultF)
 	}
+}
+
+// printCLUGPTrace prints the diagnostics of c's last run, if any. The pass
+// times carry the names pipebench's layers give them. They are wall times
+// of whole passes: unlike pipebench's layers, they include the time spent
+// decoding the stream and in the emit callback.
+func printCLUGPTrace(w io.Writer, c *repro.CLUGP) {
+	t := c.LastTrace
+	if t == nil {
+		return
+	}
+	fmt.Fprintf(w, "clusters:           %d (intra fraction %.3f)\n", t.NumClusters, t.IntraFraction)
+	fmt.Fprintf(w, "splits/migrations:  %d / %d\n", t.Splits, t.Migrations)
+	fmt.Fprintf(w, "game:               %d rounds, %d moves, %d batches (healed %.3f)\n",
+		t.GameRounds, t.GameMoves, t.GameBatches, t.HealedFraction)
+	fmt.Fprintf(w, "overflow reroutes:  %d\n", t.Overflowed)
+	fmt.Fprintf(w, "pass times:         cluster.run_s %.3f  cluster.build_s %.3f  game.solve_s %.3f  partition.transform_s %.3f\n",
+		t.ClusterTime.Seconds(), t.BuildTime.Seconds(), t.GameTime.Seconds(), t.TransformTime.Seconds())
 }
 
 // buildPartitioner mirrors the historical flag behaviour: CLUGP knobs apply

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -154,5 +157,36 @@ func crashMidEmit(t *testing.T, p repro.Partitioner, o runOpts, n int) {
 	}
 	if _, err := repro.RunOutOfCoreOpts(p, src, o.k, emit, repro.OutOfCoreOptions{Checkpoint: ck}); !errors.Is(err, errCrash) {
 		t.Fatalf("crash run: got err %v, want the injected crash", err)
+	}
+}
+
+// TestTracePrintsPassTimes: -trace prints CLUGP's four pass times under
+// pipebench's layer names.
+func TestTracePrintsPassTimes(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "g.cgr")
+	var enc bytes.Buffer
+	if err := repro.WriteCompressed(&enc, repro.GenerateWeb(repro.WebConfig{N: 3000, OutDegree: 5, Seed: 3})); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := &repro.CLUGP{Seed: 1}
+	if _, err := run(c, runOpts{in: in, stream: true, k: 8}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	printCLUGPTrace(&out, c)
+	tr := c.LastTrace
+	for name, d := range map[string]time.Duration{
+		"cluster.run_s":         tr.ClusterTime,
+		"cluster.build_s":       tr.BuildTime,
+		"game.solve_s":          tr.GameTime,
+		"partition.transform_s": tr.TransformTime,
+	} {
+		if want := fmt.Sprintf(" %s %.3f", name, d.Seconds()); !strings.Contains(out.String(), want) {
+			t.Errorf("trace output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

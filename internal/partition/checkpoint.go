@@ -119,15 +119,12 @@ func (s CheckpointStats) String() string {
 }
 
 // Checkpoint section names: a record's digest of its base file, and the
-// CLUGP base's frozen tables and pass-1/2 scalars.
+// CLUGP base's vertex records and pass-1/2 scalars.
 const (
 	sectionBase = "base"
 
-	sectionCLUGPAssign    = "clugp.assign"
-	sectionCLUGPSplitFrom = "clugp.splitfrom"
-	sectionCLUGPDegree    = "clugp.degree"
-	sectionCLUGPCPart     = "clugp.cpart"
-	sectionCLUGPScalars   = "clugp.scalars"
+	sectionCLUGPVertex  = "clugp.vertex"
+	sectionCLUGPScalars = "clugp.scalars"
 )
 
 // loadSection fetches a named section or reports its absence.

@@ -427,8 +427,8 @@ func TestCheckpointNonCheckpointerFallsBack(t *testing.T) {
 	if ckRes.Pipeline.Checkpoints.Enabled || ckRes.Pipeline.Checkpoints.Written != 0 {
 		t.Fatalf("checkpoint stats %+v for an algorithm that cannot snapshot", ckRes.Pipeline.Checkpoints)
 	}
-	if !strings.Contains(ckRes.Pipeline.SerialFallback, "snapshot") {
-		t.Fatalf("fallback note %q does not record the demotion", ckRes.Pipeline.SerialFallback)
+	if !strings.Contains(ckRes.Pipeline.CheckpointFallback, "snapshot") {
+		t.Fatalf("fallback note %q does not record the demotion", ckRes.Pipeline.CheckpointFallback)
 	}
 	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint file exists (stat err %v) though checkpointing was demoted", err)

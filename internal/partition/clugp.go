@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -65,14 +64,18 @@ type CLUGP struct {
 	LastTrace *Trace
 }
 
-// clugpFrozen is what passes 1 and 2 leave for pass 3: the vertex->cluster
-// and cluster->partition tables, vertex degrees and mirror marks - all
-// read-only during pass 3 - and the pass-1/2 diagnostics. A checkpointed
-// run writes it once as its base file, so a resumed run replays neither
+// clugpFrozen is what passes 1 and 2 leave for pass 3: the per-vertex
+// record, read-only during pass 3, and the pass-1/2 diagnostics. The
+// record is three tables indexed by vertex: master[v] is the partition of
+// v's final cluster (its master copy; -1 if v never appeared in the
+// stream), mirror[v] the partition of the cluster holding v's mirror (-1
+// if it has none) and deg[v] its pass-1 degree. Nothing else of the
+// clustering or the cluster->partition table is kept. A checkpointed run
+// writes it once as its base file, so a resumed run replays neither
 // clustering nor the game.
 type clugpFrozen struct {
-	cres  *cluster.Result
-	cpart []int32
+	master, mirror []int32
+	deg            []uint32
 	// trace holds the pass-1/2 fields of the run's Trace.
 	trace Trace
 }
@@ -156,7 +159,7 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 
 	// Pass 3: transformation (Algorithm 1).
 	t3 := time.Now()
-	overflowed, err := transform(src, fz.cres, fz.cpart, k, tau, sink)
+	overflowed, err := transform(src, fz, k, tau, sink)
 	if err != nil {
 		return fmt.Errorf("clugp pass 3: %w", err)
 	}
@@ -244,9 +247,22 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 		// arc weights already combine both edge directions.
 		healedFrac = float64(healed) / float64(2*cg.TotalInter)
 	}
+	// Fold the cluster->partition table into the vertex->cluster and
+	// split-from tables in place: they become the master and mirror
+	// tables, so pass 3 allocates nothing, and the rest of the clustering
+	// and the game's table are garbage from here on.
+	cpart := asg.Partition
+	for _, tab := range [][]cluster.ID{cres.Assign, cres.SplitFrom} {
+		for v, c := range tab {
+			if c != cluster.None {
+				tab[v] = cpart[c]
+			}
+		}
+	}
 	return &clugpFrozen{
-		cres:  cres,
-		cpart: asg.Partition,
+		master: cres.Assign,
+		mirror: cres.SplitFrom,
+		deg:    cres.Degree,
 		trace: Trace{
 			NumClusters:    cres.NumClusters,
 			Splits:         cres.Splits,
@@ -264,7 +280,8 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 }
 
 // transform implements Algorithm 1: stream the edges once more, mapping
-// each through vertex->cluster->partition, with the balance guard and the
+// each endpoint to its partition through the master table (the
+// vertex->cluster->partition map, folded), with the balance guard and the
 // replica-reducing rules, committing each block to the sink as soon as its
 // load bookkeeping is final.
 //
@@ -274,12 +291,16 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 // its mirror ("e will be assigned to the partitions where u's mirror vertex
 // belongs", Section III-C). The edge is therefore routed to whichever
 // candidate partition creates the fewest new replicas, judging presence by
-// exactly those O(1) tables - master partition and mirror partition - so
-// pass 3 keeps its O(1)-per-edge budget. Ties fall back to the paper's
-// cut-the-higher-degree rule (lines 21-22), then to the lighter partition.
+// exactly the two partitions a vertex's record holds - master and mirror -
+// so pass 3 keeps its O(1)-per-edge budget. Ties go to the lighter
+// partition, then to the paper's cut-the-higher-degree rule (lines 21-22;
+// see cutRoute). An edge inside one partition reads only its endpoints'
+// master partitions, one random load each.
 //
-// It returns the number of edges the balance guard rerouted.
-func transform(src stream.Source, cres *cluster.Result, cpart []int32, k int, tau float64, sink *assignSink) (overflowed int64, err error) {
+// An endpoint with no master partition, which only a forged base file can
+// produce, fails the pass with an error naming the edge. It returns the
+// number of edges the balance guard rerouted.
+func transform(src stream.Source, fz *clugpFrozen, k int, tau float64, sink *assignSink) (overflowed int64, err error) {
 	// Lmax = ceil(tau*|E|/k): the ceiling guarantees k*Lmax >= |E| so an
 	// underflow partition always exists when the guard trips.
 	lmax := int64((tau*float64(src.Len()) + float64(k) - 1) / float64(k))
@@ -287,22 +308,20 @@ func transform(src stream.Source, cres *cluster.Result, cpart []int32, k int, ta
 		lmax = 1
 	}
 
-	deg := cres.Degree
-	// mirror partition of a vertex, or -1.
-	mirrorPart := func(v graph.VertexID) int32 {
-		if c := cres.SplitFrom[v]; c != cluster.None {
-			return cpart[c]
-		}
-		return -1
-	}
-
+	master := fz.master
 	sizes := make([]int64, k)
+	var least leastCursor
 	err = forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
 		for j, e := range blk {
-			u, v := e.Src, e.Dst
-			pu := cpart[cres.Assign[u]]
-			pv := cpart[cres.Assign[v]]
+			pu, pv := master[e.Src], master[e.Dst]
+			if pu|pv < 0 {
+				w := e.Src
+				if pu >= 0 {
+					w = e.Dst
+				}
+				return fmt.Errorf("edge %d (%d -> %d): vertex %d has no master partition", sink.pos+j, e.Src, e.Dst, w)
+			}
 
 			var p int32
 			if sizes[pu] >= lmax || sizes[pv] >= lmax {
@@ -315,51 +334,13 @@ func transform(src stream.Source, cres *cluster.Result, cpart []int32, k int, ta
 				case sizes[pv] < lmax:
 					p = pv
 				default:
-					p = leastLoadedAll(sizes)
+					p = least.next(sizes)
 				}
 			} else if pu == pv {
 				// Same partition: no cut (lines 15-16).
 				p = pu
 			} else {
-				mu, mv := mirrorPart(u), mirrorPart(v)
-				// presentU(p): u exists at p already (master or mirror copy).
-				presentU := func(p int32) bool { return p == pu || p == mu }
-				presentV := func(p int32) bool { return p == pv || p == mv }
-				// Candidates: each endpoint's master partition, plus mirror
-				// partitions when they host the other endpoint too.
-				bestCost := int32(3)
-				pick := func(cand int32, cost int32) {
-					if cand < 0 || sizes[cand] >= lmax {
-						return
-					}
-					if cost < bestCost || (cost == bestCost && sizes[cand] < sizes[p]) {
-						bestCost = cost
-						p = cand
-					}
-				}
-				p = pu
-				cost := func(cand int32) int32 {
-					c := int32(0)
-					if !presentU(cand) {
-						c++
-					}
-					if !presentV(cand) {
-						c++
-					}
-					return c
-				}
-				// Degree rule ordering (lines 21-22): evaluating the
-				// lower-degree endpoint's partition first makes it win ties,
-				// cutting the higher-degree endpoint.
-				if deg[v] > deg[u] {
-					pick(pu, cost(pu))
-					pick(pv, cost(pv))
-				} else {
-					pick(pv, cost(pv))
-					pick(pu, cost(pu))
-				}
-				pick(mu, cost(mu))
-				pick(mv, cost(mv))
+				p = fz.cutRoute(e.Src, e.Dst, pu, pv, sizes, lmax)
 			}
 			out[j] = p
 			sizes[p]++
@@ -372,42 +353,82 @@ func transform(src stream.Source, cres *cluster.Result, cpart []int32, k int, ta
 	return overflowed, err
 }
 
-// clugpAppendIDs encodes int32 values that may be cluster.None (-1), each
-// as uvarint(v+1).
-func clugpAppendIDs(buf []byte, ids []int32) []byte {
-	buf = slices.Grow(buf, 2*len(ids))
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(int64(id)+1))
+// cutRoute places an edge (u, v) whose endpoints' master partitions pu
+// and pv differ, both under Lmax (Algorithm 1 lines 17-22). The candidates
+// are pu, pv and each endpoint's mirror partition. The one creating the
+// fewest new replicas wins, judging presence by master and mirror
+// partitions alone; then the lighter one. A tie between pu and pv that
+// remains cuts the higher-degree endpoint (lines 21-22): the edge goes to
+// the lower-degree endpoint's partition, or to v's if the degrees are
+// equal. Only that tie reads the degrees.
+func (fz *clugpFrozen) cutRoute(u, v graph.VertexID, pu, pv int32, sizes []int64, lmax int64) int32 {
+	mu, mv := fz.mirror[u], fz.mirror[v]
+	// missing counts the endpoints with no copy at c yet.
+	missing := func(c int32) int32 {
+		n := int32(0)
+		if c != pu && c != mu {
+			n++
+		}
+		if c != pv && c != mv {
+			n++
+		}
+		return n
 	}
-	return buf
+	p, best := pu, missing(pu)
+	if n := missing(pv); n < best || n == best && (sizes[pv] < sizes[pu] || sizes[pv] == sizes[pu] && fz.deg[v] <= fz.deg[u]) {
+		p, best = pv, n
+	}
+	for _, c := range [2]int32{mu, mv} {
+		if c < 0 || sizes[c] >= lmax {
+			continue
+		}
+		if n := missing(c); n < best || n == best && sizes[c] < sizes[p] {
+			p, best = c, n
+		}
+	}
+	return p
 }
 
-// clugpLoadIDs fills dst from a uvarint(v+1) stream, rejecting values above
-// max (exclusive upper bound on the decoded id), and returns the remainder.
-func clugpLoadIDs(dst []int32, data []byte, max int64, what string) ([]byte, error) {
-	for i := range dst {
-		x, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("clugp: truncated %s state", what)
-		}
-		data = data[n:]
-		if int64(x) > max {
-			return nil, fmt.Errorf("clugp: %s id %d out of range [-1, %d)", what, int64(x)-1, max)
-		}
-		dst[i] = int32(int64(x) - 1)
-	}
-	return data, nil
+// leastCursor answers the balance guard's "lowest-numbered least-loaded
+// partition" (leastLoadedAll's answer) in amortized O(1) over sizes that
+// only grow. Invariant: no size is below min, and every partition before
+// at is above it. Its zero value starts a run whose sizes are all zero.
+type leastCursor struct {
+	min int64
+	at  int
 }
 
-// sections encodes the frozen state as a base file's sections.
+// next sweeps forward to the first partition still at min. When every
+// partition has grown past min, one scan finds the new minimum and its
+// first holder; each such scan raises min, so over a run the scans cost
+// O(k * Lmax) = O(tau * |E|) in all.
+func (c *leastCursor) next(sizes []int64) int32 {
+	for ; c.at < len(sizes); c.at++ {
+		if sizes[c.at] == c.min {
+			return int32(c.at)
+		}
+	}
+	p := leastLoadedAll(sizes)
+	c.min, c.at = sizes[p], int(p)
+	return p
+}
+
+// clugpScalars is the number of pass-1/2 scalars a base file carries.
+const clugpScalars = 11
+
+// sections encodes the frozen state as a base file's sections: the vertex
+// records as uvarint(master+1), uvarint(mirror+1), uvarint(degree) per
+// vertex, and the pass-1/2 scalars.
 func (fz *clugpFrozen) sections() []store.CheckpointSection {
-	deg := make([]byte, 0, 2*len(fz.cres.Degree))
-	for _, d := range fz.cres.Degree {
-		deg = binary.AppendUvarint(deg, uint64(d))
+	vert := make([]byte, 0, 4*len(fz.master))
+	for v, pv := range fz.master {
+		vert = binary.AppendUvarint(vert, uint64(int64(pv)+1))
+		vert = binary.AppendUvarint(vert, uint64(int64(fz.mirror[v])+1))
+		vert = binary.AppendUvarint(vert, uint64(fz.deg[v]))
 	}
 	t := &fz.trace
 	var scalars []byte
-	for _, x := range []uint64{
+	for _, x := range [clugpScalars]uint64{
 		uint64(t.NumClusters),
 		uint64(t.Splits),
 		uint64(t.Migrations),
@@ -423,23 +444,22 @@ func (fz *clugpFrozen) sections() []store.CheckpointSection {
 		scalars = binary.AppendUvarint(scalars, x)
 	}
 	return []store.CheckpointSection{
-		{Name: sectionCLUGPAssign, Data: clugpAppendIDs(nil, fz.cres.Assign)},
-		{Name: sectionCLUGPSplitFrom, Data: clugpAppendIDs(nil, fz.cres.SplitFrom)},
-		{Name: sectionCLUGPDegree, Data: deg},
-		{Name: sectionCLUGPCPart, Data: clugpAppendIDs(nil, fz.cpart)},
+		{Name: sectionCLUGPVertex, Data: vert},
 		{Name: sectionCLUGPScalars, Data: scalars},
 	}
 }
 
-// loadCLUGPBase decodes and validates a base file's frozen state eagerly,
-// so a forged base fails here, not as a panic mid-stream.
+// loadCLUGPBase decodes and validates a base file's frozen state eagerly:
+// every partition id must lie in [-1, k). A vertex with no master
+// partition is legal here (it never appeared in the stream); pass 3 fails
+// on an edge that has one as an endpoint.
 func loadCLUGPBase(base *store.Checkpoint) (*clugpFrozen, error) {
 	nv, k := base.NumVertices, base.K
 	data, err := loadSection(base, sectionCLUGPScalars)
 	if err != nil {
 		return nil, err
 	}
-	var vals [11]uint64
+	var vals [clugpScalars]uint64
 	for i := range vals {
 		x, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -456,67 +476,39 @@ func loadCLUGPBase(base *store.Checkpoint) (*clugpFrozen, error) {
 		return nil, fmt.Errorf("clugp: base has %d clusters for %d vertices", numClusters, nv)
 	}
 
-	fz := &clugpFrozen{
-		cres: &cluster.Result{
-			NumClusters: numClusters,
-			Assign:      make([]cluster.ID, nv),
-			Degree:      make([]uint32, nv),
-			SplitFrom:   make([]cluster.ID, nv),
-			Splits:      int64(vals[1]),
-			Migrations:  int64(vals[2]),
-		},
-		cpart: make([]int32, numClusters),
-		trace: Trace{
-			NumClusters:    numClusters,
-			Splits:         int64(vals[1]),
-			Migrations:     int64(vals[2]),
-			GameRounds:     int(vals[3]),
-			GameMoves:      int64(vals[4]),
-			GameBatches:    int(vals[5]),
-			IntraFraction:  math.Float64frombits(vals[6]),
-			HealedFraction: math.Float64frombits(vals[7]),
-			ClusterTime:    time.Duration(vals[8]),
-			BuildTime:      time.Duration(vals[9]),
-			GameTime:       time.Duration(vals[10]),
-		},
-	}
-	for _, tab := range []struct {
-		name string
-		dst  []int32
-		max  int64
-	}{
-		{sectionCLUGPAssign, fz.cres.Assign, int64(numClusters)},
-		{sectionCLUGPSplitFrom, fz.cres.SplitFrom, int64(numClusters)},
-		{sectionCLUGPCPart, fz.cpart, int64(k)},
-	} {
-		if data, err = loadSection(base, tab.name); err != nil {
-			return nil, err
-		}
-		if data, err = clugpLoadIDs(tab.dst, data, tab.max, tab.name); err != nil {
-			return nil, err
-		}
-		if len(data) != 0 {
-			return nil, fmt.Errorf("clugp: trailing bytes after base %s", tab.name)
-		}
-	}
-	for ci, p := range fz.cpart {
-		if p < 0 {
-			return nil, fmt.Errorf("clugp: cluster %d has no partition in base", ci)
-		}
-	}
-	if data, err = loadSection(base, sectionCLUGPDegree); err != nil {
+	if data, err = loadSection(base, sectionCLUGPVertex); err != nil {
 		return nil, err
 	}
-	for v := range fz.cres.Degree {
-		x, n := binary.Uvarint(data)
-		if n <= 0 || x > math.MaxUint32 {
-			return nil, fmt.Errorf("clugp: base degree of vertex %d truncated or out of range", v)
+	fz := &clugpFrozen{master: make([]int32, nv), mirror: make([]int32, nv), deg: make([]uint32, nv)}
+	var f [3]uint64
+	for v := range nv {
+		for i := range f {
+			x, n := binary.Uvarint(data)
+			if n <= 0 {
+				return nil, fmt.Errorf("clugp: base record of vertex %d truncated", v)
+			}
+			f[i], data = x, data[n:]
 		}
-		fz.cres.Degree[v] = uint32(x)
-		data = data[n:]
+		if f[0] > uint64(k) || f[1] > uint64(k) || f[2] > math.MaxUint32 {
+			return nil, fmt.Errorf("clugp: base record of vertex %d (%d, %d, %d) out of range", v, int64(f[0])-1, int64(f[1])-1, f[2])
+		}
+		fz.master[v], fz.mirror[v], fz.deg[v] = int32(f[0])-1, int32(f[1])-1, uint32(f[2])
 	}
 	if len(data) != 0 {
-		return nil, errors.New("clugp: trailing bytes after base degrees")
+		return nil, errors.New("clugp: trailing bytes after base vertex records")
+	}
+	fz.trace = Trace{
+		NumClusters:    numClusters,
+		Splits:         int64(vals[1]),
+		Migrations:     int64(vals[2]),
+		GameRounds:     int(vals[3]),
+		GameMoves:      int64(vals[4]),
+		GameBatches:    int(vals[5]),
+		IntraFraction:  math.Float64frombits(vals[6]),
+		HealedFraction: math.Float64frombits(vals[7]),
+		ClusterTime:    time.Duration(vals[8]),
+		BuildTime:      time.Duration(vals[9]),
+		GameTime:       time.Duration(vals[10]),
 	}
 	return fz, nil
 }

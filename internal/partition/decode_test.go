@@ -35,7 +35,7 @@ func invarianceGraph(t *testing.T) *graph.Graph {
 // 1 (inline) and 2 (a store file source decodes ahead on its parallel
 // worker, a second goroutine) and requires each run to emit want[i]'s
 // assignment with wantRes[i]'s quality, and Pipeline.DecodeAhead to be
-// set exactly for a file source at GOMAXPROCS 2.
+// set exactly when a file source fed the partitioner itself at GOMAXPROCS 2.
 func checkDecodeModes(t *testing.T, src stream.Source, file bool, k int, want [][]int32, wantRes []*Result) {
 	t.Helper()
 	for i, p := range outOfCorePartitioners(t) {
@@ -43,9 +43,9 @@ func checkDecodeModes(t *testing.T, src stream.Source, file bool, k int, want []
 			var got []int32
 			var res *Result
 			withProcs(procs, func() { got, res = collectAssignments(t, p, src, k) })
-			// CLUGP-D reads segments, which always decode inline, but the
-			// executor reports what the source it was handed does.
-			if ahead := file && procs == 2; res.Pipeline.DecodeAhead != ahead {
+			// CLUGP-D reads only segments, which always decode inline.
+			_, segmented := p.(*DistributedCLUGP)
+			if ahead := file && procs == 2 && !segmented; res.Pipeline.DecodeAhead != ahead {
 				t.Errorf("%s procs=%d: DecodeAhead %v, want %v", p.Name(), procs, res.Pipeline.DecodeAhead, ahead)
 			}
 			if !slices.Equal(got, want[i]) {
@@ -183,8 +183,10 @@ func TestOutOfCoreDecodeRace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
 			}
-			if !res.Pipeline.DecodeAhead {
-				t.Fatalf("%s: the source did not decode ahead", p.Name())
+			// CLUGP-D's nodes read segments, which decode inline.
+			_, segmented := p.(*DistributedCLUGP)
+			if res.Pipeline.DecodeAhead == segmented {
+				t.Fatalf("%s: DecodeAhead %v, want %v", p.Name(), res.Pipeline.DecodeAhead, !segmented)
 			}
 			var sum int64
 			for _, s := range res.Quality.Sizes {

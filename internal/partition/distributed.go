@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -110,6 +111,8 @@ func (d *DistributedCLUGP) run(src stream.Source, k int, sink *assignSink) error
 		return err
 	}
 	defer closeShards(shards)
+	// The nodes read only their shards, never src itself.
+	sink.decodeAhead = slices.ContainsFunc(shards, decodesAhead)
 	for nd, sub := range shards {
 		local := d.nodeLocal(nd)
 		if err := local.run(sub, k, sink); err != nil {

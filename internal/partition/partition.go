@@ -146,13 +146,15 @@ type OutOfCoreOptions struct {
 // one downgrade that used to be silent: a partitioner without checkpoint
 // support runs without checkpoints. clugp -trace prints it.
 type PipelineInfo struct {
-	// DecodeAhead reports that the source decoded ahead of the partitioner
-	// on a goroutine of its own (store file sources do at GOMAXPROCS >= 2);
-	// false means decode ran inline.
+	// DecodeAhead reports that the sources the partitioner read decoded
+	// ahead of it on a goroutine of their own (a root store file source
+	// does at GOMAXPROCS >= 2); false means decode ran inline, as it does
+	// for the segments CLUGP-D's ingest nodes read.
 	DecodeAhead bool
-	// SerialFallback explains why a requested checkpoint plan was dropped
-	// (the partitioner cannot resume from a snapshot); empty otherwise.
-	SerialFallback string
+	// CheckpointFallback explains why a requested checkpoint plan was
+	// dropped (the partitioner cannot resume from a snapshot); empty
+	// otherwise.
+	CheckpointFallback string
 	// Checkpoints reports checkpoint/resume activity (zero when disabled).
 	Checkpoints CheckpointStats
 	// RetryAttempts counts stream retry attempts fired during the run, when
@@ -201,12 +203,10 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 			// scratch against a truncated emit stream: hard error.
 			return nil, fmt.Errorf("partition: %s cannot restore checkpoint state (no prefix replay)", p.Name())
 		default:
-			info.SerialFallback = p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled"
+			info.CheckpointFallback = p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled"
 		}
 	}
-	if a, ok := src.(interface{ DecodesAhead() bool }); ok {
-		info.DecodeAhead = a.DecodesAhead()
-	}
+	sink.decodeAhead = decodesAhead(src)
 	if sink.ck != nil {
 		// Pin every sink commit to a BlockLen-multiple stream offset: serial
 		// algorithms otherwise commit at whatever block granularity the
@@ -227,6 +227,7 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 	if err != nil {
 		return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
 	}
+	info.DecodeAhead = sink.decodeAhead
 	if sink.ck != nil {
 		info.Checkpoints = sink.ck.stats
 	}
@@ -269,6 +270,17 @@ type assignSink struct {
 	// ck is the checkpoint plumbing of a checkpointed or resumed run; nil
 	// otherwise.
 	ck *ckRun
+	// decodeAhead reports whether the sources the run reads decode ahead:
+	// the executor sets it from the source it hands over, and a partitioner
+	// that reads other sources instead (CLUGP-D's segments) overwrites it.
+	decodeAhead bool
+}
+
+// decodesAhead reports whether a pass over src decodes ahead of its
+// consumer (store file sources and retry wrappers over them say so).
+func decodesAhead(src stream.Source) bool {
+	a, ok := src.(interface{ DecodesAhead() bool })
+	return ok && a.DecodesAhead()
 }
 
 func (s *assignSink) grab(n int) []int32 {

@@ -37,28 +37,22 @@ func recordCheckpoint() *Checkpoint {
 	return c
 }
 
-// clugpBaseCheckpoint builds a CLUGP base file: the frozen pass-3 tables
-// (vertex->cluster and split-from ids as uvarint(id+1), degrees,
-// cluster->partition) and the pass-1/2 scalars.
+// clugpBaseCheckpoint builds a CLUGP base file: one record per vertex
+// (master and mirror partition as uvarint(p+1), then the degree) and the
+// pass-1/2 scalars.
 func clugpBaseCheckpoint() *Checkpoint {
-	const nv, clusters = 12, 4
-	var assign, split, deg, cpart, scalars []byte
+	const nv = 12
+	var vert, scalars []byte
 	for v := 0; v < nv; v++ {
-		assign = binary.AppendUvarint(assign, uint64(v%clusters+1))
-		split = binary.AppendUvarint(split, uint64(v%3)) // 0 = no mirror
-		deg = binary.AppendUvarint(deg, uint64(v*37%300))
+		vert = binary.AppendUvarint(vert, uint64(v%2+1))
+		vert = binary.AppendUvarint(vert, uint64(v%3)) // 0 = no mirror
+		vert = binary.AppendUvarint(vert, uint64(v*37%300))
 	}
-	for c := 0; c < clusters; c++ {
-		cpart = binary.AppendUvarint(cpart, uint64(c%2+1))
-	}
-	for _, x := range []uint64{clusters, 2, 1, 5, 9, 1, 0x3fe0000000000000, 0x3fd0000000000000, 1e6, 2e6, 3e6} {
+	for _, x := range []uint64{4, 2, 1, 5, 9, 1, 0x3fe0000000000000, 0x3fd0000000000000, 1e6, 2e6, 3e6} {
 		scalars = binary.AppendUvarint(scalars, x)
 	}
 	c := &Checkpoint{Algorithm: "CLUGP", K: 2, NumVertices: nv, NumEdges: 40}
-	c.AddSection("clugp.assign", assign)
-	c.AddSection("clugp.splitfrom", split)
-	c.AddSection("clugp.degree", deg)
-	c.AddSection("clugp.cpart", cpart)
+	c.AddSection("clugp.vertex", vert)
 	c.AddSection("clugp.scalars", scalars)
 	return c
 }
