@@ -22,17 +22,18 @@ func ExamplePartition() {
 	// RF=2.971 balance=1.000
 }
 
-// ExampleRunPipeline runs CLUGP stage by stage, retaining the pass-1
-// clustering and the pass-2 game equilibrium for inspection.
-func ExampleRunPipeline() {
+// ExampleCLUGP runs CLUGP once and reads its passes from the run's trace:
+// the pass-1 clustering, the pass-2 game and the final quality.
+func ExampleCLUGP() {
 	g := repro.GenerateWeb(repro.WebConfig{N: 5000, OutDegree: 6, Seed: 1})
-	pl, err := repro.RunPipeline(g, repro.PipelineOptions{K: 16, Seed: 1})
+	p := &repro.CLUGP{Seed: 1}
+	res, err := repro.RunPartitioner(p, g, 16, 1)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("clusters=%d\n", pl.Clustering.NumClusters)
-	fmt.Printf("game batches=%d\n", pl.Game.Batches)
-	fmt.Printf("RF=%.3f\n", pl.Result.Quality.ReplicationFactor)
+	fmt.Printf("clusters=%d\n", p.LastTrace.NumClusters)
+	fmt.Printf("game batches=%d\n", p.LastTrace.GameBatches)
+	fmt.Printf("RF=%.3f\n", res.Quality.ReplicationFactor)
 	// Output:
 	// clusters=2583
 	// game batches=1

@@ -21,7 +21,6 @@ import (
 	"io"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/edgecut"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -284,17 +283,6 @@ func EvaluateStream(src StreamSource, assign []int32, k int) (*Quality, error) {
 	return metrics.Evaluate(src, assign, k)
 }
 
-// Pipeline access (the paper's contribution, stage by stage).
-type (
-	// PipelineOptions configure a stage-retaining CLUGP run.
-	PipelineOptions = core.Options
-	// Pipeline retains every intermediate CLUGP stage.
-	Pipeline = core.Pipeline
-)
-
-// RunPipeline executes CLUGP's three passes, retaining each stage.
-func RunPipeline(g *Graph, opts PipelineOptions) (*Pipeline, error) { return core.Run(g, opts) }
-
 // Distributed engine (the PowerGraph substitute).
 type (
 	// Placement lays a partitioning onto k logical nodes.
@@ -310,15 +298,10 @@ type (
 // NewPlacement lays out a finished partitioning onto logical nodes.
 func NewPlacement(res *PartitionResult) (*Placement, error) { return engine.NewPlacement(res) }
 
-// PageRank runs distributed PageRank over the placement.
+// PageRank runs distributed PageRank over the placement. Its per-node
+// phases run concurrently; ranks are bit-identical at any GOMAXPROCS.
 func PageRank(pl *Placement, cfg PageRankConfig) ([]float64, RunStats, error) {
 	return engine.PageRank(pl, cfg)
-}
-
-// ParallelPageRank runs the same computation with per-node goroutines and
-// BSP barriers; results are bit-identical to PageRank.
-func ParallelPageRank(pl *Placement, cfg PageRankConfig, workers int) ([]float64, RunStats, error) {
-	return engine.ParallelPageRank(pl, cfg, workers)
 }
 
 // LabelPropagation runs distributed plurality label propagation.

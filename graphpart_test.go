@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -73,11 +74,12 @@ func TestFacadePartitionerNames(t *testing.T) {
 
 func TestFacadePipeline(t *testing.T) {
 	g := GenerateWeb(WebConfig{N: 2000, OutDegree: 6, IntraSite: 0.85, Seed: 3})
-	pl, err := RunPipeline(g, PipelineOptions{K: 8, Seed: 3})
+	p := &CLUGP{Seed: 3}
+	res, err := RunPartitioner(p, g, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Clustering.NumClusters == 0 || pl.Result.Quality == nil {
+	if tr := p.LastTrace; tr == nil || tr.NumClusters == 0 || tr.GameBatches == 0 || res.Quality == nil {
 		t.Fatal("pipeline stages missing")
 	}
 }
@@ -111,17 +113,17 @@ func TestFacadeEngineApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(1)
 	seq, _, err := PageRank(pl, PageRankConfig{Iterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := ParallelPageRank(pl, PageRankConfig{Iterations: 4}, 4)
-	if err != nil {
-		t.Fatal(err)
+	runtime.GOMAXPROCS(2)
+	par, _, err2 := PageRank(pl, PageRankConfig{Iterations: 4})
+	runtime.GOMAXPROCS(prev)
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
 	}
 	for v := range seq {
 		if seq[v] != par[v] {
-			t.Fatal("parallel executor diverged")
+			t.Fatal("PageRank at GOMAXPROCS 2 diverged from GOMAXPROCS 1")
 		}
 	}
 	labels, _ := LabelPropagation(pl, 10, CostModel{})

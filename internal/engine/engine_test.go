@@ -327,8 +327,12 @@ func TestCostModelDefaults(t *testing.T) {
 
 func TestPageRankRejectsBadDamping(t *testing.T) {
 	g := testGraph(8)
-	pl := place(t, g, &partition.Hashing{Seed: 1}, 2)
-	if _, _, err := PageRank(pl, PageRankConfig{Damping: 1.5}); err == nil {
-		t.Fatal("damping 1.5 accepted")
+	for _, k := range []int{2, 4} {
+		pl := place(t, g, &partition.Hashing{Seed: 1}, k)
+		for _, d := range []float64{1, 1.5, 2, -0.1} {
+			if _, _, err := PageRank(pl, PageRankConfig{Damping: d}); err == nil {
+				t.Fatalf("k=%d: damping %v accepted", k, d)
+			}
+		}
 	}
 }

@@ -171,13 +171,18 @@ func (m *Mint) Name() string { return "Mint" }
 // BFS order (the web-crawl order) is its best setting, as in the paper.
 func (m *Mint) PreferredOrder() stream.Order { return stream.BFS }
 
+// batchSize is BatchSize with its default applied.
+func (m *Mint) batchSize() int {
+	if m.BatchSize <= 0 {
+		return 6400
+	}
+	return m.BatchSize
+}
+
 // run implements Partitioner: batches are finalized units, so each
 // commits to the sink as soon as its game equilibrates.
 func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
-	batchSize := m.BatchSize
-	if batchSize <= 0 {
-		batchSize = 6400
-	}
+	batchSize := m.batchSize()
 	maxRounds := m.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 4
@@ -338,13 +343,7 @@ func (m *Mint) edgeCost(presence *u64Table, totals []int64, key func(graph.Verte
 // StateBytes implements StateSizer: the batch edge buffer, batch assignment
 // and presence map; no global per-vertex state.
 func (m *Mint) StateBytes(numVertices, numEdges, k int) int64 {
-	b := m.BatchSize
-	if b <= 0 {
-		b = 6400
-	}
-	if b > numEdges {
-		b = numEdges
-	}
+	b := min(m.batchSize(), numEdges)
 	// 8 bytes per buffered batch edge + 4 per batch assignment + ~2 presence
 	// entries per edge at 16 bytes per open-addressing slot
 	// (key+value+generation), + k sizes.

@@ -63,6 +63,9 @@ func TestRunRejectsBadK(t *testing.T) {
 	if _, err := Run(&Hashing{}, g, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
+	if _, err := Run(&CLUGP{}, g, 0, 0); err == nil {
+		t.Fatal("CLUGP accepted k=0")
+	}
 	if _, err := RunStreamed(&HDRF{}, stream.NewView(g, stream.Random, 1).Source(g.NumVertices), stream.Random, 0); err == nil {
 		t.Fatal("RunStreamed accepted k=0")
 	}
@@ -264,18 +267,62 @@ func TestGameAblation(t *testing.T) {
 	}
 }
 
+// TestCLUGPTrace: one run's trace reports every pass, and its figures are
+// consistent with the graph and the result.
 func TestCLUGPTrace(t *testing.T) {
 	g := webGraph(3000, 8)
 	p := &CLUGP{Seed: 1}
-	if _, err := Run(p, g, 16, 1); err != nil {
+	res, err := Run(p, g, 16, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tr := p.LastTrace
 	if tr == nil {
 		t.Fatal("no trace recorded")
 	}
-	if tr.NumClusters <= 0 || tr.GameRounds <= 0 {
+	if tr.NumClusters <= 0 || tr.NumClusters > g.NumVertices || tr.GameRounds <= 0 || tr.GameBatches <= 0 {
 		t.Fatalf("degenerate trace %+v", tr)
+	}
+	for _, f := range []float64{tr.IntraFraction, tr.HealedFraction} {
+		if f < 0 || f > 1 {
+			t.Fatalf("trace fraction %v outside [0,1]: %+v", f, tr)
+		}
+	}
+	if tr.Overflowed < 0 || tr.Overflowed > int64(g.NumEdges()) {
+		t.Fatalf("overflow %d of %d edges", tr.Overflowed, g.NumEdges())
+	}
+	if res.Quality.ReplicationFactor < 1 {
+		t.Fatalf("RF %v < 1", res.Quality.ReplicationFactor)
+	}
+}
+
+// TestCLUGPGreedyAssignPlaysNoGame: CLUGP-G places clusters by size in
+// one batch, with no game rounds or moves.
+func TestCLUGPGreedyAssignPlaysNoGame(t *testing.T) {
+	g := webGraph(2000, 5)
+	p := &CLUGP{Seed: 1, GreedyAssign: true}
+	if _, err := Run(p, g, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if tr := p.LastTrace; tr.GameRounds != 0 || tr.GameMoves != 0 || tr.GameBatches != 1 {
+		t.Fatalf("greedy placement played a game: %+v", tr)
+	}
+}
+
+// TestCLUGPRecordsCustomOrder: CLUGP streamed in an order other than its
+// preferred BFS runs every pass and records that order on the result.
+func TestCLUGPRecordsCustomOrder(t *testing.T) {
+	g := webGraph(1000, 6)
+	p := &CLUGP{Seed: 1}
+	res, err := RunStreamed(p, stream.NewView(g, stream.Random, 3).Source(g.NumVertices), stream.Random, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Order != stream.Random {
+		t.Fatalf("order %v, want random", res.Order)
+	}
+	if p.LastTrace == nil || p.LastTrace.NumClusters == 0 {
+		t.Fatalf("no pass-1 trace: %+v", p.LastTrace)
 	}
 }
 

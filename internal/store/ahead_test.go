@@ -109,13 +109,29 @@ func TestDecodeAheadMatchesInline(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to come back down to
-// base and reports the count it saw last.
-func settleGoroutines(base int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 100 && n > base; i++ {
+// decodeGoroutines counts the goroutines running a decode-ahead loop, read
+// from every goroutine's stack, so goroutines that other code starts or
+// ends meanwhile do not move it.
+func decodeGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("store.(*segCore).decodeAhead("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settleDecodeGoroutines waits for the decode-ahead goroutine count to
+// reach 0 and reports the count it saw last. A stopped goroutine has
+// signalled its exit before it returns, so its frame can outlive the stop
+// by a moment.
+func settleDecodeGoroutines() int {
+	n := decodeGoroutines()
+	for i := 0; i < 100 && n > 0; i++ {
 		time.Sleep(5 * time.Millisecond)
-		n = runtime.NumGoroutine()
+		n = decodeGoroutines()
 	}
 	return n
 }
@@ -129,7 +145,6 @@ func TestDecodeAheadResetAndCloseStopGoroutine(t *testing.T) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
 			withProcs(2, func() {
-				base := runtime.NumGoroutine()
 				src, err := bc.open(path)
 				if err != nil {
 					t.Fatal(err)
@@ -139,14 +154,14 @@ func TestDecodeAheadResetAndCloseStopGoroutine(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if coreOf(t, src).run == nil || runtime.NumGoroutine() <= base {
-					t.Fatal("no decode goroutine mid-pass")
+				if n := decodeGoroutines(); coreOf(t, src).run == nil || n != 1 {
+					t.Fatalf("mid-pass: %d decode goroutines, want 1", n)
 				}
 				if err := src.Reset(); err != nil {
 					t.Fatal(err)
 				}
-				if n := settleGoroutines(base); n != base {
-					t.Fatalf("after a mid-pass Reset: %d goroutines, %d before the pass", n, base)
+				if n := settleDecodeGoroutines(); n != 0 {
+					t.Fatalf("after a mid-pass Reset: %d decode goroutines", n)
 				}
 				blk, err := src.NextBlock()
 				if err != nil || len(blk) == 0 || blk[0] != g.Edges[0] {
@@ -155,8 +170,8 @@ func TestDecodeAheadResetAndCloseStopGoroutine(t *testing.T) {
 				if err := src.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if n := settleGoroutines(base); n != base {
-					t.Fatalf("after a mid-pass Close: %d goroutines, %d before the pass", n, base)
+				if n := settleDecodeGoroutines(); n != 0 {
+					t.Fatalf("after a mid-pass Close: %d decode goroutines", n)
 				}
 			})
 		})

@@ -152,7 +152,7 @@ func (v View) OrderBytes() int64 {
 
 // MaxLen is the largest edge count a permutation View can index:
 // permutations use int32 entries (half the footprint of int64). Callers
-// with an error path (partition.Run, core.Run) reject longer inputs via
+// with an error path (partition.Run) reject longer inputs via
 // CheckLen up front; NewView itself panics past the limit, since a silent
 // truncation would be worse.
 const MaxLen = math.MaxInt32
