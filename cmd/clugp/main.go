@@ -95,7 +95,7 @@ func main() {
 		ckPath  = flag.String("checkpoint", "", "write crash-recovery checkpoints to this file during -stream (the previous one rotates to .prev)")
 		ckEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in edges (default: ~1/16 of the stream)")
 		resumeF = flag.Bool("resume", false, "resume an interrupted -stream run from -checkpoint (falls back to .prev if the newest is corrupt)")
-		retryF  = flag.Int("retry", 0, "survive transient read faults: attempt each stream position up to N times (0 = no retry wrapper)")
+		retryF  = flag.Int("retry", 0, "with -stream, survive transient read faults: attempt each stream position up to N times (0 = no retry wrapper)")
 	)
 	flag.Parse()
 
@@ -115,14 +115,24 @@ func main() {
 		os.Exit(1)
 	}()
 
-	if (*ckPath != "" || *resumeF) && !*streamF {
-		fail(fmt.Errorf("-checkpoint/-resume need -stream (checkpoints point into the out-of-core pass's durable output)"))
+	o := runOpts{
+		in:         *in,
+		preset:     *preset,
+		scale:      *scale,
+		seed:       *seed,
+		stream:     *streamF,
+		k:          *k,
+		out:        *out,
+		resultPath: *resultF,
+		ckPath:     *ckPath,
+		ckEvery:    *ckEvery,
+		resume:     *resumeF,
+		retry:      *retryF,
 	}
-	if *resumeF && *ckPath == "" {
-		fail(fmt.Errorf("-resume needs -checkpoint FILE to resume from"))
-	}
-	if *ckPath != "" && *out == "" {
-		fail(fmt.Errorf("-checkpoint needs -assign FILE: a checkpoint points into the durable assignment, which a resume replays"))
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkRunFlags(set, o); err != nil {
+		fail(err)
 	}
 
 	stop, err := startProfiles(*cpuprof, *memprof)
@@ -150,25 +160,12 @@ func main() {
 		return
 	}
 
-	p, err := buildPartitioner(*algo, *seed, *tau, *weight, *batch, *thr)
+	p, err := buildPartitioner(*algo, *seed, set, *tau, *weight, *batch, *thr)
 	if err != nil {
 		fail(err)
 	}
 
-	res, err := run(p, runOpts{
-		in:         *in,
-		preset:     *preset,
-		scale:      *scale,
-		seed:       *seed,
-		stream:     *streamF,
-		k:          *k,
-		out:        *out,
-		resultPath: *resultF,
-		ckPath:     *ckPath,
-		ckEvery:    *ckEvery,
-		resume:     *resumeF,
-		retry:      *retryF,
-	})
+	res, err := run(p, o)
 	if err != nil {
 		fail(err)
 	}
@@ -239,14 +236,49 @@ func printCLUGPTrace(w io.Writer, c *repro.CLUGP) {
 		t.ClusterTime.Seconds(), t.BuildTime.Seconds(), t.GameTime.Seconds(), t.TransformTime.Seconds())
 }
 
-// buildPartitioner mirrors the historical flag behaviour: CLUGP knobs apply
-// only when the algorithm is CLUGP, everything else goes through the
-// registry.
-func buildPartitioner(algo string, seed uint64, tau, weight float64, batch, thr int) (repro.Partitioner, error) {
-	if algo == "CLUGP" && (tau != 0 || weight != 0 || batch != 0 || thr != 0) {
-		return &repro.CLUGP{Tau: tau, RelWeight: weight, BatchSize: batch, Threads: thr, Seed: seed}, nil
+// buildPartitioner constructs algo from the registry and applies the CLUGP
+// knobs to every CLUGP-family algorithm; set names the flags given on the
+// command line. A knob the algorithm would ignore is an error naming its
+// flag: only the CLUGP family reads them, and CLUGP-G, which places
+// clusters greedily, plays no game for -weight, -batch or -threads to tune.
+func buildPartitioner(algo string, seed uint64, set map[string]bool, tau, weight float64, batch, thr int) (repro.Partitioner, error) {
+	p, err := repro.NewPartitioner(algo, seed)
+	if err != nil {
+		return nil, err
 	}
-	return repro.NewPartitioner(algo, seed)
+	c, family := p.(*repro.CLUGP)
+	for _, name := range []string{"tau", "weight", "batch", "threads"} {
+		switch {
+		case !set[name]:
+		case !family:
+			return nil, fmt.Errorf("-%s applies only to the CLUGP family (CLUGP, CLUGP-S, CLUGP-G), not to %s", name, algo)
+		case c.GreedyAssign && name != "tau":
+			return nil, fmt.Errorf("-%s tunes the partitioning game, which %s replaces with greedy placement", name, algo)
+		}
+	}
+	if family {
+		c.Tau, c.RelWeight, c.BatchSize, c.Threads = tau, weight, batch, thr
+	}
+	return p, nil
+}
+
+// checkRunFlags rejects flag combinations in which a flag would have no
+// effect or the run could not honour it; set names the flags given on the
+// command line.
+func checkRunFlags(set map[string]bool, o runOpts) error {
+	switch {
+	case (o.ckPath != "" || o.resume) && !o.stream:
+		return fmt.Errorf("-checkpoint/-resume need -stream (checkpoints point into the out-of-core pass's durable output)")
+	case o.resume && o.ckPath == "":
+		return fmt.Errorf("-resume needs -checkpoint FILE to resume from")
+	case o.ckPath != "" && o.out == "":
+		return fmt.Errorf("-checkpoint needs -assign FILE: a checkpoint points into the durable assignment, which a resume replays")
+	case set["checkpoint-every"] && o.ckPath == "":
+		return fmt.Errorf("-checkpoint-every needs -checkpoint FILE")
+	case set["retry"] && !o.stream:
+		return fmt.Errorf("-retry needs -stream (only the out-of-core pass re-reads its input)")
+	}
+	return nil
 }
 
 // runOpts bundles one run's configuration.

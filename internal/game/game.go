@@ -54,13 +54,6 @@ type Config struct {
 	// typically reached in well under 50 rounds. Zero means 1000; negative
 	// values are rejected.
 	MaxRounds int
-	// Restarts plays each batch's game from that many independent random
-	// initial assignments and keeps the equilibrium with the lowest
-	// potential. The theory motivates this directly: any equilibrium is
-	// within PoA = k+1 of optimal (Theorem 7) but the best one is within
-	// PoS = 2 (Theorem 8), so extra restarts close the anarchy gap.
-	// Zero means 1.
-	Restarts int
 	// Seed drives the random initial assignment (Algorithm 3 line 2).
 	Seed uint64
 }
@@ -75,9 +68,6 @@ func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}
-	if c.Restarts <= 0 {
-		c.Restarts = 1
-	}
 	return c
 }
 
@@ -87,8 +77,7 @@ type Assignment struct {
 	// Partition[c] is the partition chosen for cluster c.
 	Partition []int32
 	// Rounds is the maximum over batches of the best-response rounds the
-	// batch played; with Restarts > 1 a batch's rounds are summed across
-	// its restarts.
+	// batch played.
 	Rounds int
 	// Moves is the total number of strategy changes across all batches.
 	Moves int64
@@ -129,10 +118,10 @@ func Solve(cg *cluster.Graph, cfg Config) (*Assignment, error) {
 
 	// Bounded worker pool: cfg.Threads workers claim batch indices from an
 	// atomic counter, each owning one scratch set reused across every batch
-	// (and restart) it plays. The former goroutine-per-batch launch spawned
-	// thousands of goroutines at production batch counts and allocated
-	// fresh load/size/weight arrays per batch; batches are independent, so
-	// which worker plays a batch cannot affect the equilibrium.
+	// it plays. The former goroutine-per-batch launch spawned thousands of
+	// goroutines at production batch counts and allocated fresh
+	// load/size/weight arrays per batch; batches are independent, so which
+	// worker plays a batch cannot affect the equilibrium.
 	workers := cfg.Threads
 	if workers > nBatches {
 		workers = nBatches
@@ -154,7 +143,7 @@ func Solve(cg *cluster.Graph, cfg Config) (*Assignment, error) {
 				if hi > m {
 					hi = m
 				}
-				rounds, moves := playBatchBest(cg, cfg, lo, hi, out.Partition, &sc)
+				rounds, moves := playBatch(cg, cfg, lo, hi, out.Partition[lo:hi], &sc)
 				stats[b] = batchStats{rounds: rounds, moves: moves}
 			}
 		}()
@@ -170,11 +159,9 @@ func Solve(cg *cluster.Graph, cfg Config) (*Assignment, error) {
 }
 
 // scratch is one worker's reusable batch-game state. Buffers are sized to
-// the largest batch the worker has seen and reused for every later batch
-// and restart, so the steady-state game plays allocation-free.
+// the largest batch the worker has seen and reused for every later batch,
+// so the steady-state game plays allocation-free.
 type scratch struct {
-	out     []int32   // working assignment, batch-local indices [0,hi-lo)
-	best    []int32   // best equilibrium across restarts
 	size    []int64   // cluster weights
 	load    []int64   // per-partition load
 	wTo     []float64 // arc weight toward each partition
@@ -186,13 +173,9 @@ type scratch struct {
 }
 
 func (sc *scratch) reset(n, k int) {
-	if cap(sc.out) < n {
-		sc.out = make([]int32, n)
-		sc.best = make([]int32, n)
+	if cap(sc.size) < n {
 		sc.size = make([]int64, n)
 	}
-	sc.out = sc.out[:n]
-	sc.best = sc.best[:n]
 	sc.size = sc.size[:n]
 	if cap(sc.load) < k {
 		sc.load = make([]int64, k)
@@ -214,85 +197,11 @@ func (sc *scratch) reset(n, k int) {
 	sc.pos = sc.pos[:k]
 }
 
-// playBatchBest plays the batch game cfg.Restarts times from independent
-// random initializations and keeps the equilibrium with the lowest
-// batch-local potential, writing it into assign[lo:hi]. All working state
-// lives in the worker's scratch.
-func playBatchBest(cg *cluster.Graph, cfg Config, lo, hi int, assign []int32, sc *scratch) (rounds int, moves int64) {
-	sc.reset(hi-lo, cfg.K)
-	if cfg.Restarts <= 1 {
-		rounds, moves = playBatch(cg, cfg, lo, hi, sc.out, sc)
-		copy(assign[lo:hi], sc.out)
-		return rounds, moves
-	}
-	bestPot := 0.0
-	for r := 0; r < cfg.Restarts; r++ {
-		attempt := cfg
-		attempt.Seed = cfg.Seed + uint64(r)*0x9e3779b97f4a7c15
-		rr, mm := playBatch(cg, attempt, lo, hi, sc.out, sc)
-		rounds += rr
-		moves += mm
-		pot := batchPotential(cg, sc.out, cfg, lo, hi, sc.load)
-		if r == 0 || pot < bestPot {
-			bestPot = pot
-			copy(sc.best, sc.out)
-		}
-	}
-	copy(assign[lo:hi], sc.best)
-	return rounds, moves
-}
-
-// batchPotential evaluates the batch-local potential (Definition 4
-// restricted to in-batch clusters and arcs) of the batch-local assignment
-// out (out[c-lo] is cluster c's partition). loads is caller scratch of
-// length k.
-func batchPotential(cg *cluster.Graph, out []int32, cfg Config, lo, hi int, loads []int64) float64 {
-	k := cfg.K
-	lambda := cfg.Lambda
-	if lambda == 0 {
-		var sumW, inter int64
-		for c := lo; c < hi; c++ {
-			sumW += cg.WeightOf(cluster.ID(c))
-			inter += cg.TotalAdjacency(cluster.ID(c))
-		}
-		inter /= 2
-		if sumW > 0 {
-			lambda = float64(k*k) * float64(inter) / (float64(sumW) * float64(sumW))
-		} else {
-			lambda = 1
-		}
-	}
-	loads = loads[:k]
-	for i := range loads {
-		loads[i] = 0
-	}
-	for c := lo; c < hi; c++ {
-		loads[out[c-lo]] += cg.WeightOf(cluster.ID(c))
-	}
-	var loadSq float64
-	for _, l := range loads {
-		loadSq += float64(l) * float64(l)
-	}
-	var cut float64
-	for c := lo; c < hi; c++ {
-		ac := out[c-lo]
-		for _, a := range cg.Adj[c] {
-			if int(a.To) < lo || int(a.To) >= hi {
-				continue
-			}
-			if out[int(a.To)-lo] != ac {
-				cut += float64(a.W)
-			}
-		}
-	}
-	cut /= 2
-	return lambda/(2*float64(k))*loadSq + cut/2
-}
-
 // playBatch runs sequential best-response dynamics over clusters [lo,hi),
 // writing final choices into out (batch-local: out[c-lo] is cluster c's
 // partition). It only reads cg and its own range, so batches are data-race
-// free; all buffers come from the worker's scratch.
+// free; all other buffers come from the worker's scratch, which it sizes
+// first.
 //
 // A best response picks the strategy an ascending scan over all k
 // partitions picks: the lowest-index partition at the minimum cost, with a
@@ -304,6 +213,7 @@ func batchPotential(cg *cluster.Graph, out []int32, cfg Config, lo, hi int, load
 // and the step falls back to the scan itself.
 func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scratch) (rounds int, moves int64) {
 	k := cfg.K
+	sc.reset(hi-lo, k)
 	rng := xrand.New(cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(lo+1)))
 
 	// Cluster sizes for load balancing: the weight 2*intra+adjacency, which
@@ -361,7 +271,7 @@ func playBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32, sc *scrat
 
 	// Scratch: weight from the current cluster to each partition. wTo is
 	// kept all-zero between uses (the touched list undoes every write), so
-	// reuse across batches and restarts is free. A partition is occupied
+	// reuse across batches is free. A partition is occupied
 	// by an in-batch neighbour exactly when its wTo is non-zero.
 	wTo := sc.wTo[:k]
 	touched := sc.touched[:0]

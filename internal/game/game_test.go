@@ -65,20 +65,18 @@ func TestSolveRejectsBadConfig(t *testing.T) {
 }
 
 // TestSolveRoundsAtCap: a game stopped by MaxRounds reports the rounds it
-// played, summed over restarts, not one past the cap.
+// played, not one past the cap.
 func TestSolveRoundsAtCap(t *testing.T) {
 	cg := testClusterGraph(t, 2000, 16, 2)
-	for _, restarts := range []int{1, 3} {
-		asg, err := Solve(cg, Config{K: 8, Seed: 1, MaxRounds: 1, Restarts: restarts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if asg.Moves == 0 {
-			t.Fatal("one round from a random start moved nothing; the cap was not exercised")
-		}
-		if asg.Rounds != restarts {
-			t.Fatalf("restarts=%d: Rounds = %d at MaxRounds 1, want %d", restarts, asg.Rounds, restarts)
-		}
+	asg, err := Solve(cg, Config{K: 8, Seed: 1, MaxRounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asg.Moves == 0 {
+		t.Fatal("one round from a random start moved nothing; the cap was not exercised")
+	}
+	if asg.Rounds != 1 {
+		t.Fatalf("Rounds = %d at MaxRounds 1, want 1", asg.Rounds)
 	}
 }
 
@@ -395,7 +393,7 @@ func TestWorkerPoolInvariantToThreads(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var first *Assignment
 	for _, threads := range []int{1, 3, 64, 10000} {
-		asg, err := Solve(cg, Config{K: 8, Seed: 5, BatchSize: 1, Threads: threads, Restarts: 2})
+		asg, err := Solve(cg, Config{K: 8, Seed: 5, BatchSize: 1, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

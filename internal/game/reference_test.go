@@ -84,7 +84,7 @@ func refPlayBatch(cg *cluster.Graph, cfg Config, lo, hi int, out []int32) (round
 	}
 }
 
-// refSolve plays Solve's batches and restarts serially with refPlayBatch.
+// refSolve plays Solve's batches serially with refPlayBatch.
 func refSolve(cg *cluster.Graph, cfg Config) *Assignment {
 	cfg = cfg.withDefaults()
 	m := cg.NumClusters
@@ -93,25 +93,11 @@ func refSolve(cg *cluster.Graph, cfg Config) *Assignment {
 	if batch <= 0 || batch > m {
 		batch = m
 	}
-	loads := make([]int64, cfg.K)
 	for lo := 0; lo < m; lo += batch {
 		hi := min(lo+batch, m)
-		work := make([]int32, hi-lo)
-		var rounds int
-		bestPot := 0.0
-		for r := 0; r < cfg.Restarts; r++ {
-			attempt := cfg
-			attempt.Seed = cfg.Seed + uint64(r)*0x9e3779b97f4a7c15
-			rr, mm := refPlayBatch(cg, attempt, lo, hi, work)
-			rounds += rr
-			out.Moves += mm
-			pot := batchPotential(cg, work, cfg, lo, hi, loads)
-			if r == 0 || pot < bestPot {
-				bestPot = pot
-				copy(out.Partition[lo:hi], work)
-			}
-		}
+		rounds, moves := refPlayBatch(cg, cfg, lo, hi, out.Partition[lo:hi])
 		out.Rounds = max(out.Rounds, rounds)
+		out.Moves += moves
 		out.Batches++
 	}
 	return out
@@ -128,7 +114,8 @@ func serialSolve(cg *cluster.Graph, cfg Config, sc *scratch) *Assignment {
 		batch = m
 	}
 	for lo := 0; lo < m; lo += batch {
-		rounds, moves := playBatchBest(cg, cfg, lo, min(lo+batch, m), out.Partition, sc)
+		hi := min(lo+batch, m)
+		rounds, moves := playBatch(cg, cfg, lo, hi, out.Partition[lo:hi], sc)
 		out.Rounds = max(out.Rounds, rounds)
 		out.Moves += moves
 		out.Batches++
@@ -187,10 +174,10 @@ func randomGraph(n, arcs int, seed uint64) *cluster.Graph {
 
 // TestPlayBatchMatchesFullScan holds the certified best response to the
 // full-scan reference: identical partitions, rounds and moves on random
-// and tie-heavy cluster graphs, over batch sizes, restarts, relative
-// weights and k both below and above the cluster count. The tiny-lambda
-// cases put load costs within 1e-9 of each other, which only the fallback
-// scan can resolve; the test requires that it ran.
+// and tie-heavy cluster graphs, over batch sizes, relative weights and k
+// both below and above the cluster count. The tiny-lambda cases put load
+// costs within 1e-9 of each other, which only the fallback scan can
+// resolve; the test requires that it ran.
 func TestPlayBatchMatchesFullScan(t *testing.T) {
 	web := testClusterGraph(t, 3000, 48, 21)
 	graphs := []struct {
@@ -206,9 +193,9 @@ func TestPlayBatchMatchesFullScan(t *testing.T) {
 		{},
 		{Lambda: 1e-13},
 		{Lambda: 1e-7},
-		{RelWeight: 0.3, Restarts: 3},
+		{RelWeight: 0.3},
 		{RelWeight: 0.8, BatchSize: 1},
-		{BatchSize: 32, Restarts: 2},
+		{BatchSize: 32},
 		{MaxRounds: 2},
 	}
 	var sc scratch
@@ -243,19 +230,17 @@ func TestPlayBatchMatchesFullScan(t *testing.T) {
 }
 
 // TestPlayBatchBestAllocFree: once a worker's scratch is sized, a batch
-// game allocates nothing, on the single-run and the restarts path.
+// game allocates nothing.
 func TestPlayBatchBestAllocFree(t *testing.T) {
 	cg := testClusterGraph(t, 2000, 32, 12)
 	assign := make([]int32, cg.NumClusters)
-	for _, restarts := range []int{1, 3} {
-		cfg := Config{K: 32, Seed: 3, Restarts: restarts}.withDefaults()
-		var sc scratch
-		playBatchBest(cg, cfg, 0, cg.NumClusters, assign, &sc)
-		allocs := testing.AllocsPerRun(5, func() {
-			playBatchBest(cg, cfg, 0, cg.NumClusters, assign, &sc)
-		})
-		if allocs != 0 {
-			t.Fatalf("restarts=%d: %v allocs per warmed batch game, want 0", restarts, allocs)
-		}
+	cfg := Config{K: 32, Seed: 3}.withDefaults()
+	var sc scratch
+	playBatch(cg, cfg, 0, cg.NumClusters, assign, &sc)
+	allocs := testing.AllocsPerRun(5, func() {
+		playBatch(cg, cfg, 0, cg.NumClusters, assign, &sc)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per warmed batch game, want 0", allocs)
 	}
 }

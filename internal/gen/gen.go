@@ -256,19 +256,3 @@ func SampleVertices(g *graph.Graph, frac float64, seed uint64) *graph.Graph {
 	}
 	return graph.New(n, edges)
 }
-
-// SampleEdges keeps each edge independently with probability frac, without
-// relabelling vertices. Used for quick stress variants in tests.
-func SampleEdges(g *graph.Graph, frac float64, seed uint64) *graph.Graph {
-	if frac <= 0 || frac > 1 {
-		panic(fmt.Sprintf("gen: sample fraction %v out of (0,1]", frac))
-	}
-	rng := xrand.New(seed)
-	var edges []graph.Edge
-	for _, e := range g.Edges {
-		if rng.Float64() < frac {
-			edges = append(edges, e)
-		}
-	}
-	return graph.New(g.NumVertices, edges)
-}

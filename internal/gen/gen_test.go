@@ -195,22 +195,10 @@ func TestSampleVertices(t *testing.T) {
 	}
 }
 
-func TestSampleEdges(t *testing.T) {
-	g := Web(WebConfig{N: 2000, OutDegree: 5, CopyFactor: 0.5, Seed: 19})
-	s := SampleEdges(g, 0.3, 7)
-	ratio := float64(s.NumEdges()) / float64(g.NumEdges())
-	if ratio < 0.25 || ratio > 0.35 {
-		t.Fatalf("edge sample ratio %v, want ~0.3", ratio)
-	}
-	if s.NumVertices != g.NumVertices {
-		t.Fatal("edge sampling must not relabel vertices")
-	}
-}
-
 func TestSamplePanics(t *testing.T) {
 	g := Web(WebConfig{N: 100, OutDegree: 3, CopyFactor: 0.5, Seed: 1})
 	mustPanic(t, func() { SampleVertices(g, 0, 1) })
-	mustPanic(t, func() { SampleEdges(g, 1.5, 1) })
+	mustPanic(t, func() { SampleVertices(g, 1.5, 1) })
 }
 
 func mustPanic(t *testing.T, f func()) {

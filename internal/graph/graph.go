@@ -68,24 +68,6 @@ func (g *Graph) Degrees() []uint32 {
 	return deg
 }
 
-// OutDegrees returns the out-degree of every vertex.
-func (g *Graph) OutDegrees() []uint32 {
-	deg := make([]uint32, g.NumVertices)
-	for _, e := range g.Edges {
-		deg[e.Src]++
-	}
-	return deg
-}
-
-// InDegrees returns the in-degree of every vertex.
-func (g *Graph) InDegrees() []uint32 {
-	deg := make([]uint32, g.NumVertices)
-	for _, e := range g.Edges {
-		deg[e.Dst]++
-	}
-	return deg
-}
-
 // MaxDegree returns the maximum total degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() uint32 {
 	var max uint32

@@ -41,23 +41,6 @@ func TestDegrees(t *testing.T) {
 	}
 }
 
-func TestInOutDegrees(t *testing.T) {
-	g := small()
-	out := g.OutDegrees()
-	in := g.InDegrees()
-	var sumOut, sumIn uint32
-	for v := range out {
-		sumOut += out[v]
-		sumIn += in[v]
-	}
-	if int(sumOut) != g.NumEdges() || int(sumIn) != g.NumEdges() {
-		t.Fatalf("degree sums %d/%d, want %d", sumOut, sumIn, g.NumEdges())
-	}
-	if out[3] != 2 || in[1] != 2 {
-		t.Fatalf("out[3]=%d in[1]=%d, want 2,2", out[3], in[1])
-	}
-}
-
 func TestMaxDegree(t *testing.T) {
 	if got := small().MaxDegree(); got != 3 {
 		t.Fatalf("MaxDegree = %d, want 3", got)

@@ -26,26 +26,11 @@ type CLUGP struct {
 	// Tau is the imbalance factor: no partition may exceed tau*|E|/k edges
 	// (Algorithm 1 line 2). Zero means 1.0, the paper's default.
 	Tau float64
-	// VmaxFactor scales the maximum cluster volume Vmax = factor*|E|/k.
-	// Zero means 0.2, i.e. Vmax = |E|/(5k). The paper follows Hollocou's
-	// |E|/k suggestion; our calibration (DESIGN.md) found that partitioning
-	// quality needs clusters an order of magnitude finer than partitions,
-	// so that the game has enough movable pieces to both balance and heal
-	// inter-cluster adjacency - at factor 1.0 the transformation's balance
-	// guard ends up rerouting a large share of edges.
-	VmaxFactor float64
 	// RelWeight is the relative weight of load balance vs edge cutting in
 	// the game (Figure 11b); zero means 0.5 (equal, Equation 11).
 	RelWeight float64
-	// Lambda overrides the game normalization factor; zero selects the
-	// Theorem 5 maximum, the paper's default.
-	Lambda float64
 	// BatchSize is the cluster-game batch size (default 6400, Section VI).
 	BatchSize int
-	// GameRestarts plays each batch game from that many random starts,
-	// keeping the lowest-potential equilibrium (closing the PoA/PoS gap of
-	// Theorems 7-8). Zero means 1.
-	GameRestarts int
 	// Threads is the number of parallel game workers (default GOMAXPROCS;
 	// the paper uses 32).
 	Threads int
@@ -63,6 +48,15 @@ type CLUGP struct {
 	// LastTrace captures diagnostics of the most recent run (nil before).
 	LastTrace *Trace
 }
+
+// vmaxFactor scales the maximum cluster volume Vmax = vmaxFactor*|E|/k,
+// i.e. Vmax = |E|/(5k). The paper follows Hollocou's |E|/k suggestion; our
+// calibration (DESIGN.md) found that partitioning quality needs clusters an
+// order of magnitude finer than partitions, so that the game has enough
+// movable pieces to both balance and heal inter-cluster adjacency - at
+// factor 1.0 the transformation's balance guard ends up rerouting a large
+// share of edges.
+const vmaxFactor = 0.2
 
 // clugpFrozen is what passes 1 and 2 leave for pass 3: the per-vertex
 // record, read-only during pass 3, and the pass-1/2 diagnostics. The
@@ -173,15 +167,11 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 // passes12 runs pass 1 (streaming clustering) and pass 2 (the cluster
 // graph and the partitioning game).
 func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
-	vf := c.VmaxFactor
-	if vf == 0 {
-		vf = 0.2
-	}
 	numEdges := src.Len()
 
-	// Pass 1: streaming clustering. Vmax = vf*|E|/k, at least 2 so that
-	// tiny graphs still form multi-vertex clusters.
-	vmax := int64(vf * float64(numEdges) / float64(k))
+	// Pass 1: streaming clustering. Vmax = vmaxFactor*|E|/k, at least 2 so
+	// that tiny graphs still form multi-vertex clusters.
+	vmax := int64(vmaxFactor * float64(numEdges) / float64(k))
 	if vmax < 2 {
 		vmax = 2
 	}
@@ -213,11 +203,9 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 		}
 		asg, err = game.Solve(cg, game.Config{
 			K:         k,
-			Lambda:    c.Lambda,
 			RelWeight: c.RelWeight,
 			BatchSize: batch,
 			Threads:   c.Threads,
-			Restarts:  c.GameRestarts,
 			Seed:      c.Seed,
 		})
 		if err != nil {

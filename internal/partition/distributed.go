@@ -30,9 +30,6 @@ import (
 type DistributedCLUGP struct {
 	// Nodes is the number of ingest nodes (default 4).
 	Nodes int
-	// Options configures each node's local pipeline (Seed is perturbed per
-	// node; leave Options.Seed zero to derive everything from Seed).
-	Options CLUGP
 	// Seed drives per-node seeds.
 	Seed uint64
 }
@@ -53,13 +50,6 @@ func (d *DistributedCLUGP) nodeCount(numEdges int) int {
 		nodes = 1
 	}
 	return nodes
-}
-
-// nodeLocal returns node nd's pipeline, seeded deterministically.
-func (d *DistributedCLUGP) nodeLocal(nd int) CLUGP {
-	local := d.Options // copy: each node owns its pipeline state
-	local.Seed = d.Seed ^ (0x9e3779b97f4a7c15 * uint64(nd+1))
-	return local
 }
 
 // shards opens one independent sub-source per ingest node. The source must
@@ -114,7 +104,8 @@ func (d *DistributedCLUGP) run(src stream.Source, k int, sink *assignSink) error
 	// The nodes read only their shards, never src itself.
 	sink.decodeAhead = slices.ContainsFunc(shards, decodesAhead)
 	for nd, sub := range shards {
-		local := d.nodeLocal(nd)
+		// Each node runs a default CLUGP pipeline, seeded deterministically.
+		local := CLUGP{Seed: d.Seed ^ (0x9e3779b97f4a7c15 * uint64(nd+1))}
 		if err := local.run(sub, k, sink); err != nil {
 			return fmt.Errorf("clugp-d node %d: %w", nd, err)
 		}
@@ -130,6 +121,6 @@ func (d *DistributedCLUGP) StateBytes(numVertices, numEdges, k int) int64 {
 	if nodes <= 0 {
 		nodes = 4
 	}
-	one := d.Options.StateBytes(numVertices, numEdges, k)
+	one := (&CLUGP{}).StateBytes(numVertices, numEdges, k)
 	return int64(nodes) * one
 }

@@ -26,11 +26,7 @@ import (
 type Mint struct {
 	// BatchSize is the number of edges per game (default 6400).
 	BatchSize int
-	// MaxRounds caps best-response rounds per batch (default 4).
-	MaxRounds int
-	// BalanceWeight scales the load term of the edge cost (default 1.0).
-	BalanceWeight float64
-	Seed          uint64
+	Seed      uint64
 
 	sizes    []int64
 	local    []int64
@@ -39,6 +35,13 @@ type Mint struct {
 	presence u64Table
 	primary  u64Table
 }
+
+const (
+	// mintMaxRounds caps best-response rounds per batch.
+	mintMaxRounds = 4
+	// mintBalanceWeight scales the load term of the edge cost.
+	mintBalanceWeight = 1.0
+)
 
 // u64Table is an open-addressed uint64 -> int32 counter table with a fixed
 // hash (xrand.Hash64), power-of-two capacity, linear probing and
@@ -183,14 +186,6 @@ func (m *Mint) batchSize() int {
 // commits to the sink as soon as its game equilibrates.
 func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
 	batchSize := m.batchSize()
-	maxRounds := m.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4
-	}
-	mu := m.BalanceWeight
-	if mu == 0 {
-		mu = 1.0
-	}
 
 	numEdges := src.Len()
 	m.sizes = resetInt64(m.sizes, k)   // committed edges per partition
@@ -215,7 +210,7 @@ func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
 			batch = append(batch, blk[:take]...)
 			blk = blk[take:]
 			if len(batch) == batchSize {
-				if err := m.playBatch(batch, sink, k, numEdges, batchCap, maxRounds, mu); err != nil {
+				if err := m.playBatch(batch, sink, k, numEdges, batchCap); err != nil {
 					return err
 				}
 				batch = batch[:0]
@@ -224,7 +219,7 @@ func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
 		return nil
 	})
 	if err == nil && len(batch) > 0 {
-		err = m.playBatch(batch, sink, k, numEdges, batchCap, maxRounds, mu)
+		err = m.playBatch(batch, sink, k, numEdges, batchCap)
 	}
 	m.batch = batch[:0]
 	return err
@@ -232,7 +227,7 @@ func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
 
 // playBatch runs one batch game to (approximate) equilibrium and commits
 // its assignments to the sink.
-func (m *Mint) playBatch(batch []graph.Edge, sink *assignSink, k, numEdges, batchCap, maxRounds int, mu float64) error {
+func (m *Mint) playBatch(batch []graph.Edge, sink *assignSink, k, numEdges, batchCap int) error {
 	out := sink.grab(len(batch))
 	sizes, local, totals := m.sizes, m.local, m.totals
 	kk := uint64(k)
@@ -269,7 +264,7 @@ func (m *Mint) playBatch(batch []graph.Edge, sink *assignSink, k, numEdges, batc
 	}
 
 	avg := float64(numEdges)/float64(k) + 1
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < mintMaxRounds; round++ {
 		changed := false
 		// The least-loaded partition is the only attractive strategy
 		// beyond those where an endpoint already has presence, so each
@@ -285,7 +280,7 @@ func (m *Mint) playBatch(batch []graph.Edge, sink *assignSink, k, numEdges, batc
 			totals[cur]--
 
 			best := cur
-			bestCost := m.edgeCost(presence, totals, key, e, cur, mu, avg)
+			bestCost := m.edgeCost(presence, totals, key, e, cur, avg)
 			au := int32(xrand.Hash64(uint64(e.Src)^m.Seed) % kk)
 			av := int32(xrand.Hash64(uint64(e.Dst)^m.Seed) % kk)
 			cands := [5]int32{au, av, light, -1, -1}
@@ -299,7 +294,7 @@ func (m *Mint) playBatch(batch []graph.Edge, sink *assignSink, k, numEdges, batc
 				if p == cur || p < 0 {
 					continue
 				}
-				if c := m.edgeCost(presence, totals, key, e, p, mu, avg); c < bestCost-1e-12 {
+				if c := m.edgeCost(presence, totals, key, e, p, avg); c < bestCost-1e-12 {
 					bestCost = c
 					best = p
 				}
@@ -329,7 +324,7 @@ func (m *Mint) playBatch(batch []graph.Edge, sink *assignSink, k, numEdges, batc
 // edgeCost is the player cost of edge e choosing partition p: one unit per
 // endpoint that no co-batched edge has at p (a would-be replica), plus the
 // normalized load of p including the batch edges already there.
-func (m *Mint) edgeCost(presence *u64Table, totals []int64, key func(graph.VertexID, int32) uint64, e graph.Edge, p int32, mu, avg float64) float64 {
+func (m *Mint) edgeCost(presence *u64Table, totals []int64, key func(graph.VertexID, int32) uint64, e graph.Edge, p int32, avg float64) float64 {
 	var rep float64
 	if presence.get(key(e.Src, p)) == 0 {
 		rep++
@@ -337,7 +332,7 @@ func (m *Mint) edgeCost(presence *u64Table, totals []int64, key func(graph.Verte
 	if presence.get(key(e.Dst, p)) == 0 {
 		rep++
 	}
-	return rep + mu*float64(totals[p])/avg
+	return rep + mintBalanceWeight*float64(totals[p])/avg
 }
 
 // StateBytes implements StateSizer: the batch edge buffer, batch assignment

@@ -49,7 +49,7 @@ func fileBackends() []fileBackend {
 }
 
 // outOfCorePartitioners is every algorithm the out-of-core path must cover:
-// the full registry plus the extension partitioners and sharded ingest.
+// the full registry plus sharded ingest.
 func outOfCorePartitioners(t *testing.T) []Partitioner {
 	var ps []Partitioner
 	for _, name := range Names() {
@@ -59,10 +59,7 @@ func outOfCorePartitioners(t *testing.T) []Partitioner {
 		}
 		ps = append(ps, p)
 	}
-	return append(ps,
-		&Grid{Seed: 3},
-		&DistributedCLUGP{Nodes: 3, Seed: 3},
-	)
+	return append(ps, &DistributedCLUGP{Nodes: 3, Seed: 3})
 }
 
 // TestOutOfCoreMatchesInMemoryNatural is the equivalence criterion of the

@@ -65,20 +65,11 @@ func WriteFormat(w io.Writer, g *graph.Graph, f Format) error {
 	return cw.writeTrailer()
 }
 
-// Reader streams edges from an encoded graph.
-type Reader struct {
-	dec         decoder
-	numVertices int
-	numEdges    int
-	read        int
-}
-
-// NewReader validates the header and prepares decode. The trailer lives at
-// EOF, out of reach of a forward-only reader, so the bytes are buffered and
-// every payload block proven before the first edge decodes; the seekable
-// sources (OpenMmap, OpenReaderAt) verify lazily instead and are what the
-// streaming path uses.
-func NewReader(r io.Reader) (*Reader, error) {
+// Read decodes a whole graph. The trailer lives at EOF, out of reach of a
+// forward-only reader, so the bytes are buffered and every payload block
+// proven before the first edge decodes; the seekable sources (OpenMmap,
+// OpenReaderAt) verify lazily instead and are what the streaming path uses.
+func Read(r io.Reader) (*graph.Graph, error) {
 	// The magic and the rest of the stream land in one buffer, so the file
 	// is held once.
 	buf := bytes.NewBuffer(make([]byte, 4, 1<<16))
@@ -95,69 +86,26 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr := &Reader{}
-	sr.dec.cur = mappedCursor(payload)
-	nv, ne, err := readHeader(&sr.dec.cur)
+	var dec decoder
+	dec.cur = mappedCursor(payload)
+	nv, ne, err := readHeader(&dec.cur)
 	if err != nil {
 		return nil, err
 	}
-	sr.dec.nv = int64(nv)
-	sr.dec.ne = int64(ne)
-	sr.numVertices = nv
-	sr.numEdges = ne
-	return sr, nil
-}
-
-// NumVertices returns the declared vertex count.
-func (r *Reader) NumVertices() int { return r.numVertices }
-
-// NumEdges returns the declared edge count.
-func (r *Reader) NumEdges() int { return r.numEdges }
-
-// Next decodes the next edge. It returns io.EOF after the declared edge
-// count has been delivered.
-func (r *Reader) Next() (graph.Edge, error) {
-	if r.read >= r.numEdges {
-		return graph.Edge{}, io.EOF
-	}
-	var e [1]graph.Edge
-	if err := r.dec.decodeBlock(e[:], r.read); err != nil {
-		return graph.Edge{}, err
-	}
-	r.read++
-	return e[0], nil
-}
-
-// Read decodes a whole graph.
-func Read(r io.Reader) (*graph.Graph, error) {
-	sr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
+	dec.nv = int64(nv)
+	dec.ne = int64(ne)
 	// Cap the initial allocation: the declared edge count is untrusted until
 	// the body actually decodes, and a forged multi-billion count must not
 	// translate into a giant up-front allocation. Real counts beyond the cap
 	// just grow, a block at a time, as the body decodes straight into the
 	// edge slice.
-	ne := sr.NumEdges()
 	edges := make([]graph.Edge, 0, min(ne, 1<<20))
 	for len(edges) < ne {
 		at, n := len(edges), min(ne-len(edges), stream.BlockLen)
 		edges = slices.Grow(edges, n)[:at+n]
-		if err := sr.dec.decodeBlock(edges[at:], at); err != nil {
+		if err := dec.decodeBlock(edges[at:], at); err != nil {
 			return nil, err
 		}
 	}
-	return graph.New(sr.NumVertices(), edges), nil
-}
-
-// Sniff reports whether the reader's next bytes carry the graph-file magic,
-// without consuming them. The reader must support Peek
-// (bufio.Reader).
-func Sniff(br *bufio.Reader) bool {
-	head, err := br.Peek(4)
-	if err != nil {
-		return false
-	}
-	return SniffHeader(head)
+	return graph.New(nv, edges), nil
 }

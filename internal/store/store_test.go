@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,40 +49,6 @@ func TestCompressionBeatsText(t *testing.T) {
 	perEdge := float64(bin.Len()) / float64(g.NumEdges())
 	if perEdge > 4 {
 		t.Fatalf("%.2f bytes/edge, want < 4 on a crawl-ordered web graph", perEdge)
-	}
-}
-
-func TestStreamingReader(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 1000, OutDegree: 4, Seed: 3})
-	var buf bytes.Buffer
-	if err := Write(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.NumVertices() != g.NumVertices || sr.NumEdges() != g.NumEdges() {
-		t.Fatal("header mismatch")
-	}
-	for i := 0; ; i++ {
-		e, err := sr.Next()
-		if err == io.EOF {
-			if i != g.NumEdges() {
-				t.Fatalf("EOF after %d edges, want %d", i, g.NumEdges())
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e != g.Edges[i] {
-			t.Fatalf("edge %d mismatch", i)
-		}
-	}
-	// Next after EOF keeps returning EOF.
-	if _, err := sr.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v", err)
 	}
 }
 
@@ -137,14 +101,14 @@ func TestSniff(t *testing.T) {
 	if err := Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	if !Sniff(bufio.NewReader(&buf)) {
-		t.Fatal("Sniff missed own format")
+	if !SniffHeader(buf.Bytes()) {
+		t.Fatal("SniffHeader missed own format")
 	}
-	if Sniff(bufio.NewReader(strings.NewReader("0 1\n"))) {
-		t.Fatal("Sniff false positive on text")
+	if SniffHeader([]byte("0 1\n")) {
+		t.Fatal("SniffHeader false positive on text")
 	}
-	if Sniff(bufio.NewReader(strings.NewReader(""))) {
-		t.Fatal("Sniff true on empty input")
+	if SniffHeader(nil) {
+		t.Fatal("SniffHeader true on empty input")
 	}
 }
 

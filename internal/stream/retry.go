@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -21,7 +20,8 @@ type RetryStats struct {
 // that was survived by a replay - a green run over healthy media reads 0).
 func (s *RetryStats) Attempts() int64 { return s.attempts.Load() }
 
-// RetryConfig tunes a Retry wrapper.
+// RetryConfig tunes a Retry wrapper. A retry replays at once, with no
+// sleep between attempts.
 type RetryConfig struct {
 	// MaxAttempts is how many times the same stream position may be
 	// attempted before the error is surfaced (so MaxAttempts-1 retries).
@@ -29,10 +29,6 @@ type RetryConfig struct {
 	// stream delivers new edges, so a long pass tolerates MaxAttempts-1
 	// consecutive faults at each position, not in total.
 	MaxAttempts int
-	// Backoff is the sleep before the first retry, doubling on each
-	// consecutive one. Zero means no sleep - right for tests and for
-	// sources whose transient faults clear without waiting.
-	Backoff time.Duration
 	// Retryable reports whether an error is worth a replay. nil retries
 	// everything except io.EOF; persistent errors (checksum failures,
 	// truncation) then simply fail again until attempts run out, which
@@ -105,11 +101,10 @@ func (s *RetrySource) Reset() error {
 		}
 		s.attempts++
 		s.cfg.Stats.attempts.Add(1)
-		s.sleep()
 	}
 }
 
-// NextBlock implements Source. On a retryable error it backs off, resets the
+// NextBlock implements Source. On a retryable error it resets the
 // underlying source and replays forward to the first undelivered edge; the
 // block that resumes delivery may therefore start mid-way through one of the
 // underlying source's blocks.
@@ -143,7 +138,6 @@ func (s *RetrySource) NextBlock() ([]graph.Edge, error) {
 		}
 		s.attempts++
 		s.cfg.Stats.attempts.Add(1)
-		s.sleep()
 		for {
 			rerr := s.base.Reset()
 			if rerr == nil {
@@ -154,7 +148,6 @@ func (s *RetrySource) NextBlock() ([]graph.Edge, error) {
 			}
 			s.attempts++
 			s.cfg.Stats.attempts.Add(1)
-			s.sleep()
 		}
 		s.replay = s.pos
 	}
@@ -168,20 +161,6 @@ func (s *RetrySource) retryable(err error) bool {
 		return s.cfg.Retryable(err)
 	}
 	return true
-}
-
-func (s *RetrySource) sleep() { s.sleepN(s.attempts) }
-
-// sleepN sleeps the capped-doubling backoff for the given attempt number.
-func (s *RetrySource) sleepN(attempt int) {
-	if s.cfg.Backoff <= 0 {
-		return
-	}
-	d := s.cfg.Backoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-	}
-	time.Sleep(d)
 }
 
 // retrySegmenter adds Segment to RetrySource when the base supports it, so
@@ -205,7 +184,6 @@ func (s *retrySegmenter) Segment(lo, hi int) (Source, error) {
 		}
 		attempts++
 		s.cfg.Stats.attempts.Add(1)
-		s.sleepN(attempts)
 	}
 }
 

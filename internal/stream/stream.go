@@ -61,21 +61,6 @@ func (o Order) String() string {
 	}
 }
 
-// ParseOrder converts a name produced by Order.String back to an Order.
-func ParseOrder(s string) (Order, error) {
-	switch s {
-	case "natural":
-		return Natural, nil
-	case "bfs":
-		return BFS, nil
-	case "dfs":
-		return DFS, nil
-	case "random":
-		return Random, nil
-	}
-	return Natural, fmt.Errorf("stream: unknown order %q", s)
-}
-
 // View is a read-only, zero-copy view of an ordered edge stream: a base edge
 // slice plus an optional permutation. A nil permutation is the natural
 // order, aliasing the base storage directly. Views are values; copying one

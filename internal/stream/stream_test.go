@@ -41,17 +41,10 @@ func sameMultiset(a, b []graph.Edge) bool {
 }
 
 func TestOrderString(t *testing.T) {
-	for _, o := range []Order{Natural, BFS, DFS, Random} {
-		back, err := ParseOrder(o.String())
-		if err != nil {
-			t.Fatal(err)
+	for o, want := range map[Order]string{Natural: "natural", BFS: "bfs", DFS: "dfs", Random: "random", Order(9): "order(9)"} {
+		if got := o.String(); got != want {
+			t.Fatalf("Order(%d).String() = %q, want %q", int(o), got, want)
 		}
-		if back != o {
-			t.Fatalf("roundtrip %v -> %v", o, back)
-		}
-	}
-	if _, err := ParseOrder("bogus"); err == nil {
-		t.Fatal("bogus order accepted")
 	}
 }
 

@@ -8,10 +8,7 @@
 // and inlinable.
 package xrand
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a xoshiro256** generator. The zero value is not valid; use New.
 type RNG struct {
@@ -79,16 +76,6 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniform float64 in [0,1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1, by
-// inversion. Used by latency jitter in the engine's network model.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1 - u)
 }
 
 // Perm returns a random permutation of [0,n).

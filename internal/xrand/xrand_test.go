@@ -96,19 +96,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(17)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.03 {
-		t.Fatalf("ExpFloat64 mean %v, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
 		p := New(seed).Perm(int(n))
