@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +14,41 @@ import (
 
 	"repro"
 )
+
+// TestMain runs the command itself when CLUGP_RUN_MAIN is set, so a test
+// can run the test binary as clugp and observe its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("CLUGP_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStreamRefusesGreedy: out of core, Greedy would put every edge on one
+// partition, so clugp -stream -algo Greedy exits non-zero with the cause
+// instead of reporting that run.
+func TestStreamRefusesGreedy(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "g.cgr")
+	var enc bytes.Buffer
+	g := repro.GenerateWeb(repro.WebConfig{N: 2000, OutDegree: 5, Seed: 3})
+	if err := repro.WriteCompressed(&enc, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-in", in, "-stream", "-algo", "Greedy", "-k", "16")
+	cmd.Env = append(os.Environ(), "CLUGP_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() == 0 {
+		t.Fatalf("clugp -stream -algo Greedy: err %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "no balance term") {
+		t.Fatalf("clugp -stream -algo Greedy did not name the cause:\n%s", out)
+	}
+}
 
 // TestResumeResultMatchesCleanRun: a checkpointed -stream run that dies
 // mid-stream and is then resumed with -resume -result saves a .cpr and an

@@ -9,6 +9,12 @@
 //	experiments -fig table1
 //	experiments -all -scale 0.5     # everything, at half dataset size
 //
+// Figures 3, 4a, 7 and 9 and Table I run their algorithm x dataset x k
+// grid through the suite's grid runner with one worker and print one
+// metric of each cell, so they read the same cells the suite reports.
+// The suite-only flags (-workers, -seeds, -algos, -datasets, -ks, ...) do
+// not apply to figure mode; given there, each is named in a warning.
+//
 // Suite mode runs the full algorithm x dataset x k x seed grid on a worker
 // pool and writes a BENCH_<name>.json report for regression tracking:
 //

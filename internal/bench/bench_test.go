@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -273,5 +274,103 @@ func TestTable1Tiny(t *testing.T) {
 				t.Fatalf("Hashing classes %q/%q, want Low/Low", row[1], row[2])
 			}
 		}
+	}
+}
+
+// TestCellFiguresAreSuiteCells: Figures 3, 4a, 7 and 9 and Table I are
+// views of suite cells. RunSuite runs each figure's grid as well; the cells
+// the figure ran must equal those cell for cell (runtime and allocation
+// fields aside), and every number the figure prints must be the metric of
+// its cell. A figure that measured outside the grid runner hands over no
+// cells and fails.
+func TestCellFiguresAreSuiteCells(t *testing.T) {
+	cfg := tiny()
+	rf := func(c Cell) string { return fmt.Sprintf("%.3f", c.ReplicationFactor) }
+	runtimeMS := func(c Cell) string { return fmt.Sprintf("%.1f", float64(c.RuntimeNS)/1e6) }
+	for _, tc := range []struct {
+		name     string
+		run      Runner
+		datasets []string
+		algos    []string
+		ks       []int
+		metric   func(Cell) string // the entry of a k x algorithm table
+	}{
+		{"fig3", Fig3, []string{"UK", "Arabic", "WebBase", "IT"}, algos, cfg.Ks, rf},
+		{"fig4a", Fig4, []string{"Twitter"}, []string{"HDRF", "CLUGP"}, cfg.Ks, rf},
+		{"fig7", Fig7, []string{"UK", "IT"}, algos, cfg.Ks, runtimeMS},
+		{"fig9", Fig9, []string{"IT"}, []string{"CLUGP", "CLUGP-S", "CLUGP-G"}, cfg.Ks, rf},
+		{"table1", Table1, []string{"UK"}, algos, []int{64}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var grids [][]Cell
+			fcfg := cfg
+			fcfg.onCells = func(cells []Cell) { grids = append(grids, cells) }
+			tables, err := tc.run(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(grids) != 1 {
+				t.Fatalf("figure ran %d grids through the grid runner, want 1", len(grids))
+			}
+			got := grids[0]
+			report, err := RunSuite(SuiteConfig{
+				Algorithms: tc.algos, Datasets: tc.datasets, Ks: tc.ks,
+				Seeds: []uint64{cfg.Seed}, Scale: cfg.Scale,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deterministic := func(cells []Cell) []Cell {
+				out := append([]Cell(nil), cells...)
+				for i := range out {
+					out[i].RuntimeNS, out[i].Allocs, out[i].AllocBytes = 0, 0, 0
+				}
+				return out
+			}
+			if !reflect.DeepEqual(deterministic(got), deterministic(report.Cells)) {
+				t.Fatalf("figure cells differ from RunSuite's:\n got %+v\nwant %+v", got, report.Cells)
+			}
+			byID := map[string]Cell{}
+			for _, c := range got {
+				byID[c.ID()] = c
+			}
+			cell := func(alg, ds, k string) Cell {
+				t.Helper()
+				c, ok := byID[fmt.Sprintf("%s/%s k=%s seed=%d", alg, ds, k, cfg.Seed)]
+				if !ok {
+					t.Fatalf("no cell for %s/%s k=%s", alg, ds, k)
+				}
+				return c
+			}
+			checked := 0
+			if tc.metric == nil { // Table I: one row per algorithm at k=64.
+				for _, row := range tables[0].Rows {
+					c := cell(row[0], "UK", "64")
+					if row[3] != runtimeMS(c) || row[4] != rf(c) {
+						t.Fatalf("table1 row %v, cell runtime %s RF %s", row, runtimeMS(c), rf(c))
+					}
+					checked += 2
+				}
+			} else {
+				for i, ds := range tc.datasets {
+					tb := tables[i]
+					for _, row := range tb.Rows {
+						for col, alg := range tb.Header[1:] {
+							if want := tc.metric(cell(alg, ds, row[0])); row[col+1] != want {
+								t.Fatalf("%s %s k=%s: entry %s, cell says %s", tb.ID, alg, row[0], row[col+1], want)
+							}
+							checked++
+						}
+					}
+				}
+			}
+			perCell := 1
+			if tc.metric == nil {
+				perCell = 2
+			}
+			if checked != perCell*len(got) {
+				t.Fatalf("checked %d entries for %d cells", checked, len(got))
+			}
+		})
 	}
 }

@@ -91,11 +91,11 @@ func runCheckpointCells(cfg SuiteConfig) ([]CheckpointCell, error) {
 		// before the midpoint kill. A dataset below that floor would
 		// measure nothing, so skip it rather than fail the suite.
 		if g.NumEdges() < 3*stream.BlockLen {
-			suiteLogf(cfg, "checkpoint: %s too small at scale %.2f (%d edges < %d), skipping",
+			cfg.logf("checkpoint: %s too small at scale %.2f (%d edges < %d), skipping",
 				name, cfg.Scale, g.NumEdges(), 3*stream.BlockLen)
 			continue
 		}
-		suiteLogf(cfg, "checkpoint: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
+		cfg.logf("checkpoint: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
 		path := filepath.Join(dir, name+".cgr")
 		if err := writeEncoded(path, g); err != nil {
 			return nil, err
@@ -111,7 +111,7 @@ func runCheckpointCells(cfg SuiteConfig) ([]CheckpointCell, error) {
 				return nil, err
 			}
 			cells = append(cells, cell)
-			suiteLogf(cfg, "  checkpoint %-4s %-5s  bare %v  ckpt %v (+%.1f%%, %d written, %d B)",
+			cfg.logf("  checkpoint %-4s %-5s  bare %v  ckpt %v (+%.1f%%, %d written, %d B)",
 				name, alg, time.Duration(cell.BaselineNS).Round(time.Millisecond),
 				time.Duration(cell.CheckpointNS).Round(time.Millisecond),
 				cell.OverheadPct, cell.Written, cell.CheckpointBytes)

@@ -1,7 +1,9 @@
 // Package bench is the experiment harness: it holds the dataset registry
-// standing in for the paper's crawls and one runner per table/figure of the
-// evaluation section (Section VI). cmd/experiments is its CLI; the root
-// bench_test.go exposes the same runs as testing.B benchmarks.
+// standing in for the paper's crawls, one runner per table/figure of the
+// evaluation section (Section VI) and the benchmark suite. One grid runner
+// executes the suite's cells and those of the figures that are views of
+// cells. cmd/experiments is its CLI; the root bench_test.go exposes the
+// same runs as testing.B benchmarks.
 package bench
 
 import (
@@ -93,7 +95,7 @@ func DatasetByName(name string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("bench: unknown dataset %q (want UK, Arabic, WebBase, IT or Twitter)", name)
 }
 
-// WebDatasets returns only the four web graphs (the Figure 3/7/8 set).
+// WebDatasets returns only the four web graphs (the Figure 3 and 8 set).
 func WebDatasets() []Dataset {
 	all := Datasets()
 	web := all[:0:0]

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -21,12 +20,16 @@ type Config struct {
 	Ks []int
 	// Seed drives every stochastic component.
 	Seed uint64
-	// Progress, when non-nil, receives one line per completed run.
+	// Progress, when non-nil, receives one line per built graph and per
+	// completed grid cell.
 	Progress io.Writer
 
 	// cache memoizes stream orders across the many runs an experiment
 	// makes over the same graph; withDefaults installs one per experiment.
 	cache *stream.Cache
+	// onCells, when set, receives the cells of every grid a figure runs;
+	// the tests use it to check each figure against its cells.
+	onCells func([]Cell)
 }
 
 func (c Config) withDefaults() Config {
@@ -51,45 +54,147 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// run partitions g with the named algorithm, returning the full result.
-func (c Config) run(name string, g *graph.Graph, k int) (*partition.Result, error) {
-	p, err := partition.New(name, c.Seed)
+// runNamed constructs the named partitioner with seed and runs it on g at
+// k under its preferred stream order, read through cache. It is the one
+// construct-and-run step of every suite cell and figure.
+func runNamed(name string, g *graph.Graph, k int, seed uint64, cache *stream.Cache) (*partition.Result, error) {
+	p, err := partition.New(name, seed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := partition.RunCached(p, g, k, c.Seed, c.cache)
-	if err != nil {
-		return nil, err
+	return partition.RunCached(p, g, k, seed, cache)
+}
+
+// buildGraphs builds each named dataset once at scale.
+func buildGraphs(names []string, scale float64, logf func(string, ...any)) (map[string]*graph.Graph, error) {
+	graphs := make(map[string]*graph.Graph, len(names))
+	for _, name := range names {
+		ds, err := DatasetByName(name)
+		if err != nil {
+			return nil, err
+		}
+		g := ds.Build(scale)
+		graphs[name] = g
+		logf("built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
 	}
-	c.logf("  %-8s k=%-4d RF=%.3f bal=%.3f t=%v", name, k, res.Quality.ReplicationFactor, res.Quality.RelativeBalance, res.Runtime.Round(time.Millisecond))
-	return res, nil
+	return graphs, nil
 }
 
 // algos is the plotting order of the paper's figures.
 var algos = []string{"HDRF", "Greedy", "Hashing", "DBH", "Mint", "CLUGP"}
 
-// Fig3 regenerates Figure 3 (a-d): replication factor vs number of
-// partitions on the four web graphs, for all six algorithms.
-func Fig3(cfg Config) ([]Table, error) {
-	cfg = cfg.withDefaults()
+// cellFigure declares a paper artefact that is a view of suite cells: the
+// grid it runs (ks nil means Config.Ks) and the metric each entry shows.
+// It renders one table per dataset, one row per k and one column per
+// algorithm; with several datasets the table ids are suffixed a, b, ...
+type cellFigure struct {
+	id string
+	// title is a format of the dataset name; note, when set, captions the
+	// dataset's table at the run's scale.
+	title      string
+	note       func(ds Dataset, scale float64) string
+	datasets   []string
+	algorithms []string
+	ks         []int
+	column     func(Cell) string
+}
+
+func rfColumn(c Cell) string      { return f3(c.ReplicationFactor) }
+func runtimeColumn(c Cell) string { return fmt.Sprintf("%.1f", float64(c.RuntimeNS)/1e6) }
+
+var (
+	fig3 = cellFigure{
+		id:    "fig3",
+		title: "Replication factor vs #partitions (%s)",
+		note: func(ds Dataset, scale float64) string {
+			return fmt.Sprintf("synthetic stand-in for %s at scale %.2f", ds.Paper, scale)
+		},
+		datasets:   []string{"UK", "Arabic", "WebBase", "IT"},
+		algorithms: algos,
+		column:     rfColumn,
+	}
+	fig4a = cellFigure{
+		id:    "fig4a",
+		title: "Replication factor vs #partitions (%s)",
+		note: func(Dataset, float64) string {
+			return "social graph: the paper reports CLUGP slightly behind HDRF here"
+		},
+		datasets:   []string{"Twitter"},
+		algorithms: []string{"HDRF", "CLUGP"},
+		column:     rfColumn,
+	}
+	fig7 = cellFigure{
+		id:         "fig7",
+		title:      "Partitioning runtime vs #partitions (%s, ms)",
+		datasets:   []string{"UK", "IT"},
+		algorithms: algos,
+		column:     runtimeColumn,
+	}
+	fig9 = cellFigure{
+		id:    "fig9",
+		title: "Ablation study: replication factor vs #partitions (%s)",
+		note: func(Dataset, float64) string {
+			return "CLUGP-S: Hollocou clustering (no splitting, undisciplined migration); CLUGP-G: greedy cluster placement instead of the game"
+		},
+		datasets:   []string{"IT"},
+		algorithms: []string{"CLUGP", "CLUGP-S", "CLUGP-G"},
+		column:     rfColumn,
+	}
+	// table1's cells are ranked rather than pivoted (see Table1).
+	table1 = cellFigure{id: "table1", datasets: []string{"UK"}, algorithms: algos, ks: []int{64}}
+)
+
+// cells runs the figure's grid over graphs through the suite's grid
+// runner: serially, at cfg.Seed and on cfg's stream cache.
+func (f cellFigure) cells(cfg Config, graphs map[string]*graph.Graph) ([]Cell, error) {
+	ks := f.ks
+	if ks == nil {
+		ks = cfg.Ks
+	}
+	cells, err := grid{
+		datasets: f.datasets, graphs: graphs,
+		algorithms: f.algorithms, ks: ks, seeds: []uint64{cfg.Seed},
+	}.run(1, cfg.cache, cfg.logf)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", f.id, err)
+	}
+	if cfg.onCells != nil {
+		cfg.onCells(cells)
+	}
+	return cells, nil
+}
+
+// tables runs the figure over graphs and pivots its cells.
+func (f cellFigure) tables(cfg Config, graphs map[string]*graph.Graph) ([]Table, error) {
+	cells, err := f.cells(cfg, graphs)
+	if err != nil {
+		return nil, err
+	}
+	perDataset := len(cells) / len(f.datasets)
 	var tables []Table
-	for i, ds := range WebDatasets() {
-		g := ds.Build(cfg.Scale)
-		cfg.logf("fig3: %s (%d vertices, %d edges)", ds.Name, g.NumVertices, g.NumEdges())
-		t := Table{
-			ID:     fmt.Sprintf("fig3%c", 'a'+i),
-			Title:  fmt.Sprintf("Replication factor vs #partitions (%s)", ds.Name),
-			Header: append([]string{"k"}, algos...),
-			Note:   fmt.Sprintf("synthetic stand-in for %s at scale %.2f", ds.Paper, cfg.Scale),
+	for i, name := range f.datasets {
+		ds, err := DatasetByName(name)
+		if err != nil {
+			return nil, err
 		}
-		for _, k := range cfg.Ks {
-			row := []string{fmt.Sprintf("%d", k)}
-			for _, a := range algos {
-				res, err := cfg.run(a, g, k)
-				if err != nil {
-					return nil, fmt.Errorf("fig3 %s %s k=%d: %w", ds.Name, a, k, err)
-				}
-				row = append(row, f3(res.Quality.ReplicationFactor))
+		t := Table{
+			ID:     f.id,
+			Title:  fmt.Sprintf(f.title, name),
+			Header: append([]string{"k"}, f.algorithms...),
+		}
+		if len(f.datasets) > 1 {
+			t.ID += string(rune('a' + i))
+		}
+		if f.note != nil {
+			t.Note = f.note(ds, cfg.Scale)
+		}
+		// Grid order is dataset-major, then algorithm, then k.
+		block := cells[i*perDataset : (i+1)*perDataset]
+		nk := perDataset / len(f.algorithms)
+		for j := 0; j < nk; j++ {
+			row := []string{fmt.Sprintf("%d", block[j].K)}
+			for a := range f.algorithms {
+				row = append(row, f.column(block[a*nk+j]))
 			}
 			t.AddRow(row...)
 		}
@@ -98,34 +203,32 @@ func Fig3(cfg Config) ([]Table, error) {
 	return tables, nil
 }
 
+// build builds the figure's graphs and renders it.
+func (f cellFigure) build(cfg Config) ([]Table, error) {
+	cfg = cfg.withDefaults()
+	graphs, err := buildGraphs(f.datasets, cfg.Scale, cfg.logf)
+	if err != nil {
+		return nil, err
+	}
+	return f.tables(cfg, graphs)
+}
+
+// Fig3 regenerates Figure 3 (a-d): replication factor vs number of
+// partitions on the four web graphs, for all six algorithms.
+func Fig3(cfg Config) ([]Table, error) { return fig3.build(cfg) }
+
 // Fig4 regenerates Figure 4: (a) replication factor vs #partitions on the
 // Twitter social graph for HDRF and CLUGP; (b) total task runtime
 // (partitioning wall time + simulated PageRank makespan) at 32 partitions.
 func Fig4(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
-	ds, err := DatasetByName("Twitter")
+	graphs, err := buildGraphs(fig4a.datasets, cfg.Scale, cfg.logf)
 	if err != nil {
 		return nil, err
 	}
-	g := ds.Build(cfg.Scale)
-	cfg.logf("fig4: Twitter (%d vertices, %d edges)", g.NumVertices, g.NumEdges())
-
-	a := Table{
-		ID:     "fig4a",
-		Title:  "Replication factor vs #partitions (Twitter)",
-		Header: []string{"k", "HDRF", "CLUGP"},
-		Note:   "social graph: the paper reports CLUGP slightly behind HDRF here",
-	}
-	for _, k := range cfg.Ks {
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, alg := range []string{"HDRF", "CLUGP"} {
-			res, err := cfg.run(alg, g, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f3(res.Quality.ReplicationFactor))
-		}
-		a.AddRow(row...)
+	tables, err := fig4a.tables(cfg, graphs)
+	if err != nil {
+		return nil, err
 	}
 
 	b := Table{
@@ -137,7 +240,7 @@ func Fig4(cfg Config) ([]Table, error) {
 			"partitioning dominates - at this scale both partitioners are sub-second (see fig7/fig10a for the k-scaling that drives it)",
 	}
 	for _, alg := range []string{"CLUGP", "HDRF"} {
-		res, err := cfg.run(alg, g, 32)
+		res, err := runNamed(alg, graphs["Twitter"], 32, cfg.Seed, cfg.cache)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +257,7 @@ func Fig4(cfg Config) ([]Table, error) {
 			f3(stats.SimTime.Seconds()),
 			f3(res.Runtime.Seconds()+stats.SimTime.Seconds()))
 	}
-	return []Table{a, b}, nil
+	return append(tables, b), nil
 }
 
 // Fig5 regenerates Figure 5: replication factor across sampled graph sizes
@@ -181,7 +284,7 @@ func Fig5(cfg Config) ([]Table, error) {
 		cfg.logf("fig5: sample %.2f -> %d vertices, %d edges", f, g.NumVertices, g.NumEdges())
 		row := []string{fmt.Sprintf("%d,%d", g.NumVertices, g.NumEdges())}
 		for _, a := range algos {
-			res, err := cfg.run(a, g, 32)
+			res, err := runNamed(a, g, 32, cfg.Seed, cfg.cache)
 			if err != nil {
 				return nil, err
 			}
@@ -230,33 +333,4 @@ func Fig6(cfg Config) ([]Table, error) {
 // #partitions on UK and IT. Absolute values are hardware-specific; the
 // reproduction target is the shape: HDRF/Greedy grow with k, the hashing
 // methods and CLUGP stay nearly flat.
-func Fig7(cfg Config) ([]Table, error) {
-	cfg = cfg.withDefaults()
-	var tables []Table
-	for i, name := range []string{"UK", "IT"} {
-		ds, err := DatasetByName(name)
-		if err != nil {
-			return nil, err
-		}
-		g := ds.Build(cfg.Scale)
-		cfg.logf("fig7: %s (%d vertices, %d edges)", ds.Name, g.NumVertices, g.NumEdges())
-		t := Table{
-			ID:     fmt.Sprintf("fig7%c", 'a'+i),
-			Title:  fmt.Sprintf("Partitioning runtime vs #partitions (%s, ms)", name),
-			Header: append([]string{"k"}, algos...),
-		}
-		for _, k := range cfg.Ks {
-			row := []string{fmt.Sprintf("%d", k)}
-			for _, a := range algos {
-				res, err := cfg.run(a, g, k)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.1f", float64(res.Runtime.Microseconds())/1000))
-			}
-			t.AddRow(row...)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
+func Fig7(cfg Config) ([]Table, error) { return fig7.build(cfg) }

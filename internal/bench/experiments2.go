@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -36,7 +35,7 @@ func Fig8(cfg Config) ([]Table, error) {
 		rowA := []string{ds.Name}
 		rowB := []string{ds.Name}
 		for _, alg := range algos {
-			res, err := cfg.run(alg, g, k)
+			res, err := runNamed(alg, g, k, cfg.Seed, cfg.cache)
 			if err != nil {
 				return nil, err
 			}
@@ -68,7 +67,7 @@ func Fig8(cfg Config) ([]Table, error) {
 	g := ds.Build(cfg.Scale)
 	placements := map[string]*engine.Placement{}
 	for _, alg := range algos {
-		res, err := cfg.run(alg, g, k)
+		res, err := runNamed(alg, g, k, cfg.Seed, cfg.cache)
 		if err != nil {
 			return nil, err
 		}
@@ -95,32 +94,7 @@ func Fig8(cfg Config) ([]Table, error) {
 // Fig9 regenerates Figure 9: the ablation study on IT. CLUGP against
 // CLUGP-S (pass 1 downgraded to literal Hollocou clustering) and CLUGP-G
 // (game replaced by size-greedy placement).
-func Fig9(cfg Config) ([]Table, error) {
-	cfg = cfg.withDefaults()
-	ds, err := DatasetByName("IT")
-	if err != nil {
-		return nil, err
-	}
-	g := ds.Build(cfg.Scale)
-	t := Table{
-		ID:     "fig9",
-		Title:  "Ablation study: replication factor vs #partitions (IT)",
-		Header: []string{"k", "CLUGP", "CLUGP-S", "CLUGP-G"},
-		Note:   "CLUGP-S: Hollocou clustering (no splitting, undisciplined migration); CLUGP-G: greedy cluster placement instead of the game",
-	}
-	for _, k := range cfg.Ks {
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, alg := range []string{"CLUGP", "CLUGP-S", "CLUGP-G"} {
-			res, err := cfg.run(alg, g, k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f3(res.Quality.ReplicationFactor))
-		}
-		t.AddRow(row...)
-	}
-	return []Table{t}, nil
-}
+func Fig9(cfg Config) ([]Table, error) { return fig9.build(cfg) }
 
 // Fig10 regenerates Figure 10: (a) runtime of the one-pass heuristics
 // against CLUGP at 8/16/32 game threads; (b) the effect of the game batch
@@ -141,7 +115,7 @@ func Fig10(cfg Config) ([]Table, error) {
 		Note:   "compute = the parallelized cluster-partitioning game; stream = the three streaming passes (the paper's I/O cost); batch 1280 so the batch count exceeds the thread count at this scale",
 	}
 	for _, alg := range []string{"HDRF", "Greedy", "Mint"} {
-		res, err := cfg.run(alg, g, k)
+		res, err := runNamed(alg, g, k, cfg.Seed, cfg.cache)
 		if err != nil {
 			return nil, err
 		}
@@ -188,13 +162,9 @@ func Fig11(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	const k = 32
 	order := []string{"Arabic", "IT", "UK", "WebBase"}
-	graphs := make(map[string]*graph.Graph, len(order))
-	for _, name := range order {
-		ds, err := DatasetByName(name)
-		if err != nil {
-			return nil, err
-		}
-		graphs[name] = ds.Build(cfg.Scale)
+	graphs, err := buildGraphs(order, cfg.Scale, cfg.logf)
+	if err != nil {
+		return nil, err
 	}
 	runCLUGP := func(p *partition.CLUGP, name string) (float64, error) {
 		res, err := partition.RunCached(p, graphs[name], k, cfg.Seed, cfg.cache)
@@ -248,24 +218,13 @@ func Fig11(cfg Config) ([]Table, error) {
 // classes are backed by numbers.
 func Table1(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
-	ds, err := DatasetByName("UK")
+	graphs, err := buildGraphs(table1.datasets, cfg.Scale, cfg.logf)
 	if err != nil {
 		return nil, err
 	}
-	g := ds.Build(cfg.Scale)
-	const k = 64
-	type row struct {
-		name    string
-		rf      float64
-		runtime time.Duration
-	}
-	var rows []row
-	for _, alg := range algos {
-		res, err := cfg.run(alg, g, k)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row{alg, res.Quality.ReplicationFactor, res.Runtime})
+	cells, err := table1.cells(cfg, graphs)
+	if err != nil {
+		return nil, err
 	}
 	// Classify into thirds by rank.
 	classOf := func(rank, n int) string {
@@ -278,30 +237,26 @@ func Table1(cfg Config) ([]Table, error) {
 			return "High"
 		}
 	}
-	byTime := make([]row, len(rows))
-	copy(byTime, rows)
-	sort.Slice(byTime, func(i, j int) bool { return byTime[i].runtime < byTime[j].runtime })
-	timeClass := map[string]string{}
-	for i, r := range byTime {
-		timeClass[r.name] = classOf(i, len(byTime))
+	classes := func(less func(a, b Cell) bool) map[string]string {
+		ranked := append([]Cell(nil), cells...)
+		sort.Slice(ranked, func(i, j int) bool { return less(ranked[i], ranked[j]) })
+		class := map[string]string{}
+		for i, c := range ranked {
+			class[c.Algorithm] = classOf(i, len(ranked))
+		}
+		return class
 	}
-	byRF := make([]row, len(rows))
-	copy(byRF, rows)
+	timeClass := classes(func(a, b Cell) bool { return a.RuntimeNS < b.RuntimeNS })
 	// Lower RF = higher quality.
-	sort.Slice(byRF, func(i, j int) bool { return byRF[i].rf > byRF[j].rf })
-	qualClass := map[string]string{}
-	for i, r := range byRF {
-		qualClass[r.name] = classOf(i, len(byRF))
-	}
+	qualClass := classes(func(a, b Cell) bool { return a.ReplicationFactor > b.ReplicationFactor })
 	t := Table{
 		ID:     "table1",
 		Title:  "Vertex-cut streaming partitioning algorithms (measured, UK k=64)",
 		Header: []string{"algorithm", "time cost", "quality", "runtime(ms)", "RF"},
 		Note:   "classes derived from measured ranks; the paper's Table I claims Hashing/DBH Low/Low, Mint Medium/Medium, Greedy/HDRF High/High, CLUGP Low/High",
 	}
-	for _, r := range rows {
-		t.AddRow(r.name, timeClass[r.name], qualClass[r.name],
-			fmt.Sprintf("%.1f", float64(r.runtime.Microseconds())/1000), f3(r.rf))
+	for _, c := range cells {
+		t.AddRow(c.Algorithm, timeClass[c.Algorithm], qualClass[c.Algorithm], runtimeColumn(c), rfColumn(c))
 	}
 	return []Table{t}, nil
 }

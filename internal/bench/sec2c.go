@@ -47,7 +47,7 @@ func Sec2C(cfg Config) ([]Table, error) {
 				f3(2*float64(q.CutEdges)/nv), f3(q.VertexBalance))
 		}
 		for _, alg := range []string{"HDRF", "CLUGP"} {
-			res, err := cfg.run(alg, g, k)
+			res, err := runNamed(alg, g, k, cfg.Seed, cfg.cache)
 			if err != nil {
 				return nil, err
 			}

@@ -92,7 +92,7 @@ func runServeCells(cfg SuiteConfig) ([]ServeCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		suiteLogf(cfg, "serve: partitioned %s (%d vertices, %d edges, k=%d)",
+		cfg.logf("serve: partitioned %s (%d vertices, %d edges, k=%d)",
 			name, g.NumVertices, g.NumEdges(), serveK)
 		snap, err := serve.NewSnapshot(saved, serve.Options{})
 		if err != nil {
@@ -113,7 +113,7 @@ func runServeCells(cfg SuiteConfig) ([]ServeCell, error) {
 					name, cell.AllocsPerOp)
 			}
 			cells = append(cells, cell)
-			suiteLogf(cfg, "  serve %-4s clients=%d  %.1f Mlookups/s  p50=%dns p99=%dns  %.2f allocs/op",
+			cfg.logf("  serve %-4s clients=%d  %.1f Mlookups/s  p50=%dns p99=%dns  %.2f allocs/op",
 				name, clients, cell.LookupsPerSec/1e6, cell.P50NS, cell.P99NS, cell.AllocsPerOp)
 		}
 	}

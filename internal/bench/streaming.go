@@ -81,7 +81,7 @@ func runStreamCells(cfg SuiteConfig) ([]StreamCell, error) {
 			return nil, fmt.Errorf("bench: stream cells: %w", err)
 		}
 		g := ds.Build(cfg.Scale)
-		suiteLogf(cfg, "stream: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
+		cfg.logf("stream: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
 		path := filepath.Join(dir, name+".cgr")
 		if err := writeEncoded(path, g); err != nil {
 			return nil, err
@@ -91,7 +91,7 @@ func runStreamCells(cfg SuiteConfig) ([]StreamCell, error) {
 			return nil, fmt.Errorf("bench: stream cell %s: %w", name, err)
 		}
 		cells = append(cells, cell)
-		suiteLogf(cfg, "  stream %-4s  %.2f B/edge  decode %.1f Medges/s  clugp %v",
+		cfg.logf("  stream %-4s  %.2f B/edge  decode %.1f Medges/s  clugp %v",
 			name, cell.BytesPerEdge, cell.DecodeMEdgesPerSec,
 			time.Duration(cell.PartitionNS).Round(time.Millisecond))
 	}

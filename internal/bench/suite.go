@@ -73,16 +73,6 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 	return c
 }
 
-// cellJob is one grid point plus its prebuilt graph.
-type cellJob struct {
-	index     int
-	algorithm string
-	dataset   string
-	g         *graph.Graph
-	k         int
-	seed      uint64
-}
-
 // RunSuite executes the grid serially (one worker). It is the reference
 // RunSuiteParallel is measured against: quality metrics are identical for
 // any worker count.
@@ -93,12 +83,10 @@ func RunSuite(cfg SuiteConfig) (*Report, error) {
 }
 
 // RunSuiteParallel executes the algorithm x dataset x k x seed grid on a
-// pool of cfg.Workers goroutines. Graphs are built once per dataset and
-// shared read-only; stream orders are computed at most once per
-// (graph, order, seed) via a shared stream.Cache instead of once per run.
-// Cells land in the report in deterministic grid order, and every quality
-// metric is bit-identical to the serial run - only the runtime fields vary
-// with scheduling.
+// pool of cfg.Workers goroutines (see grid.run). Graphs are built once per
+// dataset and shared read-only; stream orders are computed at most once
+// per (graph, order, seed) via a shared stream.Cache instead of once per
+// run.
 func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
@@ -115,65 +103,17 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 			return nil, fmt.Errorf("bench: suite: k must be >= 1, got %d", k)
 		}
 	}
-	graphs := make(map[string]*graph.Graph, len(cfg.Datasets))
-	for _, name := range cfg.Datasets {
-		ds, err := DatasetByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("bench: suite: %w", err)
-		}
-		g := ds.Build(cfg.Scale)
-		graphs[name] = g
-		suiteLogf(cfg, "suite: built %s (%d vertices, %d edges)", name, g.NumVertices, g.NumEdges())
+	graphs, err := buildGraphs(cfg.Datasets, cfg.Scale, cfg.logf)
+	if err != nil {
+		return nil, fmt.Errorf("bench: suite: %w", err)
 	}
-
-	// Grid order: dataset-major, then algorithm, k, seed - the order the
-	// paper's figures sweep, and the order cells appear in the report.
-	var jobs []cellJob
-	for _, ds := range cfg.Datasets {
-		for _, alg := range cfg.Algorithms {
-			for _, k := range cfg.Ks {
-				for _, seed := range cfg.Seeds {
-					jobs = append(jobs, cellJob{
-						index: len(jobs), algorithm: alg, dataset: ds,
-						g: graphs[ds], k: k, seed: seed,
-					})
-				}
-			}
-		}
-	}
-
 	cache := stream.NewCache()
-	cells := make([]Cell, len(jobs))
-	errs := make([]error, len(jobs))
-	trackAllocs := cfg.Workers == 1
-	jobCh := make(chan cellJob)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range jobCh {
-				cell, err := runCell(job, cache, trackAllocs)
-				cells[job.index], errs[job.index] = cell, err
-				if err == nil {
-					suiteLogf(cfg, "  %-8s %-8s k=%-4d seed=%-4d RF=%.3f bal=%.3f t=%v",
-						job.algorithm, job.dataset, job.k, job.seed,
-						cell.ReplicationFactor, cell.RelativeBalance,
-						time.Duration(cell.RuntimeNS).Round(time.Millisecond))
-				}
-			}
-		}()
-	}
-	for _, job := range jobs {
-		jobCh <- job
-	}
-	close(jobCh)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("bench: suite cell %s: %w", jobs[i].algorithm+"/"+jobs[i].dataset, err)
-		}
+	cells, err := grid{
+		datasets: cfg.Datasets, graphs: graphs,
+		algorithms: cfg.Algorithms, ks: cfg.Ks, seeds: cfg.Seeds,
+	}.run(cfg.Workers, cache, cfg.logf)
+	if err != nil {
+		return nil, fmt.Errorf("bench: suite: %w", err)
 	}
 	var streamCells []StreamCell
 	var serveCells []ServeCell
@@ -214,23 +154,80 @@ func RunSuiteParallel(cfg SuiteConfig) (*Report, error) {
 	}, nil
 }
 
-// runCell executes one grid point. Each cell constructs its own partitioner
-// (they carry per-run state like CLUGP.LastTrace), so cells share nothing
-// but the read-only graph and the stream cache.
+// grid is one algorithm x dataset x k x seed sweep over graphs already
+// built, keyed by dataset name.
+type grid struct {
+	datasets   []string
+	graphs     map[string]*graph.Graph
+	algorithms []string
+	ks         []int
+	seeds      []uint64
+}
+
+// run executes every cell of the grid on a pool of workers goroutines that
+// share cache, and returns the cells in grid order: dataset-major, then
+// algorithm, k, seed - the order the paper's figures sweep. Each cell
+// constructs its own partitioner (they carry per-run state like
+// CLUGP.LastTrace), so cells share nothing but the read-only graphs and the
+// cache, and every quality metric is bit-identical for any worker count;
+// only the runtime fields vary with scheduling. logf receives one line per
+// completed cell and must be safe for concurrent use.
+func (gr grid) run(workers int, cache *stream.Cache, logf func(string, ...any)) ([]Cell, error) {
+	var cells []Cell
+	for _, ds := range gr.datasets {
+		for _, alg := range gr.algorithms {
+			for _, k := range gr.ks {
+				for _, seed := range gr.seeds {
+					cells = append(cells, Cell{Algorithm: alg, Dataset: ds, K: k, Seed: seed})
+				}
+			}
+		}
+	}
+	errs := make([]error, len(cells))
+	trackAllocs := workers == 1
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				c := &cells[i]
+				errs[i] = runCell(c, gr.graphs[c.Dataset], cache, trackAllocs)
+				if errs[i] == nil {
+					logf("  %-8s %-8s k=%-4d seed=%-4d RF=%.3f bal=%.3f t=%v",
+						c.Algorithm, c.Dataset, c.K, c.Seed, c.ReplicationFactor, c.RelativeBalance,
+						time.Duration(c.RuntimeNS).Round(time.Millisecond))
+				}
+			}
+		}()
+	}
+	for i := range cells {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cell %s: %w", cells[i].ID(), err)
+		}
+	}
+	return cells, nil
+}
+
+// runCell runs the grid point whose coordinates c holds on g and fills in
+// the rest of c.
 //
 // trackAllocs captures runtime.MemStats deltas around the run. The deltas
 // are only attributable to the cell when no other cell runs concurrently,
-// so the suite enables them for serial runs (Workers == 1). To make them
+// so the grid enables them for serial runs (one worker). To make them
 // deterministic - the point of gating on them - the automatic GC is
 // disabled for the duration of the cell and the heap is settled with one
 // forced collection first: GC pacing varies run to run and perturbs the
 // counts by a handful of allocations (incremental map growth, goroutine
-// reuse) when a cycle lands mid-cell.
-func runCell(job cellJob, cache *stream.Cache, trackAllocs bool) (Cell, error) {
-	p, err := partition.New(job.algorithm, job.seed)
-	if err != nil {
-		return Cell{}, err
-	}
+// reuse) when a cycle lands mid-cell. The runtime of a serial cell is
+// therefore measured with the GC paused too.
+func runCell(c *Cell, g *graph.Graph, cache *stream.Cache, trackAllocs bool) error {
 	var before runtime.MemStats
 	if trackAllocs {
 		gcPercent := debug.SetGCPercent(-1)
@@ -238,40 +235,34 @@ func runCell(job cellJob, cache *stream.Cache, trackAllocs bool) (Cell, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 	}
-	res, err := partition.RunCached(p, job.g, job.k, job.seed, cache)
+	res, err := runNamed(c.Algorithm, g, c.K, c.Seed, cache)
 	if err != nil {
-		return Cell{}, err
+		return err
 	}
-	cell := Cell{
-		Algorithm:         job.algorithm,
-		Dataset:           job.dataset,
-		K:                 job.k,
-		Seed:              job.seed,
-		Order:             res.Order.String(),
-		Vertices:          job.g.NumVertices,
-		Edges:             job.g.NumEdges(),
-		ReplicationFactor: res.Quality.ReplicationFactor,
-		RelativeBalance:   res.Quality.RelativeBalance,
-		RuntimeNS:         res.Runtime.Nanoseconds(),
-		StateBytes:        res.StateBytes,
-	}
+	c.Order = res.Order.String()
+	c.Vertices = g.NumVertices
+	c.Edges = g.NumEdges()
+	c.ReplicationFactor = res.Quality.ReplicationFactor
+	c.RelativeBalance = res.Quality.RelativeBalance
+	c.RuntimeNS = res.Runtime.Nanoseconds()
+	c.StateBytes = res.StateBytes
 	if trackAllocs {
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
-		cell.Allocs = int64(after.Mallocs - before.Mallocs)
-		cell.AllocBytes = int64(after.TotalAlloc - before.TotalAlloc)
+		c.Allocs = int64(after.Mallocs - before.Mallocs)
+		c.AllocBytes = int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	return cell, nil
+	return nil
 }
 
 // suiteMu serializes progress lines from concurrent workers.
 var suiteMu sync.Mutex
 
-func suiteLogf(cfg SuiteConfig, format string, args ...any) {
-	if cfg.Progress == nil {
+func (c SuiteConfig) logf(format string, args ...any) {
+	if c.Progress == nil {
 		return
 	}
 	suiteMu.Lock()
 	defer suiteMu.Unlock()
-	fmt.Fprintf(cfg.Progress, format+"\n", args...)
+	fmt.Fprintf(c.Progress, format+"\n", args...)
 }

@@ -1,6 +1,6 @@
 // Package edgecut implements the edge-cut (vertex partitioning) side of the
 // paper's Section II-C comparison: streaming edge-cut partitioners (LDG,
-// FENNEL, hash) and a METIS-style offline multilevel partitioner.
+// FENNEL) and a METIS-style offline multilevel partitioner.
 //
 // Edge-cut partitioning assigns each VERTEX to exactly one partition and
 // counts edges crossing partitions as the communication cost - the dual of
@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/stream"
 )
 
 // Partitioner assigns vertices to k partitions.
@@ -45,17 +44,7 @@ type Quality struct {
 
 // Evaluate computes edge-cut quality for a vertex assignment.
 func Evaluate(g *graph.Graph, assign []int32, k int) (*Quality, error) {
-	return EvaluateStream(stream.Of(g.Edges).Source(g.NumVertices), assign, k)
-}
-
-// EvaluateStream is Evaluate over an edge source: the same quality numbers
-// (cut size is order-independent) without requiring a *graph.Graph or a
-// materialized edge slice, so the edge-cut family's quality can be scored
-// against a file-backed stream. The argument order matches metrics.Evaluate
-// (source, assignment, k); here assign is per-vertex rather than
-// stream-aligned.
-func EvaluateStream(src stream.Source, assign []int32, k int) (*Quality, error) {
-	numVertices := src.NumVertices()
+	numVertices := g.NumVertices
 	if len(assign) != numVertices {
 		return nil, fmt.Errorf("edgecut: %d assignments for %d vertices", len(assign), numVertices)
 	}
@@ -67,19 +56,13 @@ func EvaluateStream(src stream.Source, assign []int32, k int) (*Quality, error) 
 		q.VertexSizes[p]++
 	}
 	localEdges := make([]int64, k)
-	err := stream.ForEach(src, func(_ int, blk []graph.Edge) error {
-		for _, e := range blk {
-			if assign[e.Src] != assign[e.Dst] {
-				q.CutEdges++
-			}
-			localEdges[assign[e.Src]]++
+	for _, e := range g.Edges {
+		if assign[e.Src] != assign[e.Dst] {
+			q.CutEdges++
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		localEdges[assign[e.Src]]++
 	}
-	if m := src.Len(); m > 0 {
+	if m := len(g.Edges); m > 0 {
 		q.CutFraction = float64(q.CutEdges) / float64(m)
 		var maxE int64
 		for _, s := range localEdges {
@@ -99,32 +82,4 @@ func EvaluateStream(src stream.Source, assign []int32, k int) (*Quality, error) 
 		q.VertexBalance = float64(k) * float64(maxV) / float64(numVertices)
 	}
 	return q, nil
-}
-
-// Hash assigns each vertex by hashing its id - the edge-cut analogue of
-// random edge placement.
-type Hash struct {
-	Seed uint64
-}
-
-// Name implements Partitioner.
-func (h *Hash) Name() string { return "HashEC" }
-
-// Partition implements Partitioner.
-func (h *Hash) Partition(g *graph.Graph, k int) ([]int32, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("edgecut: k must be >= 1, got %d", k)
-	}
-	assign := make([]int32, g.NumVertices)
-	for v := range assign {
-		assign[v] = int32(hash64(uint64(v)^h.Seed) % uint64(k))
-	}
-	return assign, nil
-}
-
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

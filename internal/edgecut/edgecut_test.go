@@ -8,9 +8,27 @@ import (
 	"repro/internal/graph"
 )
 
+// hashEC places each vertex by a hash of its id, the edge-cut analogue of
+// random edge placement: the structure-blind reference the other
+// partitioners must clearly beat.
+type hashEC struct{}
+
+func (hashEC) Name() string { return "HashEC" }
+
+func (hashEC) Partition(g *graph.Graph, k int) ([]int32, error) {
+	assign := make([]int32, g.NumVertices)
+	for v := range assign {
+		x := uint64(v) + 0x9e3779b97f4a7c15
+		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+		assign[v] = int32((x ^ (x >> 31)) % uint64(k))
+	}
+	return assign, nil
+}
+
 func partitioners() []Partitioner {
 	return []Partitioner{
-		&Hash{Seed: 1},
+		hashEC{},
 		&LDG{},
 		&FENNEL{},
 		&Multilevel{Seed: 1},

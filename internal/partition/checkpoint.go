@@ -16,7 +16,7 @@ import (
 // A checkpoint is a small CPK1 record pointing into the run's durable
 // output: the stream offset every assignment before which was emitted and
 // made durable, and the emit watermark of that output. The mutable state of
-// HDRF, Greedy and the quality evaluator is a pure function of that prefix,
+// HDRF and the quality evaluator is a pure function of that prefix,
 // so it is never copied; a resume rebuilds it by replaying the prefix. The
 // CLUGP family's pass-3 tables are not derivable from the prefix, but they
 // are frozen before pass 3 starts, so they are written once per run to a
@@ -136,15 +136,14 @@ func loadSection(c *store.Checkpoint, name string) ([]byte, error) {
 	return data, nil
 }
 
-// replaysPrefix reports whether p takes part in checkpoint/resume. HDRF,
-// Greedy and the CLUGP family take their checkpoint plumbing from the
-// sink: while sink.replaying(), HDRF and Greedy apply the durable prefix
-// (sink.replay) through the same table updates their scoring loop makes,
-// and CLUGP recomputes pass 3 and checks it against the prefix
-// (sink.verify).
+// replaysPrefix reports whether p takes part in checkpoint/resume. HDRF
+// and the CLUGP family take their checkpoint plumbing from the sink: while
+// sink.replaying(), HDRF applies the durable prefix (sink.replay) through
+// the same table updates its scoring loop makes, and CLUGP recomputes
+// pass 3 and checks it against the prefix (sink.verify).
 func replaysPrefix(p Partitioner) bool {
 	switch p.(type) {
-	case *HDRF, *Greedy, *CLUGP:
+	case *HDRF, *CLUGP:
 		return true
 	}
 	return false

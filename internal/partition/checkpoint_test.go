@@ -128,7 +128,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	for _, name := range []string{"HDRF", "Greedy", "CLUGP"} {
+	for _, name := range []string{"HDRF", "CLUGP"} {
 		p, err := New(name, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 	}
 	defer src.Close()
 	mode := map[int]string{1: "inline", 2: "ahead"}
-	for _, name := range []string{"HDRF", "Greedy", "CLUGP"} {
+	for _, name := range []string{"HDRF", "CLUGP"} {
 		p, err := New(name, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -346,7 +346,7 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 		path   string // overrides the fixture's checkpoint path
 		want   string
 	}{
-		{name: "wrong algorithm", algo: "Greedy", k: k, g: g, fx: hdrf, want: "algorithm"},
+		{name: "wrong algorithm", algo: "CLUGP", k: k, g: g, fx: hdrf, want: "algorithm"},
 		{name: "wrong k", algo: "HDRF", k: k + 1, g: g, fx: hdrf, want: "k="},
 		{name: "wrong geometry", algo: "HDRF", k: k, g: other, fx: hdrf, want: "vertices"},
 		{name: "tampered edge count", algo: "HDRF", k: k, g: g, fx: hdrf,

@@ -68,8 +68,8 @@ var retryInjected = stream.RetryConfig{
 // TestPartitionBitIdenticalUnderTransientFaults is the fault-injection
 // bit-equivalence matrix: partitioning a CGR3 file from a disk that throws
 // seeded transient errors - survived via stream.Retry - produces exactly the
-// assignments and quality of the clean in-memory run, for every registered
-// algorithm.
+// assignments and quality of the clean in-memory run, for every algorithm
+// the out-of-core path accepts.
 func TestPartitionBitIdenticalUnderTransientFaults(t *testing.T) {
 	g := faultTestGraph()
 	path := writeCGR(t, g)
@@ -78,7 +78,7 @@ func TestPartitionBitIdenticalUnderTransientFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 4
-	for _, name := range Names() {
+	for _, name := range outOfCoreNames() {
 		p, err := New(name, 3)
 		if err != nil {
 			t.Fatal(err)

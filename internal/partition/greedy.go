@@ -45,19 +45,6 @@ func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 	rs, sizes, scratch := &gr.rs, gr.sizes, gr.scratch
 	return forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
-		if sink.replaying() {
-			// A resumed run's durable prefix: apply each edge's emitted
-			// partition through the updates the loop below makes.
-			if err := sink.replay(blk, out); err != nil {
-				return err
-			}
-			for j, e := range blk {
-				sizes[out[j]]++
-				rs.Add(e.Src, int(out[j]))
-				rs.Add(e.Dst, int(out[j]))
-			}
-			return sink.commit(blk, out)
-		}
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
 			var p int32

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -48,11 +49,23 @@ func fileBackends() []fileBackend {
 	}
 }
 
+// outOfCoreNames is every registered algorithm RunOutOfCoreOpts accepts:
+// all but Greedy, which it refuses (TestOutOfCoreRefusesGreedy).
+func outOfCoreNames() []string {
+	var names []string
+	for _, name := range Names() {
+		if name != "Greedy" {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
 // outOfCorePartitioners is every algorithm the out-of-core path must cover:
-// the full registry plus sharded ingest.
+// the registry it accepts plus sharded ingest.
 func outOfCorePartitioners(t *testing.T) []Partitioner {
 	var ps []Partitioner
-	for _, name := range Names() {
+	for _, name := range outOfCoreNames() {
 		p, err := New(name, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -233,6 +246,30 @@ func TestOutOfCoreBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestOutOfCoreRefusesGreedy: a stored-order stream gives Greedy no
+// balance term, so RunOutOfCoreOpts refuses it with an error naming the
+// cause instead of putting every edge on one partition. The in-memory
+// executor keeps it.
+func TestOutOfCoreRefusesGreedy(t *testing.T) {
+	g := gen.Web(gen.WebConfig{N: 1500, OutDegree: 5, Seed: 34})
+	emitted := 0
+	_, err := RunOutOfCoreOpts(&Greedy{}, stream.Of(g.Edges).Source(g.NumVertices), 16,
+		func(edges []graph.Edge, _ []int32) error { emitted += len(edges); return nil }, OutOfCoreOptions{})
+	if err == nil || !strings.Contains(err.Error(), "no balance term") {
+		t.Fatalf("out-of-core Greedy: err %v, want a refusal naming the missing balance term", err)
+	}
+	if emitted != 0 {
+		t.Fatalf("refused run emitted %d assignments", emitted)
+	}
+	res, err := RunStreamed(&Greedy{}, stream.NewView(g, stream.Random, 3).Source(g.NumVertices), stream.Random, 16)
+	if err != nil {
+		t.Fatalf("in-memory Greedy: %v", err)
+	}
+	if res.Quality.RelativeBalance > 1.1 {
+		t.Fatalf("in-memory Greedy balance %.3f", res.Quality.RelativeBalance)
+	}
+}
+
 // TestRunOutOfCoreQualityMatchesEvaluate: the quality accumulated in the
 // streaming pass must equal a from-scratch evaluation of the emitted
 // assignment, field for field.
@@ -256,7 +293,7 @@ func TestRunOutOfCoreQualityMatchesEvaluate(t *testing.T) {
 // than one word of partitions.
 func TestRunStreamedQualityMatchesEvaluate(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 2000, OutDegree: 6, IntraSite: 0.85, Seed: 35})
-	for _, p := range outOfCorePartitioners(t) {
+	for _, p := range append(outOfCorePartitioners(t), &Greedy{}) {
 		for _, k := range []int{1, 8, 65} {
 			res, err := RunStreamed(p, stream.NewView(g, p.PreferredOrder(), 3).Source(g.NumVertices), p.PreferredOrder(), k)
 			if err != nil {

@@ -17,6 +17,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -136,8 +137,8 @@ type OutOfCoreOptions struct {
 	// Checkpoint, when non-nil, enables crash tolerance: the run writes
 	// checkpoint records to Checkpoint.Path at batch boundaries, and
 	// Checkpoint.Resume continues from a record's exact stream offset,
-	// bit-identical to an uninterrupted run. HDRF, Greedy and the CLUGP
-	// family checkpoint; others run without checkpoints, recorded in
+	// bit-identical to an uninterrupted run. HDRF and the CLUGP family
+	// checkpoint; others run without checkpoints, recorded in
 	// Result.Pipeline.
 	Checkpoint *CheckpointOptions
 }
@@ -170,7 +171,16 @@ type PipelineInfo struct {
 // bounded-memory mode behind cmd/clugp -stream. opts adds checkpoints (see
 // OutOfCoreOptions); the algorithm's own assignment loop stays sequential
 // over the exactly-ordered block stream.
+//
+// Greedy is refused: it balances only among the partitions of an edge's
+// seen endpoints, and in stored order nearly every edge has one, so the
+// whole stream lands on the first partition. It runs in memory (Run,
+// RunStreamed) under its random order.
 func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts OutOfCoreOptions) (*Result, error) {
+	if _, isGreedy := p.(*Greedy); isGreedy {
+		return nil, errors.New("partition: Greedy cannot run out of core: a stored-order stream gives it no balance term " +
+			"(each edge meets an endpoint already placed, so every edge lands on one partition); run it in memory")
+	}
 	return execute(p, src, k, &assignSink{emit: emit}, opts)
 }
 
