@@ -204,6 +204,29 @@ func BenchmarkDistributedCLUGP4Nodes(b *testing.B) {
 	}
 }
 
+// BenchmarkDistributedCLUGP4NodesFile runs CLUGP-D's four ingest nodes at
+// k=32 over the UK-shaped CGR3 file of BenchmarkMmapPass, out of core. Each
+// node's pass resets the one file source, decodes past the shards before
+// its own and stops at its shard's end, so an op decodes about 2.5 times
+// the file per CLUGP pass; BenchmarkDistributedCLUGP4Nodes reads view
+// slices, which skip nothing.
+func BenchmarkDistributedCLUGP4NodesFile(b *testing.B) {
+	path, _ := ukCGR3(b)
+	src, err := OpenCompressed(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	p := &DistributedCLUGP{Nodes: 4, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunOutOfCoreOpts(p, src, 32, nil, OutOfCoreOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEdgeCutMultilevel(b *testing.B) {
 	g := benchGraph(b)
 	ml := &Multilevel{Seed: 1}

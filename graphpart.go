@@ -122,9 +122,8 @@ type Order = stream.Order
 type StreamSource = stream.Source
 
 // MmapGraphFile is the mmap-backed file source: the file is mapped once,
-// edges decode straight from the mapped bytes, Reset is a pointer rewind
-// and segments share the mapping, so repeat passes run at page-cache
-// speed. Where mapping is unavailable it degrades to a portable read-at
+// edges decode straight from the mapped bytes and Reset is a pointer
+// rewind, so repeat passes run at page-cache speed. Where mapping is unavailable it degrades to a portable read-at
 // mode with the same contract.
 type MmapGraphFile = store.MmapSource
 
@@ -144,8 +143,8 @@ type StreamRetryConfig = stream.RetryConfig
 // replaying: on a retryable error the wrapper resets the underlying
 // source, skips the edges it already delivered, and resumes from the
 // exact next edge, so consumers observe the identical edge sequence a
-// fault-free pass would deliver. Segmentable sources stay segmentable,
-// with every segment retried under the same config.
+// fault-free pass would deliver. Partitioners read the wrapper like any
+// source, DistributedCLUGP's ingest nodes included.
 func RetryStream(src StreamSource, cfg StreamRetryConfig) StreamSource {
 	return stream.Retry(src, cfg)
 }
@@ -160,9 +159,8 @@ func ForEachStreamed(src StreamSource, fn func(off int, edges []Edge) error) err
 // OpenCompressed opens a graph written by WriteCompressed as a replayable
 // edge source: the file is mapped once (with a portable read-at fallback
 // where mapping is unavailable) and edges decode straight from the mapped
-// bytes, so Reset and Segment are free and the OS page cache serves repeat
-// passes. This is the out-of-core entry point: the graph is never
-// materialized.
+// bytes, so Reset is free and the OS page cache serves repeat passes.
+// This is the out-of-core entry point: the graph is never materialized.
 func OpenCompressed(path string) (*MmapGraphFile, error) { return store.OpenMmap(path) }
 
 // Partitioners.

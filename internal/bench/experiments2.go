@@ -29,6 +29,9 @@ func Fig8(cfg Config) ([]Table, error) {
 		Header: append([]string{"dataset"}, algos...),
 		Note:   "makespan = per-superstep max node compute + network transfer",
 	}
+	// The IT placements of 8a/8b are the ones 8c replays under injected
+	// RTT.
+	itPlacements := map[string]*engine.Placement{}
 	for _, ds := range WebDatasets() {
 		g := ds.Build(cfg.Scale)
 		cfg.logf("fig8: %s (%d vertices, %d edges)", ds.Name, g.NumVertices, g.NumEdges())
@@ -42,6 +45,9 @@ func Fig8(cfg Config) ([]Table, error) {
 			pl, err := engine.NewPlacement(res)
 			if err != nil {
 				return nil, err
+			}
+			if ds.Name == "IT" {
+				itPlacements[alg] = pl
 			}
 			_, stats, err := engine.PageRank(pl, engine.PageRankConfig{Iterations: iters})
 			if err != nil {
@@ -60,27 +66,12 @@ func Fig8(cfg Config) ([]Table, error) {
 		Header: append([]string{"rtt"}, algos...),
 		Note:   "RTT injection plays the role of the paper's PUMBA latency experiments",
 	}
-	ds, err := DatasetByName("IT")
-	if err != nil {
-		return nil, err
-	}
-	g := ds.Build(cfg.Scale)
-	placements := map[string]*engine.Placement{}
-	for _, alg := range algos {
-		res, err := runNamed(alg, g, k, cfg.Seed, cfg.cache)
-		if err != nil {
-			return nil, err
-		}
-		if placements[alg], err = engine.NewPlacement(res); err != nil {
-			return nil, err
-		}
-	}
 	for _, rtt := range []time.Duration{10 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond} {
 		row := []string{rtt.String()}
 		for _, alg := range algos {
 			pcfg := engine.PageRankConfig{Iterations: iters}
 			pcfg.Cost.RTT = rtt
-			_, stats, err := engine.PageRank(placements[alg], pcfg)
+			_, stats, err := engine.PageRank(itPlacements[alg], pcfg)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -263,7 +264,7 @@ func TestTruncationDetected(t *testing.T) {
 }
 
 // TestFaultfsConformance: with an empty fault plan, the faultfs backend is
-// just another store.File - segments, Verify and re-streaming all behave.
+// just another store.File - Verify and re-streaming both behave.
 func TestFaultfsConformance(t *testing.T) {
 	g := testGraph()
 	src, err := Open(writeGraph(t, g))
@@ -274,18 +275,13 @@ func TestFaultfsConformance(t *testing.T) {
 	if err := src.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	seg, err := src.Segment(100, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := stream.Collect(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 200 || got[0] != g.Edges[100] {
-		t.Fatalf("segment [100,300) returned %d edges starting %v", len(got), got[0])
-	}
-	if c, ok := seg.(io.Closer); ok {
-		c.Close()
+	for pass := 0; pass < 2; pass++ {
+		got, err := stream.Collect(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, g.Edges) {
+			t.Fatalf("pass %d: streamed %d edges, want the file's %d in order", pass, len(got), len(g.Edges))
+		}
 	}
 }

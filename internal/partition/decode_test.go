@@ -20,8 +20,8 @@ func withProcs(procs int, fn func()) {
 }
 
 // invarianceGraph spans several CGR3 blocks, so a decode-ahead pass hands
-// blocks over between goroutines and CLUGP-D's segment readers each get
-// more than one block.
+// blocks over between goroutines and CLUGP-D's shard windows each start
+// and end inside a block.
 func invarianceGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := gen.Web(gen.WebConfig{N: 5000, OutDegree: 6, IntraSite: 0.85, Seed: 51})
@@ -35,7 +35,8 @@ func invarianceGraph(t *testing.T) *graph.Graph {
 // 1 (inline) and 2 (a store file source decodes ahead on its parallel
 // worker, a second goroutine) and requires each run to emit want[i]'s
 // assignment with wantRes[i]'s quality, and Pipeline.DecodeAhead to be
-// set exactly when a file source fed the partitioner itself at GOMAXPROCS 2.
+// set exactly when a file source fed the partitioner at GOMAXPROCS 2 -
+// CLUGP-D's ingest nodes included, whose windows read the same source.
 func checkDecodeModes(t *testing.T, src stream.Source, file bool, k int, want [][]int32, wantRes []*Result) {
 	t.Helper()
 	for i, p := range outOfCorePartitioners(t) {
@@ -43,9 +44,7 @@ func checkDecodeModes(t *testing.T, src stream.Source, file bool, k int, want []
 			var got []int32
 			var res *Result
 			withProcs(procs, func() { got, res = collectAssignments(t, p, src, k) })
-			// CLUGP-D reads only segments, which always decode inline.
-			_, segmented := p.(*DistributedCLUGP)
-			if ahead := file && procs == 2 && !segmented; res.Pipeline.DecodeAhead != ahead {
+			if ahead := file && procs == 2; res.Pipeline.DecodeAhead != ahead {
 				t.Errorf("%s procs=%d: DecodeAhead %v, want %v", p.Name(), procs, res.Pipeline.DecodeAhead, ahead)
 			}
 			if !slices.Equal(got, want[i]) {
@@ -106,8 +105,7 @@ func TestParallelWorkerInvariance(t *testing.T) {
 
 // TestParallelWorkerInvarianceInMemory covers the in-memory view, which
 // never decodes ahead: every algorithm emits the same assignment with the
-// same quality at GOMAXPROCS 1 and 2, where CLUGP-D's segment readers over
-// the view can run on parallel threads.
+// same quality at GOMAXPROCS 1 and 2.
 func TestParallelWorkerInvarianceInMemory(t *testing.T) {
 	g := invarianceGraph(t)
 	k := 8
@@ -154,8 +152,9 @@ func TestPipelineReportsDecodeAhead(t *testing.T) {
 // GOMAXPROCS 2 or more so the mmap source decodes ahead: multi-pass CLUGP
 // hands the decode goroutine's blocks over across every Reset between its
 // passes, a run killed mid pass 3 by its emit leaves a live decode
-// goroutine for the next run's Reset to stop, and CLUGP-D reads segments
-// of the same shared mapping. Run under -race in CI; assertions are
+// goroutine for the next run's Reset to stop, and CLUGP-D's ingest nodes
+// read windows of the same decode-ahead source, each Reset stopping the
+// goroutine mid-pass once the window ends. Run under -race in CI; assertions are
 // minimal because the test's job is the schedule, not the values
 // (TestParallelWorkerInvariance pins those).
 func TestOutOfCoreDecodeRace(t *testing.T) {
@@ -183,10 +182,8 @@ func TestOutOfCoreDecodeRace(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
 			}
-			// CLUGP-D's nodes read segments, which decode inline.
-			_, segmented := p.(*DistributedCLUGP)
-			if res.Pipeline.DecodeAhead == segmented {
-				t.Fatalf("%s: DecodeAhead %v, want %v", p.Name(), res.Pipeline.DecodeAhead, !segmented)
+			if !res.Pipeline.DecodeAhead {
+				t.Fatalf("%s: DecodeAhead false over a file source", p.Name())
 			}
 			var sum int64
 			for _, s := range res.Quality.Sizes {

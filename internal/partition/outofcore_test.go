@@ -80,7 +80,7 @@ func outOfCorePartitioners(t *testing.T) []Partitioner {
 // streamed through Emit, quality accumulated incrementally - must be
 // bit-identical (assignment, replication factor, balance) to the in-memory
 // natural-order run, for every algorithm including CLUGP-D's sharded
-// ingest (which exercises the segment readers), on every source.
+// ingest (which exercises the shard windows), on every source.
 func TestOutOfCoreMatchesInMemoryNatural(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 3000, OutDegree: 6, IntraSite: 0.85, Seed: 31})
 	k := 8
@@ -131,9 +131,8 @@ func TestOutOfCoreMatchesInMemoryNatural(t *testing.T) {
 }
 
 // TestDistributedFileShardingMatchesViewSharding: CLUGP-D's ingest nodes
-// over file segments (one shared mapping on the mmap source, a read-at
-// cursor per node otherwise) must equal the same run over in-memory view
-// slices, on every source.
+// over windows of a file source must equal the same run over in-memory
+// view slices, on every source.
 func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 4000, OutDegree: 6, IntraSite: 0.85, Seed: 32})
 	d := &DistributedCLUGP{Nodes: 4, Seed: 7}

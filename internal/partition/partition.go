@@ -147,10 +147,9 @@ type OutOfCoreOptions struct {
 // one downgrade that used to be silent: a partitioner without checkpoint
 // support runs without checkpoints. clugp -trace prints it.
 type PipelineInfo struct {
-	// DecodeAhead reports that the sources the partitioner read decoded
-	// ahead of it on a goroutine of their own (a root store file source
-	// does at GOMAXPROCS >= 2); false means decode ran inline, as it does
-	// for the segments CLUGP-D's ingest nodes read.
+	// DecodeAhead reports that the source the partitioner read decoded
+	// ahead of it on a goroutine of its own (a store file source does at
+	// GOMAXPROCS >= 2); false means decode ran inline.
 	DecodeAhead bool
 	// CheckpointFallback explains why a requested checkpoint plan was
 	// dropped (the partitioner cannot resume from a snapshot); empty
@@ -216,7 +215,7 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 			info.CheckpointFallback = p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled"
 		}
 	}
-	sink.decodeAhead = decodesAhead(src)
+	info.DecodeAhead = decodesAhead(src)
 	if sink.ck != nil {
 		// Pin every sink commit to a BlockLen-multiple stream offset: serial
 		// algorithms otherwise commit at whatever block granularity the
@@ -237,7 +236,6 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 	if err != nil {
 		return nil, fmt.Errorf("partition: %s: %w", p.Name(), err)
 	}
-	info.DecodeAhead = sink.decodeAhead
 	if sink.ck != nil {
 		info.Checkpoints = sink.ck.stats
 	}
@@ -280,10 +278,6 @@ type assignSink struct {
 	// ck is the checkpoint plumbing of a checkpointed or resumed run; nil
 	// otherwise.
 	ck *ckRun
-	// decodeAhead reports whether the sources the run reads decode ahead:
-	// the executor sets it from the source it hands over, and a partitioner
-	// that reads other sources instead (CLUGP-D's segments) overwrites it.
-	decodeAhead bool
 }
 
 // decodesAhead reports whether a pass over src decodes ahead of its

@@ -6,14 +6,13 @@ import (
 	"repro/internal/graph"
 )
 
-// Decode ahead. A root source (the handle OpenMmap or OpenReaderAt
+// Decode ahead. A file source (the handle OpenMmap or OpenReaderAt
 // returns) whose consumer pulls blocks while GOMAXPROCS >= 2 hands its
 // decoder to one goroutine on the first NextBlock of a pass. The goroutine
 // runs the same decodeNext loop the inline path runs - decode, prove the
 // block's bytes, prove the rest of the file at EOF - into a ring of
 // aheadDepth+1 pooled blocks, and the consumer takes the blocks in stream
-// order. Segments (CLUGP-D's shard readers) always decode inline; only a
-// root handle starts a decode goroutine.
+// order.
 //
 // Ownership is strict: while a run is live the goroutine alone touches the
 // decoder and the ring blocks it has taken from free; the consumer touches
@@ -45,10 +44,10 @@ type aheadRun struct {
 }
 
 // DecodesAhead reports whether a pass over this handle decodes ahead of
-// its consumer on a goroutine of its own: true for a root handle (not a
-// Segment) while GOMAXPROCS is at least 2.
-func (s *segCore) DecodesAhead() bool {
-	return s.isRoot && runtime.GOMAXPROCS(0) >= 2
+// its consumer on a goroutine of its own: true while GOMAXPROCS is at
+// least 2.
+func (s *fileCore) DecodesAhead() bool {
+	return runtime.GOMAXPROCS(0) >= 2
 }
 
 // aheadOn reports whether the next block should come from a decode
@@ -56,14 +55,14 @@ func (s *segCore) DecodesAhead() bool {
 // ahead. A pass that started inline may switch on mid-stream (the decoder
 // state is exact at every block boundary); a running pass stays on until
 // Reset or Close.
-func (s *segCore) aheadOn() bool {
+func (s *fileCore) aheadOn() bool {
 	return s.run != nil || s.DecodesAhead()
 }
 
 // nextAhead is NextBlock's decode-ahead path: it releases the block the
 // consumer held and takes the next one in stream order. The error that ends
 // a run is returned again on every later call until Reset.
-func (s *segCore) nextAhead() ([]graph.Edge, error) {
+func (s *fileCore) nextAhead() ([]graph.Edge, error) {
 	r := s.run
 	if r == nil {
 		r = s.startAhead()
@@ -86,7 +85,7 @@ func (s *segCore) nextAhead() ([]graph.Edge, error) {
 }
 
 // startAhead hands the decoder, positioned at s.pos, to a new goroutine.
-func (s *segCore) startAhead() *aheadRun {
+func (s *fileCore) startAhead() *aheadRun {
 	r := &aheadRun{
 		full: make(chan aheadBlock, aheadDepth),
 		free: make(chan *[]graph.Edge, len(s.ring)),
@@ -107,7 +106,7 @@ func (s *segCore) startAhead() *aheadRun {
 // decodeAhead is the decode goroutine: decodeNext from edge pos on, one
 // block per free ring buffer, until the run ends in an error or EOF or is
 // stopped.
-func (s *segCore) decodeAhead(r *aheadRun, pos int) {
+func (s *fileCore) decodeAhead(r *aheadRun, pos int) {
 	defer close(r.done)
 	for {
 		var buf *[]graph.Edge
@@ -131,7 +130,7 @@ func (s *segCore) decodeAhead(r *aheadRun, pos int) {
 
 // stopAhead stops the decode goroutine, if any, and waits for it to exit;
 // the decoder and every ring block are the caller's again.
-func (s *segCore) stopAhead() {
+func (s *fileCore) stopAhead() {
 	if s.run == nil {
 		return
 	}

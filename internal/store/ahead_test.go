@@ -16,15 +16,15 @@ import (
 )
 
 // coreOf returns the streaming core behind a root source.
-func coreOf(t *testing.T, f File) *segCore {
+func coreOf(t *testing.T, f File) *fileCore {
 	t.Helper()
 	switch s := f.(type) {
 	case *MmapSource:
-		return &s.segCore
+		return &s.fileCore
 	case *ReaderAtSource:
-		return &s.segCore
+		return &s.fileCore
 	}
-	t.Fatalf("no segCore in %T", f)
+	t.Fatalf("no fileCore in %T", f)
 	return nil
 }
 
@@ -117,7 +117,7 @@ func decodeGoroutines() int {
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return bytes.Count(buf[:n], []byte("store.(*segCore).decodeAhead("))
+			return bytes.Count(buf[:n], []byte("store.(*fileCore).decodeAhead("))
 		}
 		buf = make([]byte, 2*len(buf))
 	}

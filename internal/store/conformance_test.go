@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -74,15 +73,6 @@ func collect(t *testing.T, src stream.Source) []graph.Edge {
 	return out
 }
 
-func closeSource(t *testing.T, s stream.Source) {
-	t.Helper()
-	if c, ok := s.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestSourceMatrixStreamsAndReplays: every backend streams the
 // exact edge sequence, replays it identically, and reports the header -
 // on a web graph and on straddleEdges' corner runs over 2^31 vertices,
@@ -125,179 +115,42 @@ func TestSourceMatrixStreamsAndReplays(t *testing.T) {
 	}
 }
 
-// TestSourceMatrixSegmentEdgeCases covers the boundary shapes shared by
-// every backend: an empty file, a single-edge file, a segment whose bounds
-// land exactly on a checkpoint, and a nested segment of a segment.
-func TestSourceMatrixSegmentEdgeCases(t *testing.T) {
-	big := gen.Web(gen.WebConfig{N: 6000, OutDegree: 6, Seed: 7})
-	if big.NumEdges() < 3*indexStride {
-		t.Fatalf("test graph too small: %d edges", big.NumEdges())
-	}
+// TestSourceMatrixEdgeCases covers the boundary shapes shared by every
+// backend: an empty file streams nothing and ends on its first block, and
+// a single-edge file streams its edge, on every pass.
+func TestSourceMatrixEdgeCases(t *testing.T) {
 	for _, bc := range backendCases() {
 		t.Run(bc.name, func(t *testing.T) {
-			// Empty file: zero-length segments and EOF on first block.
 			empty, err := bc.open(writeTemp(t, graph.New(7, nil)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := collect(t, empty); len(got) != 0 {
-				t.Fatalf("empty file decoded %d edges", len(got))
+			defer empty.Close()
+			if empty.Len() != 0 {
+				t.Fatalf("empty file has Len %d", empty.Len())
 			}
-			seg, err := empty.Segment(0, 0)
-			if err != nil {
-				t.Fatalf("empty segment: %v", err)
+			for pass := 0; pass < 2; pass++ {
+				if got := collect(t, empty); len(got) != 0 {
+					t.Fatalf("pass %d: empty file decoded %d edges", pass, len(got))
+				}
 			}
-			if got := collect(t, seg); len(got) != 0 {
-				t.Fatal("empty segment yielded edges")
+			if err := empty.Reset(); err != nil {
+				t.Fatal(err)
 			}
-			closeSource(t, seg)
-			empty.Close()
+			if _, err := empty.NextBlock(); err != io.EOF {
+				t.Fatalf("empty file's first block: err %v, want io.EOF", err)
+			}
 
-			// Single-edge file: the whole file as one segment, and both
-			// degenerate boundary segments.
 			one := graph.New(3, []graph.Edge{{Src: 2, Dst: 0}})
 			osrc, err := bc.open(writeTemp(t, one))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, b := range [][2]int{{0, 1}, {0, 0}, {1, 1}} {
-				seg, err := osrc.Segment(b[0], b[1])
-				if err != nil {
-					t.Fatalf("single-edge segment %v: %v", b, err)
-				}
-				got := collect(t, seg)
-				if len(got) != b[1]-b[0] {
-					t.Fatalf("single-edge segment %v: %d edges", b, len(got))
-				}
-				if len(got) == 1 && got[0] != one.Edges[0] {
-					t.Fatalf("single-edge segment decoded %v", got[0])
-				}
-				closeSource(t, seg)
-			}
-			osrc.Close()
-
-			// Large file: segments straddling and landing exactly on
-			// checkpoint boundaries, plus nesting.
-			src, err := bc.open(writeTemp(t, big))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
-			n := big.NumEdges()
-			bounds := [][2]int{
-				{0, n},
-				{0, 1},
-				{n - 1, n},
-				{indexStride, 2 * indexStride},        // exactly on checkpoints
-				{indexStride - 1, indexStride + 1},    // straddles a checkpoint
-				{indexStride + 37, 2*indexStride + 5}, // mid-stride start
-			}
-			for _, b := range bounds {
-				seg, err := src.Segment(b[0], b[1])
-				if err != nil {
-					t.Fatalf("segment %v: %v", b, err)
-				}
-				got := collect(t, seg)
-				if len(got) != b[1]-b[0] {
-					t.Fatalf("segment %v: %d edges", b, len(got))
-				}
-				for i := range got {
-					if got[i] != big.Edges[b[0]+i] {
-						t.Fatalf("segment %v: edge %d mismatch", b, i)
-					}
-				}
-				// Segments replay independently too.
-				again := collect(t, seg)
-				for i := range again {
-					if again[i] != got[i] {
-						t.Fatalf("segment %v: replay diverged", b)
-					}
-				}
-				closeSource(t, seg)
-			}
-
-			// Nested segment of a segment: global [150, 250).
-			outer, err := src.Segment(100, 900)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner, err := outer.(stream.Segmenter).Segment(50, 150)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collect(t, inner)
-			if len(got) != 100 {
-				t.Fatalf("nested segment has %d edges", len(got))
-			}
-			for i := range got {
-				if got[i] != big.Edges[150+i] {
-					t.Fatalf("nested segment edge %d mismatch", i)
-				}
-			}
-			closeSource(t, inner)
-			closeSource(t, outer)
-
-			// Out-of-range bounds are rejected.
-			for _, b := range [][2]int{{-1, 1}, {0, n + 1}, {2, 1}} {
-				if _, err := src.Segment(b[0], b[1]); err == nil {
-					t.Fatalf("segment %v accepted", b)
-				}
-			}
-		})
-	}
-}
-
-// TestSourceMatrixConcurrentSegments shards one file across goroutines on
-// every backend; the mmap backend shares one mapping between all of them.
-func TestSourceMatrixConcurrentSegments(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 5000, OutDegree: 6, Seed: 8})
-	for _, bc := range backendCases() {
-		t.Run(bc.name, func(t *testing.T) {
-			src, err := bc.open(writeTemp(t, g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
-			n := g.NumEdges()
-			nodes := 4
-			per := (n + nodes - 1) / nodes
-			subs := make([]stream.Source, 0, nodes)
-			for nd := 0; nd < nodes; nd++ {
-				lo, hi := nd*per, (nd+1)*per
-				if hi > n {
-					hi = n
-				}
-				sub, err := src.Segment(lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				subs = append(subs, sub)
-			}
-			out := make([][]graph.Edge, nodes)
-			errs := make([]error, nodes)
-			var wg sync.WaitGroup
-			for nd, sub := range subs {
-				wg.Add(1)
-				go func(nd int, sub stream.Source) {
-					defer wg.Done()
-					out[nd], errs[nd] = stream.Collect(sub)
-				}(nd, sub)
-			}
-			wg.Wait()
-			var all []graph.Edge
-			for nd := range subs {
-				if errs[nd] != nil {
-					t.Fatal(errs[nd])
-				}
-				all = append(all, out[nd]...)
-				closeSource(t, subs[nd])
-			}
-			if len(all) != n {
-				t.Fatalf("shards cover %d edges, want %d", len(all), n)
-			}
-			for i := range all {
-				if all[i] != g.Edges[i] {
-					t.Fatalf("sharded read diverges at edge %d", i)
+			defer osrc.Close()
+			for pass := 0; pass < 2; pass++ {
+				got := collect(t, osrc)
+				if len(got) != 1 || got[0] != one.Edges[0] {
+					t.Fatalf("pass %d: single-edge file decoded %v", pass, got)
 				}
 			}
 		})
@@ -332,9 +185,9 @@ func TestSourceMatrixTruncatedBody(t *testing.T) {
 	}
 }
 
-// TestMmapSourceModes pins the backend mode reporting and the refcounted
-// close order: the root may close before its segments, which keep the
-// mapping alive until the last handle goes.
+// TestMmapSourceModes pins the backend mode reporting and the close
+// contract: Close is idempotent, and a closed handle fails cleanly instead
+// of touching a released mapping.
 func TestMmapSourceModes(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 2000, OutDegree: 5, Seed: 9})
 	path := writeTemp(t, g)
@@ -347,31 +200,24 @@ func TestMmapSourceModes(t *testing.T) {
 	// variant is exercised via disableMmap below either way.
 	t.Logf("mapped=%v", src.Mapped())
 
-	seg, err := src.Segment(100, 600)
-	if err != nil {
+	// Close mid-pass: one block read, more to come.
+	if err := src.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Close(); err != nil { // root first: segment must survive
+	if blk, err := src.NextBlock(); err != nil || len(blk) >= g.NumEdges() {
+		t.Fatalf("first block: %d edges, err %v; want part of %d", len(blk), err, g.NumEdges())
+	}
+	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	got := collect(t, seg)
-	for i := range got {
-		if got[i] != g.Edges[100+i] {
-			t.Fatalf("segment after root close: edge %d mismatch", i)
-		}
+	if err := src.Reset(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Reset on closed source: %v, want os.ErrClosed", err)
 	}
-	closeSource(t, seg)
-
-	// Operations on a closed handle fail cleanly instead of touching a
-	// released mapping.
-	if err := src.Reset(); err == nil {
-		t.Fatal("Reset on closed source succeeded")
-	}
-	if _, err := src.Segment(0, 1); err == nil {
-		t.Fatal("Segment on closed source succeeded")
+	if _, err := src.NextBlock(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("NextBlock on closed source: %v, want os.ErrClosed", err)
 	}
 
 	// The forced fallback reports unmapped and still satisfies the matrix
@@ -386,7 +232,7 @@ func TestMmapSourceModes(t *testing.T) {
 	if fb.Mapped() {
 		t.Fatal("disableMmap still mapped")
 	}
-	got = collect(t, fb)
+	got := collect(t, fb)
 	if len(got) != g.NumEdges() {
 		t.Fatalf("fallback decoded %d edges", len(got))
 	}

@@ -125,7 +125,7 @@ func encodePayload(t testing.TB, nv int, edges []graph.Edge) []byte {
 // on both sides of the packed header's 15-target limit, negative and
 // long-distance target gaps, and far source jumps (multi-byte headers).
 // With long set, two long intervals straddle edges 4096 and 8192, so they
-// cross the indexStride- and BlockLen-edge block boundaries as well.
+// cross 4096- and BlockLen-edge block boundaries as well.
 func straddleEdges(nv int, long bool) []graph.Edge {
 	var edges []graph.Edge
 	add := func(src, dst int) {
@@ -168,7 +168,7 @@ func straddleEdges(nv int, long bool) []graph.Edge {
 		add(40, (k*7919)%nv)
 	}
 	if long {
-		for len(edges) < indexStride-100 {
+		for len(edges) < 4096-100 {
 			add(51, rng.Intn(nv))
 		}
 		interval(52, 1000, 3000) // straddles edge 4096
@@ -224,13 +224,21 @@ type decodeCase struct {
 }
 
 // decodeBlockLens are the block lengths the checks cut the stream into:
-// one edge, tiny odd blocks, the index stride and the streaming block.
-var decodeBlockLens = []int{1, 2, 3, 7, indexStride, stream.BlockLen}
+// one edge, tiny odd blocks, half the streaming block and the streaming
+// block.
+var decodeBlockLens = []int{1, 2, 3, 7, 4096, stream.BlockLen}
+
+// resumePoint is a decoder position between two edges: the byte offset of
+// the next token and the delta-decoder state.
+type resumePoint struct {
+	off int64
+	st  decState
+}
 
 // refDecode decodes the payload with refNext, up to limit edges. at[i] is
 // the decoder position before edge i, for every decoded edge and the one
 // after the last; err is the error at edge len(edges), if decoding failed.
-func refDecode(t testing.TB, payload []byte, limit int) (edges []graph.Edge, at []checkpoint, err error) {
+func refDecode(t testing.TB, payload []byte, limit int) (edges []graph.Edge, at []resumePoint, err error) {
 	t.Helper()
 	d := decoder{cur: mappedCursor(payload)}
 	nv, ne, err := readHeader(&d.cur)
@@ -238,14 +246,14 @@ func refDecode(t testing.TB, payload []byte, limit int) (edges []graph.Edge, at 
 		return nil, nil, err
 	}
 	d.nv, d.ne = int64(nv), int64(ne)
-	at = append(at, checkpoint{off: d.cur.abs()})
+	at = append(at, resumePoint{off: d.cur.abs()})
 	for i := 0; i < min(ne, limit); i++ {
 		e, err := d.refNext(i)
 		if err != nil {
 			return edges, at, err
 		}
 		edges = append(edges, e)
-		at = append(at, checkpoint{off: d.cur.abs(), st: d.st})
+		at = append(at, resumePoint{off: d.cur.abs(), st: d.st})
 	}
 	return edges, at, nil
 }

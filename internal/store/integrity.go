@@ -30,10 +30,10 @@ import (
 // Verification on the streaming sources is lazy: the trailer itself is
 // checked eagerly at open (footer magic, trailer CRC, block-count/size
 // consistency), each payload block the first time a decoded range touches
-// it, and every remaining block when a stream that ends at the file's last
-// edge reaches EOF - so any full consumption of the stream has, by the time
-// it reports success, proven every payload byte against its checksum, and no
-// corrupt bytes are ever handed to a consumer as decoded edges.
+// it, and every remaining block when the stream reaches EOF - so any full
+// consumption of the stream has, by the time it reports success, proven
+// every payload byte against its checksum, and no corrupt bytes are ever
+// handed to a consumer as decoded edges.
 
 // checksumBlockSize is the byte granularity of payload checksums: one CRC
 // per 64 KiB matches the cursor window, so lazy verification re-reads each
@@ -71,10 +71,11 @@ func (e *CorruptError) Error() string {
 		e.Path, e.What, e.Block, e.Off, e.Off+e.Len)
 }
 
-// integrity is the shared verification state of one checksummed file: the
-// parsed trailer plus a bitmap of blocks already proven, shared by the root
-// source and every segment so each block's CRC is computed at most once
-// however many cursors stream the file.
+// integrity is the verification state of one checksummed file: the parsed
+// trailer plus a bitmap of blocks already proven, so each block's CRC is
+// computed at most once however many passes stream the file. The decode-
+// ahead goroutine proves blocks while the consumer may call Verify, hence
+// the mutex.
 type integrity struct {
 	path       string
 	payloadLen int64

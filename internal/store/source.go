@@ -8,14 +8,13 @@ import (
 	"repro/internal/stream"
 )
 
-// File is a compressed graph file opened as a replayable, segmentable edge
-// source. Both sources satisfy it: MmapSource (one shared mapping, free
-// Reset/Segment, with a portable read-at fallback) and ReaderAtSource (any
-// io.ReaderAt - the seam the fault-injection harness plugs into). Close
-// releases the handle's resources; segments are themselves Files and must
-// be closed independently.
+// File is a compressed graph file opened as a replayable edge source. Both
+// sources satisfy it: MmapSource (one mapping, free Reset, with a portable
+// read-at fallback) and ReaderAtSource (any io.ReaderAt - the seam the
+// fault-injection harness plugs into). Close releases the handle's
+// resources.
 type File interface {
-	stream.Segmenter
+	stream.Source
 	io.Closer
 	// Path returns the file the source streams from.
 	Path() string
@@ -31,11 +30,12 @@ type File interface {
 var _ File = (*MmapSource)(nil)
 var _ File = (*ReaderAtSource)(nil)
 
-// blockPool recycles the BlockLen decode buffers that every source handle
-// needs: segments are opened per shard per run, and a fresh 64 KiB block
-// per handle was measurable churn on concurrent ingest. Close returns the
-// buffer, so a block handed out by the handle's last NextBlock is only
-// valid until the handle is closed.
+// blockPool recycles the BlockLen decode buffers of source handles: the
+// inline block and the decode-ahead ring, 64 KiB each. Close returns them,
+// so a file opened once per run (a suite cell, a benchmark iteration)
+// reuses the last handle's blocks instead of allocating new ones, and a
+// block handed out by the handle's last NextBlock is only valid until the
+// handle is closed.
 var blockPool = sync.Pool{
 	New: func() any {
 		b := make([]graph.Edge, stream.BlockLen)

@@ -8,9 +8,8 @@ import (
 	"repro/internal/graph"
 )
 
-// RetryStats counts the replay activity of a Retry-wrapped source across
-// every cursor sharing it: the top-level wrapper and all its segments bump
-// the same counter, so one read covers a whole sharded ingest. Safe for
+// RetryStats counts the replay activity of Retry-wrapped sources: every
+// wrapper built with the same config bumps the same counter. Safe for
 // concurrent use.
 type RetryStats struct {
 	attempts atomic.Int64
@@ -35,8 +34,8 @@ type RetryConfig struct {
 	// costs MaxAttempts-1 replays but never masks the error.
 	Retryable func(error) bool
 	// Stats, when non-nil, receives every fired retry attempt. Retry fills
-	// in a fresh one when nil, so the counter is always live; segments
-	// share their parent's (RetrySource.RetryAttempts reads it).
+	// in a fresh one when nil, so the counter is always live
+	// (RetrySource.RetryAttempts reads it).
 	Stats *RetryStats
 }
 
@@ -53,9 +52,6 @@ type RetryConfig struct {
 // consumer in this repository already iterates ForEach-style, so
 // assignments stay bit-deterministic under any fault pattern that Retry
 // survives.
-//
-// If src is a Segmenter, the returned Source is too, and each segment is
-// itself Retry-wrapped with the same config.
 func Retry(src Source, cfg RetryConfig) Source {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
@@ -63,15 +59,11 @@ func Retry(src Source, cfg RetryConfig) Source {
 	if cfg.Stats == nil {
 		cfg.Stats = &RetryStats{}
 	}
-	rs := RetrySource{base: src, cfg: cfg}
-	if _, ok := src.(Segmenter); ok {
-		return &retrySegmenter{RetrySource: rs}
-	}
-	return &rs
+	return &RetrySource{base: src, cfg: cfg}
 }
 
 // RetrySource is the Source returned by Retry. It carries one cursor like
-// any Source; concurrent consumers wrap their own segments.
+// any Source.
 type RetrySource struct {
 	base Source
 	cfg  RetryConfig
@@ -163,30 +155,6 @@ func (s *RetrySource) retryable(err error) bool {
 	return true
 }
 
-// retrySegmenter adds Segment to RetrySource when the base supports it, so
-// segment consumers - CLUGP-D's sharded ingest - keep their fast path
-// under fault injection.
-type retrySegmenter struct{ RetrySource }
-
-// Segment implements Segmenter: the underlying segment gets its own Retry
-// wrapper (retry state is per-cursor) with the same config. Creating a
-// segment reads the source too (checkpoint-index scan, roll-forward to lo),
-// so the creation itself is retried under the same policy.
-func (s *retrySegmenter) Segment(lo, hi int) (Source, error) {
-	attempts := 0
-	for {
-		seg, err := s.base.(Segmenter).Segment(lo, hi)
-		if err == nil {
-			return Retry(seg, s.cfg), nil
-		}
-		if !s.retryable(err) || attempts >= s.cfg.MaxAttempts-1 {
-			return nil, err
-		}
-		attempts++
-		s.cfg.Stats.attempts.Add(1)
-	}
-}
-
 // DecodesAhead forwards the wrapped source's report of whether it decodes
 // ahead of its consumer (store's file sources do); false for any other.
 func (s *RetrySource) DecodesAhead() bool {
@@ -194,12 +162,12 @@ func (s *RetrySource) DecodesAhead() bool {
 	return ok && a.DecodesAhead()
 }
 
-// RetryAttempts returns the total retry attempts fired by this source and
-// every segment derived from it (they share the config's RetryStats).
+// RetryAttempts returns the total retry attempts fired by every wrapper
+// sharing this one's RetryStats.
 func (s *RetrySource) RetryAttempts() int64 { return s.cfg.Stats.Attempts() }
 
-// Close closes the underlying source when it holds resources (file-backed
-// segments do); in-memory sources make it a no-op.
+// Close closes the underlying source when it holds resources (file
+// sources do); in-memory sources make it a no-op.
 func (s *RetrySource) Close() error {
 	if c, ok := s.base.(io.Closer); ok {
 		return c.Close()

@@ -174,37 +174,39 @@ func TestRetryRespectsRetryable(t *testing.T) {
 	}
 }
 
-// TestRetrySegmenter: wrapping a Segmenter yields a Segmenter whose segments
-// are retry-wrapped; wrapping a plain Source does not invent a Segment
-// method (RunOutOfCoreOpts's fallback logic depends on the distinction).
-func TestRetrySegmenter(t *testing.T) {
-	edges := testEdges(50)
-	vs := Of(edges).Source(7)
-	wrapped := Retry(vs, RetryConfig{})
-	seg, ok := wrapped.(Segmenter)
+// TestRetryStatsCount: every survived replay bumps the shared stats
+// counter, the wrapper surfaces it via RetryAttempts, and a clean pass
+// reads zero.
+func TestRetryStatsCount(t *testing.T) {
+	edges := testEdges(100)
+	st := &RetryStats{}
+	f := &flaky{Source: &sliceSource{edges: edges, nv: 10, bs: 7},
+		failOn: map[int]error{2: errFlaky, 5: errFlaky, 9: errFlaky}}
+	src := Retry(f, RetryConfig{MaxAttempts: 5, Stats: st})
+	got, err := Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(edges) {
+		t.Fatalf("collected %d edges, want %d", len(got), len(edges))
+	}
+	if st.Attempts() != 3 {
+		t.Fatalf("stats count %d attempts, want 3", st.Attempts())
+	}
+	rc, ok := src.(interface{ RetryAttempts() int64 })
 	if !ok {
-		t.Fatal("Retry over a Segmenter lost the Segment method")
+		t.Fatalf("%T does not surface RetryAttempts", src)
 	}
-	sub, err := seg.Segment(10, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch sub.(type) {
-	case *RetrySource, *retrySegmenter:
-	default:
-		t.Fatalf("segment is %T, want a retry-wrapped source", sub)
-	}
-	got, err := Collect(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 20 || got[0] != edges[10] || got[19] != edges[29] {
-		t.Fatalf("segment [10,30) returned %d edges starting %v", len(got), got[0])
+	if rc.RetryAttempts() != 3 {
+		t.Fatalf("RetryAttempts() = %d, want 3", rc.RetryAttempts())
 	}
 
-	plain := Retry(&sliceSource{edges: edges, nv: 7, bs: 8}, RetryConfig{})
-	if _, ok := plain.(Segmenter); ok {
-		t.Fatal("Retry over a plain Source invented a Segment method")
+	clean := Retry(&sliceSource{edges: edges, nv: 10, bs: 7}, RetryConfig{})
+	if _, err := Collect(clean); err != nil {
+		t.Fatal(err)
+	}
+	if n := clean.(interface{ RetryAttempts() int64 }).RetryAttempts(); n != 0 {
+		t.Fatalf("clean pass fired %d attempts", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/graph"
@@ -19,8 +18,7 @@ import (
 // A Source carries one cursor. Consumers that make a pass over the stream
 // call Reset first, so a freshly handed-over source always streams from its
 // first edge and multi-pass algorithms (the CLUGP passes, restreaming)
-// simply Reset between passes. A Source is not safe for concurrent use;
-// concurrent consumers each take their own Segment.
+// simply Reset between passes. A Source is not safe for concurrent use.
 type Source interface {
 	// NumVertices returns the vertex count; every edge endpoint is smaller.
 	NumVertices() int
@@ -35,17 +33,6 @@ type Source interface {
 	// not be mutated or retained. After the last edge it returns
 	// (nil, io.EOF).
 	NextBlock() ([]graph.Edge, error)
-}
-
-// Segmenter is a Source whose contiguous index ranges can be opened as
-// independent sources - the capability DistributedCLUGP's sharded ingest
-// needs. Segment(lo, hi) returns a new Source over edges [lo, hi) of this
-// stream with its own cursor (and, for file-backed sources, its own file
-// handle), so segments of one stream can be consumed concurrently.
-// Segments that hold resources implement io.Closer.
-type Segmenter interface {
-	Source
-	Segment(lo, hi int) (Source, error)
 }
 
 // BlockLen is the edge-block granularity sources aim for: large enough to
@@ -107,15 +94,6 @@ func (s *ViewSource) NextBlock() ([]graph.Edge, error) {
 	}
 	s.pos += n
 	return s.buf[:n], nil
-}
-
-// Segment implements Segmenter via View.Slice: segments share the view's
-// storage and cost two slice headers each.
-func (s *ViewSource) Segment(lo, hi int) (Source, error) {
-	if lo < 0 || hi < lo || hi > s.v.Len() {
-		return nil, fmt.Errorf("stream: segment [%d,%d) out of range (len %d)", lo, hi, s.v.Len())
-	}
-	return s.v.Slice(lo, hi).Source(s.n), nil
 }
 
 // View returns the underlying view, for consumers that can exploit

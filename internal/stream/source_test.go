@@ -79,34 +79,6 @@ func TestViewSourceReplays(t *testing.T) {
 	}
 }
 
-func TestViewSourceSegment(t *testing.T) {
-	n := 100
-	edges := make([]graph.Edge, n)
-	for i := range edges {
-		edges[i] = graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID((i + 1) % n)}
-	}
-	src := Of(edges).Source(n)
-	sub, err := src.Segment(10, 35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sourceEdges(t, sub)
-	if len(got) != 25 {
-		t.Fatalf("segment len %d, want 25", len(got))
-	}
-	for i, e := range got {
-		if e != edges[10+i] {
-			t.Fatalf("segment edge %d mismatch", i)
-		}
-	}
-	if _, err := src.Segment(-1, 5); err == nil {
-		t.Fatal("negative lo accepted")
-	}
-	if _, err := src.Segment(0, n+1); err == nil {
-		t.Fatal("hi beyond len accepted")
-	}
-}
-
 func TestViewSourceEmpty(t *testing.T) {
 	src := View{}.Source(5)
 	if src.Len() != 0 {
