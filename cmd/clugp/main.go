@@ -18,15 +18,17 @@
 //	clugp -in g.cgr -stream -assign a.txt -checkpoint run.cpk -resume   # continue an interrupted run
 //	clugp -in g.cgr -stream -retry 5               # survive transient read faults by replaying
 //
-// With -checkpoint the run writes small checkpoint records (CPK1 format,
+// With -checkpoint the run writes small checkpoint records (CPK2 format,
 // CRC-protected, atomically rotated with a .prev fallback) at batch
-// boundaries. A record points into the -assign file, which it makes durable
-// first, so -checkpoint needs -assign; a CLUGP-family run also writes its
-// frozen pass-3 tables once to run.cpk.base. -resume loads the newest
-// intact record, truncates the -assign file to its watermark, and streams
-// from the start: the durable prefix is read back (and checked against the
-// stream) to rebuild the algorithm's state and the run's quality and
-// replica accounting, and the run continues from the record's offset. The
+// boundaries, for every algorithm that runs with -stream. A record points
+// into the -assign file, which it makes durable first, so -checkpoint
+// needs -assign. -resume loads the newest intact record and reruns the
+// whole stream from the start: every assignment the rerun makes before the
+// record's offset must equal the durable one in the -assign file (each
+// line is also checked against the stream's edge), and the run continues
+// writing from the record's offset. Nothing is written to -assign before
+// the record and the prefix have been checked, so a resume that is refused
+// (a wrong -k, -algo, -in or -assign) leaves it as the crash left it. The
 // resumed run's assignment, quality and -result are bit-identical to an
 // uninterrupted one's. A corrupt record is detected by its CRC and skipped
 // in favor of the previous one, never resumed from.
@@ -186,9 +188,6 @@ func main() {
 		if *streamF {
 			pl := res.Pipeline
 			fmt.Printf("pipeline:           %s\n", pipelineLine(pl.DecodeAhead))
-			if pl.CheckpointFallback != "" {
-				fmt.Printf("checkpoint fallback: %s\n", pl.CheckpointFallback)
-			}
 			if cks := pl.Checkpoints; cks.Enabled || cks.Resumed {
 				fmt.Printf("checkpoints:        %s\n", cks)
 			}
@@ -267,6 +266,10 @@ func buildPartitioner(algo string, seed uint64, set map[string]bool, tau, weight
 // command line.
 func checkRunFlags(set map[string]bool, o runOpts) error {
 	switch {
+	case o.retry < 0:
+		return fmt.Errorf("-retry %d: the attempt count cannot be negative", o.retry)
+	case o.ckEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: the cadence cannot be negative", o.ckEvery)
 	case (o.ckPath != "" || o.resume) && !o.stream:
 		return fmt.Errorf("-checkpoint/-resume need -stream (checkpoints point into the out-of-core pass's durable output)")
 	case o.resume && o.ckPath == "":
@@ -319,7 +322,7 @@ func run(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error) {
 		// The run completed and its outputs are written, so its
 		// checkpoints are obsolete; a later -resume against them would
 		// truncate the finished output.
-		for _, suffix := range []string{"", repro.CheckpointPrevSuffix, repro.CheckpointBaseSuffix} {
+		for _, suffix := range []string{"", repro.CheckpointPrevSuffix} {
 			os.Remove(o.ckPath + suffix)
 		}
 	}
@@ -362,9 +365,9 @@ func pipelineLine(ahead bool) string {
 //
 // With checkpointing the -assign file is written as a plain persistent file
 // instead of an atomic temp+rename: the records point into it, and a resume
-// truncates the interrupted run's output back to a record's watermark and
-// replays what is left, which a temp file that died with the process cannot
-// offer.
+// checks the interrupted run's output up to a record's watermark and
+// continues it from there, which a temp file that died with the process
+// cannot offer.
 func runStreaming(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error) {
 	in, k, out := o.in, o.k, o.out
 	if in == "" {
@@ -391,11 +394,14 @@ func runStreaming(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error
 	var aw *repro.AtomicWriter
 	var pf *os.File
 	var ck *repro.CheckpointOptions
+	var cw *countingWriter
 	if o.ckPath != "" {
 		ck = &repro.CheckpointOptions{Path: o.ckPath, EveryEdges: o.ckEvery}
-		flags := os.O_RDWR | os.O_CREATE
-		if !o.resume {
-			flags |= os.O_TRUNC
+		// A fresh run starts its output afresh; a resumed one opens the
+		// interrupted run's output without creating or cutting it.
+		flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
+		if o.resume {
+			flags = os.O_WRONLY
 		}
 		pf, err = os.OpenFile(out, flags, 0o644)
 		if err != nil {
@@ -408,15 +414,13 @@ func runStreaming(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error
 			if err != nil {
 				return nil, fmt.Errorf("resume: %w", err)
 			}
-			fmt.Printf("resuming: %s from offset %d/%d edges (batch %d, %s)\n",
-				c.Algorithm, c.Offset, c.NumEdges, c.Batch, from)
-			// Drop everything past the watermark: those edges were emitted
-			// by the interrupted run after its last record, and will be
-			// re-emitted.
+			fmt.Printf("resuming: %s from offset %d/%d edges (%s)\n", c.Algorithm, c.Offset, c.NumEdges, from)
+			// The run writes its tail over whatever the interrupted run
+			// emitted past the watermark, and the file is cut to its final
+			// length once the run completes. The run checks the record and
+			// the durable prefix before it emits anything, so a refused
+			// resume leaves the file as the crash left it.
 			mark = c.EmitMark
-			if err := pf.Truncate(mark); err != nil {
-				return nil, err
-			}
 			if _, err := pf.Seek(mark, io.SeekStart); err != nil {
 				return nil, err
 			}
@@ -429,7 +433,7 @@ func runStreaming(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error
 				r: bufio.NewReaderSize(io.LimitReader(rf, mark), 1<<16),
 			}}
 		}
-		cw := &countingWriter{w: pf, n: mark}
+		cw = &countingWriter{w: pf, n: mark}
 		w = bufio.NewWriterSize(cw, 1<<16)
 		ck.EmitMark = func() (int64, error) {
 			if err := w.Flush(); err != nil {
@@ -476,6 +480,10 @@ func runStreaming(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error
 				return nil, err
 			}
 		} else {
+			// Drop what the interrupted run emitted past this run's end.
+			if err := pf.Truncate(cw.n); err != nil {
+				return nil, err
+			}
 			if err := pf.Sync(); err != nil {
 				return nil, err
 			}

@@ -53,12 +53,11 @@ func TestStreamRefusesGreedy(t *testing.T) {
 // TestResumeResultMatchesCleanRun: a checkpointed -stream run that dies
 // mid-stream and is then resumed with -resume -result saves a .cpr and an
 // -assign file byte-identical to an uninterrupted run's. HDRF dies on a
-// corrupt block near the end of its one pass and resumes by replaying the
-// durable prefix. CLUGP dies in pass 3, the only pass that emits, and
-// resumes by checking its recomputed prefix against the durable one; both
-// prefixes reach the run's quality accounting, whose table -result saves.
-// Completed runs leave no checkpoint files behind, CLUGP's base file
-// included.
+// corrupt block near the end of its one pass; CLUGP dies in pass 3, the
+// only pass that emits. Both resume the same way: the run is recomputed
+// from the start and its prefix checked against the durable one, and the
+// whole recomputed stream reaches the run's quality accounting, whose table
+// -result saves. Completed runs leave no checkpoint files behind.
 func TestResumeResultMatchesCleanRun(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "g.cgr")
@@ -92,18 +91,31 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 	}
 	noCheckpoints := func(name string) {
 		t.Helper()
-		for _, suffix := range []string{"", repro.CheckpointPrevSuffix, repro.CheckpointBaseSuffix} {
+		for _, suffix := range []string{"", repro.CheckpointPrevSuffix} {
 			if _, err := os.Stat(filepath.Join(dir, name+".cpk"+suffix)); !os.IsNotExist(err) {
 				t.Errorf("completed run left %s.cpk%s behind (stat err %v)", name, suffix, err)
 			}
 		}
 	}
 	// resumeMatches resumes the crashed run and compares its outputs with
-	// the clean run's.
+	// the clean run's. 1 MiB of junk is appended to the crashed -assign
+	// file first, so the file runs past the clean run's end: the resumed
+	// run writes over what lies past the record's watermark and must cut
+	// the rest.
 	resumeMatches := func(algo, clean, crash string) {
 		t.Helper()
 		if _, err := os.Stat(filepath.Join(dir, crash+".cpk")); err != nil {
 			t.Fatalf("the crashed %s run left no checkpoint: %v", algo, err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, crash+".txt"), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(bytes.Repeat([]byte("junk\n"), 1<<18)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := run(partitioner(algo), opts(crash, true)); err != nil {
 			t.Fatal(err)
@@ -148,12 +160,79 @@ func TestResumeResultMatchesCleanRun(t *testing.T) {
 	resumeMatches("CLUGP", "clugp", "clugp-crash")
 }
 
+// TestRefusedResumeKeepsAssign: a -resume that does not match the
+// interrupted run - a k=8 HDRF crash resumed with -k 9 or -algo CLUGP, or
+// pointed at another -assign path - fails and leaves the crash's -assign
+// file byte-identical, and creates no file at a mistaken path.
+func TestRefusedResumeKeepsAssign(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "g.cgr")
+	var enc bytes.Buffer
+	if err := repro.WriteCompressed(&enc, repro.GenerateWeb(repro.WebConfig{N: 12000, OutDegree: 5, IntraSite: 0.7, Seed: 17})); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := runOpts{in: in, stream: true, k: 8, out: filepath.Join(dir, "a.txt"),
+		ckPath: filepath.Join(dir, "run.cpk"), ckEvery: 16384}
+	hdrf, err := repro.NewPartitioner("HDRF", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashMidEmit(t, hdrf, o, 40000)
+	crashed, err := os.ReadFile(o.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := repro.LoadCheckpoint(o.ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(crashed)) <= c.EmitMark {
+		t.Fatalf("the crash left %d -assign bytes, none past the record's watermark %d", len(crashed), c.EmitMark)
+	}
+
+	missing := filepath.Join(dir, "elsewhere.txt")
+	for _, tc := range []struct {
+		name, algo string
+		mutate     func(*runOpts)
+		want       string
+	}{
+		{"-k 9", "HDRF", func(o *runOpts) { o.k = 9 }, "k=8"},
+		{"-algo CLUGP", "CLUGP", func(*runOpts) {}, "algorithm"},
+		{"-assign elsewhere", "HDRF", func(o *runOpts) { o.out = missing }, "no such file"},
+	} {
+		ro := o
+		ro.resume = true
+		tc.mutate(&ro)
+		p, err := repro.NewPartitioner(tc.algo, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run(p, ro); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("resume with %s: err %v, want one containing %q", tc.name, err, tc.want)
+		}
+		got, err := os.ReadFile(o.out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, crashed) {
+			t.Fatalf("the refused resume with %s changed -assign (%d bytes, was %d)", tc.name, len(got), len(crashed))
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("a refused resume created %s (stat err %v)", missing, err)
+	}
+}
+
 var errCrash = errors.New("injected crash")
 
 // crashMidEmit runs p the way runStreaming's checkpointed path does - "src
 // dst p" lines through a counting writer, EmitMark flushing and syncing
 // them - but fails the emit once n edges are out, leaving the -assign
-// prefix and checkpoint records of a run that died mid-stream. A corrupt
+// file, lines past the last record's watermark included, and the
+// checkpoint records of a run that died mid-stream. A corrupt
 // input block cannot do that to CLUGP: its first pass would read the block
 // long before pass 3 emits anything.
 func crashMidEmit(t *testing.T, p repro.Partitioner, o runOpts, n int) {
@@ -180,6 +259,11 @@ func crashMidEmit(t *testing.T, p repro.Partitioner, o runOpts, n int) {
 	emitted := 0
 	emit := func(edges []repro.Edge, assign []int32) error {
 		if emitted >= n {
+			// Die with the lines past the last record on disk, as a kill
+			// after a buffer flush leaves them.
+			if err := w.Flush(); err != nil {
+				return err
+			}
 			return errCrash
 		}
 		for i, e := range edges {
@@ -272,12 +356,17 @@ func TestCLUGPFlagsRejectedElsewhere(t *testing.T) {
 }
 
 // TestRetryNeedsStream: -retry wraps only the out-of-core source, so
-// without -stream it is rejected instead of ignored.
+// without -stream it is rejected instead of ignored, as is a negative
+// attempt count.
 func TestRetryNeedsStream(t *testing.T) {
 	set := map[string]bool{"retry": true}
 	err := checkRunFlags(set, runOpts{retry: 3})
 	if err == nil || !strings.Contains(err.Error(), "-retry") {
 		t.Fatalf("-retry without -stream: err %v", err)
+	}
+	err = checkRunFlags(set, runOpts{retry: -1, stream: true})
+	if err == nil || !strings.Contains(err.Error(), "-retry -1") {
+		t.Fatalf("-retry -1: err %v, want a rejection", err)
 	}
 	if err := checkRunFlags(set, runOpts{retry: 3, stream: true}); err != nil {
 		t.Fatalf("-retry with -stream: %v", err)
@@ -286,7 +375,7 @@ func TestRetryNeedsStream(t *testing.T) {
 
 // TestCheckpointEveryNeedsCheckpoint: -checkpoint-every sets the cadence
 // of -checkpoint's records, so without -checkpoint it is rejected instead
-// of ignored.
+// of ignored, as is a negative cadence.
 func TestCheckpointEveryNeedsCheckpoint(t *testing.T) {
 	set := map[string]bool{"checkpoint-every": true, "stream": true}
 	err := checkRunFlags(set, runOpts{stream: true, ckEvery: 100})
@@ -296,5 +385,9 @@ func TestCheckpointEveryNeedsCheckpoint(t *testing.T) {
 	o := runOpts{stream: true, ckEvery: 100, ckPath: "run.cpk", out: "a.txt"}
 	if err := checkRunFlags(set, o); err != nil {
 		t.Fatalf("-checkpoint-every with -checkpoint: %v", err)
+	}
+	o.ckEvery = -1
+	if err := checkRunFlags(set, o); err == nil || !strings.Contains(err.Error(), "-checkpoint-every -1") {
+		t.Fatalf("-checkpoint-every -1: err %v, want a rejection", err)
 	}
 }

@@ -243,7 +243,7 @@ func RunOutOfCoreOpts(p Partitioner, src StreamSource, k int, emit Emit, opts Ou
 
 // Checkpoint/resume of out-of-core runs (clugp -checkpoint/-resume).
 type (
-	// Checkpoint is a decoded CPK1 checkpoint record of an out-of-core run:
+	// Checkpoint is a decoded CPK2 checkpoint record of an out-of-core run:
 	// the stream offset its durable output covers and the emit watermark
 	// of that output, CRC-protected on disk.
 	Checkpoint = store.Checkpoint
@@ -264,10 +264,6 @@ func LoadCheckpoint(path string) (*Checkpoint, string, error) { return store.Loa
 // CheckpointPrevSuffix is appended to a checkpoint path to name the rotated
 // previous checkpoint LoadCheckpoint falls back to.
 const CheckpointPrevSuffix = store.CheckpointPrevSuffix
-
-// CheckpointBaseSuffix is appended to a checkpoint path to name the base
-// file a CLUGP-family run writes once: its frozen pass-3 tables.
-const CheckpointBaseSuffix = store.CheckpointBaseSuffix
 
 // AbortPendingWrites aborts every atomic file write that has neither
 // committed nor aborted, removing the temp files, and returns how many were

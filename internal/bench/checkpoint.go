@@ -15,7 +15,7 @@ import (
 
 // CheckpointCell is one grid point of the checkpoint-overhead benchmark:
 // one algorithm streaming one dataset out-of-core (mmap backend, CGR3
-// format, serial decode and scoring) twice - once bare, once writing CPK1
+// format, serial decode and scoring) twice - once bare, once writing CPK2
 // checkpoints at the default cadence - so the runtime pair isolates what
 // crash tolerance costs. The cell is also a hard correctness gate at
 // measurement time: the checkpointed run's quality must equal the bare
@@ -54,10 +54,10 @@ func (c CheckpointCell) ID() string {
 	return fmt.Sprintf("checkpoint/%s/%s k=%d seed=%d", c.Dataset, c.Algorithm, c.K, c.Seed)
 }
 
-// checkpointAlgos covers the heuristic and the restreaming partitioner, the
-// two ways a resume rebuilds state: HDRF applies the durable prefix to its
-// replica tables, CLUGP loads its base file and recomputes pass 3 over the
-// prefix.
+// checkpointAlgos covers the one-pass heuristic and the restreaming
+// partitioner. Both resume the same way - recompute the run from edge 0
+// and check the durable prefix against it - so the pair gates a resume that
+// re-scores one pass and one that re-runs three.
 var checkpointAlgos = []string{"HDRF", "CLUGP"}
 
 // errBenchKill is the seeded mid-run kill of the resume gate.

@@ -39,6 +39,32 @@ const (
 	ckCrashAt = 5 * stream.BlockLen // die mid-epoch: last checkpoint at 4B
 )
 
+// checkpointAlgos is every algorithm that runs out of core. Each resumes
+// by the one rule of the sink: recompute the run from edge 0 and check the
+// durable prefix against it.
+var checkpointAlgos = []string{"Hashing", "DBH", "Mint", "HDRF", "CLUGP", "CLUGP-S", "CLUGP-G", "CLUGP-D"}
+
+// newCheckpointed builds name for the checkpoint tests, seeded 3. Mint
+// plays 4096-edge batches instead of its default 6400: a record sits only
+// where a committed batch ends on a BlockLen multiple, which 6400-edge
+// batches reach first at 204,800 edges, past the end of the test graph.
+// CLUGP-D runs 3 ingest nodes, so its shard windows start and end inside
+// blocks.
+func newCheckpointed(t *testing.T, name string) Partitioner {
+	t.Helper()
+	switch name {
+	case "Mint":
+		return &Mint{Seed: 3, BatchSize: 4096}
+	case "CLUGP-D":
+		return &DistributedCLUGP{Nodes: 3, Seed: 3}
+	}
+	p, err := New(name, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // memSource streams g's edges from memory in their stored order.
 func memSource(g *graph.Graph) stream.Source { return stream.Of(g.Edges).Source(g.NumVertices) }
 
@@ -63,15 +89,12 @@ func runUntilCrash(t *testing.T, p Partitioner, src stream.Source, k int, ckPath
 	return got
 }
 
-// resumeFrom resumes from c over src, replaying the durable prefix
+// resumeFrom resumes from c over src, checking the durable prefix
 // crashed[:Offset] the killed run emitted, and runs the tail, returning the
 // resumed assignments and the result.
 func resumeFrom(t *testing.T, name string, src stream.Source, k int, c *store.Checkpoint, crashed []int32, ckPath string) ([]int32, *Result) {
 	t.Helper()
-	p, err := New(name, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newCheckpointed(t, name)
 	opts := OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: ckCadence,
 		Resume: &Resume{Record: c, Prefix: PrefixOf(crashed[:c.Offset])}}}
 	var got []int32
@@ -109,7 +132,7 @@ func checkResumedRun(t *testing.T, ref []int32, refRes *Result, crashed, resumed
 }
 
 // TestCheckpointResumeBitIdentical is the crash-injection matrix of the
-// checkpoint subsystem: kill each checkpointing algorithm at a deterministic
+// checkpoint subsystem: kill each out-of-core algorithm at a deterministic
 // batch boundary, resume a fresh partitioner from the checkpoint on disk,
 // and require the stitched run to be bit-identical - per-edge assignments
 // and quality - to an uninterrupted one. Subtest decode=N crashes and
@@ -128,20 +151,14 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	for _, name := range []string{"HDRF", "CLUGP"} {
-		p, err := New(name, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, refRes := collectAssignments(t, p, memSource(g), k)
+	for _, name := range checkpointAlgos {
+		ref, refRes := collectAssignments(t, newCheckpointed(t, name), memSource(g), k)
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/decode=%d", name, procs), func(t *testing.T) {
 				ckPath := filepath.Join(t.TempDir(), "run.cpk")
-				crashP, err := New(name, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
+				crashP := newCheckpointed(t, name)
 				var crashed, resumed []int32
+				var err error
 				var res *Result
 				var c *store.Checkpoint
 				withProcs(procs, func() {
@@ -169,8 +186,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 }
 
 // TestCheckpointResumeAcrossConfigurations: a checkpoint record holds no
-// state laid out for a decode configuration - the resume rebuilds it from
-// the durable prefix - so a record written under one configuration resumes
+// state laid out for a decode configuration - the resume recomputes the
+// run and checks it against the durable prefix - so a record written under
+// one configuration resumes
 // bit-identically under another. Over a CGR3 file a run crashes while the
 // source decodes ahead (GOMAXPROCS 2) and resumes with it decoding inline
 // (GOMAXPROCS 1), and the reverse: a crashed multi-core run can resume on a
@@ -184,19 +202,12 @@ func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 	}
 	defer src.Close()
 	mode := map[int]string{1: "inline", 2: "ahead"}
-	for _, name := range []string{"HDRF", "CLUGP"} {
-		p, err := New(name, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, refRes := collectAssignments(t, p, memSource(g), k)
+	for _, name := range checkpointAlgos {
+		ref, refRes := collectAssignments(t, newCheckpointed(t, name), memSource(g), k)
 		for _, dir := range []struct{ crash, resume int }{{2, 1}, {1, 2}} {
 			t.Run(fmt.Sprintf("%s/crash=%s,resume=%s", name, mode[dir.crash], mode[dir.resume]), func(t *testing.T) {
 				ckPath := filepath.Join(t.TempDir(), "run.cpk")
-				crashP, err := New(name, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
+				crashP := newCheckpointed(t, name)
 				var crashed []int32
 				withProcs(dir.crash, func() { crashed = runUntilCrash(t, crashP, src, k, ckPath) })
 				c, _, err := store.LoadCheckpoint(ckPath)
@@ -213,6 +224,27 @@ func TestCheckpointResumeAcrossConfigurations(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCheckpointResumeStraddlingCommit: a committed run that straddles the
+// resume offset is checked up to the offset and emits the rest. Mint at its
+// default 6400-edge batches commits [6400, 12800), across a record at one
+// block; the resumed tail must be the clean run's from there on.
+func TestCheckpointResumeStraddlingCommit(t *testing.T) {
+	g := checkpointTestGraph()
+	k := 4
+	ref, refRes := collectAssignments(t, &Mint{Seed: 3}, memSource(g), k)
+	c := &store.Checkpoint{Algorithm: "Mint", K: k, NumVertices: g.NumVertices, NumEdges: int64(len(g.Edges)),
+		Offset: stream.BlockLen}
+	var resumed []int32
+	res, err := RunOutOfCoreOpts(&Mint{Seed: 3}, memSource(g), k, func(_ []graph.Edge, a []int32) error {
+		resumed = append(resumed, a...)
+		return nil
+	}, OutOfCoreOptions{Checkpoint: &CheckpointOptions{Resume: &Resume{Record: c, Prefix: PrefixOf(ref[:c.Offset])}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResumedRun(t, ref, refRes, ref, resumed, res, c.Offset)
 }
 
 // TestCheckpointCorruptionFallsBackToPrev: a corrupted current checkpoint
@@ -306,11 +338,10 @@ func TestCheckpointCorruptionFallsBackToPrev(t *testing.T) {
 
 // TestCheckpointResumeRejectsMismatch: a checkpoint that does not describe
 // this exact run - wrong algorithm, k, graph geometry, a tampered offset,
-// a durable prefix that is short or disagrees with the run, or a base file
-// that is missing or belongs to another run - must be rejected, and the
-// run must never resume (emit nothing past the prefix). Resuming it would
-// silently produce wrong assignments, the one outcome the subsystem exists
-// to prevent.
+// or a durable prefix that is short or disagrees with the run's own
+// recomputation - must be rejected, and the run must never resume (emit
+// nothing past the prefix). Resuming it would silently produce wrong
+// assignments, the one outcome the subsystem exists to prevent.
 func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	g := checkpointTestGraph()
 	k := 4
@@ -319,20 +350,17 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 		crashed []int32
 		path    string
 	}
-	crash := func(name string, seed uint64) fixture {
+	crash := func(name string) fixture {
 		ckPath := filepath.Join(t.TempDir(), "run.cpk")
-		p, err := New(name, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crashed := runUntilCrash(t, p, memSource(g), k, ckPath)
+		crashed := runUntilCrash(t, newCheckpointed(t, name), memSource(g), k, ckPath)
 		c, _, err := store.LoadCheckpoint(ckPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fixture{rec: c, crashed: crashed, path: ckPath}
 	}
-	hdrf, clugp, clugpOther := crash("HDRF", 3), crash("CLUGP", 3), crash("CLUGP", 4)
+	hdrf, clugp := crash("HDRF"), crash("CLUGP")
+	flip := func(a []int32) []int32 { a[len(a)/2] = (a[len(a)/2] + 1) % int32(k); return a }
 
 	other := gen.Web(gen.WebConfig{N: 6000, OutDegree: 5, IntraSite: 0.7, Seed: 17})
 	cases := []struct {
@@ -343,7 +371,6 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 		fx     fixture
 		mutate func(*store.Checkpoint)
 		prefix func([]int32) []int32
-		path   string // overrides the fixture's checkpoint path
 		want   string
 	}{
 		{name: "wrong algorithm", algo: "CLUGP", k: k, g: g, fx: hdrf, want: "algorithm"},
@@ -353,17 +380,15 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 			mutate: func(c *store.Checkpoint) { c.NumEdges++ }, want: "edges"},
 		{name: "misaligned offset", algo: "HDRF", k: k, g: g, fx: hdrf,
 			mutate: func(c *store.Checkpoint) { c.Offset++ }, want: "multiple"},
-		{name: "non-checkpointer resume", algo: "DBH", k: k, g: g, fx: hdrf, want: "cannot restore"},
+		// Greedy, which never runs out of core, is the one algorithm left
+		// that cannot checkpoint.
+		{name: "non-checkpointer resume", algo: "Greedy", k: k, g: g, fx: hdrf, want: "cannot run out of core"},
 		{name: "prefix shorter than offset", algo: "HDRF", k: k, g: g, fx: hdrf,
 			prefix: func(a []int32) []int32 { return a[:len(a)-1] }, want: "durable prefix"},
 		{name: "prefix assignment out of range", algo: "HDRF", k: k, g: g, fx: hdrf,
-			prefix: func(a []int32) []int32 { a[len(a)/3] = int32(k); return a }, want: "outside"},
-		{name: "flipped CLUGP prefix assignment", algo: "CLUGP", k: k, g: g, fx: clugp,
-			prefix: func(a []int32) []int32 { a[len(a)/2] = (a[len(a)/2] + 1) % int32(k); return a }, want: "computes"},
-		{name: "missing base", algo: "CLUGP", k: k, g: g, fx: clugp,
-			path: filepath.Join(t.TempDir(), "run.cpk"), want: "base"},
-		{name: "base of another run", algo: "CLUGP", k: k, g: g, fx: clugp,
-			path: clugpOther.path, want: "CRC"},
+			prefix: func(a []int32) []int32 { a[len(a)/3] = int32(k); return a }, want: "computes"},
+		{name: "flipped HDRF prefix assignment", algo: "HDRF", k: k, g: g, fx: hdrf, prefix: flip, want: "computes"},
+		{name: "flipped CLUGP prefix assignment", algo: "CLUGP", k: k, g: g, fx: clugp, prefix: flip, want: "computes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -375,20 +400,12 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 			if tc.prefix != nil {
 				prefix = tc.prefix(prefix)
 			}
-			path := tc.fx.path
-			if tc.path != "" {
-				path = tc.path
-			}
-			p, err := New(tc.algo, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = RunOutOfCoreOpts(p, stream.Of(tc.g.Edges).Source(tc.g.NumVertices), tc.k,
+			_, err := RunOutOfCoreOpts(newCheckpointed(t, tc.algo), stream.Of(tc.g.Edges).Source(tc.g.NumVertices), tc.k,
 				func([]graph.Edge, []int32) error {
 					t.Fatal("a rejected resume emitted assignments")
 					return nil
 				},
-				OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: path,
+				OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: tc.fx.path,
 					Resume: &Resume{Record: &cc, Prefix: PrefixOf(prefix)}}})
 			if err == nil {
 				t.Fatal("resume accepted a mismatched checkpoint")
@@ -397,41 +414,6 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestCheckpointNonCheckpointerFallsBack: asking for checkpoints from an
-// algorithm that cannot rebuild its state from a durable prefix is not an
-// error - the run
-// completes without them - but the demotion is recorded in the pipeline
-// info and no checkpoint file appears.
-func TestCheckpointNonCheckpointerFallsBack(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 4000, OutDegree: 4, IntraSite: 0.7, Seed: 9})
-	p, err := New("DBH", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckPath := filepath.Join(t.TempDir(), "run.cpk")
-	res, err := RunOutOfCoreOpts(p, stream.Of(g.Edges).Source(g.NumVertices), 4, nil, OutOfCoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckRes, err := RunOutOfCoreOpts(p, stream.Of(g.Edges).Source(g.NumVertices), 4, nil,
-		OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: ckPath, EveryEdges: stream.BlockLen}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ckRes.Quality, res.Quality) {
-		t.Fatalf("checkpoint-demoted run changed quality: %+v vs %+v", ckRes.Quality, res.Quality)
-	}
-	if ckRes.Pipeline.Checkpoints.Enabled || ckRes.Pipeline.Checkpoints.Written != 0 {
-		t.Fatalf("checkpoint stats %+v for an algorithm that cannot snapshot", ckRes.Pipeline.Checkpoints)
-	}
-	if !strings.Contains(ckRes.Pipeline.CheckpointFallback, "snapshot") {
-		t.Fatalf("fallback note %q does not record the demotion", ckRes.Pipeline.CheckpointFallback)
-	}
-	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint file exists (stat err %v) though checkpointing was demoted", err)
 	}
 }
 

@@ -1,16 +1,12 @@
 package partition
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/game"
 	"repro/internal/graph"
-	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -64,9 +60,7 @@ const vmaxFactor = 0.2
 // v's final cluster (its master copy; -1 if v never appeared in the
 // stream), mirror[v] the partition of the cluster holding v's mirror (-1
 // if it has none) and deg[v] its pass-1 degree. Nothing else of the
-// clustering or the cluster->partition table is kept. A checkpointed run
-// writes it once as its base file, so a resumed run replays neither
-// clustering nor the game.
+// clustering or the cluster->partition table is kept.
 type clugpFrozen struct {
 	master, mirror []int32
 	deg            []uint32
@@ -123,9 +117,7 @@ func (c *CLUGP) PreferredOrder() stream.Order { return stream.BFS }
 // graph, and pass 3 commits each transformed block as soon as its balance
 // bookkeeping is final, so the full run never holds O(|E|) state - the
 // paper's streaming deployment: three sequential passes over a replayable
-// stream. A resumed run whose record names a base file takes passes 1 and 2
-// from it; pass 3 then recomputes the durable prefix and checks it against
-// what the interrupted run emitted.
+// stream.
 func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 	tau := c.Tau
 	if tau == 0 {
@@ -137,18 +129,9 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 	if src.Len() == 0 {
 		return nil
 	}
-	var fz *clugpFrozen
-	var err error
-	if sink.ck != nil && sink.ck.base != nil {
-		fz, err = loadCLUGPBase(sink.ck.base)
-	} else {
-		fz, err = c.passes12(src, k)
-	}
+	fz, err := c.passes12(src, k)
 	if err != nil {
 		return err
-	}
-	if sink.ck != nil {
-		sink.ck.freeze = fz.sections
 	}
 
 	// Pass 3: transformation (Algorithm 1).
@@ -215,8 +198,8 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 	t3 := time.Now()
 
 	// Cluster-quality fractions come from pass-2 state alone, so they are
-	// computed before pass 3: the base file carries them, and a resumed run
-	// never revisits the cluster graph.
+	// computed before pass 3 folds the tables and the cluster graph becomes
+	// garbage.
 	var intraFrac, healedFrac float64
 	if total := cg.TotalIntra + cg.TotalInter; total > 0 {
 		intraFrac = float64(cg.TotalIntra) / float64(total)
@@ -285,9 +268,9 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 // see cutRoute). An edge inside one partition reads only its endpoints'
 // master partitions, one random load each.
 //
-// An endpoint with no master partition, which only a forged base file can
-// produce, fails the pass with an error naming the edge. It returns the
-// number of edges the balance guard rerouted.
+// An endpoint with no master partition, which passes 1 and 2 never leave
+// for a vertex of the stream, fails the pass with an error naming the
+// edge. It returns the number of edges the balance guard rerouted.
 func transform(src stream.Source, fz *clugpFrozen, k int, tau float64, sink *assignSink) (overflowed int64, err error) {
 	// Lmax = ceil(tau*|E|/k): the ceiling guarantees k*Lmax >= |E| so an
 	// underflow partition always exists when the guard trips.
@@ -332,9 +315,6 @@ func transform(src stream.Source, fz *clugpFrozen, k int, tau float64, sink *ass
 			}
 			out[j] = p
 			sizes[p]++
-		}
-		if err := sink.verify(blk, out); err != nil {
-			return err
 		}
 		return sink.commit(blk, out)
 	})
@@ -399,106 +379,6 @@ func (c *leastCursor) next(sizes []int64) int32 {
 	p := leastLoadedAll(sizes)
 	c.min, c.at = sizes[p], int(p)
 	return p
-}
-
-// clugpScalars is the number of pass-1/2 scalars a base file carries.
-const clugpScalars = 11
-
-// sections encodes the frozen state as a base file's sections: the vertex
-// records as uvarint(master+1), uvarint(mirror+1), uvarint(degree) per
-// vertex, and the pass-1/2 scalars.
-func (fz *clugpFrozen) sections() []store.CheckpointSection {
-	vert := make([]byte, 0, 4*len(fz.master))
-	for v, pv := range fz.master {
-		vert = binary.AppendUvarint(vert, uint64(int64(pv)+1))
-		vert = binary.AppendUvarint(vert, uint64(int64(fz.mirror[v])+1))
-		vert = binary.AppendUvarint(vert, uint64(fz.deg[v]))
-	}
-	t := &fz.trace
-	var scalars []byte
-	for _, x := range [clugpScalars]uint64{
-		uint64(t.NumClusters),
-		uint64(t.Splits),
-		uint64(t.Migrations),
-		uint64(t.GameRounds),
-		uint64(t.GameMoves),
-		uint64(t.GameBatches),
-		math.Float64bits(t.IntraFraction),
-		math.Float64bits(t.HealedFraction),
-		uint64(t.ClusterTime),
-		uint64(t.BuildTime),
-		uint64(t.GameTime),
-	} {
-		scalars = binary.AppendUvarint(scalars, x)
-	}
-	return []store.CheckpointSection{
-		{Name: sectionCLUGPVertex, Data: vert},
-		{Name: sectionCLUGPScalars, Data: scalars},
-	}
-}
-
-// loadCLUGPBase decodes and validates a base file's frozen state eagerly:
-// every partition id must lie in [-1, k). A vertex with no master
-// partition is legal here (it never appeared in the stream); pass 3 fails
-// on an edge that has one as an endpoint.
-func loadCLUGPBase(base *store.Checkpoint) (*clugpFrozen, error) {
-	nv, k := base.NumVertices, base.K
-	data, err := loadSection(base, sectionCLUGPScalars)
-	if err != nil {
-		return nil, err
-	}
-	var vals [clugpScalars]uint64
-	for i := range vals {
-		x, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errors.New("clugp: truncated base scalars")
-		}
-		vals[i] = x
-		data = data[n:]
-	}
-	if len(data) != 0 {
-		return nil, errors.New("clugp: trailing bytes after base scalars")
-	}
-	numClusters := int(vals[0])
-	if numClusters < 0 || numClusters > nv {
-		return nil, fmt.Errorf("clugp: base has %d clusters for %d vertices", numClusters, nv)
-	}
-
-	if data, err = loadSection(base, sectionCLUGPVertex); err != nil {
-		return nil, err
-	}
-	fz := &clugpFrozen{master: make([]int32, nv), mirror: make([]int32, nv), deg: make([]uint32, nv)}
-	var f [3]uint64
-	for v := range nv {
-		for i := range f {
-			x, n := binary.Uvarint(data)
-			if n <= 0 {
-				return nil, fmt.Errorf("clugp: base record of vertex %d truncated", v)
-			}
-			f[i], data = x, data[n:]
-		}
-		if f[0] > uint64(k) || f[1] > uint64(k) || f[2] > math.MaxUint32 {
-			return nil, fmt.Errorf("clugp: base record of vertex %d (%d, %d, %d) out of range", v, int64(f[0])-1, int64(f[1])-1, f[2])
-		}
-		fz.master[v], fz.mirror[v], fz.deg[v] = int32(f[0])-1, int32(f[1])-1, uint32(f[2])
-	}
-	if len(data) != 0 {
-		return nil, errors.New("clugp: trailing bytes after base vertex records")
-	}
-	fz.trace = Trace{
-		NumClusters:    numClusters,
-		Splits:         int64(vals[1]),
-		Migrations:     int64(vals[2]),
-		GameRounds:     int(vals[3]),
-		GameMoves:      int64(vals[4]),
-		GameBatches:    int(vals[5]),
-		IntraFraction:  math.Float64frombits(vals[6]),
-		HealedFraction: math.Float64frombits(vals[7]),
-		ClusterTime:    time.Duration(vals[8]),
-		BuildTime:      time.Duration(vals[9]),
-		GameTime:       time.Duration(vals[10]),
-	}
-	return fz, nil
 }
 
 // StateBytes implements StateSizer. CLUGP's standing state is the two

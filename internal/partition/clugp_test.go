@@ -1,14 +1,10 @@
 package partition
 
 import (
-	"encoding/binary"
-	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/store"
 )
 
 // TestLeastCursorMatchesLeastLoadedAll checks the balance guard's cursor
@@ -119,128 +115,32 @@ func cycle4() *graph.Graph {
 	return graph.New(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}})
 }
 
-// resumeFromBase writes a CLUGP base file holding sections for g at k and
-// resumes a CLUGP run over g from a record at offset 0 that names it, so
-// pass 3 runs on the base's frozen state.
-func resumeFromBase(t *testing.T, g *graph.Graph, k int, sections []store.CheckpointSection) error {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "run.cpk")
-	hdr := store.Checkpoint{Algorithm: "CLUGP", K: k, NumVertices: g.NumVertices, NumEdges: int64(len(g.Edges))}
-	base := hdr
-	base.Sections = sections
-	_, crc, err := store.WriteCheckpointBase(path+store.CheckpointBaseSuffix, &base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := hdr
-	rec.AddSection(sectionBase, binary.LittleEndian.AppendUint32(nil, crc))
-	_, err = RunOutOfCoreOpts(&CLUGP{}, memSource(g), k, nil,
-		OutOfCoreOptions{Checkpoint: &CheckpointOptions{Path: path, Resume: &Resume{Record: &rec}}})
-	return err
-}
-
-// baseScalars encodes the pass-1/2 scalars of a base file with
-// numClusters clusters and every other scalar zero.
-func baseScalars(numClusters int) store.CheckpointSection {
-	var data []byte
-	data = binary.AppendUvarint(data, uint64(numClusters))
-	for i := 1; i < clugpScalars; i++ {
-		data = binary.AppendUvarint(data, 0)
-	}
-	return store.CheckpointSection{Name: sectionCLUGPScalars, Data: data}
-}
-
-// TestCLUGPForgedBaseFailsPass3: a base file may mark a vertex as having
-// no master partition (a vertex absent from the stream has none), but an
-// edge with such an endpoint must fail pass 3 with an error naming the
-// edge, not index out of range.
+// TestCLUGPForgedBaseFailsPass3: a frozen pass-1/2 record may mark a
+// vertex as having no master partition (a vertex absent from the stream
+// has none), but an edge with such an endpoint must fail pass 3 with an
+// error naming the edge, not index out of range. Passes 1 and 2 never
+// leave such a record for a vertex of the stream, so the test forges one
+// and hands it to transform directly.
 func TestCLUGPForgedBaseFailsPass3(t *testing.T) {
 	g := cycle4()
-	records := func(master2 int32) []store.CheckpointSection {
+	const k = 2
+	pass3 := func(master2 int32) error {
 		fz := &clugpFrozen{
 			master: []int32{0, 1, master2, 1},
 			mirror: []int32{-1, -1, 0, -1},
 			deg:    []uint32{2, 2, 2, 2},
-			trace:  Trace{NumClusters: 4},
 		}
-		return fz.sections()
+		sink := &assignSink{}
+		sink.ev.Begin(g.NumVertices, k)
+		_, err := transform(memSource(g), fz, k, 1.0, sink)
+		return err
 	}
-	// The same base with vertex 2 placed runs: the harness itself works.
-	if err := resumeFromBase(t, g, 2, records(0)); err != nil {
-		t.Fatalf("valid base: %v", err)
+	// The same record with vertex 2 placed runs: the harness itself works.
+	if err := pass3(0); err != nil {
+		t.Fatalf("valid record: %v", err)
 	}
-	err := resumeFromBase(t, g, 2, records(-1))
+	err := pass3(-1)
 	if err == nil || !strings.Contains(err.Error(), "edge 1 (1 -> 2): vertex 2 has no master partition") {
-		t.Fatalf("forged base: got %v, want an error naming edge 1 and vertex 2", err)
-	}
-}
-
-// TestCLUGPBaseRejectsFourTableLayout: a base file in the earlier layout -
-// vertex->cluster, split-from and degree tables plus cluster->partition,
-// as four sections - is rejected by the section it lacks, never misread
-// as vertex records.
-func TestCLUGPBaseRejectsFourTableLayout(t *testing.T) {
-	g := cycle4()
-	ids := func(vals ...int64) []byte {
-		var b []byte
-		for _, v := range vals {
-			b = binary.AppendUvarint(b, uint64(v+1))
-		}
-		return b
-	}
-	var deg []byte
-	for range g.NumVertices {
-		deg = binary.AppendUvarint(deg, 2)
-	}
-	old := []store.CheckpointSection{
-		{Name: "clugp.assign", Data: ids(0, 0, 1, 1)},
-		{Name: "clugp.splitfrom", Data: ids(-1, -1, 0, -1)},
-		{Name: "clugp.degree", Data: deg},
-		{Name: "clugp.cpart", Data: ids(0, 1)},
-		baseScalars(2),
-	}
-	err := resumeFromBase(t, g, 2, old)
-	if err == nil || !strings.Contains(err.Error(), `no "clugp.vertex" section`) {
-		t.Fatalf("four-table base: got %v, want an error naming the missing clugp.vertex section", err)
-	}
-}
-
-// TestCLUGPBaseRejectsOutOfRangeRecords: loadCLUGPBase bounds every
-// partition id to [-1, k) and every degree to uint32, and rejects
-// truncated and trailing bytes.
-func TestCLUGPBaseRejectsOutOfRangeRecords(t *testing.T) {
-	const k = 2
-	vertex := func(fields ...uint64) store.CheckpointSection {
-		var b []byte
-		for _, f := range fields {
-			b = binary.AppendUvarint(b, f)
-		}
-		return store.CheckpointSection{Name: sectionCLUGPVertex, Data: b}
-	}
-	for _, tc := range []struct {
-		name string
-		vert store.CheckpointSection
-		want string
-	}{
-		{"master k", vertex(k+1, 0, 1), "out of range"},
-		{"mirror k", vertex(1, k+1, 1), "out of range"},
-		{"degree over uint32", vertex(1, 0, math.MaxUint32+1), "out of range"},
-		{"truncated", vertex(1, 0), "truncated"},
-		{"trailing", vertex(1, 0, 1, 7), "trailing"},
-	} {
-		base := &store.Checkpoint{Algorithm: "CLUGP", K: k, NumVertices: 1, NumEdges: 1,
-			Sections: []store.CheckpointSection{tc.vert, baseScalars(1)}}
-		if _, err := loadCLUGPBase(base); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
-		}
-	}
-	ok := &store.Checkpoint{Algorithm: "CLUGP", K: k, NumVertices: 1, NumEdges: 1,
-		Sections: []store.CheckpointSection{vertex(k, 0, math.MaxUint32), baseScalars(1)}}
-	fz, err := loadCLUGPBase(ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fz.master[0] != k-1 || fz.mirror[0] != -1 || fz.deg[0] != math.MaxUint32 {
-		t.Fatalf("record (%d, %d, %d), want (%d, -1, %d)", fz.master[0], fz.mirror[0], fz.deg[0], k-1, uint32(math.MaxUint32))
+		t.Fatalf("forged record: got %v, want an error naming edge 1 and vertex 2", err)
 	}
 }

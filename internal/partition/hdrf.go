@@ -92,22 +92,6 @@ func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
 
 	return forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
-		if sink.replaying() {
-			// A resumed run's durable prefix: apply each edge's emitted
-			// partition through the updates the scoring loop below makes.
-			if err := sink.replay(blk, out); err != nil {
-				return err
-			}
-			for j, e := range blk {
-				p := int(out[j])
-				deg[e.Src]++
-				deg[e.Dst]++
-				h.place(p)
-				rs.Add(e.Src, p)
-				rs.Add(e.Dst, p)
-			}
-			return sink.commit(blk, out)
-		}
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
 			deg[u]++

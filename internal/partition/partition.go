@@ -137,24 +137,19 @@ type OutOfCoreOptions struct {
 	// Checkpoint, when non-nil, enables crash tolerance: the run writes
 	// checkpoint records to Checkpoint.Path at batch boundaries, and
 	// Checkpoint.Resume continues from a record's exact stream offset,
-	// bit-identical to an uninterrupted run. HDRF and the CLUGP family
-	// checkpoint; others run without checkpoints, recorded in
-	// Result.Pipeline.
+	// bit-identical to an uninterrupted run. Every algorithm that runs out
+	// of core checkpoints and resumes.
 	Checkpoint *CheckpointOptions
 }
 
-// PipelineInfo records how the hot pass actually executed, including the
-// one downgrade that used to be silent: a partitioner without checkpoint
-// support runs without checkpoints. clugp -trace prints it.
+// PipelineInfo records how the hot pass actually executed: which decode
+// ran, checkpoint/resume activity and stream retries. clugp -trace prints
+// it.
 type PipelineInfo struct {
 	// DecodeAhead reports that the source the partitioner read decoded
 	// ahead of it on a goroutine of its own (a store file source does at
 	// GOMAXPROCS >= 2); false means decode ran inline.
 	DecodeAhead bool
-	// CheckpointFallback explains why a requested checkpoint plan was
-	// dropped (the partitioner cannot resume from a snapshot); empty
-	// otherwise.
-	CheckpointFallback string
 	// Checkpoints reports checkpoint/resume activity (zero when disabled).
 	Checkpoints CheckpointStats
 	// RetryAttempts counts stream retry attempts fired during the run, when
@@ -200,30 +195,19 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 	// Resolve the checkpoint plan before any wrapping: resume validation is
 	// defined against the caller's source.
 	if c := opts.Checkpoint; c != nil && (c.Path != "" || c.Resume != nil) {
-		switch {
-		case replaysPrefix(p):
-			ck, err := newCkRun(p, src, k, c)
-			if err != nil {
-				return nil, err
-			}
-			sink.ck = ck
-		case c.Resume != nil:
-			// Resuming without prefix replay would re-partition from
-			// scratch against a truncated emit stream: hard error.
-			return nil, fmt.Errorf("partition: %s cannot restore checkpoint state (no prefix replay)", p.Name())
-		default:
-			info.CheckpointFallback = p.Name() + " cannot resume from a checkpoint snapshot, checkpointing disabled"
+		ck, err := newCkRun(p, src, k, c)
+		if err != nil {
+			return nil, err
 		}
+		sink.ck = ck
 	}
 	info.DecodeAhead = decodesAhead(src)
 	if sink.ck != nil {
 		// Pin every sink commit to a BlockLen-multiple stream offset: serial
 		// algorithms otherwise commit at whatever block granularity the
 		// source delivers (an in-memory view delivers one giant block, which
-		// would leave no mid-stream checkpoint points), and a resumed run's
-		// boundaries must land on the same offsets a clean run's do, so each
-		// block is wholly inside or outside the replayed prefix. The rebatch
-		// affects scheduling only, never assignments.
+		// would leave no mid-stream checkpoint points). The rebatch affects
+		// scheduling only, never assignments.
 		src = stream.Rebatch(src, stream.BlockLen)
 	}
 	sink.ev.Begin(nv, k)
@@ -297,18 +281,28 @@ func (s *assignSink) grab(n int) []int32 {
 	return s.scratch[:n]
 }
 
-// commit scores one finalized run and, unless it lies in the replayed
-// prefix of a resumed run (durable already: it rebuilds state only),
-// forwards it to emit and gives the checkpoint plumbing its offset.
+// commit scores one finalized run, forwards it to emit and gives the
+// checkpoint plumbing its offset. This is the one resume rule: a resumed
+// run recomputes everything, and the part of a run inside the durable
+// prefix [0, Offset) is checked against what the interrupted run emitted
+// instead of being emitted again. A run that straddles Offset is checked
+// up to it and emits the rest.
 func (s *assignSink) commit(edges []graph.Edge, out []int32) error {
 	if err := s.ev.Observe(edges, out); err != nil {
 		return err
 	}
-	replayed := s.replaying()
-	s.pos += len(out)
-	if replayed {
-		return nil
+	if s.ck != nil && s.pos < s.ck.end {
+		n := min(len(out), s.ck.end-s.pos)
+		if err := s.ck.verify(s.pos, edges[:n], out[:n]); err != nil {
+			return err
+		}
+		s.pos += n
+		if n == len(out) {
+			return nil
+		}
+		edges, out = edges[n:], out[n:]
 	}
+	s.pos += len(out)
 	if s.emit != nil {
 		if err := s.emit(edges, out); err != nil {
 			return err

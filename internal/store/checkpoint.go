@@ -2,25 +2,21 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
-// Checkpoint is one CPK1 file. As a checkpoint record it marks an
-// out-of-core partitioning run at a batch boundary: the fixed header
-// carries the run geometry and progress marks, and a resume rebuilds the
-// run's state by replaying the durable output up to Offset. As a base file
-// (CheckpointBaseSuffix) it holds state a run froze before its first
-// record - CLUGP's pass-3 tables. Anything algorithm-specific travels in
-// named opaque sections, so the codec needs no knowledge of any particular
-// partitioner.
+// Checkpoint is one CPK2 record. It marks an out-of-core partitioning run
+// at a batch boundary: the fixed header carries the run geometry and
+// progress marks, and nothing else. A resume recomputes the run from edge 0
+// and checks the recomputed assignment against the durable output up to
+// Offset, so a record carries no algorithm state.
 type Checkpoint struct {
-	// Algorithm names the partitioner that wrote the snapshot; resume
+	// Algorithm names the partitioner that wrote the record; resume
 	// refuses a mismatch.
 	Algorithm string
 	// K and NumVertices pin the run geometry; NumEdges is the full stream
@@ -29,50 +25,15 @@ type Checkpoint struct {
 	NumVertices int
 	NumEdges    int64
 	// Offset is the number of edges fully processed and emitted: the
-	// snapshot covers exactly edges [0, Offset), and resume restarts the
-	// stream there. Batch is Offset divided by the pinned batch length
-	// (bookkeeping for operators; resume recomputes everything from
-	// Offset).
+	// durable output covers exactly edges [0, Offset), and a resume emits
+	// from there.
 	Offset int64
-	Batch  int64
 	// EmitMark is the caller-defined durable position of the assignment
 	// emit stream (for cmd/clugp, the byte offset of the assignment file):
-	// resume truncates the emit stream here before continuing, so a crash
-	// mid-batch never leaves half-emitted assignments ahead of the
-	// checkpoint.
+	// a resume continues the emit stream from here, so whatever a crash
+	// left half-emitted past it is written over.
 	EmitMark int64
-	// Sections hold the algorithm-specific payloads, in write order: a
-	// record names its base file here, a base holds the frozen tables.
-	Sections []CheckpointSection
 }
-
-// CheckpointSection is one named opaque state blob.
-type CheckpointSection struct {
-	Name string
-	Data []byte
-}
-
-// AddSection appends a named section.
-func (c *Checkpoint) AddSection(name string, data []byte) {
-	c.Sections = append(c.Sections, CheckpointSection{Name: name, Data: data})
-}
-
-// Section returns the named section's payload.
-func (c *Checkpoint) Section(name string) ([]byte, bool) {
-	for i := range c.Sections {
-		if c.Sections[i].Name == name {
-			return c.Sections[i].Data, true
-		}
-	}
-	return nil, false
-}
-
-// Checkpoint-file limits: a handful of sections with short names is all any
-// partitioner writes; more in a header is a forgery, not a configuration.
-const (
-	maxCheckpointSections = 64
-	maxCheckpointName     = 64
-)
 
 // CheckpointPrevSuffix names the previous-generation checkpoint kept beside
 // the current one: WriteCheckpointFile rotates the old file there before
@@ -80,27 +41,21 @@ const (
 // corrupt or torn.
 const CheckpointPrevSuffix = ".prev"
 
-// CheckpointBaseSuffix names the base file beside a checkpoint: the state a
-// run freezes before its first record (CLUGP's pass-3 tables), written once
-// by WriteCheckpointBase and named by each record through its CRC32C.
-const CheckpointBaseSuffix = ".base"
-
 // ErrBadCheckpointMagic reports that the input is not a checkpoint file.
-var ErrBadCheckpointMagic = errors.New("store: bad magic (not a CPK1 checkpoint file)")
+var ErrBadCheckpointMagic = errors.New("store: bad magic (not a CPK2 checkpoint file)")
 
 // checkpointMagic tags checkpoint files ("CPK" for Compressed Partitioning
 // Checkpoint). The format is checksummed from its first version: a
 // checkpoint exists to be read after a crash, exactly when torn writes are
-// likeliest.
-var checkpointMagic = [4]byte{'C', 'P', 'K', '1'}
+// likeliest. CPK2 dropped CPK1's named sections and batch index, so a
+// CPK1 file is refused by its magic.
+var checkpointMagic = [4]byte{'C', 'P', 'K', '2'}
 
-// WriteCheckpoint encodes a snapshot to w:
+// WriteCheckpoint encodes a record to w:
 //
-//	magic "CPK1" | uvarint nv | uvarint ne | uvarint k |
+//	magic "CPK2" | uvarint nv | uvarint ne | uvarint k |
 //	uvarint len(algorithm) | algorithm |
-//	uvarint offset | uvarint batch | uvarint emitMark |
-//	uvarint nsections | per section: uvarint len(name) | name |
-//	                                 uvarint len(data) | data |
+//	uvarint offset | uvarint emitMark |
 //	integrity trailer + footer (CRC32C per payload block; see integrity.go)
 //
 // Encoding is canonical: WriteCheckpoint(ReadCheckpoint(f)) reproduces f
@@ -116,8 +71,8 @@ func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 	return cw.writeTrailer()
 }
 
-// writeCheckpointPayload emits magic, header and sections - the checksummed
-// span of a CPK1 file.
+// writeCheckpointPayload emits magic and header - the checksummed span of a
+// CPK2 file.
 func writeCheckpointPayload(w io.Writer, c *Checkpoint) error {
 	vw := &varintWriter{bw: bufio.NewWriterSize(w, 1<<16)}
 	if _, err := vw.bw.Write(checkpointMagic[:]); err != nil {
@@ -134,33 +89,15 @@ func writeCheckpointPayload(w io.Writer, c *Checkpoint) error {
 	if _, err := vw.bw.WriteString(c.Algorithm); err != nil {
 		return err
 	}
-	for _, x := range []uint64{uint64(c.Offset), uint64(c.Batch), uint64(c.EmitMark)} {
+	for _, x := range []uint64{uint64(c.Offset), uint64(c.EmitMark)} {
 		if err := vw.uvarint(x); err != nil {
-			return err
-		}
-	}
-	if err := vw.uvarint(uint64(len(c.Sections))); err != nil {
-		return err
-	}
-	for i := range c.Sections {
-		s := &c.Sections[i]
-		if err := vw.uvarint(uint64(len(s.Name))); err != nil {
-			return err
-		}
-		if _, err := vw.bw.WriteString(s.Name); err != nil {
-			return err
-		}
-		if err := vw.uvarint(uint64(len(s.Data))); err != nil {
-			return err
-		}
-		if _, err := vw.bw.Write(s.Data); err != nil {
 			return err
 		}
 	}
 	return vw.bw.Flush()
 }
 
-// validateCheckpoint rejects inconsistent in-memory snapshots before they
+// validateCheckpoint rejects inconsistent in-memory records before they
 // reach disk, mirroring what ReadCheckpoint enforces on the way back in.
 func validateCheckpoint(c *Checkpoint) error {
 	if c.K < 1 || c.K > maxResultK {
@@ -175,16 +112,8 @@ func validateCheckpoint(c *Checkpoint) error {
 	if c.Offset < 0 || c.Offset > c.NumEdges {
 		return fmt.Errorf("store: checkpoint offset %d outside [0, %d]", c.Offset, c.NumEdges)
 	}
-	if c.Batch < 0 || c.EmitMark < 0 {
-		return fmt.Errorf("store: negative checkpoint marks (batch %d, emit %d)", c.Batch, c.EmitMark)
-	}
-	if len(c.Sections) > maxCheckpointSections {
-		return fmt.Errorf("store: checkpoint has %d sections (limit %d)", len(c.Sections), maxCheckpointSections)
-	}
-	for i := range c.Sections {
-		if n := len(c.Sections[i].Name); n == 0 || n > maxCheckpointName {
-			return fmt.Errorf("store: checkpoint section %d name of %d bytes outside [1, %d]", i, n, maxCheckpointName)
-		}
+	if c.EmitMark < 0 {
+		return fmt.Errorf("store: negative checkpoint emit mark %d", c.EmitMark)
 	}
 	return nil
 }
@@ -192,8 +121,8 @@ func validateCheckpoint(c *Checkpoint) error {
 // ReadCheckpoint decodes a checkpoint written by WriteCheckpoint. The whole
 // file is buffered and its trailer and every payload block proven before
 // any field is decoded, so a torn or bit-flipped checkpoint can never be
-// mistaken for a valid one; forged headers (counts, section lengths past
-// the payload, trailing bytes) all reject.
+// mistaken for a valid one; forged headers (counts, lengths past the
+// payload, trailing bytes) all reject.
 func ReadCheckpoint(rd io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(rd)
 	if err != nil {
@@ -210,8 +139,7 @@ func ReadCheckpoint(rd io.Reader) (*Checkpoint, error) {
 }
 
 // readCheckpointBody decodes everything after the magic from the proven
-// payload. Section payloads are copied out of the buffer, so the decoded
-// checkpoint owns its memory.
+// payload.
 func readCheckpointBody(body []byte) (*Checkpoint, error) {
 	d := ckDecoder{data: body}
 	nv := d.uvarint("vertex count")
@@ -227,14 +155,12 @@ func readCheckpointBody(body []byte) (*Checkpoint, error) {
 	}
 	alg := d.str("algorithm", maxResultString)
 	offset := d.uvarint("offset")
-	batch := d.uvarint("batch index")
 	emit := d.uvarint("emit mark")
 	if d.err == nil && offset > ne {
 		return nil, fmt.Errorf("store: checkpoint offset %d past declared %d edges", offset, ne)
 	}
-	ns := d.uvarint("section count")
-	if d.err == nil && ns > maxCheckpointSections {
-		return nil, fmt.Errorf("store: checkpoint has %d sections (limit %d)", ns, maxCheckpointSections)
+	if d.err == nil && emit > math.MaxInt64 {
+		return nil, fmt.Errorf("store: checkpoint emit mark %d out of range", emit)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -245,19 +171,7 @@ func readCheckpointBody(body []byte) (*Checkpoint, error) {
 		NumVertices: int(nv),
 		NumEdges:    int64(ne),
 		Offset:      int64(offset),
-		Batch:       int64(batch),
 		EmitMark:    int64(emit),
-	}
-	for i := uint64(0); i < ns; i++ {
-		name := d.str("section name", maxCheckpointName)
-		if d.err == nil && name == "" {
-			return nil, errors.New("store: checkpoint section with empty name")
-		}
-		data := d.bytes("section payload")
-		if d.err != nil {
-			return nil, d.err
-		}
-		c.AddSection(name, append([]byte(nil), data...))
 	}
 	// A checkpoint is a complete artifact, not a stream prefix: trailing
 	// bytes mean corruption or concatenation, and accepting them would
@@ -307,20 +221,6 @@ func (d *ckDecoder) str(field string, max uint64) string {
 	return s
 }
 
-func (d *ckDecoder) bytes(field string) []byte {
-	n := d.uvarint(field + " length")
-	if d.err != nil {
-		return nil
-	}
-	if uint64(len(d.data)) < n {
-		d.err = fmt.Errorf("store: checkpoint %s truncated (%d bytes, want %d)", field, len(d.data), n)
-		return nil
-	}
-	b := d.data[:n]
-	d.data = d.data[n:]
-	return b
-}
-
 // countingWriter counts the bytes passing through to w.
 type countingWriter struct {
 	w io.Writer
@@ -337,7 +237,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // rotating any existing file to path+".prev" first, and returns the bytes
 // written. The write itself goes through AtomicWriter (temp + fsync +
 // rename), so at every instant the pair (path, path+".prev") holds at least
-// one complete previous-generation snapshot: a crash between the rotate and
+// one complete previous-generation record: a crash between the rotate and
 // the commit leaves only ".prev", which LoadCheckpoint falls back to.
 func WriteCheckpointFile(path string, c *Checkpoint) (int64, error) {
 	if _, err := os.Stat(path); err == nil {
@@ -358,47 +258,6 @@ func WriteCheckpointFile(path string, c *Checkpoint) (int64, error) {
 		return 0, err
 	}
 	return cw.n, nil
-}
-
-// WriteCheckpointBase atomically writes c to path as a base file and
-// returns the bytes written and the CRC32C of the whole file - the digest a
-// checkpoint record names its base by. There is no .prev rotation: a run
-// writes its base once, and a record whose digest does not match the file
-// on disk is refused by ReadCheckpointBase.
-func WriteCheckpointBase(path string, c *Checkpoint) (int64, uint32, error) {
-	aw, err := NewAtomicWriter(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	h := crc32.New(castagnoli)
-	cw := &countingWriter{w: io.MultiWriter(aw, h)}
-	if err := WriteCheckpoint(cw, c); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := aw.Commit(); err != nil {
-		return 0, 0, err
-	}
-	return cw.n, h.Sum32(), nil
-}
-
-// ReadCheckpointBase decodes the base file at path, refusing it unless the
-// CRC32C of the whole file is crc: a base left by another run (a different
-// seed, k or graph) never stands in for the one a record was written
-// against.
-func ReadCheckpointBase(path string, crc uint32) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if got := crc32.Checksum(data, castagnoli); got != crc {
-		return nil, fmt.Errorf("store: %s: base CRC32C %08x, the checkpoint names %08x", path, got, crc)
-	}
-	c, err := ReadCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return c, nil
 }
 
 // ReadCheckpointFile decodes the checkpoint at path.

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,55 +11,44 @@ import (
 	"testing"
 )
 
-// testCheckpoint builds a representative snapshot: several sections of
-// mixed sizes, one empty, non-zero marks.
+// testCheckpoint builds a representative record: a mid-stream offset and a
+// non-zero emit watermark.
 func testCheckpoint() *Checkpoint {
-	c := &Checkpoint{
+	return &Checkpoint{
 		Algorithm:   "HDRF",
 		K:           8,
 		NumVertices: 1000,
 		NumEdges:    50000,
 		Offset:      16384,
-		Batch:       2,
 		EmitMark:    98304,
 	}
-	c.AddSection("hdrf.replicas", bytes.Repeat([]byte{0x01, 0x80, 0x02}, 40))
-	c.AddSection("hdrf.sizes", []byte{10, 20, 30, 40, 50, 60, 70, 80})
-	c.AddSection("eval.state", nil)
-	return c
 }
 
-// recordCheckpoint builds a checkpoint record as an out-of-core run writes
-// one: the header and the CRC32C of the run's base file.
-func recordCheckpoint() *Checkpoint {
-	c := &Checkpoint{Algorithm: "CLUGP", K: 32, NumVertices: 1000, NumEdges: 50000,
-		Offset: 24576, Batch: 3, EmitMark: 221184}
-	c.AddSection("base", []byte{0x8c, 0xe4, 0x76, 0x4a})
-	return c
-}
-
-// clugpBaseCheckpoint builds a CLUGP base file: one record per vertex
-// (master and mirror partition as uvarint(p+1), then the degree) and the
-// pass-1/2 scalars.
-func clugpBaseCheckpoint() *Checkpoint {
-	const nv = 12
-	var vert, scalars []byte
-	for v := 0; v < nv; v++ {
-		vert = binary.AppendUvarint(vert, uint64(v%2+1))
-		vert = binary.AppendUvarint(vert, uint64(v%3)) // 0 = no mirror
-		vert = binary.AppendUvarint(vert, uint64(v*37%300))
+// cpk1Record is a CLUGP record at k=32 in the retired CPK1 layout (a batch
+// index after the offset, a section count at the end) under a valid
+// integrity trailer, so only its magic and layout are wrong.
+func cpk1Record(t testing.TB) []byte {
+	t.Helper()
+	p := []byte("CPK1")
+	for _, x := range []uint64{1000, 50000, 32} {
+		p = binary.AppendUvarint(p, x)
 	}
-	for _, x := range []uint64{4, 2, 1, 5, 9, 1, 0x3fe0000000000000, 0x3fd0000000000000, 1e6, 2e6, 3e6} {
-		scalars = binary.AppendUvarint(scalars, x)
+	p = append(binary.AppendUvarint(p, 5), "CLUGP"...)
+	for _, x := range []uint64{24576, 3, 221184, 0} {
+		p = binary.AppendUvarint(p, x)
 	}
-	c := &Checkpoint{Algorithm: "CLUGP", K: 2, NumVertices: nv, NumEdges: 40}
-	c.AddSection("clugp.vertex", vert)
-	c.AddSection("clugp.scalars", scalars)
-	return c
+	return seal(t, p)
 }
 
-// TestCheckpointRoundTrip: encode -> decode reproduces every field and
-// section, and re-encoding the decoded checkpoint is a bit-identical fixed
+// TestCheckpointRefusesCPK1: a record in the retired CPK1 format is
+// refused by its magic, never read as a CPK2 record.
+func TestCheckpointRefusesCPK1(t *testing.T) {
+	if _, err := ReadCheckpoint(bytes.NewReader(cpk1Record(t))); !errors.Is(err, ErrBadCheckpointMagic) {
+		t.Fatalf("CPK1 record: got err %v, want ErrBadCheckpointMagic", err)
+	}
+}
+
+// TestCheckpointRoundTrip: encode -> decode reproduces every field, and re-encoding the decoded checkpoint is a bit-identical fixed
 // point (the canonical-encoding contract FuzzReadCheckpoint generalizes).
 func TestCheckpointRoundTrip(t *testing.T) {
 	c := testCheckpoint()
@@ -115,12 +105,6 @@ func TestCheckpointValidates(t *testing.T) {
 		{"k zero", func(c *Checkpoint) { c.K = 0 }},
 		{"offset past edges", func(c *Checkpoint) { c.Offset = c.NumEdges + 1 }},
 		{"negative emit mark", func(c *Checkpoint) { c.EmitMark = -1 }},
-		{"empty section name", func(c *Checkpoint) { c.AddSection("", nil) }},
-		{"too many sections", func(c *Checkpoint) {
-			for i := 0; i <= maxCheckpointSections; i++ {
-				c.AddSection("s", nil)
-			}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -208,10 +192,10 @@ func TestCheckpointFileRotation(t *testing.T) {
 	}
 }
 
-// FuzzReadCheckpoint drives the CPK1 decoder: it must never panic, must
-// reject forged headers, truncated bodies, oversized section tables and
-// checksum forgeries, and anything it accepts must re-encode to a canonical
-// file whose decode is a fixed point.
+// FuzzReadCheckpoint drives the CPK2 record decoder: it must never panic,
+// must reject forged headers, truncated bodies, checksum forgeries and
+// CPK1 files, and anything it accepts must re-encode to a canonical file
+// whose decode is a fixed point.
 func FuzzReadCheckpoint(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteCheckpoint(&buf, testCheckpoint()); err != nil {
@@ -227,25 +211,26 @@ func FuzzReadCheckpoint(f *testing.F) {
 		forged[off] ^= 1
 		f.Add(forged)
 	}
-	// A minimal checkpoint with no sections.
+	// A minimal record: offset and watermark zero.
 	min := &Checkpoint{Algorithm: "X", K: 1, NumVertices: 1, NumEdges: 1}
 	buf.Reset()
 	if err := WriteCheckpoint(&buf, min); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
-	f.Add([]byte("CPK1"))
-	f.Add(append([]byte("CPK1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
+	f.Add([]byte("CPK2"))
+	f.Add(append([]byte("CPK2"), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
 	f.Add([]byte("CGR3 pretending"))
 	f.Add([]byte{})
-	// The two shapes runs write: a record and a CLUGP base file.
-	for _, c := range []*Checkpoint{recordCheckpoint(), clugpBaseCheckpoint()} {
-		buf.Reset()
-		if err := WriteCheckpoint(&buf, c); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(bytes.Clone(buf.Bytes()))
+	// A record as a CLUGP run at k=32 writes one.
+	buf.Reset()
+	if err := WriteCheckpoint(&buf, &Checkpoint{Algorithm: "CLUGP", K: 32, NumVertices: 1000, NumEdges: 50000,
+		Offset: 24576, EmitMark: 221184}); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	// The same record in the retired CPK1 layout.
+	f.Add(cpk1Record(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {

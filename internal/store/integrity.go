@@ -11,7 +11,7 @@ import (
 )
 
 // Integrity trailer shared by every on-disk format (CGR3 graphs, CPR2
-// results, CPK1 checkpoints). The payload - magic, header and body - is
+// results, CPK2 checkpoints). The payload - magic, header and body - is
 // divided into fixed-size blocks and each block's CRC32C recorded in a
 // trailer after the payload, discoverable without decoding anything via a
 // fixed-size footer at EOF:
@@ -367,7 +367,7 @@ func (cw *crcWriter) writeTrailer() error {
 // VerifyInfo describes what VerifyFile found: the detected on-disk kind and
 // the verified geometry.
 type VerifyInfo struct {
-	// Kind is the magic name: CGR3 for graphs, CPR2 for saved results, CPK1
+	// Kind is the magic name: CGR3 for graphs, CPR2 for saved results, CPK2
 	// for checkpoints.
 	Kind string
 	// Blocks is the number of payload checksum blocks proven.
@@ -379,7 +379,7 @@ type VerifyInfo struct {
 }
 
 // VerifyFile checksum-scans path: it identifies the format from the magic
-// (CGR3, CPR2 or CPK1; anything else is ErrBadMagic) and proves every
+// (CGR3, CPR2 or CPK2; anything else is ErrBadMagic) and proves every
 // payload block in order, so a corruption report (*CorruptError) names the
 // first corrupt block. This is graphstat -verify.
 func VerifyFile(path string) (VerifyInfo, error) {

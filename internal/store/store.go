@@ -18,7 +18,7 @@
 // and collapsing consecutive targets. Edge order is preserved exactly -
 // order is semantic for streaming partitioners - and the checksums turn
 // bit flips, torn writes and truncation into errors instead of wrong
-// edges. Saved results (CPR2, result.go) and checkpoints (CPK1,
+// edges. Saved results (CPR2, result.go) and checkpoints (CPK2,
 // checkpoint.go) share the same integrity trailer. The out-of-core sources
 // over these files are MmapSource (mapped, with a portable read-at
 // fallback) and ReaderAtSource (any io.ReaderAt).
