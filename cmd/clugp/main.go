@@ -48,7 +48,7 @@
 // edge list: the partitioner re-streams the file for each pass and the
 // assignment is written (or discarded) as it is produced, so peak heap is
 // the algorithm's O(|V|) state (CLUGP adds 4 bytes per crossing edge while
-// it builds its cluster graph), not the edge list. BFS/DFS/Random orders
+// it builds its cluster graph), not the edge list. BFS and Random orders
 // need the graph in memory to reorder it; natural order is exactly the
 // crawl order the paper grants CLUGP and Mint, so the streaming mode covers
 // the paper's headline configuration. The file decodes ahead of the
@@ -332,7 +332,7 @@ func run(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error) {
 // runInMemory is the classic path: load (or generate) the whole graph, then
 // partition it under the algorithm's preferred order.
 func runInMemory(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error) {
-	g, err := load(o.in, o.preset, o.scale)
+	g, err := repro.LoadGraph(o.in, o.preset, o.scale)
 	if err != nil {
 		return nil, err
 	}
@@ -558,37 +558,11 @@ func writeResult(path string, res *repro.PartitionResult) error {
 	return w.Commit()
 }
 
-func load(in, preset string, scale float64) (*repro.Graph, error) {
-	if preset != "" {
-		for _, d := range repro.Datasets() {
-			if d.Name == preset {
-				return d.Build(scale), nil
-			}
-		}
-		return nil, fmt.Errorf("unknown preset %q", preset)
-	}
-	if in == "" {
-		return nil, fmt.Errorf("need -in FILE or -preset NAME")
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	// Auto-detect the binary format by its magic; fall back to text.
-	br := bufio.NewReaderSize(f, 1<<16)
-	head, err := br.Peek(4)
-	if err == nil && repro.SniffCompressed(head) {
-		return repro.ReadCompressed(br)
-	}
-	return repro.ReadEdgeList(br)
-}
-
 // recompress loads a graph (text, CGR3 or a preset) and writes it out as
 // CGR3. The output is written atomically, so an existing file at out is
 // never torn.
 func recompress(in, preset string, scale float64, out string) error {
-	g, err := load(in, preset, scale)
+	g, err := repro.LoadGraph(in, preset, scale)
 	if err != nil {
 		return err
 	}

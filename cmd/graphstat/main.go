@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +46,7 @@ func main() {
 		return
 	}
 
-	g, err := load(*in, *preset, *scale)
+	g, err := repro.LoadGraph(*in, *preset, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphstat:", err)
 		os.Exit(1)
@@ -121,29 +120,4 @@ func max32(a uint32, b uint32) uint32 {
 		return a
 	}
 	return b
-}
-
-func load(in, preset string, scale float64) (*repro.Graph, error) {
-	if preset != "" {
-		for _, d := range repro.Datasets() {
-			if d.Name == preset {
-				return d.Build(scale), nil
-			}
-		}
-		return nil, fmt.Errorf("unknown preset %q", preset)
-	}
-	if in == "" {
-		return nil, fmt.Errorf("need -in FILE or -preset NAME")
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	head, err := br.Peek(4)
-	if err == nil && repro.SniffCompressed(head) {
-		return repro.ReadCompressed(br)
-	}
-	return repro.ReadEdgeList(br)
 }

@@ -18,7 +18,11 @@
 package repro
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/bench"
 	"repro/internal/edgecut"
@@ -85,9 +89,32 @@ func WriteCompressed(w io.Writer, g *Graph) error { return store.Write(w, g) }
 // checksums before the first edge decodes.
 func ReadCompressed(r io.Reader) (*Graph, error) { return store.Read(r) }
 
-// SniffCompressed reports whether head (at least the first 4 bytes of a
-// file) carries the compressed-format magic.
-func SniffCompressed(head []byte) bool { return store.SniffHeader(head) }
+// LoadGraph returns the named dataset preset built at scale when preset is
+// set, else the graph in the file in: CGR3 when the file starts with its
+// magic, a text edge list otherwise.
+func LoadGraph(in, preset string, scale float64) (*Graph, error) {
+	if preset != "" {
+		for _, d := range Datasets() {
+			if d.Name == preset {
+				return d.Build(scale), nil
+			}
+		}
+		return nil, fmt.Errorf("unknown preset %q", preset)
+	}
+	if in == "" {
+		return nil, errors.New("need -in FILE or -preset NAME")
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<16)
+	if head, err := br.Peek(4); err == nil && store.SniffHeader(head) {
+		return store.Read(br)
+	}
+	return graph.ReadEdgeList(br)
+}
 
 // BuildCSR builds an out-adjacency view.
 func BuildCSR(g *Graph) *CSR { return graph.BuildCSR(g) }

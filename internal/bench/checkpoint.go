@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -168,7 +169,7 @@ func runCheckpointCell(dir, name, alg string, seed uint64, src *store.MmapSource
 			ck.Quality.ReplicationFactor, bare.Quality.ReplicationFactor,
 			ck.Quality.RelativeBalance, bare.Quality.RelativeBalance))
 	}
-	if !assignEqual(got, ref) {
+	if !slices.Equal(got, ref) {
 		return fail(errors.New("checkpointed run's assignments diverge from bare"))
 	}
 	cks := ck.Pipeline.Checkpoints
@@ -211,7 +212,7 @@ func runCheckpointCell(dir, name, alg string, seed uint64, src *store.MmapSource
 		return fail(err)
 	}
 	stitched := append(crashed[:c.Offset:c.Offset], resumed...)
-	if !assignEqual(stitched, ref) {
+	if !slices.Equal(stitched, ref) {
 		return fail(fmt.Errorf("kill at %d edges + resume from offset %d is not bit-identical to the bare run", ne/2, c.Offset))
 	}
 	if res.Quality.ReplicationFactor != bare.Quality.ReplicationFactor ||
@@ -234,17 +235,4 @@ func runCheckpointCell(dir, name, alg string, seed uint64, src *store.MmapSource
 		cell.OverheadPct = float64(checkpointNS-baselineNS) / float64(baselineNS) * 100
 	}
 	return cell, nil
-}
-
-// assignEqual reports whether two assignment streams are identical.
-func assignEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -66,15 +66,12 @@ type Result struct {
 	// do not follow a migrating vertex (this matches the published
 	// algorithm).
 	Volume []int64
-	// Divided marks vertices that triggered at least one splitting
-	// operation and therefore own mirror vertices after pass 1 (Algorithm 2
-	// lines 11 and 16). Always all-false when splitting is disabled.
-	Divided []bool
 	// SplitFrom[v] is the cluster v was most recently split out of, i.e.
-	// where v's mirror vertex lives (None if v was never divided). The
-	// transformation pass uses it to recognise assignments that are free of
-	// new replicas ("e will be assigned to the partitions where u's mirror
-	// vertex belongs", Section III-C).
+	// where v's mirror vertex lives, or None if v never triggered a
+	// splitting operation (Algorithm 2 lines 11 and 16; all None when
+	// splitting is disabled). The transformation pass uses it to recognise
+	// assignments that are free of new replicas ("e will be assigned to the
+	// partitions where u's mirror vertex belongs", Section III-C).
 	SplitFrom []ID
 	// Splits counts splitting operations performed.
 	Splits int64
@@ -101,7 +98,6 @@ func Run(src stream.Source, cfg Config) (*Result, error) {
 	st := state{
 		assign:    make([]ID, numVertices),
 		degree:    make([]uint32, numVertices),
-		divided:   make([]bool, numVertices),
 		splitFrom: make([]ID, numVertices),
 		volume:    make([]int64, 0, numVertices/4+16),
 		vmax:      cfg.Vmax,
@@ -129,7 +125,6 @@ func Run(src stream.Source, cfg Config) (*Result, error) {
 		Assign:      st.assign,
 		Degree:      st.degree,
 		Volume:      st.volume,
-		Divided:     st.divided,
 		SplitFrom:   st.splitFrom,
 		Splits:      st.splits,
 		Migrations:  st.migrations,
@@ -139,7 +134,6 @@ func Run(src stream.Source, cfg Config) (*Result, error) {
 type state struct {
 	assign     []ID
 	degree     []uint32
-	divided    []bool
 	splitFrom  []ID
 	volume     []int64
 	vmax       int64
@@ -197,7 +191,6 @@ func (s *state) ingest(u, v graph.VertexID) {
 		if s.volume[cu] >= s.vmax && s.degree[v] <= s.migCap && shouldShed(s.degree[u], s.vmax) {
 			nc := s.newCluster()
 			s.assign[u] = nc
-			s.divided[u] = true
 			s.splitFrom[u] = cu
 			s.volume[cu] -= int64(s.degree[u])
 			s.volume[nc] += int64(s.degree[u])
@@ -207,7 +200,6 @@ func (s *state) ingest(u, v graph.VertexID) {
 			cv = s.assign[v]
 			nc := s.newCluster()
 			s.assign[v] = nc
-			s.divided[v] = true
 			s.splitFrom[v] = cv
 			s.volume[cv] -= int64(s.degree[v])
 			s.volume[nc] += int64(s.degree[v])

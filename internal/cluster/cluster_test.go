@@ -88,8 +88,8 @@ func TestSplittingOccursOnPowerLawGraphs(t *testing.T) {
 		t.Fatal("no splits on a skewed graph with small Vmax")
 	}
 	divided := 0
-	for _, d := range res.Divided {
-		if d {
+	for _, c := range res.SplitFrom {
+		if c != None {
 			divided++
 		}
 	}
@@ -107,8 +107,8 @@ func TestNoSplitsWhenDisabled(t *testing.T) {
 	if res.Splits != 0 {
 		t.Fatalf("splitting disabled but %d splits recorded", res.Splits)
 	}
-	for v, d := range res.Divided {
-		if d {
+	for v, c := range res.SplitFrom {
+		if c != None {
 			t.Fatalf("vertex %d marked divided with splitting disabled", v)
 		}
 	}

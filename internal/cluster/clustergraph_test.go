@@ -18,7 +18,6 @@ func fixedResult() *Result {
 		NumClusters: 3,
 		Assign:      []ID{0, 0, 1, 1, 2},
 		Degree:      []uint32{2, 2, 2, 2, 2},
-		Divided:     make([]bool, 5),
 	}
 }
 

@@ -442,42 +442,8 @@ func GreedyAssign(cg *cluster.Graph, k int) *Assignment {
 	return out
 }
 
+// sortBySizeDesc orders cluster ids by descending size. The sort is
+// stable, so ties keep their id order and the assignment is deterministic.
 func sortBySizeDesc(order []int32, size []int64) {
-	// Simple bottom-up merge sort: deterministic, no stdlib sort.Slice
-	// closure allocation per comparison on the hot path.
-	tmp := make([]int32, len(order))
-	for width := 1; width < len(order); width *= 2 {
-		for lo := 0; lo < len(order); lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > len(order) {
-				mid = len(order)
-			}
-			if hi > len(order) {
-				hi = len(order)
-			}
-			i, j, o := lo, mid, lo
-			for i < mid && j < hi {
-				if size[order[i]] >= size[order[j]] {
-					tmp[o] = order[i]
-					i++
-				} else {
-					tmp[o] = order[j]
-					j++
-				}
-				o++
-			}
-			for i < mid {
-				tmp[o] = order[i]
-				i++
-				o++
-			}
-			for j < hi {
-				tmp[o] = order[j]
-				j++
-				o++
-			}
-		}
-		copy(order, tmp)
-	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(size[b], size[a]) })
 }

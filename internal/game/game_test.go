@@ -369,7 +369,8 @@ func TestSortBySizeDesc(t *testing.T) {
 				return false
 			}
 			seen[c] = true
-			if i > 0 && sizes[order[i-1]] < sizes[c] {
+			// Descending, and stable: equal sizes keep their id order.
+			if i > 0 && (sizes[order[i-1]] < sizes[c] || sizes[order[i-1]] == sizes[c] && order[i-1] > c) {
 				return false
 			}
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,53 +57,32 @@ var checkpointMagic = [4]byte{'C', 'P', 'K', '2'}
 //	uvarint offset | uvarint emitMark |
 //	integrity trailer + footer (CRC32C per payload block; see integrity.go)
 //
-// Encoding is canonical: WriteCheckpoint(ReadCheckpoint(f)) reproduces f
-// bit for bit, which FuzzReadCheckpoint holds as the round-trip invariant.
+// Encoding is canonical and ReadCheckpoint enforces it, so
+// WriteCheckpoint(ReadCheckpoint(f)) reproduces f bit for bit;
+// FuzzReadCheckpoint and FuzzReadCheckpointBody hold this as the round-trip
+// invariant.
 func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 	if err := validateCheckpoint(c); err != nil {
 		return err
 	}
+	b := appendHeader(nil, checkpointMagic, uint64(c.NumVertices), uint64(c.NumEdges))
+	b = appendString(binary.AppendUvarint(b, uint64(c.K)), c.Algorithm)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(c.Offset)), uint64(c.EmitMark))
 	cw := newCRCWriter(w)
-	if err := writeCheckpointPayload(cw, c); err != nil {
+	if _, err := cw.Write(b); err != nil {
 		return err
 	}
 	return cw.writeTrailer()
 }
 
-// writeCheckpointPayload emits magic and header - the checksummed span of a
-// CPK2 file.
-func writeCheckpointPayload(w io.Writer, c *Checkpoint) error {
-	vw := &varintWriter{bw: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := vw.bw.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
-	for _, x := range []uint64{uint64(c.NumVertices), uint64(c.NumEdges), uint64(c.K)} {
-		if err := vw.uvarint(x); err != nil {
-			return err
-		}
-	}
-	if err := vw.uvarint(uint64(len(c.Algorithm))); err != nil {
-		return err
-	}
-	if _, err := vw.bw.WriteString(c.Algorithm); err != nil {
-		return err
-	}
-	for _, x := range []uint64{uint64(c.Offset), uint64(c.EmitMark)} {
-		if err := vw.uvarint(x); err != nil {
-			return err
-		}
-	}
-	return vw.bw.Flush()
-}
-
 // validateCheckpoint rejects inconsistent in-memory records before they
 // reach disk, mirroring what ReadCheckpoint enforces on the way back in.
 func validateCheckpoint(c *Checkpoint) error {
-	if c.K < 1 || c.K > maxResultK {
-		return fmt.Errorf("store: checkpoint k %d out of range [1, %d]", c.K, maxResultK)
+	if c.K < 1 || c.K > maxK {
+		return fmt.Errorf("store: checkpoint k %d out of range [1, %d]", c.K, maxK)
 	}
-	if len(c.Algorithm) > maxResultString {
-		return fmt.Errorf("store: checkpoint algorithm name exceeds %d bytes", maxResultString)
+	if len(c.Algorithm) > maxName {
+		return fmt.Errorf("store: checkpoint algorithm name exceeds %d bytes", maxName)
 	}
 	if c.NumVertices < 0 || c.NumEdges < 0 {
 		return fmt.Errorf("store: negative checkpoint counts (%d vertices, %d edges)", c.NumVertices, c.NumEdges)
@@ -119,106 +97,61 @@ func validateCheckpoint(c *Checkpoint) error {
 }
 
 // ReadCheckpoint decodes a checkpoint written by WriteCheckpoint. The whole
-// file is buffered and its trailer and every payload block proven before
-// any field is decoded, so a torn or bit-flipped checkpoint can never be
-// mistaken for a valid one; forged headers (counts, lengths past the
-// payload, trailing bytes) all reject.
+// file is read and proven before any field is decoded (readSealed), so a
+// torn or bit-flipped checkpoint can never be mistaken for a valid one;
+// forged headers (counts, lengths past the payload, overlong varints,
+// trailing bytes) all reject.
 func ReadCheckpoint(rd io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("store: buffering checkpoint: %w", err)
-	}
-	if len(data) < 4 || [4]byte(data[:4]) != checkpointMagic {
-		return nil, ErrBadCheckpointMagic
-	}
-	payload, err := verifyAllBytes(data, "checkpoint")
+	c, err := readSealed(rd, checkpointMagic, ErrBadCheckpointMagic, "checkpoint")
 	if err != nil {
 		return nil, err
 	}
-	return readCheckpointBody(payload[4:])
+	return readCheckpointBody(&c)
 }
 
-// readCheckpointBody decodes everything after the magic from the proven
-// payload.
-func readCheckpointBody(body []byte) (*Checkpoint, error) {
-	d := ckDecoder{data: body}
-	nv := d.uvarint("vertex count")
-	ne := d.uvarint("edge count")
-	if d.err == nil {
-		if err := checkCounts(nv, ne); err != nil {
-			return nil, err
-		}
+// readCheckpointBody decodes everything after the magic; c must end exactly
+// where the payload does.
+func readCheckpointBody(c *cursor) (*Checkpoint, error) {
+	nv, ne, err := readCounts(c)
+	if err != nil {
+		return nil, err
 	}
-	k := d.uvarint("partition count")
-	if d.err == nil && (k < 1 || k > maxResultK) {
-		return nil, fmt.Errorf("store: checkpoint k %d out of range [1, %d]", k, maxResultK)
+	k, err := readK(c, "checkpoint")
+	if err != nil {
+		return nil, err
 	}
-	alg := d.str("algorithm", maxResultString)
-	offset := d.uvarint("offset")
-	emit := d.uvarint("emit mark")
-	if d.err == nil && offset > ne {
+	alg, err := c.str()
+	if err != nil {
+		return nil, fmt.Errorf("store: checkpoint algorithm: %w", err)
+	}
+	offset, err := c.field()
+	if err != nil {
+		return nil, fmt.Errorf("store: checkpoint offset: %w", err)
+	}
+	if offset > ne {
 		return nil, fmt.Errorf("store: checkpoint offset %d past declared %d edges", offset, ne)
 	}
-	if d.err == nil && emit > math.MaxInt64 {
+	emit, err := c.field()
+	if err != nil {
+		return nil, fmt.Errorf("store: checkpoint emit mark: %w", err)
+	}
+	if emit > math.MaxInt64 {
 		return nil, fmt.Errorf("store: checkpoint emit mark %d out of range", emit)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	c := &Checkpoint{
-		Algorithm:   alg,
-		K:           int(k),
-		NumVertices: int(nv),
-		NumEdges:    int64(ne),
-		Offset:      int64(offset),
-		EmitMark:    int64(emit),
 	}
 	// A checkpoint is a complete artifact, not a stream prefix: trailing
 	// bytes mean corruption or concatenation, and accepting them would
 	// break the bit-identical round-trip contract.
-	if len(d.data) != 0 {
+	if c.i != len(c.data) {
 		return nil, errors.New("store: trailing data after checkpoint body")
 	}
-	return c, nil
-}
-
-// ckDecoder walks a proven in-memory payload; the first failure sticks.
-// Lengths are validated against the bytes actually present before anything
-// is sized from them, so a forged header cannot force a giant allocation.
-type ckDecoder struct {
-	data []byte
-	err  error
-}
-
-func (d *ckDecoder) uvarint(field string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(d.data)
-	if n <= 0 {
-		d.err = fmt.Errorf("store: checkpoint %s: truncated or overlong varint", field)
-		return 0
-	}
-	d.data = d.data[n:]
-	return x
-}
-
-func (d *ckDecoder) str(field string, max uint64) string {
-	n := d.uvarint(field + " length")
-	if d.err != nil {
-		return ""
-	}
-	if n > max {
-		d.err = fmt.Errorf("store: checkpoint %s of %d bytes exceeds the %d limit", field, n, max)
-		return ""
-	}
-	if uint64(len(d.data)) < n {
-		d.err = fmt.Errorf("store: checkpoint %s truncated (%d bytes, want %d)", field, len(d.data), n)
-		return ""
-	}
-	s := string(d.data[:n])
-	d.data = d.data[n:]
-	return s
+	return &Checkpoint{
+		Algorithm:   alg,
+		K:           k,
+		NumVertices: int(nv),
+		NumEdges:    int64(ne),
+		Offset:      int64(offset),
+		EmitMark:    int64(emit),
+	}, nil
 }
 
 // countingWriter counts the bytes passing through to w.

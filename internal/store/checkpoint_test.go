@@ -95,6 +95,50 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	}
 }
 
+// checkpointPayload encodes c's payload as WriteCheckpoint does, except
+// that the varint named spell (if any) is spelled one byte long (spellLong).
+// Names are "vertex count", "edge count", "partition count", "algorithm
+// length", "offset" and "emit mark".
+func checkpointPayload(c *Checkpoint, spell string) []byte {
+	b := append([]byte{}, checkpointMagic[:]...)
+	put := func(field string, x uint64) {
+		if field == spell {
+			b = spellLong(b, x)
+		} else {
+			b = binary.AppendUvarint(b, x)
+		}
+	}
+	put("vertex count", uint64(c.NumVertices))
+	put("edge count", uint64(c.NumEdges))
+	put("partition count", uint64(c.K))
+	put("algorithm length", uint64(len(c.Algorithm)))
+	b = append(b, c.Algorithm...)
+	put("offset", uint64(c.Offset))
+	put("emit mark", uint64(c.EmitMark))
+	return b
+}
+
+// TestCheckpointRejectsOverlongVarint: every varint field of a CPK2 record
+// has exactly one accepted spelling, so a decoded record always re-encodes
+// to its own bytes. Each case spells one field one byte long under a valid
+// trailer; the decoder must reject it.
+func TestCheckpointRejectsOverlongVarint(t *testing.T) {
+	c := testCheckpoint()
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seal(t, checkpointPayload(c, "")), buf.Bytes()) {
+		t.Fatal("checkpointPayload does not match WriteCheckpoint's bytes")
+	}
+	for _, field := range []string{"vertex count", "edge count", "partition count", "algorithm length", "offset", "emit mark"} {
+		_, err := ReadCheckpoint(bytes.NewReader(seal(t, checkpointPayload(c, field))))
+		if !errors.Is(err, errVarintOverlong) {
+			t.Errorf("%s: got %v, want an overlong-varint error", field, err)
+		}
+	}
+}
+
 // TestCheckpointValidates: inconsistent snapshots are rejected before they
 // reach disk - the write side enforces what the read side would refuse.
 func TestCheckpointValidates(t *testing.T) {
@@ -246,6 +290,45 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, c) {
 			t.Fatalf("canonical round trip changed the checkpoint:\n got %+v\nwant %+v", again, c)
+		}
+	})
+}
+
+// FuzzReadCheckpointBody drives the CPK2 record decoder directly, as
+// FuzzReadResultBody does the result decoder. The fuzzed bytes are the
+// record after the magic; the target puts "CPK2" in front and seals them
+// under a valid trailer, so mutation is never stopped by a checksum. Any
+// accepted input must be canonical: WriteCheckpoint of the decoded record
+// reproduces the sealed file byte for byte. Seeds: valid records, a
+// truncated one, forged headers and a record whose vertex count is spelled
+// overlong (0x81 0x00).
+func FuzzReadCheckpointBody(f *testing.F) {
+	body := func(c *Checkpoint) []byte { return checkpointPayload(c, "")[len(checkpointMagic):] }
+	valid := body(testCheckpoint())
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	min := body(&Checkpoint{Algorithm: "X", K: 1, NumVertices: 1, NumEdges: 1})
+	f.Add(min)
+	f.Add(append([]byte{0x81, 0x00}, min[1:]...))
+	for _, h := range [][3]uint64{{1 << 33, 1, 4}, {4, 1 << 57, 4}, {4, 1, 0}, {4, 1, maxK + 1}} {
+		f.Add(uvarints(h[0], h[1], h[2]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sealed := seal(t, append(append([]byte{}, checkpointMagic[:]...), data...))
+		got, err := ReadCheckpoint(bytes.NewReader(sealed))
+		var ce *CorruptError
+		if errors.As(err, &ce) || errors.Is(err, ErrBadCheckpointMagic) {
+			t.Fatalf("sealed payload rejected before the decoder: %v", err)
+		}
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := WriteCheckpoint(&enc, got); err != nil {
+			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc.Bytes(), sealed) {
+			t.Fatalf("accepted a non-canonical file: re-encoding gives %d bytes, input was %d", enc.Len(), len(sealed))
 		}
 	})
 }

@@ -38,45 +38,6 @@ func SniffHeader(head []byte) bool {
 	return len(head) >= 4 && [4]byte(head[:4]) == magic3
 }
 
-// readHeader consumes the magic and declared counts from the cursor,
-// validating them before anything is sized from them.
-func readHeader(c *cursor) (int, int, error) {
-	var m [4]byte
-	if err := c.readFull(m[:]); err != nil {
-		return 0, 0, fmt.Errorf("store: reading magic: %w", err)
-	}
-	if m != magic3 {
-		return 0, 0, ErrBadMagic
-	}
-	nv, err := c.uvarint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: reading vertex count: %w", err)
-	}
-	ne, err := c.uvarint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: reading edge count: %w", err)
-	}
-	if err := checkCounts(nv, ne); err != nil {
-		return 0, 0, err
-	}
-	return int(nv), int(ne), nil
-}
-
-// checkCounts rejects header counts no valid file can carry before anything
-// is sized from them: vertex ids must fit the uint32 VertexID space, and a
-// declared edge count beyond what varint encoding could physically fit in
-// any file (or that would overflow int) means a corrupt or adversarial
-// header rather than a graph.
-func checkCounts(nv, ne uint64) error {
-	if nv > 1<<32 {
-		return fmt.Errorf("store: vertex count %d exceeds uint32 space", nv)
-	}
-	if ne > 1<<56 {
-		return fmt.Errorf("store: edge count %d is implausible (corrupt header?)", ne)
-	}
-	return nil
-}
-
 // decState is the delta-decoder state between two edges - everything beyond
 // the byte offset that a seek must restore: the current run's source, the
 // position inside the run and any in-flight interval token. Token
@@ -96,14 +57,25 @@ type decState struct {
 
 // decoder decodes edges from a cursor bounded to the checksummed payload,
 // so it never sees the trailer. It is the single decode core shared by
-// every source: MmapSource wraps it around the mapped bytes (or a read-at
-// window in fallback mode), ReaderAtSource around a read-at window, Reader
-// around the buffered file.
+// every way a graph is read: MmapSource wraps it around the mapped bytes
+// (or a read-at window in fallback mode), ReaderAtSource around a read-at
+// window, Read around the buffered file.
 type decoder struct {
 	cur cursor
 	st  decState
 	nv  int64
 	ne  int64
+}
+
+// readHeader decodes the counts at the cursor, which stands past the
+// magic.
+func (d *decoder) readHeader() error {
+	nv, ne, err := readCounts(&d.cur)
+	if err != nil {
+		return err
+	}
+	d.nv, d.ne = int64(nv), int64(ne)
+	return nil
 }
 
 // seek positions the decoder at a byte offset with the given state.
@@ -269,21 +241,6 @@ func (w *varintWriter) uvarint(x uint64) error {
 	n := binary.PutUvarint(w.tmp[:], x)
 	_, err := w.bw.Write(w.tmp[:n])
 	return err
-}
-
-func (w *varintWriter) varint(x int64) error {
-	return w.uvarint(zigzag(x))
-}
-
-// writeHeader emits the magic and counts for g.
-func (w *varintWriter) writeHeader(g *graph.Graph) error {
-	if _, err := w.bw.Write(magic3[:]); err != nil {
-		return err
-	}
-	if err := w.uvarint(uint64(g.NumVertices)); err != nil {
-		return err
-	}
-	return w.uvarint(uint64(g.NumEdges()))
 }
 
 // encodeBody writes the run/interval/residual encoding. Edge order is

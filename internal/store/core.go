@@ -64,16 +64,15 @@ func (s *fileCore) initIntegrity(r io.ReaderAt) error {
 	return nil
 }
 
-// initHeader reads and validates the header through the core's cursor and
-// records where the first edge starts.
+// initHeader reads and validates the counts through the core's cursor,
+// past the magic initIntegrity checked, and records where the first edge
+// starts.
 func (s *fileCore) initHeader() error {
-	nv, ne, err := readHeader(&s.dec.cur)
-	if err != nil {
+	s.dec.cur.seek(int64(len(magic3)))
+	if err := s.dec.readHeader(); err != nil {
 		return fmt.Errorf("store: %s: %w", s.path, err)
 	}
-	s.dec.nv = int64(nv)
-	s.dec.ne = int64(ne)
-	s.nv, s.ne = nv, ne
+	s.nv, s.ne = int(s.dec.nv), int(s.dec.ne)
 	s.startOff = s.dec.cur.abs()
 	return nil
 }

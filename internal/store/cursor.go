@@ -84,15 +84,6 @@ func (c *cursor) uvarint() (uint64, error) {
 	}
 }
 
-// varint decodes one zig-zag signed varint.
-func (c *cursor) varint() (int64, error) {
-	u, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return unzigzag(u), nil
-}
-
 // readFull fills p exactly, refilling the window as needed.
 func (c *cursor) readFull(p []byte) error {
 	done := 0

@@ -241,11 +241,11 @@ type resumePoint struct {
 func refDecode(t testing.TB, payload []byte, limit int) (edges []graph.Edge, at []resumePoint, err error) {
 	t.Helper()
 	d := decoder{cur: mappedCursor(payload)}
-	nv, ne, err := readHeader(&d.cur)
-	if err != nil {
+	d.cur.seek(int64(len(magic3)))
+	if err := d.readHeader(); err != nil {
 		return nil, nil, err
 	}
-	d.nv, d.ne = int64(nv), int64(ne)
+	ne := int(d.ne)
 	at = append(at, resumePoint{off: d.cur.abs()})
 	for i := 0; i < min(ne, limit); i++ {
 		e, err := d.refNext(i)
@@ -270,11 +270,11 @@ func checkBlockDecode(t *testing.T, name string, payload []byte, cur cursor, sta
 		return // the header itself is rejected; decodeBlock never runs
 	}
 	d := decoder{cur: cur}
-	nv, ne, err := readHeader(&d.cur)
-	if err != nil {
+	d.cur.seek(int64(len(magic3)))
+	if err := d.readHeader(); err != nil {
 		t.Fatalf("%s: header rejected through this cursor only: %v", name, err)
 	}
-	d.nv, d.ne = int64(nv), int64(ne)
+	ne := int(d.ne)
 	end := len(want)
 	if wantErr == nil {
 		end = min(ne, limit)

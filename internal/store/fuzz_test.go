@@ -225,7 +225,7 @@ func FuzzReadResultBody(f *testing.F) {
 	}
 	long := body(resultPayload(wr, ""))
 	f.Add(long[:len(long)-3]) // cut inside the 10-byte word
-	for _, h := range [][3]uint64{{1 << 33, 1, 4}, {4, 1 << 57, 4}, {4, 1, 0}, {4, 1, maxResultK + 1}, {1 << 32, 0, 64}} {
+	for _, h := range [][3]uint64{{1 << 33, 1, 4}, {4, 1 << 57, 4}, {4, 1, 0}, {4, 1, maxK + 1}, {1 << 32, 0, 64}} {
 		f.Add(uvarints(h[0], h[1], h[2]))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -349,6 +349,9 @@ func FuzzReadCGR3(f *testing.F) {
 	}
 	f.Add(valid[:len(valid)-footerLen])
 	f.Add(valid[:len(valid)-1])
+	// The vertex count spelled overlong, which the header decoder refuses.
+	payload := payloadOf(f, valid)
+	f.Add(seal(f, append(spellLong(append([]byte{}, magic3[:]...), 8), payload[len(header(8, 4))-1:]...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, err := OpenReaderAt(byteReaderAt(data), int64(len(data)), "fuzz")
 		if err != nil {

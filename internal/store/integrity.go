@@ -264,10 +264,10 @@ func (g *integrity) verifyAll(r io.ReaderAt) error {
 }
 
 // verifyAllBytes parses the trailer of a complete file held in memory,
-// proves every payload block eagerly, and returns the payload slice. This
-// is the sequential-reader path (Read, ReadResult): an io.Reader
-// cannot seek to the footer, so the bytes are already buffered and the
-// verification order is simply eager.
+// proves every payload block eagerly, and returns the payload slice. It is
+// readSealed's last step, behind Read, ReadResult and ReadCheckpoint: an
+// io.Reader cannot seek to the footer, so the bytes are already buffered
+// and the verification order is simply eager.
 func verifyAllBytes(data []byte, path string) ([]byte, error) {
 	br := byteReaderAt(data)
 	g, err := parseTrailer(br, int64(len(data)), path)

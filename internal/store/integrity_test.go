@@ -291,8 +291,8 @@ func legacyFixtures(t testing.TB) []legacyFixture {
 }
 
 // TestLegacyFormatsRejected pins the removal of CGR1, CGR2 and CPR1: every
-// reader rejects them by their magic, the sniffers do not recognize them,
-// and the error names the format that is read.
+// reader rejects them by their magic, the graph sniffer does not recognize
+// them, and the error names the format that is read.
 func TestLegacyFormatsRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy")
 	for _, lf := range legacyFixtures(t) {
@@ -302,7 +302,7 @@ func TestLegacyFormatsRejected(t *testing.T) {
 		if _, err := VerifyFile(path); !errors.Is(err, ErrBadMagic) {
 			t.Errorf("%s: VerifyFile: got %v, want ErrBadMagic", lf.name, err)
 		}
-		if SniffHeader(lf.data) || SniffResultHeader(lf.data) {
+		if SniffHeader(lf.data) {
 			t.Errorf("%s: sniffed as a current format", lf.name)
 		}
 		if lf.result {

@@ -35,28 +35,12 @@ type Result struct {
 	Replicas *metrics.ReplicaSets
 }
 
-// Result-file limits. Vertex and edge counts share the graph-file bounds
-// (checkCounts); the partition count gets its own cap - partition ids
-// travel as int32 everywhere in this repository, and a million partitions
-// is already far past any deployment, so a bigger k in a header is a forgery
-// rather than a configuration.
-const (
-	maxResultK      = 1 << 20
-	maxResultString = 255
-)
-
 // ErrBadResultMagic reports that the input is not a result file.
 var ErrBadResultMagic = errors.New("store: bad magic (not a CPR2 result file)")
 
 // resultMagic2 tags result files ("CPR" for Compressed Partition Result);
 // the body is followed by the shared integrity trailer (see integrity.go).
 var resultMagic2 = [4]byte{'C', 'P', 'R', '2'}
-
-// SniffResultHeader reports whether head (at least 4 bytes) carries the
-// result-file magic.
-func SniffResultHeader(head []byte) bool {
-	return len(head) >= 4 && [4]byte(head[:4]) == resultMagic2
-}
 
 // Verify re-checks the result's internal consistency - geometry, size sums,
 // replica-table agreement - the same invariants ReadResult enforces while
@@ -93,10 +77,13 @@ func WriteResult(w io.Writer, r *Result) error {
 }
 
 // writeResultPayload emits magic, header and body - the checksummed span of
-// a CPR2 file - appending varints into one reused 64 KiB slice that is
-// flushed before the next varint might not fit.
+// a CPR2 file - appending into one reused 64 KiB slice that is flushed
+// before the next varint might not fit (the header, at most two names of
+// maxName bytes, always fits).
 func writeResultPayload(w io.Writer, r *Result) error {
-	buf := make([]byte, 0, 1<<16)
+	buf := appendHeader(make([]byte, 0, 1<<16), resultMagic2, uint64(r.NumVertices), uint64(r.NumEdges))
+	buf = binary.AppendUvarint(buf, uint64(r.K))
+	buf = appendString(appendString(buf, r.Algorithm), r.Order)
 	var err error
 	put := func(x uint64) {
 		buf = binary.AppendUvarint(buf, x)
@@ -106,14 +93,6 @@ func writeResultPayload(w io.Writer, r *Result) error {
 			}
 			buf = buf[:0]
 		}
-	}
-	buf = append(buf, resultMagic2[:]...)
-	put(uint64(r.NumVertices))
-	put(uint64(r.NumEdges))
-	put(uint64(r.K))
-	for _, s := range []string{r.Algorithm, r.Order} {
-		put(uint64(len(s)))
-		buf = append(buf, s...)
 	}
 	for _, sz := range r.Sizes {
 		put(uint64(sz))
@@ -134,11 +113,11 @@ func writeResultPayload(w io.Writer, r *Result) error {
 // validateResult rejects inconsistent in-memory results before they reach
 // disk, mirroring what ReadResult enforces on the way back in.
 func validateResult(r *Result) error {
-	if r.K < 1 || r.K > maxResultK {
-		return fmt.Errorf("store: result k %d out of range [1, %d]", r.K, maxResultK)
+	if r.K < 1 || r.K > maxK {
+		return fmt.Errorf("store: result k %d out of range [1, %d]", r.K, maxK)
 	}
-	if len(r.Algorithm) > maxResultString || len(r.Order) > maxResultString {
-		return fmt.Errorf("store: result algorithm/order names exceed %d bytes", maxResultString)
+	if len(r.Algorithm) > maxName || len(r.Order) > maxName {
+		return fmt.Errorf("store: result algorithm/order names exceed %d bytes", maxName)
 	}
 	if r.NumVertices < 0 || r.NumEdges < 0 {
 		return fmt.Errorf("store: negative result counts (%d vertices, %d edges)", r.NumVertices, r.NumEdges)
@@ -175,117 +154,40 @@ func validateResult(r *Result) error {
 // least need body bytes behind it. A forged header therefore cannot make
 // the table more than 8x the bytes actually read.
 //
-// The file is read once, in fixed chunks assembled into one buffer of its
-// exact length, and its trailer and every payload block are proven before
-// any field is decoded, so a corrupt result can never be mistaken for a
-// valid one. Decoding then runs straight over that buffer. Reading a file
-// of F bytes so allocates at most 2F and one chunk besides the decoded
-// result, however the reader splits its reads.
+// The file is read and proven whole before any field is decoded
+// (readSealed), so a corrupt result can never be mistaken for a valid one,
+// and reading a file of F bytes allocates at most 2F and one chunk besides
+// the decoded result.
 func ReadResult(rd io.Reader) (*Result, error) {
-	chunk := make([]byte, resultChunk)
-	if _, err := io.ReadFull(rd, chunk[:4]); err != nil {
-		return nil, fmt.Errorf("store: reading result magic: %w", err)
-	}
-	if [4]byte(chunk) != resultMagic2 {
-		return nil, ErrBadResultMagic
-	}
-	data, err := readChunks(rd, chunk, 4)
-	if err != nil {
-		return nil, fmt.Errorf("store: buffering result: %w", err)
-	}
-	payload, err := verifyAllBytes(data, "result")
+	c, err := readSealed(rd, resultMagic2, ErrBadResultMagic, "result")
 	if err != nil {
 		return nil, err
 	}
-	c := mappedCursor(payload[4:])
 	return readResultBody(&c)
-}
-
-// resultChunk is the read granularity of ReadResult: the chunks a file is
-// read into overshoot its length by at most one chunk.
-const resultChunk = checksumBlockSize
-
-// readChunks reads rd to EOF into chunks of len(chunk) bytes, the first
-// of which already holds n bytes, and returns everything as one slice: the
-// chunk itself when it held the whole input, else one buffer of the exact
-// total that the chunks are copied into once.
-func readChunks(rd io.Reader, chunk []byte, n int) ([]byte, error) {
-	var full [][]byte
-	for {
-		m, err := io.ReadFull(rd, chunk[n:])
-		n += m
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		full = append(full, chunk)
-		chunk, n = make([]byte, len(chunk)), 0
-	}
-	if len(full) == 0 {
-		return chunk[:n], nil
-	}
-	out := make([]byte, 0, len(full)*len(chunk)+n)
-	for _, c := range full {
-		out = append(out, c...)
-	}
-	return append(out, chunk[:n]...), nil
-}
-
-// errVarintOverlong reports a multi-byte varint whose last byte is zero: it
-// spells a value that has a shorter encoding. Writers emit only the
-// shortest, and accepting another spelling would break the canonical
-// round trip.
-var errVarintOverlong = errors.New("store: overlong varint (not canonical)")
-
-// resultUvarint decodes one canonical varint. Like binary.ReadUvarint it
-// reports io.EOF when no byte is left.
-func resultUvarint(c *cursor) (uint64, error) {
-	if c.i == len(c.data) {
-		return 0, io.EOF
-	}
-	start := c.i
-	x, err := c.uvarint()
-	if err == nil && c.i-start > 1 && c.data[c.i-1] == 0 {
-		return 0, errVarintOverlong
-	}
-	return x, err
 }
 
 // readResultBody decodes everything after the magic; c must end exactly
 // where the payload does.
 func readResultBody(c *cursor) (*Result, error) {
-	nv, err := resultUvarint(c)
+	nv, ne, err := readCounts(c)
 	if err != nil {
-		return nil, fmt.Errorf("store: result vertex count: %w", err)
-	}
-	ne, err := resultUvarint(c)
-	if err != nil {
-		return nil, fmt.Errorf("store: result edge count: %w", err)
-	}
-	if err := checkCounts(nv, ne); err != nil {
 		return nil, err
 	}
-	k64, err := resultUvarint(c)
+	k, err := readK(c, "result")
 	if err != nil {
-		return nil, fmt.Errorf("store: result partition count: %w", err)
+		return nil, err
 	}
-	if k64 < 1 || k64 > maxResultK {
-		return nil, fmt.Errorf("store: result k %d out of range [1, %d]", k64, maxResultK)
-	}
-	k := int(k64)
 	r := &Result{K: k, NumVertices: int(nv), NumEdges: int64(ne)}
-	if r.Algorithm, err = readResultString(c, "algorithm"); err != nil {
-		return nil, err
+	if r.Algorithm, err = c.str(); err != nil {
+		return nil, fmt.Errorf("store: result algorithm: %w", err)
 	}
-	if r.Order, err = readResultString(c, "order"); err != nil {
-		return nil, err
+	if r.Order, err = c.str(); err != nil {
+		return nil, fmt.Errorf("store: result order: %w", err)
 	}
 	r.Sizes = make([]int64, k)
 	var sum int64
 	for p := 0; p < k; p++ {
-		sz, err := resultUvarint(c)
+		sz, err := c.field()
 		if err != nil {
 			return nil, fmt.Errorf("store: partition %d size: %w", p, err)
 		}
@@ -364,27 +266,11 @@ func decodeWords(words []uint64, c *cursor) error {
 	}
 	c.i += i
 	for ; w < len(words); w++ {
-		x, err := resultUvarint(c)
+		x, err := c.field()
 		if err != nil {
 			return fmt.Errorf("store: replica word %d of %d: %w", w, len(words), err)
 		}
 		words[w] = x
 	}
 	return nil
-}
-
-// readResultString decodes one length-prefixed name field.
-func readResultString(c *cursor, field string) (string, error) {
-	n, err := resultUvarint(c)
-	if err != nil {
-		return "", fmt.Errorf("store: result %s length: %w", field, err)
-	}
-	if n > maxResultString {
-		return "", fmt.Errorf("store: result %s of %d bytes exceeds the %d limit", field, n, maxResultString)
-	}
-	buf := make([]byte, n)
-	if err := c.readFull(buf); err != nil {
-		return "", fmt.Errorf("store: result %s: %w", field, err)
-	}
-	return string(buf), nil
 }

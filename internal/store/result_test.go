@@ -224,7 +224,7 @@ func TestResultRejectsForgedHeaders(t *testing.T) {
 		{"vertex overflow", forge(1<<33, 1, 4)},
 		{"edge overflow", forge(4, 1<<57, 4)},
 		{"k zero", forge(4, 1, 0)},
-		{"k overflow", forge(4, 1, maxResultK+1)},
+		{"k overflow", forge(4, 1, maxK+1)},
 	}
 	for _, tc := range cases {
 		_, err := ReadResult(bytes.NewReader(tc.data))
@@ -256,10 +256,10 @@ func wordsResult(t testing.TB) *Result {
 func resultPayload(r *Result, spell string) []byte {
 	b := append([]byte{}, resultMagic2[:]...)
 	put := func(field string, x uint64) {
-		b = binary.AppendUvarint(b, x)
 		if field == spell {
-			b[len(b)-1] |= 0x80
-			b = append(b, 0)
+			b = spellLong(b, x)
+		} else {
+			b = binary.AppendUvarint(b, x)
 		}
 	}
 	put("vertex count", uint64(r.NumVertices))
@@ -411,21 +411,9 @@ func TestResultRejectsInconsistentBody(t *testing.T) {
 		t.Fatal("WriteResult accepted a replica table with the wrong vertex count")
 	}
 	r = buildResult(t, 4)
-	r.Algorithm = strings.Repeat("x", maxResultString+1)
+	r.Algorithm = strings.Repeat("x", maxName+1)
 	if err := WriteResult(io.Discard, r); err == nil {
 		t.Fatal("WriteResult accepted an oversized algorithm name")
-	}
-}
-
-func TestSniffResultHeader(t *testing.T) {
-	valid := encodeResult(t, buildResult(t, 4))
-	if !SniffResultHeader(valid) {
-		t.Fatal("SniffResultHeader rejected a valid file")
-	}
-	for _, bad := range [][]byte{nil, []byte("CGR3xxxx"), []byte("CPR"), []byte("CPR1...."), []byte("cpr2....")} {
-		if SniffResultHeader(bad) {
-			t.Fatalf("SniffResultHeader accepted %q", bad)
-		}
 	}
 }
 

@@ -18,17 +18,20 @@
 // and collapsing consecutive targets. Edge order is preserved exactly -
 // order is semantic for streaming partitioners - and the checksums turn
 // bit flips, torn writes and truncation into errors instead of wrong
-// edges. Saved results (CPR2, result.go) and checkpoints (CPK2,
-// checkpoint.go) share the same integrity trailer. The out-of-core sources
-// over these files are MmapSource (mapped, with a portable read-at
-// fallback) and ReaderAtSource (any io.ReaderAt).
+// edges.
+//
+// Saved results (CPR2, result.go) and checkpoints (CPK2, checkpoint.go)
+// are sealed the same way. The three formats share one codec (sealed.go):
+// the magic and counts that open every header, one whole-file reader that
+// proves the trailer before any field decodes, and one canonical field
+// decoder, so they differ only in their bodies and validation rules. The
+// out-of-core sources over graph files are MmapSource (mapped, with a
+// portable read-at fallback) and ReaderAtSource (any io.ReaderAt).
 package store
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"slices"
 
@@ -53,7 +56,7 @@ func WriteFormat(w io.Writer, g *graph.Graph, f Format) error {
 	}
 	cw := newCRCWriter(w)
 	vw := &varintWriter{bw: bufio.NewWriterSize(cw, 1<<16)}
-	if err := vw.writeHeader(g); err != nil {
+	if _, err := vw.bw.Write(appendHeader(nil, magic3, uint64(g.NumVertices), uint64(g.NumEdges()))); err != nil {
 		return err
 	}
 	if err := encodeBody(vw, g.Edges); err != nil {
@@ -66,34 +69,20 @@ func WriteFormat(w io.Writer, g *graph.Graph, f Format) error {
 }
 
 // Read decodes a whole graph. The trailer lives at EOF, out of reach of a
-// forward-only reader, so the bytes are buffered and every payload block
-// proven before the first edge decodes; the seekable sources (OpenMmap,
-// OpenReaderAt) verify lazily instead and are what the streaming path uses.
+// forward-only reader, so the file is buffered and every payload block
+// proven before the first edge decodes (readSealed); the seekable sources
+// (OpenMmap, OpenReaderAt) verify lazily instead and are what the streaming
+// path uses.
 func Read(r io.Reader) (*graph.Graph, error) {
-	// The magic and the rest of the stream land in one buffer, so the file
-	// is held once.
-	buf := bytes.NewBuffer(make([]byte, 4, 1<<16))
-	if _, err := io.ReadFull(r, buf.Bytes()); err != nil {
-		return nil, fmt.Errorf("store: reading magic: %w", err)
-	}
-	if [4]byte(buf.Bytes()) != magic3 {
-		return nil, ErrBadMagic
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("store: buffering graph stream: %w", err)
-	}
-	payload, err := verifyAllBytes(buf.Bytes(), "stream")
+	cur, err := readSealed(r, magic3, ErrBadMagic, "graph")
 	if err != nil {
 		return nil, err
 	}
-	var dec decoder
-	dec.cur = mappedCursor(payload)
-	nv, ne, err := readHeader(&dec.cur)
-	if err != nil {
+	dec := decoder{cur: cur}
+	if err := dec.readHeader(); err != nil {
 		return nil, err
 	}
-	dec.nv = int64(nv)
-	dec.ne = int64(ne)
+	nv, ne := int(dec.nv), int(dec.ne)
 	// Cap the initial allocation: the declared edge count is untrusted until
 	// the body actually decodes, and a forged multi-billion count must not
 	// translate into a giant up-front allocation. Real counts beyond the cap

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,6 +181,52 @@ func header(nv, ne uint64) []byte {
 	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], nv)]...)
 	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], ne)]...)
 	return buf
+}
+
+// spellLong appends x spelled one byte longer than canonical: its last byte
+// gains a continuation bit and a zero byte follows.
+func spellLong(b []byte, x uint64) []byte {
+	b = binary.AppendUvarint(b, x)
+	b[len(b)-1] |= 0x80
+	return append(b, 0)
+}
+
+// TestHeaderRejectsOverlongVarint: a CGR3 header count has one accepted
+// spelling, as every field of CPR2 and CPK2 has, through Read and every
+// file source - the read-at ones refill their window inside the header,
+// the dribbling one after every three bytes. The canonical file is
+// accepted by each, so the refusals are the field decoder's.
+func TestHeaderRejectsOverlongVarint(t *testing.T) {
+	body := encodePayload(t, 4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}})[len(header(4, 2)):]
+	magic := magic3[:len(magic3):len(magic3)]
+	path := filepath.Join(t.TempDir(), "g.cgr")
+	for field, head := range map[string][]byte{
+		"":             header(4, 2),
+		"vertex count": binary.AppendUvarint(spellLong(magic, 4), 2),
+		"edge count":   spellLong(binary.AppendUvarint(magic, 4), 2),
+	} {
+		file := seal(t, append(head, body...))
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Read(bytes.NewReader(file))
+		names, errs := []string{"Read"}, []error{err}
+		for _, bc := range backendCases() {
+			src, err := bc.open(path)
+			if err == nil {
+				src.Close()
+			}
+			names, errs = append(names, bc.name), append(errs, err)
+		}
+		for i, err := range errs {
+			if field == "" && err != nil {
+				t.Errorf("canonical header: %s: %v", names[i], err)
+			}
+			if field != "" && !errors.Is(err, errVarintOverlong) {
+				t.Errorf("overlong %s: %s: got %v, want an overlong-varint error", field, names[i], err)
+			}
+		}
+	}
 }
 
 // TestImplausibleHeaderRejected: a forged edge or vertex count must be

@@ -10,7 +10,7 @@ import (
 // Cache memoizes ordered stream views per graph. The experiment suite runs
 // every algorithm x k x seed cell against the same handful of graphs, and
 // without a cache each run re-materializes its stream order from scratch -
-// a full BFS/DFS traversal or shuffle per run. A Cache computes each
+// a full BFS traversal or shuffle per run. A Cache computes each
 // distinct (graph, order, seed) permutation exactly once and hands the same
 // View to every subsequent caller, turning the suite's per-run O(|E|)
 // ordering cost into a map lookup.

@@ -44,7 +44,7 @@ func samePerm(a, b View) bool {
 func TestCacheMatchesView(t *testing.T) {
 	g := cacheTestGraph(t)
 	c := NewCache()
-	for _, order := range []Order{Natural, BFS, DFS, Random} {
+	for _, order := range []Order{Natural, BFS, Random} {
 		want := NewView(g, order, 99)
 		got := c.View(g, order, 99)
 		if !viewsEqual(got, want) {

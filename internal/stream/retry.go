@@ -3,21 +3,9 @@ package stream
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
-
-// RetryStats counts the replay activity of Retry-wrapped sources: every
-// wrapper built with the same config bumps the same counter. Safe for
-// concurrent use.
-type RetryStats struct {
-	attempts atomic.Int64
-}
-
-// Attempts returns how many retry attempts have fired (each one a fault
-// that was survived by a replay - a green run over healthy media reads 0).
-func (s *RetryStats) Attempts() int64 { return s.attempts.Load() }
 
 // RetryConfig tunes a Retry wrapper. A retry replays at once, with no
 // sleep between attempts.
@@ -33,10 +21,6 @@ type RetryConfig struct {
 	// truncation) then simply fail again until attempts run out, which
 	// costs MaxAttempts-1 replays but never masks the error.
 	Retryable func(error) bool
-	// Stats, when non-nil, receives every fired retry attempt. Retry fills
-	// in a fresh one when nil, so the counter is always live
-	// (RetrySource.RetryAttempts reads it).
-	Stats *RetryStats
 }
 
 // Retry wraps src so that transient NextBlock failures are survived by
@@ -56,9 +40,6 @@ func Retry(src Source, cfg RetryConfig) Source {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.Stats == nil {
-		cfg.Stats = &RetryStats{}
-	}
 	return &RetrySource{base: src, cfg: cfg}
 }
 
@@ -68,9 +49,10 @@ type RetrySource struct {
 	base Source
 	cfg  RetryConfig
 
-	pos      int // edges delivered since the last consumer-visible Reset
-	replay   int // edges still to skip while re-approaching pos
-	attempts int // failed attempts at the current position
+	pos      int   // edges delivered since the last consumer-visible Reset
+	replay   int   // edges still to skip while re-approaching pos
+	attempts int   // failed attempts at the current position
+	fired    int64 // retry attempts fired over the wrapper's life
 }
 
 // NumVertices implements Source.
@@ -92,7 +74,7 @@ func (s *RetrySource) Reset() error {
 			return err
 		}
 		s.attempts++
-		s.cfg.Stats.attempts.Add(1)
+		s.fired++
 	}
 }
 
@@ -129,7 +111,7 @@ func (s *RetrySource) NextBlock() ([]graph.Edge, error) {
 			return nil, err
 		}
 		s.attempts++
-		s.cfg.Stats.attempts.Add(1)
+		s.fired++
 		for {
 			rerr := s.base.Reset()
 			if rerr == nil {
@@ -139,7 +121,7 @@ func (s *RetrySource) NextBlock() ([]graph.Edge, error) {
 				return nil, rerr
 			}
 			s.attempts++
-			s.cfg.Stats.attempts.Add(1)
+			s.fired++
 		}
 		s.replay = s.pos
 	}
@@ -162,9 +144,9 @@ func (s *RetrySource) DecodesAhead() bool {
 	return ok && a.DecodesAhead()
 }
 
-// RetryAttempts returns the total retry attempts fired by every wrapper
-// sharing this one's RetryStats.
-func (s *RetrySource) RetryAttempts() int64 { return s.cfg.Stats.Attempts() }
+// RetryAttempts returns how many retry attempts the wrapper has fired, each
+// one a fault survived by a replay; a run over healthy media reads 0.
+func (s *RetrySource) RetryAttempts() int64 { return s.fired }
 
 // Close closes the underlying source when it holds resources (file
 // sources do); in-memory sources make it a no-op.

@@ -40,8 +40,6 @@ const (
 	// graph, and each vertex emits its incident not-yet-emitted edges when
 	// visited. This is the order real web crawls approximate (Section II).
 	BFS
-	// DFS is the depth-first analogue of BFS, for order-sensitivity studies.
-	DFS
 	// Random applies a seeded Fisher-Yates shuffle.
 	Random
 )
@@ -52,8 +50,6 @@ func (o Order) String() string {
 		return "natural"
 	case BFS:
 		return "bfs"
-	case DFS:
-		return "dfs"
 	case Random:
 		return "random"
 	default:
@@ -176,9 +172,7 @@ func NewView(g *graph.Graph, order Order, seed uint64) View {
 		}
 		return Permuted(g.Edges, perm)
 	case BFS:
-		return Permuted(g.Edges, traversalOrder(g, false))
-	case DFS:
-		return Permuted(g.Edges, traversalOrder(g, true))
+		return Permuted(g.Edges, bfsOrder(g))
 	default:
 		panic(fmt.Sprintf("stream: unknown order %d", int(order)))
 	}
@@ -196,12 +190,12 @@ func Edges(g *graph.Graph, order Order, seed uint64) []graph.Edge {
 	return v.Materialize()
 }
 
-// traversalOrder emits edge indices in the order a BFS (or DFS) crawl over
-// the undirected graph would first touch them. Each directed edge is emitted
+// bfsOrder emits edge indices in the order a BFS crawl over the
+// undirected graph would first touch them. Each directed edge is emitted
 // exactly once, when the traversal visits either endpoint. Disconnected
 // components are started from the smallest unvisited vertex, matching how a
 // crawler restarts from a new seed page.
-func traversalOrder(g *graph.Graph, depthFirst bool) []int32 {
+func bfsOrder(g *graph.Graph) []int32 {
 	n := g.NumVertices
 	// Build an undirected CSR carrying original edge indices so each edge is
 	// emitted once regardless of which endpoint is visited first.
@@ -230,7 +224,6 @@ func traversalOrder(g *graph.Graph, depthFirst bool) []int32 {
 	perm := make([]int32, 0, len(g.Edges))
 	emitted := make([]bool, len(g.Edges))
 	visited := make([]bool, n)
-	// frontier doubles as queue (BFS) or stack (DFS).
 	frontier := make([]graph.VertexID, 0, 1024)
 	for start := 0; start < n; start++ {
 		if visited[start] {
@@ -239,14 +232,8 @@ func traversalOrder(g *graph.Graph, depthFirst bool) []int32 {
 		visited[start] = true
 		frontier = append(frontier[:0], graph.VertexID(start))
 		for len(frontier) > 0 {
-			var v graph.VertexID
-			if depthFirst {
-				v = frontier[len(frontier)-1]
-				frontier = frontier[:len(frontier)-1]
-			} else {
-				v = frontier[0]
-				frontier = frontier[1:]
-			}
+			v := frontier[0]
+			frontier = frontier[1:]
 			for _, h := range adj[off[v]:off[v+1]] {
 				if !emitted[h.eid] {
 					emitted[h.eid] = true

@@ -41,7 +41,7 @@ func sameMultiset(a, b []graph.Edge) bool {
 }
 
 func TestOrderString(t *testing.T) {
-	for o, want := range map[Order]string{Natural: "natural", BFS: "bfs", DFS: "dfs", Random: "random", Order(9): "order(9)"} {
+	for o, want := range map[Order]string{Natural: "natural", BFS: "bfs", Random: "random", Order(9): "order(9)"} {
 		if got := o.String(); got != want {
 			t.Fatalf("Order(%d).String() = %q, want %q", int(o), got, want)
 		}
@@ -58,7 +58,7 @@ func TestNaturalAliases(t *testing.T) {
 
 func TestAllOrdersPreserveMultiset(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 500, OutDegree: 4, CopyFactor: 0.5, Seed: 3})
-	for _, o := range []Order{Natural, BFS, DFS, Random} {
+	for _, o := range []Order{Natural, BFS, Random} {
 		edges := Edges(g, o, 42)
 		if !sameMultiset(g.Edges, edges) {
 			t.Fatalf("%v order changed the edge multiset", o)
@@ -124,26 +124,10 @@ func TestBFSPrefixConnectivity(t *testing.T) {
 	}
 }
 
-func TestDFSDiffersFromBFS(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 1000, OutDegree: 5, CopyFactor: 0.6, Seed: 5})
-	b := Edges(g, BFS, 0)
-	d := Edges(g, DFS, 0)
-	same := true
-	for i := range b {
-		if b[i] != d[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("DFS and BFS orders identical on a branching graph")
-	}
-}
-
 func TestOrdersCoverDisconnectedGraphs(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 5, Dst: 6}, {Src: 3, Dst: 3}}
 	g := graph.New(8, edges)
-	for _, o := range []Order{BFS, DFS} {
+	for _, o := range []Order{BFS, Random} {
 		out := Edges(g, o, 0)
 		if !sameMultiset(edges, out) {
 			t.Fatalf("%v dropped edges on disconnected graph: %v", o, out)
@@ -153,7 +137,7 @@ func TestOrdersCoverDisconnectedGraphs(t *testing.T) {
 
 func TestEdgesEmptyGraph(t *testing.T) {
 	g := graph.New(3, nil)
-	for _, o := range []Order{Natural, BFS, DFS, Random} {
+	for _, o := range []Order{Natural, BFS, Random} {
 		if out := Edges(g, o, 0); len(out) != 0 {
 			t.Fatalf("%v produced %d edges from empty graph", o, len(out))
 		}
@@ -164,7 +148,7 @@ func TestEdgesEmptyGraph(t *testing.T) {
 // must yield exactly the slice Edges materializes.
 func TestViewMatchesEdges(t *testing.T) {
 	g := gen.Web(gen.WebConfig{N: 800, OutDegree: 5, CopyFactor: 0.5, Seed: 11})
-	for _, o := range []Order{Natural, BFS, DFS, Random} {
+	for _, o := range []Order{Natural, BFS, Random} {
 		v := NewView(g, o, 17)
 		edges := Edges(g, o, 17)
 		if v.Len() != len(edges) {
