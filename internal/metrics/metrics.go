@@ -47,15 +47,29 @@ func NewReplicaSetsFromWords(n, k int, words []uint64) (*ReplicaSets, error) {
 		return nil, fmt.Errorf("metrics: %d words for %d vertices x %d partitions (want %d)",
 			len(words), n, k, n*perVertex)
 	}
-	if top := k % 64; top != 0 {
-		stray := ^uint64(0) << uint(top)
-		for v := 0; v < n; v++ {
-			if w := words[v*perVertex+perVertex-1] & stray; w != 0 {
-				return nil, fmt.Errorf("metrics: vertex %d has replica bits above partition %d-1", v, k)
-			}
+	r := &ReplicaSets{k: k, words: perVertex, bits: words}
+	if err := r.CheckBits(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// CheckBits reports a bit above partition k-1 in any vertex's top word.
+// Add sets such a bit for a partition id >= k without complaint, so a
+// table built in memory is checked before it is saved, with the same rule
+// and message as a decoded one.
+func (r *ReplicaSets) CheckBits() error {
+	top := r.k % 64
+	if top == 0 {
+		return nil
+	}
+	stray := ^uint64(0) << uint(top)
+	for v, i := 0, r.words-1; i < len(r.bits); v, i = v+1, i+r.words {
+		if r.bits[i]&stray != 0 {
+			return fmt.Errorf("metrics: vertex %d has replica bits above partition %d-1", v, r.k)
 		}
 	}
-	return &ReplicaSets{k: k, words: perVertex, bits: words}, nil
+	return nil
 }
 
 // NumVertices returns the number of vertices the table covers.

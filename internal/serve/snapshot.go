@@ -50,8 +50,8 @@ type Snapshot struct {
 // NewSnapshot freezes a saved partitioning result into serving form.
 // The result's replica table is shared, not copied: callers hand over a
 // freshly decoded or sealed table (store.ReadResult, FromRun,
-// Builder.Result) and must not write it afterwards. Sizes are copied so the snapshot is sealed
-// against later mutation of r.Sizes.
+// Builder.Result) and must not write it afterwards. Sizes are copied so
+// the snapshot is sealed against later mutation of r.Sizes.
 func NewSnapshot(r *store.Result, _ Options) (*Snapshot, error) {
 	if r == nil || r.Replicas == nil {
 		return nil, fmt.Errorf("serve: nil result")

@@ -248,6 +248,38 @@ func FuzzReadResultBody(f *testing.F) {
 	})
 }
 
+// FuzzDecodeWords holds the split replica-word decoder to its oracle,
+// refDecodeWords: a fuzzed body decoded as a fuzzed number of words in 1
+// to 8 parts gives the same words, cursor end and error text, and the
+// split alone succeeds exactly when the body holds those words and nothing
+// else. Seeded with wordCases' valid tables and forgeries.
+func FuzzDecodeWords(f *testing.F) {
+	for _, k := range []int{1, 64, 65, 256} {
+		for p, wc := range wordCases(k) {
+			f.Add(wc.body, uint16(wc.n), uint8(p))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, n uint16, parts uint8) {
+		nw := int(n) % (len(body) + 2)
+		p := 1 + int(parts%8)
+		want := make([]uint64, nw)
+		rc := mappedCursor(body)
+		wantErr := refDecodeWords(want, &rc)
+		got := make([]uint64, nw)
+		c := mappedCursor(body)
+		err := decodeWordsParts(got, &c, p)
+		checkSameDecode(t, "decodeWordsParts", got, want, c.i, rc.i, err, wantErr)
+		at := make([]int, p+1)
+		for j := range at {
+			at[j] = len(body) * j / p
+		}
+		exact := wantErr == nil && rc.i == len(body)
+		if ok := decodeSplit(got, body, at); ok != exact {
+			t.Fatalf("split decode reports %v, the reference %v", ok, exact)
+		}
+	})
+}
+
 // FuzzSourcesAgree is differential: the sequential Reader, the mmap-backed
 // MmapSource (mapped and in its read-at fallback) and ReaderAtSource (over
 // whole reads and over three-byte dribbles) decode the same bytes through

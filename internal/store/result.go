@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -142,7 +144,7 @@ func validateResult(r *Result) error {
 		return fmt.Errorf("store: replica table geometry %dv/%dk disagrees with result %dv/%dk",
 			r.Replicas.NumVertices(), r.Replicas.K(), r.NumVertices, r.K)
 	}
-	return nil
+	return r.Replicas.CheckBits()
 }
 
 // ReadResult decodes a result file written by WriteResult, validating every
@@ -206,7 +208,8 @@ func readResultBody(c *cursor) (*Result, error) {
 			need, body, io.ErrUnexpectedEOF)
 	}
 	words := make([]uint64, need)
-	if err := decodeWords(words, c); err != nil {
+	parts := min(runtime.GOMAXPROCS(0), len(words)/minPartWords)
+	if err := decodeWordsParts(words, c, parts); err != nil {
 		return nil, err
 	}
 	rs, err := metrics.NewReplicaSetsFromWords(int(nv), k, words)
@@ -229,9 +232,11 @@ func readResultBody(c *cursor) (*Result, error) {
 // every one. The fast loop instead loads eight bytes, finds the varint's
 // length from the continuation bits and packs the 7-bit groups with shifts
 // and masks; its overlong check is folded into one flag tested after the
-// loop, so a word of up to eight bytes costs no data-dependent branch. The
-// checked loop decodes the last few words, and decodes the table again from
-// the start when the flag is set, to name the word at fault.
+// loop, so a word of up to eight bytes costs no data-dependent branch, and
+// the nine- and ten-byte words (a partition bit at 56 or above) add one
+// branch on the ninth byte. The checked loop decodes the last few words,
+// and decodes the table again from the start when the flag is set, to name
+// the word at fault.
 func decodeWords(words []uint64, c *cursor) error {
 	body := c.data[c.i:]
 	i, w := 0, 0
@@ -240,14 +245,21 @@ func decodeWords(words []uint64, c *cursor) error {
 		v := binary.LittleEndian.Uint64(body[i:])
 		stops := ^v & 0x8080808080808080 // the high bit is clear in a varint's last byte
 		if stops == 0 {
-			// Nine or ten bytes: only words with a partition bit at 56 or above.
-			x, n := binary.Uvarint(body[i:])
-			if n <= 0 || body[i+n-1] == 0 {
-				bad = 1
+			if i+10 > len(body) {
 				break
 			}
-			words[w] = x
-			i += n
+			b8, b9 := uint64(body[i+8]), uint64(body[i+9])
+			if b8 < 0x80 {
+				// Nine bytes, overlong if the last is zero.
+				bad |= (b8 - 1) >> 63
+				words[w] = pack7(v) | b8<<56
+				i += 9
+			} else {
+				// Ten bytes: the last holds bit 63 alone, so it must be 0x01.
+				bad |= b9 ^ 1
+				words[w] = pack7(v) | (b8&0x7f)<<56 | 1<<63
+				i += 10
+			}
 			continue
 		}
 		end := uint64(bits.TrailingZeros64(stops)) + 1 // 8 x the varint's length
@@ -255,10 +267,7 @@ func decodeWords(words []uint64, c *cursor) error {
 		// Overlong: longer than one byte and ending in a zero byte.
 		last, shift := v>>(end-8), end-8
 		bad |= ((last - 1) >> 63) & ((0 - shift) >> 63)
-		v = v&0x007f007f007f007f | (v&0x7f007f007f007f00)>>1
-		v = v&0x00003fff00003fff | (v&0x3fff00003fff0000)>>2
-		v = v&0x000000000fffffff | (v&0x0fffffff00000000)>>4
-		words[w] = v
+		words[w] = pack7(v)
 		i += int(end >> 3)
 	}
 	if bad != 0 {
@@ -273,4 +282,111 @@ func decodeWords(words []uint64, c *cursor) error {
 		words[w] = x
 	}
 	return nil
+}
+
+// pack7 joins the low seven bits of each of v's eight bytes into one
+// 56-bit value, the first byte lowest.
+func pack7(v uint64) uint64 {
+	v = v&0x007f007f007f007f | (v&0x7f007f007f007f00)>>1
+	v = v&0x00003fff00003fff | (v&0x3fff00003fff0000)>>2
+	return v&0x000000000fffffff | (v&0x0fffffff00000000)>>4
+}
+
+// minPartWords is the fewest replica words one part of a split decode is
+// given. On two CPUs a split k=256 table decodes faster from about 2^15
+// words in all and slower below 2^14, where the count pass and the
+// goroutine handover cost more than the second CPU saves; 2^16 words a
+// part keeps well clear of that, so a small table, or a busy second CPU,
+// never makes a read slower. DESIGN.md ("The result file") has the
+// measurements; BenchmarkResultRead at -cpu 1,2 records both paths.
+const minPartWords = 1 << 16
+
+// decodeWordsParts decodes the same words as decodeWords, and leaves c and
+// any error as it does, with the body split into parts byte ranges of
+// about equal length that decodeSplit decodes at once. When the split
+// fails the whole body goes through decodeWords again, so a rejected body
+// gets the serial decoder's error and word index. Below two parts it is
+// decodeWords.
+func decodeWordsParts(words []uint64, c *cursor, parts int) error {
+	if parts >= 2 {
+		body := c.data[c.i:]
+		at := make([]int, parts+1)
+		for j := range at {
+			at[j] = len(body) * j / parts
+		}
+		if decodeSplit(words, body, at) {
+			c.i += len(body)
+			return nil
+		}
+	}
+	return decodeWords(words, c)
+}
+
+// decodeSplit decodes body into words in the len(at)-1 byte ranges that
+// the cuts at (ascending, from 0 to len(body)) mark: one range on the
+// calling goroutine and each other on its own, each writing its own
+// contiguous share of words. Every inner cut first moves forward, in
+// place, to just past a byte whose high bit is clear, the last byte of a
+// varint, so each range starts at a word. Each range then counts its last
+// bytes, eight at a time, and the prefix sums of the counts give each
+// range its first word; last, each range decodes its words with
+// decodeWords into its own share of words. decodeSplit reports whether
+// body held exactly len(words) canonical varints, which is when every
+// range decodes and ends exactly at its cut; otherwise words is partly
+// written.
+func decodeSplit(words []uint64, body []byte, at []int) bool {
+	parts := len(at) - 1
+	for j := 1; j < parts; j++ {
+		at[j] = max(at[j], at[j-1])
+		for at[j] > 0 && at[j] < len(body) && body[at[j]-1] >= 0x80 {
+			at[j]++
+		}
+	}
+	first := make([]int, len(at))
+	eachPart(parts, func(j int) { first[j+1] = countLastBytes(body[at[j]:at[j+1]]) })
+	for j := 0; j < parts; j++ {
+		first[j+1] += first[j]
+	}
+	if first[parts] != len(words) {
+		return false
+	}
+	ok := make([]bool, parts)
+	eachPart(parts, func(j int) {
+		rc := mappedCursor(body[at[j]:at[j+1]])
+		ok[j] = decodeWords(words[first[j]:first[j+1]], &rc) == nil && rc.i == len(rc.data)
+	})
+	for _, o := range ok {
+		if !o {
+			return false
+		}
+	}
+	return true
+}
+
+// countLastBytes counts the bytes of b whose high bit is clear: the number
+// of varints that end in b.
+func countLastBytes(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += 8 - bits.OnesCount64(binary.LittleEndian.Uint64(b)&0x8080808080808080)
+	}
+	for _, x := range b {
+		n += int(^x >> 7)
+	}
+	return n
+}
+
+// eachPart runs f(0), ..., f(parts-1) at once, f(0) on the calling
+// goroutine, and returns when all have.
+func eachPart(parts int, f func(int)) {
+	var wg sync.WaitGroup
+	wg.Add(parts - 1)
+	for j := 1; j < parts; j++ {
+		go func() {
+			defer wg.Done()
+			f(j)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }

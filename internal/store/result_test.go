@@ -9,7 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -428,4 +430,213 @@ func putUvarintTmp(buf []byte, x uint64) int {
 	}
 	buf[i] = byte(x)
 	return i + 1
+}
+
+// TestWriteResultRefusesStrayBits: a table built in memory can carry a bit
+// above partition k-1 (ReplicaSets.Add does not check p < k). The writer
+// refuses it with the reader's message, so no file is written that
+// ReadResult would refuse.
+func TestWriteResultRefusesStrayBits(t *testing.T) {
+	r := buildResult(t, 4)
+	r.Replicas.Add(0, 5)
+	const want = "metrics: vertex 0 has replica bits above partition 4-1"
+	err := WriteResult(io.Discard, r)
+	if err == nil || err.Error() != want {
+		t.Fatalf("WriteResult: got %v, want %q", err, want)
+	}
+	// The same table, sealed without the writer's check, is what the
+	// reader refuses.
+	_, err = ReadResult(bytes.NewReader(seal(t, resultPayload(r, ""))))
+	if err == nil || err.Error() != want {
+		t.Fatalf("ReadResult: got %v, want %q", err, want)
+	}
+}
+
+// refDecodeWords is decodeWords as it was before the nine- and ten-byte
+// words were decoded inline and before the body was split: the oracle the
+// split decoder is held to.
+func refDecodeWords(words []uint64, c *cursor) error {
+	body := c.data[c.i:]
+	i, w := 0, 0
+	var bad uint64
+	for ; w < len(words) && i+8 <= len(body); w++ {
+		v := binary.LittleEndian.Uint64(body[i:])
+		stops := ^v & 0x8080808080808080 // the high bit is clear in a varint's last byte
+		if stops == 0 {
+			// Nine or ten bytes: only words with a partition bit at 56 or above.
+			x, n := binary.Uvarint(body[i:])
+			if n <= 0 || body[i+n-1] == 0 {
+				bad = 1
+				break
+			}
+			words[w] = x
+			i += n
+			continue
+		}
+		end := uint64(bits.TrailingZeros64(stops)) + 1 // 8 x the varint's length
+		v &= ^uint64(0) >> (64 - end)
+		// Overlong: longer than one byte and ending in a zero byte.
+		last, shift := v>>(end-8), end-8
+		bad |= ((last - 1) >> 63) & ((0 - shift) >> 63)
+		v = v&0x007f007f007f007f | (v&0x7f007f007f007f00)>>1
+		v = v&0x00003fff00003fff | (v&0x3fff00003fff0000)>>2
+		v = v&0x000000000fffffff | (v&0x0fffffff00000000)>>4
+		words[w] = v
+		i += int(end >> 3)
+	}
+	if bad != 0 {
+		i, w = 0, 0
+	}
+	c.i += i
+	for ; w < len(words); w++ {
+		x, err := c.field()
+		if err != nil {
+			return fmt.Errorf("store: replica word %d of %d: %w", w, len(words), err)
+		}
+		words[w] = x
+	}
+	return nil
+}
+
+// wordCase is a replica-word body and the number of words to decode from
+// it.
+type wordCase struct {
+	name string
+	body []byte
+	n    int
+}
+
+// wordCases returns a valid body shaped like a k-partition table, with
+// words of every length from 1 to 10 bytes (bits 55, 56, 62 and 63 where
+// k has them) and zero words, and forgeries of it: overlong words at the
+// first, a middle and the last word, a ninth byte of 0x00, tenth bytes of
+// 0x02 and 0x80, eleven continuation bytes, a cut inside a ten-byte word,
+// and one word too many and one too few.
+func wordCases(k int) []wordCase {
+	cands := []uint64{0, 1, 0x7f, 1 << 7, 1 << 14, 1 << 21, 1 << 28, 1 << 35, 1 << 42,
+		1 << 49, 1 << 55, 1 << 56, 1 << 62, 1 << 63, 1<<63 | 1<<56 | 5, ^uint64(0)}
+	wpv := (k + 63) / 64
+	var vals []uint64
+	for v := 0; v <= len(cands); v++ {
+		for wd := 0; wd < wpv; wd++ {
+			x := cands[(v+5*wd)%len(cands)]
+			if wd == wpv-1 && k%64 != 0 {
+				x &= 1<<(k%64) - 1
+			}
+			vals = append(vals, x)
+		}
+	}
+	n, mid := len(vals), len(vals)/2
+	// with replaces word i's encoding by spell.
+	with := func(i int, spell ...byte) []byte {
+		b := uvarints(vals[:i]...)
+		b = append(b, spell...)
+		return append(b, uvarints(vals[i+1:]...)...)
+	}
+	long := func(i int) []byte { return with(i, spellLong(nil, vals[i])...) }
+	nine := []byte{0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}
+	ten := func(last ...byte) []byte {
+		return append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, last...)
+	}
+	eleven := append(slices.Repeat([]byte{0x80}, 11), 0x01)
+	valid := uvarints(vals...)
+	cutTen := append(uvarints(vals[:n-1]...), uvarints(1 << 63)[:6]...)
+	return []wordCase{
+		{"valid", valid, n},
+		{"overlong first word", long(0), n},
+		{"overlong middle word", long(mid), n},
+		{"overlong last word", long(n - 1), n},
+		{"ninth byte 0x00", with(mid, nine...), n},
+		{"tenth byte 0x02", with(mid, ten(0x02)...), n},
+		{"tenth byte 0x80", with(mid, ten(0x80, 0x01)...), n},
+		{"eleven continuation bytes", with(mid, eleven...), n},
+		{"cut inside a ten-byte word", cutTen, n},
+		{"one word too many", append(uvarints(vals...), 5), n},
+		{"one word too few", uvarints(vals[:n-1]...), n},
+		{"trailing continuation byte", append(uvarints(vals...), 0x80), n},
+	}
+}
+
+// checkSameDecode fails unless a decode left the cursor where the
+// reference's did, with the same error text, and with the same words when
+// the reference succeeded.
+func checkSameDecode(t *testing.T, name string, got, want []uint64, gotAt, wantAt int, err, wantErr error) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
+	}
+	if gotAt != wantAt {
+		t.Fatalf("%s: cursor ends at %d, reference at %d", name, gotAt, wantAt)
+	}
+	if wantErr == nil && !slices.Equal(got, want) {
+		t.Fatalf("%s: words differ from the reference", name)
+	}
+}
+
+// TestDecodeWordsPartsMatchReference: the split decoder gives the
+// reference's words, cursor end and error text on every body, at every
+// part count from 1 to 8 and with the cut at every byte of the body; the
+// split itself succeeds exactly when the body holds the words and nothing
+// else. The body sits after two bytes the cursor has already passed, one
+// of them a continuation byte.
+func TestDecodeWordsPartsMatchReference(t *testing.T) {
+	type bodyCase struct {
+		name  string
+		valid bool
+		wordCase
+	}
+	var cases []bodyCase
+	for _, k := range []int{1, 63, 64, 65, 256} {
+		for _, wc := range wordCases(k) {
+			cases = append(cases, bodyCase{fmt.Sprintf("k=%d/%s", k, wc.name), wc.name == "valid", wc})
+		}
+	}
+	r := seededResult(t, 20000, 256, 5)
+	var vals []uint64
+	for v := 0; v < r.NumVertices; v++ {
+		for wd := 0; wd < r.Replicas.Words(); wd++ {
+			vals = append(vals, r.Replicas.Word(graph.VertexID(v), wd))
+		}
+	}
+	cases = append(cases, bodyCase{"k=256/seeded", true, wordCase{body: uvarints(vals...), n: len(vals)}})
+	for _, tc := range cases {
+		data := append([]byte{0xaa, 0x01}, tc.body...)
+		want := make([]uint64, tc.n)
+		rc := mappedCursor(data)
+		rc.i = 2
+		wantErr := refDecodeWords(want, &rc)
+		exact := wantErr == nil && rc.i == len(data)
+		if tc.valid != exact {
+			t.Fatalf("%s: the reference decodes the body exactly: %v (%v)", tc.name, exact, wantErr)
+		}
+		for parts := 1; parts <= 8; parts++ {
+			got := make([]uint64, tc.n)
+			c := mappedCursor(data)
+			c.i = 2
+			err := decodeWordsParts(got, &c, parts)
+			checkSameDecode(t, fmt.Sprintf("%s/parts=%d", tc.name, parts), got, want, c.i, rc.i, err, wantErr)
+			at := make([]int, parts+1)
+			for j := range at {
+				at[j] = len(tc.body) * j / parts
+			}
+			if tc.valid && !decodeSplit(got, tc.body, at) {
+				t.Fatalf("%s/parts=%d: a valid body takes the serial fallback", tc.name, parts)
+			}
+		}
+		// Every cut position, on the small bodies: the split succeeds
+		// exactly when the reference decodes the whole body, so a valid
+		// table never takes the serial fallback.
+		if len(tc.body) > 1<<10 {
+			continue
+		}
+		for x := 0; x <= len(tc.body); x++ {
+			got := make([]uint64, tc.n)
+			if ok := decodeSplit(got, tc.body, []int{0, x, len(tc.body)}); ok != exact {
+				t.Fatalf("%s: cut at %d: split decode reports %v, the reference %v", tc.name, x, ok, exact)
+			}
+			if exact && !slices.Equal(got, want) {
+				t.Fatalf("%s: cut at %d: words differ from the reference", tc.name, x)
+			}
+		}
+	}
 }
