@@ -187,7 +187,7 @@ func main() {
 		}
 		if *streamF {
 			pl := res.Pipeline
-			fmt.Printf("pipeline:           %s\n", pipelineLine(pl.DecodeAhead))
+			fmt.Printf("pipeline:           %s\n", pipelineLine(pl.DecodeAhead, pl.AccountingAhead))
 			if cks := pl.Checkpoints; cks.Enabled || cks.Resumed {
 				fmt.Printf("checkpoints:        %s\n", cks)
 			}
@@ -349,13 +349,18 @@ func runInMemory(p repro.Partitioner, o runOpts) (*repro.PartitionResult, error)
 	return res, nil
 }
 
-// pipelineLine describes how the out-of-core pass decoded: ahead of the
-// partitioner on a second goroutine (at GOMAXPROCS >= 2) or inline.
-func pipelineLine(ahead bool) string {
-	if ahead {
-		return "decode ahead of the partitioner on a second goroutine"
+// pipelineLine describes how the out-of-core pass decoded and applied its
+// quality accounting: each ahead of or behind the partitioner on a
+// goroutine of its own (at GOMAXPROCS >= 2) or inline.
+func pipelineLine(decodeAhead, accountingAhead bool) string {
+	line := "decode inline"
+	if decodeAhead {
+		line = "decode ahead of the partitioner on a second goroutine"
 	}
-	return "decode inline"
+	if accountingAhead {
+		return line + ", accounting applied on its own goroutine"
+	}
+	return line + ", accounting inline"
 }
 
 // runStreaming is the out-of-core path: the .cgr file is the stream; the

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -148,6 +149,30 @@ func TestFacadeEdgeCut(t *testing.T) {
 		}
 		if q.CutFraction < 0 || q.CutFraction > 1 {
 			t.Fatalf("%s: cut fraction %v", p.Name(), q.CutFraction)
+		}
+	}
+}
+
+// TestFacadeEvaluatorsRejectBadK: both quality evaluators refuse k < 1
+// with an error that names k, where k = -1 used to panic in makeslice and
+// EvaluateStream at k = 0 returned a Quality with MinSize MaxInt64.
+func TestFacadeEvaluatorsRejectBadK(t *testing.T) {
+	g := GenerateWeb(WebConfig{N: 500, OutDegree: 4, Seed: 5})
+	res, err := Partition(g, "HDRF", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := (&LDG{}).Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, -1} {
+		want := fmt.Sprintf("k must be >= 1, got %d", k)
+		if q, err := EvaluateStream(res.Stream, res.Assign, k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("EvaluateStream at k=%d: %+v, %v; want an error containing %q", k, q, err, want)
+		}
+		if q, err := EvaluateEdgeCut(g, cut, k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("EvaluateEdgeCut at k=%d: %+v, %v; want an error containing %q", k, q, err, want)
 		}
 	}
 }

@@ -44,6 +44,9 @@ type Quality struct {
 
 // Evaluate computes edge-cut quality for a vertex assignment.
 func Evaluate(g *graph.Graph, assign []int32, k int) (*Quality, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("edgecut: k must be >= 1, got %d", k)
+	}
 	numVertices := g.NumVertices
 	if len(assign) != numVertices {
 		return nil, fmt.Errorf("edgecut: %d assignments for %d vertices", len(assign), numVertices)

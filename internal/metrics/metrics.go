@@ -2,11 +2,19 @@
 // the replication factor (Equation 1's objective) and the relative load
 // balance (its constraint), plus the replica-set bitsets shared by the
 // heuristic partitioners and the memory accounting behind Figure 6.
+//
+// Evaluator is the one quality accumulator every run scores with. From
+// GOMAXPROCS 2 on it applies committed runs to its replica table on an
+// applier goroutine of its own, behind the caller, with tables and sizes
+// bit-identical to the inline path it takes at GOMAXPROCS 1.
 package metrics
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/stream"
@@ -204,12 +212,18 @@ type Quality struct {
 // first Observe, or Finish/Replicas for an empty run), so a multi-pass
 // algorithm does not hold an idle O(|V|·k/64) table through the passes
 // before it commits anything. After Finish the table is handed over
-// (Replicas), so a table a caller keeps is never written again. The zero
-// value is ready to use.
+// (Replicas), so a table a caller keeps is never written again: Observe
+// after Finish without a new Begin is an error. The zero value is ready
+// to use.
 //
-// An Evaluator is strictly single-goroutine: the bitset and size counters
-// are mutated without synchronization, so concurrent Observe or Evaluate
-// calls race.
+// At GOMAXPROCS >= 2 (checked at Begin) the table and size writes run
+// behind the caller: Observe checks a run inline, copies it into a fixed
+// ring (see applier) and returns, and one applier goroutine applies the
+// chunks in order through the same apply loop the inline path runs, so
+// both modes leave bit-identical tables and sizes. Begin, Finish,
+// Replicas and Evaluate wait for the ring to drain. At GOMAXPROCS 1
+// Observe applies inline and allocates nothing. Callers still must not
+// call an Evaluator's methods concurrently.
 //
 // Besides the one-shot Evaluate, an Evaluator accumulates incrementally
 // through Begin/Observe/Finish, which is how every partitioning run scores
@@ -221,18 +235,131 @@ type Evaluator struct {
 	nv, k int
 	sizes []int64
 	edges int64
+	// open is set by Begin and cleared by Finish: Observe needs a run.
+	open bool
+	// ahead is whether this run applies on the applier goroutine.
+	ahead bool
+	// ap is the ring and applier, made at the first Observe ahead.
+	ap *applier
+}
+
+// The apply ring: applySlots chunks of at most applyChunk edges each,
+// 192 KiB in all, so Observe runs at most four chunks ahead of the
+// applier (two of the executor's BlockLen commits).
+const (
+	applySlots = 4
+	applyChunk = 4096
+)
+
+// applyJob is one ring slot: a chunk of a run copied out of the caller's
+// buffers.
+type applyJob struct {
+	edges  []graph.Edge
+	assign []int32
+}
+
+// applier is an Evaluator's ring and the state of its applier goroutine.
+// The caller takes free slots, fills them and sends them on full; the
+// goroutine applies them in order and returns them on free. queued counts
+// the slots sent and not yet taken, and running whether a goroutine is
+// live; both are guarded by mu, so the goroutine exits exactly when the
+// ring is empty and the next queued chunk starts a new one. An Evaluator
+// dropped mid-run therefore leaves no goroutine behind.
+type applier struct {
+	free, full chan *applyJob
+	mu         sync.Mutex
+	queued     int
+	running    bool
+	wg         sync.WaitGroup
+}
+
+func newApplier() *applier {
+	a := &applier{free: make(chan *applyJob, applySlots), full: make(chan *applyJob, applySlots)}
+	for range applySlots {
+		a.free <- &applyJob{edges: make([]graph.Edge, 0, applyChunk), assign: make([]int32, 0, applyChunk)}
+	}
+	return a
+}
+
+// queue copies a checked run into the ring chunk by chunk, starting the
+// applier for rs and sizes when none is running. It blocks only while all
+// slots wait to be applied.
+func (a *applier) queue(rs *ReplicaSets, sizes []int64, edges []graph.Edge, assign []int32) {
+	for len(edges) > 0 {
+		n := min(len(edges), applyChunk)
+		j := <-a.free
+		j.edges = append(j.edges[:0], edges[:n]...)
+		j.assign = append(j.assign[:0], assign[:n]...)
+		a.full <- j
+		a.mu.Lock()
+		a.queued++
+		if !a.running {
+			a.running = true
+			a.wg.Add(1)
+			go a.run(rs, sizes)
+		}
+		a.mu.Unlock()
+		edges, assign = edges[n:], assign[n:]
+	}
+}
+
+// run is the applier goroutine: it applies queued chunks in order until
+// the ring is empty.
+func (a *applier) run(rs *ReplicaSets, sizes []int64) {
+	defer a.wg.Done()
+	for {
+		a.mu.Lock()
+		if a.queued == 0 {
+			a.running = false
+			a.mu.Unlock()
+			return
+		}
+		a.queued--
+		a.mu.Unlock()
+		j := <-a.full
+		apply(rs, sizes, j.edges, j.assign)
+		a.free <- j
+	}
+}
+
+// apply records a checked run: its partition sizes and both endpoints'
+// replicas. The inline path and the applier both run it.
+func apply(rs *ReplicaSets, sizes []int64, edges []graph.Edge, assign []int32) {
+	assign = assign[:len(edges)]
+	for i, e := range edges {
+		p := assign[i]
+		sizes[p]++
+		rs.Add(e.Src, int(p))
+		rs.Add(e.Dst, int(p))
+	}
+}
+
+// join waits until every queued chunk is applied and the applier has
+// exited, so the table and sizes are the caller's alone.
+func (ev *Evaluator) join() {
+	if ev.ap != nil {
+		ev.ap.wg.Wait()
+	}
 }
 
 // Begin starts a run over numVertices vertices and k partitions with fresh
 // sizes; its replica table is made on first use (see table). The previous
 // run's are handed over (Finish's Quality owns the sizes, Replicas the
-// table), never reused.
+// table), never reused. The run applies ahead (AppliesAhead) when
+// GOMAXPROCS is at least 2.
 func (ev *Evaluator) Begin(numVertices, k int) {
+	ev.join()
 	ev.rs = nil
 	ev.nv, ev.k = numVertices, k
 	ev.sizes = make([]int64, k)
 	ev.edges = 0
+	ev.open = true
+	ev.ahead = runtime.GOMAXPROCS(0) >= 2
 }
+
+// AppliesAhead reports whether the run begun last applies its table and
+// size updates on the applier goroutine rather than inside Observe.
+func (ev *Evaluator) AppliesAhead() bool { return ev.ahead }
 
 // table returns the run's replica table, making it on first use.
 func (ev *Evaluator) table() *ReplicaSets {
@@ -243,29 +370,49 @@ func (ev *Evaluator) table() *ReplicaSets {
 }
 
 // Observe accumulates one run of streamed edges with their partition
-// assignments (assign[i] is the partition of edges[i]).
+// assignments (assign[i] is the partition of edges[i]). The caller may
+// reuse both slices as soon as it returns. A run with an invalid
+// partition is applied up to that edge and fails with the edge's index
+// counted from Begin.
 func (ev *Evaluator) Observe(edges []graph.Edge, assign []int32) error {
 	if len(edges) != len(assign) {
 		return fmt.Errorf("metrics: observed %d edges with %d assignments", len(edges), len(assign))
 	}
-	rs, sizes, k := ev.table(), ev.sizes, ev.k
-	for i, e := range edges {
-		p := assign[i]
-		if p < 0 || int(p) >= k {
-			return fmt.Errorf("metrics: edge %d assigned to invalid partition %d (k=%d)", ev.edges+int64(i), p, k)
-		}
-		sizes[p]++
-		rs.Add(e.Src, int(p))
-		rs.Add(e.Dst, int(p))
+	if !ev.open {
+		return errors.New("metrics: Observe outside a run: call Begin first (a finished run's table and sizes are handed over)")
 	}
-	ev.edges += int64(len(edges))
+	n, k := len(assign), ev.k
+	var err error
+	for i, p := range assign {
+		if p < 0 || int(p) >= k {
+			n = i
+			err = fmt.Errorf("metrics: edge %d assigned to invalid partition %d (k=%d)", ev.edges+int64(i), p, k)
+			break
+		}
+	}
+	rs := ev.table()
+	if ev.ahead {
+		if ev.ap == nil {
+			ev.ap = newApplier()
+		}
+		ev.ap.queue(rs, ev.sizes, edges[:n], assign[:n])
+	} else {
+		apply(rs, ev.sizes, edges[:n], assign[:n])
+	}
+	if err != nil {
+		return err
+	}
+	ev.edges += int64(n)
 	return nil
 }
 
-// Finish summarises everything observed since Begin. A vertex counts as
-// seen iff its replica set is non-empty: every observed edge adds both
-// endpoints, so isolated vertices are exactly those with no replica.
+// Finish summarises everything observed since Begin and ends the run. A
+// vertex counts as seen iff its replica set is non-empty: every observed
+// edge adds both endpoints, so isolated vertices are exactly those with
+// no replica.
 func (ev *Evaluator) Finish() *Quality {
+	ev.join()
+	ev.open = false
 	q := &Quality{K: ev.k, Sizes: ev.sizes, MinSize: int64(^uint64(0) >> 1)}
 	for _, sz := range ev.sizes {
 		if sz > q.MaxSize {
@@ -293,14 +440,20 @@ func (ev *Evaluator) Finish() *Quality {
 
 // Replicas returns the replica table accumulated since Begin (an empty
 // table of the run's shape if nothing was observed). Once Finish has run
-// the table is the caller's: the next Begin drops it, so the evaluator
-// writes it again only if Observe is called without a Begin.
-func (ev *Evaluator) Replicas() *ReplicaSets { return ev.table() }
+// the table is the caller's: the next Begin drops it, and Observe refuses
+// to write it without that Begin.
+func (ev *Evaluator) Replicas() *ReplicaSets {
+	ev.join()
+	return ev.table()
+}
 
 // Evaluate recomputes partition quality from scratch given the edge stream
 // and the per-edge partition assignment (ground truth, independent of any
 // partitioner-internal bookkeeping), consuming the source block by block.
 func (ev *Evaluator) Evaluate(src stream.Source, assign []int32, k int) (*Quality, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("metrics: k must be >= 1, got %d", k)
+	}
 	if src.Len() != len(assign) {
 		return nil, fmt.Errorf("metrics: %d edges but %d assignments", src.Len(), len(assign))
 	}

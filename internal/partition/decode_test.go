@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/stream"
 )
@@ -145,6 +146,68 @@ func TestPipelineReportsDecodeAhead(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: assignments differ from the in-memory pass", tc.name)
 		}
+	}
+}
+
+// TestPipelineReportsAccountingAhead: Result.Pipeline.AccountingAhead is
+// true exactly at GOMAXPROCS 2, over a file source and an in-memory one,
+// out of core and in window mode (RunStreamed); the assignment, Quality
+// and replica table equal the inline run's every time.
+func TestPipelineReportsAccountingAhead(t *testing.T) {
+	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, Seed: 55})
+	mm, err := store.OpenMmap(writeCGR(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	mem := stream.Of(g.Edges).Source(g.NumVertices)
+	var want []int32
+	var wantRes *Result
+	withProcs(1, func() { want, wantRes = collectAssignments(t, &HDRF{}, mem, 70) })
+	sameTable := func(name string, rs *metrics.ReplicaSets) {
+		t.Helper()
+		for v := range g.NumVertices {
+			for w := range rs.Words() {
+				if rs.Word(graph.VertexID(v), w) != wantRes.Replicas.Word(graph.VertexID(v), w) {
+					t.Fatalf("%s: vertex %d's replica word %d differs from the inline run's", name, v, w)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		src      stream.Source
+		procs    int
+		windowed bool
+	}{
+		{"file/procs=1", mm, 1, false},
+		{"file/procs=2", mm, 2, false},
+		{"memory/procs=2", mem, 2, false},
+		{"window/procs=1", mem, 1, true},
+		{"window/procs=2", mem, 2, true},
+	} {
+		var got []int32
+		var res *Result
+		withProcs(tc.procs, func() {
+			if !tc.windowed {
+				got, res = collectAssignments(t, &HDRF{}, tc.src, 70)
+				return
+			}
+			if res, err = RunStreamed(&HDRF{}, tc.src, stream.Natural, 70); err != nil {
+				t.Fatal(err)
+			}
+			got = res.Assign
+		})
+		if ahead := tc.procs == 2; res.Pipeline.AccountingAhead != ahead {
+			t.Errorf("%s: AccountingAhead %v, want %v", tc.name, res.Pipeline.AccountingAhead, ahead)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: assignments differ from the inline run", tc.name)
+		}
+		if !reflect.DeepEqual(res.Quality, wantRes.Quality) {
+			t.Fatalf("%s: quality %+v, want %+v", tc.name, res.Quality, wantRes.Quality)
+		}
+		sameTable(tc.name, res.Replicas)
 	}
 }
 

@@ -82,8 +82,8 @@ type Result struct {
 	// accounting.
 	Runtime    time.Duration
 	StateBytes int64
-	// Pipeline describes how the hot pass executed (decode ahead or
-	// inline, checkpoints).
+	// Pipeline describes how the hot pass executed (decode and accounting
+	// ahead or inline, checkpoints).
 	Pipeline PipelineInfo
 }
 
@@ -130,9 +130,11 @@ func RunStreamed(p Partitioner, src stream.Source, order stream.Order, k int) (*
 }
 
 // OutOfCoreOptions tune the streaming pass. The zero value runs without
-// checkpoints. There is no decode knob: a store file source decodes ahead
-// of the partitioner on a second goroutine when GOMAXPROCS >= 2 and inline
-// at 1 (PipelineInfo.DecodeAhead), with identical assignments either way.
+// checkpoints. There is no decode or accounting knob: a store file source
+// decodes ahead of the partitioner on a second goroutine when GOMAXPROCS
+// >= 2 and inline at 1 (PipelineInfo.DecodeAhead), and the quality
+// accounting applies behind it the same way (PipelineInfo.AccountingAhead),
+// with identical assignments, quality and tables either way.
 type OutOfCoreOptions struct {
 	// Checkpoint, when non-nil, enables crash tolerance: the run writes
 	// checkpoint records to Checkpoint.Path at batch boundaries, and
@@ -143,13 +145,18 @@ type OutOfCoreOptions struct {
 }
 
 // PipelineInfo records how the hot pass actually executed: which decode
-// ran, checkpoint/resume activity and stream retries. clugp -trace prints
-// it.
+// and accounting ran, checkpoint/resume activity and stream retries.
+// clugp -trace prints it.
 type PipelineInfo struct {
 	// DecodeAhead reports that the source the partitioner read decoded
 	// ahead of it on a goroutine of its own (a store file source does at
 	// GOMAXPROCS >= 2); false means decode ran inline.
 	DecodeAhead bool
+	// AccountingAhead reports that the run's quality accounting (the
+	// executor's metrics.Evaluator) applied its table and size updates on
+	// a goroutine of its own, as it does at GOMAXPROCS >= 2; false means
+	// it applied inline.
+	AccountingAhead bool
 	// Checkpoints reports checkpoint/resume activity (zero when disabled).
 	Checkpoints CheckpointStats
 	// RetryAttempts counts stream retry attempts fired during the run, when
@@ -180,8 +187,8 @@ func RunOutOfCoreOpts(p Partitioner, src stream.Source, k int, emit Emit, opts O
 
 // execute is the one executor every run goes through. It hands the
 // algorithm's run the sink, which scores every committed run of
-// assignments in-pass with the serial metrics.Evaluator and routes it on
-// (see assignSink.commit); the evaluator's sealed table becomes
+// assignments in-pass with one metrics.Evaluator and routes it on (see
+// assignSink.commit); the evaluator's sealed table becomes
 // Result.Replicas.
 func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts OutOfCoreOptions) (*Result, error) {
 	if k < 1 {
@@ -211,6 +218,7 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 		src = stream.Rebatch(src, stream.BlockLen)
 	}
 	sink.ev.Begin(nv, k)
+	info.AccountingAhead = sink.ev.AppliesAhead()
 	start := time.Now()
 	err := p.run(src, k, sink)
 	elapsed := time.Since(start)
@@ -257,7 +265,8 @@ type assignSink struct {
 	// emit is the caller's callback for committed runs; nil discards them.
 	emit Emit
 	pos  int
-	// ev scores every committed run.
+	// ev scores every committed run; its checks run in commit, its table
+	// writes on its applier goroutine at GOMAXPROCS >= 2.
 	ev metrics.Evaluator
 	// ck is the checkpoint plumbing of a checkpointed or resumed run; nil
 	// otherwise.

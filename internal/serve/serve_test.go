@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -298,6 +300,10 @@ func TestBuilderRejects(t *testing.T) {
 	if err := b.Observe([]graph.Edge{{Src: 0, Dst: 1}}, []int32{-1}); err == nil {
 		t.Error("Observe accepted a negative partition")
 	}
+	b.Result("hand", "natural")
+	if err := b.Observe([]graph.Edge{{Src: 0, Dst: 1}}, []int32{0}); err == nil {
+		t.Error("Observe after Result wrote into the handed-over tables")
+	}
 }
 
 // TestFromRunOutOfCore: FromRun packages the table the executor's
@@ -452,5 +458,63 @@ func BenchmarkSnapshotRouteEdge(b *testing.B) {
 		if _, err := snap.RouteEdge(v, (v+1)%n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBuilderChainedRunStoppedByEmitError is a race workload for the
+// evaluators' applier goroutines: at GOMAXPROCS 2 a run with a Builder
+// chained onto its emit is stopped by an emit error mid-stream, leaving
+// the executor's evaluator dropped with chunks queued. The Builder then
+// holds exactly the edges its Observe accepted, and a second, complete
+// run with a fresh Builder saves the same bytes as FromRun. Run under
+// -race in CI.
+func TestBuilderChainedRunStoppedByEmitError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, Seed: 56})
+	src := stream.Of(g.Edges).Source(g.NumVertices)
+	const k = 64
+	errStop := errors.New("stop")
+	b, err := NewBuilder(g.NumVertices, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := 0
+	_, err = partition.RunOutOfCoreOpts(&partition.HDRF{}, src, k, func(edges []graph.Edge, assign []int32) error {
+		if err := b.Observe(edges, assign); err != nil {
+			return err
+		}
+		if observed += len(edges); observed > g.NumEdges()/2 {
+			return errStop
+		}
+		return nil
+	}, partition.OutOfCoreOptions{})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("stopped run returned %v", err)
+	}
+	if got := b.Result("HDRF", "natural").NumEdges; got != int64(observed) {
+		t.Fatalf("the stopped run's Builder holds %d edges, its Observe took %d", got, observed)
+	}
+
+	b, err = NewBuilder(g.NumVertices, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := partition.RunOutOfCoreOpts(&partition.HDRF{}, src, k, b.Observe, partition.OutOfCoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := FromRun(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built, fromRun bytes.Buffer
+	if err := store.WriteResult(&built, b.Result(res.Algorithm, res.Order.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteResult(&fromRun, saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(built.Bytes(), fromRun.Bytes()) {
+		t.Fatal("the chained Builder saves bytes that differ from FromRun's")
 	}
 }

@@ -223,8 +223,7 @@ func (b *Builder) Observe(edges []graph.Edge, assign []int32) error {
 }
 
 // Result seals everything observed into the saveable/serveable form. The
-// builder's tables are handed over, not copied; the builder must not be
-// observed into afterwards.
+// builder's tables are handed over, not copied; Observe afterwards fails.
 func (b *Builder) Result(algorithm, order string) *store.Result {
 	return newResult(algorithm, order, b.ev.Replicas(), b.ev.Finish().Sizes)
 }
