@@ -195,6 +195,7 @@ func main() {
 				fmt.Printf("stream retries:     %d attempt(s) fired\n", pl.RetryAttempts)
 			}
 		}
+		printBoundary(os.Stdout, res)
 		// The paper's Figure 6 claim is about partitioner memory; report what
 		// the process actually held - the kernel's peak resident set, heap
 		// and all - so the bounded-memory mode is observable.
@@ -215,6 +216,18 @@ func main() {
 	if *resultF != "" {
 		fmt.Printf("result written:     %s (serve it: partsrv -result %s)\n", *resultF, *resultF)
 	}
+}
+
+// printBoundary prints the run's phase boundaries, if it declared any: the
+// collection the executor runs once the CLUGP family's passes 1 and 2 have
+// returned, with the heap in use around the last one.
+func printBoundary(w io.Writer, res *repro.PartitionResult) {
+	b := res.Pipeline.Boundary
+	if b.Collections == 0 {
+		return
+	}
+	fmt.Fprintf(w, "phase boundary:     heap in use %.2f -> %.2f MB across the collection after passes 1 and 2 (%d collection(s))\n",
+		float64(b.HeapBefore)/(1<<20), float64(b.HeapAfter)/(1<<20), b.Collections)
 }
 
 // printCLUGPTrace prints the diagnostics of c's last run, if any. The pass

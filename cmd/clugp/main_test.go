@@ -281,7 +281,8 @@ func crashMidEmit(t *testing.T, p repro.Partitioner, o runOpts, n int) {
 }
 
 // TestTracePrintsPassTimes: -trace prints CLUGP's four pass times under
-// pipebench's layer names.
+// pipebench's layer names, and the phase boundary's collection with the
+// heap in use around it; a one-pass algorithm prints no boundary.
 func TestTracePrintsPassTimes(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "g.cgr")
@@ -293,11 +294,33 @@ func TestTracePrintsPassTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &repro.CLUGP{Seed: 1}
-	if _, err := run(c, runOpts{in: in, stream: true, k: 8}); err != nil {
+	res, err := run(c, runOpts{in: in, stream: true, k: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	printCLUGPTrace(&out, c)
+	printBoundary(&out, res)
+	b := res.Pipeline.Boundary
+	if b.Collections != 1 || b.HeapBefore == 0 || b.HeapAfter == 0 {
+		t.Errorf("CLUGP run reports boundary %+v, want one collection with the heap around it", b)
+	}
+	if want := fmt.Sprintf("phase boundary:     heap in use %.2f -> %.2f MB across the collection after passes 1 and 2 (1 collection(s))\n",
+		float64(b.HeapBefore)/(1<<20), float64(b.HeapAfter)/(1<<20)); !strings.Contains(out.String(), want) {
+		t.Errorf("trace output lacks %q:\n%s", want, out.String())
+	}
+	h, err := repro.NewPartitioner("HDRF", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hres, err := run(h, runOpts{in: in, stream: true, k: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hout bytes.Buffer
+	if printBoundary(&hout, hres); hout.Len() != 0 {
+		t.Errorf("HDRF run prints a phase boundary: %q", hout.String())
+	}
 	tr := c.LastTrace
 	for name, d := range map[string]time.Duration{
 		"cluster.run_s":         tr.ClusterTime,

@@ -95,11 +95,21 @@ func Run(src stream.Source, cfg Config) (*Result, error) {
 	case cfg.MigrateMaxDegree > 0:
 		migCap = uint32(cfg.MigrateMaxDegree)
 	}
+	// Every first-seen vertex opens a cluster and every split one more, so
+	// the volume table is sized once: a cluster per vertex, plus headroom
+	// for one split of each vertex that can ever be shed. Splitting sheds
+	// only a vertex of degree at least Vmax/4 (shouldShed), and degrees sum
+	// to 2|E|, so at most 8|E|/Vmax vertices qualify. A stream that sheds
+	// such vertices more often than that grows the table by append.
+	var hubs int64
+	if !cfg.DisableSplitting {
+		hubs = min(int64(numVertices), 8*int64(src.Len())/cfg.Vmax)
+	}
 	st := state{
 		assign:    make([]ID, numVertices),
 		degree:    make([]uint32, numVertices),
 		splitFrom: make([]ID, numVertices),
-		volume:    make([]int64, 0, numVertices/4+16),
+		volume:    make([]int64, 0, int64(numVertices)+hubs),
 		vmax:      cfg.Vmax,
 		split:     !cfg.DisableSplitting,
 		migCap:    migCap,
@@ -235,17 +245,19 @@ func (s *state) ingest(u, v graph.VertexID) {
 // volumes mapped onto it (emptied clusters keep their residual volume
 // attributed nowhere, so compacted volumes are recomputed from degrees).
 func (r *Result) Compact() (members []int32) {
-	remap := make([]ID, r.NumClusters)
+	// The old volumes are recomputed below, so their table holds the
+	// remap: remap[c] is old cluster c's new id, or None.
+	remap := r.Volume[:r.NumClusters]
 	for i := range remap {
-		remap[i] = None
+		remap[i] = int64(None)
 	}
 	next := ID(0)
 	for _, c := range r.Assign {
 		if c == None {
 			continue
 		}
-		if remap[c] == None {
-			remap[c] = next
+		if remap[c] == int64(None) {
+			remap[c] = int64(next)
 			next++
 		}
 	}
@@ -255,7 +267,7 @@ func (r *Result) Compact() (members []int32) {
 		if c == None {
 			continue
 		}
-		nc := remap[c]
+		nc := ID(remap[c])
 		r.Assign[v] = nc
 		members[nc]++
 		volume[nc] += int64(r.Degree[v])
@@ -264,7 +276,7 @@ func (r *Result) Compact() (members []int32) {
 	// mirror's cluster dissolved, so there is no free partition to exploit.
 	for v, c := range r.SplitFrom {
 		if c != None {
-			r.SplitFrom[v] = remap[c]
+			r.SplitFrom[v] = ID(remap[c])
 		}
 	}
 	r.NumClusters = int(next)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -244,5 +245,44 @@ func TestQuickClusteringInvariants(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunAllocatesTablesOnce: pass 1 allocates its tables once - assign,
+// degree and splitFrom at 4 bytes a vertex, volume at 8 bytes a cluster
+// for one cluster per vertex plus the split headroom of 8|E|/Vmax - and
+// at most 64 KiB besides, so the volume table never grows by append; and
+// Compact allocates only its compacted member counts and volumes, 12
+// bytes a cluster, and the same slack. Vmax is CLUGP's at k=256.
+func TestRunAllocatesTablesOnce(t *testing.T) {
+	const slack = 64 << 10
+	edges, nv := webEdges(200000, 7)
+	vmax := int64(0.2 * float64(len(edges)) / 256)
+	for _, split := range []bool{true, false} {
+		src := stream.Of(edges).Source(nv)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(src, Config{Vmax: vmax, DisableSplitting: !split})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headroom := int64(0)
+		if split {
+			headroom = 8 * int64(len(edges)) / vmax
+		}
+		tables := 12*uint64(nv) + 8*uint64(int64(nv)+headroom)
+		grew := after.TotalAlloc - before.TotalAlloc
+		t.Logf("split=%v: pass 1 allocated %.2f MB for %.2f MB of tables (%d clusters, %d splits)",
+			split, float64(grew)/(1<<20), float64(tables)/(1<<20), res.NumClusters, res.Splits)
+		if grew > tables+slack {
+			t.Errorf("split=%v: pass 1 allocated %d bytes for %d bytes of tables", split, grew, tables)
+		}
+		runtime.ReadMemStats(&before)
+		members := res.Compact()
+		runtime.ReadMemStats(&after)
+		if grew, want := after.TotalAlloc-before.TotalAlloc, 12*uint64(len(members)); grew > want+slack {
+			t.Errorf("split=%v: Compact allocated %d bytes for %d clusters (%d bytes of tables)", split, grew, len(members), want)
+		}
 	}
 }

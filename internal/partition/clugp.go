@@ -133,6 +133,10 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 	if err != nil {
 		return err
 	}
+	// Only the frozen record is live now: the clustering's side tables,
+	// the cluster graph and the game's table are garbage, collected here
+	// before pass 3 allocates.
+	sink.phaseBoundary()
 
 	// Pass 3: transformation (Algorithm 1).
 	t3 := time.Now()

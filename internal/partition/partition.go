@@ -19,6 +19,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/graph"
@@ -41,7 +42,9 @@ type Partitioner interface {
 	// delivers one partition id per edge, in stream order, through the
 	// sink. Peak memory is the algorithm's own state (O(|V|) tables for
 	// CLUGP, the replica bitsets for the heuristics, O(batch) for Mint)
-	// plus whatever the sink holds.
+	// plus whatever the sink holds. A multi-pass algorithm declares the
+	// point where its earlier passes' state, beyond what the later passes
+	// read, is garbage (sink.phaseBoundary).
 	run(src stream.Source, k int, sink *assignSink) error
 }
 
@@ -145,8 +148,8 @@ type OutOfCoreOptions struct {
 }
 
 // PipelineInfo records how the hot pass actually executed: which decode
-// and accounting ran, checkpoint/resume activity and stream retries.
-// clugp -trace prints it.
+// and accounting ran, checkpoint/resume activity, stream retries and
+// phase boundaries. clugp -trace prints it.
 type PipelineInfo struct {
 	// DecodeAhead reports that the source the partitioner read decoded
 	// ahead of it on a goroutine of its own (a store file source does at
@@ -162,6 +165,23 @@ type PipelineInfo struct {
 	// RetryAttempts counts stream retry attempts fired during the run, when
 	// the source is retry-wrapped (stream.Retry); 0 otherwise.
 	RetryAttempts int64
+	// Boundary reports the phase boundaries the run declared and the heap
+	// around the last one's collection.
+	Boundary PhaseBoundary
+}
+
+// PhaseBoundary reports the phase boundaries of a run: the points where a
+// multi-pass partitioner's earlier passes have left only the state the
+// later ones read, and the executor collects the rest once. The CLUGP
+// family declares one after passes 1 and 2 (one a node for CLUGP-D); the
+// one-pass partitioners declare none.
+type PhaseBoundary struct {
+	// Collections counts the boundaries, each one runtime.GC().
+	Collections int
+	// HeapBefore and HeapAfter are the heap in use
+	// (runtime.MemStats.HeapInuse) just before and just after the last
+	// boundary's collection.
+	HeapBefore, HeapAfter uint64
 }
 
 // RunOutOfCoreOpts partitions a source in its stored (natural) order
@@ -234,6 +254,7 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 	if rc, isRetry := orig.(interface{ RetryAttempts() int64 }); isRetry {
 		info.RetryAttempts = rc.RetryAttempts()
 	}
+	info.Boundary = sink.boundary
 	res := &Result{
 		Algorithm:   p.Name(),
 		Order:       stream.Natural,
@@ -271,6 +292,8 @@ type assignSink struct {
 	// ck is the checkpoint plumbing of a checkpointed or resumed run; nil
 	// otherwise.
 	ck *ckRun
+	// boundary records the phase boundaries the partitioner declared.
+	boundary PhaseBoundary
 }
 
 // decodesAhead reports whether a pass over src decodes ahead of its
@@ -321,6 +344,21 @@ func (s *assignSink) commit(edges []graph.Edge, out []int32) error {
 		return s.ck.checkpoint(int64(s.pos))
 	}
 	return nil
+}
+
+// phaseBoundary is where a multi-pass partitioner declares that what its
+// earlier passes built, beyond the state the later passes read, is
+// garbage. The executor collects it there, once, so the later passes'
+// tables reuse that memory instead of landing on fresh pages while the
+// pacer still counts the dead tables as live. The caller must hold no
+// reference to the dead state.
+func (s *assignSink) phaseBoundary() {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.HeapInuse
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	s.boundary = PhaseBoundary{Collections: s.boundary.Collections + 1, HeapBefore: before, HeapAfter: m.HeapInuse}
 }
 
 // forEachBlock adapts stream.ForEach for the partitioner loops, which

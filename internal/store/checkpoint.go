@@ -102,16 +102,18 @@ func validateCheckpoint(c *Checkpoint) error {
 // forged headers (counts, lengths past the payload, overlong varints,
 // trailing bytes) all reject.
 func ReadCheckpoint(rd io.Reader) (*Checkpoint, error) {
-	c, err := readSealed(rd, checkpointMagic, ErrBadCheckpointMagic, "checkpoint")
+	f, err := readSealed(rd, checkpointMagic, ErrBadCheckpointMagic, "checkpoint")
 	if err != nil {
 		return nil, err
 	}
-	return readCheckpointBody(&c)
+	return readCheckpointBody(f)
 }
 
-// readCheckpointBody decodes everything after the magic; c must end exactly
-// where the payload does.
-func readCheckpointBody(c *cursor) (*Checkpoint, error) {
+// readCheckpointBody decodes everything after the magic of the payload f,
+// which must end exactly where the record does.
+func readCheckpointBody(f chunked) (*Checkpoint, error) {
+	cur := f.cursor(int64(len(checkpointMagic)))
+	c := &cur
 	nv, ne, err := readCounts(c)
 	if err != nil {
 		return nil, err
@@ -141,7 +143,7 @@ func readCheckpointBody(c *cursor) (*Checkpoint, error) {
 	// A checkpoint is a complete artifact, not a stream prefix: trailing
 	// bytes mean corruption or concatenation, and accepting them would
 	// break the bit-identical round-trip contract.
-	if c.i != len(c.data) {
+	if c.abs() != f.size {
 		return nil, errors.New("store: trailing data after checkpoint body")
 	}
 	return &Checkpoint{

@@ -22,6 +22,9 @@ var errVarintOverflow = errors.New("store: varint overflows 64 bits")
 //   - read-at mode: data is a private window into an io.ReaderAt; fill
 //     reloads the window at the cursor's absolute offset via one pread.
 //     Seek within the window is free, outside it costs one refill.
+//   - chunked mode (chunked.cursor): data is one chunk of a file read
+//     whole, in place, or a small stitch across a chunk edge; fill moves
+//     the window to the chunk holding the cursor's offset.
 //
 // Varint decodes are atomic with respect to the cursor: a varint that runs
 // past the window consumes nothing, the window is refilled at the varint's

@@ -249,32 +249,44 @@ func FuzzReadResultBody(f *testing.F) {
 }
 
 // FuzzDecodeWords holds the split replica-word decoder to its oracle,
-// refDecodeWords: a fuzzed body decoded as a fuzzed number of words in 1
-// to 8 parts gives the same words, cursor end and error text, and the
-// split alone succeeds exactly when the body holds those words and nothing
-// else. Seeded with wordCases' valid tables and forgeries.
+// refDecodeWords: a fuzzed body read in chunks of a fuzzed length (0
+// meaning 64 KiB) and decoded as a fuzzed number of words in 1 to 8 parts
+// gives the same words, cursor end and error text, and the split alone
+// succeeds exactly when the body holds those words and nothing else.
+// Seeded with wordCases' valid tables and forgeries, and with
+// straddleCases' words cut by a chunk edge at every offset.
 func FuzzDecodeWords(f *testing.F) {
 	for _, k := range []int{1, 64, 65, 256} {
 		for p, wc := range wordCases(k) {
-			f.Add(wc.body, uint16(wc.n), uint8(p))
+			f.Add(wc.body, uint16(wc.n), uint8(p), uint8(p%3*5))
 		}
 	}
-	f.Fuzz(func(t *testing.T, body []byte, n uint16, parts uint8) {
+	for p, wc := range straddleCases() {
+		// The cases put the edge straddleChunk bytes after two bytes the
+		// fuzz body lacks.
+		f.Add(wc.body, uint16(wc.n), uint8(p), uint8(straddleChunk-2))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, n uint16, parts, chunk uint8) {
 		nw := int(n) % (len(body) + 2)
 		p := 1 + int(parts%8)
+		ch := int(chunk)
+		if ch == 0 {
+			ch = sealedChunk
+		}
 		want := make([]uint64, nw)
 		rc := mappedCursor(body)
 		wantErr := refDecodeWords(want, &rc)
 		got := make([]uint64, nw)
-		c := mappedCursor(body)
-		err := decodeWordsParts(got, &c, p)
-		checkSameDecode(t, "decodeWordsParts", got, want, c.i, rc.i, err, wantErr)
-		at := make([]int, p+1)
+		fc := chunksOf(body, ch)
+		c := fc.cursor(0)
+		err := decodeWordsParts(got, fc, &c, p)
+		checkSameDecode(t, "decodeWordsParts", got, want, int(c.abs()), rc.i, err, wantErr)
+		at := make([]int64, p+1)
 		for j := range at {
-			at[j] = len(body) * j / p
+			at[j] = int64(len(body) * j / p)
 		}
 		exact := wantErr == nil && rc.i == len(body)
-		if ok := decodeSplit(got, body, at); ok != exact {
+		if ok := decodeSplit(got, fc, at); ok != exact {
 			t.Fatalf("split decode reports %v, the reference %v", ok, exact)
 		}
 	})

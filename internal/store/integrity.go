@@ -185,31 +185,33 @@ func (g *integrity) blockRange(b int) (lo, hi int64) {
 }
 
 // inMemory is an io.ReaderAt that holds the file's bytes in memory (a
-// mapping, a buffered file): its blocks are checksummed in place, with no
-// copy and no scratch buffer.
+// mapping, a file read in chunks): its blocks are checksummed in place,
+// with no copy and no scratch buffer.
 type inMemory interface {
-	// bytesAt returns bytes [lo, hi), or nil when they are not in memory.
-	bytesAt(lo, hi int64) []byte
+	// crcAt returns the CRC32C of bytes [lo, hi), and false when they are
+	// not in memory.
+	crcAt(lo, hi int64) (uint32, bool)
 }
 
 // verifyBlockLocked proves block b against its recorded CRC, reading the raw
 // bytes through r. Called with mu held; marks the block verified on success.
 func (g *integrity) verifyBlockLocked(r io.ReaderAt, b int) error {
 	lo, hi := g.blockRange(b)
-	var buf []byte
-	if m, ok := r.(inMemory); ok {
-		buf = m.bytesAt(lo, hi)
+	crc, ok := uint32(0), false
+	if m, isMem := r.(inMemory); isMem {
+		crc, ok = m.crcAt(lo, hi)
 	}
-	if buf == nil {
+	if !ok {
 		if g.scratch == nil {
 			g.scratch = make([]byte, g.blockSize)
 		}
-		buf = g.scratch[:hi-lo]
+		buf := g.scratch[:hi-lo]
 		if err := readFullAt(r, buf, lo); err != nil {
 			return fmt.Errorf("store: %s: reading block %d for verification: %w", g.path, b, err)
 		}
+		crc = crc32.Checksum(buf, castagnoli)
 	}
-	if crc32.Checksum(buf, castagnoli) != g.crcs[b] {
+	if crc != g.crcs[b] {
 		return &CorruptError{Path: g.path, Block: b, Off: lo, Len: hi - lo, What: "block checksum mismatch"}
 	}
 	g.done[b/64] |= 1 << (b % 64)
@@ -263,43 +265,20 @@ func (g *integrity) verifyAll(r io.ReaderAt) error {
 	return nil
 }
 
-// verifyAllBytes parses the trailer of a complete file held in memory,
-// proves every payload block eagerly, and returns the payload slice. It is
+// verifyChunked parses the trailer of a complete file held in chunks,
+// proves every payload block eagerly, and returns the payload. It is
 // readSealed's last step, behind Read, ReadResult and ReadCheckpoint: an
 // io.Reader cannot seek to the footer, so the bytes are already buffered
 // and the verification order is simply eager.
-func verifyAllBytes(data []byte, path string) ([]byte, error) {
-	br := byteReaderAt(data)
-	g, err := parseTrailer(br, int64(len(data)), path)
+func verifyChunked(f chunked, path string) (chunked, error) {
+	g, err := parseTrailer(f, f.size, path)
 	if err != nil {
-		return nil, err
+		return chunked{}, err
 	}
-	if err := g.verifyAll(br); err != nil {
-		return nil, err
+	if err := g.verifyAll(f); err != nil {
+		return chunked{}, err
 	}
-	return data[:g.payloadLen], nil
-}
-
-// byteReaderAt adapts a byte slice to io.ReaderAt without the bytes.Reader
-// seek state.
-type byteReaderAt []byte
-
-func (b byteReaderAt) bytesAt(lo, hi int64) []byte {
-	if hi > int64(len(b)) {
-		return nil
-	}
-	return b[lo:hi]
-}
-
-func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off >= int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return f.upTo(g.payloadLen), nil
 }
 
 // crcWriter accumulates per-block CRC32C checksums of everything written

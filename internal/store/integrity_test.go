@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -377,4 +378,19 @@ func TestAtomicWriter(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("directory holds %d entries after commit+abort, want 1", len(ents))
 	}
+}
+
+// byteReaderAt adapts a byte slice to io.ReaderAt without the bytes.Reader
+// seek state.
+type byteReaderAt []byte
+
+func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 || off >= int64(len(b)) {
+		return 0, io.EOF
+	}
+	n := copy(p, b[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"hash/crc32"
 	"io"
 	"os"
 )
@@ -42,13 +43,13 @@ func (m *mapping) cursor(limit int64) cursor {
 	return readAtCursor(m.f, limit)
 }
 
-// bytesAt returns mapped bytes [lo, hi) for in-place verification, or nil
-// in fallback mode.
-func (m *mapping) bytesAt(lo, hi int64) []byte {
+// crcAt checksums mapped bytes [lo, hi) in place for verification; in
+// fallback mode it reports false.
+func (m *mapping) crcAt(lo, hi int64) (uint32, bool) {
 	if hi > int64(len(m.data)) {
-		return nil
+		return 0, false
 	}
-	return m.data[lo:hi]
+	return crc32.Checksum(m.data[lo:hi], castagnoli), true
 }
 
 // ReadAt serves raw file bytes from the mapping (or the handle in fallback

@@ -8,7 +8,8 @@ import "io"
 // fault-injection harness (internal/faultfs) plugs into - an injecting
 // ReaderAt slides under the unchanged File interface, so every conformance
 // and bit-equivalence matrix can run with faults injected beneath it - and
-// it also serves in-memory buffers (byteReaderAt) without temp files.
+// it also serves in-memory buffers (the tests' byteReaderAt) without temp
+// files.
 //
 // The source does not own the ReaderAt: Close releases only the handle's
 // decode buffers, and the caller keeps whatever resource backs r alive

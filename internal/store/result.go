@@ -158,19 +158,22 @@ func validateResult(r *Result) error {
 //
 // The file is read and proven whole before any field is decoded
 // (readSealed), so a corrupt result can never be mistaken for a valid one,
-// and reading a file of F bytes allocates at most 2F and one chunk besides
-// the decoded result.
+// and reading a file of F bytes allocates F and at most one chunk besides
+// the decoded result: the fields and the replica words decode from the
+// chunks the file was read in.
 func ReadResult(rd io.Reader) (*Result, error) {
-	c, err := readSealed(rd, resultMagic2, ErrBadResultMagic, "result")
+	f, err := readSealed(rd, resultMagic2, ErrBadResultMagic, "result")
 	if err != nil {
 		return nil, err
 	}
-	return readResultBody(&c)
+	return readResultBody(f)
 }
 
-// readResultBody decodes everything after the magic; c must end exactly
-// where the payload does.
-func readResultBody(c *cursor) (*Result, error) {
+// readResultBody decodes everything after the magic of the payload f,
+// which must end exactly where the replica table does.
+func readResultBody(f chunked) (*Result, error) {
+	cur := f.cursor(int64(len(resultMagic2)))
+	c := &cur
 	nv, ne, err := readCounts(c)
 	if err != nil {
 		return nil, err
@@ -203,13 +206,13 @@ func readResultBody(c *cursor) (*Result, error) {
 		return nil, fmt.Errorf("store: partition sizes sum to %d, header declares %d edges", sum, r.NumEdges)
 	}
 	need := nv * uint64((k+63)/64)
-	if body := len(c.data) - c.i; need > uint64(body) {
+	if body := f.size - c.abs(); need > uint64(body) {
 		return nil, fmt.Errorf("store: replica table of %d words cannot fit in %d body bytes: %w",
 			need, body, io.ErrUnexpectedEOF)
 	}
 	words := make([]uint64, need)
 	parts := min(runtime.GOMAXPROCS(0), len(words)/minPartWords)
-	if err := decodeWordsParts(words, c, parts); err != nil {
+	if err := decodeWordsParts(words, f, c, parts); err != nil {
 		return nil, err
 	}
 	rs, err := metrics.NewReplicaSetsFromWords(int(nv), k, words)
@@ -220,7 +223,7 @@ func readResultBody(c *cursor) (*Result, error) {
 	// A result file is a complete artifact, not a stream prefix: trailing
 	// bytes mean the file was corrupted or concatenated, and accepting them
 	// would break the bit-identical round-trip contract.
-	if c.i != len(c.data) {
+	if c.abs() != f.size {
 		return nil, errors.New("store: trailing data after result body")
 	}
 	return r, nil
@@ -229,15 +232,39 @@ func readResultBody(c *cursor) (*Result, error) {
 // decodeWords fills words with the canonical varints at c. Replica words
 // are mostly zero or a few scattered partition bits, so their lengths vary
 // from word to word and a byte-at-a-time decoder mispredicts on nearly
-// every one. The fast loop instead loads eight bytes, finds the varint's
-// length from the continuation bits and packs the 7-bit groups with shifts
-// and masks; its overlong check is folded into one flag tested after the
-// loop, so a word of up to eight bytes costs no data-dependent branch, and
-// the nine- and ten-byte words (a partition bit at 56 or above) add one
-// branch on the ninth byte. The checked loop decodes the last few words,
-// and decodes the table again from the start when the flag is set, to name
-// the word at fault.
+// every one. The fast loop (decodeWindow) instead decodes the window in
+// place, eight bytes at a time; the checked decoder takes the word that
+// the window's end cuts, refilling the window, and every word after a
+// window the fast loop refused, to name the word at fault.
 func decodeWords(words []uint64, c *cursor) error {
+	fast := true
+	for w := 0; w < len(words); w++ {
+		if fast {
+			n, ok := decodeWindow(words[w:], c)
+			w += n
+			fast = ok
+			if w == len(words) {
+				break
+			}
+		}
+		x, err := c.field()
+		if err != nil {
+			return fmt.Errorf("store: replica word %d of %d: %w", w, len(words), err)
+		}
+		words[w] = x
+	}
+	return nil
+}
+
+// decodeWindow decodes words from c's window while eight bytes of it are
+// left, and returns how many it decoded. Each word loads eight bytes,
+// finds the varint's length from the continuation bits and packs the
+// 7-bit groups with shifts and masks; the overlong check is folded into
+// one flag tested after the loop, so a word of up to eight bytes costs no
+// data-dependent branch, and the nine- and ten-byte words (a partition bit
+// at 56 or above) add one branch on the ninth byte. When the flag is set
+// it reports false and consumes nothing.
+func decodeWindow(words []uint64, c *cursor) (int, bool) {
 	body := c.data[c.i:]
 	i, w := 0, 0
 	var bad uint64
@@ -271,17 +298,10 @@ func decodeWords(words []uint64, c *cursor) error {
 		i += int(end >> 3)
 	}
 	if bad != 0 {
-		i, w = 0, 0
+		return 0, false
 	}
 	c.i += i
-	for ; w < len(words); w++ {
-		x, err := c.field()
-		if err != nil {
-			return fmt.Errorf("store: replica word %d of %d: %w", w, len(words), err)
-		}
-		words[w] = x
-	}
-	return nil
+	return w, true
 }
 
 // pack7 joins the low seven bits of each of v's eight bytes into one
@@ -302,48 +322,49 @@ func pack7(v uint64) uint64 {
 const minPartWords = 1 << 16
 
 // decodeWordsParts decodes the same words as decodeWords, and leaves c and
-// any error as it does, with the body split into parts byte ranges of
-// about equal length that decodeSplit decodes at once. When the split
-// fails the whole body goes through decodeWords again, so a rejected body
-// gets the serial decoder's error and word index. Below two parts it is
-// decodeWords.
-func decodeWordsParts(words []uint64, c *cursor, parts int) error {
+// any error as it does, with the body - the bytes of f from c on - split
+// into parts ranges of about equal length that decodeSplit decodes at
+// once. When the split fails the whole body goes through decodeWords
+// again, so a rejected body gets the serial decoder's error and word
+// index. Below two parts it is decodeWords.
+func decodeWordsParts(words []uint64, f chunked, c *cursor, parts int) error {
 	if parts >= 2 {
-		body := c.data[c.i:]
-		at := make([]int, parts+1)
+		from, at := c.abs(), make([]int64, parts+1)
 		for j := range at {
-			at[j] = len(body) * j / parts
+			at[j] = from + (f.size-from)*int64(j)/int64(parts)
 		}
-		if decodeSplit(words, body, at) {
-			c.i += len(body)
+		if decodeSplit(words, f, at) {
+			c.seek(f.size)
 			return nil
 		}
 	}
 	return decodeWords(words, c)
 }
 
-// decodeSplit decodes body into words in the len(at)-1 byte ranges that
-// the cuts at (ascending, from 0 to len(body)) mark: one range on the
+// decodeSplit decodes the bytes [at[0], at[len(at)-1]) of f into words in
+// the len(at)-1 ranges that the cuts at (ascending) mark: one range on the
 // calling goroutine and each other on its own, each writing its own
-// contiguous share of words. Every inner cut first moves forward, in
-// place, to just past a byte whose high bit is clear, the last byte of a
-// varint, so each range starts at a word. Each range then counts its last
-// bytes, eight at a time, and the prefix sums of the counts give each
-// range its first word; last, each range decodes its words with
-// decodeWords into its own share of words. decodeSplit reports whether
-// body held exactly len(words) canonical varints, which is when every
-// range decodes and ends exactly at its cut; otherwise words is partly
-// written.
-func decodeSplit(words []uint64, body []byte, at []int) bool {
+// contiguous share of words. A range may span chunks; its decode reads
+// them in place. Every inner cut first moves forward, in place, to just
+// past a byte whose high bit is clear, the last byte of a varint, so each
+// range starts at a word. Each range then counts its last bytes, eight at
+// a time, and the prefix sums of the counts give each range its first
+// word; last, each range decodes its words with decodeWords into its own
+// share of words. decodeSplit reports whether the bytes held exactly
+// len(words) canonical varints, which is when every range decodes and
+// ends exactly at its cut; otherwise words is partly written.
+func decodeSplit(words []uint64, f chunked, at []int64) bool {
 	parts := len(at) - 1
 	for j := 1; j < parts; j++ {
 		at[j] = max(at[j], at[j-1])
-		for at[j] > 0 && at[j] < len(body) && body[at[j]-1] >= 0x80 {
+		for at[j] > at[0] && at[j] < at[parts] && f.byteAt(at[j]-1) >= 0x80 {
 			at[j]++
 		}
 	}
 	first := make([]int, len(at))
-	eachPart(parts, func(j int) { first[j+1] = countLastBytes(body[at[j]:at[j+1]]) })
+	eachPart(parts, func(j int) {
+		f.each(at[j], at[j+1], func(b []byte) { first[j+1] += countLastBytes(b) })
+	})
 	for j := 0; j < parts; j++ {
 		first[j+1] += first[j]
 	}
@@ -352,8 +373,8 @@ func decodeSplit(words []uint64, body []byte, at []int) bool {
 	}
 	ok := make([]bool, parts)
 	eachPart(parts, func(j int) {
-		rc := mappedCursor(body[at[j]:at[j+1]])
-		ok[j] = decodeWords(words[first[j]:first[j+1]], &rc) == nil && rc.i == len(rc.data)
+		rc := f.upTo(at[j+1]).cursor(at[j])
+		ok[j] = decodeWords(words[first[j]:first[j+1]], &rc) == nil && rc.abs() == at[j+1]
 	})
 	for _, o := range ok {
 		if !o {

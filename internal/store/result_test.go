@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/bits"
 	"runtime"
@@ -346,17 +347,17 @@ func TestResultTableAllocationBound(t *testing.T) {
 	}
 }
 
-// TestReadResultAllocation: reading a result allocates at most twice the
-// file plus the replica table, and a fixed slack for one read chunk past
-// the end and the header fields - through a buffered reader as partsrv
-// and the pipeline benchmark read, and through one that splits every read
-// in half.
+// TestReadResultAllocation: reading a result allocates at most the file
+// (the chunks it is read in, which it decodes in place) plus the replica
+// table, and a fixed slack for one read chunk past the end, the trailer
+// and the header fields - through a buffered reader as partsrv and the
+// pipeline benchmark read, and through one that splits every read in half.
 func TestReadResultAllocation(t *testing.T) {
 	r := seededResult(t, 300000, 256, 9)
 	enc := encodeResult(t, r)
 	size := uint64(len(enc))
 	table := uint64(r.NumVertices * r.Replicas.Words() * 8)
-	limit := 2*size + table + 128<<10
+	limit := size + table + 128<<10
 	for _, tc := range []struct {
 		name string
 		rd   func() io.Reader
@@ -381,6 +382,43 @@ func TestReadResultAllocation(t *testing.T) {
 		if grew > limit {
 			t.Errorf("%s: reading a %d-byte file with a %d-byte table allocated %d bytes, limit %d",
 				tc.name, size, table, grew, limit)
+		}
+	}
+}
+
+// TestReadResultOtherBlockSizes: a file sealed with checksum blocks other
+// than the 64 KiB the writers use is read to the same result, its blocks
+// proven across chunk edges, and a forged block size far past the file
+// costs no buffer of that size: the read stays within the file, the table
+// and 128 KiB.
+func TestReadResultOtherBlockSizes(t *testing.T) {
+	r := seededResult(t, 30000, 256, 4)
+	enc := encodeResult(t, r)
+	payload := payloadOf(t, enc)
+	table := uint64(r.NumVertices * r.Replicas.Words() * 8)
+	for _, bs := range []int{1 << 10, 1500, 1 << 26} {
+		var crcs []byte
+		for lo := 0; lo < len(payload); lo += bs {
+			crcs = binary.LittleEndian.AppendUint32(crcs, crc32.Checksum(payload[lo:min(lo+bs, len(payload))], castagnoli))
+		}
+		tb := binary.AppendUvarint(append([]byte{}, trailerMagic[:]...), uint64(bs))
+		tb = append(binary.AppendUvarint(tb, uint64(len(crcs)/4)), crcs...)
+		data := append(append([]byte{}, payload...), tb...)
+		data = binary.LittleEndian.AppendUint64(data, uint64(len(payload)))
+		data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(tb, castagnoli))
+		data = append(data, footerMagic[:]...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadResult(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("block size %d: %v", bs, err)
+		}
+		if !bytes.Equal(encodeResult(t, got), enc) {
+			t.Fatalf("block size %d: decoded result differs", bs)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data))+table+128<<10; grew > limit {
+			t.Errorf("block size %d: reading allocated %d bytes, limit %d", bs, grew, limit)
 		}
 	}
 }
@@ -573,12 +611,53 @@ func checkSameDecode(t *testing.T, name string, got, want []uint64, gotAt, wantA
 	}
 }
 
+// chunksOf holds data as a file read in chunks of n bytes.
+func chunksOf(data []byte, n int) chunked {
+	f := chunked{n: n, size: int64(len(data))}
+	for lo := 0; lo == 0 || lo < len(data); lo += n {
+		f.c = append(f.c, data[lo:min(lo+n, len(data))])
+	}
+	return f
+}
+
+// straddleChunk is the chunk length at which straddleCases put a chunk
+// edge inside a word.
+const straddleChunk = 16
+
+// straddleCases returns bodies, read after two bytes as the tests read
+// them, in which a chunk edge of straddleChunk-byte chunks falls at every
+// offset 0 to 9 of a ten-byte word: valid ones, and ones where that word
+// has a tenth byte of 0x02 or is an overlong two-byte word.
+func straddleCases() []wordCase {
+	var cases []wordCase
+	for off := 0; off < binary.MaxVarintLen64; off++ {
+		// The word starts at data offset straddleChunk-off; the two bytes
+		// before the body and single-byte words fill the way to it.
+		pad := make([]byte, straddleChunk-off-2)
+		for _, wc := range []struct {
+			name  string
+			spell []byte
+		}{
+			{"ten-byte word", uvarints(1<<63 | 1<<56 | 3)},
+			{"tenth byte 0x02", append(slices.Repeat([]byte{0xff}, 9), 0x02)},
+			{"overlong word", []byte{0x85, 0x80, 0x00}},
+		} {
+			body := append(slices.Clone(pad), wc.spell...)
+			body = append(body, uvarints(1<<14, 0, 1<<63, 7)...)
+			cases = append(cases, wordCase{fmt.Sprintf("%s at chunk offset %d", wc.name, off), body, len(pad) + 5})
+		}
+	}
+	return cases
+}
+
 // TestDecodeWordsPartsMatchReference: the split decoder gives the
-// reference's words, cursor end and error text on every body, at every
-// part count from 1 to 8 and with the cut at every byte of the body; the
-// split itself succeeds exactly when the body holds the words and nothing
-// else. The body sits after two bytes the cursor has already passed, one
-// of them a continuation byte.
+// reference's words, cursor end and error text on every body, read in
+// chunks of 64 KiB, 16 and 3 bytes, at every part count from 1 to 8 and
+// with the cut at every byte of the body; the split itself succeeds
+// exactly when the body holds the words and nothing else. The body sits
+// after two bytes the cursor has already passed, one of them a
+// continuation byte, and straddleCases put a chunk edge at every offset
+// of a ten-byte word.
 func TestDecodeWordsPartsMatchReference(t *testing.T) {
 	type bodyCase struct {
 		name  string
@@ -591,6 +670,9 @@ func TestDecodeWordsPartsMatchReference(t *testing.T) {
 			cases = append(cases, bodyCase{fmt.Sprintf("k=%d/%s", k, wc.name), wc.name == "valid", wc})
 		}
 	}
+	for _, wc := range straddleCases() {
+		cases = append(cases, bodyCase{wc.name, strings.HasPrefix(wc.name, "ten-byte"), wc})
+	}
 	r := seededResult(t, 20000, 256, 5)
 	var vals []uint64
 	for v := 0; v < r.NumVertices; v++ {
@@ -601,6 +683,7 @@ func TestDecodeWordsPartsMatchReference(t *testing.T) {
 	cases = append(cases, bodyCase{"k=256/seeded", true, wordCase{body: uvarints(vals...), n: len(vals)}})
 	for _, tc := range cases {
 		data := append([]byte{0xaa, 0x01}, tc.body...)
+		end := int64(len(data))
 		want := make([]uint64, tc.n)
 		rc := mappedCursor(data)
 		rc.i = 2
@@ -609,33 +692,36 @@ func TestDecodeWordsPartsMatchReference(t *testing.T) {
 		if tc.valid != exact {
 			t.Fatalf("%s: the reference decodes the body exactly: %v (%v)", tc.name, exact, wantErr)
 		}
-		for parts := 1; parts <= 8; parts++ {
-			got := make([]uint64, tc.n)
-			c := mappedCursor(data)
-			c.i = 2
-			err := decodeWordsParts(got, &c, parts)
-			checkSameDecode(t, fmt.Sprintf("%s/parts=%d", tc.name, parts), got, want, c.i, rc.i, err, wantErr)
-			at := make([]int, parts+1)
-			for j := range at {
-				at[j] = len(tc.body) * j / parts
+		for _, chunk := range []int{sealedChunk, straddleChunk, 3} {
+			f := chunksOf(data, chunk)
+			name := fmt.Sprintf("%s/chunk=%d", tc.name, chunk)
+			for parts := 1; parts <= 8; parts++ {
+				got := make([]uint64, tc.n)
+				c := f.cursor(2)
+				err := decodeWordsParts(got, f, &c, parts)
+				checkSameDecode(t, fmt.Sprintf("%s/parts=%d", name, parts), got, want, int(c.abs()), rc.i, err, wantErr)
+				at := make([]int64, parts+1)
+				for j := range at {
+					at[j] = 2 + (end-2)*int64(j)/int64(parts)
+				}
+				if tc.valid && !decodeSplit(got, f, at) {
+					t.Fatalf("%s/parts=%d: a valid body takes the serial fallback", name, parts)
+				}
 			}
-			if tc.valid && !decodeSplit(got, tc.body, at) {
-				t.Fatalf("%s/parts=%d: a valid body takes the serial fallback", tc.name, parts)
+			// Every cut position, on the small bodies: the split succeeds
+			// exactly when the reference decodes the whole body, so a
+			// valid table never takes the serial fallback.
+			if len(tc.body) > 1<<10 {
+				continue
 			}
-		}
-		// Every cut position, on the small bodies: the split succeeds
-		// exactly when the reference decodes the whole body, so a valid
-		// table never takes the serial fallback.
-		if len(tc.body) > 1<<10 {
-			continue
-		}
-		for x := 0; x <= len(tc.body); x++ {
-			got := make([]uint64, tc.n)
-			if ok := decodeSplit(got, tc.body, []int{0, x, len(tc.body)}); ok != exact {
-				t.Fatalf("%s: cut at %d: split decode reports %v, the reference %v", tc.name, x, ok, exact)
-			}
-			if exact && !slices.Equal(got, want) {
-				t.Fatalf("%s: cut at %d: words differ from the reference", tc.name, x)
+			for x := int64(2); x <= end; x++ {
+				got := make([]uint64, tc.n)
+				if ok := decodeSplit(got, f, []int64{2, x, end}); ok != exact {
+					t.Fatalf("%s: cut at %d: split decode reports %v, the reference %v", name, x, ok, exact)
+				}
+				if exact && !slices.Equal(got, want) {
+					t.Fatalf("%s: cut at %d: words differ from the reference", name, x)
+				}
 			}
 		}
 	}

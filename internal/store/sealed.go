@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -14,7 +15,7 @@ import (
 //
 // and the formats differ only in their fields and validation rules. One
 // encoder writes the shared header (appendHeader), one reader buffers and
-// proves a whole file (readSealed), one decoder reads the counts
+// proves a whole file in chunks (readSealed), one decoder reads the counts
 // (readCounts), and every header field is read as a canonical varint or a
 // length-bounded string (cursor.field, cursor.str), so a decoded file
 // always re-encodes to its own bytes.
@@ -48,44 +49,38 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// readSealed reads a whole sealed file from rd and returns a cursor over
-// its payload, positioned past the magic. An io.Reader cannot seek to the
-// trailer at EOF, so the file is buffered: the magic is checked first, and
-// a file of another kind is refused by errBadMagic; the rest is read in
-// fixed chunks assembled once into one buffer of the file's exact length;
-// and the trailer and every payload block are proven before the caller
-// decodes a field, so a corrupt file can never be mistaken for a valid
-// one. Reading a file of F bytes so allocates at most 2F and one chunk,
-// however rd splits its reads. what names the kind of file in errors.
-func readSealed(rd io.Reader, magic [4]byte, errBadMagic error, what string) (cursor, error) {
+// readSealed reads a whole sealed file from rd and returns its payload,
+// the magic included. An io.Reader cannot seek to the trailer at EOF, so
+// the file is buffered: the magic is checked first, and a file of another
+// kind is refused by errBadMagic; the rest is read in fixed chunks, which
+// are kept as read rather than assembled into one buffer; and the trailer
+// and every payload block are proven before the caller decodes a field,
+// so a corrupt file can never be mistaken for a valid one. Reading a file
+// of F bytes so allocates F and at most one chunk besides, however rd
+// splits its reads. what names the kind of file in errors.
+func readSealed(rd io.Reader, magic [4]byte, errBadMagic error, what string) (chunked, error) {
 	chunk := make([]byte, sealedChunk)
 	if _, err := io.ReadFull(rd, chunk[:len(magic)]); err != nil {
-		return cursor{}, fmt.Errorf("store: reading %s magic: %w", what, err)
+		return chunked{}, fmt.Errorf("store: reading %s magic: %w", what, err)
 	}
 	if [4]byte(chunk) != magic {
-		return cursor{}, errBadMagic
+		return chunked{}, errBadMagic
 	}
-	data, err := readChunks(rd, chunk, len(magic))
+	f, err := readChunks(rd, chunk, len(magic))
 	if err != nil {
-		return cursor{}, fmt.Errorf("store: buffering %s: %w", what, err)
+		return chunked{}, fmt.Errorf("store: buffering %s: %w", what, err)
 	}
-	payload, err := verifyAllBytes(data, what)
-	if err != nil {
-		return cursor{}, err
-	}
-	return cursor{data: payload, i: len(magic)}, nil
+	return verifyChunked(f, what)
 }
 
-// sealedChunk is the read granularity of readSealed: the chunks a file is
-// read into overshoot its length by at most one chunk.
+// sealedChunk is the read granularity of readSealed. It equals the
+// checksum block, so every block of a written file lies in one chunk.
 const sealedChunk = checksumBlockSize
 
 // readChunks reads rd to EOF into chunks of len(chunk) bytes, the first
-// of which already holds n bytes, and returns everything as one slice: the
-// chunk itself when it held the whole input, else one buffer of the exact
-// total that the chunks are copied into once.
-func readChunks(rd io.Reader, chunk []byte, n int) ([]byte, error) {
-	var full [][]byte
+// of which already holds n bytes.
+func readChunks(rd io.Reader, chunk []byte, n int) (chunked, error) {
+	f := chunked{n: len(chunk)}
 	for {
 		m, err := io.ReadFull(rd, chunk[n:])
 		n += m
@@ -93,19 +88,103 @@ func readChunks(rd io.Reader, chunk []byte, n int) ([]byte, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return chunked{}, err
 		}
-		full = append(full, chunk)
+		f.c = append(f.c, chunk)
 		chunk, n = make([]byte, len(chunk)), 0
 	}
-	if len(full) == 0 {
-		return chunk[:n], nil
+	f.c = append(f.c, chunk[:n])
+	f.size = int64(len(f.c)-1)*int64(f.n) + int64(n)
+	return f, nil
+}
+
+// chunked is a file held in the chunks it was read in: chunk j holds bytes
+// [j*n, (j+1)*n), the last one fewer. Only the first size bytes are
+// visible, so cutting a file to its payload, or to one range of it, is a
+// change of size and copies nothing.
+type chunked struct {
+	c    [][]byte
+	n    int
+	size int64
+}
+
+// chunk returns the visible bytes of chunk j.
+func (f chunked) chunk(j int) []byte {
+	return f.c[j][:min(int64(len(f.c[j])), f.size-int64(j)*int64(f.n))]
+}
+
+// upTo returns f cut to its first size bytes.
+func (f chunked) upTo(size int64) chunked {
+	f.size = size
+	return f
+}
+
+// byteAt returns the byte at off.
+func (f chunked) byteAt(off int64) byte {
+	return f.c[off/int64(f.n)][off%int64(f.n)]
+}
+
+// ReadAt implements io.ReaderAt over the visible bytes; it is how the
+// trailer is read.
+func (f chunked) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 || off >= f.size {
+		return 0, io.EOF
 	}
-	out := make([]byte, 0, len(full)*len(chunk)+n)
-	for _, c := range full {
-		out = append(out, c...)
+	n := 0
+	f.each(off, min(f.size, off+int64(len(p))), func(b []byte) { n += copy(p[n:], b) })
+	if n < len(p) {
+		return n, io.EOF
 	}
-	return append(out, chunk[:n]...), nil
+	return n, nil
+}
+
+// crcAt implements inMemory: a checksum block is proven in place, chunk
+// by chunk.
+func (f chunked) crcAt(lo, hi int64) (uint32, bool) {
+	if hi > f.size {
+		return 0, false
+	}
+	var crc uint32
+	f.each(lo, hi, func(b []byte) { crc = crc32.Update(crc, castagnoli, b) })
+	return crc, true
+}
+
+// cursor returns a cursor over f's visible bytes, at off. Each chunk is
+// the window in turn, with no copy. A varint cut by a chunk's end is read
+// from a stitch: the chunk's last bytes, at most binary.MaxVarintLen64 of
+// them, and the bytes after them up to twice that, which is more than any
+// varint the cursor decodes can need.
+func (f chunked) cursor(off int64) cursor {
+	var stitch [2 * binary.MaxVarintLen64]byte
+	return cursor{base: off, fill: func(c *cursor) error {
+		at := c.abs()
+		if at >= f.size {
+			return io.ErrUnexpectedEOF
+		}
+		j := int(at / int64(f.n))
+		lo := int64(j) * int64(f.n)
+		b := f.chunk(j)
+		if rest := b[at-lo:]; len(rest) <= binary.MaxVarintLen64 && lo+int64(len(b)) < f.size {
+			k := copy(stitch[:], rest)
+			for j++; k < len(stitch) && j < len(f.c) && int64(j)*int64(f.n) < f.size; j++ {
+				k += copy(stitch[k:], f.chunk(j))
+			}
+			c.data, c.base, c.i = stitch[:k], at, 0
+			return nil
+		}
+		c.data, c.base, c.i = b, lo, int(at-lo)
+		return nil
+	}}
+}
+
+// each calls fn with the bytes [lo, hi) of f, chunk by chunk.
+func (f chunked) each(lo, hi int64, fn func([]byte)) {
+	for lo < hi {
+		j := int(lo / int64(f.n))
+		b := f.upTo(hi).chunk(j)[lo-int64(j)*int64(f.n):]
+		fn(b)
+		lo += int64(len(b))
+	}
 }
 
 // readCounts decodes the vertex and edge counts that follow the magic in

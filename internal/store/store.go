@@ -74,11 +74,11 @@ func WriteFormat(w io.Writer, g *graph.Graph, f Format) error {
 // (OpenMmap, OpenReaderAt) verify lazily instead and are what the streaming
 // path uses.
 func Read(r io.Reader) (*graph.Graph, error) {
-	cur, err := readSealed(r, magic3, ErrBadMagic, "graph")
+	f, err := readSealed(r, magic3, ErrBadMagic, "graph")
 	if err != nil {
 		return nil, err
 	}
-	dec := decoder{cur: cur}
+	dec := decoder{cur: f.cursor(int64(len(magic3)))}
 	if err := dec.readHeader(); err != nil {
 		return nil, err
 	}
