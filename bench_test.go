@@ -153,6 +153,7 @@ func benchPartitioner(b *testing.B, name string, k int) {
 	b.StopTimer()
 	b.ReportMetric(res.Quality.ReplicationFactor, "RF")
 	b.ReportMetric(float64(s.Len())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+	b.ReportMetric(float64(res.StateBytes)/(1<<20), "state-MB")
 }
 
 func BenchmarkHashingK32(b *testing.B) { benchPartitioner(b, "Hashing", 32) }

@@ -48,7 +48,11 @@
 // edge list: the partitioner re-streams the file for each pass and the
 // assignment is written (or discarded) as it is produced, so peak heap is
 // the algorithm's O(|V|) state (CLUGP adds 4 bytes per crossing edge while
-// it builds its cluster graph), not the edge list. BFS and Random orders
+// it builds its cluster graph), not the edge list. "state memory:" is the
+// most the algorithm's own tables held at once, summed from their sizes
+// where they are allocated (Result.StateBytes); -trace prints CLUGP's
+// state at the end of each phase and, on a line of its own, the replica
+// table the run's quality accounting holds beside it. BFS and Random orders
 // need the graph in memory to reorder it; natural order is exactly the
 // crawl order the paper grants CLUGP and Mint, so the streaming mode covers
 // the paper's headline configuration. The file decodes ahead of the
@@ -185,6 +189,7 @@ func main() {
 		if c, ok := p.(*repro.CLUGP); ok {
 			printCLUGPTrace(os.Stdout, c)
 		}
+		printReplicas(os.Stdout, res)
 		if *streamF {
 			pl := res.Pipeline
 			fmt.Printf("pipeline:           %s\n", pipelineLine(pl.DecodeAhead, pl.AccountingAhead))
@@ -246,7 +251,16 @@ func printCLUGPTrace(w io.Writer, c *repro.CLUGP) {
 	fmt.Fprintf(w, "overflow reroutes:  %d\n", t.Overflowed)
 	fmt.Fprintf(w, "pass times:         cluster.run_s %.3f  cluster.build_s %.3f  game.solve_s %.3f  partition.transform_s %.3f\n",
 		t.ClusterTime.Seconds(), t.BuildTime.Seconds(), t.GameTime.Seconds(), t.TransformTime.Seconds())
+	fmt.Fprintf(w, "phase state (MB):   cluster %.2f  build %.2f  game %.2f  transform %.2f\n",
+		mb(t.ClusterBytes), mb(t.BuildBytes), mb(t.GameBytes), mb(t.TransformBytes))
 }
+
+// printReplicas prints the quality accounting's replica table, which state memory leaves out.
+func printReplicas(w io.Writer, res *repro.PartitionResult) {
+	fmt.Fprintf(w, "replica table:      %.2f MB (quality accounting, not in state memory)\n", mb(res.Replicas.Bytes()))
+}
+
+func mb(bytes int64) float64 { return float64(bytes) / (1 << 20) }
 
 // buildPartitioner constructs algo from the registry and applies the CLUGP
 // knobs to every CLUGP-family algorithm; set names the flags given on the

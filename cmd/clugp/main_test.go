@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -281,8 +282,10 @@ func crashMidEmit(t *testing.T, p repro.Partitioner, o runOpts, n int) {
 }
 
 // TestTracePrintsPassTimes: -trace prints CLUGP's four pass times under
-// pipebench's layer names, and the phase boundary's collection with the
-// heap in use around it; a one-pass algorithm prints no boundary.
+// pipebench's layer names, its state at the end of each phase (the
+// largest is the run's state memory), the evaluator's replica table on a
+// line of its own, and the phase boundary's collection with the heap in
+// use around it; a one-pass algorithm prints no boundary.
 func TestTracePrintsPassTimes(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "g.cgr")
@@ -300,6 +303,7 @@ func TestTracePrintsPassTimes(t *testing.T) {
 	}
 	var out bytes.Buffer
 	printCLUGPTrace(&out, c)
+	printReplicas(&out, res)
 	printBoundary(&out, res)
 	b := res.Pipeline.Boundary
 	if b.Collections != 1 || b.HeapBefore == 0 || b.HeapAfter == 0 {
@@ -329,6 +333,19 @@ func TestTracePrintsPassTimes(t *testing.T) {
 		"partition.transform_s": tr.TransformTime,
 	} {
 		if want := fmt.Sprintf(" %s %.3f", name, d.Seconds()); !strings.Contains(out.String(), want) {
+			t.Errorf("trace output lacks %q:\n%s", want, out.String())
+		}
+	}
+	phases := []int64{tr.ClusterBytes, tr.BuildBytes, tr.GameBytes, tr.TransformBytes}
+	if slices.Contains(phases, 0) || slices.Max(phases) != res.StateBytes {
+		t.Errorf("phase state %v bytes, want four non-zero phases peaking at the run's state memory %d", phases, res.StateBytes)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("phase state (MB):   cluster %.2f  build %.2f  game %.2f  transform %.2f\n",
+			mb(tr.ClusterBytes), mb(tr.BuildBytes), mb(tr.GameBytes), mb(tr.TransformBytes)),
+		fmt.Sprintf("replica table:      %.2f MB (quality accounting, not in state memory)\n", mb(res.Replicas.Bytes())),
+	} {
+		if !strings.Contains(out.String(), want) {
 			t.Errorf("trace output lacks %q:\n%s", want, out.String())
 		}
 	}

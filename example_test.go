@@ -41,7 +41,7 @@ func ExampleCLUGP() {
 }
 
 // ExampleRunExperiment regenerates one paper artefact - here Figure 6's
-// partitioner memory model - at a small scale.
+// measured partitioner state - at a small scale.
 func ExampleRunExperiment() {
 	cfg := repro.ExperimentConfig{Scale: 0.02, Ks: []int{4, 64}}
 	tables, err := repro.RunExperiment("6", cfg)

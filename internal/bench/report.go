@@ -30,7 +30,7 @@ type Cell struct {
 	// RuntimeNS is the partitioning wall time. Unlike the quality metrics
 	// it varies run to run and across hardware.
 	RuntimeNS int64 `json:"runtime_ns"`
-	// StateBytes is the algorithm-state memory model (Figure 6).
+	// StateBytes is the run's measured algorithm-state peak (Figure 6).
 	StateBytes int64 `json:"state_bytes"`
 	// Allocs and AllocBytes are the heap allocations (count and bytes)
 	// performed while running the cell, measured as runtime.MemStats deltas

@@ -141,6 +141,12 @@ func Run(src stream.Source, cfg Config) (*Result, error) {
 	}, nil
 }
 
+// Bytes is the memory r's tables hold: each one's capacity times its
+// element size.
+func (r *Result) Bytes() int64 {
+	return 4*int64(cap(r.Assign)+cap(r.Degree)+cap(r.SplitFrom)) + 8*int64(cap(r.Volume))
+}
+
 type state struct {
 	assign     []ID
 	degree     []uint32

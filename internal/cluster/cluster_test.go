@@ -278,6 +278,9 @@ func TestRunAllocatesTablesOnce(t *testing.T) {
 		if grew > tables+slack {
 			t.Errorf("split=%v: pass 1 allocated %d bytes for %d bytes of tables", split, grew, tables)
 		}
+		if res.Bytes() != int64(tables) {
+			t.Errorf("split=%v: Bytes reports %d bytes for %d bytes of tables", split, res.Bytes(), tables)
+		}
 		runtime.ReadMemStats(&before)
 		members := res.Compact()
 		runtime.ReadMemStats(&after)

@@ -44,6 +44,9 @@ type Graph struct {
 	// TotalInter is the number of directed edges crossing clusters
 	// (each counted once), i.e. sum over clusters of |e(ci, V\ci)|.
 	TotalInter int64
+	// BuildBytes is the most BuildGraph's tables held at once, the graph's
+	// (Bytes) and the build's own, read where they peak. Read-only.
+	BuildBytes int64
 }
 
 // maxCrossing is the most crossing edges BuildGraph accepts. Bucket
@@ -89,9 +92,9 @@ func checkBuildLimits(crossing, arcs int64) error {
 // Every row ends sorted by To without a comparison sort: a row's
 // below-self arcs arrive in ascending lo order in sweep 2, and its
 // above-self arcs in ascending row order in sweep 3, after all of the
-// former. Peak memory is the bucket array plus the 8-byte arcs, not the
-// edge list. No maps and a bounded number of allocations regardless of
-// edge count.
+// former. Peak memory (BuildBytes) is the bucket array plus the 8-byte
+// arcs, not the edge list. No maps and a bounded number of allocations
+// regardless of edge count.
 func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 	m := res.NumClusters
 	cg := &Graph{
@@ -134,6 +137,7 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 		for c := 0; c < m; c++ {
 			cg.Weight[c] = 2 * cg.Intra[c]
 		}
+		cg.BuildBytes = cg.Bytes() + 4*int64(cap(bucket))
 		return cg, nil
 	}
 	for c := 1; c <= m; c++ {
@@ -199,6 +203,9 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 	// within the current scratch (To is unique there), so stale sweep-1
 	// values need no clearing.
 	scratch := make([]Arc, 0, widest)
+	// Every table the build makes is live from here until his is dropped.
+	cg.BuildBytes = cg.Bytes() + 8*int64(cap(flat)+cap(scratch)) +
+		4*int64(cap(bucket)+cap(his)+cap(rowLen)+cap(stamp)+cap(off))
 	begin = 0
 	for lo := range m {
 		end := bucket[lo]
@@ -241,6 +248,16 @@ func BuildGraph(src stream.Source, res *Result) (*Graph, error) {
 		cg.Weight[c] = 2*cg.Intra[c] + t
 	}
 	return cg, nil
+}
+
+// Bytes is the memory g's tables hold: each one's capacity times its
+// element size, the rows' shared arc array included.
+func (g *Graph) Bytes() int64 {
+	n := 24*int64(cap(g.Adj)) + 8*int64(cap(g.Intra)+cap(g.AdjTotal)+cap(g.Weight))
+	for _, row := range g.Adj {
+		n += 8 * int64(len(row))
+	}
+	return n
 }
 
 // ArcWeight returns the symmetric inter-cluster weight between a and b

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -268,6 +269,38 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 				t.Fatal("no crossing edges: the case does not exercise the buckets")
 			}
 		})
+	}
+}
+
+// TestBuildBytesMatchAllocation: BuildGraph's reported peak is within 15%
+// of what it allocates in total. Nothing the build makes is dropped before
+// its sweeps, so its peak is its whole allocation; the graph it returns
+// holds Bytes() of it, and the build's own tables the rest.
+func TestBuildBytesMatchAllocation(t *testing.T) {
+	edges, nv := webEdges(200000, 8)
+	src := stream.Of(edges).Source(nv)
+	for _, k := range []int{32, 256} {
+		res, err := Run(src, Config{Vmax: int64(0.2 * float64(len(edges)) / float64(k))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Compact()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cg, err := BuildGraph(src, res)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := int64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("k=%d: %d clusters, %d crossing edges: build peak %.2f MB reported, %.2f MB allocated, graph holds %.2f MB",
+			k, cg.NumClusters, cg.TotalInter, float64(cg.BuildBytes)/(1<<20), float64(alloc)/(1<<20), float64(cg.Bytes())/(1<<20))
+		if math.Abs(float64(cg.BuildBytes)/float64(alloc)-1) > 0.15 {
+			t.Errorf("k=%d: build peak reported as %d bytes, the build allocated %d", k, cg.BuildBytes, alloc)
+		}
+		if cg.Bytes() >= cg.BuildBytes {
+			t.Errorf("k=%d: the graph holds %d bytes, not less than the build's peak %d", k, cg.Bytes(), cg.BuildBytes)
+		}
 	}
 }
 

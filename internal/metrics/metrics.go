@@ -183,8 +183,8 @@ func (r *ReplicaSets) Union(u, v graph.VertexID, dst []int32) []int32 {
 	return dst
 }
 
-// Bytes returns the memory footprint of the table.
-func (r *ReplicaSets) Bytes() int64 { return int64(len(r.bits)) * 8 }
+// Bytes returns the memory footprint of the table (its capacity).
+func (r *ReplicaSets) Bytes() int64 { return int64(cap(r.bits)) * 8 }
 
 // Quality summarises a finished vertex-cut partitioning.
 type Quality struct {

@@ -92,6 +92,14 @@ type Trace struct {
 	BuildTime     time.Duration
 	GameTime      time.Duration
 	TransformTime time.Duration
+	// Per-phase state in bytes, as reported to the sink (DESIGN.md,
+	// "Measured state"): pass 1's tables; the compacted tables plus the
+	// build's peak; those plus the cluster graph and the game's table (its
+	// workers' O(threads*(batch+k)) scratch aside); pass 3's record.
+	ClusterBytes   int64
+	BuildBytes     int64
+	GameBytes      int64
+	TransformBytes int64
 }
 
 // Name implements Partitioner.
@@ -129,7 +137,7 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 	if src.Len() == 0 {
 		return nil
 	}
-	fz, err := c.passes12(src, k)
+	fz, err := c.passes12(src, k, sink)
 	if err != nil {
 		return err
 	}
@@ -140,20 +148,21 @@ func (c *CLUGP) run(src stream.Source, k int, sink *assignSink) error {
 
 	// Pass 3: transformation (Algorithm 1).
 	t3 := time.Now()
-	overflowed, err := transform(src, fz, k, tau, sink)
+	overflowed, held, err := transform(src, fz, k, tau, sink)
 	if err != nil {
 		return fmt.Errorf("clugp pass 3: %w", err)
 	}
 	tr := fz.trace
 	tr.Overflowed = overflowed
 	tr.TransformTime = time.Since(t3)
+	tr.TransformBytes = held
 	c.LastTrace = &tr
 	return nil
 }
 
 // passes12 runs pass 1 (streaming clustering) and pass 2 (the cluster
-// graph and the partitioning game).
-func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
+// graph and the partitioning game), reporting each phase's state to sink.
+func (c *CLUGP) passes12(src stream.Source, k int, sink *assignSink) (*clugpFrozen, error) {
 	numEdges := src.Len()
 
 	// Pass 1: streaming clustering. Vmax = vmaxFactor*|E|/k, at least 2 so
@@ -171,6 +180,8 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clugp pass 1: %w", err)
 	}
+	clusterBytes := cres.Bytes()
+	sink.hold(clusterBytes)
 	cres.Compact()
 	t1 := time.Now()
 
@@ -179,6 +190,8 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clugp pass 2: %w", err)
 	}
+	buildBytes := cres.Bytes() + cg.BuildBytes
+	sink.hold(buildBytes)
 	t2 := time.Now()
 	var asg *game.Assignment
 	if c.GreedyAssign {
@@ -200,6 +213,8 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 		}
 	}
 	t3 := time.Now()
+	gameBytes := cres.Bytes() + cg.Bytes() + 4*int64(cap(asg.Partition))
+	sink.hold(gameBytes)
 
 	// Cluster-quality fractions come from pass-2 state alone, so they are
 	// computed before pass 3 folds the tables and the cluster graph becomes
@@ -250,6 +265,9 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 			ClusterTime:    t1.Sub(t0),
 			BuildTime:      t2.Sub(t1),
 			GameTime:       t3.Sub(t2),
+			ClusterBytes:   clusterBytes,
+			BuildBytes:     buildBytes,
+			GameBytes:      gameBytes,
 		},
 	}, nil
 }
@@ -274,8 +292,9 @@ func (c *CLUGP) passes12(src stream.Source, k int) (*clugpFrozen, error) {
 //
 // An endpoint with no master partition, which passes 1 and 2 never leave
 // for a vertex of the stream, fails the pass with an error naming the
-// edge. It returns the number of edges the balance guard rerouted.
-func transform(src stream.Source, fz *clugpFrozen, k int, tau float64, sink *assignSink) (overflowed int64, err error) {
+// edge. It returns the number of edges the balance guard rerouted and the
+// bytes of state the pass held, which it reports to the sink.
+func transform(src stream.Source, fz *clugpFrozen, k int, tau float64, sink *assignSink) (overflowed, held int64, err error) {
 	// Lmax = ceil(tau*|E|/k): the ceiling guarantees k*Lmax >= |E| so an
 	// underflow partition always exists when the guard trips.
 	lmax := int64((tau*float64(src.Len()) + float64(k) - 1) / float64(k))
@@ -322,7 +341,9 @@ func transform(src stream.Source, fz *clugpFrozen, k int, tau float64, sink *ass
 		}
 		return sink.commit(blk, out)
 	})
-	return overflowed, err
+	held = 4*int64(cap(master)+cap(fz.mirror)+cap(fz.deg)) + 8*int64(cap(sizes))
+	sink.hold(held)
+	return overflowed, held, err
 }
 
 // cutRoute places an edge (u, v) whose endpoints' master partitions pu
@@ -383,19 +404,4 @@ func (c *leastCursor) next(sizes []int64) int32 {
 	p := leastLoadedAll(sizes)
 	c.min, c.at = sizes[p], int(p)
 	return p
-}
-
-// StateBytes implements StateSizer. CLUGP's standing state is the two
-// mapping tables (vertex->cluster at 4 bytes/vertex, cluster->partition at
-// <= 4 bytes/vertex) plus the degree array and divided marks - the O(2|V|)
-// of Section III - plus the per-worker game scratch.
-func (c *CLUGP) StateBytes(numVertices, numEdges, k int) int64 {
-	perVertex := int64(numVertices) * (4 + 4 + 4 + 1) // cluster id, cluster->partition, degree, divided
-	threads := c.Threads
-	if threads <= 0 {
-		threads = 8
-	}
-	// Each game worker holds k loads and a k-sized scratch.
-	gameState := int64(threads) * int64(k) * 16
-	return perVertex + gameState + int64(k)*8
 }

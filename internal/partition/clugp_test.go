@@ -132,7 +132,7 @@ func TestCLUGPForgedBaseFailsPass3(t *testing.T) {
 		}
 		sink := &assignSink{}
 		sink.ev.Begin(g.NumVertices, k)
-		_, err := transform(memSource(g), fz, k, 1.0, sink)
+		_, _, err := transform(memSource(g), fz, k, 1.0, sink)
 		return err
 	}
 	// The same record with vertex 2 placed runs: the harness itself works.

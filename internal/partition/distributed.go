@@ -127,8 +127,9 @@ func (w *window) NextBlock() ([]graph.Edge, error) {
 // run implements Partitioner. Emission follows stream order, so the nodes
 // run one after another, each streaming its shard's assignments through the
 // shared sink: the memory profile of a single node (O(|V|) tables, no
-// O(|E|) assignment). Nodes are independent and deterministically seeded,
-// so the assignment is the one concurrent nodes would produce.
+// O(|E|) assignment), so the run's StateBytes is its largest node's. Nodes
+// are independent and deterministically seeded, so the assignment is the
+// one concurrent nodes would produce.
 func (d *DistributedCLUGP) run(src stream.Source, k int, sink *assignSink) error {
 	for nd, b := range d.shardBounds(src.Len()) {
 		// Each node runs a default CLUGP pipeline, seeded deterministically.
@@ -138,12 +139,4 @@ func (d *DistributedCLUGP) run(src stream.Source, k int, sink *assignSink) error
 		}
 	}
 	return nil
-}
-
-// StateBytes implements StateSizer: each shard's node carries a full
-// per-vertex table set (vertices are not range-partitioned across ingest
-// nodes, since any shard can touch any vertex).
-func (d *DistributedCLUGP) StateBytes(numVertices, numEdges, k int) int64 {
-	one := (&CLUGP{}).StateBytes(numVertices, numEdges, k)
-	return int64(len(d.shardBounds(numEdges))) * one
 }

@@ -104,10 +104,10 @@ func TestDistributedCLUGPMoreNodesThanEdges(t *testing.T) {
 		t.Fatal("assignment truncated")
 	}
 
-	// StateBytes counts the shards run opens: one node when there are more
-	// nodes than edges, and 3 shards of 2, 2 and 1 edges for 4 nodes on 5.
+	// run opens one shard when there are more nodes than edges, and 3
+	// shards of 2, 2 and 1 edges for 4 nodes on 5. The nodes run one after
+	// another, so StateBytes is the largest node's.
 	five := graph.New(6, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4}, {Src: 4, Dst: 5}})
-	one := (&CLUGP{}).StateBytes(five.NumVertices, five.NumEdges(), 4)
 	for _, tc := range []struct {
 		nodes, shards int
 	}{{1 << 20, 1}, {4, 3}, {5, 5}, {2, 2}} {
@@ -115,13 +115,30 @@ func TestDistributedCLUGPMoreNodesThanEdges(t *testing.T) {
 		if got := len(d.shardBounds(five.NumEdges())); got != tc.shards {
 			t.Fatalf("nodes=%d: %d shards, want %d", tc.nodes, got, tc.shards)
 		}
-		res, err := Run(d, five, 4, 1)
+		checkLargestNode(t, d, five, 4)
+	}
+	checkLargestNode(t, &DistributedCLUGP{Nodes: 3, Seed: 2}, gen.Web(gen.WebConfig{N: 4000, OutDegree: 6, Seed: 26}), 8)
+}
+
+// checkLargestNode: CLUGP-D's StateBytes on g is the largest of the CLUGP
+// runs on each of its shards, each with its node's seed.
+func checkLargestNode(t *testing.T, d *DistributedCLUGP, g *graph.Graph, k int) {
+	t.Helper()
+	res, err := Run(d, g, k, 1)
+	if err != nil {
+		t.Fatalf("nodes=%d: %v", d.Nodes, err)
+	}
+	src := stream.NewView(g, stream.BFS, 1).Source(g.NumVertices)
+	var want int64
+	for nd, b := range d.shardBounds(src.Len()) {
+		node, err := RunStreamed(&CLUGP{Seed: d.Seed ^ (0x9e3779b97f4a7c15 * uint64(nd+1))}, shard(src, b[0], b[1]), stream.BFS, k)
 		if err != nil {
-			t.Fatalf("nodes=%d: %v", tc.nodes, err)
+			t.Fatal(err)
 		}
-		if want := int64(tc.shards) * one; res.StateBytes != want {
-			t.Fatalf("nodes=%d: StateBytes %d, want %d (%d shards)", tc.nodes, res.StateBytes, want, tc.shards)
-		}
+		want = max(want, node.StateBytes)
+	}
+	if want == 0 || res.StateBytes != want {
+		t.Fatalf("nodes=%d: StateBytes %d, want the largest node's %d", d.Nodes, res.StateBytes, want)
 	}
 }
 

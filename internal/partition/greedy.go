@@ -43,7 +43,7 @@ func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 		gr.scratch = make([]int32, 0, k)
 	}
 	rs, sizes, scratch := &gr.rs, gr.sizes, gr.scratch
-	return forEachBlock(src, func(blk []graph.Edge) error {
+	err := forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
@@ -72,12 +72,8 @@ func (gr *Greedy) run(src stream.Source, k int, sink *assignSink) error {
 		}
 		return sink.commit(blk, out)
 	})
-}
-
-// StateBytes implements StateSizer: the replica bitset plus partition sizes.
-func (gr *Greedy) StateBytes(numVertices, numEdges, k int) int64 {
-	words := (k + 63) / 64
-	return int64(numVertices)*int64(words)*8 + int64(k)*8
+	sink.hold(rs.Bytes() + 8*int64(cap(sizes)) + 4*int64(cap(scratch)))
+	return err
 }
 
 // resetInt64 returns a zeroed int64 slice of length n, reusing buf's

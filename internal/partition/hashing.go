@@ -33,10 +33,6 @@ func (h *Hashing) run(src stream.Source, k int, sink *assignSink) error {
 	})
 }
 
-// StateBytes implements StateSizer: a hash function needs no state beyond
-// the k partition counters (the paper reports Hashing at 0 space cost).
-func (h *Hashing) StateBytes(numVertices, numEdges, k int) int64 { return 0 }
-
 // DBH is degree-based hashing (Xie et al., NeurIPS 2014): the edge is
 // placed by hashing its lower-degree endpoint, so low-degree vertices keep
 // their edges together while high-degree vertices are cut - the right
@@ -59,7 +55,7 @@ func (d *DBH) run(src stream.Source, k int, sink *assignSink) error {
 	d.deg = resetUint32(d.deg, src.NumVertices())
 	deg := d.deg
 	kk := uint64(k)
-	return forEachBlock(src, func(blk []graph.Edge) error {
+	err := forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
 		for j, e := range blk {
 			deg[e.Src]++
@@ -72,9 +68,6 @@ func (d *DBH) run(src stream.Source, k int, sink *assignSink) error {
 		}
 		return sink.commit(blk, out)
 	})
-}
-
-// StateBytes implements StateSizer: one degree counter per vertex.
-func (d *DBH) StateBytes(numVertices, numEdges, k int) int64 {
-	return int64(numVertices) * 4
+	sink.hold(4 * int64(cap(deg)))
+	return err
 }

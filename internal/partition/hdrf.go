@@ -90,7 +90,7 @@ func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
 	h.fallbacks = 0
 	rs, deg := &h.rs, h.deg
 
-	return forEachBlock(src, func(blk []graph.Edge) error {
+	err = forEachBlock(src, func(blk []graph.Edge) error {
 		out := sink.grab(len(blk))
 		for j, e := range blk {
 			u, v := e.Src, e.Dst
@@ -109,6 +109,8 @@ func (h *HDRF) run(src stream.Source, k int, sink *assignSink) error {
 		}
 		return sink.commit(blk, out)
 	})
+	sink.hold(rs.Bytes() + 4*int64(cap(deg)) + 8*int64(cap(h.sizes)+cap(h.levels.ring)))
+	return err
 }
 
 // place counts one more edge on partition p.
@@ -345,10 +347,4 @@ func (l *sizeLevels) grow() {
 		}
 	}
 	l.mask = 2*width - 1
-}
-
-// StateBytes implements StateSizer: replica bitsets + degree table + sizes.
-func (h *HDRF) StateBytes(numVertices, numEdges, k int) int64 {
-	words := (k + 63) / 64
-	return int64(numVertices)*int64(words)*8 + int64(numVertices)*4 + int64(k)*8
 }

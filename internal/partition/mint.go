@@ -144,6 +144,9 @@ func (t *u64Table) lookup(key uint64) (int32, bool) {
 	}
 }
 
+// bytes is the memory the table's slots hold.
+func (t *u64Table) bytes() int64 { return 8*int64(cap(t.keys)) + 4*int64(cap(t.vals)+cap(t.gen)) }
+
 // put sets key's value.
 func (t *u64Table) put(key uint64, v int32) {
 	t.vals[t.slot(key)] = v
@@ -174,28 +177,19 @@ func (m *Mint) Name() string { return "Mint" }
 // BFS order (the web-crawl order) is its best setting, as in the paper.
 func (m *Mint) PreferredOrder() stream.Order { return stream.BFS }
 
-// batchSize is BatchSize with its default applied.
-func (m *Mint) batchSize() int {
-	if m.BatchSize <= 0 {
-		return 6400
-	}
-	return m.BatchSize
-}
-
 // run implements Partitioner: batches are finalized units, so each
 // commits to the sink as soon as its game equilibrates.
 func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
-	batchSize := m.batchSize()
-
+	batchSize := m.BatchSize
+	if batchSize <= 0 {
+		batchSize = 6400
+	}
 	numEdges := src.Len()
 	m.sizes = resetInt64(m.sizes, k)   // committed edges per partition
 	m.local = resetInt64(m.local, k)   // current batch's edges per partition
 	m.totals = resetInt64(m.totals, k) // sizes + local, the cost basis
 
-	batchCap := batchSize
-	if batchCap > numEdges {
-		batchCap = numEdges
-	}
+	batchCap := min(batchSize, numEdges)
 	if cap(m.batch) < batchCap {
 		m.batch = make([]graph.Edge, 0, batchCap)
 	}
@@ -222,6 +216,7 @@ func (m *Mint) run(src stream.Source, k int, sink *assignSink) error {
 		err = m.playBatch(batch, sink, k, numEdges, batchCap)
 	}
 	m.batch = batch[:0]
+	sink.hold(8*int64(cap(m.sizes)+cap(m.local)+cap(m.totals)+cap(batch)) + m.presence.bytes() + m.primary.bytes())
 	return err
 }
 
@@ -333,14 +328,4 @@ func (m *Mint) edgeCost(presence *u64Table, totals []int64, key func(graph.Verte
 		rep++
 	}
 	return rep + mintBalanceWeight*float64(totals[p])/avg
-}
-
-// StateBytes implements StateSizer: the batch edge buffer, batch assignment
-// and presence map; no global per-vertex state.
-func (m *Mint) StateBytes(numVertices, numEdges, k int) int64 {
-	b := min(m.batchSize(), numEdges)
-	// 8 bytes per buffered batch edge + 4 per batch assignment + ~2 presence
-	// entries per edge at 16 bytes per open-addressing slot
-	// (key+value+generation), + k sizes.
-	return int64(b)*8 + int64(b)*4 + int64(b)*2*16 + int64(k)*8
 }

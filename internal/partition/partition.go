@@ -53,15 +53,6 @@ type Partitioner interface {
 // the duration of the call.
 type Emit func(edges []graph.Edge, assign []int32) error
 
-// StateSizer is implemented by partitioners that can report the peak size
-// in bytes of their internal state for the memory-cost comparison
-// (Figure 6). The estimate covers algorithm state only, not the input
-// stream or the output assignment, mirroring how the paper attributes
-// memory.
-type StateSizer interface {
-	StateBytes(numVertices, numEdges, k int) int64
-}
-
 // Result bundles a finished run: the ordered stream that was partitioned,
 // its assignment, quality metrics and bookkeeping.
 type Result struct {
@@ -83,7 +74,10 @@ type Result struct {
 	Replicas *metrics.ReplicaSets
 	// Runtime is the partitioning pass(es) including the in-pass quality
 	// accounting.
-	Runtime    time.Duration
+	Runtime time.Duration
+	// StateBytes is the most the algorithm's own tables held at once: the
+	// largest of its per-phase reports (assignSink.hold). Like the paper
+	// (Figure 6), it leaves out the input, the assignment and Replicas.
 	StateBytes int64
 	// Pipeline describes how the hot pass executed (decode and accounting
 	// ahead or inline, checkpoints).
@@ -261,15 +255,13 @@ func execute(p Partitioner, src stream.Source, k int, sink *assignSink, opts Out
 		K:           k,
 		NumVertices: nv,
 		// The caller's source, not the checkpoint rebatch wrapper.
-		Stream:   orig,
-		Assign:   sink.assign,
-		Quality:  sink.ev.Finish(),
-		Replicas: sink.ev.Replicas(),
-		Runtime:  elapsed,
-		Pipeline: info,
-	}
-	if sz, isSz := p.(StateSizer); isSz {
-		res.StateBytes = sz.StateBytes(nv, total, k)
+		Stream:     orig,
+		Assign:     sink.assign,
+		Quality:    sink.ev.Finish(),
+		Replicas:   sink.ev.Replicas(),
+		Runtime:    elapsed,
+		StateBytes: sink.held,
+		Pipeline:   info,
 	}
 	return res, nil
 }
@@ -294,6 +286,10 @@ type assignSink struct {
 	ck *ckRun
 	// boundary records the phase boundaries the partitioner declared.
 	boundary PhaseBoundary
+	// held is the largest state the partitioner reported; onHold, set by
+	// tests, sees each report.
+	held   int64
+	onHold func(bytes int64)
 }
 
 // decodesAhead reports whether a pass over src decodes ahead of its
@@ -359,6 +355,16 @@ func (s *assignSink) phaseBoundary() {
 	runtime.GC()
 	runtime.ReadMemStats(&m)
 	s.boundary = PhaseBoundary{Collections: s.boundary.Collections + 1, HeapBefore: before, HeapAfter: m.HeapInuse}
+}
+
+// hold records that the partitioner's tables hold bytes (each table's
+// capacity times its element size) at the end of a phase. It keeps a
+// number, never a table, so no phase's garbage outlives it.
+func (s *assignSink) hold(bytes int64) {
+	s.held = max(s.held, bytes)
+	if s.onHold != nil {
+		s.onHold(bytes)
+	}
 }
 
 // forEachBlock adapts stream.ForEach for the partitioner loops, which

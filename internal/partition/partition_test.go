@@ -376,25 +376,34 @@ func TestDBHCutsHighDegreeVertices(t *testing.T) {
 	}
 }
 
+// TestStateBytesMonotonicInK is Figure 6's shape on measured state:
+// HDRF's replica table grows from k=4 to k=256, Hashing holds no table,
+// and Mint's batch tables stay below HDRF's table at k=256. CLUGP is
+// logged beside HDRF, not asserted below it: its cluster-graph build
+// outweighs HDRF's table at k=256 on web graphs, and on the UK shape the
+// two cross between k=512 and k=1024 (DESIGN.md, "Measured state").
 func TestStateBytesMonotonicInK(t *testing.T) {
-	// Heuristic state grows with k; hashing stays at zero (Figure 6 shape).
-	nv, ne := 100000, 1000000
-	hdrf := &HDRF{}
-	if hdrf.StateBytes(nv, ne, 256) <= hdrf.StateBytes(nv, ne, 4) {
-		t.Fatal("HDRF state not growing with k")
+	g := webGraph(100000, 3)
+	state := func(p Partitioner, k int) int64 {
+		res, err := Run(p, g, k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.StateBytes
 	}
-	h := &Hashing{}
-	if h.StateBytes(nv, ne, 256) != 0 {
-		t.Fatal("Hashing state not zero")
+	hdrf4, hdrf256 := state(&HDRF{}, 4), state(&HDRF{}, 256)
+	if hdrf256 <= hdrf4 {
+		t.Errorf("HDRF state did not grow with k: %d bytes at k=4, %d at k=256", hdrf4, hdrf256)
 	}
-	c := &CLUGP{}
-	if c.StateBytes(nv, ne, 256) >= hdrf.StateBytes(nv, ne, 256) {
-		t.Fatal("CLUGP state should be far below HDRF at large k")
+	if h := state(&Hashing{}, 256); h != 0 {
+		t.Errorf("Hashing reports %d bytes of state, want 0", h)
 	}
-	m := &Mint{}
-	if m.StateBytes(nv, ne, 256) >= hdrf.StateBytes(nv, ne, 256) {
-		t.Fatal("Mint state should be below HDRF at large k")
+	if m := state(&Mint{}, 256); m >= hdrf256 {
+		t.Errorf("Mint state %d bytes at k=256, want below HDRF's %d", m, hdrf256)
 	}
+	c := state(&CLUGP{Seed: 1}, 256)
+	t.Logf("k=256 on %d vertices: CLUGP %.2f MB, HDRF %.2f MB (%.2f MB at k=4)",
+		g.NumVertices, float64(c)/(1<<20), float64(hdrf256)/(1<<20), float64(hdrf4)/(1<<20))
 }
 
 // TestQuickValidAssignments property-tests the whole suite on random small
