@@ -186,7 +186,8 @@ func ForEachStreamed(src StreamSource, fn func(off int, edges []Edge) error) err
 // OpenCompressed opens a graph written by WriteCompressed as a replayable
 // edge source: the file is mapped once (with a portable read-at fallback
 // where mapping is unavailable) and edges decode straight from the mapped
-// bytes, so Reset is free and the OS page cache serves repeat passes.
+// bytes. Reset is free, a pass drops the mapped pages behind it from the
+// process's resident set, and the OS page cache serves repeat passes.
 // This is the out-of-core entry point: the graph is never materialized.
 func OpenCompressed(path string) (*MmapGraphFile, error) { return store.OpenMmap(path) }
 

@@ -217,16 +217,21 @@ func TestPipelineReportsAccountingAhead(t *testing.T) {
 // passes, a run killed mid pass 3 by its emit leaves a live decode
 // goroutine for the next run's Reset to stop, and CLUGP-D's ingest nodes
 // read windows of the same decode-ahead source, each Reset stopping the
-// goroutine mid-pass once the window ends. Run under -race in CI; assertions are
-// minimal because the test's job is the schedule, not the values
-// (TestParallelWorkerInvariance pins those).
+// goroutine mid-pass once the window ends. The file spans several of the
+// store's 256 KiB release steps, so the decode goroutine drops mapped pages
+// mid-pass and every one of those Resets drops the rest. Run under -race
+// in CI; assertions are minimal because the test's job is the schedule,
+// not the values (TestParallelWorkerInvariance pins those).
 func TestOutOfCoreDecodeRace(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 8, IntraSite: 0.8, Seed: 54})
+	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 24, IntraSite: 0.8, Seed: 54})
 	src, err := store.OpenMmap(writeCGR(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
+	if src.SizeBytes() < 3*256<<10 {
+		t.Fatalf("file of %d bytes spans under three release steps", src.SizeBytes())
+	}
 	errStop := errors.New("stop")
 	withProcs(max(runtime.GOMAXPROCS(0), 2), func() {
 		for _, p := range []Partitioner{&CLUGP{Seed: 1}, &DBH{Seed: 1}, &DistributedCLUGP{Nodes: 3, Seed: 1}} {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -159,18 +160,19 @@ func TestDistributedFileShardingMatchesViewSharding(t *testing.T) {
 	}
 }
 
-// heapSampledSource samples live heap after every few blocks it hands
-// out, so a bounded-memory check sees every pass of a run - CLUGP's
-// cluster-graph build included, which emits nothing.
-type heapSampledSource struct {
+// sampledSource calls sample after every few blocks it hands out, so a
+// bounded-memory check sees every pass of a run - CLUGP's cluster-graph
+// build included, which emits nothing.
+type sampledSource struct {
 	stream.Source
+	every  int
 	blocks int
 	sample func()
 }
 
-func (s *heapSampledSource) NextBlock() ([]graph.Edge, error) {
+func (s *sampledSource) NextBlock() ([]graph.Edge, error) {
 	blk, err := s.Source.NextBlock()
-	if s.blocks++; s.blocks%4 == 0 {
+	if s.blocks++; s.blocks%s.every == 0 {
 		s.sample()
 	}
 	return blk, err
@@ -180,7 +182,7 @@ func (s *heapSampledSource) NextBlock() ([]graph.Edge, error) {
 // cmd/clugp code path (RunOutOfCoreOpts over a store.MmapSource) on a graph
 // whose edges dominate its vertices must keep live heap well below the
 // materialized edge-list size. Live heap is sampled after forced
-// collections every few blocks of every pass (heapSampledSource) and once
+// collections every few blocks of every pass (sampledSource) and once
 // more after the run, so the assertion sees actual reachable memory
 // throughout the run.
 //
@@ -245,7 +247,7 @@ func TestOutOfCoreBoundedMemory(t *testing.T) {
 					peak = live
 				}
 			}
-			src := &heapSampledSource{Source: mm, sample: sample}
+			src := &sampledSource{Source: mm, every: 4, sample: sample}
 			if _, err := RunOutOfCoreOpts(tc.p, src, 8, nil, OutOfCoreOptions{}); err != nil {
 				t.Fatalf("%s: %v", tc.p.Name(), err)
 			}
@@ -273,6 +275,87 @@ func TestOutOfCoreBoundedMemory(t *testing.T) {
 				tc.p.Name(), edgeBytes2-edgeBytes, slope, slopeLimit, 100*tc.budget)
 		}
 	}
+}
+
+// TestOutOfCoreResidentMapping holds the term TestOutOfCoreBoundedMemory
+// cannot see, which is not on the Go heap: the pages of the input mapping
+// the process keeps resident. A pass drops the mapped pages it has decoded
+// in fixed steps, so the mapping's resident bytes, read from
+// /proc/self/smaps after every block of every pass of DBH and CLUGP, stay
+// under a constant on a file of at least eight steps and on its
+// |E|-doubled twin. Keeping the decoded pages would hold the whole file.
+func TestOutOfCoreResidentMapping(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the mapped input is released through madvise on Linux only")
+	}
+	if testing.Short() {
+		t.Skip("writes multi-megabyte graphs")
+	}
+	// The store releases in 256 KiB steps. The bound is four of them: the
+	// step the decoder is in, the block it decodes and the kernel's
+	// fault-around window, with room.
+	const step, bound = 256 << 10, 1 << 20
+	for _, outDegree := range []int{50, 100} {
+		g := gen.Web(gen.WebConfig{N: 20000, OutDegree: outDegree, IntraSite: 0.3, Seed: 33})
+		path := writeCGR(t, g)
+		mm, err := store.OpenMmap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mm.Mapped() || mm.SizeBytes() < 8*step {
+			t.Fatalf("%s: mapped %v, %d bytes; want a mapping of at least %d", path, mm.Mapped(), mm.SizeBytes(), 8*step)
+		}
+		for _, p := range []Partitioner{&DBH{Seed: 1}, &CLUGP{Seed: 1}} {
+			var peak int64
+			src := &sampledSource{Source: mm, every: 1, sample: func() {
+				rss, found := mappedResident(t, path)
+				if !found {
+					t.Fatalf("no mapping of %s in /proc/self/smaps", path)
+				}
+				peak = max(peak, rss)
+			}}
+			if _, err := RunOutOfCoreOpts(p, src, 8, nil, OutOfCoreOptions{}); err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			t.Logf("%s over %d edges: mapping resident at most %.2f MB of a %.2f MB file (%d blocks sampled)",
+				p.Name(), mm.Len(), float64(peak)/(1<<20), float64(mm.SizeBytes())/(1<<20), src.blocks)
+			if peak == 0 || peak > bound {
+				t.Fatalf("%s: mapping resident peak %d bytes, want within (0, %d]", p.Name(), peak, bound)
+			}
+		}
+		mm.Close()
+	}
+}
+
+// mappedResident sums the Rss of the process's mappings of the file at
+// path, as /proc/self/smaps lists them; found is false where no mapping of
+// the file is listed, or there is no smaps.
+func mappedResident(t *testing.T, path string) (rss int64, found bool) {
+	t.Helper()
+	smaps, err := os.ReadFile("/proc/self/smaps")
+	if err != nil {
+		return 0, false
+	}
+	if path, err = filepath.EvalSymlinks(path); err != nil {
+		t.Fatal(err)
+	}
+	in := false
+	for _, line := range strings.Split(string(smaps), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+		case !strings.HasSuffix(f[0], ":"): // a mapping: range perms offset dev inode [path]
+			in = len(f) == 6 && f[5] == path
+			found = found || in
+		case in && f[0] == "Rss:":
+			kb, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatalf("smaps %q: %v", line, err)
+			}
+			rss += kb << 10
+		}
+	}
+	return rss, found
 }
 
 // TestOutOfCoreRefusesGreedy: a stored-order stream gives Greedy no

@@ -5,6 +5,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -185,33 +189,71 @@ func TestSourceMatrixTruncatedBody(t *testing.T) {
 	}
 }
 
-// TestMmapSourceModes pins the backend mode reporting and the close
-// contract: Close is idempotent, and a closed handle fails cleanly instead
-// of touching a released mapping.
+// TestMmapSourceModes drives a mapped source through two full passes, a
+// pass stopped midway and Reset, and a Close midway, over a file of several
+// release steps: its blocks must equal the read-at fallback's on every
+// pass, so dropping decoded pages never changes what a later pass reads,
+// and after each Reset the mapping keeps at most one step resident (on
+// Linux, from /proc/self/smaps). The forced fallback reports unmapped.
 func TestMmapSourceModes(t *testing.T) {
-	g := gen.Web(gen.WebConfig{N: 2000, OutDegree: 5, Seed: 9})
+	g := gen.Web(gen.WebConfig{N: 20000, OutDegree: 24, IntraSite: 0.8, Seed: 9})
 	path := writeTemp(t, g)
+
+	disableMmap = true
+	fb, err := OpenMmap(path)
+	disableMmap = false
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb.Mapped() {
+		t.Fatal("disableMmap still mapped")
+	}
+	want := readBlocks(t, fb, -1)
+	fb.Close()
+	if fb.SizeBytes() < 3*releaseStep {
+		t.Fatalf("file of %d bytes spans under three release steps", fb.SizeBytes())
+	}
 
 	src, err := OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// On platforms with mmap wired up this must actually map; the fallback
-	// variant is exercised via disableMmap below either way.
+	// is exercised above either way.
 	t.Logf("mapped=%v", src.Mapped())
+	onLinux := runtime.GOOS == "linux" && src.Mapped()
+	pass := func(name string, stop int) {
+		if err := src.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if rss, found := mappedResident(t, path); onLinux && (!found || rss > releaseStep) {
+			t.Fatalf("%s: mapping listed %v, %d bytes resident after Reset; want at most %d", name, found, rss, releaseStep)
+		}
+		got := readBlocks(t, src, stop)
+		if stop < 0 && len(got) != len(want) {
+			t.Fatalf("%s: %d blocks, read-at fallback %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: block %d differs from the read-at fallback's", name, i)
+			}
+		}
+	}
+	pass("first pass", -1)
+	pass("second pass", -1)
+	pass("stopped pass", len(want)/2)
+	pass("pass after the stopped one", -1)
 
-	// Close mid-pass: one block read, more to come.
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if blk, err := src.NextBlock(); err != nil || len(blk) >= g.NumEdges() {
-		t.Fatalf("first block: %d edges, err %v; want part of %d", len(blk), err, g.NumEdges())
-	}
+	// Close mid-pass: half the blocks read, more to come.
+	pass("closed pass", len(want)/2)
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+	if rss, found := mappedResident(t, path); found {
+		t.Fatalf("mapping still listed after Close (%d bytes resident)", rss)
 	}
 	if err := src.Reset(); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("Reset on closed source: %v, want os.ErrClosed", err)
@@ -219,23 +261,55 @@ func TestMmapSourceModes(t *testing.T) {
 	if _, err := src.NextBlock(); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("NextBlock on closed source: %v, want os.ErrClosed", err)
 	}
+}
 
-	// The forced fallback reports unmapped and still satisfies the matrix
-	// (covered above); here just pin the flag.
-	disableMmap = true
-	defer func() { disableMmap = false }()
-	fb, err := OpenMmap(path)
+// readBlocks copies the next n blocks src hands out, or every block to the
+// end of the pass when n is negative.
+func readBlocks(t *testing.T, src stream.Source, n int) [][]graph.Edge {
+	t.Helper()
+	var out [][]graph.Edge
+	for n < 0 || len(out) < n {
+		blk, err := src.NextBlock()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, slices.Clone(blk))
+	}
+	return out
+}
+
+// mappedResident sums the Rss of the process's mappings of the file at
+// path, as /proc/self/smaps lists them; found is false where no mapping of
+// the file is listed, or there is no smaps.
+func mappedResident(t *testing.T, path string) (rss int64, found bool) {
+	t.Helper()
+	smaps, err := os.ReadFile("/proc/self/smaps")
 	if err != nil {
+		return 0, false
+	}
+	if path, err = filepath.EvalSymlinks(path); err != nil {
 		t.Fatal(err)
 	}
-	defer fb.Close()
-	if fb.Mapped() {
-		t.Fatal("disableMmap still mapped")
+	in := false
+	for _, line := range strings.Split(string(smaps), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+		case !strings.HasSuffix(f[0], ":"): // a mapping: range perms offset dev inode [path]
+			in = len(f) == 6 && f[5] == path
+			found = found || in
+		case in && f[0] == "Rss:":
+			kb, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatalf("smaps %q: %v", line, err)
+			}
+			rss += kb << 10
+		}
 	}
-	got := collect(t, fb)
-	if len(got) != g.NumEdges() {
-		t.Fatalf("fallback decoded %d edges", len(got))
-	}
+	return rss, found
 }
 
 // TestOpenRejectsJunk: every backend rejects junk and missing files, and

@@ -40,7 +40,20 @@ type fileCore struct {
 	// access for verification reads.
 	integ *integrity
 	raw   io.ReaderAt
+
+	// mapped is the file's read-only mapping when the source decodes from
+	// one (nil otherwise); released is the offset below which the current
+	// pass has dropped the mapping's pages (releaseBelow). released belongs
+	// to whichever goroutine owns the decoder.
+	mapped   []byte
+	released int64
 }
+
+// releaseStep is the granularity at which a pass drops the mapped pages it
+// has decoded: the mapping's resident part stays near one step plus a
+// block, and a pass over an n-byte file makes n/releaseStep madvise calls.
+// (The step's measurement is in DESIGN.md, "Releasing the mapped input".)
+const releaseStep = 1 << 18
 
 // initIntegrity checks the magic through r, then eagerly parses and
 // validates the integrity trailer (footer magic, trailer CRC, block
@@ -108,7 +121,8 @@ func (s *fileCore) SizeBytes() int64 { return s.size }
 
 // Reset implements stream.Source: the first edge's offset was recorded when
 // the source was opened, so Reset is a cursor seek (a pointer rewind when
-// the offset is inside the mapping or window).
+// the offset is inside the mapping or window). It drops the rest of the
+// mapping's pages, so a stopped pass leaves none resident.
 func (s *fileCore) Reset() error {
 	if s.closed {
 		return fmt.Errorf("store: %s: %w", s.path, os.ErrClosed)
@@ -116,6 +130,8 @@ func (s *fileCore) Reset() error {
 	s.stopAhead()
 	s.dec.seek(s.startOff, decState{})
 	s.pos = 0
+	releaseMapped(s.mapped)
+	s.released = 0
 	return nil
 }
 
@@ -163,7 +179,20 @@ func (s *fileCore) decodeNext(buf []graph.Edge, pos int) ([]graph.Edge, error) {
 	if err := s.integ.verifyRange(s.raw, from, s.dec.cur.abs()); err != nil {
 		return nil, err
 	}
+	s.releaseBelow(from &^ (releaseStep - 1))
 	return buf[:n], nil
+}
+
+// releaseBelow drops the mapped pages in [released, off) from the process's
+// resident set. The page cache keeps the file, so a later pass re-reads
+// the same bytes through minor faults. off is at most the start of the
+// block just decoded, rounded down to a step (a multiple of the page and
+// of the checksum block), so the pass never reads a dropped page again.
+func (s *fileCore) releaseBelow(off int64) {
+	if s.mapped != nil && off > s.released {
+		releaseMapped(s.mapped[s.released:off])
+		s.released = off
+	}
 }
 
 // markClosed stops any decode goroutine, flips the handle closed and

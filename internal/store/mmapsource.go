@@ -70,9 +70,14 @@ func (m *mapping) ReadAt(p []byte, off int64) (int, error) {
 
 // MmapSource streams a CGR3 file as a stream.Source by
 // mapping it once and decoding straight from the mapped bytes: no read
-// syscalls on the hot path, no per-handle buffers, and the OS page cache
-// serves repeat passes - Reset is a pointer rewind, so multi-pass
-// algorithms (the three CLUGP passes) pay for decode, not I/O.
+// syscalls on the hot path and no per-handle buffers. Reset is a pointer
+// rewind. As a pass decodes, it drops the mapped pages behind it from the
+// process's resident set, in steps of releaseStep (on Linux, through
+// madvise), and Reset drops the rest. So a run holds about one step of the
+// file, not the whole file. The OS page cache still holds the file: a
+// repeat pass (the CLUGP passes) maps the same pages again through minor
+// faults and pays for decode, not I/O. What falls is the process's
+// resident set, not the machine's cached bytes.
 //
 // Where the platform cannot map (or disableMmap is set), the source runs
 // in a portable read-at mode: same contract, but the cursor reads through
@@ -107,7 +112,7 @@ func OpenMmap(path string) (*MmapSource, error) {
 		}
 	}
 	s := &MmapSource{m: m}
-	s.path, s.size = path, m.size
+	s.path, s.size, s.mapped = path, m.size, m.data
 	if err := s.initIntegrity(m); err != nil {
 		s.Close()
 		return nil, err
